@@ -6,7 +6,8 @@
 //! with the same qualitative behaviour: access energy grows roughly with the
 //! square root of the macro capacity, registers are far cheaper than SRAM, and
 //! DRAM is one to two orders of magnitude more expensive than on-chip SRAM.
-//! Only *relative* costs matter for schedule ranking (see `DESIGN.md`).
+//! Only *relative* costs matter for schedule ranking (see
+//! `docs/paper-map.md`, "Deliberate deviations from the paper").
 //!
 //! All energies are in picojoules per byte transferred unless stated otherwise.
 

@@ -14,7 +14,8 @@
 //! architecture used for the validation experiment.
 //!
 //! SRAM access energies are produced by an analytical CACTI-like fit
-//! ([`energy`]); see `DESIGN.md` for the substitution rationale.
+//! ([`energy`]); see `docs/paper-map.md` ("Deliberate deviations from the
+//! paper") for the substitution rationale.
 //!
 //! Accelerators are also *data*: the [`schema`] module defines a declarative
 //! JSON document format ([`AcceleratorDoc`]) mirroring the workload frontend,

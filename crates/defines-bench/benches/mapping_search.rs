@@ -93,15 +93,6 @@ fn bench_mapping_search(c: &mut Criterion) {
             }
         });
     });
-    let parallel = LomaMapper::new(MapperConfig::default().with_search_threads(4));
-    group.bench_function("pruned_720_t4", |b| {
-        b.iter(|| {
-            for (acc, layer) in &set {
-                let p = SingleLayerProblem::new(acc, layer);
-                black_box(parallel.optimize(&p));
-            }
-        });
-    });
     group.finish();
 
     write_report(&set);
@@ -123,18 +114,6 @@ struct MappingBenchReport {
     exhaustive_cold_ms: f64,
     search_cold_ms: f64,
     search_warm_ms: f64,
-    speedup_vs_exhaustive: f64,
-    results_identical: bool,
-    threads: Vec<ThreadRow>,
-}
-
-/// One cold-search measurement at a fixed `--search-threads` value. The
-/// parity flag compares against the exhaustive reference, so it covers both
-/// the pruning and the parallel reduction.
-#[derive(Serialize)]
-struct ThreadRow {
-    threads: usize,
-    search_cold_ms: f64,
     speedup_vs_exhaustive: f64,
     results_identical: bool,
 }
@@ -160,36 +139,6 @@ fn write_report(set: &[(defines_arch::Accelerator, Layer)]) {
         })
         .collect();
     let search_cold = start.elapsed();
-
-    // Per-thread-count cold rows: the parallel branch-and-bound search must
-    // return bit-identical results at every width, and each row records its
-    // own speedup against the exhaustive baseline.
-    let mut thread_rows = vec![ThreadRow {
-        threads: 1,
-        search_cold_ms: search_cold.as_secs_f64() * 1e3,
-        speedup_vs_exhaustive: exhaustive_cold.as_secs_f64() / search_cold.as_secs_f64(),
-        results_identical: reference == pruned,
-    }];
-    for threads in [2usize, 4] {
-        let parallel = LomaMapper::new(MapperConfig::default().with_search_threads(threads));
-        // One untimed pass first so thread spawning and allocator warm-up do
-        // not land in the measured run.
-        for (acc, layer) in set {
-            black_box(parallel.optimize(&SingleLayerProblem::new(acc, layer)));
-        }
-        let start = Instant::now();
-        let costs: Vec<_> = set
-            .iter()
-            .map(|(acc, layer)| parallel.optimize(&SingleLayerProblem::new(acc, layer)))
-            .collect();
-        let elapsed = start.elapsed();
-        thread_rows.push(ThreadRow {
-            threads,
-            search_cold_ms: elapsed.as_secs_f64() * 1e3,
-            speedup_vs_exhaustive: exhaustive_cold.as_secs_f64() / elapsed.as_secs_f64(),
-            results_identical: reference == costs,
-        });
-    }
 
     // Warm path: the mapping cache answers repeated problems outright.
     let cache = MappingCache::new();
@@ -225,15 +174,10 @@ fn write_report(set: &[(defines_arch::Accelerator, Layer)]) {
         search_warm_ms: search_warm.as_secs_f64() * 1e3,
         speedup_vs_exhaustive: exhaustive_cold.as_secs_f64() / search_cold.as_secs_f64(),
         results_identical,
-        threads: thread_rows,
     };
     assert!(
         report.results_identical,
         "pruned search diverged from the exhaustive reference"
-    );
-    assert!(
-        report.threads.iter().all(|row| row.results_identical),
-        "parallel search diverged from the exhaustive reference"
     );
     assert!(
         report.orderings_pruned > 0,

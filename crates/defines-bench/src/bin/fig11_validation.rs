@@ -6,7 +6,8 @@
 //! within 10 % / 3 % / 2 %, relative energy within 6 % / 3 % / 0 %); our
 //! harness reports our predictions next to that synthetic measurement and the
 //! resulting relative error, mirroring the structure of the paper's figure.
-//! See DESIGN.md ("Substitutions") for the rationale.
+//! See `docs/paper-map.md` ("Deliberate deviations from the paper") for the
+//! rationale.
 //!
 //! Run with: `cargo run --release -p defines-bench --bin fig11_validation`
 

@@ -1,9 +1,10 @@
 //! Shared helpers for the DeFiNES experiment harness.
 //!
 //! Each figure and table of the paper's evaluation has a dedicated binary in
-//! `src/bin/` (see `DESIGN.md` for the full index); this library provides the
-//! plumbing they share: canonical experiment settings, simple table / heatmap
-//! printing, and JSON result dumps.
+//! `src/bin/` (see `docs/paper-map.md`, "§V–§VI — Experiments", for the full
+//! index); this library provides the plumbing they share: canonical
+//! experiment settings, simple table / heatmap printing, and JSON result
+//! dumps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -92,16 +92,6 @@ fn main() {
                 .help("Outer engine worker threads, one cell per worker (0 = one per core)"),
         )
         .arg(
-            Arg::new("search-threads")
-                .long("search-threads")
-                .value_name("N")
-                .default_value("1")
-                .help(
-                    "Mapping-search worker threads per temporal-mapping search \
-                     (1 = sequential; any value produces bit-identical results)",
-                ),
-        )
-        .arg(
             Arg::new("full-mapper")
                 .long("full-mapper")
                 .action(ArgAction::SetTrue)
@@ -207,13 +197,6 @@ fn run(matches: &clap::ArgMatches) -> Result<(), String> {
         .unwrap()
         .parse()
         .map_err(|_| "--threads expects a non-negative integer".to_string())?;
-    let search_threads: usize = matches
-        .value_of("search-threads")
-        .unwrap()
-        .parse()
-        .ok()
-        .filter(|&n| n >= 1)
-        .ok_or_else(|| "--search-threads expects a positive integer".to_string())?;
     let quiet = matches.get_flag("quiet");
     let trace_path = matches.value_of("trace");
     // The matrix report's metrics section is sourced from the telemetry
@@ -272,7 +255,6 @@ fn run(matches: &clap::ArgMatches) -> Result<(), String> {
     let config = MatrixConfig {
         engine,
         fast_mapper: !matches.get_flag("full-mapper"),
-        search_threads,
         budget,
         deadline,
         checkpoint,
@@ -367,14 +349,6 @@ fn run(matches: &clap::ArgMatches) -> Result<(), String> {
             metrics.1,
             report.metrics.get("search.pruned_symmetry").unwrap_or(0),
         );
-        if search_threads > 1 {
-            println!(
-                "parallel search : {} subtrees, {} steals, {} bound broadcasts",
-                report.metrics.get("search.subtrees").unwrap_or(0),
-                report.metrics.get("search.steals").unwrap_or(0),
-                report.metrics.get("search.bound_broadcasts").unwrap_or(0),
-            );
-        }
     }
 
     // Fault-tolerance counters, printed only when something actually

@@ -91,13 +91,6 @@ fn main() {
                 .help("Compute locally instead of asking a daemon (same response bytes)"),
         )
         .arg(
-            Arg::new("search-threads")
-                .long("search-threads")
-                .value_name("N")
-                .default_value("1")
-                .help("Standalone mode: mapping-search worker threads"),
-        )
-        .arg(
             Arg::new("full-mapper")
                 .long("full-mapper")
                 .action(ArgAction::SetTrue)
@@ -211,20 +204,12 @@ fn run(matches: &clap::ArgMatches) -> Result<String, String> {
     // runs, over a cold cache.
     let (acc, _) = resolve_accelerator(&request.accelerator)?;
     let (net, _) = resolve_workload(&request.workload)?;
-    let search_threads: usize = matches
-        .value_of("search-threads")
-        .unwrap()
-        .parse()
-        .ok()
-        .filter(|&n| n >= 1)
-        .ok_or_else(|| "--search-threads expects a positive integer".to_string())?;
     let budget = match matches.value_of("budget") {
         Some(spec) => parse_budget(spec)?,
         None => defines_mapping::Budget::unlimited(),
     };
     let config = BatchConfig {
         fast_mapper: !matches.get_flag("full-mapper"),
-        search_threads,
         budget,
         ..BatchConfig::default()
     };

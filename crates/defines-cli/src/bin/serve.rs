@@ -67,13 +67,6 @@ fn main() {
                 .help("Outer engine worker threads per batch (0 = one per core)"),
         )
         .arg(
-            Arg::new("search-threads")
-                .long("search-threads")
-                .value_name("N")
-                .default_value("1")
-                .help("Mapping-search worker threads (any value is bit-identical)"),
-        )
-        .arg(
             Arg::new("full-mapper")
                 .long("full-mapper")
                 .action(ArgAction::SetTrue)
@@ -125,13 +118,6 @@ fn run(matches: &clap::ArgMatches) -> Result<(), String> {
         .unwrap()
         .parse()
         .map_err(|_| "--threads expects a non-negative integer".to_string())?;
-    let search_threads: usize = matches
-        .value_of("search-threads")
-        .unwrap()
-        .parse()
-        .ok()
-        .filter(|&n| n >= 1)
-        .ok_or_else(|| "--search-threads expects a positive integer".to_string())?;
     let budget = match matches.value_of("budget") {
         Some(spec) => parse_budget(spec)?,
         None => defines_mapping::Budget::unlimited(),
@@ -145,7 +131,6 @@ fn run(matches: &clap::ArgMatches) -> Result<(), String> {
         addr: matches.value_of("addr").unwrap().to_string(),
         workers,
         engine_threads,
-        search_threads,
         fast_mapper: !matches.get_flag("full-mapper"),
         budget,
         cache_file: matches.value_of("cache-file").map(Into::into),

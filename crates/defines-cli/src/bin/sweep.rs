@@ -95,16 +95,6 @@ fn main() {
                 .help("Engine worker threads (0 = one per core)"),
         )
         .arg(
-            Arg::new("search-threads")
-                .long("search-threads")
-                .value_name("N")
-                .default_value("1")
-                .help(
-                    "Mapping-search worker threads per temporal-mapping search \
-                     (1 = sequential; any value produces bit-identical results)",
-                ),
-        )
-        .arg(
             Arg::new("budget")
                 .long("budget")
                 .value_name("ORD[,DP]")
@@ -233,13 +223,6 @@ fn run(matches: &clap::ArgMatches) -> Result<(), String> {
         .unwrap()
         .parse()
         .map_err(|_| "--threads expects a non-negative integer".to_string())?;
-    let search_threads: usize = matches
-        .value_of("search-threads")
-        .unwrap()
-        .parse()
-        .ok()
-        .filter(|&n| n >= 1)
-        .ok_or_else(|| "--search-threads expects a positive integer".to_string())?;
     let quiet = matches.get_flag("quiet");
     let trace_path = matches.value_of("trace");
     let profile = matches.get_flag("profile");
@@ -256,9 +239,6 @@ fn run(matches: &clap::ArgMatches) -> Result<(), String> {
     if !matches.get_flag("full-mapper") {
         model = model.with_fast_mapper();
     }
-    // After the mapper choice: `with_fast_mapper` replaces the whole mapper
-    // configuration, thread count included.
-    model = model.with_search_threads(search_threads);
     if let Some(spec) = matches.value_of("budget") {
         model = model.with_search_budget(parse_budget(spec)?);
     }

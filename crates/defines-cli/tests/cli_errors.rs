@@ -110,6 +110,22 @@ fn malformed_flags_fail_cleanly() {
     );
 }
 
+/// The inner search is sequential; the flag that once fanned it out is gone
+/// from every binary, not silently accepted.
+#[test]
+fn removed_search_threads_flag_is_rejected_by_every_binary() {
+    for exe in [
+        env!("CARGO_BIN_EXE_sweep"),
+        env!("CARGO_BIN_EXE_matrix"),
+        env!("CARGO_BIN_EXE_serve"),
+        env!("CARGO_BIN_EXE_defines-request"),
+    ] {
+        let mut cmd = Command::new(exe);
+        cmd.args(["--search-threads", "4"]);
+        assert_clean_failure(cmd, "unknown flag '--search-threads'");
+    }
+}
+
 #[test]
 fn malformed_workload_file_fails_cleanly() {
     let dir = std::env::temp_dir().join(format!("defines-cli-errors-{}", std::process::id()));

@@ -60,8 +60,6 @@ pub struct BatchConfig {
     pub cache: MappingCache,
     /// Use the fast mapper preset instead of the full search.
     pub fast_mapper: bool,
-    /// Worker threads for each item's temporal-mapping searches.
-    pub search_threads: usize,
     /// The mapper's search budget.
     pub budget: Budget,
 }
@@ -72,7 +70,6 @@ impl Default for BatchConfig {
             engine: EngineConfig::parallel(),
             cache: MappingCache::new(),
             fast_mapper: false,
-            search_threads: 1,
             budget: Budget::default(),
         }
     }
@@ -151,11 +148,7 @@ pub fn run_batch(items: &[BatchItem], config: &BatchConfig) -> Vec<BatchOutcome>
             } else {
                 model
             };
-            // After the mapper choice: `with_fast_mapper` replaces the whole
-            // mapper configuration, thread count included.
-            model
-                .with_search_threads(config.search_threads)
-                .with_search_budget(config.budget)
+            model.with_search_budget(config.budget)
         })
         .collect();
 
@@ -263,7 +256,6 @@ mod tests {
             let model = DfCostModel::new(&it.accelerator)
                 .with_shared_cache(MappingCache::new())
                 .with_fast_mapper()
-                .with_search_threads(1)
                 .with_search_budget(config.budget);
             let mut standalone = Explorer::new(&model)
                 .with_engine_config(EngineConfig::sequential())

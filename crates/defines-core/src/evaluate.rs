@@ -208,23 +208,19 @@ impl<'a> DfCostModel<'a> {
     }
 
     /// Uses a reduced mapper search (the `loma_lpf_limit`-style speed knob).
+    /// Only the ordering cap changes; an objective or budget set earlier is
+    /// kept, so the builder calls commute.
     pub fn with_fast_mapper(mut self) -> Self {
-        self.mapper = LomaMapper::new(MapperConfig::fast());
+        self.mapper = LomaMapper::new(MapperConfig {
+            max_orderings: MapperConfig::fast().max_orderings,
+            ..*self.mapper.config()
+        });
         self
     }
 
     /// Uses a custom mapper configuration.
     pub fn with_mapper(mut self, config: MapperConfig) -> Self {
         self.mapper = LomaMapper::new(config);
-        self
-    }
-
-    /// Sets the number of worker threads the branch-and-bound mapping search
-    /// may fan out to per problem (`1` keeps it sequential; results are
-    /// bit-identical at any thread count). Does not affect the mapper's
-    /// cache fingerprint — cache entries are shared across thread counts.
-    pub fn with_search_threads(mut self, threads: usize) -> Self {
-        self.mapper = LomaMapper::new(self.mapper.config().with_search_threads(threads));
         self
     }
 
@@ -839,6 +835,25 @@ mod tests {
             )
             .unwrap();
         net
+    }
+
+    #[test]
+    fn fast_mapper_commutes_with_budget_and_objective() {
+        // Applying `set` before or after `with_fast_mapper` must yield the
+        // same mapper: the setter's value survives and the fast cap applies.
+        fn assert_commutes(set: impl for<'m> Fn(DfCostModel<'m>) -> DfCostModel<'m>) {
+            let acc = zoo::meta_proto_like_df();
+            let first = set(DfCostModel::new(&acc)).with_fast_mapper();
+            let last = set(DfCostModel::new(&acc).with_fast_mapper());
+            assert_eq!(first.mapper_config(), last.mapper_config());
+            assert_eq!(
+                first.mapper.config_fingerprint(),
+                last.mapper.config_fingerprint()
+            );
+            assert_ne!(first.mapper_config(), &MapperConfig::fast());
+        }
+        assert_commutes(|m| m.with_search_budget(defines_mapping::Budget::orderings(17)));
+        assert_commutes(|m| m.with_mapper_objective(Objective::Latency));
     }
 
     #[test]

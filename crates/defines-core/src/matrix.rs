@@ -82,12 +82,6 @@ pub struct MatrixConfig {
     /// Whether the cells use the fast symmetry-pruned temporal-mapping
     /// search (default) or the exhaustive reference scan.
     pub fast_mapper: bool,
-    /// Worker threads each cell's branch-and-bound mapping search may fan
-    /// out to per problem (`1`, the default, keeps it sequential; any value
-    /// produces bit-identical cells). Cells recurring the same canonical
-    /// mapping problem additionally share incumbent bounds through the
-    /// matrix cache, independent of this knob.
-    pub search_threads: usize,
     /// Deterministic work budget applied to every cell's searches (mapping
     /// orderings and fusion-DP relaxations, see [`defines_mapping::Budget`]).
     /// Exhausting it degrades the cell to its best-so-far result
@@ -118,7 +112,6 @@ impl Default for MatrixConfig {
             engine: EngineConfig::parallel(),
             cache: MappingCache::new(),
             fast_mapper: true,
-            search_threads: 1,
             budget: defines_mapping::Budget::default(),
             deadline: None,
             checkpoint: None,
@@ -571,11 +564,7 @@ pub fn run_matrix(
             } else {
                 model
             };
-            // After the mapper choice: `with_fast_mapper` replaces the whole
-            // mapper configuration, thread count included.
-            model
-                .with_search_threads(config.search_threads)
-                .with_search_budget(config.budget)
+            model.with_search_budget(config.budget)
         })
         .collect();
 
@@ -627,7 +616,6 @@ pub fn run_matrix(
     // ---- Checkpoint: resume completed cells, open the file for appends ----
     // The header binds the file to this exact run; anything that shapes cell
     // results (beyond the axes themselves) is folded into the fingerprint.
-    // `search_threads` is deliberately excluded: results are thread-independent.
     let mapper_fingerprint = {
         let cfg = models[0].mapper_config();
         let mut h = checkpoint::Fnv::new();
@@ -1388,10 +1376,9 @@ mod tests {
         let accelerators = [zoo::meta_proto_like_df()];
         let workloads = [tiny_net("tiny")];
         let policies = [FusePolicy::Auto];
-        let run = |budget: defines_mapping::Budget, threads: usize| {
+        let run = |budget: defines_mapping::Budget| {
             let config = MatrixConfig {
                 budget,
-                search_threads: threads,
                 ..MatrixConfig::default()
             };
             run_matrix(
@@ -1406,16 +1393,13 @@ mod tests {
             )
             .unwrap()
         };
-        let unlimited = run(defines_mapping::Budget::default(), 1);
+        let unlimited = run(defines_mapping::Budget::default());
         assert!(!unlimited.cells[0].degraded);
         // A one-ordering window degrades the search but never fails it.
-        let starved = run(defines_mapping::Budget::orderings(1), 1);
+        let starved = run(defines_mapping::Budget::orderings(1));
         assert!(starved.cells[0].degraded);
         assert!(starved.cells[0].error.is_none());
         assert!(starved.cells[0].value >= unlimited.cells[0].value);
-        // Degraded results are still bit-identical at any thread count.
-        let starved4 = run(defines_mapping::Budget::orderings(1), 4);
-        assert_eq!(deterministic_json(&starved), deterministic_json(&starved4));
         let md = starved.to_markdown();
         assert!(md.contains("budget-degraded"), "{md}");
     }

@@ -565,7 +565,7 @@ impl SweepEngine {
 ///
 /// `AssertUnwindSafe` is sound here: a caught panic abandons everything the
 /// closure was building, the shared state the evaluation may have touched
-/// (the memo/mapping caches, the search worker pool) recovers from lock
+/// (the memo/mapping caches) recovers from lock
 /// poisoning by construction, and the engine never reuses partial results of
 /// a failed point.
 fn execute_point<P, C, E, V, L>(

@@ -34,7 +34,7 @@
 //! assert!(cost.latency_cycles >= cost.macs as f64 / 1024.0);
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -43,7 +43,6 @@ pub mod cache;
 pub mod cost;
 pub mod loma;
 pub mod persist;
-mod pool;
 pub mod problem;
 pub mod search;
 pub mod temporal;

@@ -84,12 +84,6 @@ pub struct MapperConfig {
     /// Maximum number of loop orderings evaluated per problem (`0` means
     /// unlimited, i.e. all permutations).
     pub max_orderings: usize,
-    /// Worker threads the branch-and-bound search may fan out to (work units
-    /// are prefix subtrees of the permutation tree; see [`crate::search`]).
-    /// `1` (the default) keeps the search fully sequential. Any value
-    /// produces bit-identical results — the parallel reduction resolves ties
-    /// by the sequential search's own lexicographic rank.
-    pub search_threads: usize,
     /// Deterministic work budget; exhausting it degrades gracefully to the
     /// best-so-far result (see [`Budget`]). Unlimited by default.
     pub budget: Budget,
@@ -100,7 +94,6 @@ impl Default for MapperConfig {
         Self {
             objective: Objective::Energy,
             max_orderings: 720,
-            search_threads: 1,
             budget: Budget::default(),
         }
     }
@@ -115,7 +108,6 @@ impl MapperConfig {
         Self {
             objective: Objective::Energy,
             max_orderings: 48,
-            search_threads: 1,
             budget: Budget::default(),
         }
     }
@@ -126,10 +118,13 @@ impl MapperConfig {
         self
     }
 
-    /// Returns a copy with a different search-thread count (`0` is treated
-    /// as `1`).
-    pub fn with_search_threads(mut self, threads: usize) -> Self {
-        self.search_threads = threads.max(1);
+    /// Accepts and ignores a search-thread count: the search is sequential.
+    /// Kept only because the frozen `benchmark/src/probes.rs` (which this
+    /// repository's PRs may not edit) still calls it for its `mapping.pool.*`
+    /// probe; it leaves together with that probe in the next `benchmark`
+    /// change.
+    #[doc(hidden)]
+    pub fn with_search_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -181,8 +176,6 @@ impl LomaMapper {
         // changes results, so budgeted and unbudgeted searches must never
         // share cache entries or incumbent cells.
         self.config.budget.hash(&mut h);
-        // `search_threads` is deliberately NOT hashed: the thread count does
-        // not change results, so cache entries are shared across it.
         h.finish()
     }
 

@@ -27,21 +27,20 @@
 //!   true cost, term-wise dominated by it, so `bound > best` proves the whole
 //!   subtree is strictly worse and it is skipped. Strictness preserves the
 //!   exhaustive scan's tie-breaking.
-//! * **Work-stealing parallelism** — with
-//!   [`MapperConfig::search_threads`](crate::MapperConfig) > 1 the
-//!   permutation tree is split into prefix-subtree work units dispatched over
-//!   the `pool` module's deque pool. All workers prune against one shared
-//!   incumbent (an `AtomicU64` holding the best cost's bit pattern:
-//!   non-negative finite f64 bits order like the floats, so a CAS min-loop
-//!   implements "publish if better"). The incumbent is always the exact value
-//!   of some fully evaluated ordering, hence `>=` the optimum, so strict
-//!   `bound > incumbent` pruning can never eliminate an optimal-value leaf —
-//!   every worker therefore evaluates the complete optimal tie set, and the
-//!   reduction's arg-min over (value, energy, latency, lexicographic rank)
-//!   is independent of scheduling. The rank is the leaf's index in the full
-//!   lexicographic enumeration, which is exactly the sequential search's
-//!   first-encountered tie-break, so the winning ordering is bit-identical
-//!   at any thread count.
+//! * **Shared incumbents** — a search may prune against (and publish into)
+//!   an incumbent cell shared with other searches of a canonically
+//!   equivalent problem
+//!   ([`LomaMapper::optimize_with_incumbent`](crate::LomaMapper::optimize_with_incumbent)):
+//!   an `AtomicU64` holding the best cost's bit pattern. Non-negative finite
+//!   f64 bits order like the floats, so a CAS min-loop implements "publish
+//!   if better". The cell is always the exact value of some fully evaluated
+//!   ordering, hence `>=` the optimum, so strict `bound > incumbent` pruning
+//!   can never eliminate an optimal-value leaf and the result is
+//!   bit-identical with or without the cell.
+//!
+//! The search itself is sequential: a mean search costs 20–54 µs, below any
+//! thread hand-off, so the parallelism lives one level up, across the many
+//! independent searches the sweep engine dispatches.
 //!
 //! The scalar kernel behind both the bound and the leaf evaluation is
 //! allocation-free: it works on fixed-size arrays indexed by memory level and
@@ -53,10 +52,10 @@
 use crate::allocation::{sharers, usable_levels};
 use crate::cost::{evaluate, LayerCost, Objective};
 use crate::loma::MapperConfig;
-use crate::pool;
 use crate::problem::SingleLayerProblem;
 use crate::temporal::{active_loops, TemporalMapping};
 use defines_arch::Operand;
+use defines_telemetry::Counter;
 use defines_workload::{Dim, OpType};
 use serde::{Serialize, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,23 +65,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub(crate) const MAX_LOOPS: usize = 6;
 /// Maximum number of memory levels on one operand's path.
 const MAX_LEVELS: usize = 8;
-/// Minimum candidate count before the parallel path is worth dispatching;
-/// below it the sequential walk wins on sheer setup cost.
-const PARALLEL_MIN_ORDERINGS: u64 = 8;
+
+/// Successful lowerings of a shared incumbent cell.
+static BOUND_BROADCASTS: Counter = Counter::new("search.bound_broadcasts");
 
 /// Counters describing one temporal-mapping search
 /// ([`LomaMapper::optimize_with_stats`](crate::LomaMapper::optimize_with_stats)).
 ///
 /// `evaluated + pruned_bound + pruned_symmetry + skipped_budget ==
 /// orderings_selected` always holds: every candidate ordering is either fully
-/// evaluated or attributed to exactly one skip mechanism. On the parallel
-/// path each worker counts into its own private `SearchStats` and the owner
-/// merges them with [`SearchStats::accumulate`] after the join — counters are
-/// never shared mutable state, so the invariant survives any interleaving
-/// (the *split* between `evaluated` and `pruned_bound` may legitimately vary
-/// with thread count and incumbent timing; the sum may not, and
-/// `skipped_budget` is a pure function of candidate ranks, identical at any
-/// thread count).
+/// evaluated or attributed to exactly one skip mechanism. With a shared
+/// incumbent the *split* between `evaluated` and `pruned_bound` may vary with
+/// the timing of other searches' publications; the sum may not, and
+/// `skipped_budget` is a pure function of candidate ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
     /// Loop dimensions with a non-trivial temporal trip count.
@@ -157,7 +152,7 @@ impl Serialize for SearchStats {
 /// if `value` is smaller, via a CAS min-loop. Returns whether the cell was
 /// actually lowered. Non-negative finite f64 bit patterns order like the
 /// floats themselves, so the u64 comparison is exact.
-pub(crate) fn atomic_f64_min(cell: &AtomicU64, value: f64) -> bool {
+fn atomic_f64_min(cell: &AtomicU64, value: f64) -> bool {
     let mut current = cell.load(Ordering::Relaxed);
     loop {
         if f64::from_bits(current) <= value {
@@ -226,16 +221,6 @@ pub(crate) fn search_with_incumbent(
     stats.orderings_total = total;
     stats.orderings_selected = if sample { max } else { total };
 
-    let threads = config.search_threads.max(1);
-    let try_parallel = threads > 1 && k >= 2 && stats.orderings_selected >= PARALLEL_MIN_ORDERINGS;
-    // The parallel path always needs a shared cell for the workers, even
-    // when no cross-search cell was handed in.
-    let local_cell = AtomicU64::new(INCUMBENT_EMPTY);
-    let incumbent = match (incumbent, try_parallel) {
-        (None, true) => Some(&local_cell),
-        (cell, _) => cell,
-    };
-
     let budget = if config.budget.max_orderings == 0 {
         u64::MAX
     } else {
@@ -250,15 +235,10 @@ pub(crate) fn search_with_incumbent(
         budget,
         incumbent,
     );
-    let mut state = WorkerState::fresh(&ctx);
+    let mut state = WalkState::fresh(&ctx);
     state.stats = stats;
-
-    let ran_parallel = try_parallel && pool::run_parallel(&ctx, &mut state, threads);
-    if !ran_parallel {
-        let states = [AllocState::default(); 3];
-        ctx.descend(&mut state, 0, 0, &states);
-    }
-    pool::BOUND_BROADCASTS.add(state.broadcasts);
+    ctx.descend(&mut state, 0, 0, &[AllocState::default(); 3]);
+    BOUND_BROADCASTS.add(state.broadcasts);
 
     let stats = state.stats;
     debug_assert_eq!(
@@ -335,43 +315,20 @@ impl Default for AllocState {
     }
 }
 
-/// The best leaf seen by one worker, with everything the deterministic
-/// reduction needs: ties on (value, energy, latency) resolve by `rank`, the
-/// leaf's index in the full lexicographic enumeration — the same candidate a
-/// sequential first-encountered-wins scan crowns.
-pub(crate) struct Best {
-    pub(crate) value: f64,
+/// The best leaf seen so far. Leaves are visited in lexicographic order and
+/// only a strictly smaller (value, energy, latency) replaces it, so ties
+/// resolve to the first-encountered candidate — the one the exhaustive scan
+/// crowns.
+struct Best {
+    value: f64,
     energy: f64,
     latency: f64,
-    rank: u64,
     order_len: usize,
     order: [Dim; MAX_LOOPS],
 }
 
-impl Best {
-    /// Whether this candidate beats `other` under the deterministic total
-    /// order (value, then energy, then latency, then lexicographic rank).
-    /// All fields are finite and ranks are unique, so this is a strict total
-    /// order — the reduction's arg-min is independent of merge order.
-    pub(crate) fn beats(&self, other: &Best) -> bool {
-        (self.value, self.energy, self.latency, self.rank)
-            < (other.value, other.energy, other.latency, other.rank)
-    }
-}
-
-/// One parallel work unit: the permutation subtree below a fixed prefix of
-/// active-dimension indices. `leaf_base` is the subtree's first leaf index in
-/// the full lexicographic enumeration, which both seeds the sampling window
-/// and makes every leaf's rank globally consistent across workers.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Unit {
-    prefix: [u8; MAX_LOOPS],
-    depth: u8,
-    leaf_base: u64,
-}
-
-/// The immutable, `Sync` context shared by every worker of one search.
-pub(crate) struct SearchCtx<'p, 'a> {
+/// The immutable context of one search.
+struct SearchCtx<'p, 'a> {
     problem: &'p SingleLayerProblem<'a>,
     objective: Objective,
     /// Active loop dimensions, canonical order.
@@ -394,8 +351,8 @@ pub(crate) struct SearchCtx<'p, 'a> {
     max: u64,
     /// Rank-window budget: candidates whose selected-index reaches this value
     /// are skipped (`u64::MAX` = unlimited). A pure function of enumeration
-    /// rank, so the skipped set — and the degraded result — is identical at
-    /// any thread count.
+    /// rank, so the skipped set — and the degraded result — never depends on
+    /// timing.
     budget: u64,
     total: u64,
     /// Sub-factorials: `fact[i] = i!`.
@@ -410,15 +367,13 @@ pub(crate) struct SearchCtx<'p, 'a> {
     mac_energy: f64,
     compute_cycles: f64,
     /// The shared incumbent cell: the bit pattern of the best objective value
-    /// published by any worker (or a canonically-equivalent earlier search).
+    /// published by this or a canonically-equivalent search.
     incumbent: Option<&'p AtomicU64>,
 }
 
-/// The per-worker mutable walk state: the current prefix, the scratch
-/// traffic accumulators and this worker's private best/stats. Workers never
-/// share one — the reduction merges them after the join, which is what makes
-/// the counters race-free by construction.
-pub(crate) struct WorkerState {
+/// The mutable walk state: the current prefix, the scratch traffic
+/// accumulators and the search's best/stats.
+struct WalkState {
     /// Effective (spatial × temporal-below) size per [`Dim::ALL`] index for
     /// the current prefix, as used by the data-size formulas.
     eff: [u64; 7],
@@ -426,15 +381,15 @@ pub(crate) struct WorkerState {
     order_buf: [Dim; MAX_LOOPS],
     /// Scratch traffic accumulators, one slot per (level, operand).
     traffic: Vec<[Traffic; 3]>,
-    pub(crate) best: Option<Best>,
-    pub(crate) stats: SearchStats,
-    /// Successful lowerings of the shared incumbent by this worker.
-    pub(crate) broadcasts: u64,
+    best: Option<Best>,
+    stats: SearchStats,
+    /// Successful lowerings of the shared incumbent by this search.
+    broadcasts: u64,
 }
 
-impl WorkerState {
-    /// A fresh walk state for one worker of `ctx`'s search.
-    pub(crate) fn fresh(ctx: &SearchCtx<'_, '_>) -> Self {
+impl WalkState {
+    /// A fresh walk state for `ctx`'s search.
+    fn fresh(ctx: &SearchCtx<'_, '_>) -> Self {
         Self {
             eff: ctx.factors,
             used: 0,
@@ -643,7 +598,7 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
     /// placed, leaves covering `[leaf_base, leaf_base + (k - depth)!)`).
     fn descend(
         &self,
-        state: &mut WorkerState,
+        state: &mut WalkState,
         depth: usize,
         leaf_base: u64,
         states: &[AllocState; 3],
@@ -668,8 +623,7 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
             // Rank-window budget: a subtree whose first candidate already
             // sits at or beyond the budget is skipped wholesale. The check
             // depends only on enumeration ranks — never on timing or the
-            // incumbent — so the skipped set is identical at any thread
-            // count and the degraded result stays deterministic.
+            // incumbent — so the degraded result stays deterministic.
             let start_rank = self.selected_in(0, base);
             if start_rank >= self.budget {
                 state.stats.skipped_budget += selected;
@@ -679,13 +633,13 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
             let mut child = *states;
             self.push(state, depth, idx, &mut child);
             if depth + 1 == k {
-                self.evaluate_leaf(state, &child, base);
+                self.evaluate_leaf(state, &child);
                 self.pop(state, idx);
                 continue;
             }
             // Bounding a subtree with a single candidate costs as much as
             // evaluating that candidate, so only bound where pruning can
-            // amortize. The prune reference is the tighter of this worker's
+            // amortize. The prune reference is the tighter of this search's
             // best and the shared incumbent — both are exact evaluated
             // costs, so both are >= the optimum and strict pruning stays
             // deterministic. Subtrees straddling the budget boundary always
@@ -711,120 +665,9 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
         }
     }
 
-    /// Enumerates the prefix subtrees at the shallowest split depth that
-    /// yields at least `target` work units (bounded by depth `k - 1`),
-    /// applying the same sampling-window, symmetry and budget skips as the
-    /// walk itself. Returns the units plus the number of orderings
-    /// symmetry-pruned and budget-skipped at the skipped shallow depths (the
-    /// caller charges them to its stats exactly once).
-    pub(crate) fn collect_units(&self, target: usize) -> (Vec<Unit>, u64, u64) {
-        let k = self.dims.len();
-        let mut units = Vec::new();
-        let mut pruned_symmetry = 0u64;
-        let mut skipped_budget = 0u64;
-        for split in 1..k {
-            units.clear();
-            pruned_symmetry = 0;
-            skipped_budget = 0;
-            let mut used = 0u8;
-            let mut prefix = [0u8; MAX_LOOPS];
-            self.units_at(
-                split,
-                0,
-                0,
-                &mut used,
-                &mut prefix,
-                &mut units,
-                &mut pruned_symmetry,
-                &mut skipped_budget,
-            );
-            if units.len() >= target || split == k - 1 {
-                break;
-            }
-        }
-        (units, pruned_symmetry, skipped_budget)
-    }
-
-    /// Recursive helper of [`SearchCtx::collect_units`]: replays the
-    /// enumeration structure of [`SearchCtx::descend`] (branch order, leaf
-    /// bases, sampling windows, symmetry and budget skips) down to `split`,
-    /// emitting a [`Unit`] per surviving prefix. Skips must mirror `descend`
-    /// exactly — same checks, same order — so the sequential walk and the
-    /// parallel decomposition attribute every candidate to the same counter.
-    #[allow(clippy::too_many_arguments)]
-    fn units_at(
-        &self,
-        split: usize,
-        depth: usize,
-        leaf_base: u64,
-        used: &mut u8,
-        prefix: &mut [u8; MAX_LOOPS],
-        out: &mut Vec<Unit>,
-        pruned_symmetry: &mut u64,
-        skipped_budget: &mut u64,
-    ) {
-        let k = self.dims.len();
-        let sub = self.fact[k - depth - 1];
-        let mut branch = 0u64;
-        for idx in 0..k {
-            if *used & (1 << idx) != 0 {
-                continue;
-            }
-            let base = leaf_base + branch * sub;
-            branch += 1;
-            let selected = self.selected_in(base, base + sub);
-            if selected == 0 {
-                continue;
-            }
-            if self.symmetry && (self.pred_mask[idx] & *used) != self.pred_mask[idx] {
-                *pruned_symmetry += selected;
-                continue;
-            }
-            if self.selected_in(0, base) >= self.budget {
-                *skipped_budget += selected;
-                continue;
-            }
-            prefix[depth] = idx as u8;
-            if depth + 1 == split {
-                out.push(Unit {
-                    prefix: *prefix,
-                    depth: split as u8,
-                    leaf_base: base,
-                });
-                continue;
-            }
-            *used |= 1 << idx;
-            self.units_at(
-                split,
-                depth + 1,
-                base,
-                used,
-                prefix,
-                out,
-                pruned_symmetry,
-                skipped_budget,
-            );
-            *used &= !(1 << idx);
-        }
-    }
-
-    /// Processes one work unit: replays the unit's prefix pushes to rebuild
-    /// the allocation states, walks the subtree, and pops back down.
-    pub(crate) fn process_unit(&self, state: &mut WorkerState, unit: &Unit) {
-        let depth = unit.depth as usize;
-        let mut states = [AllocState::default(); 3];
-        for (d, &idx) in unit.prefix[..depth].iter().enumerate() {
-            self.push(state, d, idx as usize, &mut states);
-        }
-        self.descend(state, depth, unit.leaf_base, &states);
-        for &idx in unit.prefix[..depth].iter().rev() {
-            self.pop(state, idx as usize);
-        }
-    }
-
     /// Extends the prefix with active dim `idx` as the new outermost loop,
     /// updating the effective sizes and each operand's allocation state.
-    fn push(&self, state: &mut WorkerState, depth: usize, idx: usize, states: &mut [AllocState]) {
+    fn push(&self, state: &mut WalkState, depth: usize, idx: usize, states: &mut [AllocState]) {
         let d = self.dims[idx];
         let t = self.trips[idx];
         let di = dim_index(d);
@@ -871,30 +714,29 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
         }
     }
 
-    fn pop(&self, state: &mut WorkerState, idx: usize) {
+    fn pop(&self, state: &mut WalkState, idx: usize) {
         let di = dim_index(self.dims[idx]);
         state.used &= !(1 << idx);
         state.eff[di] = self.factors[di];
     }
 
     /// Evaluates the full ordering described by the current prefix (which now
-    /// covers every active loop) and updates this worker's best. `rank` is
-    /// the leaf's index in the full lexicographic enumeration. Improvements
-    /// are published into the shared incumbent, so concurrent workers prune
-    /// against the globally best cost.
-    fn evaluate_leaf(&self, state: &mut WorkerState, states: &[AllocState], rank: u64) {
+    /// covers every active loop) and updates the search's best. Improvements
+    /// are published into the shared incumbent, so concurrent searches of a
+    /// canonically equivalent problem prune against the best cost either has
+    /// found.
+    fn evaluate_leaf(&self, state: &mut WalkState, states: &[AllocState]) {
         state.stats.evaluated += 1;
         let (value, energy, latency) = self.eval_scalars(state, states, true);
         let better = match &state.best {
             None => true,
-            Some(b) => (value, energy, latency, rank) < (b.value, b.energy, b.latency, b.rank),
+            Some(b) => (value, energy, latency) < (b.value, b.energy, b.latency),
         };
         if better {
             state.best = Some(Best {
                 value,
                 energy,
                 latency,
-                rank,
                 order_len: self.dims.len(),
                 order: state.order_buf,
             });
@@ -920,7 +762,7 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
     /// lower bound of every completion's true cost.
     fn eval_scalars(
         &self,
-        state: &mut WorkerState,
+        state: &mut WalkState,
         states: &[AllocState],
         exact: bool,
     ) -> (f64, f64, f64) {
@@ -1029,7 +871,7 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
     /// [`crate::allocation::allocate`] exactly.
     fn exact_refetch_factors(
         &self,
-        state: &WorkerState,
+        state: &WalkState,
         op_idx: usize,
         factors: &mut [f64; MAX_LEVELS],
     ) {
@@ -1177,7 +1019,6 @@ mod tests {
                 let mapper = LomaMapper::new(MapperConfig {
                     objective: Objective::Energy,
                     max_orderings: max,
-                    search_threads: 1,
                     budget: crate::Budget::default(),
                 });
                 let exhaustive = mapper.optimize_exhaustive(&problem);
@@ -1256,105 +1097,6 @@ mod tests {
         assert!(atomic_f64_min(&cell, 0.0));
         assert!(!atomic_f64_min(&cell, 1e300));
         assert_eq!(f64::from_bits(cell.load(Ordering::Relaxed)), 0.0);
-    }
-
-    #[test]
-    fn parallel_search_matches_sequential_at_every_thread_count() {
-        for (acc, layer) in problems() {
-            let problem = SingleLayerProblem::new(&acc, &layer);
-            let sequential = LomaMapper::default();
-            let (seq_cost, seq_stats) = sequential.optimize_with_stats(&problem);
-            for threads in [2, 4, 8] {
-                let mapper = LomaMapper::new(MapperConfig {
-                    search_threads: threads,
-                    ..MapperConfig::default()
-                });
-                let (cost, stats) = mapper.optimize_with_stats(&problem);
-                assert_eq!(
-                    cost,
-                    seq_cost,
-                    "{} / {} at {threads} threads",
-                    acc.name(),
-                    layer.name
-                );
-                assert_eq!(
-                    stats.evaluated
-                        + stats.pruned_bound
-                        + stats.pruned_symmetry
-                        + stats.skipped_budget,
-                    stats.orderings_selected,
-                    "stats invariant at {threads} threads: {stats:?}"
-                );
-                assert_eq!(stats.orderings_selected, seq_stats.orderings_selected);
-            }
-        }
-    }
-
-    #[test]
-    fn unit_generation_covers_the_selected_space_exactly() {
-        let acc = zoo::meta_proto_like_df();
-        let layer = Layer::new("c", OpType::Conv, LayerDims::conv(64, 32, 28, 28, 3, 3));
-        let problem = SingleLayerProblem::new(&acc, &layer);
-        let loops = active_loops(&problem);
-        let ctx = SearchCtx::new(
-            &problem,
-            Objective::Energy,
-            &loops,
-            false,
-            u64::MAX,
-            u64::MAX,
-            None,
-        );
-        for target in [2, 8, 32, 64] {
-            let (units, pruned_symmetry, skipped_budget) = ctx.collect_units(target);
-            assert_eq!(skipped_budget, 0, "unlimited budget skips nothing");
-            // Every unit's subtree plus the symmetry-skipped shallow
-            // subtrees partition the selected candidate set.
-            let covered: u64 = units
-                .iter()
-                .map(|u| {
-                    let sub = ctx.fact[loops.len() - u.depth as usize];
-                    ctx.selected_in(u.leaf_base, u.leaf_base + sub)
-                })
-                .sum();
-            assert_eq!(covered + pruned_symmetry, 720, "target={target}");
-        }
-    }
-
-    #[test]
-    fn budgeted_search_is_bit_identical_at_any_thread_count() {
-        for (acc, layer) in problems() {
-            let problem = SingleLayerProblem::new(&acc, &layer);
-            for budget in [1, 3, 17, 100] {
-                let config = MapperConfig::default()
-                    .with_budget(crate::Budget::orderings(budget))
-                    .with_search_threads(1);
-                let (seq_cost, seq_stats) = search(&problem, &config);
-                for threads in [2, 4, 8] {
-                    let config = config.with_search_threads(threads);
-                    let (cost, stats) = search(&problem, &config);
-                    assert_eq!(
-                        cost,
-                        seq_cost,
-                        "{} budget={budget} at {threads} threads",
-                        acc.name()
-                    );
-                    assert_eq!(
-                        stats.skipped_budget,
-                        seq_stats.skipped_budget,
-                        "budget skips are rank-pure: {} budget={budget}",
-                        acc.name()
-                    );
-                    assert_eq!(
-                        stats.evaluated
-                            + stats.pruned_bound
-                            + stats.pruned_symmetry
-                            + stats.skipped_budget,
-                        stats.orderings_selected
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -84,8 +84,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Outer engine threads per batch (0 = the engine's parallel default).
     pub engine_threads: usize,
-    /// Worker threads for each item's temporal-mapping searches.
-    pub search_threads: usize,
     /// Use the fast mapper preset.
     pub fast_mapper: bool,
     /// The mapper's deterministic search budget.
@@ -102,7 +100,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
             engine_threads: 0,
-            search_threads: 1,
             fast_mapper: false,
             budget: Budget::default(),
             cache_file: None,
@@ -358,7 +355,6 @@ fn scheduler_loop(inner: &ServerInner) {
                 engine,
                 cache: inner.cache.clone(),
                 fast_mapper: inner.config.fast_mapper,
-                search_threads: inner.config.search_threads,
                 budget: inner.config.budget,
             };
             let outcomes = run_batch(&items, &config);

@@ -45,7 +45,6 @@ fn serial_answer(line: &str, config: &ServerConfig) -> String {
     );
     let batch_config = defines_core::BatchConfig {
         fast_mapper: config.fast_mapper,
-        search_threads: config.search_threads,
         budget: config.budget,
         ..defines_core::BatchConfig::default()
     };

@@ -1,10 +1,10 @@
 //! Deterministic fault injection: named failpoints for robustness tests.
 //!
-//! A failpoint is a named site in production code — `failpoint!("pool.unit")`
-//! — that normally does nothing, but can be *armed* by a test to panic on a
-//! chosen hit. Arming is fully deterministic: a site fires on its `fire_at`-th
-//! hit (1-based, counted process-wide since arming), so a seeded campaign
-//! replays identically.
+//! A failpoint is a named site in production code —
+//! `failpoint!("engine.execute")` — that normally does nothing, but can be
+//! *armed* by a test to panic on a chosen hit. Arming is fully deterministic:
+//! a site fires on its `fire_at`-th hit (1-based, counted process-wide since
+//! arming), so a seeded campaign replays identically.
 //!
 //! The facility is gated behind the `failpoints` cargo feature:
 //!

@@ -1,10 +1,10 @@
 //! Quiet handling of panics that are about to be caught and reported.
 //!
-//! The engine and the mapping-search pool isolate panics with
-//! `catch_unwind` and turn them into structured failure records — but the
-//! process's default panic hook still prints `thread panicked at ...` plus a
-//! backtrace pointer *before* the catch, so every isolated failure spams
-//! stderr with noise that duplicates the structured report.
+//! The engine isolates panics with `catch_unwind` and turns them into
+//! structured failure records — but the process's default panic hook still
+//! prints `thread panicked at ...` plus a backtrace pointer *before* the
+//! catch, so every isolated failure spams stderr with noise that duplicates
+//! the structured report.
 //!
 //! [`quiet_panics`] runs a closure with that noise suppressed on the current
 //! thread. The first use installs (once, process-wide) a wrapper around the

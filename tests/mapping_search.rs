@@ -1,12 +1,14 @@
 //! Integration tests for the symmetry-pruned, branch-and-bound LOMA search:
 //! the pruned search must return bit-identical results to the exhaustive
 //! reference scan on every problem, the integer-stride ordering sampler must
-//! produce exactly the requested number of distinct orderings, and the
-//! canonical cache-key statistics must surface through the sweep plumbing.
+//! produce exactly the requested number of distinct orderings, the
+//! canonical cache-key statistics must surface through the sweep plumbing,
+//! and the shared [`MappingCache`] must stay consistent when the engine's
+//! threads resolve the same canonical problems concurrently.
 
 use defines_arch::zoo;
 use defines_core::{DfCostModel, Explorer, OptimizeTarget, OverlapMode};
-use defines_mapping::{LomaMapper, MapperConfig, Objective, SingleLayerProblem};
+use defines_mapping::{LomaMapper, MapperConfig, MappingCache, Objective, SingleLayerProblem};
 use defines_workload::{models, Layer, LayerDims, Network, OpType};
 use proptest::prelude::*;
 
@@ -100,75 +102,6 @@ proptest! {
         let config = MapperConfig { objective: Objective::Energy, max_orderings: max, ..MapperConfig::default() };
         assert_parity(&acc, &layer, config);
     }
-
-    /// The parallel branch-and-bound search is bit-identical to the
-    /// sequential one — and therefore to the exhaustive oracle — at every
-    /// thread count, across randomized problems, operators, objectives and
-    /// accelerators. The winning ordering, the full cost breakdown and the
-    /// stats accounting invariant must all survive work stealing.
-    #[test]
-    fn parallel_search_matches_sequential_and_exhaustive(
-        dims in arb_problem_dims(),
-        op in arb_op(),
-        acc_idx in 0usize..4,
-        objective in prop::sample::select(vec![
-            Objective::Energy,
-            Objective::Latency,
-            Objective::Edp,
-            Objective::DramAccess,
-        ]),
-    ) {
-        let accs = [
-            zoo::meta_proto_like_df(),
-            zoo::edge_tpu_like_df(),
-            zoo::tpu_like(),
-            zoo::ascend_like_df(),
-        ];
-        let layer = Layer::new("l", op, dims);
-        let config = MapperConfig::default().with_objective(objective);
-        assert_parallel_parity(&accs[acc_idx], &layer, config);
-    }
-}
-
-/// Asserts the parallel search returns bit-identical results to the
-/// sequential search (and both to the exhaustive oracle) at thread counts
-/// {1, 2, 4, 8}, and that every run satisfies the stats accounting
-/// invariant. The split of `evaluated` vs `pruned_bound` may legitimately
-/// differ between runs (incumbent publication timing), but the winning
-/// ordering, cost scalars, access breakdown and candidate accounting must
-/// not.
-fn assert_parallel_parity(acc: &defines_arch::Accelerator, layer: &Layer, config: MapperConfig) {
-    let problem = SingleLayerProblem::new(acc, layer);
-    let sequential = LomaMapper::new(config.with_search_threads(1));
-    let exhaustive = sequential.optimize_exhaustive(&problem);
-    let (reference, ref_stats) = sequential.optimize_with_stats(&problem);
-    assert_eq!(
-        reference,
-        exhaustive,
-        "sequential search diverged from the exhaustive oracle on {} / {}",
-        acc.name(),
-        layer.name
-    );
-    for threads in [2usize, 4, 8] {
-        let mapper = LomaMapper::new(config.with_search_threads(threads));
-        let (cost, stats) = mapper.optimize_with_stats(&problem);
-        assert_eq!(
-            cost,
-            reference,
-            "parallel search diverged at {threads} threads on {} / {} ({stats:?})",
-            acc.name(),
-            layer.name
-        );
-        assert_eq!(
-            stats.orderings_selected, ref_stats.orderings_selected,
-            "candidate selection must not depend on the thread count"
-        );
-        assert_eq!(
-            stats.evaluated + stats.pruned_bound + stats.pruned_symmetry + stats.skipped_budget,
-            stats.orderings_selected,
-            "search counters must account for every candidate at {threads} threads"
-        );
-    }
 }
 
 /// Parity over every layer of all six zoo workloads (the deterministic tier),
@@ -259,4 +192,93 @@ fn sweep_stats_carry_canonical_cache_hits() {
          canonical cache entries: {cache:?}"
     );
     assert!(cache.hits >= cache.canonical_hits);
+}
+
+/// N threads hammering the same canonical problems through one shared
+/// [`MappingCache`]: no duplicate entries, every returned cost identical,
+/// and the hit/miss/canonical counters account for exactly every lookup.
+#[test]
+fn mapping_cache_stays_consistent_under_contention() {
+    let acc = zoo::meta_proto_like_df();
+    // Two canonical problems, each reachable from two raw variants: the
+    // padded layers canonicalize onto their pad-free twins (weight-less ops
+    // are canonicalized by the cache key, convs by padding removal).
+    let variants = [
+        Layer::new("a", OpType::Conv, LayerDims::conv(32, 16, 28, 28, 3, 3)),
+        Layer::new(
+            "a_pad",
+            OpType::Conv,
+            LayerDims::conv(32, 16, 28, 28, 3, 3).with_padding(1, 1),
+        ),
+        Layer::new("b", OpType::Pooling, LayerDims::conv(64, 64, 14, 14, 2, 2)),
+        Layer::new(
+            "b_pad",
+            OpType::Pooling,
+            LayerDims::conv(64, 64, 14, 14, 2, 2).with_padding(1, 1),
+        ),
+    ];
+    let cache = MappingCache::new();
+    let mapper = LomaMapper::new(MapperConfig::fast());
+
+    // The single-threaded reference answers, computed on a private cache.
+    let reference: Vec<_> = variants
+        .iter()
+        .map(|layer| {
+            MappingCache::new().optimize_shared(&mapper, &SingleLayerProblem::new(&acc, layer))
+        })
+        .collect();
+
+    const THREADS: usize = 8;
+    const ROUNDS: usize = 16;
+    std::thread::scope(|scope| {
+        for _ in 0..THREADS {
+            scope.spawn(|| {
+                for _ in 0..ROUNDS {
+                    for (layer, expected) in variants.iter().zip(&reference) {
+                        let got =
+                            cache.optimize_shared(&mapper, &SingleLayerProblem::new(&acc, layer));
+                        assert_eq!(&*got, &**expected, "contended lookup diverged");
+                    }
+                }
+            });
+        }
+    });
+
+    let stats = cache.stats();
+    let lookups = (THREADS * ROUNDS * variants.len()) as u64;
+    assert_eq!(
+        stats.hits + stats.misses,
+        lookups,
+        "every lookup must count as exactly one hit or one miss"
+    );
+    // The four raw variants collapse onto two canonical entries; the racy
+    // first round may compute a canonical problem more than once, but the
+    // first insert wins, so no duplicate entries ever materialize.
+    assert_eq!(stats.entries, 2, "duplicate cache entries under contention");
+    assert!(
+        stats.misses >= 2,
+        "each canonical problem misses at least once"
+    );
+    assert!(
+        stats.misses <= (THREADS * variants.len()) as u64,
+        "misses are bounded by the racy first round: {stats:?}"
+    );
+    assert!(
+        stats.canonical_hits > 0 && stats.canonical_hits <= stats.hits,
+        "padded variants must hit through canonicalization: {stats:?}"
+    );
+
+    // The cache holds one strong handle per entry; every reader got its own
+    // clone, all of which have been dropped again.
+    let arcs: Vec<_> = variants
+        .iter()
+        .map(|layer| cache.optimize_shared(&mapper, &SingleLayerProblem::new(&acc, layer)))
+        .collect();
+    assert_eq!(
+        std::sync::Arc::strong_count(&arcs[0]),
+        3,
+        "cache + 2 clones"
+    );
+    assert!(std::sync::Arc::ptr_eq(&arcs[0], &arcs[1]));
+    assert!(std::sync::Arc::ptr_eq(&arcs[2], &arcs[3]));
 }

@@ -1,5 +1,6 @@
 //! Integration tests asserting the qualitative shapes the paper's evaluation
-//! reports (the reproduction targets listed in DESIGN.md §4).
+//! reports (the reproduction targets listed in `docs/paper-map.md`,
+//! "§V–§VI — Experiments").
 
 use defines_arch::zoo;
 use defines_core::{DfCostModel, DfStrategy, OverlapMode, TileSize};
