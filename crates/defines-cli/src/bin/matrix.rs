@@ -18,11 +18,11 @@
 
 use clap::{Arg, ArgAction, Command};
 use defines_cli::{
-    parse_budget, parse_deadline, parse_fuse_policy, parse_modes, parse_target,
-    resolve_accelerator, resolve_workload, tile_grid, ACCELERATORS, WORKLOADS,
+    parse_budget, parse_deadline, parse_modes, resolve_accelerator, resolve_workload, tile_grid,
+    ACCELERATORS, WORKLOADS,
 };
 use defines_core::matrix::{run_matrix, MatrixConfig};
-use defines_core::FusePolicy;
+use defines_core::{FusePolicy, OptimizeTarget};
 use defines_engine::EngineConfig;
 use serde::Serialize;
 
@@ -188,10 +188,10 @@ fn run(matches: &clap::ArgMatches) -> Result<(), String> {
     }
     let mut policies: Vec<FusePolicy> = Vec::new();
     for spec in split_axis("--fuse", matches.value_of("fuse").unwrap())? {
-        policies.push(parse_fuse_policy(&spec)?);
+        policies.push(FusePolicy::from_keyword(&spec)?);
     }
     let modes = parse_modes(matches.value_of("dfmode").unwrap())?;
-    let target = parse_target(matches.value_of("target").unwrap())?;
+    let target = OptimizeTarget::from_keyword(matches.value_of("target").unwrap())?;
     let threads: usize = matches
         .value_of("threads")
         .unwrap()

@@ -16,10 +16,10 @@
 
 use clap::{Arg, ArgAction, Command};
 use defines_cli::{
-    parse_budget, parse_fuse_policy, parse_modes, parse_target, resolve_accelerator,
-    resolve_workload, tile_grid, ACCELERATORS, WORKLOADS,
+    parse_budget, parse_modes, resolve_accelerator, resolve_workload, tile_grid, ACCELERATORS,
+    WORKLOADS,
 };
-use defines_core::{DfCostModel, Explorer, FusePolicy, ScheduleResult};
+use defines_core::{DfCostModel, Explorer, FusePolicy, OptimizeTarget, ScheduleResult};
 use defines_engine::{EngineConfig, Outcome};
 use defines_workload::Network;
 use serde::Value;
@@ -216,8 +216,8 @@ fn run(matches: &clap::ArgMatches) -> Result<(), String> {
     let (acc, accelerator_source) = resolve_accelerator(matches.value_of("accelerator").unwrap())?;
     let modes = parse_modes(matches.value_of("dfmode").unwrap())?;
     let grid = tile_grid(&net, matches.value_of("tilex"), matches.value_of("tiley"))?;
-    let target = parse_target(matches.value_of("target").unwrap())?;
-    let policy = parse_fuse_policy(matches.value_of("fuse").unwrap())?;
+    let target = OptimizeTarget::from_keyword(matches.value_of("target").unwrap())?;
+    let policy = FusePolicy::from_keyword(matches.value_of("fuse").unwrap())?;
     let threads: usize = matches
         .value_of("threads")
         .unwrap()

@@ -19,7 +19,7 @@
 #![warn(rust_2018_idioms)]
 
 use defines_arch::{zoo, Accelerator};
-use defines_core::{Explorer, FusePolicy, OptimizeTarget, OverlapMode};
+use defines_core::{Explorer, OverlapMode};
 use defines_mapping::Budget;
 use defines_workload::{models, Network};
 use std::time::Duration;
@@ -184,33 +184,15 @@ pub fn resolve_accelerator(spec: &str) -> Result<(Accelerator, AcceleratorSource
 
 /// Parses the `--dfmode` digit string: each digit selects one overlap
 /// storing mode (`1` fully-recompute, `2` H-cached V-recompute, `3`
-/// fully-cached), in the paper's order. `123` selects all three.
+/// fully-cached), in the paper's order. `123` selects all three. The
+/// vocabulary itself is [`OverlapMode::parse_digits`]; this names the flag in
+/// the error.
 ///
 /// # Errors
 ///
 /// Returns a message for empty input or characters outside `1`-`3`.
 pub fn parse_modes(dfmode: &str) -> Result<Vec<OverlapMode>, String> {
-    if dfmode.is_empty() {
-        return Err("--dfmode needs at least one digit out of 1, 2, 3".into());
-    }
-    let mut modes = Vec::new();
-    for c in dfmode.chars() {
-        let mode = match c {
-            '1' => OverlapMode::FullyRecompute,
-            '2' => OverlapMode::HCachedVRecompute,
-            '3' => OverlapMode::FullyCached,
-            other => {
-                return Err(format!(
-                    "invalid --dfmode digit '{other}' (1 = fully-recompute, 2 = H-cached \
-                     V-recompute, 3 = fully-cached)"
-                ))
-            }
-        };
-        if !modes.contains(&mode) {
-            modes.push(mode);
-        }
-    }
-    Ok(modes)
+    OverlapMode::parse_digits(dfmode).map_err(|why| format!("--dfmode: {why}"))
 }
 
 /// Parses a comma-separated list of positive tile extents (`"60"` or
@@ -268,30 +250,6 @@ pub fn tile_grid(
     }
 }
 
-/// Parses the `--fuse` keyword into a [`FusePolicy`] — axis 3 of the design
-/// space:
-///
-/// * `auto` — the automatic weight-budget fuse heuristic (the default),
-/// * `full` — the whole network as one stack,
-/// * `single` — every layer its own stack,
-/// * `search` — search the stack partition itself (segment-span candidates,
-///   shortest-path DP over cut points).
-///
-/// # Errors
-///
-/// Returns a message listing the valid keywords for an unknown input.
-pub fn parse_fuse_policy(name: &str) -> Result<FusePolicy, String> {
-    match name {
-        "auto" => Ok(FusePolicy::Auto),
-        "full" => Ok(FusePolicy::FullNetwork),
-        "single" => Ok(FusePolicy::SingleLayerStacks),
-        "search" => Ok(FusePolicy::search()),
-        other => Err(format!(
-            "unknown fuse policy '{other}' (expected one of: auto, full, single, search)"
-        )),
-    }
-}
-
 /// Parses the `--budget` deterministic search budget: `ORDERINGS` or
 /// `ORDERINGS,DP_NODES`. The first number caps candidate orderings per
 /// temporal-mapping search, the second caps relaxation steps per
@@ -341,27 +299,10 @@ pub fn parse_deadline(input: &str) -> Result<Duration, String> {
     Ok(Duration::from_secs_f64(secs))
 }
 
-/// Parses the `--target` name.
-///
-/// # Errors
-///
-/// Returns a message listing the valid names for an unknown target.
-pub fn parse_target(name: &str) -> Result<OptimizeTarget, String> {
-    match name {
-        "energy" => Ok(OptimizeTarget::Energy),
-        "latency" => Ok(OptimizeTarget::Latency),
-        "edp" => Ok(OptimizeTarget::Edp),
-        "dram" => Ok(OptimizeTarget::DramAccess),
-        "activation" => Ok(OptimizeTarget::ActivationEnergy),
-        other => Err(format!(
-            "unknown target '{other}' (expected one of: energy, latency, edp, dram, activation)"
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use defines_core::{FusePolicy, OptimizeTarget};
 
     #[test]
     fn every_listed_workload_and_accelerator_resolves() {
@@ -461,9 +402,15 @@ mod tests {
 
     #[test]
     fn targets_parse() {
-        assert_eq!(parse_target("energy").unwrap(), OptimizeTarget::Energy);
-        assert_eq!(parse_target("edp").unwrap(), OptimizeTarget::Edp);
-        assert!(parse_target("speed").is_err());
+        assert_eq!(
+            OptimizeTarget::from_keyword("energy").unwrap(),
+            OptimizeTarget::Energy
+        );
+        assert_eq!(
+            OptimizeTarget::from_keyword("edp").unwrap(),
+            OptimizeTarget::Edp
+        );
+        assert!(OptimizeTarget::from_keyword("speed").is_err());
     }
 
     #[test]
@@ -495,14 +442,20 @@ mod tests {
 
     #[test]
     fn fuse_policies_parse() {
-        assert_eq!(parse_fuse_policy("auto").unwrap(), FusePolicy::Auto);
-        assert_eq!(parse_fuse_policy("full").unwrap(), FusePolicy::FullNetwork);
+        assert_eq!(FusePolicy::from_keyword("auto").unwrap(), FusePolicy::Auto);
         assert_eq!(
-            parse_fuse_policy("single").unwrap(),
+            FusePolicy::from_keyword("full").unwrap(),
+            FusePolicy::FullNetwork
+        );
+        assert_eq!(
+            FusePolicy::from_keyword("single").unwrap(),
             FusePolicy::SingleLayerStacks
         );
-        assert_eq!(parse_fuse_policy("search").unwrap(), FusePolicy::search());
-        let err = parse_fuse_policy("deep").unwrap_err();
+        assert_eq!(
+            FusePolicy::from_keyword("search").unwrap(),
+            FusePolicy::search()
+        );
+        let err = FusePolicy::from_keyword("deep").unwrap_err();
         assert!(err.contains("auto, full, single, search"), "{err}");
     }
 }

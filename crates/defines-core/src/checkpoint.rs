@@ -4,14 +4,15 @@
 //!
 //! # File format
 //!
-//! Line 1 is a header object binding the checkpoint to one exact run
-//! configuration: the format version, the optimization target, every axis
-//! (accelerator names *and* structural fingerprints, workload names, fuse
-//! labels), and a `grid_fingerprint` hashing everything else that shapes
-//! cell results (tile grids, overlap modes, mapper configuration — which
-//! itself covers the search budget). Every further line is one completed
-//! [`CellOutcome`], appended and flushed the moment the cell finishes, in
-//! completion order.
+//! The file is a [`defines_engine::journal`]; that module states the crash
+//! contract (flushed appends, torn tail, atomic rewrite). The header line
+//! binds the checkpoint to one exact run configuration: the format version,
+//! the optimization target, every axis (accelerator names *and* structural
+//! fingerprints, workload names, fuse labels), and a `grid_fingerprint`
+//! hashing everything else that shapes cell results (tile grids, overlap
+//! modes, mapper configuration — which itself covers the search budget).
+//! Every further line is one completed [`CellOutcome`], appended the moment
+//! the cell finishes, in completion order.
 //!
 //! # Resume semantics
 //!
@@ -26,8 +27,8 @@
 //! Two kinds of damage are tolerated by design:
 //!
 //! * a **torn tail** — the process died mid-append, leaving a partial last
-//!   line. The loader drops it (flagged in [`Checkpoint::torn_tail`]) and
-//!   the cell simply re-runs;
+//!   line. The loader drops it (flagged in [`Checkpoint::torn_tail`]), the
+//!   resume rewrites the file without it, and the cell simply re-runs;
 //! * **failed cells are never recorded** — a cell marked
 //!   [`CellOutcome::error`] (panic, injected fault, missed deadline) is not
 //!   appended, so resuming retries it instead of pinning the failure.
@@ -38,9 +39,9 @@
 
 use crate::explore::OptimizeTarget;
 use crate::matrix::{CellOutcome, CellStack, MatrixError};
-use defines_engine::SweepStats;
+use defines_engine::journal::{f64_field, field, str_field, u64_field};
+use defines_engine::{Journal, JournalError, SweepStats};
 use serde::{Serialize, Value};
-use std::io::Write as _;
 use std::path::Path;
 use std::time::Duration;
 
@@ -88,7 +89,7 @@ pub struct Checkpoint {
 pub(crate) use defines_engine::Fnv;
 
 impl CheckpointHeader {
-    fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         Value::Object(vec![
             ("defines_matrix_checkpoint".into(), Value::U64(VERSION)),
             ("target".into(), Value::Str(self.target.clone())),
@@ -110,9 +111,7 @@ impl CheckpointHeader {
     }
 
     fn from_value(v: &Value) -> Result<Self, String> {
-        let version = field(v, "defines_matrix_checkpoint")?
-            .as_u64()
-            .ok_or("header version is not an integer")?;
+        let version = u64_field(v, "defines_matrix_checkpoint")?;
         if version != VERSION {
             return Err(format!(
                 "unsupported checkpoint version {version} (this build writes {VERSION})"
@@ -134,13 +133,11 @@ impl CheckpointHeader {
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(CheckpointHeader {
-            target: string_field(v, "target")?,
+            target: str_field(v, "target")?.to_string(),
             accelerators,
             workloads: string_array(field(v, "workloads")?, "workloads")?,
             policies: string_array(field(v, "policies")?, "policies")?,
-            grid_fingerprint: field(v, "grid_fingerprint")?
-                .as_u64()
-                .ok_or("'grid_fingerprint' is not an integer")?,
+            grid_fingerprint: u64_field(v, "grid_fingerprint")?,
         })
     }
 
@@ -173,30 +170,6 @@ impl CheckpointHeader {
     }
 }
 
-/// Looks a required key up in a JSON object.
-fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
-    v.get(key).ok_or_else(|| format!("missing field '{key}'"))
-}
-
-fn string_field(v: &Value, key: &str) -> Result<String, String> {
-    Ok(field(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("'{key}' is not a string"))?
-        .to_string())
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("'{key}' is not an unsigned integer"))
-}
-
-fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("'{key}' is not a number"))
-}
-
 fn string_array(v: &Value, what: &str) -> Result<Vec<String>, String> {
     v.as_array()
         .ok_or_else(|| format!("'{what}' is not an array"))?
@@ -218,7 +191,7 @@ pub(crate) fn cell_from_value(
     policies: &[crate::fuse::FusePolicy],
     policy_names: &[String],
 ) -> Result<CellOutcome, String> {
-    let fuse = string_field(v, "fuse")?;
+    let fuse = str_field(v, "fuse")?.to_string();
     let pi = policy_names
         .iter()
         .position(|name| *name == fuse)
@@ -230,15 +203,15 @@ pub(crate) fn cell_from_value(
         .map(|s| {
             Ok(CellStack {
                 layers: string_array(field(s, "layers")?, "layers")?,
-                tile: string_field(s, "tile")?,
-                mode: string_field(s, "mode")?,
+                tile: str_field(s, "tile")?.to_string(),
+                mode: str_field(s, "mode")?.to_string(),
                 value: f64_field(s, "value")?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
     let stats = field(v, "stats")?;
     let stats = SweepStats {
-        label: string_field(stats, "label")?,
+        label: str_field(stats, "label")?.to_string(),
         points: u64_field(stats, "points")? as usize,
         evaluated: u64_field(stats, "evaluated")? as usize,
         pruned: u64_field(stats, "pruned")? as usize,
@@ -254,12 +227,12 @@ pub(crate) fn cell_from_value(
         return Err("checkpoint contains a failed cell (failed cells are never recorded)".into());
     }
     Ok(CellOutcome {
-        accelerator: string_field(v, "accelerator")?,
+        accelerator: str_field(v, "accelerator")?.to_string(),
         fingerprint: u64_field(v, "fingerprint")?,
-        workload: string_field(v, "workload")?,
+        workload: str_field(v, "workload")?.to_string(),
         policy: policies[pi].clone(),
         fuse,
-        label: string_field(v, "label")?,
+        label: str_field(v, "label")?.to_string(),
         value: f64_field(v, "value")?,
         energy_pj: f64_field(v, "energy_pj")?,
         latency_cycles: f64_field(v, "latency_cycles")?,
@@ -274,125 +247,34 @@ pub(crate) fn cell_from_value(
     })
 }
 
+impl From<JournalError> for MatrixError {
+    fn from(e: JournalError) -> Self {
+        MatrixError::Checkpoint(e.to_string())
+    }
+}
+
 /// Loads and parses a checkpoint file. The header is validated structurally
 /// here; matching it against the live run is the caller's
-/// [`CheckpointHeader::validate_against`]. A partial *last* line (torn
-/// write) is dropped; a malformed line anywhere else is an error.
+/// [`CheckpointHeader::validate_against`].
 pub fn load(path: &Path) -> Result<Checkpoint, MatrixError> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        MatrixError::Checkpoint(format!("cannot read checkpoint '{}': {e}", path.display()))
-    })?;
-    let bad = |line_no: usize, why: String| {
-        MatrixError::Checkpoint(format!(
-            "checkpoint '{}' line {line_no}: {why}",
-            path.display()
-        ))
-    };
-    // Indices of non-empty lines, so a torn final line is recognizable even
-    // when the file happens to end in a newline.
-    let lines: Vec<(usize, &str)> = text
-        .lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .collect();
-    let Some(&(header_line, header_text)) = lines.first() else {
-        return Err(MatrixError::Checkpoint(format!(
-            "checkpoint '{}' is empty",
-            path.display()
-        )));
-    };
-    let header = serde_json::from_str(header_text)
-        .map_err(|e| bad(header_line + 1, format!("invalid JSON: {e}")))
-        .and_then(|v| CheckpointHeader::from_value(&v).map_err(|why| bad(header_line + 1, why)))?;
-    let mut cells = Vec::with_capacity(lines.len() - 1);
-    let mut torn_tail = false;
-    for (i, &(line_no, line)) in lines.iter().enumerate().skip(1) {
-        match serde_json::from_str(line) {
-            Ok(v) => cells.push(v),
-            Err(_) if i == lines.len() - 1 => torn_tail = true,
-            Err(e) => return Err(bad(line_no + 1, format!("invalid JSON: {e}"))),
+    let mut header = None;
+    let mut cells = Vec::new();
+    let torn_tail = Journal::read("checkpoint", path, |_, value, _| {
+        if header.is_none() {
+            header = Some(CheckpointHeader::from_value(&value)?);
+        } else {
+            cells.push(value);
         }
-    }
+        Ok(())
+    })?;
+    let header = header.ok_or_else(|| {
+        MatrixError::Checkpoint(format!("checkpoint '{}' is empty", path.display()))
+    })?;
     Ok(Checkpoint {
         header,
         cells,
         torn_tail,
     })
-}
-
-/// An open checkpoint file, appending one line per finished cell.
-pub(crate) struct Writer {
-    file: std::fs::File,
-    path: std::path::PathBuf,
-}
-
-impl Writer {
-    /// Creates the file (truncating any previous content — the caller
-    /// decides between create and resume *before* constructing a writer)
-    /// and writes the header line.
-    pub(crate) fn create(path: &Path, header: &CheckpointHeader) -> Result<Self, MatrixError> {
-        let mut writer = Self::open(path, std::fs::File::create(path))?;
-        writer.line(&header.to_value())?;
-        Ok(writer)
-    }
-
-    /// Re-creates the file from its loaded content for a resume: the header
-    /// and every *valid* cell line are rewritten to a sibling temp file
-    /// which then atomically replaces the original. This drops a torn tail
-    /// (appending after one would corrupt the next line) without ever
-    /// leaving the path without a usable checkpoint, and the returned
-    /// writer keeps appending to the renamed file.
-    pub(crate) fn resume(
-        path: &Path,
-        header: &CheckpointHeader,
-        cells: &[Value],
-    ) -> Result<Self, MatrixError> {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("checkpoint");
-        let tmp = path.with_file_name(format!("{name}.tmp"));
-        let mut writer = Self::create(&tmp, header)?;
-        for cell in cells {
-            writer.line(cell)?;
-        }
-        std::fs::rename(&tmp, path).map_err(|e| {
-            MatrixError::Checkpoint(format!(
-                "cannot replace checkpoint '{}': {e}",
-                path.display()
-            ))
-        })?;
-        // The open handle followed the rename (same inode); only the
-        // reported path changes.
-        writer.path = path.to_path_buf();
-        Ok(writer)
-    }
-
-    fn open(path: &Path, file: std::io::Result<std::fs::File>) -> Result<Self, MatrixError> {
-        let file = file.map_err(|e| {
-            MatrixError::Checkpoint(format!("cannot open checkpoint '{}': {e}", path.display()))
-        })?;
-        Ok(Writer {
-            file,
-            path: path.to_path_buf(),
-        })
-    }
-
-    /// Appends one JSON line and flushes, so a kill right after loses at
-    /// most the line it interrupted.
-    pub(crate) fn line(&mut self, value: &Value) -> Result<(), MatrixError> {
-        let mut line = value.to_json();
-        line.push('\n');
-        self.file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.flush())
-            .map_err(|e| {
-                MatrixError::Checkpoint(format!(
-                    "cannot append to checkpoint '{}': {e}",
-                    self.path.display()
-                ))
-            })
-    }
 }
 
 /// Builds the header for a live run (also the fingerprint the loaded header
@@ -404,14 +286,14 @@ pub(crate) fn live_header(
     workloads: &[String],
     policies: &[crate::fuse::FusePolicy],
     policy_names: &[String],
-    grids: &[Vec<(u64, u64)>],
+    grids: &[&[(u64, u64)]],
     modes: &[crate::strategy::OverlapMode],
     mapper_fingerprint: u64,
 ) -> CheckpointHeader {
     let mut h = Fnv::new();
     for grid in grids {
         h.write_u64(grid.len() as u64);
-        for &(w, hh) in grid {
+        for &(w, hh) in *grid {
             h.write_u64(w);
             h.write_u64(hh);
         }

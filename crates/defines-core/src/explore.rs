@@ -47,6 +47,36 @@ pub enum OptimizeTarget {
 }
 
 impl OptimizeTarget {
+    /// The target's keyword in the `target` vocabulary of the CLI flags and
+    /// the daemon's request field.
+    pub fn keyword(&self) -> &'static str {
+        match self {
+            OptimizeTarget::Energy => "energy",
+            OptimizeTarget::Latency => "latency",
+            OptimizeTarget::Edp => "edp",
+            OptimizeTarget::DramAccess => "dram",
+            OptimizeTarget::ActivationEnergy => "activation",
+        }
+    }
+
+    /// Parses a target keyword — the inverse of [`OptimizeTarget::keyword`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message listing the valid keywords for an unknown input.
+    pub fn from_keyword(name: &str) -> Result<Self, String> {
+        match name {
+            "energy" => Ok(OptimizeTarget::Energy),
+            "latency" => Ok(OptimizeTarget::Latency),
+            "edp" => Ok(OptimizeTarget::Edp),
+            "dram" => Ok(OptimizeTarget::DramAccess),
+            "activation" => Ok(OptimizeTarget::ActivationEnergy),
+            other => Err(format!(
+                "unknown target '{other}' (expected one of: energy, latency, edp, dram, activation)"
+            )),
+        }
+    }
+
     /// The scalar value of this target for a network cost.
     pub fn value(&self, cost: &NetworkCost, acc: &Accelerator) -> f64 {
         match self {

@@ -94,6 +94,31 @@ impl FusePolicy {
             FusePolicy::Search { .. } => "search",
         }
     }
+
+    /// Parses a fuse-policy keyword — the inverse of
+    /// [`FusePolicy::keyword`], with `search` meaning the default
+    /// [`FusePolicy::search`] configuration:
+    ///
+    /// * `auto` — the automatic weight-budget fuse heuristic,
+    /// * `full` — the whole network as one stack,
+    /// * `single` — every layer its own stack,
+    /// * `search` — search the stack partition itself (segment-span
+    ///   candidates, shortest-path DP over cut points).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message listing the valid keywords for an unknown input.
+    pub fn from_keyword(name: &str) -> Result<Self, String> {
+        match name {
+            "auto" => Ok(FusePolicy::Auto),
+            "full" => Ok(FusePolicy::FullNetwork),
+            "single" => Ok(FusePolicy::SingleLayerStacks),
+            "search" => Ok(FusePolicy::search()),
+            other => Err(format!(
+                "unknown fuse policy '{other}' (expected one of: auto, full, single, search)"
+            )),
+        }
+    }
 }
 
 impl fmt::Display for FusePolicy {
@@ -346,6 +371,39 @@ mod tests {
     use super::*;
     use defines_arch::zoo;
     use defines_workload::models;
+
+    /// The one keyword vocabulary (CLI flags, daemon request fields): every
+    /// value parses back from its own keyword.
+    #[test]
+    fn keyword_vocabulary_round_trips() {
+        use crate::{OptimizeTarget, OverlapMode};
+        for policy in [
+            FusePolicy::Auto,
+            FusePolicy::FullNetwork,
+            FusePolicy::SingleLayerStacks,
+            FusePolicy::search(),
+        ] {
+            assert_eq!(FusePolicy::from_keyword(policy.keyword()), Ok(policy));
+        }
+        for target in [
+            OptimizeTarget::Energy,
+            OptimizeTarget::Latency,
+            OptimizeTarget::Edp,
+            OptimizeTarget::DramAccess,
+            OptimizeTarget::ActivationEnergy,
+        ] {
+            assert_eq!(OptimizeTarget::from_keyword(target.keyword()), Ok(target));
+        }
+        for mode in OverlapMode::ALL {
+            let digit = mode.digit().to_string();
+            assert_eq!(OverlapMode::parse_digits(&digit), Ok(vec![mode]));
+        }
+        let all: String = OverlapMode::ALL.iter().map(OverlapMode::digit).collect();
+        assert_eq!(
+            OverlapMode::parse_digits(&all),
+            Ok(OverlapMode::ALL.to_vec())
+        );
+    }
 
     #[test]
     fn policy_keywords_and_fixed_depths() {

@@ -1,35 +1,36 @@
-//! The case-study matrix runner: every `{accelerator} × {workload} × {fuse
-//! policy}` cell of DeFiNES' §V case study 2 (Fig. 13–16), evaluated in **one
-//! flattened engine run** sharing a single [`MappingCache`].
+//! The case-study matrix: every `{accelerator} × {workload} × {fuse policy}`
+//! cell of DeFiNES' §V case study 2 (Fig. 13–16), evaluated in **one
+//! flattened engine run** sharing a single [`MappingCache`], with a
+//! checkpoint around it and a report on top.
 //!
 //! The paper's headline multi-accelerator comparison ranks five DF-flexible
 //! architectures across the case-study networks. [`run_matrix`] generalizes
 //! that grid to arbitrary axes: each cell is a full schedule search
-//! ([`Explorer::best_schedule`]) under its fuse policy, the cells fan out
-//! over the outer [`SweepEngine`] work queue (each cell's inner search runs
-//! sequentially, so the machine is never oversubscribed), and every cost
-//! model shares one mapping cache — keyed by accelerator fingerprint, so
-//! repeated sub-problems are searched once per *hardware*, not once per
-//! cell.
+//! ([`Explorer::best_schedule`](crate::Explorer::best_schedule)) under its
+//! fuse policy, and the cells run on the shared cell runner
+//! ([`crate::batch`]) — one outer engine run, inner searches sequential, one
+//! cost model per accelerator over one mapping cache, so repeated
+//! sub-problems are searched once per *hardware*, not once per cell. What
+//! this module adds is matrix-specific: axis validation and labels, the
+//! [`checkpoint`] header and resume splice, and the report.
 //!
 //! The resulting [`MatrixReport`] carries per-cell energy / latency / EDP,
 //! the per-accelerator best strategy per workload, and a Fig.-13-style
 //! ranking table; [`MatrixReport::to_markdown`] renders it for humans and
 //! the [`Serialize`] impl for machines (the `matrix` CLI writes both).
 
+use crate::batch::{self, BatchConfig, BatchOutcome, Cell};
 use crate::checkpoint;
-use crate::evaluate::{DfCostModel, EvaluationError};
-use crate::explore::{Explorer, OptimizeTarget, ScheduleResult};
+use crate::evaluate::EvaluationError;
+use crate::explore::OptimizeTarget;
 use crate::fuse::FusePolicy;
-use crate::stack::partition_into_stacks;
 use crate::strategy::OverlapMode;
 use defines_arch::Accelerator;
-use defines_engine::{EngineConfig, SweepEngine, SweepStats};
+use defines_engine::{EngineConfig, Journal, SweepStats};
 use defines_mapping::MappingCache;
 use defines_telemetry::{failpoint, Counter, MetricsSnapshot};
 use defines_workload::Network;
 use serde::{Serialize, Value};
-use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
 
@@ -164,7 +165,7 @@ pub struct CellOutcome {
     pub candidates: usize,
     /// Whether any search inside the cell exhausted its deterministic work
     /// budget ([`defines_mapping::Budget`]) and returned a best-so-far
-    /// result (see [`ScheduleResult::degraded`]). Always `false` under the
+    /// result (see [`crate::ScheduleResult::degraded`]). Always `false` under the
     /// default unlimited budget.
     pub degraded: bool,
     /// The panic message, if the cell's evaluation failed instead of
@@ -492,7 +493,7 @@ fn validate_axis(kind: &str, names: &[String]) -> Result<(), MatrixError> {
 ///
 /// * `tile_grid` — the tile sizes every cell's schedule search draws from;
 ///   `None` uses each workload's default case-study grid
-///   ([`Explorer::default_tile_grid`]).
+///   ([`crate::Explorer::default_tile_grid`]).
 /// * `modes` — the overlap storing modes searched per stack.
 /// * `target` — the scalar objective every cell minimizes, and the ranking
 ///   metric.
@@ -551,49 +552,9 @@ pub fn run_matrix(
         ));
     }
 
-    // One cost model per accelerator, all sharing the matrix's mapping
-    // cache. The cache key includes the accelerator fingerprint, so sharing
-    // across hardware is sound — and a file-loaded twin of a builtin
-    // accelerator hits the same entries.
-    let models: Vec<DfCostModel<'_>> = accelerators
-        .iter()
-        .map(|acc| {
-            let model = DfCostModel::new(acc).with_shared_cache(config.cache.clone());
-            let model = if config.fast_mapper {
-                model.with_fast_mapper()
-            } else {
-                model
-            };
-            model.with_search_budget(config.budget)
-        })
-        .collect();
-
-    // Per-workload tile grids: the caller's grid, or the default.
-    let grids: Vec<Vec<(u64, u64)>> = workloads
-        .iter()
-        .map(|net| match tile_grid {
-            Some(grid) => grid.to_vec(),
-            None => Explorer::default_tile_grid(net),
-        })
-        .collect();
-
-    // Upfront validation: every error a cell evaluation could produce is
-    // surfaced here, so the engine's evaluate closure is infallible.
-    for net in workloads {
-        net.validate().map_err(EvaluationError::Network)?;
-    }
-    for acc in accelerators {
-        for net in workloads {
-            for policy in policies {
-                if let Some(fuse) = policy.fixed_fuse_depth() {
-                    let stacks = partition_into_stacks(net, acc, &fuse);
-                    crate::evaluate::validate_stacks(net, &stacks)?;
-                }
-            }
-        }
-    }
-
-    // The flattened cell list, accelerator-major.
+    // The flattened cell list, accelerator-major. Building a cell validates
+    // it, so every error an evaluation could produce surfaces here, before
+    // the checkpoint is touched or the engine starts.
     let mut points: Vec<(usize, usize, usize)> =
         Vec::with_capacity(accelerators.len() * workloads.len() * policies.len());
     for ai in 0..accelerators.len() {
@@ -605,19 +566,35 @@ pub fn run_matrix(
     }
     let cell_index =
         |ai: usize, wi: usize, pi: usize| (ai * workloads.len() + wi) * policies.len() + pi;
-
-    let cell_label = |&(ai, wi, pi): &(usize, usize, usize)| {
-        format!(
-            "{} @ {} [{}]",
-            wl_names[wi], acc_names[ai], policy_names[pi]
-        )
+    let cells = points
+        .iter()
+        .map(|&(ai, wi, pi)| {
+            Cell::new(
+                format!(
+                    "{} @ {} [{}]",
+                    wl_names[wi], acc_names[ai], policy_names[pi]
+                ),
+                &accelerators[ai],
+                &workloads[wi],
+                tile_grid,
+                modes,
+                target,
+                &policies[pi],
+            )
+        })
+        .collect::<Result<Vec<_>, EvaluationError>>()?;
+    let runner = BatchConfig {
+        engine: config.engine,
+        cache: config.cache.clone(),
+        fast_mapper: config.fast_mapper,
+        budget: config.budget,
     };
 
     // ---- Checkpoint: resume completed cells, open the file for appends ----
     // The header binds the file to this exact run; anything that shapes cell
     // results (beyond the axes themselves) is folded into the fingerprint.
     let mapper_fingerprint = {
-        let cfg = models[0].mapper_config();
+        let cfg = *batch::cost_model(&accelerators[0], &runner).mapper_config();
         let mut h = checkpoint::Fnv::new();
         h.write_u64(cfg.objective as u64);
         h.write_u64(cfg.max_orderings as u64);
@@ -628,6 +605,10 @@ pub fn run_matrix(
     let acc_keys: Vec<(String, u64)> = accelerators
         .iter()
         .map(|a| (a.name().to_string(), a.fingerprint()))
+        .collect();
+    // Per-workload tile grids: the caller's grid, or each workload's default.
+    let grids: Vec<&[(u64, u64)]> = (0..workloads.len())
+        .map(|wi| &*cells[cell_index(0, wi, 0)].tile_grid)
         .collect();
     let header = checkpoint::live_header(
         target,
@@ -642,82 +623,68 @@ pub fn run_matrix(
     // Before the resume splice: the `fault.cells_resumed` increments below
     // must survive the report's since-delta.
     let metrics_before = defines_telemetry::snapshot();
-    let mut resumed: HashMap<(String, u64, String, String), CellOutcome> = HashMap::new();
-    let mut writer: Option<checkpoint::Writer> = None;
+    // Recorded cells are spliced straight into their slots; only the rest run.
+    let mut slots: Vec<Option<CellOutcome>> = (0..points.len()).map(|_| None).collect();
+    let mut journal: Option<Journal> = None;
     if let Some(path) = &config.checkpoint {
         let populated = std::fs::metadata(path)
             .map(|m| m.len() > 0)
             .unwrap_or(false);
+        let file = journal.insert(Journal::open("checkpoint", path)?);
         if populated {
             let ckpt = checkpoint::load(path)?;
             ckpt.header.validate_against(&header)?;
+            let on_grid = |names: &[String], name: &String| names.iter().position(|n| n == name);
             for v in &ckpt.cells {
                 let cell =
                     checkpoint::cell_from_value(v, policies, &policy_names).map_err(|why| {
                         MatrixError::Checkpoint(format!("checkpoint '{}': {why}", path.display()))
                     })?;
-                let key = (
-                    cell.accelerator.clone(),
-                    cell.fingerprint,
-                    cell.workload.clone(),
-                    cell.fuse.clone(),
-                );
-                if !acc_keys.contains(&(key.0.clone(), key.1)) || !wl_names.contains(&key.2) {
-                    return Err(MatrixError::Checkpoint(format!(
-                        "checkpoint '{}' records cell '{}' which is not on this grid",
-                        path.display(),
-                        cell.label
-                    )));
-                }
-                resumed.insert(key, cell);
+                let slot = acc_keys
+                    .iter()
+                    .position(|(name, fp)| *name == cell.accelerator && *fp == cell.fingerprint)
+                    .zip(on_grid(&wl_names, &cell.workload))
+                    .zip(on_grid(&policy_names, &cell.fuse))
+                    .map(|((ai, wi), pi)| cell_index(ai, wi, pi))
+                    .ok_or_else(|| {
+                        MatrixError::Checkpoint(format!(
+                            "checkpoint '{}' records cell '{}' which is not on this grid",
+                            path.display(),
+                            cell.label
+                        ))
+                    })?;
+                slots[slot] = Some(cell);
             }
-            // Rewrites the valid prefix (dropping any torn tail) and keeps
-            // appending from there.
-            writer = Some(checkpoint::Writer::resume(path, &header, &ckpt.cells)?);
+            // Rewrites the valid prefix (appending after a torn tail would
+            // corrupt the next line) and keeps appending from there.
+            file.rewrite(std::iter::once(&header.to_value()).chain(&ckpt.cells))?;
         } else {
-            writer = Some(checkpoint::Writer::create(path, &header)?);
+            file.append(&header.to_value())?;
         }
     }
-
-    // Splice resumed cells straight into their slots; only the rest run.
-    let mut slots: Vec<Option<CellOutcome>> = (0..points.len()).map(|_| None).collect();
-    let mut pending: Vec<(usize, usize, usize)> = Vec::with_capacity(points.len());
-    for &(ai, wi, pi) in &points {
-        let key = (
-            acc_names[ai].clone(),
-            accelerators[ai].fingerprint(),
-            wl_names[wi].clone(),
-            policy_names[pi].clone(),
-        );
-        match resumed.remove(&key) {
-            Some(cell) => {
-                CELLS_RESUMED.incr();
-                slots[cell_index(ai, wi, pi)] = Some(cell);
-            }
-            None => pending.push((ai, wi, pi)),
-        }
-    }
-    let resumed_cells = points.len() - pending.len();
-
-    let engine = SweepEngine::new(config.engine.with_pruning(false))
-        .with_label("matrix")
-        .with_label_detail(if resumed_cells == 0 {
-            format!("{} cells", pending.len())
-        } else {
-            format!("{} cells ({resumed_cells} resumed)", pending.len())
-        });
+    let resumed_cells = slots.iter().flatten().count();
+    CELLS_RESUMED.add(resumed_cells as u64);
+    let (pending_slot, pending): (Vec<usize>, Vec<Cell<'_>>) = cells
+        .into_iter()
+        .enumerate()
+        .filter(|(slot, _)| slots[*slot].is_none())
+        .unzip();
+    let run_label = if resumed_cells == 0 {
+        format!("matrix ({} cells)", pending.len())
+    } else {
+        format!("matrix ({} cells ({resumed_cells} resumed))", pending.len())
+    };
     let cache_before = config.cache.stats();
 
     // The opt-in deadline only gates cell *starts* — it never reaches inside
     // a search, so completed cells stay bit-identical.
     // lint:allow(wall-clock, deadline gates cell starts only, never results)
     let started = std::time::Instant::now();
-    let evaluate = |point: &(usize, usize, usize)| -> ScheduleResult {
-        let &(ai, wi, pi) = point;
+    let before_cell = || {
         failpoint!("matrix.cell");
         if let Some(deadline) = config.deadline {
             // A panic here is caught by the engine's per-point isolation and
-            // becomes this cell's `Failed` record — never a lost run.
+            // becomes this cell's failure — never a lost run.
             // lint:allow(wall-clock, same opt-in deadline gate as above)
             if started.elapsed() >= deadline {
                 panic!(
@@ -726,45 +693,50 @@ pub fn run_matrix(
                 );
             }
         }
-        // Each cell runs its inner schedule search sequentially: the outer
-        // engine already keeps every core busy with one cell per worker.
-        Explorer::new(&models[ai])
-            .with_engine_config(EngineConfig::sequential())
-            .with_run_label(cell_label(point))
-            .best_schedule(&workloads[wi], &grids[wi], modes, target, &policies[pi])
-            .expect("matrix cells are validated before the engine run")
-    };
-    let objective = |&(ai, _, _): &(usize, usize, usize), schedule: &ScheduleResult| {
-        schedule.value(target, &accelerators[ai])
     };
 
     let mut checkpoint_error: Option<MatrixError> = None;
-    let stats = engine.run(
+    let stats = batch::run_cells(
         &pending,
-        &evaluate,
-        &objective,
-        None::<&fn(&(usize, usize, usize)) -> f64>,
-        |record| {
-            let (ai, wi, pi) = record.point;
-            let label = cell_label(&record.point);
-            let outcome = match record.outcome {
-                defines_engine::Outcome::Evaluated {
-                    cost: schedule,
-                    value,
-                } => {
+        &runner,
+        run_label,
+        before_cell,
+        |i, result: BatchOutcome| {
+            let slot = pending_slot[i];
+            let (ai, wi, pi) = points[slot];
+            let label = pending[i].label.clone();
+            // A failed cell (its evaluation panicked, caught by the engine's
+            // per-point isolation): NaN values, no stacks, empty stats.
+            // Siblings are bit-identical to a run without the failure.
+            let failed = CellOutcome {
+                accelerator: acc_names[ai].clone(),
+                fingerprint: acc_keys[ai].1,
+                workload: wl_names[wi].clone(),
+                policy: policies[pi].clone(),
+                fuse: policy_names[pi].clone(),
+                label: label.clone(),
+                value: f64::NAN,
+                energy_pj: f64::NAN,
+                latency_cycles: f64::NAN,
+                edp: f64::NAN,
+                candidates: 0,
+                degraded: false,
+                error: result.error,
+                stacks: Vec::new(),
+                stats: SweepStats {
+                    label,
+                    points: 0,
+                    evaluated: 0,
+                    pruned: 0,
+                    failed: 0,
+                    threads: 0,
+                    elapsed: Duration::ZERO,
+                    cache: None,
+                },
+            };
+            let outcome = match result.schedule {
+                Some(schedule) => {
                     let net = &workloads[wi];
-                    // The inner run attached a cache delta measured over its
-                    // own time window — but the cache is shared by
-                    // concurrently running cells, so that window also counts
-                    // *their* traffic. Only the whole-matrix snapshot on the
-                    // outer stats is meaningful; drop the per-cell one
-                    // rather than report non-deterministic numbers. The
-                    // per-cell wall time is zeroed for the same reason: cell
-                    // records (and checkpoint lines) must be exactly
-                    // reproducible across runs and thread counts.
-                    let mut inner = schedule.stats;
-                    inner.cache = None;
-                    inner.elapsed = Duration::ZERO;
                     let stacks = schedule
                         .choices
                         .iter()
@@ -781,75 +753,37 @@ pub fn run_matrix(
                         })
                         .collect();
                     CellOutcome {
-                        accelerator: acc_names[ai].clone(),
-                        fingerprint: accelerators[ai].fingerprint(),
-                        workload: wl_names[wi].clone(),
-                        policy: policies[pi].clone(),
-                        fuse: policy_names[pi].clone(),
-                        label,
-                        value,
+                        value: result.value,
                         energy_pj: schedule.cost.energy_pj,
                         latency_cycles: schedule.cost.latency_cycles,
                         edp: schedule.cost.edp(),
                         candidates: schedule.candidates,
                         degraded: schedule.degraded,
-                        error: None,
                         stacks,
-                        stats: inner,
+                        stats: schedule.stats,
+                        ..failed
                     }
                 }
-                defines_engine::Outcome::Pruned { .. } => {
-                    unreachable!("matrix runs never prune")
-                }
-                // The cell's evaluation panicked (caught by the engine's
-                // per-point isolation): record a failed cell with NaN
-                // values. Siblings are unaffected and bit-identical to a
-                // run without the failure.
-                defines_engine::Outcome::Failed { error } => {
+                None => {
                     CELLS_FAILED.incr();
-                    CellOutcome {
-                        accelerator: acc_names[ai].clone(),
-                        fingerprint: accelerators[ai].fingerprint(),
-                        workload: wl_names[wi].clone(),
-                        policy: policies[pi].clone(),
-                        fuse: policy_names[pi].clone(),
-                        label: label.clone(),
-                        value: f64::NAN,
-                        energy_pj: f64::NAN,
-                        latency_cycles: f64::NAN,
-                        edp: f64::NAN,
-                        candidates: 0,
-                        degraded: false,
-                        error: Some(error),
-                        stacks: Vec::new(),
-                        stats: SweepStats {
-                            label,
-                            points: 0,
-                            evaluated: 0,
-                            pruned: 0,
-                            failed: 0,
-                            threads: 0,
-                            elapsed: Duration::ZERO,
-                            cache: None,
-                        },
-                    }
+                    failed
                 }
             };
             // Failed cells are never checkpointed: resuming retries them.
             if outcome.error.is_none() {
-                if let Some(w) = writer.as_mut() {
-                    if let Err(e) = w.line(&outcome.to_value()) {
+                if let Some(j) = journal.as_mut() {
+                    if let Err(e) = j.append(&outcome.to_value()) {
                         // Keep computing (the work is not lost for this
                         // process), but surface the first append failure
                         // after the run instead of silently dropping cells
                         // from the checkpoint.
-                        checkpoint_error.get_or_insert(e);
-                        writer = None;
+                        checkpoint_error.get_or_insert(e.into());
+                        journal = None;
                     }
                 }
             }
             on_cell(&outcome);
-            slots[cell_index(ai, wi, pi)] = Some(outcome);
+            slots[slot] = Some(outcome);
         },
     );
     let stats = stats.with_cache(config.cache.stats().since(&cache_before));
@@ -1199,6 +1133,20 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("modes"), "{err}");
+        // An empty workload is a typed error before anything runs — also
+        // with the default grid, which cannot be derived from it.
+        let err = run_matrix(
+            &acc,
+            &[Network::new("empty")],
+            &[FusePolicy::Auto],
+            None,
+            &OverlapMode::ALL,
+            OptimizeTarget::Energy,
+            &MatrixConfig::default(),
+            |_| {},
+        )
+        .unwrap_err();
+        assert_eq!(err, MatrixError::Evaluation(EvaluationError::EmptyNetwork));
     }
 
     /// A scratch checkpoint path unique to this process and test.

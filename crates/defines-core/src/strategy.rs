@@ -25,6 +25,48 @@ impl OverlapMode {
         OverlapMode::FullyCached,
     ];
 
+    /// The mode's digit in the `dfmode` vocabulary of the CLI flags and the
+    /// daemon's request field (`1`, `2`, `3`, in the paper's order).
+    pub fn digit(&self) -> char {
+        match self {
+            OverlapMode::FullyRecompute => '1',
+            OverlapMode::HCachedVRecompute => '2',
+            OverlapMode::FullyCached => '3',
+        }
+    }
+
+    /// Parses a `dfmode` digit string — the inverse of [`OverlapMode::digit`]:
+    /// each digit selects one mode, repeats are dropped, order is kept
+    /// (`"123"` selects all three).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for empty input or characters outside `1`-`3`; the
+    /// caller prefixes its flag or field name.
+    pub fn parse_digits(dfmode: &str) -> Result<Vec<OverlapMode>, String> {
+        if dfmode.is_empty() {
+            return Err("needs at least one digit out of 1, 2, 3".into());
+        }
+        let mut modes = Vec::new();
+        for c in dfmode.chars() {
+            let mode = match c {
+                '1' => OverlapMode::FullyRecompute,
+                '2' => OverlapMode::HCachedVRecompute,
+                '3' => OverlapMode::FullyCached,
+                other => {
+                    return Err(format!(
+                        "invalid digit '{other}' (1 = fully-recompute, 2 = H-cached \
+                         V-recompute, 3 = fully-cached)"
+                    ))
+                }
+            };
+            if !modes.contains(&mode) {
+                modes.push(mode);
+            }
+        }
+        Ok(modes)
+    }
+
     /// Whether the horizontal overlap is cached.
     pub fn caches_horizontal(&self) -> bool {
         matches!(

@@ -1,6 +1,8 @@
 //! Fault-injection campaign against the matrix runner: an injected per-cell
 //! panic must become exactly one failed cell — siblings bit-identical, the
-//! checkpoint uncorrupted, and a clean resume completing the grid.
+//! checkpoint uncorrupted, and a clean resume completing the grid; and a kill
+//! at any of the checkpoint journal's own sites, in a first run or in a
+//! resume, must cost nothing but the re-run of the cells it lost.
 #![cfg(feature = "failpoints")]
 
 use defines_core::explore::OptimizeTarget;
@@ -107,5 +109,61 @@ fn injected_cell_panic_fails_one_cell_and_resume_completes_the_grid() {
         .to_json()
     };
     assert_eq!(slice(&resumed), slice(&baseline));
+    let _ = std::fs::remove_file(&path);
+
+    // Campaign: kill the run at each journal site (the panic escapes
+    // `run_matrix`, like the process dying there) — in a first checkpointed
+    // run, and in a resume of a half-recorded file with a torn third cell.
+    let recorded = {
+        run(Some(path.clone())).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 1 + 4, "header + one line per cell");
+        format!(
+            "{}\n{}\n{}\n{}",
+            lines[0],
+            lines[1],
+            lines[2],
+            &lines[3][..lines[3].len() / 2]
+        )
+    };
+    let tmp = path.with_file_name(format!(
+        "{}.tmp",
+        path.file_name().unwrap().to_str().unwrap()
+    ));
+    let mut injections = 0u64;
+    for site in [
+        "journal.append",
+        "journal.rewrite.begin",
+        "journal.rewrite.mid",
+        "journal.rewrite.rename",
+    ] {
+        for fire_at in [1u64, 2, 3] {
+            for resuming in [false, true] {
+                let what = format!("{site}@{fire_at} (resuming: {resuming})");
+                let _ = std::fs::remove_file(&path);
+                if resuming {
+                    std::fs::write(&path, &recorded).unwrap();
+                }
+                let guard = fault::arm(site, fire_at);
+                let killed = std::panic::catch_unwind(|| run(Some(path.clone()))).is_err();
+                let fired = fault::hits(site) >= fire_at;
+                drop(guard);
+                assert_eq!(killed, fired, "{what}");
+                injections += u64::from(fired);
+
+                let healed = run(Some(path.clone())).unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(slice(&healed), slice(&baseline), "{what}");
+                assert!(!tmp.exists(), "{what}: stale .tmp left behind");
+                let ckpt = defines_core::checkpoint::load(&path).unwrap();
+                assert_eq!(ckpt.cells.len(), 4, "{what}");
+                assert!(!ckpt.torn_tail, "{what}");
+            }
+        }
+    }
+    assert!(
+        injections >= 8,
+        "campaign only injected {injections} kills — sites are not being exercised"
+    );
     let _ = std::fs::remove_file(&path);
 }

@@ -22,6 +22,12 @@
 //! same machinery serves per-stack "best combination" searches and the
 //! `defines-cli` sweep binary.
 //!
+//! Two small primitives also live here because both `defines-core` (matrix
+//! checkpoints) and `defines-mapping` (the mapping-cache store) keep files
+//! that outlive the process: [`Fnv`], a hash that is stable across Rust
+//! releases, and [`journal`], the append-only JSONL file format with its
+//! crash contract.
+//!
 //! # Determinism
 //!
 //! Records stream in completion order (nondeterministic under threads), but
@@ -35,8 +41,10 @@
 
 pub mod engine;
 pub mod fnv;
+pub mod journal;
 pub mod memo;
 
 pub use engine::{EngineConfig, Outcome, SweepEngine, SweepRecord, SweepStats};
 pub use fnv::Fnv;
+pub use journal::{Journal, JournalError};
 pub use memo::{CacheStats, MemoCache};

@@ -2,23 +2,16 @@
 //!
 //! The store turns the in-memory mapping cache into a service asset that
 //! survives restarts: every distinct `(accelerator, problem, mapper)`
-//! sub-problem is searched once *per deployment*, not once per process. The
-//! file format deliberately reuses the battle-tested idioms of the matrix
-//! checkpoint (`defines-core/src/checkpoint.rs`):
+//! sub-problem is searched once *per deployment*, not once per process.
 //!
-//! * **append-only JSONL** — a header line binding the format version,
-//!   then one flushed line per event, so a kill loses at most the line it
-//!   interrupted,
-//! * **torn-tail tolerance** — a partial *last* line is dropped on load
-//!   (and healed away by the next compaction); a malformed line anywhere
-//!   else is an error,
-//! * **atomic-rename compaction** — the rewritten file is produced as a
-//!   `.tmp` sibling and `rename`d over the original, so a crash at any
-//!   instant leaves either the old or the new file intact, never a hybrid,
-//! * **FNV-1a fingerprints** — every entry line carries a
-//!   [`Fnv`] fingerprint of its key, recomputed and
-//!   verified on load, because the file outlives the process and
-//!   `DefaultHasher` is not stable across Rust releases.
+//! The file is a [`defines_engine::journal`] — header line, flushed appends,
+//! torn-tail tolerance, atomic-rename rewrite; that module states the crash
+//! contract. This module owns what the lines *mean*: the header key and
+//! version, entry lines (`fp`, `epoch`, `key`, `cost`) and compact `touch`
+//! lines, the LRU epochs, and when to sync and compact. Every entry line
+//! carries an FNV-1a [`Fnv`] fingerprint of its key, recomputed and verified
+//! on load, because the file outlives the process and `DefaultHasher` is not
+//! stable across Rust releases.
 //!
 //! # Eviction determinism
 //!
@@ -44,15 +37,14 @@ use crate::cost::{Access, AccessBreakdown, LayerCost};
 use crate::problem::OperandTopLevels;
 use crate::temporal::{TemporalLoop, TemporalMapping};
 use defines_arch::{MemoryLevelId, Operand};
-use defines_engine::Fnv;
-use defines_telemetry::{failpoint, Counter};
+use defines_engine::journal::{f64_field, field, str_field, u64_field};
+use defines_engine::{Fnv, Journal, JournalError};
+use defines_telemetry::Counter;
 use defines_workload::{Dim, LayerDims, OpType};
 use serde::{Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
-use std::fs::File;
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Entries preloaded into the cache from disk at open.
@@ -83,6 +75,12 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+impl From<JournalError> for StoreError {
+    fn from(e: JournalError) -> Self {
+        StoreError(e.to_string())
+    }
+}
+
 /// Lifetime statistics of a [`CacheStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
@@ -107,15 +105,14 @@ pub struct StoreStats {
 /// between engine runs, not inside them.
 #[derive(Debug)]
 pub struct CacheStore {
-    path: PathBuf,
     cache: MappingCache,
     /// Maximum entries kept (0 = unbounded).
     max_entries: usize,
     /// Last-used epoch per tracked key — the store's logical state. The
     /// compacted file is a pure function of this map plus the cache costs.
     epochs: HashMap<ProblemKey, u64>,
-    /// Open append handle (always positioned at end of file).
-    file: File,
+    /// The file (always positioned at its end).
+    journal: Journal,
     /// Lines appended since the last compaction; when this exceeds the
     /// entry count the log has roughly doubled and gets compacted.
     appended_since_compact: usize,
@@ -198,28 +195,6 @@ fn key_to_value(key: &ProblemKey) -> Value {
     ])
 }
 
-fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
-    v.get(key).ok_or_else(|| format!("missing field '{key}'"))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("'{key}' is not an unsigned integer"))
-}
-
-fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("'{key}' is not a number"))
-}
-
-fn string_field<'v>(v: &'v Value, key: &str) -> Result<&'v str, String> {
-    field(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("'{key}' is not a string"))
-}
-
 fn level_field(v: &Value, key: &str) -> Result<MemoryLevelId, String> {
     Ok(MemoryLevelId(u64_field(v, key)? as usize))
 }
@@ -229,7 +204,7 @@ fn key_from_value(v: &Value) -> Result<ProblemKey, String> {
     let top = field(v, "top_levels")?;
     Ok(ProblemKey {
         accelerator: u64_field(v, "accelerator")?,
-        op: op_from_name(string_field(v, "op")?)?,
+        op: op_from_name(str_field(v, "op")?)?,
         dims: LayerDims {
             b: u64_field(dims, "b")?,
             k: u64_field(dims, "k")?,
@@ -295,7 +270,7 @@ fn cost_from_value(v: &Value) -> Result<LayerCost, String> {
         .iter()
         .map(|l| {
             Ok(TemporalLoop {
-                dim: dim_from_name(string_field(l, "dim")?)?,
+                dim: dim_from_name(str_field(l, "dim")?)?,
                 size: u64_field(l, "size")?,
             })
         })
@@ -334,39 +309,21 @@ impl CacheStore {
     ///
     /// `max_entries` bounds the store (and the cache entries it manages);
     /// `0` means unbounded. A torn final line — the recording process died
-    /// mid-append — is dropped and healed by an immediate compaction; a
-    /// stale `.tmp` sibling from a compaction that died before its rename is
-    /// removed (the original file it would have replaced is still intact).
+    /// mid-append — is dropped and healed by an immediate compaction.
     pub fn open(path: &Path, cache: MappingCache, max_entries: usize) -> Result<Self, StoreError> {
         cache.track_usage();
-        let tmp = Self::tmp_path(path);
-        if tmp.exists() {
-            // A compaction died before its rename: the target file is still
-            // the last good state, the temp is garbage.
-            std::fs::remove_file(&tmp)
-                .map_err(|e| StoreError(format!("cannot remove stale '{}': {e}", tmp.display())))?;
-        }
         let mut store = CacheStore {
-            path: path.to_path_buf(),
             cache,
             max_entries,
             epochs: HashMap::new(),
-            file: File::options()
-                .create(true)
-                .append(true)
-                .open(path)
-                .map_err(|e| StoreError(format!("cannot open store '{}': {e}", path.display())))?,
+            journal: Journal::open("store", path)?,
             appended_since_compact: 0,
             stats: StoreStats::default(),
         };
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| StoreError(format!("cannot read store '{}': {e}", path.display())))?;
-        if text.trim().is_empty() {
-            store.append(&header_value())?;
-            store.appended_since_compact = 0;
+        let Some(torn) = store.load()? else {
+            store.journal.append(&header_value())?;
             return Ok(store);
-        }
-        let torn = store.load(&text)?;
+        };
         store.stats.entries = store.epochs.len();
         // lint:allow(unordered-iter, max over values is order-independent)
         let max_epoch = store.epochs.values().copied().max().unwrap_or(0);
@@ -380,66 +337,42 @@ impl CacheStore {
         Ok(store)
     }
 
-    fn tmp_path(path: &Path) -> PathBuf {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("mapping-cache");
-        path.with_file_name(format!("{name}.tmp"))
-    }
-
-    /// Parses the file content, preloading the cache. Returns whether the
-    /// final line was torn.
-    fn load(&mut self, text: &str) -> Result<bool, StoreError> {
-        let path = self.path.clone();
-        let bad = move |line_no: usize, why: String| {
-            StoreError(format!("store '{}' line {line_no}: {why}", path.display()))
-        };
-        let lines: Vec<(usize, &str)> = text
-            .lines()
-            .enumerate()
-            .filter(|(_, line)| !line.trim().is_empty())
-            .collect();
-        let Some(&(header_line, header_text)) = lines.first() else {
-            return Ok(false);
-        };
-        let header = serde_json::from_str(header_text)
-            .map_err(|e| bad(header_line + 1, format!("invalid JSON: {e}")))?;
-        let version = header
-            .get(HEADER_KEY)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| bad(header_line + 1, "not a mapping-cache store header".into()))?;
-        if version != VERSION {
-            return Err(bad(
-                header_line + 1,
-                format!("unsupported store version {version} (this build writes {VERSION})"),
-            ));
-        }
+    /// Streams the file into the cache. Returns `None` for a file without a
+    /// header (fresh store), else whether the final line was torn.
+    fn load(&mut self) -> Result<Option<bool>, StoreError> {
         // Transient fingerprint index so touch lines can name entries
         // compactly.
         let mut by_fp: HashMap<u64, ProblemKey> = HashMap::new();
-        let mut torn = false;
-        for (i, &(line_no, line)) in lines.iter().enumerate().skip(1) {
-            let last = i == lines.len() - 1;
-            let v = match serde_json::from_str(line) {
-                Ok(v) => v,
-                Err(_) if last => {
-                    torn = true;
-                    continue;
+        let mut header_seen = false;
+        let mut broken_tail = false;
+        let path = self.journal.path().to_path_buf();
+        let torn = Journal::read("store", &path, |_, v, last| {
+            if !header_seen {
+                header_seen = true;
+                let version = v
+                    .get(HEADER_KEY)
+                    .and_then(Value::as_u64)
+                    .ok_or("not a mapping-cache store header")?;
+                if version != VERSION {
+                    return Err(format!(
+                        "unsupported store version {version} (this build writes {VERSION})"
+                    ));
                 }
-                Err(e) => return Err(bad(line_no + 1, format!("invalid JSON: {e}"))),
-            };
+                return Ok(());
+            }
             match self.apply_line(&v, &mut by_fp) {
-                Ok(()) => {}
                 // A structurally valid JSON line with broken content can
                 // also be the torn tail of a larger record that happened to
                 // parse (rare but possible when the cut lands inside a
                 // string); tolerate it in final position only.
-                Err(_) if last => torn = true,
-                Err(why) => return Err(bad(line_no + 1, why)),
+                Err(_) if last => {
+                    broken_tail = true;
+                    Ok(())
+                }
+                applied => applied,
             }
-        }
-        Ok(torn)
+        })?;
+        Ok(header_seen.then_some(torn || broken_tail))
     }
 
     fn apply_line(
@@ -475,21 +408,8 @@ impl CacheStore {
         Ok(())
     }
 
-    /// Appends one JSON line and flushes, so a kill right after loses at
-    /// most the line it interrupted.
     fn append(&mut self, value: &Value) -> Result<(), StoreError> {
-        failpoint!("persist.append");
-        let mut line = value.to_json();
-        line.push('\n');
-        self.file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.flush())
-            .map_err(|e| {
-                StoreError(format!(
-                    "cannot append to store '{}': {e}",
-                    self.path.display()
-                ))
-            })?;
+        self.journal.append(value)?;
         self.appended_since_compact += 1;
         Ok(())
     }
@@ -577,44 +497,18 @@ impl CacheStore {
     }
 
     /// Rewrites the file to exactly the live state — header plus one entry
-    /// line per key, sorted by `(epoch, key)` — via a `.tmp` sibling and an
-    /// atomic rename. The open handle follows the rename (same inode).
+    /// line per key, sorted by `(epoch, key)`.
     fn compact(&mut self) -> Result<(), StoreError> {
-        failpoint!("persist.compact.begin");
-        let tmp = Self::tmp_path(&self.path);
         let mut entries: Vec<(u64, ProblemKey)> =
             self.epochs.iter().map(|(k, &e)| (e, k.clone())).collect();
         entries.sort_unstable();
-        let mut file = File::create(&tmp)
-            .map_err(|e| StoreError(format!("cannot create '{}': {e}", tmp.display())))?;
-        let write_line = |file: &mut File, value: &Value| {
-            let mut line = value.to_json();
-            line.push('\n');
-            file.write_all(line.as_bytes())
-                .map_err(|e| StoreError(format!("cannot write '{}': {e}", tmp.display())))
-        };
-        write_line(&mut file, &header_value())?;
-        for (epoch, key) in &entries {
-            failpoint!("persist.compact.mid");
-            let Some(cost) = self.cache.peek(key) else {
-                continue;
-            };
-            write_line(
-                &mut file,
-                &entry_value(key_fingerprint(key), *epoch, key, &cost),
-            )?;
-        }
-        file.flush()
-            .and_then(|()| file.sync_all())
-            .map_err(|e| StoreError(format!("cannot flush '{}': {e}", tmp.display())))?;
-        failpoint!("persist.compact.rename");
-        std::fs::rename(&tmp, &self.path).map_err(|e| {
-            StoreError(format!(
-                "cannot replace store '{}': {e}",
-                self.path.display()
-            ))
-        })?;
-        self.file = file;
+        let cache = &self.cache;
+        let lines = entries.iter().filter_map(|(epoch, key)| {
+            let cost = cache.peek(key)?;
+            Some(entry_value(key_fingerprint(key), *epoch, key, &cost))
+        });
+        self.journal
+            .rewrite(std::iter::once(header_value()).chain(lines))?;
         self.appended_since_compact = 0;
         self.stats.compactions += 1;
         STORE_COMPACTIONS.incr();
@@ -638,6 +532,6 @@ impl CacheStore {
 
     /// The file the store persists to.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.journal.path()
     }
 }

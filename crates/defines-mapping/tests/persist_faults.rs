@@ -112,10 +112,10 @@ fn kills_during_persistence_never_corrupt_the_store() {
 
     let mut injections = 0u64;
     for site in [
-        "persist.append",
-        "persist.compact.begin",
-        "persist.compact.mid",
-        "persist.compact.rename",
+        "journal.append",
+        "journal.rewrite.begin",
+        "journal.rewrite.mid",
+        "journal.rewrite.rename",
     ] {
         for fire_at in [1u64, 2, 3] {
             let tag = format!("{}-{fire_at}", site.replace('.', "-"));

@@ -21,7 +21,5 @@
 pub mod protocol;
 pub mod server;
 
-pub use protocol::{
-    parse_fuse_policy, parse_modes, parse_target, render_error, render_outcome, ScheduleRequest,
-};
+pub use protocol::{render_error, render_outcome, ScheduleRequest};
 pub use server::{send_line, Resolver, ServeError, Server, ServerConfig};

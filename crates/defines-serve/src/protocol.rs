@@ -4,7 +4,8 @@
 //! deliberately the simplest possible framing over `std::net` TCP. Requests
 //! are either *commands* (`{"cmd": "ping" | "stats" | "shutdown"}`) or
 //! *schedule requests* naming a workload, an accelerator and the design-space
-//! axes, with exactly the `sweep` CLI's keyword vocabulary:
+//! axes, with exactly the `sweep` CLI's keyword vocabulary (one parser,
+//! in `defines-core`, beside the types it names):
 //!
 //! ```json
 //! {"workload": "fsrcnn", "accelerator": "meta-proto-like-df",
@@ -27,59 +28,8 @@
 //! harness byte-compare daemon answers against standalone runs.
 
 use defines_core::{BatchItem, FusePolicy, OptimizeTarget, OverlapMode};
+use defines_engine::journal::str_field;
 use serde::{Serialize, Value};
-
-/// The overlap-mode digit vocabulary of `--dfmode`, paper order.
-pub fn parse_modes(dfmode: &str) -> Result<Vec<OverlapMode>, String> {
-    if dfmode.is_empty() {
-        return Err("'dfmode' needs at least one digit out of 1, 2, 3".into());
-    }
-    let mut modes = Vec::new();
-    for c in dfmode.chars() {
-        let mode = match c {
-            '1' => OverlapMode::FullyRecompute,
-            '2' => OverlapMode::HCachedVRecompute,
-            '3' => OverlapMode::FullyCached,
-            other => {
-                return Err(format!(
-                    "invalid 'dfmode' digit '{other}' (1 = fully-recompute, 2 = H-cached \
-                     V-recompute, 3 = fully-cached)"
-                ))
-            }
-        };
-        if !modes.contains(&mode) {
-            modes.push(mode);
-        }
-    }
-    Ok(modes)
-}
-
-/// The optimization-target keyword vocabulary of `--target`.
-pub fn parse_target(name: &str) -> Result<OptimizeTarget, String> {
-    match name {
-        "energy" => Ok(OptimizeTarget::Energy),
-        "latency" => Ok(OptimizeTarget::Latency),
-        "edp" => Ok(OptimizeTarget::Edp),
-        "dram" => Ok(OptimizeTarget::DramAccess),
-        "activation" => Ok(OptimizeTarget::ActivationEnergy),
-        other => Err(format!(
-            "unknown target '{other}' (expected one of: energy, latency, edp, dram, activation)"
-        )),
-    }
-}
-
-/// The fuse-policy keyword vocabulary of `--fuse`.
-pub fn parse_fuse_policy(name: &str) -> Result<FusePolicy, String> {
-    match name {
-        "auto" => Ok(FusePolicy::Auto),
-        "full" => Ok(FusePolicy::FullNetwork),
-        "single" => Ok(FusePolicy::SingleLayerStacks),
-        "search" => Ok(FusePolicy::search()),
-        other => Err(format!(
-            "unknown fuse policy '{other}' (expected one of: auto, full, single, search)"
-        )),
-    }
-}
 
 /// A validated schedule request in canonical (defaults-resolved) form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,14 +48,6 @@ pub struct ScheduleRequest {
     pub tilex: Vec<u64>,
     /// Tile y extents.
     pub tiley: Vec<u64>,
-}
-
-fn string_field(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .ok_or_else(|| format!("missing field '{key}'"))?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("'{key}' is not a string"))
 }
 
 fn optional_string(v: &Value, key: &str, default: &str) -> Result<String, String> {
@@ -145,8 +87,8 @@ impl ScheduleRequest {
     /// malformed request fails at the protocol boundary, not inside a batch.
     pub fn from_value(v: &Value) -> Result<Self, String> {
         let request = Self {
-            workload: string_field(v, "workload")?,
-            accelerator: string_field(v, "accelerator")?,
+            workload: str_field(v, "workload")?.to_string(),
+            accelerator: str_field(v, "accelerator")?.to_string(),
             dfmode: optional_string(v, "dfmode", "123")?,
             target: optional_string(v, "target", "energy")?,
             fuse: optional_string(v, "fuse", "auto")?,
@@ -154,9 +96,10 @@ impl ScheduleRequest {
             tiley: tile_axis(v, "tiley")?,
         };
         // Validate the axes eagerly; also canonicalizes dfmode (dedup).
-        let modes = parse_modes(&request.dfmode)?;
-        parse_target(&request.target)?;
-        parse_fuse_policy(&request.fuse)?;
+        let modes =
+            OverlapMode::parse_digits(&request.dfmode).map_err(|why| format!("'dfmode': {why}"))?;
+        OptimizeTarget::from_keyword(&request.target)?;
+        FusePolicy::from_keyword(&request.fuse)?;
         if request.tilex.is_empty() != request.tiley.is_empty() {
             return Err(
                 "'tilex' and 'tiley' must be given together (or both omitted for the \
@@ -164,14 +107,7 @@ impl ScheduleRequest {
                     .into(),
             );
         }
-        let dfmode = modes
-            .iter()
-            .map(|m| match m {
-                OverlapMode::FullyRecompute => '1',
-                OverlapMode::HCachedVRecompute => '2',
-                OverlapMode::FullyCached => '3',
-            })
-            .collect();
+        let dfmode = modes.iter().map(OverlapMode::digit).collect();
         Ok(Self { dfmode, ..request })
     }
 
@@ -230,9 +166,11 @@ impl ScheduleRequest {
             accelerator,
             network,
             tile_grid: self.tile_grid(),
-            modes: parse_modes(&self.dfmode).expect("dfmode was validated at parse time"),
-            target: parse_target(&self.target).expect("target was validated at parse time"),
-            policy: parse_fuse_policy(&self.fuse).expect("fuse was validated at parse time"),
+            modes: OverlapMode::parse_digits(&self.dfmode)
+                .expect("dfmode was validated at parse time"),
+            target: OptimizeTarget::from_keyword(&self.target)
+                .expect("target was validated at parse time"),
+            policy: FusePolicy::from_keyword(&self.fuse).expect("fuse was validated at parse time"),
         }
     }
 }

@@ -12,9 +12,9 @@
 //!   runtime) — each connection carries one request line and gets one
 //!   response line,
 //! * one **scheduler thread** — it drains everything queued since the
-//!   previous batch into a single [`run_batch`] call (the matrix runner's
-//!   one-engine-many-cells shape), publishes the rendered responses, and
-//!   syncs the cache store.
+//!   previous batch into a single [`run_batch`] call (the cell runner the
+//!   matrix also runs on), publishes the rendered responses, and syncs the
+//!   cache store.
 //!
 //! Identical requests coalesce at two levels: a response memo answers exact
 //! repeats without touching the engine, and requests equal to one already
@@ -33,16 +33,16 @@
 //!
 //! # Crash safety
 //!
-//! The store is synced after every batch (append-only, flushed per line), so
-//! a kill between batches loses nothing and a kill mid-append loses at most
-//! one entry (healed as a torn tail on the next open). Compaction is
-//! atomic-rename. The response memo is process-local and simply refills.
+//! The store is synced after every batch and is a
+//! [`defines_engine::journal`]: a kill between batches loses nothing, a kill
+//! mid-append loses at most one entry (healed as a torn tail on the next
+//! open), and compaction is an atomic rename. The response memo is
+//! process-local and simply refills.
 
 use crate::protocol::{render_error, render_outcome, ScheduleRequest};
 use defines_core::{run_batch, BatchConfig, BatchItem};
 use defines_engine::EngineConfig;
 use defines_mapping::{Budget, CacheStore, MappingCache};
-use defines_telemetry::Counter;
 use serde::Value;
 use std::collections::HashMap;
 use std::fmt;
@@ -52,18 +52,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-/// Schedule requests received (commands excluded).
-static SERVE_REQUESTS: Counter = Counter::new("serve.requests");
-/// Requests that joined an already queued or in-flight identical
-/// computation instead of enqueueing their own.
-static SERVE_BATCHED: Counter = Counter::new("serve.batched");
-/// Requests answered from the response memo without touching the engine.
-static SERVE_MEMO_HITS: Counter = Counter::new("serve.memo_hits");
-/// Mapping-cache entries preloaded from the persistent store at startup.
-static SERVE_CACHE_LOADS: Counter = Counter::new("serve.cache_loads");
-/// Mapping-cache entries evicted by the store's size bound.
-static SERVE_EVICTIONS: Counter = Counter::new("serve.evictions");
 
 /// Resolves workload / accelerator specs to concrete objects. Injected by
 /// the binary (the CLI resolver knows builtin names *and* file paths) so
@@ -120,8 +108,9 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Per-daemon accounting (process-global telemetry counters would mix
-/// multiple in-process servers, e.g. under `cargo test`). The identity
+/// Per-daemon accounting behind the `stats` command (per daemon, not
+/// process-global telemetry counters: those would mix several in-process
+/// servers, e.g. under `cargo test`). The identity
 /// `requests == memo_hits + batched + computed` always holds.
 #[derive(Debug, Default)]
 struct ServeCounters {
@@ -207,7 +196,6 @@ impl Server {
                     .map_err(|e| ServeError(e.to_string()))?;
                 let loaded = store.stats().loaded;
                 counters.cache_loads.store(loaded, Ordering::Relaxed);
-                SERVE_CACHE_LOADS.add(loaded);
                 Some(store)
             }
             None => None,
@@ -381,7 +369,6 @@ fn scheduler_loop(inner: &ServerInner) {
                     .counters
                     .evictions
                     .fetch_add(evicted, Ordering::Relaxed);
-                SERVE_EVICTIONS.add(evicted);
             } else {
                 // No store: still advance the LRU epoch per batch so an
                 // attached store in a future run sees consistent epochs.
@@ -453,12 +440,10 @@ fn answer(inner: &ServerInner, line: &str) -> String {
         Err(why) => return render_error(&why),
     };
     ServeCounters::incr(&inner.counters.requests);
-    SERVE_REQUESTS.incr();
     let key = request.canonical_key();
     let mut st = inner.hub.lock();
     if let Some(response) = st.responses.get(&key) {
         ServeCounters::incr(&inner.counters.memo_hits);
-        SERVE_MEMO_HITS.incr();
         return response.clone();
     }
     if st.shutdown {
@@ -467,7 +452,6 @@ fn answer(inner: &ServerInner, line: &str) -> String {
     let queued = st.inflight.iter().any(|k| k == &key) || st.queue.iter().any(|(k, _)| k == &key);
     if queued {
         ServeCounters::incr(&inner.counters.batched);
-        SERVE_BATCHED.incr();
     } else {
         st.queue.push((key.clone(), request));
         inner.hub.kick.notify_one();
