@@ -9,7 +9,7 @@
 
 use defines_bench::{case_study_tile_grid, ratio, table, write_json, ExperimentContext};
 use defines_core::baselines::fixed_fully_cached;
-use defines_core::{DfStrategy, Explorer, OptimizeTarget, OverlapMode};
+use defines_core::{DfStrategy, Explorer, FusePolicy, OptimizeTarget, OverlapMode};
 use defines_workload::models;
 use serde::Serialize;
 
@@ -57,8 +57,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &OverlapMode::ALL,
             OptimizeTarget::Energy,
         )?;
-        let combo =
-            explorer.best_combination(&net, &tiles, &OverlapMode::ALL, OptimizeTarget::Energy)?;
+        let combo = explorer.best_schedule(
+            &net,
+            &tiles,
+            &OverlapMode::ALL,
+            OptimizeTarget::Energy,
+            &FusePolicy::Auto,
+        )?;
 
         for (name, energy, latency) in [
             ("single-layer", sl.energy_mj(), sl.latency_mcycles()),

@@ -6,46 +6,6 @@ use std::fmt::Display;
 use std::fs;
 use std::path::Path;
 
-/// Schema version of the shared `header` object in every `BENCH_*.json`
-/// this workspace writes. Bump when the header's shape changes.
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
-
-/// The shared header every `BENCH_*.json` report starts with, so the bench
-/// trajectory is machine-comparable across PRs: consumers key on
-/// (`schema_version`, `bench`) and can refuse runs whose workload,
-/// accelerator or thread count differ from the one they are diffing against.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct BenchHeader {
-    /// Header schema version ([`BENCH_SCHEMA_VERSION`]).
-    pub schema_version: u64,
-    /// Name of the bench that wrote the report (e.g. `"engine_sweep"`).
-    pub bench: String,
-    /// Workload(s) the bench ran.
-    pub workload: String,
-    /// Accelerator(s) the bench ran on.
-    pub accelerator: String,
-    /// Worker threads the measured runs used.
-    pub threads: usize,
-}
-
-impl BenchHeader {
-    /// Builds a header stamped with the current schema version.
-    pub fn new(
-        bench: impl Into<String>,
-        workload: impl Into<String>,
-        accelerator: impl Into<String>,
-        threads: usize,
-    ) -> Self {
-        Self {
-            schema_version: BENCH_SCHEMA_VERSION,
-            bench: bench.into(),
-            workload: workload.into(),
-            accelerator: accelerator.into(),
-            threads,
-        }
-    }
-}
-
 /// Renders a simple aligned table.
 ///
 /// `header` and every row must have the same number of columns.

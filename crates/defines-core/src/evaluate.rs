@@ -35,6 +35,12 @@ pub enum EvaluationError {
     /// frontend) surface a structured error instead of a panic if the
     /// invariants are ever violated.
     Network(defines_workload::NetworkError),
+    /// A search for one best point was given an empty design-space axis
+    /// (no tile sizes or no overlap modes), so there is nothing to choose.
+    EmptyDesignSpace {
+        /// The empty axis, e.g. `"overlap mode"`.
+        axis: &'static str,
+    },
 }
 
 impl fmt::Display for EvaluationError {
@@ -43,6 +49,9 @@ impl fmt::Display for EvaluationError {
             EvaluationError::EmptyNetwork => write!(f, "the workload contains no layers"),
             EvaluationError::InvalidStacks(msg) => write!(f, "invalid stack partition: {msg}"),
             EvaluationError::Network(err) => write!(f, "invalid workload: {err}"),
+            EvaluationError::EmptyDesignSpace { axis } => {
+                write!(f, "the design space is empty: no {axis} given")
+            }
         }
     }
 }

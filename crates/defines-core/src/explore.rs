@@ -7,8 +7,9 @@
 //! LOMA mapping sub-problems are memoized through the model's
 //! [`MappingCache`](defines_mapping::MappingCache), and dominated points are
 //! skipped using the cheap lower bounds of [`crate::bounds`]. Results are
-//! bit-identical to a sequential scan (see [`Explorer::sweep_sequential`]),
-//! regardless of thread count.
+//! bit-identical to a sequential scan over
+//! [`DfCostModel::evaluate_network`] (the oracle `tests/engine_parity.rs`
+//! keeps), regardless of thread count.
 
 use crate::bounds::StrategyBounds;
 use crate::evaluate::{DfCostModel, EvaluationError};
@@ -127,16 +128,6 @@ pub struct ExplorationResult {
     pub cost: NetworkCost,
 }
 
-/// The result of a per-stack ("best combination") exploration: each stack may
-/// use a different depth-first strategy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CombinationResult {
-    /// The chosen (tile size, overlap mode) per stack, in stack order.
-    pub per_stack: Vec<(TileSize, OverlapMode)>,
-    /// The combined network cost.
-    pub cost: NetworkCost,
-}
-
 /// One stack of a searched schedule, with the (tile size, overlap mode)
 /// chosen for it and its contribution to the optimization target.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -235,11 +226,11 @@ impl<'a> Explorer<'a> {
     }
 
     /// Returns a copy whose sweep entry points ([`Explorer::sweep`],
-    /// [`Explorer::sweep_streaming`], [`Explorer::best_single_strategy`],
-    /// [`Explorer::sweep_sequential`]) evaluate design points under the given
-    /// fuse depth instead of [`FuseDepth::Auto`] — axis 3 of the design
-    /// space. For *searching* that axis rather than fixing it, use
-    /// [`Explorer::best_schedule`] with [`FusePolicy::Search`].
+    /// [`Explorer::sweep_streaming`], [`Explorer::best_single_strategy`])
+    /// evaluate design points under the given fuse depth instead of
+    /// [`FuseDepth::Auto`] — axis 3 of the design space. For *searching* that
+    /// axis rather than fixing it, use [`Explorer::best_schedule`] with
+    /// [`FusePolicy::Search`].
     pub fn with_fuse_depth(mut self, fuse: FuseDepth) -> Self {
         self.fuse = fuse;
         self
@@ -265,7 +256,7 @@ impl<'a> Explorer<'a> {
     /// Returns a copy with lower-bound pruning switched on or off. Pruning
     /// applies to [`Explorer::best_single_strategy`] and
     /// [`Explorer::sweep_streaming`]; the exhaustive [`Explorer::sweep`] and
-    /// the per-stack [`Explorer::best_combination`] always evaluate every
+    /// the per-stack [`Explorer::best_schedule`] always evaluate every
     /// point.
     pub fn with_pruning(self, prune: bool) -> Self {
         let config = self.engine.config().with_pruning(prune);
@@ -302,15 +293,6 @@ impl<'a> Explorer<'a> {
         net.validate()?;
         let stacks = partition_into_stacks(net, self.model.accelerator(), &self.fuse);
         crate::evaluate::validate_stacks(net, &stacks)
-    }
-
-    /// The stack partition every design point of this explorer's sweeps
-    /// shares (the explorer's fuse depth is fixed per sweep), computed once
-    /// so the engine's evaluate closures run on pre-built geometries
-    /// ([`DfCostModel::prepare_stacks`] / [`DfCostModel::evaluate_prepared`])
-    /// instead of re-deriving the partition per point.
-    fn sweep_partition(&self, net: &Network) -> Vec<Stack> {
-        partition_into_stacks(net, self.model.accelerator(), &self.fuse)
     }
 
     /// Unwraps the cost of a record from an unpruned engine run. A `Failed`
@@ -364,11 +346,68 @@ impl<'a> Explorer<'a> {
         grid
     }
 
+    /// The one engine-driving body of the sweep family: validates the network
+    /// and the explorer's fuse partition, builds the design points, the
+    /// per-stack geometries and the lower bounds once, then streams one
+    /// [`DfSweepRecord`] per point to `on_record` in completion order. The
+    /// bounds are applied only when `prune` is set.
+    fn run_sweep(
+        &self,
+        net: &Network,
+        tile_sizes: &[(u64, u64)],
+        modes: &[OverlapMode],
+        target: OptimizeTarget,
+        prune: bool,
+        on_record: impl FnMut(DfSweepRecord),
+    ) -> Result<SweepStats, EvaluationError> {
+        self.validate_sweep(net)?;
+        let _span = span!("explore.sweep");
+        let acc = self.model.accelerator();
+        let points = self.design_points(tile_sizes, modes);
+        // Every design point shares the explorer's fuse partition, so the
+        // engine's evaluate closures run on geometries built once
+        // (`prepare_stacks` / `evaluate_prepared`) instead of re-deriving the
+        // partition per point.
+        let stacks = partition_into_stacks(net, acc, &self.fuse);
+        let prepared = self.model.prepare_stacks(net, &stacks);
+        let bounds = StrategyBounds::new(net, acc, target);
+        let engine = SweepEngine::new(self.engine.config().with_pruning(prune))
+            .with_label(self.engine_label(net));
+        // Snapshot so the attached cache statistics describe this run, not
+        // the cache's lifetime (the model may have served earlier sweeps).
+        let cache_before = self.model.mapping_cache().stats();
+        let stats = engine.run(
+            &points,
+            &|s: &DfStrategy| self.model.evaluate_prepared(&prepared, s),
+            &|_, c: &NetworkCost| target.value(c, acc),
+            Some(&|s: &DfStrategy| bounds.lower_bound(s)),
+            on_record,
+        );
+        Ok(stats.with_cache(self.model.mapping_cache().stats().since(&cache_before)))
+    }
+
+    /// [`Explorer::run_sweep`] with the records returned in the canonical
+    /// submission order instead of streamed.
+    fn collect_sweep(
+        &self,
+        net: &Network,
+        tile_sizes: &[(u64, u64)],
+        modes: &[OverlapMode],
+        target: OptimizeTarget,
+        prune: bool,
+    ) -> Result<Vec<DfSweepRecord>, EvaluationError> {
+        let mut records = Vec::with_capacity(tile_sizes.len() * modes.len());
+        self.run_sweep(net, tile_sizes, modes, target, prune, |r| records.push(r))?;
+        records.sort_unstable_by_key(|r| r.index);
+        Ok(records)
+    }
+
     /// Evaluates every (tile size × overlap mode) combination on the engine.
     ///
     /// All points are fully evaluated (no pruning) and the results come back
-    /// in the canonical submission order, bit-identical to
-    /// [`Explorer::sweep_sequential`] regardless of thread count.
+    /// in the canonical submission order, bit-identical to a sequential scan
+    /// over [`DfCostModel::evaluate_network`] regardless of thread count. An
+    /// empty grid yields an empty result.
     ///
     /// # Errors
     ///
@@ -379,19 +418,7 @@ impl<'a> Explorer<'a> {
         tile_sizes: &[(u64, u64)],
         modes: &[OverlapMode],
     ) -> Result<Vec<ExplorationResult>, EvaluationError> {
-        self.validate_sweep(net)?;
-        let _span = span!("explore.sweep");
-        let points = self.design_points(tile_sizes, modes);
-        let stacks = self.sweep_partition(net);
-        let prepared = self.model.prepare_stacks(net, &stacks);
-        let engine = SweepEngine::new(self.engine.config().with_pruning(false))
-            .with_label(self.engine_label(net));
-        let (records, _) = engine.run_collect(
-            &points,
-            &|s: &DfStrategy| self.model.evaluate_prepared(&prepared, s),
-            &|_, c: &NetworkCost| c.energy_pj,
-            None::<&fn(&DfStrategy) -> f64>,
-        );
+        let records = self.collect_sweep(net, tile_sizes, modes, OptimizeTarget::Energy, false)?;
         Ok(records
             .into_iter()
             .map(|r| ExplorationResult {
@@ -399,31 +426,6 @@ impl<'a> Explorer<'a> {
                 cost: Self::evaluated_cost(r.outcome),
             })
             .collect())
-    }
-
-    /// The seed's sequential sweep, kept as the engine's reference
-    /// implementation: one thread, no engine, no pruning. Exploration
-    /// results must be bit-identical between the two paths.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors (empty network, invalid stacks).
-    pub fn sweep_sequential(
-        &self,
-        net: &Network,
-        tile_sizes: &[(u64, u64)],
-        modes: &[OverlapMode],
-    ) -> Result<Vec<ExplorationResult>, EvaluationError> {
-        let mut out = Vec::with_capacity(tile_sizes.len() * modes.len());
-        for &mode in modes {
-            for &(tx, ty) in tile_sizes {
-                let strategy = DfStrategy::depth_first(TileSize::new(tx, ty), mode)
-                    .with_fuse(self.fuse.clone());
-                let cost = self.model.evaluate_network(net, &strategy)?;
-                out.push(ExplorationResult { strategy, cost });
-            }
-        }
-        Ok(out)
     }
 
     /// Streams the sweep as it executes: one [`DfSweepRecord`] per design
@@ -442,25 +444,8 @@ impl<'a> Explorer<'a> {
         target: OptimizeTarget,
         on_record: impl FnMut(DfSweepRecord),
     ) -> Result<SweepStats, EvaluationError> {
-        self.validate_sweep(net)?;
-        let _span = span!("explore.sweep");
-        let acc = self.model.accelerator();
-        let points = self.design_points(tile_sizes, modes);
-        let stacks = self.sweep_partition(net);
-        let prepared = self.model.prepare_stacks(net, &stacks);
-        let bounds = StrategyBounds::new(net, acc, target);
-        let engine = self.engine.clone().with_label(self.engine_label(net));
-        // Snapshot so the attached cache statistics describe this run, not
-        // the cache's lifetime (the model may have served earlier sweeps).
-        let cache_before = self.model.mapping_cache().stats();
-        let stats = engine.run(
-            &points,
-            &|s: &DfStrategy| self.model.evaluate_prepared(&prepared, s),
-            &|_, c: &NetworkCost| target.value(c, acc),
-            Some(&|s: &DfStrategy| bounds.lower_bound(s)),
-            on_record,
-        );
-        Ok(stats.with_cache(self.model.mapping_cache().stats().since(&cache_before)))
+        let prune = self.engine.config().prune;
+        self.run_sweep(net, tile_sizes, modes, target, prune, on_record)
     }
 
     /// Finds the best single strategy over a sweep, according to the target.
@@ -473,7 +458,8 @@ impl<'a> Explorer<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates evaluation errors.
+    /// Returns [`EvaluationError::EmptyDesignSpace`] when `tile_sizes` or
+    /// `modes` is empty and propagates evaluation errors.
     pub fn best_single_strategy(
         &self,
         net: &Network,
@@ -481,50 +467,15 @@ impl<'a> Explorer<'a> {
         modes: &[OverlapMode],
         target: OptimizeTarget,
     ) -> Result<ExplorationResult, EvaluationError> {
-        self.validate_sweep(net)?;
-        let acc = self.model.accelerator();
-        let points = self.design_points(tile_sizes, modes);
-        let stacks = self.sweep_partition(net);
-        let prepared = self.model.prepare_stacks(net, &stacks);
-        let bounds = StrategyBounds::new(net, acc, target);
-        let engine = self.engine.clone().with_label(self.engine_label(net));
-        let (records, _) = engine.run_collect(
-            &points,
-            &|s: &DfStrategy| self.model.evaluate_prepared(&prepared, s),
-            &|_, c: &NetworkCost| target.value(c, acc),
-            Some(&|s: &DfStrategy| bounds.lower_bound(s)),
-        );
-        let best =
-            SweepEngine::best_record(records).expect("sweep always evaluates at least one point");
+        require_axis("tile size", tile_sizes)?;
+        require_axis("overlap mode", modes)?;
+        let prune = self.engine.config().prune;
+        let records = self.collect_sweep(net, tile_sizes, modes, target, prune)?;
+        let best = SweepEngine::best_record(records)
+            .expect("a non-empty sweep evaluates at least one point");
         Ok(ExplorationResult {
             strategy: best.point,
             cost: Self::evaluated_cost(best.outcome),
-        })
-    }
-
-    /// Finds the best *combination*: the fused-layer stacks are fixed (by the
-    /// automatic fuse-depth heuristic) but each stack independently picks the
-    /// (tile size, overlap mode) that minimizes the target — including the
-    /// full-feature-map tile, i.e. falling back to layer-by-layer processing
-    /// for weight-dominant stacks (case study 2).
-    ///
-    /// This is a thin wrapper over [`Explorer::best_schedule`] with
-    /// [`FusePolicy::Auto`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvaluationError::EmptyNetwork`] for an empty workload.
-    pub fn best_combination(
-        &self,
-        net: &Network,
-        tile_sizes: &[(u64, u64)],
-        modes: &[OverlapMode],
-        target: OptimizeTarget,
-    ) -> Result<CombinationResult, EvaluationError> {
-        let schedule = self.best_schedule(net, tile_sizes, modes, target, &FusePolicy::Auto)?;
-        Ok(CombinationResult {
-            per_stack: schedule.per_stack(),
-            cost: schedule.cost,
         })
     }
 
@@ -548,13 +499,19 @@ impl<'a> Explorer<'a> {
     /// stack, and therefore never worse than the [`FusePolicy::Auto`]
     /// combination on the same grid.
     ///
-    /// Stacks exchange feature maps through DRAM, like
-    /// [`Explorer::best_combination`] (the partitions under comparison are
-    /// then costed identically).
+    /// Under [`FusePolicy::Auto`] this is the paper's "best combination"
+    /// (case study 2): the stacks are fixed by the automatic fuse-depth
+    /// heuristic and each picks its own (tile size, overlap mode) — including
+    /// the full-feature-map tile, i.e. falling back to layer-by-layer
+    /// processing for weight-dominant stacks. Stacks exchange feature maps
+    /// through DRAM under every policy, so the partitions under comparison
+    /// are costed identically.
     ///
     /// # Errors
     ///
-    /// Returns [`EvaluationError::EmptyNetwork`] for an empty workload and
+    /// Returns [`EvaluationError::EmptyNetwork`] for an empty workload,
+    /// [`EvaluationError::EmptyDesignSpace`] for an empty `modes` (an empty
+    /// `tile_sizes` still offers every stack its full-feature-map tile) and
     /// propagates DAG validation errors.
     pub fn best_schedule(
         &self,
@@ -566,6 +523,7 @@ impl<'a> Explorer<'a> {
     ) -> Result<ScheduleResult, EvaluationError> {
         let _span = span!("explore.schedule");
         net.validate()?;
+        require_axis("overlap mode", modes)?;
         let acc = self.model.accelerator();
         match policy.fixed_fuse_depth() {
             Some(fuse) => {
@@ -768,6 +726,15 @@ impl<'a> Explorer<'a> {
     }
 }
 
+/// Rejects an empty design-space axis where the caller promises one best
+/// point, naming the axis.
+fn require_axis<T>(axis: &'static str, values: &[T]) -> Result<(), EvaluationError> {
+    if values.is_empty() {
+        return Err(EvaluationError::EmptyDesignSpace { axis });
+    }
+    Ok(())
+}
+
 /// The tile-size sampling points along one axis used by the default grid:
 /// 1, 4, then roughly quarter / half / full of the feature-map extent.
 fn axis_points(extent: u64) -> Vec<u64> {
@@ -803,6 +770,44 @@ mod tests {
             )
             .unwrap();
         net
+    }
+
+    /// The engine's reference: one thread, no engine, no pruning — a plain
+    /// scan over [`DfCostModel::evaluate_network`] in submission order.
+    fn sequential_reference(
+        model: &DfCostModel<'_>,
+        fuse: &FuseDepth,
+        net: &Network,
+        tiles: &[(u64, u64)],
+        modes: &[OverlapMode],
+    ) -> Vec<ExplorationResult> {
+        let mut out = Vec::new();
+        for &mode in modes {
+            for &(tx, ty) in tiles {
+                let strategy =
+                    DfStrategy::depth_first(TileSize::new(tx, ty), mode).with_fuse(fuse.clone());
+                let cost = model.evaluate_network(net, &strategy).unwrap();
+                out.push(ExplorationResult { strategy, cost });
+            }
+        }
+        out
+    }
+
+    /// The per-stack best combination under the automatic partition.
+    fn auto_schedule(
+        explorer: &Explorer<'_>,
+        net: &Network,
+        tiles: &[(u64, u64)],
+    ) -> ScheduleResult {
+        explorer
+            .best_schedule(
+                net,
+                tiles,
+                &OverlapMode::ALL,
+                OptimizeTarget::Energy,
+                &FusePolicy::Auto,
+            )
+            .unwrap()
     }
 
     #[test]
@@ -870,13 +875,11 @@ mod tests {
         let single = explorer
             .best_single_strategy(&net, &tiles, &OverlapMode::ALL, OptimizeTarget::Energy)
             .unwrap();
-        let combo = explorer
-            .best_combination(&net, &tiles, &OverlapMode::ALL, OptimizeTarget::Energy)
-            .unwrap();
+        let combo = auto_schedule(&explorer, &net, &tiles);
         // The combination search has at least the single strategies available
         // per stack, so it can only match or improve.
         assert!(combo.cost.energy_pj <= single.cost.energy_pj * 1.01);
-        assert_eq!(combo.per_stack.len(), combo.cost.stacks.len());
+        assert_eq!(combo.per_stack().len(), combo.cost.stacks.len());
     }
 
     #[test]
@@ -888,9 +891,8 @@ mod tests {
         for threads in [1, 4] {
             let explorer = Explorer::new(&model).with_threads(threads);
             let parallel = explorer.sweep(&net, &tiles, &OverlapMode::ALL).unwrap();
-            let sequential = explorer
-                .sweep_sequential(&net, &tiles, &OverlapMode::ALL)
-                .unwrap();
+            let sequential =
+                sequential_reference(&model, &FuseDepth::Auto, &net, &tiles, &OverlapMode::ALL);
             assert_eq!(parallel, sequential, "threads = {threads}");
         }
     }
@@ -1004,17 +1006,8 @@ mod tests {
         let model = DfCostModel::new(&acc).with_fast_mapper();
         let explorer = Explorer::new(&model);
         let net = tiny_net();
-        let without = explorer
-            .best_combination(&net, &[(8, 8)], &OverlapMode::ALL, OptimizeTarget::Energy)
-            .unwrap();
-        let with_dup = explorer
-            .best_combination(
-                &net,
-                &[(8, 8), (46, 46)],
-                &OverlapMode::ALL,
-                OptimizeTarget::Energy,
-            )
-            .unwrap();
+        let without = auto_schedule(&explorer, &net, &[(8, 8)]);
+        let with_dup = auto_schedule(&explorer, &net, &[(8, 8), (46, 46)]);
         // (46, 46) covers the whole 46x46 output, i.e. it *is* the full tile:
         // the two grids span the same design space and must agree on cost.
         assert_eq!(without.cost.energy_pj, with_dup.cost.energy_pj);
@@ -1027,9 +1020,7 @@ mod tests {
         let explorer = Explorer::new(&model);
         let net = tiny_net();
         let tiles = [(8, 8), (16, 16)];
-        let auto = explorer
-            .best_combination(&net, &tiles, &OverlapMode::ALL, OptimizeTarget::Energy)
-            .unwrap();
+        let auto = auto_schedule(&explorer, &net, &tiles);
         let searched = explorer
             .best_schedule(
                 &net,
@@ -1112,9 +1103,70 @@ mod tests {
         // Every layer became its own stack in the evaluated cost.
         assert_eq!(results[0].cost.stacks.len(), net.len());
         // And the sequential reference path agrees bit for bit.
-        let sequential = explorer
-            .sweep_sequential(&net, &tiles, &[OverlapMode::FullyCached])
-            .unwrap();
+        let sequential = sequential_reference(
+            &model,
+            explorer.fuse_depth(),
+            &net,
+            &tiles,
+            &[OverlapMode::FullyCached],
+        );
         assert_eq!(results, sequential);
+    }
+
+    #[test]
+    fn best_single_strategy_rejects_an_empty_axis() {
+        let acc = zoo::meta_proto_like_df();
+        let model = DfCostModel::new(&acc).with_fast_mapper();
+        let explorer = Explorer::new(&model);
+        let net = tiny_net();
+        let target = OptimizeTarget::Energy;
+        assert_eq!(
+            explorer.best_single_strategy(&net, &[], &OverlapMode::ALL, target),
+            Err(EvaluationError::EmptyDesignSpace { axis: "tile size" })
+        );
+        assert_eq!(
+            explorer.best_single_strategy(&net, &[(8, 8)], &[], target),
+            Err(EvaluationError::EmptyDesignSpace {
+                axis: "overlap mode"
+            })
+        );
+        // The exhaustive sweeps promise no best point: an empty grid stays an
+        // empty result.
+        assert_eq!(explorer.sweep(&net, &[], &OverlapMode::ALL), Ok(vec![]));
+        let stats = explorer
+            .sweep_streaming(&net, &[(8, 8)], &[], target, |_| {})
+            .unwrap();
+        assert_eq!(stats.points, 0);
+    }
+
+    #[test]
+    fn best_schedule_rejects_an_empty_mode_list() {
+        let acc = zoo::meta_proto_like_df();
+        let model = DfCostModel::new(&acc).with_fast_mapper();
+        let explorer = Explorer::new(&model);
+        let net = tiny_net();
+        for policy in [FusePolicy::Auto, FusePolicy::search()] {
+            let err = explorer
+                .best_schedule(&net, &[(8, 8)], &[], OptimizeTarget::Energy, &policy)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                EvaluationError::EmptyDesignSpace {
+                    axis: "overlap mode"
+                }
+            );
+        }
+        // An empty tile grid is still a design space: every stack keeps its
+        // full-feature-map tile.
+        let full_only = explorer
+            .best_schedule(
+                &net,
+                &[],
+                &OverlapMode::ALL,
+                OptimizeTarget::Energy,
+                &FusePolicy::Auto,
+            )
+            .unwrap();
+        assert!(full_only.choices.iter().all(|c| c.tile == TileSize::full()));
     }
 }

@@ -71,8 +71,7 @@ pub use bounds::StrategyBounds;
 pub use checkpoint::{Checkpoint, CheckpointHeader};
 pub use evaluate::{DfCostModel, EvaluationError, PreparedNetwork};
 pub use explore::{
-    CombinationResult, DfSweepRecord, ExplorationResult, Explorer, OptimizeTarget, ScheduleResult,
-    StackChoice,
+    DfSweepRecord, ExplorationResult, Explorer, OptimizeTarget, ScheduleResult, StackChoice,
 };
 pub use fuse::FusePolicy;
 pub use matrix::{run_matrix, CellOutcome, MatrixConfig, MatrixError, MatrixReport, RankingEntry};

@@ -328,11 +328,6 @@ impl SweepEngine {
         self
     }
 
-    /// The label applied to this engine's runs, if any.
-    pub fn label(&self) -> Option<&str> {
-        self.label.as_deref()
-    }
-
     /// Runs a sweep, streaming records to `on_record`.
     ///
     /// * `evaluate` — full evaluation of one design point (expensive),

@@ -752,9 +752,9 @@ fn check_wall_clock(
     test_ranges: &[(u32, u32)],
     findings: &mut Vec<Finding>,
 ) {
-    // Vendored stand-ins for external crates (criterion is a benchmarking
-    // harness) and the two observability crates may read clocks; bench/test
-    // targets may too.
+    // Vendored stand-ins for external crates, the telemetry crate and the
+    // experiment harness (`ablation_mapper` times the mapper presets) may
+    // read clocks; bench/test targets may too.
     if ctx.in_vendor
         || ctx.is_test_path
         || ctx.is_crate("defines-telemetry")

@@ -78,7 +78,7 @@ fn wall_clock_is_in_scope_only_outside_telemetry_and_bench() {
         "crates/defines-telemetry/src/fixture.rs",
         "crates/defines-bench/src/fixture.rs",
         "crates/demo/tests/fixture.rs",
-        "vendor/criterion/src/fixture.rs",
+        "vendor/proptest/src/fixture.rs",
     ] {
         let findings = lint_source(Path::new(exempt), src);
         assert!(findings.is_empty(), "{exempt}: {findings:?}");

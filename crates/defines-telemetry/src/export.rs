@@ -139,14 +139,6 @@ impl PhaseBreakdown {
         Self { phases, wall_ms }
     }
 
-    /// Summed duration of one phase, milliseconds (0 when absent).
-    pub fn total_ms(&self, name: &str) -> f64 {
-        self.phases
-            .iter()
-            .find(|p| p.name == name)
-            .map_or(0.0, |p| p.total_ms)
-    }
-
     /// The breakdown as a markdown table (phase, count, total, mean, share
     /// of wall clock).
     pub fn to_markdown(&self) -> String {
@@ -252,7 +244,6 @@ mod tests {
         let breakdown = PhaseBreakdown::from_events(&[]);
         assert!(breakdown.phases.is_empty());
         assert_eq!(breakdown.wall_ms, 0.0);
-        assert_eq!(breakdown.total_ms("anything"), 0.0);
         // Rendering an empty breakdown must not divide by zero.
         assert!(breakdown.to_markdown().contains("wall clock: 0.000 ms"));
     }

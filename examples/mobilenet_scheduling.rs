@@ -6,7 +6,9 @@
 //! Run with: `cargo run --release --example mobilenet_scheduling`
 
 use defines_arch::zoo;
-use defines_core::{DfCostModel, DfStrategy, Explorer, OptimizeTarget, OverlapMode, TileSize};
+use defines_core::{
+    DfCostModel, DfStrategy, Explorer, FusePolicy, OptimizeTarget, OverlapMode, TileSize,
+};
 use defines_workload::analysis::WorkloadSummary;
 use defines_workload::models;
 
@@ -36,8 +38,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     // Let every stack pick its own tile size and overlap mode.
     let tiles = [(7, 7), (14, 14), (28, 28), (56, 56), (112, 112)];
-    let combo =
-        explorer.best_combination(&network, &tiles, &OverlapMode::ALL, OptimizeTarget::Energy)?;
+    let combo = explorer.best_schedule(
+        &network,
+        &tiles,
+        &OverlapMode::ALL,
+        OptimizeTarget::Energy,
+        &FusePolicy::Auto,
+    )?;
 
     println!(
         "\n{:<38} {:>12} {:>18}",
@@ -61,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sl.energy_pj / combo.cost.energy_pj
     );
     println!("per-stack choices (tile, mode):");
-    for (i, (tile, mode)) in combo.per_stack.iter().enumerate() {
+    for (i, (tile, mode)) in combo.per_stack().iter().enumerate() {
         let stack = &combo.cost.stacks[i];
         println!(
             "  stack {:>2} ({} layers): tile {} | {}",

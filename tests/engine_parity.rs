@@ -4,7 +4,10 @@
 //! hitting its memoization cache.
 
 use defines_arch::zoo;
-use defines_core::{DfCostModel, Explorer, OptimizeTarget, OverlapMode};
+use defines_core::{
+    DfCostModel, DfStrategy, ExplorationResult, Explorer, FusePolicy, OptimizeTarget, OverlapMode,
+    TileSize,
+};
 use defines_engine::{EngineConfig, SweepEngine};
 use defines_mapping::MappingCache;
 use defines_workload::{models, Layer, LayerDims, Network, OpType};
@@ -32,6 +35,27 @@ fn synthetic_net(k1: u64, k2: u64, side: u64, f: u64) -> Network {
     net
 }
 
+/// The seed's sequential sweep, kept as the engine's bit-identity oracle: one
+/// thread, no engine, no pruning, no prepared geometries — a plain scan over
+/// `DfCostModel::evaluate_network` in the canonical submission order (modes
+/// outer, tiles inner) under the automatic fuse depth (the explorer's default).
+fn sweep_sequential(
+    model: &DfCostModel<'_>,
+    net: &Network,
+    tiles: &[(u64, u64)],
+    modes: &[OverlapMode],
+) -> Vec<ExplorationResult> {
+    let mut out = Vec::with_capacity(tiles.len() * modes.len());
+    for &mode in modes {
+        for &(tx, ty) in tiles {
+            let strategy = DfStrategy::depth_first(TileSize::new(tx, ty), mode);
+            let cost = model.evaluate_network(net, &strategy).unwrap();
+            out.push(ExplorationResult { strategy, cost });
+        }
+    }
+    out
+}
+
 /// The engine sweep (multi-threaded, shared cache) is bit-identical to the
 /// seed's sequential sweep on FSRCNN over a representative grid.
 #[test]
@@ -41,9 +65,7 @@ fn fsrcnn_engine_sweep_is_bit_identical_to_sequential() {
     let tiles = [(1, 1), (16, 18), (60, 72), (960, 540)];
 
     let sequential_model = DfCostModel::new(&acc).with_fast_mapper();
-    let sequential = Explorer::new(&sequential_model)
-        .sweep_sequential(&net, &tiles, &OverlapMode::ALL)
-        .unwrap();
+    let sequential = sweep_sequential(&sequential_model, &net, &tiles, &OverlapMode::ALL);
 
     let shared = MappingCache::new();
     let engine_model = DfCostModel::new(&acc)
@@ -121,15 +143,28 @@ fn mobilenet_best_combination_is_deterministic_across_thread_counts() {
     let model = DfCostModel::new(&acc).with_fast_mapper();
     let single = Explorer::new(&model)
         .with_threads(1)
-        .best_combination(&net, &tiles, &OverlapMode::ALL, OptimizeTarget::Energy)
+        .best_schedule(
+            &net,
+            &tiles,
+            &OverlapMode::ALL,
+            OptimizeTarget::Energy,
+            &FusePolicy::Auto,
+        )
         .unwrap();
     let parallel = Explorer::new(&model)
         .with_threads(4)
-        .best_combination(&net, &tiles, &OverlapMode::ALL, OptimizeTarget::Energy)
+        .best_schedule(
+            &net,
+            &tiles,
+            &OverlapMode::ALL,
+            OptimizeTarget::Energy,
+            &FusePolicy::Auto,
+        )
         .unwrap();
-    assert_eq!(single, parallel);
+    assert_eq!(single.per_stack(), parallel.per_stack());
+    assert_eq!(single.cost, parallel.cost);
     assert!(
-        single.per_stack.len() > 1,
+        single.per_stack().len() > 1,
         "MobileNetV1 should split into several stacks"
     );
 }
@@ -159,7 +194,7 @@ proptest! {
         ];
         let model = DfCostModel::new(&acc).with_fast_mapper();
         let explorer = Explorer::new(&model).with_threads(threads);
-        let sequential = explorer.sweep_sequential(&net, &tiles, &OverlapMode::ALL).unwrap();
+        let sequential = sweep_sequential(&model, &net, &tiles, &OverlapMode::ALL);
         let parallel = explorer.sweep(&net, &tiles, &OverlapMode::ALL).unwrap();
         prop_assert_eq!(&parallel, &sequential);
 

@@ -53,7 +53,7 @@ fn search_is_never_worse_than_auto_combination_on_all_zoo_workloads() {
         let modes = [OverlapMode::FullyRecompute, OverlapMode::FullyCached];
         let target = OptimizeTarget::Energy;
         let auto = explorer
-            .best_combination(&net, &tiles, &modes, target)
+            .best_schedule(&net, &tiles, &modes, target, &FusePolicy::Auto)
             .unwrap();
         let searched = explorer
             .best_schedule(&net, &tiles, &modes, target, &FusePolicy::search())
