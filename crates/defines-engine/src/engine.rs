@@ -896,4 +896,22 @@ mod tests {
         assert!(json.contains("\"index\":2"));
         assert!(json.contains("Evaluated"));
     }
+
+    #[test]
+    fn atomic_f64_min_orders_like_floats() {
+        let cell = AtomicU64::new(f64::INFINITY.to_bits());
+        let read = || f64::from_bits(cell.load(Ordering::Relaxed));
+        // (published value, cell afterwards): only a smaller value lowers it.
+        for (value, expected) in [
+            (5.0, 5.0),
+            (5.0, 5.0),
+            (7.25, 5.0),
+            (0.5, 0.5),
+            (0.0, 0.0),
+            (1e300, 0.0),
+        ] {
+            atomic_f64_min(&cell, value);
+            assert_eq!(read(), expected, "after publishing {value}");
+        }
+    }
 }

@@ -32,12 +32,14 @@ impl CacheStats {
     /// The counter delta since an earlier snapshot of the same cache:
     /// hits / misses / canonical hits are differenced (so the result
     /// describes one run, not the cache's lifetime), while `entries` stays
-    /// the current absolute count.
+    /// the current absolute count. The differences saturate at zero: any
+    /// holder of the cache may [`MemoCache::clear`] it between the two
+    /// snapshots, which resets the counters below `before`.
     pub fn since(&self, before: &CacheStats) -> CacheStats {
         CacheStats {
-            hits: self.hits - before.hits,
-            misses: self.misses - before.misses,
-            canonical_hits: self.canonical_hits - before.canonical_hits,
+            hits: self.hits.saturating_sub(before.hits),
+            misses: self.misses.saturating_sub(before.misses),
+            canonical_hits: self.canonical_hits.saturating_sub(before.canonical_hits),
             entries: self.entries,
         }
     }
@@ -266,6 +268,21 @@ mod tests {
         assert_eq!(delta.canonical_hits, 1);
         // Entries stay absolute: they describe the cache, not the run.
         assert_eq!(delta.entries, 2);
+    }
+
+    #[test]
+    fn since_survives_a_clear_between_snapshots() {
+        let cache: MemoCache<u64, u64> = MemoCache::new();
+        cache.get_or_insert_with(1, || 10);
+        cache.get_or_insert_with(1, || 10);
+        cache.get_or_insert_with(1, || 10);
+        cache.record_canonical_hit();
+        let before = cache.stats();
+        cache.clear();
+        cache.get_or_insert_with(2, || 20);
+        let delta = cache.stats().since(&before);
+        assert_eq!((delta.hits, delta.misses, delta.canonical_hits), (0, 0, 0));
+        assert_eq!(delta.entries, 1);
     }
 
     #[test]

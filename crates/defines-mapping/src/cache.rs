@@ -7,13 +7,19 @@
 //! one. A [`MappingCache`] keys mapping results by the full sub-problem
 //! identity — layer signature (operator, precisions), tile dimensions,
 //! operand top levels and the accelerator's structural fingerprint — so each
-//! distinct sub-problem is searched exactly once no matter how many design
-//! points, sweeps or cost-model instances share the cache.
+//! distinct sub-problem is searched once no matter how many design points,
+//! sweeps or cost-model instances share the cache.
+//!
+//! The cache is one table, canonical key → shared cost. A miss runs
+//! [`LomaMapper::optimize`] with no lock held (only the insert takes the
+//! key's shard lock), and searches share nothing: two threads that miss the
+//! same cold key at the same instant both search it, compute the same bits,
+//! and the first insert wins. `docs/architecture.md` ("Searches share
+//! nothing") records how rare that race is.
 
 use crate::cost::LayerCost;
 use crate::loma::LomaMapper;
 use crate::problem::{OperandTopLevels, SingleLayerProblem};
-use crate::search::INCUMBENT_EMPTY;
 use defines_engine::{CacheStats, MemoCache};
 use defines_telemetry::{span, Counter};
 use defines_workload::{LayerDims, OpType};
@@ -58,21 +64,7 @@ pub struct ProblemKey {
 }
 
 impl ProblemKey {
-    /// Builds the raw (uncanonicalized) key for a problem solved by a
-    /// specific mapper.
-    pub fn new(problem: &SingleLayerProblem<'_>, mapper: &LomaMapper) -> Self {
-        Self {
-            accelerator: problem.accelerator.fingerprint(),
-            op: problem.op,
-            dims: problem.dims,
-            act_bits: problem.act_bits,
-            weight_bits: problem.weight_bits,
-            top_levels: problem.top_levels,
-            mapper: mapper.config_fingerprint(),
-        }
-    }
-
-    /// Builds the canonical key for a problem: the raw key with every
+    /// Builds the canonical key for a problem: its full identity with every
     /// component the single-layer model provably ignores normalized away.
     /// Returns the key and whether canonicalization changed anything (i.e.
     /// whether a hit on this key may be a *canonical* hit).
@@ -149,17 +141,6 @@ impl ProblemKey {
 #[derive(Debug, Clone, Default)]
 pub struct MappingCache {
     inner: Arc<MemoCache<ProblemKey, Arc<LayerCost>>>,
-    /// One shared incumbent cell per canonical key (see
-    /// [`crate::search`]'s incumbent encoding). [`MemoCache`] deliberately
-    /// does not hold its lock while computing a missed entry, so two threads
-    /// (e.g. two matrix cells recurring the same canonical sub-problem) can
-    /// search the same key concurrently — handing both the same cell lets
-    /// whichever pulls ahead tighten the other's branch-and-bound pruning.
-    /// Every published value is the exact cost of a fully evaluated
-    /// ordering of the *same* canonical problem, so results stay
-    /// bit-identical (the cache contract already requires canonical twins
-    /// to produce identical costs).
-    incumbents: Arc<Mutex<HashMap<ProblemKey, Arc<AtomicU64>>>>,
     /// Last-used epoch tracking for the persistent store's LRU eviction (see
     /// [`crate::persist`]). Disabled by default: when off, the hot lookup
     /// path pays exactly one relaxed atomic load. Epochs advance only at
@@ -179,9 +160,11 @@ struct UsageTracker {
 }
 
 impl UsageTracker {
-    /// Locks the last-used map, recovering from poisoning (same argument as
-    /// [`MappingCache::lock_incumbents`]: every critical section is a single
-    /// map operation that cannot be observed half-done).
+    /// Locks the last-used map, recovering from poisoning. Sound for the same
+    /// reason as `MemoCache`'s shard recovery: every critical section is a
+    /// single map operation that cannot be observed half-done, so a panicking
+    /// thread leaves the map valid and the poison flag carries no
+    /// information.
     fn lock(&self) -> MutexGuard<'_, HashMap<ProblemKey, u64>> {
         self.last_used
             .lock()
@@ -195,27 +178,9 @@ impl MappingCache {
         Self::default()
     }
 
-    /// Locks the incumbent map, recovering from poisoning. Sound for the same
-    /// reason as `MemoCache`'s shard recovery: the guard only ever covers a
-    /// single `entry().or_insert_with()` (the mapper itself runs after the
-    /// guard is dropped) or a `clear()`, neither of which can be observed
-    /// half-done — a panicking thread leaves the map valid, so the poison
-    /// flag carries no information and recovery keeps sibling sweeps alive.
-    fn lock_incumbents(&self) -> MutexGuard<'_, HashMap<ProblemKey, Arc<AtomicU64>>> {
-        self.incumbents
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Returns the cached cost for the problem, running the mapper on a miss.
-    pub fn optimize(&self, mapper: &LomaMapper, problem: &SingleLayerProblem<'_>) -> LayerCost {
-        (*self.optimize_shared(mapper, problem)).clone()
-    }
-
     /// Returns a shared handle to the cached cost for the problem, running
-    /// the mapper on a miss. The allocation-free variant of
-    /// [`MappingCache::optimize`]: a hit costs one reference-count bump
-    /// instead of a deep copy of the cost record.
+    /// the mapper on a miss. A hit costs one reference-count bump, not a deep
+    /// copy of the cost record.
     pub fn optimize_shared(
         &self,
         mapper: &LomaMapper,
@@ -239,14 +204,9 @@ impl MappingCache {
             .enabled
             .load(Ordering::Relaxed)
             .then(|| key.clone());
-        let (cost, hit) = self.inner.get_or_insert_with_meta(key.clone(), || {
+        let (cost, hit) = self.inner.get_or_insert_with_meta(key, || {
             let _span = span!("mapping.search");
-            let cell = Arc::clone(
-                self.lock_incumbents()
-                    .entry(key)
-                    .or_insert_with(|| Arc::new(AtomicU64::new(INCUMBENT_EMPTY))),
-            );
-            Arc::new(mapper.optimize_with_incumbent(problem, &cell))
+            Arc::new(mapper.optimize(problem))
         });
         if hit {
             CACHE_HITS.incr();
@@ -317,10 +277,9 @@ impl MappingCache {
         self.inner.peek(key)
     }
 
-    /// Removes an entry (and its incumbent cell), returning its cost if it
-    /// was present. Eviction bookkeeping: no effect on hit/miss counters.
+    /// Removes an entry, returning its cost if it was present. Eviction
+    /// bookkeeping: no effect on hit/miss counters.
     pub fn remove(&self, key: &ProblemKey) -> Option<Arc<LayerCost>> {
-        self.lock_incumbents().remove(key);
         self.usage.lock().remove(key);
         self.inner.remove(key)
     }
@@ -338,11 +297,9 @@ impl MappingCache {
         self.inner.stats()
     }
 
-    /// Drops all entries (including the per-key incumbent cells) and resets
-    /// the statistics.
+    /// Drops all entries and resets the statistics.
     pub fn clear(&self) {
         self.inner.clear();
-        self.lock_incumbents().clear();
         self.usage.lock().clear();
     }
 }
@@ -366,10 +323,10 @@ mod tests {
         let mapper = LomaMapper::new(MapperConfig::fast());
         let cache = MappingCache::new();
         let fresh = mapper.optimize(&problem);
-        let first = cache.optimize(&mapper, &problem);
-        let second = cache.optimize(&mapper, &problem);
-        assert_eq!(first, fresh);
-        assert_eq!(second, fresh);
+        let first = cache.optimize_shared(&mapper, &problem);
+        let second = cache.optimize_shared(&mapper, &problem);
+        assert_eq!(*first, fresh);
+        assert!(Arc::ptr_eq(&first, &second), "a hit hands out the entry");
         let stats = cache.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
@@ -385,9 +342,10 @@ mod tests {
         let pb = SingleLayerProblem::new(&b, &l);
         let fast = LomaMapper::new(MapperConfig::fast());
         let full = LomaMapper::default();
-        assert_ne!(ProblemKey::new(&pa, &fast), ProblemKey::new(&pb, &fast));
-        assert_ne!(ProblemKey::new(&pa, &fast), ProblemKey::new(&pa, &full));
-        assert_eq!(ProblemKey::new(&pa, &fast), ProblemKey::new(&pa, &fast));
+        let key = |p, m| ProblemKey::canonical(p, m).0;
+        assert_ne!(key(&pa, &fast), key(&pb, &fast));
+        assert_ne!(key(&pa, &fast), key(&pa, &full));
+        assert_eq!(key(&pa, &fast), key(&pa, &fast));
     }
 
     #[test]
@@ -408,8 +366,8 @@ mod tests {
         let moved = base
             .clone()
             .with_top_levels(crate::OperandTopLevels::dram(&acc).with_level(Operand::Weight, lb));
-        let a = cache.optimize(&mapper, &base);
-        let b = cache.optimize(&mapper, &moved);
+        let a = cache.optimize_shared(&mapper, &base);
+        let b = cache.optimize_shared(&mapper, &moved);
         assert_eq!(a, b);
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
@@ -424,8 +382,8 @@ mod tests {
             OpType::Conv,
             LayerDims::conv(16, 8, 28, 28, 3, 3).with_padding(1, 1),
         );
-        let plain = cache.optimize(&mapper, &SingleLayerProblem::new(&acc, &conv));
-        let with_pad = cache.optimize(&mapper, &SingleLayerProblem::new(&acc, &padded));
+        let plain = cache.optimize_shared(&mapper, &SingleLayerProblem::new(&acc, &conv));
+        let with_pad = cache.optimize_shared(&mapper, &SingleLayerProblem::new(&acc, &padded));
         assert_eq!(plain, with_pad);
         assert_eq!(cache.stats().canonical_hits, 2);
     }
@@ -438,8 +396,8 @@ mod tests {
         let mapper = LomaMapper::new(MapperConfig::fast());
         let cache = MappingCache::new();
         let clone = cache.clone();
-        let _ = cache.optimize(&mapper, &problem);
-        let _ = clone.optimize(&mapper, &problem);
+        let _ = cache.optimize_shared(&mapper, &problem);
+        let _ = clone.optimize_shared(&mapper, &problem);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(clone.stats().entries, 1);
     }

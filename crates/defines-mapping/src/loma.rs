@@ -11,16 +11,17 @@
 //! of [`crate::search`], which returns a bit-identical [`LayerCost`] while
 //! evaluating only a fraction of the orderings;
 //! [`LomaMapper::optimize_exhaustive`] keeps the plain scan as the reference
-//! implementation the pruned search is tested against.
+//! implementation the pruned search is tested against. Each search is one
+//! closed problem that shares no state with any other, so callers
+//! parallelize across problems, never inside one.
 
 use crate::cost::{evaluate, LayerCost, Objective};
 use crate::problem::SingleLayerProblem;
-use crate::search::{search, search_with_incumbent, SearchStats};
+use crate::search::{search, SearchStats};
 use crate::temporal::{candidate_orderings, TemporalMapping};
 use defines_telemetry::Counter;
 use defines_workload::Dim;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::AtomicU64;
 
 /// Loop orderings fully evaluated by the branch-and-bound search.
 static ORDERINGS_EVALUATED: Counter = Counter::new("search.orderings_evaluated");
@@ -135,17 +136,6 @@ impl MapperConfig {
     }
 }
 
-/// Publishes one search's counters into the global metrics registry.
-fn record_search_metrics(stats: &SearchStats) {
-    ORDERINGS_EVALUATED.add(stats.evaluated);
-    PRUNED_BOUND.add(stats.pruned_bound);
-    PRUNED_SYMMETRY.add(stats.pruned_symmetry);
-    SKIPPED_BUDGET.add(stats.skipped_budget);
-    if stats.skipped_budget > 0 {
-        BUDGET_EXHAUSTED.incr();
-    }
-}
-
 /// The temporal-mapping search engine (LOMA-lite).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct LomaMapper {
@@ -174,7 +164,7 @@ impl LomaMapper {
         self.config.max_orderings.hash(&mut h);
         // The budget IS hashed: it shrinks the candidate window and therefore
         // changes results, so budgeted and unbudgeted searches must never
-        // share cache entries or incumbent cells.
+        // share cache entries.
         self.config.budget.hash(&mut h);
         h.finish()
     }
@@ -184,38 +174,28 @@ impl LomaMapper {
     /// Ties on the objective are broken by total energy, then latency, so the
     /// result is deterministic. Runs the symmetry-pruned branch-and-bound
     /// search, which is guaranteed to return the same cost (and the same
-    /// tie-broken mapping) as [`LomaMapper::optimize_exhaustive`].
+    /// tie-broken mapping) as [`LomaMapper::optimize_exhaustive`]. The
+    /// search's counters are published into the `search.*` telemetry metrics.
     pub fn optimize(&self, problem: &SingleLayerProblem<'_>) -> LayerCost {
         let (cost, stats) = self.optimize_with_stats(problem);
-        record_search_metrics(&stats);
+        ORDERINGS_EVALUATED.add(stats.evaluated);
+        PRUNED_BOUND.add(stats.pruned_bound);
+        PRUNED_SYMMETRY.add(stats.pruned_symmetry);
+        SKIPPED_BUDGET.add(stats.skipped_budget);
+        if stats.skipped_budget > 0 {
+            BUDGET_EXHAUSTED.incr();
+        }
         cost
     }
 
-    /// Like [`LomaMapper::optimize`], additionally returning the search
-    /// counters (orderings evaluated / pruned), which the mapping benchmark
-    /// and the perf-smoke CI job track.
+    /// The search behind [`LomaMapper::optimize`], returning the search
+    /// counters (orderings evaluated / pruned) with the cost instead of
+    /// publishing them.
     pub fn optimize_with_stats(
         &self,
         problem: &SingleLayerProblem<'_>,
     ) -> (LayerCost, SearchStats) {
         search(problem, &self.config)
-    }
-
-    /// Like [`LomaMapper::optimize`], additionally pruning against (and
-    /// publishing into) a shared incumbent cell — the bit pattern of the best
-    /// objective value any search of a *canonically equivalent* problem has
-    /// fully evaluated so far. [`MappingCache`](crate::MappingCache) hands
-    /// the same cell to concurrent searches that race on one canonical key,
-    /// so whichever pulls ahead tightens the other's bound. Results are
-    /// bit-identical with or without the cell (see [`crate::search`]).
-    pub fn optimize_with_incumbent(
-        &self,
-        problem: &SingleLayerProblem<'_>,
-        incumbent: &AtomicU64,
-    ) -> LayerCost {
-        let (cost, stats) = search_with_incumbent(problem, &self.config, Some(incumbent));
-        record_search_metrics(&stats);
-        cost
     }
 
     /// The reference implementation of [`LomaMapper::optimize`]: a plain scan

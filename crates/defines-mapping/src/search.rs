@@ -27,19 +27,11 @@
 //!   true cost, term-wise dominated by it, so `bound > best` proves the whole
 //!   subtree is strictly worse and it is skipped. Strictness preserves the
 //!   exhaustive scan's tie-breaking.
-//! * **Shared incumbents** — a search may prune against (and publish into)
-//!   an incumbent cell shared with other searches of a canonically
-//!   equivalent problem
-//!   ([`LomaMapper::optimize_with_incumbent`](crate::LomaMapper::optimize_with_incumbent)):
-//!   an `AtomicU64` holding the best cost's bit pattern. Non-negative finite
-//!   f64 bits order like the floats, so a CAS min-loop implements "publish
-//!   if better". The cell is always the exact value of some fully evaluated
-//!   ordering, hence `>=` the optimum, so strict `bound > incumbent` pruning
-//!   can never eliminate an optimal-value leaf and the result is
-//!   bit-identical with or without the cell.
 //!
-//! The search itself is sequential: a mean search costs 20–54 µs, below any
-//! thread hand-off, so the parallelism lives one level up, across the many
+//! The search itself is sequential and shares nothing: it prunes against its
+//! own best only, so the result *and* the counters are a pure function of
+//! (problem, configuration). A mean search costs 20–54 µs, below any thread
+//! hand-off, so the parallelism lives one level up, across the many
 //! independent searches the sweep engine dispatches.
 //!
 //! The scalar kernel behind both the bound and the leaf evaluation is
@@ -55,10 +47,7 @@ use crate::loma::MapperConfig;
 use crate::problem::SingleLayerProblem;
 use crate::temporal::{active_loops, TemporalMapping};
 use defines_arch::Operand;
-use defines_telemetry::Counter;
 use defines_workload::{Dim, OpType};
-use serde::{Serialize, Value};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Maximum number of temporal loops a problem can have (the six non-batch
 /// dimensions; batch is never temporal in this model).
@@ -66,18 +55,14 @@ pub(crate) const MAX_LOOPS: usize = 6;
 /// Maximum number of memory levels on one operand's path.
 const MAX_LEVELS: usize = 8;
 
-/// Successful lowerings of a shared incumbent cell.
-static BOUND_BROADCASTS: Counter = Counter::new("search.bound_broadcasts");
-
 /// Counters describing one temporal-mapping search
 /// ([`LomaMapper::optimize_with_stats`](crate::LomaMapper::optimize_with_stats)).
 ///
 /// `evaluated + pruned_bound + pruned_symmetry + skipped_budget ==
 /// orderings_selected` always holds: every candidate ordering is either fully
-/// evaluated or attributed to exactly one skip mechanism. With a shared
-/// incumbent the *split* between `evaluated` and `pruned_bound` may vary with
-/// the timing of other searches' publications; the sum may not, and
-/// `skipped_budget` is a pure function of candidate ranks.
+/// evaluated or attributed to exactly one skip mechanism. The split is
+/// deterministic: every counter is a pure function of the problem and the
+/// mapper configuration, whatever else runs concurrently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
     /// Loop dimensions with a non-trivial temporal trip count.
@@ -102,77 +87,11 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// Accumulates another search's counters into this one.
-    pub fn accumulate(&mut self, other: &SearchStats) {
-        self.dims_active = self.dims_active.max(other.dims_active);
-        self.orderings_total += other.orderings_total;
-        self.orderings_selected += other.orderings_selected;
-        self.evaluated += other.evaluated;
-        self.pruned_bound += other.pruned_bound;
-        self.pruned_symmetry += other.pruned_symmetry;
-        self.skipped_budget += other.skipped_budget;
-    }
-
     /// Orderings skipped by either pruning mechanism.
     pub fn pruned(&self) -> u64 {
         self.pruned_bound + self.pruned_symmetry
     }
 }
-
-impl Serialize for SearchStats {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "dims_active".to_string(),
-                Value::U64(self.dims_active as u64),
-            ),
-            (
-                "orderings_total".to_string(),
-                Value::U64(self.orderings_total),
-            ),
-            (
-                "orderings_selected".to_string(),
-                Value::U64(self.orderings_selected),
-            ),
-            ("evaluated".to_string(), Value::U64(self.evaluated)),
-            ("pruned_bound".to_string(), Value::U64(self.pruned_bound)),
-            (
-                "pruned_symmetry".to_string(),
-                Value::U64(self.pruned_symmetry),
-            ),
-            (
-                "skipped_budget".to_string(),
-                Value::U64(self.skipped_budget),
-            ),
-        ])
-    }
-}
-
-/// Lowers `cell` (f64 bit pattern, non-negative finite or `+inf`) to `value`
-/// if `value` is smaller, via a CAS min-loop. Returns whether the cell was
-/// actually lowered. Non-negative finite f64 bit patterns order like the
-/// floats themselves, so the u64 comparison is exact.
-fn atomic_f64_min(cell: &AtomicU64, value: f64) -> bool {
-    let mut current = cell.load(Ordering::Relaxed);
-    loop {
-        if f64::from_bits(current) <= value {
-            return false;
-        }
-        match cell.compare_exchange_weak(
-            current,
-            value.to_bits(),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => return true,
-            Err(observed) => current = observed,
-        }
-    }
-}
-
-/// The bit pattern a fresh incumbent cell starts from (`+inf`: everything
-/// published beats it).
-pub(crate) const INCUMBENT_EMPTY: u64 = f64::INFINITY.to_bits();
 
 /// Entry point: finds the best temporal mapping of a problem under the given
 /// mapper configuration, returning the (bit-identical-to-exhaustive) cost and
@@ -180,22 +99,6 @@ pub(crate) const INCUMBENT_EMPTY: u64 = f64::INFINITY.to_bits();
 pub(crate) fn search(
     problem: &SingleLayerProblem<'_>,
     config: &MapperConfig,
-) -> (LayerCost, SearchStats) {
-    search_with_incumbent(problem, config, None)
-}
-
-/// [`search`], additionally pruning against (and publishing into) a shared
-/// incumbent cell. The cell may be pre-populated by an earlier search of a
-/// *canonically equivalent* problem (same [`crate::ProblemKey::canonical`]
-/// key, hence bit-identical per-ordering costs): any published value is the
-/// exact cost of some fully evaluated candidate ordering, so it is `>=` this
-/// search's optimum and strict bound pruning against it never drops an
-/// optimal-value leaf — the result stays bit-identical, only `pruned_bound`
-/// can grow.
-pub(crate) fn search_with_incumbent(
-    problem: &SingleLayerProblem<'_>,
-    config: &MapperConfig,
-    incumbent: Option<&AtomicU64>,
 ) -> (LayerCost, SearchStats) {
     let loops = active_loops(problem);
     let k = loops.len();
@@ -226,19 +129,10 @@ pub(crate) fn search_with_incumbent(
     } else {
         config.budget.max_orderings
     };
-    let ctx = SearchCtx::new(
-        problem,
-        config.objective,
-        &loops,
-        sample,
-        max,
-        budget,
-        incumbent,
-    );
+    let ctx = SearchCtx::new(problem, config.objective, &loops, sample, max, budget);
     let mut state = WalkState::fresh(&ctx);
     state.stats = stats;
     ctx.descend(&mut state, 0, 0, &[AllocState::default(); 3]);
-    BOUND_BROADCASTS.add(state.broadcasts);
 
     let stats = state.stats;
     debug_assert_eq!(
@@ -366,9 +260,6 @@ struct SearchCtx<'p, 'a> {
     dram: usize,
     mac_energy: f64,
     compute_cycles: f64,
-    /// The shared incumbent cell: the bit pattern of the best objective value
-    /// published by this or a canonically-equivalent search.
-    incumbent: Option<&'p AtomicU64>,
 }
 
 /// The mutable walk state: the current prefix, the scratch traffic
@@ -383,8 +274,6 @@ struct WalkState {
     traffic: Vec<[Traffic; 3]>,
     best: Option<Best>,
     stats: SearchStats,
-    /// Successful lowerings of the shared incumbent by this search.
-    broadcasts: u64,
 }
 
 impl WalkState {
@@ -397,7 +286,6 @@ impl WalkState {
             traffic: vec![[Traffic::default(); 3]; ctx.level_read_e.len()],
             best: None,
             stats: SearchStats::default(),
-            broadcasts: 0,
         }
     }
 }
@@ -410,7 +298,6 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
         sample: bool,
         max: u64,
         budget: u64,
-        incumbent: Option<&'p AtomicU64>,
     ) -> Self {
         let unrolling = problem.accelerator.pe_array().unrolling();
         let mut factors = [1u64; 7];
@@ -505,7 +392,6 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
             dram: hierarchy.dram_id().0,
             mac_energy: macs as f64 * pe.mac_energy_pj(),
             compute_cycles: pe.compute_cycles(macs, &problem.dims),
-            incumbent,
             dims,
             trips,
             factors,
@@ -573,14 +459,6 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
         }
     }
 
-    /// The current shared-incumbent value, if one has been published.
-    fn incumbent_value(&self) -> Option<f64> {
-        self.incumbent.and_then(|cell| {
-            let v = f64::from_bits(cell.load(Ordering::Relaxed));
-            v.is_finite().then_some(v)
-        })
-    }
-
     /// Number of *selected* candidate orderings whose leaf index falls in
     /// `[from, to)`. Without sampling every leaf is a candidate; with
     /// sampling the candidates are the exact integer-stride picks
@@ -623,7 +501,7 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
             // Rank-window budget: a subtree whose first candidate already
             // sits at or beyond the budget is skipped wholesale. The check
             // depends only on enumeration ranks — never on timing or the
-            // incumbent — so the degraded result stays deterministic.
+            // best found so far — so the degraded result stays deterministic.
             let start_rank = self.selected_in(0, base);
             if start_rank >= self.budget {
                 state.stats.skipped_budget += selected;
@@ -639,20 +517,14 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
             }
             // Bounding a subtree with a single candidate costs as much as
             // evaluating that candidate, so only bound where pruning can
-            // amortize. The prune reference is the tighter of this search's
-            // best and the shared incumbent — both are exact evaluated
-            // costs, so both are >= the optimum and strict pruning stays
-            // deterministic. Subtrees straddling the budget boundary always
-            // recurse: bound-pruning them would charge their beyond-budget
-            // tail to `pruned_bound`, making `skipped_budget` depend on
-            // incumbent timing.
-            let local = state.best.as_ref().map(|b| b.value);
-            let reference = match (local, self.incumbent_value()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, None) => a,
-                (None, b) => b,
-            };
-            if let (Some(best_value), true) = (reference, selected > 1 && fully_in_budget) {
+            // amortize. The prune reference is this search's own best: an
+            // exact evaluated cost, so it is >= the optimum and strict
+            // pruning never drops an optimal-value leaf. Subtrees straddling
+            // the budget boundary always recurse: bound-pruning them would
+            // charge their beyond-budget tail to `pruned_bound` instead of
+            // `skipped_budget`.
+            let best_value = state.best.as_ref().map(|b| b.value);
+            if let (Some(best_value), true) = (best_value, selected > 1 && fully_in_budget) {
                 let (bound, _, _) = self.eval_scalars(state, &child, false);
                 if bound > best_value {
                     state.stats.pruned_bound += selected;
@@ -721,10 +593,7 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
     }
 
     /// Evaluates the full ordering described by the current prefix (which now
-    /// covers every active loop) and updates the search's best. Improvements
-    /// are published into the shared incumbent, so concurrent searches of a
-    /// canonically equivalent problem prune against the best cost either has
-    /// found.
+    /// covers every active loop) and updates the search's best.
     fn evaluate_leaf(&self, state: &mut WalkState, states: &[AllocState]) {
         state.stats.evaluated += 1;
         let (value, energy, latency) = self.eval_scalars(state, states, true);
@@ -740,11 +609,6 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
                 order_len: self.dims.len(),
                 order: state.order_buf,
             });
-            if let Some(cell) = self.incumbent {
-                if atomic_f64_min(cell, value) {
-                    state.broadcasts += 1;
-                }
-            }
         }
     }
 
@@ -1088,18 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn atomic_f64_min_orders_like_floats() {
-        let cell = AtomicU64::new(INCUMBENT_EMPTY);
-        assert!(atomic_f64_min(&cell, 5.0));
-        assert!(!atomic_f64_min(&cell, 5.0));
-        assert!(!atomic_f64_min(&cell, 7.25));
-        assert!(atomic_f64_min(&cell, 0.5));
-        assert!(atomic_f64_min(&cell, 0.0));
-        assert!(!atomic_f64_min(&cell, 1e300));
-        assert_eq!(f64::from_bits(cell.load(Ordering::Relaxed)), 0.0);
-    }
-
-    #[test]
     fn exhausted_budget_flags_the_cost_degraded() {
         let acc = zoo::meta_proto_like_df();
         let layer = Layer::new("c", OpType::Conv, LayerDims::conv(64, 32, 28, 28, 3, 3));
@@ -1114,29 +966,5 @@ mod tests {
         assert_eq!(full_stats.skipped_budget, 0);
         assert!(!full.degraded);
         assert!(cost.energy_pj >= full.energy_pj - 1e-9);
-    }
-
-    #[test]
-    fn cross_search_incumbent_does_not_change_the_result() {
-        // Pre-seeding the incumbent with the known optimum (what a canonical
-        // twin search would have published) must not change the returned
-        // cost — only the pruning counters.
-        for (acc, layer) in problems() {
-            let problem = SingleLayerProblem::new(&acc, &layer);
-            let config = MapperConfig::default();
-            let (reference, ref_stats) = search(&problem, &config);
-            let optimum = reference.objective_value(config.objective, acc.hierarchy().dram_id());
-            let cell = AtomicU64::new(optimum.to_bits());
-            let (seeded, stats) = search_with_incumbent(&problem, &config, Some(&cell));
-            assert_eq!(seeded, reference, "{}", acc.name());
-            assert_eq!(
-                stats.evaluated + stats.pruned_bound + stats.pruned_symmetry + stats.skipped_budget,
-                stats.orderings_selected
-            );
-            assert!(
-                stats.evaluated <= ref_stats.evaluated,
-                "a seeded incumbent can only tighten pruning"
-            );
-        }
     }
 }

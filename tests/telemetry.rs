@@ -65,6 +65,16 @@ fn spans_from_many_threads_merge_without_loss() {
     assert_eq!(workers.len(), THREADS);
 }
 
+/// A conv layer whose mapping search walks the full 720-ordering space.
+fn six_loop_conv() -> (defines_arch::Accelerator, defines_workload::Layer) {
+    let layer = defines_workload::Layer::new(
+        "c",
+        defines_workload::OpType::Conv,
+        defines_workload::LayerDims::conv(64, 32, 28, 28, 3, 3),
+    );
+    (defines_arch::zoo::meta_proto_like_df(), layer)
+}
+
 /// The `search.*` telemetry counters must agree with the stats the search
 /// returns: the mirrored counter deltas satisfy the same accounting invariant
 /// (`evaluated + pruned = selected`).
@@ -73,12 +83,7 @@ fn search_counters_stay_consistent_with_returned_stats() {
     let _guard = telemetry_test();
     defines_telemetry::set_metrics(true);
 
-    let acc = defines_arch::zoo::meta_proto_like_df();
-    let layer = defines_workload::Layer::new(
-        "c",
-        defines_workload::OpType::Conv,
-        defines_workload::LayerDims::conv(64, 32, 28, 28, 3, 3),
-    );
+    let (acc, layer) = six_loop_conv();
     let problem = defines_mapping::SingleLayerProblem::new(&acc, &layer);
     let mapper = defines_mapping::LomaMapper::default();
 
@@ -104,6 +109,54 @@ fn search_counters_stay_consistent_with_returned_stats() {
         "mirrored counters must account for every candidate ordering: {delta:?}"
     );
     assert!(evaluated > 0, "the search evaluated at least the winner");
+}
+
+/// Searches share nothing: however many threads miss one cold key at once,
+/// each racing search does exactly the work of a lone search, so the global
+/// `search.*` counters are `misses` times the single-search stats.
+#[test]
+fn search_counters_are_independent_of_concurrent_searches() {
+    let _guard = telemetry_test();
+    defines_telemetry::set_metrics(true);
+
+    const THREADS: usize = 8;
+    let (acc, layer) = six_loop_conv();
+    let problem = defines_mapping::SingleLayerProblem::new(&acc, &layer);
+    let mapper = defines_mapping::LomaMapper::default();
+    let cache = defines_mapping::MappingCache::new();
+    let barrier = std::sync::Barrier::new(THREADS);
+
+    let before = defines_telemetry::snapshot();
+    let costs: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    cache.optimize_shared(&mapper, &problem)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let delta = defines_telemetry::snapshot().since(&before);
+    defines_telemetry::set_metrics(false);
+
+    let (reference, single) = mapper.optimize_with_stats(&problem);
+    assert!(costs.iter().all(|c| **c == reference));
+    let stats = cache.stats();
+    assert_eq!(stats.entries, 1);
+    assert_eq!(stats.hits + stats.misses, THREADS as u64);
+    assert!(stats.misses >= 1);
+    assert_eq!(
+        delta.get("search.orderings_evaluated").unwrap_or(0),
+        stats.misses * single.evaluated,
+        "{stats:?} {delta:?}"
+    );
+    assert_eq!(
+        delta.get("search.pruned_bound").unwrap_or(0),
+        stats.misses * single.pruned_bound,
+        "{stats:?} {delta:?}"
+    );
 }
 
 #[test]
