@@ -11,7 +11,9 @@
 //! paper (five baselines — Meta-prototype, TPU, Edge TPU, Ascend, Tesla NPU —
 //! and their manually constructed DF-friendly variants), all normalized to
 //! 1024 MACs and at most 2 MB of global buffer, plus a DepFiN-like
-//! architecture used for the validation experiment.
+//! architecture used for the validation experiment. Each is a committed
+//! document under `accelerators/` at the repository root, embedded at
+//! compile time and parsed by the [`loader`].
 //!
 //! SRAM access energies are produced by an analytical CACTI-like fit
 //! ([`energy`]); see `docs/paper-map.md` ("Deliberate deviations from the
@@ -22,8 +24,7 @@
 //! and the [`loader`] turns such documents into validated [`Accelerator`]s.
 //! Round trips are exact — a file-loaded accelerator has the same
 //! [`Accelerator::fingerprint`] as its in-memory twin, so it shares
-//! mapping-cache entries with it. Reference exports of the whole zoo live
-//! under `accelerators/` at the repository root.
+//! mapping-cache entries with it.
 //!
 //! # Example
 //!

@@ -24,8 +24,8 @@
 //!
 //! The schema is the bridge in both directions:
 //! [`AcceleratorDoc::from_accelerator`] exports any in-memory [`Accelerator`]
-//! (including the Table I(a) zoo) as a fully explicit document — the
-//! reference files under `accelerators/` are produced this way — and the
+//! (including the Table I(a) zoo) as a fully explicit document — every zoo
+//! document under `accelerators/` is byte-equal to its own export — and the
 //! [`loader`](crate::loader) turns documents back into validated
 //! [`Accelerator`]s. Round-tripping an accelerator through JSON reproduces it
 //! exactly, *including* its [`Accelerator::fingerprint`], so file-loaded

@@ -1,6 +1,17 @@
 //! Accelerator zoo: the ten architectures of Table I(a) plus a DepFiN-like
 //! validation architecture.
 //!
+//! Each architecture is a committed document under the repository-root
+//! `accelerators/`, embedded at compile time and parsed by
+//! [`loader::from_json_str`] — the path `--accelerator FILE` takes, so a zoo
+//! accelerator and its file-loaded twin are one value with one
+//! [`Accelerator::fingerprint`]. The documents are fully explicit: every SRAM
+//! energy and bandwidth is written out as the CACTI-like fit of
+//! [`crate::energy`] prices the level's capacity, and every register and DRAM
+//! cost as the [`crate::energy`] constants. JSON holds no comments, so the
+//! modelling rationale lives in the rustdoc of the constructor that loads
+//! each document.
+//!
 //! All case-study architectures are normalized as in the paper: 1024 MACs and
 //! at most 2 MB of global buffer, keeping each design's spatial unrolling and
 //! local-buffer structure. Every baseline has a manually constructed
@@ -8,214 +19,135 @@
 //! but inputs and outputs share a lower-level memory and weights get an
 //! on-chip global buffer).
 
-#![allow(clippy::identity_op)] // 1 * KB / 1 * MB capacities read as a spec table
+use crate::accelerator::Accelerator;
+use crate::loader;
+use crate::operand::Operand;
 
-use crate::accelerator::{Accelerator, AcceleratorBuilder};
-use crate::energy::MAC_ENERGY_PJ;
-use crate::memory::MemoryLevel;
-use crate::operand::Operand::{self, Input, Output, Weight};
-use crate::pe_array::SpatialUnrolling;
-use defines_workload::Dim;
-
-const KB: u64 = 1024;
-const MB: u64 = 1024 * 1024;
-
-fn unroll(pairs: &[(Dim, u64)]) -> SpatialUnrolling {
-    SpatialUnrolling::from_pairs(pairs.iter().copied())
+/// Pairs each name with its document, the repository-root
+/// `accelerators/<name>.json`, embedded at compile time.
+macro_rules! documents {
+    ($($name:literal,)*) => {
+        [$(($name, include_str!(concat!("../../../accelerators/", $name, ".json")))),*]
+    };
 }
 
-/// Idx 1 — Meta-prototype-like baseline: `K 32 | C 2 | OX 4 | OY 4`,
-/// per-operand local buffers (W 64 KB, I 32 KB), 2 MB of global buffer split
-/// between weights and activations.
+/// The built-in architectures: `--accelerator` name and embedded document,
+/// in Table I(a) index order, DepFiN-like last.
+const DOCUMENTS: [(&str, &str); 11] = documents![
+    "meta-proto",
+    "meta-proto-df",
+    "tpu",
+    "tpu-df",
+    "edge-tpu",
+    "edge-tpu-df",
+    "ascend",
+    "ascend-df",
+    "tesla-npu",
+    "tesla-npu-df",
+    "depfin",
+];
+
+/// The `--accelerator` names of the built-in architectures, in Table I(a)
+/// index order, DepFiN-like last. Each names `accelerators/<name>.json`.
+pub fn names() -> Vec<&'static str> {
+    DOCUMENTS.iter().map(|&(name, _)| name).collect()
+}
+
+/// The built-in architecture with this `--accelerator` name
+/// (`"meta-proto-df"`, …), or `None` if [`names`] does not list it.
+pub fn by_name(name: &str) -> Option<Accelerator> {
+    let &(name, document) = DOCUMENTS.iter().find(|&&(n, _)| n == name)?;
+    Some(
+        loader::from_json_str(document)
+            .unwrap_or_else(|e| panic!("accelerators/{name}.json is a valid accelerator: {e}")),
+    )
+}
+
+fn builtin(name: &str) -> Accelerator {
+    by_name(name).unwrap_or_else(|| panic!("'{name}' is in the zoo table"))
+}
+
+/// Idx 1 — Meta-prototype-like baseline (`meta-proto`): `K 32 | C 2 | OX 4 |
+/// OY 4`, per-operand local buffers (W 64 KB, I 32 KB), 2 MB of global buffer
+/// split between weights and activations.
 pub fn meta_proto_like() -> Accelerator {
-    AcceleratorBuilder::new("Meta-proto-like")
-        .pe_array(
-            unroll(&[(Dim::K, 32), (Dim::C, 2), (Dim::OX, 4), (Dim::OY, 4)]),
-            MAC_ENERGY_PJ,
-        )
-        .add_level(MemoryLevel::register("W_reg", 1 * KB, [Weight]))
-        .add_level(MemoryLevel::register("O_reg", 2 * KB, [Output]))
-        .add_level(MemoryLevel::sram("LB_W", 64 * KB, [Weight]))
-        .add_level(MemoryLevel::sram("LB_I", 32 * KB, [Input]))
-        .add_level(MemoryLevel::sram("GB_W", 1 * MB, [Weight]))
-        .add_level(MemoryLevel::sram("GB_IO", 1 * MB, [Input, Output]))
-        .build()
-        .expect("zoo architecture is valid")
+    builtin("meta-proto")
 }
 
-/// Idx 2 — Meta-prototype-like DF variant: inputs and outputs share a 64 KB
-/// local buffer, weights keep a 32 KB local buffer; global buffers unchanged.
+/// Idx 2 — Meta-prototype-like DF variant (`meta-proto-df`): inputs and
+/// outputs share a 64 KB local buffer, weights keep a 32 KB local buffer;
+/// global buffers unchanged. The 96 KB of local buffer is the baseline's,
+/// re-split (64 + 32 → 32 + 64).
 pub fn meta_proto_like_df() -> Accelerator {
-    AcceleratorBuilder::new("Meta-proto-like DF")
-        .pe_array(
-            unroll(&[(Dim::K, 32), (Dim::C, 2), (Dim::OX, 4), (Dim::OY, 4)]),
-            MAC_ENERGY_PJ,
-        )
-        .add_level(MemoryLevel::register("W_reg", 1 * KB, [Weight]))
-        .add_level(MemoryLevel::register("O_reg", 2 * KB, [Output]))
-        .add_level(MemoryLevel::sram("LB_W", 32 * KB, [Weight]))
-        .add_level(MemoryLevel::sram("LB_IO", 64 * KB, [Input, Output]))
-        .add_level(MemoryLevel::sram("GB_W", 1 * MB, [Weight]))
-        .add_level(MemoryLevel::sram("GB_IO", 1 * MB, [Input, Output]))
-        .build()
-        .expect("zoo architecture is valid")
+    builtin("meta-proto-df")
 }
 
-/// Idx 3 — TPU-like baseline: `K 32 | C 32` systolic array, weights stream
-/// from DRAM (no on-chip weight buffer), a 2 MB unified activation buffer.
+/// Idx 3 — TPU-like baseline (`tpu`): `K 32 | C 32` systolic array, weights
+/// stream from DRAM (no on-chip weight buffer), a 2 MB unified activation
+/// buffer.
 pub fn tpu_like() -> Accelerator {
-    AcceleratorBuilder::new("TPU-like")
-        .pe_array(unroll(&[(Dim::K, 32), (Dim::C, 32)]), MAC_ENERGY_PJ)
-        .add_level(MemoryLevel::register("W_reg", 4 * KB, [Weight]))
-        .add_level(MemoryLevel::register("O_reg", 32 * KB, [Output]))
-        .add_level(MemoryLevel::sram("GB_IO", 2 * MB, [Input, Output]))
-        .build()
-        .expect("zoo architecture is valid")
+    builtin("tpu")
 }
 
-/// Idx 4 — TPU-like DF variant: a 64 KB shared I/O local buffer is carved out
-/// and half of the global buffer is reassigned to weights.
+/// Idx 4 — TPU-like DF variant (`tpu-df`): a 64 KB shared I/O local buffer
+/// is carved out and half of the global buffer is reassigned to weights. The
+/// weight registers halve (4 → 2 KB) and the local buffer is added on top,
+/// so the total on-chip capacity grows by 3 % — inside the "unchanged
+/// within rounding" budget the paper's guideline allows.
 pub fn tpu_like_df() -> Accelerator {
-    AcceleratorBuilder::new("TPU-like DF")
-        .pe_array(unroll(&[(Dim::K, 32), (Dim::C, 32)]), MAC_ENERGY_PJ)
-        .add_level(MemoryLevel::register("W_reg", 2 * KB, [Weight]))
-        .add_level(MemoryLevel::register("O_reg", 32 * KB, [Output]))
-        .add_level(MemoryLevel::sram("LB_IO", 64 * KB, [Input, Output]))
-        .add_level(MemoryLevel::sram("GB_W", 1 * MB, [Weight]))
-        .add_level(MemoryLevel::sram("GB_IO", 1 * MB, [Input, Output]))
-        .build()
-        .expect("zoo architecture is valid")
+    builtin("tpu-df")
 }
 
-/// Idx 5 — Edge-TPU-like baseline: `K 8 | C 8 | OX 4 | OY 4`, 32 KB weight
-/// local buffer, 2 MB unified activation global buffer.
+/// Idx 5 — Edge-TPU-like baseline (`edge-tpu`): `K 8 | C 8 | OX 4 | OY 4`,
+/// 32 KB weight local buffer, 2 MB unified activation global buffer.
 pub fn edge_tpu_like() -> Accelerator {
-    AcceleratorBuilder::new("Edge-TPU-like")
-        .pe_array(
-            unroll(&[(Dim::K, 8), (Dim::C, 8), (Dim::OX, 4), (Dim::OY, 4)]),
-            MAC_ENERGY_PJ,
-        )
-        .add_level(MemoryLevel::register("W_reg", 1 * KB, [Weight]))
-        .add_level(MemoryLevel::register("O_reg", 2 * KB, [Output]))
-        .add_level(MemoryLevel::sram("LB_W", 32 * KB, [Weight]))
-        .add_level(MemoryLevel::sram("GB_IO", 2 * MB, [Input, Output]))
-        .build()
-        .expect("zoo architecture is valid")
+    builtin("edge-tpu")
 }
 
-/// Idx 6 — Edge-TPU-like DF variant: the local buffer is split between weights
-/// (16 KB) and shared activations (16 KB); half the global buffer goes to
-/// weights.
+/// Idx 6 — Edge-TPU-like DF variant (`edge-tpu-df`): the 32 KB local buffer
+/// is split between weights (16 KB) and shared activations (16 KB); half the
+/// global buffer goes to weights. Total on-chip capacity is exactly the
+/// baseline's.
 pub fn edge_tpu_like_df() -> Accelerator {
-    AcceleratorBuilder::new("Edge-TPU-like DF")
-        .pe_array(
-            unroll(&[(Dim::K, 8), (Dim::C, 8), (Dim::OX, 4), (Dim::OY, 4)]),
-            MAC_ENERGY_PJ,
-        )
-        .add_level(MemoryLevel::register("W_reg", 1 * KB, [Weight]))
-        .add_level(MemoryLevel::register("O_reg", 2 * KB, [Output]))
-        .add_level(MemoryLevel::sram("LB_W", 16 * KB, [Weight]))
-        .add_level(MemoryLevel::sram("LB_IO", 16 * KB, [Input, Output]))
-        .add_level(MemoryLevel::sram("GB_W", 1 * MB, [Weight]))
-        .add_level(MemoryLevel::sram("GB_IO", 1 * MB, [Input, Output]))
-        .build()
-        .expect("zoo architecture is valid")
+    builtin("edge-tpu-df")
 }
 
-/// Idx 7 — Ascend-like baseline: `K 16 | C 16 | OX 2 | OY 2`, per-operand
-/// local buffers (W 64 KB, I 64 KB, O 256 KB) and a split global buffer.
+/// Idx 7 — Ascend-like baseline (`ascend`): `K 16 | C 16 | OX 2 | OY 2`,
+/// per-operand local buffers (W 64 KB, I 64 KB, O 256 KB) and a split global
+/// buffer.
 pub fn ascend_like() -> Accelerator {
-    AcceleratorBuilder::new("Ascend-like")
-        .pe_array(
-            unroll(&[(Dim::K, 16), (Dim::C, 16), (Dim::OX, 2), (Dim::OY, 2)]),
-            MAC_ENERGY_PJ,
-        )
-        .add_level(MemoryLevel::register("W_reg", 1 * KB, [Weight]))
-        .add_level(MemoryLevel::register("O_reg", 2 * KB, [Output]))
-        .add_level(MemoryLevel::sram("LB_W", 64 * KB, [Weight]))
-        .add_level(MemoryLevel::sram("LB_I", 64 * KB, [Input]))
-        .add_level(MemoryLevel::sram("LB_O", 256 * KB, [Output]))
-        .add_level(MemoryLevel::sram("GB_W", 1 * MB, [Weight]))
-        .add_level(MemoryLevel::sram("GB_IO", 1 * MB, [Input, Output]))
-        .build()
-        .expect("zoo architecture is valid")
+    builtin("ascend")
 }
 
-/// Idx 8 — Ascend-like DF variant: a shared 64 KB I/O local buffer backed by a
-/// 256 KB second-level shared activation buffer.
+/// Idx 8 — Ascend-like DF variant (`ascend-df`): a shared 64 KB I/O local
+/// buffer backed by a 256 KB second-level shared activation buffer — the
+/// baseline's input and output local buffers re-assigned, so total on-chip
+/// capacity is exactly the baseline's.
 pub fn ascend_like_df() -> Accelerator {
-    AcceleratorBuilder::new("Ascend-like DF")
-        .pe_array(
-            unroll(&[(Dim::K, 16), (Dim::C, 16), (Dim::OX, 2), (Dim::OY, 2)]),
-            MAC_ENERGY_PJ,
-        )
-        .add_level(MemoryLevel::register("W_reg", 1 * KB, [Weight]))
-        .add_level(MemoryLevel::register("O_reg", 2 * KB, [Output]))
-        .add_level(MemoryLevel::sram("LB_W", 64 * KB, [Weight]))
-        .add_level(MemoryLevel::sram("LB_IO", 64 * KB, [Input, Output]))
-        .add_level(MemoryLevel::sram("LB2_IO", 256 * KB, [Input, Output]))
-        .add_level(MemoryLevel::sram("GB_W", 1 * MB, [Weight]))
-        .add_level(MemoryLevel::sram("GB_IO", 1 * MB, [Input, Output]))
-        .build()
-        .expect("zoo architecture is valid")
+    builtin("ascend-df")
 }
 
-/// Idx 9 — Tesla-NPU-like baseline: `K 32 | OX 8 | OY 4`, tiny 1 KB weight and
-/// input local buffers, split global buffer.
+/// Idx 9 — Tesla-NPU-like baseline (`tesla-npu`): `K 32 | OX 8 | OY 4`, tiny
+/// 1 KB weight and input local buffers, split global buffer.
 pub fn tesla_npu_like() -> Accelerator {
-    AcceleratorBuilder::new("Tesla-NPU-like")
-        .pe_array(
-            unroll(&[(Dim::K, 32), (Dim::OX, 8), (Dim::OY, 4)]),
-            MAC_ENERGY_PJ,
-        )
-        .add_level(MemoryLevel::register("W_reg", 1 * KB, [Weight]))
-        .add_level(MemoryLevel::register("O_reg", 4 * KB, [Output]))
-        .add_level(MemoryLevel::sram("LB_W", 1 * KB, [Weight]))
-        .add_level(MemoryLevel::sram("LB_I", 1 * KB, [Input]))
-        .add_level(MemoryLevel::sram("GB_W", 1 * MB, [Weight]))
-        .add_level(MemoryLevel::sram("GB_IO", 1 * MB, [Input, Output]))
-        .build()
-        .expect("zoo architecture is valid")
+    builtin("tesla-npu")
 }
 
-/// Idx 10 — Tesla-NPU-like DF variant: adds a 64 KB / 64 KB second-level local
-/// buffer for weights and shared activations, shrinking the activation global
-/// buffer to 896 KB to keep the total on-chip capacity constant.
+/// Idx 10 — Tesla-NPU-like DF variant (`tesla-npu-df`): adds a 64 KB / 64 KB
+/// second-level local buffer for weights and shared activations, shrinking
+/// the activation global buffer from 1 MB to 896 KB (= 1 MB − 128 KB, not a
+/// power-of-two macro) so the 128 KB added below it keeps the total on-chip
+/// capacity exactly the baseline's.
 pub fn tesla_npu_like_df() -> Accelerator {
-    AcceleratorBuilder::new("Tesla-NPU-like DF")
-        .pe_array(
-            unroll(&[(Dim::K, 32), (Dim::OX, 8), (Dim::OY, 4)]),
-            MAC_ENERGY_PJ,
-        )
-        .add_level(MemoryLevel::register("W_reg", 1 * KB, [Weight]))
-        .add_level(MemoryLevel::register("O_reg", 4 * KB, [Output]))
-        .add_level(MemoryLevel::sram("LB_W", 1 * KB, [Weight]))
-        .add_level(MemoryLevel::sram("LB_I", 1 * KB, [Input]))
-        .add_level(MemoryLevel::sram("LB2_W", 64 * KB, [Weight]))
-        .add_level(MemoryLevel::sram("LB2_IO", 64 * KB, [Input, Output]))
-        .add_level(MemoryLevel::sram("GB_W", 1 * MB, [Weight]))
-        .add_level(MemoryLevel::sram("GB_IO", 896 * KB, [Input, Output]))
-        .build()
-        .expect("zoo architecture is valid")
+    builtin("tesla-npu-df")
 }
 
-/// A DepFiN-like depth-first CNN processor used for the validation experiment
-/// (Section IV): a line-buffer oriented design with a large shared activation
-/// local buffer and an on-chip weight buffer.
+/// A DepFiN-like depth-first CNN processor (`depfin`) used for the
+/// validation experiment (Section IV): `K 16 | C 4 | OX 16`, a line-buffer
+/// oriented design with a large (256 KB) shared activation local buffer and
+/// on-chip weight buffers (64 KB local, 512 KB global).
 pub fn depfin_like() -> Accelerator {
-    AcceleratorBuilder::new("DepFiN-like")
-        .pe_array(
-            unroll(&[(Dim::K, 16), (Dim::C, 4), (Dim::OX, 16)]),
-            MAC_ENERGY_PJ,
-        )
-        .add_level(MemoryLevel::register("W_reg", 1 * KB, [Weight]))
-        .add_level(MemoryLevel::register("O_reg", 4 * KB, [Output]))
-        .add_level(MemoryLevel::sram("LB_W", 64 * KB, [Weight]))
-        .add_level(MemoryLevel::sram("LB_IO", 256 * KB, [Input, Output]))
-        .add_level(MemoryLevel::sram("GB_W", 512 * KB, [Weight]))
-        .add_level(MemoryLevel::sram("GB_IO", 1 * MB, [Input, Output]))
-        .build()
-        .expect("zoo architecture is valid")
+    builtin("depfin")
 }
 
 /// The five baseline architectures, in Table I(a) order (indices 1, 3, 5, 7, 9).
@@ -257,12 +189,50 @@ pub fn all_case_study_architectures() -> Vec<Accelerator> {
 pub fn has_on_chip_weight_buffer(acc: &Accelerator) -> bool {
     acc.hierarchy()
         .levels_for(Operand::Weight)
-        .any(|(_, l)| !l.is_dram() && l.capacity_bytes().unwrap_or(0) >= 16 * KB)
+        .any(|(_, l)| !l.is_dram() && l.capacity_bytes().unwrap_or(0) >= 16 * 1024)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operand::Operand::{Input, Output};
+    use defines_workload::Dim;
+
+    #[test]
+    fn documents_pin_the_builder_integers() {
+        // (name, constructor, levels incl. DRAM, MACs, on-chip bytes), taken
+        // from the Rust builders these documents replaced: only the loader
+        // stands between a document and these numbers now.
+        type Pin = (&'static str, fn() -> Accelerator, usize, u64, u64);
+        let pins: [Pin; 11] = [
+            ("meta-proto", meta_proto_like, 7, 1024, 2_198_528),
+            ("meta-proto-df", meta_proto_like_df, 7, 1024, 2_198_528),
+            ("tpu", tpu_like, 4, 1024, 2_134_016),
+            ("tpu-df", tpu_like_df, 6, 1024, 2_197_504),
+            ("edge-tpu", edge_tpu_like, 5, 1024, 2_132_992),
+            ("edge-tpu-df", edge_tpu_like_df, 7, 1024, 2_132_992),
+            ("ascend", ascend_like, 8, 1024, 2_493_440),
+            ("ascend-df", ascend_like_df, 8, 1024, 2_493_440),
+            ("tesla-npu", tesla_npu_like, 7, 1024, 2_104_320),
+            ("tesla-npu-df", tesla_npu_like_df, 9, 1024, 2_104_320),
+            ("depfin", depfin_like, 7, 1024, 1_905_664),
+        ];
+        assert_eq!(names(), pins.map(|p| p.0));
+        for (name, constructor, levels, macs, on_chip) in pins {
+            let acc = constructor();
+            assert_eq!(by_name(name).as_ref(), Some(&acc), "{name}");
+            assert_eq!(
+                (
+                    acc.hierarchy().len(),
+                    acc.pe_array().total_macs(),
+                    acc.hierarchy().total_on_chip_bytes()
+                ),
+                (levels, macs, on_chip),
+                "{name}"
+            );
+        }
+        assert_eq!(by_name("nope"), None);
+    }
 
     #[test]
     fn all_architectures_have_1024_macs() {
@@ -282,7 +252,7 @@ mod tests {
                 .filter(|l| l.name().starts_with("GB"))
                 .filter_map(|l| l.capacity_bytes())
                 .sum();
-            assert!(gb_total <= 2 * MB, "{}: GB total {gb_total}", acc.name());
+            assert!(gb_total <= 2 << 20, "{}: GB total {gb_total}", acc.name());
         }
     }
 
@@ -325,7 +295,7 @@ mod tests {
                 !l.is_dram()
                     && l.serves(Input)
                     && l.serves(Output)
-                    && l.capacity_bytes().unwrap_or(0) <= 256 * KB
+                    && l.capacity_bytes().unwrap_or(0) <= 256 * 1024
             });
             assert!(
                 has_shared_io_lb,

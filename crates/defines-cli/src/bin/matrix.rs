@@ -17,13 +17,14 @@
 //! and `--json` / `--markdown` dump the full report.
 
 use clap::{Arg, ArgAction, Command};
+use defines_arch::zoo;
 use defines_cli::{
     parse_budget, parse_deadline, parse_modes, resolve_accelerator, resolve_workload, tile_grid,
-    ACCELERATORS, WORKLOADS,
 };
 use defines_core::matrix::{run_matrix, MatrixConfig};
 use defines_core::{FusePolicy, OptimizeTarget};
 use defines_engine::EngineConfig;
+use defines_workload::models;
 use serde::Serialize;
 
 fn main() {
@@ -40,7 +41,7 @@ fn main() {
                 .default_value("meta-proto-df,tpu-df,edge-tpu-df,ascend-df,tesla-npu-df")
                 .help(format!(
                     "Comma-separated accelerators (zoo names or JSON paths). Zoo: {}",
-                    ACCELERATORS.join(", ")
+                    zoo::names().join(", ")
                 )),
         )
         .arg(
@@ -50,7 +51,7 @@ fn main() {
                 .default_value("fsrcnn,dmcnn-vd,mccnn,mobilenet-v1,resnet18")
                 .help(format!(
                     "Comma-separated workloads (zoo names or JSON paths). Zoo: {}",
-                    WORKLOADS.join(", ")
+                    models::names().join(", ")
                 )),
         )
         .arg(

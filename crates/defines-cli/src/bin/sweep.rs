@@ -15,13 +15,11 @@
 //! end, and `--json PATH` dumps everything machine-readable.
 
 use clap::{Arg, ArgAction, Command};
-use defines_cli::{
-    parse_budget, parse_modes, resolve_accelerator, resolve_workload, tile_grid, ACCELERATORS,
-    WORKLOADS,
-};
+use defines_arch::zoo;
+use defines_cli::{parse_budget, parse_modes, resolve_accelerator, resolve_workload, tile_grid};
 use defines_core::{DfCostModel, Explorer, FusePolicy, OptimizeTarget, ScheduleResult};
 use defines_engine::{EngineConfig, Outcome};
-use defines_workload::Network;
+use defines_workload::{models, Network};
 use serde::Value;
 
 fn main() {
@@ -38,7 +36,7 @@ fn main() {
                 .default_value("fsrcnn")
                 .help(format!(
                     "Workload: {}; or a path to a workload JSON file",
-                    WORKLOADS.join(", ")
+                    models::names().join(", ")
                 )),
         )
         .arg(
@@ -48,7 +46,7 @@ fn main() {
                 .default_value("meta-proto-df")
                 .help(format!(
                     "Accelerator: {}; or a path to an accelerator JSON file",
-                    ACCELERATORS.join(", ")
+                    zoo::names().join(", ")
                 )),
         )
         .arg(

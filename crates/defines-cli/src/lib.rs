@@ -4,7 +4,7 @@
 //!
 //! The flag names mirror the upstream DeFiNES artifact's interface
 //! (`--workload`, `--accelerator`, `--dfmode`, `--tilex`, `--tiley`).
-//! `--workload` accepts either a built-in zoo name ([`WORKLOADS`]) or a path
+//! `--workload` accepts either a built-in zoo name ([`models::names`]) or a path
 //! to a workload JSON file (see `defines_workload::loader`); anything ending
 //! in `.json` or containing a path separator is treated as a file, so
 //! arbitrary networks can be swept without touching Rust code:
@@ -24,65 +24,21 @@ use defines_mapping::Budget;
 use defines_workload::{models, Network};
 use std::time::Duration;
 
-/// The workloads selectable by `--workload`.
-pub const WORKLOADS: [&str; 6] = [
-    "fsrcnn",
-    "dmcnn-vd",
-    "mccnn",
-    "mobilenet-v1",
-    "resnet18",
-    "reference",
-];
-
-/// The accelerators selectable by `--accelerator`.
-pub const ACCELERATORS: [&str; 11] = [
-    "meta-proto",
-    "meta-proto-df",
-    "tpu",
-    "tpu-df",
-    "edge-tpu",
-    "edge-tpu-df",
-    "ascend",
-    "ascend-df",
-    "tesla-npu",
-    "tesla-npu-df",
-    "depfin",
-];
-
-/// Where a resolved workload came from.
+/// Where a resolved workload or accelerator came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkloadSource {
-    /// One of the built-in zoo models ([`WORKLOADS`]).
+pub enum Source {
+    /// A built-in zoo name ([`models::names`], [`zoo::names`]).
     Builtin,
-    /// A workload JSON file.
+    /// A JSON file.
     File,
 }
 
-impl WorkloadSource {
+impl Source {
     /// The source as a short machine-readable string (`"builtin"`/`"file"`).
     pub fn as_str(&self) -> &'static str {
         match self {
-            WorkloadSource::Builtin => "builtin",
-            WorkloadSource::File => "file",
-        }
-    }
-}
-
-/// Where a resolved accelerator came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AcceleratorSource {
-    /// One of the built-in zoo architectures ([`ACCELERATORS`]).
-    Builtin,
-    /// An accelerator JSON file.
-    File,
-}
-
-impl AcceleratorSource {
-    /// The source as a short machine-readable string (`"builtin"`/`"file"`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            AcceleratorSource::Builtin => "builtin",
-            AcceleratorSource::File => "file",
+            Source::Builtin => "builtin",
+            Source::File => "file",
         }
     }
 }
@@ -102,19 +58,13 @@ fn looks_like_path(spec: &str) -> bool {
 ///
 /// Returns a message listing the valid names for an unknown workload.
 pub fn workload_by_name(name: &str) -> Result<Network, String> {
-    match name {
-        "fsrcnn" => Ok(models::fsrcnn()),
-        "dmcnn-vd" => Ok(models::dmcnn_vd()),
-        "mccnn" => Ok(models::mccnn()),
-        "mobilenet-v1" => Ok(models::mobilenet_v1()),
-        "resnet18" => Ok(models::resnet18()),
-        "reference" => Ok(models::reference_net()),
-        other => Err(format!(
-            "unknown workload '{other}' (expected one of: {}; or a path to a \
+    models::by_name(name).ok_or_else(|| {
+        format!(
+            "unknown workload '{name}' (expected one of: {}; or a path to a \
              workload JSON file)",
-            WORKLOADS.join(", ")
-        )),
-    }
+            models::names().join(", ")
+        )
+    })
 }
 
 /// Resolves the `--workload` flag: a built-in zoo name, or a path to a
@@ -126,12 +76,12 @@ pub fn workload_by_name(name: &str) -> Result<Network, String> {
 ///
 /// Returns the loader's error (naming the offending layer where applicable)
 /// for files, or the unknown-name message for zoo lookups.
-pub fn resolve_workload(spec: &str) -> Result<(Network, WorkloadSource), String> {
+pub fn resolve_workload(spec: &str) -> Result<(Network, Source), String> {
     if looks_like_path(spec) {
         let net = defines_workload::loader::from_json_file(spec).map_err(|e| e.to_string())?;
-        Ok((net, WorkloadSource::File))
+        Ok((net, Source::File))
     } else {
-        workload_by_name(spec).map(|net| (net, WorkloadSource::Builtin))
+        workload_by_name(spec).map(|net| (net, Source::Builtin))
     }
 }
 
@@ -141,24 +91,13 @@ pub fn resolve_workload(spec: &str) -> Result<(Network, WorkloadSource), String>
 ///
 /// Returns a message listing the valid names for an unknown accelerator.
 pub fn accelerator_by_name(name: &str) -> Result<Accelerator, String> {
-    match name {
-        "meta-proto" => Ok(zoo::meta_proto_like()),
-        "meta-proto-df" => Ok(zoo::meta_proto_like_df()),
-        "tpu" => Ok(zoo::tpu_like()),
-        "tpu-df" => Ok(zoo::tpu_like_df()),
-        "edge-tpu" => Ok(zoo::edge_tpu_like()),
-        "edge-tpu-df" => Ok(zoo::edge_tpu_like_df()),
-        "ascend" => Ok(zoo::ascend_like()),
-        "ascend-df" => Ok(zoo::ascend_like_df()),
-        "tesla-npu" => Ok(zoo::tesla_npu_like()),
-        "tesla-npu-df" => Ok(zoo::tesla_npu_like_df()),
-        "depfin" => Ok(zoo::depfin_like()),
-        other => Err(format!(
-            "unknown accelerator '{other}' (expected one of: {}; or a path to an \
+    zoo::by_name(name).ok_or_else(|| {
+        format!(
+            "unknown accelerator '{name}' (expected one of: {}; or a path to an \
              accelerator JSON file)",
-            ACCELERATORS.join(", ")
-        )),
-    }
+            zoo::names().join(", ")
+        )
+    })
 }
 
 /// Resolves the `--accelerator` flag: a built-in zoo name, or a path to an
@@ -173,12 +112,12 @@ pub fn accelerator_by_name(name: &str) -> Result<Accelerator, String> {
 /// Returns the loader's error (naming the offending level where applicable)
 /// for files, or the unknown-name message — listing the valid zoo names and
 /// noting that `.json` paths are accepted — for zoo lookups.
-pub fn resolve_accelerator(spec: &str) -> Result<(Accelerator, AcceleratorSource), String> {
+pub fn resolve_accelerator(spec: &str) -> Result<(Accelerator, Source), String> {
     if looks_like_path(spec) {
         let acc = defines_arch::loader::from_json_file(spec).map_err(|e| e.to_string())?;
-        Ok((acc, AcceleratorSource::File))
+        Ok((acc, Source::File))
     } else {
-        accelerator_by_name(spec).map(|acc| (acc, AcceleratorSource::Builtin))
+        accelerator_by_name(spec).map(|acc| (acc, Source::Builtin))
     }
 }
 
@@ -306,10 +245,10 @@ mod tests {
 
     #[test]
     fn every_listed_workload_and_accelerator_resolves() {
-        for w in WORKLOADS {
+        for w in models::names() {
             assert!(workload_by_name(w).is_ok(), "{w}");
         }
-        for a in ACCELERATORS {
+        for a in zoo::names() {
             assert!(accelerator_by_name(a).is_ok(), "{a}");
         }
         assert!(workload_by_name("nope").is_err());
@@ -343,7 +282,7 @@ mod tests {
     fn resolve_workload_distinguishes_names_and_paths() {
         let (net, source) = resolve_workload("fsrcnn").unwrap();
         assert_eq!(net.name(), "FSRCNN");
-        assert_eq!(source, WorkloadSource::Builtin);
+        assert_eq!(source, Source::Builtin);
 
         // A JSON file with the exported FSRCNN loads to the same network.
         let json = defines_workload::schema::to_json_pretty(&net).unwrap();
@@ -352,7 +291,7 @@ mod tests {
         let path = dir.join("fsrcnn.json");
         std::fs::write(&path, json).unwrap();
         let (loaded, source) = resolve_workload(path.to_str().unwrap()).unwrap();
-        assert_eq!(source, WorkloadSource::File);
+        assert_eq!(source, Source::File);
         assert_eq!(loaded, net);
 
         // Missing files and bad zoo names both produce useful messages.
@@ -360,14 +299,14 @@ mod tests {
         assert!(err.contains("cannot read workload file"), "{err}");
         let err = resolve_workload("nope").unwrap_err();
         assert!(err.contains("unknown workload"), "{err}");
-        assert_eq!(WorkloadSource::File.as_str(), "file");
+        assert_eq!(Source::File.as_str(), "file");
     }
 
     #[test]
     fn resolve_accelerator_distinguishes_names_and_paths() {
         let (acc, source) = resolve_accelerator("meta-proto-df").unwrap();
         assert_eq!(acc.name(), "Meta-proto-like DF");
-        assert_eq!(source, AcceleratorSource::Builtin);
+        assert_eq!(source, Source::Builtin);
 
         // A JSON file with the exported architecture loads to the same
         // accelerator, including its fingerprint. The path is per-process so
@@ -378,10 +317,10 @@ mod tests {
         let path = dir.join("meta-proto-df.json");
         std::fs::write(&path, json).unwrap();
         let (loaded, source) = resolve_accelerator(path.to_str().unwrap()).unwrap();
-        assert_eq!(source, AcceleratorSource::File);
+        assert_eq!(source, Source::File);
         assert_eq!(loaded, acc);
         assert_eq!(loaded.fingerprint(), acc.fingerprint());
-        assert_eq!(AcceleratorSource::File.as_str(), "file");
+        assert_eq!(Source::File.as_str(), "file");
 
         // Missing files produce the loader's Io message.
         let err = resolve_accelerator("missing-dir/nope.json").unwrap_err();
@@ -391,7 +330,7 @@ mod tests {
     #[test]
     fn unknown_accelerator_error_lists_names_and_mentions_json() {
         let err = accelerator_by_name("nope").unwrap_err();
-        for name in ACCELERATORS {
+        for name in zoo::names() {
             assert!(err.contains(name), "error must list '{name}': {err}");
         }
         assert!(err.contains("JSON"), "{err}");

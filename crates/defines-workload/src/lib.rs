@@ -8,11 +8,12 @@
 //! * [`Network`] — a directed acyclic graph of layers with branch support,
 //! * a model zoo ([`models`]) containing the five workloads used in the
 //!   DeFiNES paper (FSRCNN, DMCNN-VD, MC-CNN, MobileNetV1, ResNet18) plus the
-//!   11-layer reference network used for validation,
+//!   11-layer reference network used for validation, each a committed
+//!   document under `workloads/` at the repository root, embedded at
+//!   compile time and parsed by the [`loader`],
 //! * a declarative JSON frontend — [`schema`] defines the document types and
 //!   exports networks as JSON, [`loader`] parses documents back into
-//!   validated networks with shape inference (see the reference files under
-//!   `workloads/` at the repository root),
+//!   validated networks with shape inference,
 //! * [`analysis`] — utilities that reproduce the workload statistics of
 //!   Table I(b) of the paper (average / maximum feature-map size and total
 //!   weight size).

@@ -1,181 +1,39 @@
 //! Weight-dominant classification workloads: MobileNetV1 and ResNet18.
 
-use crate::dims::LayerDims;
-use crate::layer::{Layer, LayerId, OpType};
 use crate::network::Network;
 
-/// MobileNetV1 \[10\] at 224×224×3 input, width multiplier 1.0.
+/// MobileNetV1 \[10\] at 224×224×3 input, width multiplier 1.0
+/// (`workloads/mobilenet-v1.json`).
 ///
 /// 13 depthwise-separable blocks (depthwise 3×3 + pointwise 1×1) preceded by a
 /// strided 3×3 convolution and followed by global average pooling and a
 /// fully-connected classifier. Table I(b) regime: ~4 MB of weights, feature
 /// maps well under 1 MB on average — weight dominant.
+///
+/// Modelling choices: the 7×7 global average pooling is a `Pooling` layer
+/// with a 7×7 window and stride 7, and the classifier is a 1×1 "convolution"
+/// over the pooled 1×1×1024 vector.
 pub fn mobilenet_v1() -> Network {
-    let mut net = Network::new("MobileNetV1");
-
-    let mut add = |name: &str, op: OpType, dims: LayerDims, prev: Option<LayerId>| -> LayerId {
-        let preds: Vec<LayerId> = prev.into_iter().collect();
-        net.add_layer(Layer::new(name, op, dims), &preds)
-            .expect("valid chain")
-    };
-
-    // Initial strided convolution: 224x224x3 -> 112x112x32.
-    let mut prev = add(
-        "conv1",
-        OpType::Conv,
-        LayerDims::conv(32, 3, 112, 112, 3, 3)
-            .with_stride(2, 2)
-            .with_padding(1, 1),
-        None,
-    );
-
-    // (out_channels, output_size, stride of the depthwise conv)
-    let blocks: [(u64, u64, u64); 13] = [
-        (64, 112, 1),
-        (128, 56, 2),
-        (128, 56, 1),
-        (256, 28, 2),
-        (256, 28, 1),
-        (512, 14, 2),
-        (512, 14, 1),
-        (512, 14, 1),
-        (512, 14, 1),
-        (512, 14, 1),
-        (512, 14, 1),
-        (1024, 7, 2),
-        (1024, 7, 1),
-    ];
-
-    let mut in_ch = 32u64;
-    for (i, &(out_ch, out_sz, stride)) in blocks.iter().enumerate() {
-        let dw = add(
-            &format!("dw{}", i + 1),
-            OpType::DepthwiseConv,
-            LayerDims::conv(in_ch, in_ch, out_sz, out_sz, 3, 3)
-                .with_stride(stride, stride)
-                .with_padding(1, 1),
-            Some(prev),
-        );
-        let pw = add(
-            &format!("pw{}", i + 1),
-            OpType::Conv,
-            LayerDims::conv(out_ch, in_ch, out_sz, out_sz, 1, 1),
-            Some(dw),
-        );
-        prev = pw;
-        in_ch = out_ch;
-    }
-
-    // Global average pooling 7x7 -> 1x1.
-    let pool = add(
-        "avgpool",
-        OpType::Pooling,
-        LayerDims::conv(1024, 1024, 1, 1, 7, 7).with_stride(7, 7),
-        Some(prev),
-    );
-    // Classifier as a 1x1 "convolution" over the pooled vector.
-    let _fc = add(
-        "fc",
-        OpType::Conv,
-        LayerDims::conv(1000, 1024, 1, 1, 1, 1),
-        Some(pool),
-    );
-    net
+    super::builtin("mobilenet-v1")
 }
 
-/// ResNet18 \[8\] at 224×224×3 input.
+/// ResNet18 \[8\] at 224×224×3 input (`workloads/resnet18.json`).
 ///
 /// Standard topology: a strided 7×7 stem, a 3×3 max-pool, four stages of two
 /// basic residual blocks each (64/128/256/512 channels), global average
 /// pooling and a fully-connected classifier. Downsampling stages include the
 /// 1×1 projection shortcut, and every residual join is an explicit
-/// [`OpType::Add`] layer so the depth-first model sees the branches.
-/// Table I(b) regime: ~11 MB of weights.
+/// [`OpType::Add`](crate::layer::OpType::Add) layer with two inputs so the
+/// depth-first model sees the branches. Pooling and the classifier are
+/// modelled as in [`mobilenet_v1`]. Table I(b) regime: ~11 MB of weights.
 pub fn resnet18() -> Network {
-    let mut net = Network::new("ResNet18");
-
-    let mut add = |name: &str, op: OpType, dims: LayerDims, preds: &[LayerId]| -> LayerId {
-        net.add_layer(Layer::new(name, op, dims), preds)
-            .expect("valid DAG")
-    };
-
-    // Stem: conv 7x7/2 (112x112x64) + maxpool 3x3/2 (56x56x64).
-    let stem = add(
-        "conv1",
-        OpType::Conv,
-        LayerDims::conv(64, 3, 112, 112, 7, 7)
-            .with_stride(2, 2)
-            .with_padding(3, 3),
-        &[],
-    );
-    let mut prev = add(
-        "maxpool",
-        OpType::Pooling,
-        LayerDims::conv(64, 64, 56, 56, 3, 3)
-            .with_stride(2, 2)
-            .with_padding(1, 1),
-        &[stem],
-    );
-
-    // (stage channels, output size, number of blocks)
-    let stages: [(u64, u64); 4] = [(64, 56), (128, 28), (256, 14), (512, 7)];
-    let mut in_ch = 64u64;
-    for (s, &(ch, sz)) in stages.iter().enumerate() {
-        for b in 0..2 {
-            let downsample = s > 0 && b == 0;
-            let stride = if downsample { 2 } else { 1 };
-            let conv_a = add(
-                &format!("s{}b{}_conv_a", s + 1, b + 1),
-                OpType::Conv,
-                LayerDims::conv(ch, in_ch, sz, sz, 3, 3)
-                    .with_stride(stride, stride)
-                    .with_padding(1, 1),
-                &[prev],
-            );
-            let conv_b = add(
-                &format!("s{}b{}_conv_b", s + 1, b + 1),
-                OpType::Conv,
-                LayerDims::conv(ch, ch, sz, sz, 3, 3).with_padding(1, 1),
-                &[conv_a],
-            );
-            let shortcut = if downsample {
-                add(
-                    &format!("s{}b{}_shortcut", s + 1, b + 1),
-                    OpType::Conv,
-                    LayerDims::conv(ch, in_ch, sz, sz, 1, 1).with_stride(2, 2),
-                    &[prev],
-                )
-            } else {
-                prev
-            };
-            prev = add(
-                &format!("s{}b{}_add", s + 1, b + 1),
-                OpType::Add,
-                LayerDims::conv(ch, ch, sz, sz, 1, 1),
-                &[conv_b, shortcut],
-            );
-            in_ch = ch;
-        }
-    }
-
-    let pool = add(
-        "avgpool",
-        OpType::Pooling,
-        LayerDims::conv(512, 512, 1, 1, 7, 7).with_stride(7, 7),
-        &[prev],
-    );
-    let _fc = add(
-        "fc",
-        OpType::Conv,
-        LayerDims::conv(1000, 512, 1, 1, 1, 1),
-        &[pool],
-    );
-    net
+    super::builtin("resnet18")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::OpType;
 
     #[test]
     fn mobilenet_layer_structure() {

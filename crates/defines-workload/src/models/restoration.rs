@@ -1,127 +1,55 @@
 //! Activation-dominant image-restoration workloads: FSRCNN, DMCNN-VD, MC-CNN
 //! and the custom reference network from the validation section.
+//!
+//! Every layer of these networks is a "same" convolution: the spatial size is
+//! preserved through symmetric zero padding of `(f - 1) / 2` per axis, so all
+//! layers of a network run at its full output resolution — which is what
+//! makes them activation dominant.
 
-use crate::dims::LayerDims;
-use crate::layer::{Layer, LayerId, OpType};
 use crate::network::Network;
 
-#[allow(clippy::too_many_arguments)]
-fn chain_conv(
-    net: &mut Network,
-    prev: Option<LayerId>,
-    name: &str,
-    k: u64,
-    c: u64,
-    ox: u64,
-    oy: u64,
-    f: u64,
-) -> LayerId {
-    // All restoration networks use "same" convolutions: the spatial size is
-    // preserved through symmetric zero padding of (f - 1) / 2.
-    let pad = (f - 1) / 2;
-    let layer = Layer::new(
-        name,
-        OpType::Conv,
-        LayerDims::conv(k, c, ox, oy, f, f).with_padding(pad, pad),
-    );
-    let preds: Vec<LayerId> = prev.into_iter().collect();
-    net.add_layer(layer, &preds)
-        .expect("chain construction cannot fail")
-}
-
-/// FSRCNN super-resolution network \[5\] producing a 960×540 output.
+/// FSRCNN super-resolution network \[5\] producing a 960×540 output
+/// (`workloads/fsrcnn.json`).
 ///
 /// Eight convolution layers: 5×5 feature extraction (d = 56), 1×1 shrinking
 /// (s = 12), four 3×3 mapping layers, 1×1 expanding and a 9×9 reconstruction
 /// layer. All layers run at the 960×540 output resolution, which is what makes
 /// the workload strongly activation dominant (Table I(b): 15.6 KB of weights
 /// versus a 28.5 MB peak feature map).
+///
+/// The 9×9 stride-3 reconstruction *deconvolution* is modelled as a 3×3
+/// convolution on the output grid (`reconstruct_deconv9x9`, `fx = fy = 3`,
+/// padding 1): each output pixel of the transposed convolution sees
+/// 9 / 3 = 3 effective taps per axis, so the MAC count and data volumes of
+/// the deconvolution are preserved.
 pub fn fsrcnn() -> Network {
-    let mut net = Network::new("FSRCNN");
-    let (w, h) = (960, 540);
-    let l1 = chain_conv(&mut net, None, "feature_extract_5x5", 56, 1, w, h, 5);
-    let l2 = chain_conv(&mut net, Some(l1), "shrink_1x1", 12, 56, w, h, 1);
-    let l3 = chain_conv(&mut net, Some(l2), "map1_3x3", 12, 12, w, h, 3);
-    let l4 = chain_conv(&mut net, Some(l3), "map2_3x3", 12, 12, w, h, 3);
-    let l5 = chain_conv(&mut net, Some(l4), "map3_3x3", 12, 12, w, h, 3);
-    let l6 = chain_conv(&mut net, Some(l5), "map4_3x3", 12, 12, w, h, 3);
-    let l7 = chain_conv(&mut net, Some(l6), "expand_1x1", 56, 12, w, h, 1);
-    // The 9x9 stride-3 deconvolution is modelled on the output grid with its
-    // effective taps per output pixel (9/3 = 3 per axis), which preserves the
-    // MAC count and data volumes of the transposed convolution.
-    let _l8 = chain_conv(&mut net, Some(l7), "reconstruct_deconv9x9", 1, 56, w, h, 3);
-    net
+    super::builtin("fsrcnn")
 }
 
-/// DMCNN-VD demosaicing network \[30\]: a deep stack of 3×3 convolutions with 64
-/// channels running at full image resolution (768×576 here).
+/// DMCNN-VD demosaicing network \[30\] (`workloads/dmcnn-vd.json`): a deep
+/// stack of twenty 3×3 convolutions running at full image resolution
+/// (768×576 here): a 4-channel input, 64 channels throughout, and a
+/// 12-channel output layer.
 ///
 /// Table I(b) regime: ~650 KB of weights, ~26 MB peak feature map.
 pub fn dmcnn_vd() -> Network {
-    let mut net = Network::new("DMCNN-VD");
-    let (w, h) = (768, 576);
-    let mut prev = chain_conv(&mut net, None, "conv1_3x3", 64, 4, w, h, 3);
-    for i in 2..=19 {
-        prev = chain_conv(
-            &mut net,
-            Some(prev),
-            &format!("conv{i}_3x3"),
-            64,
-            64,
-            w,
-            h,
-            3,
-        );
-    }
-    let _last = chain_conv(&mut net, Some(prev), "conv20_output", 12, 64, w, h, 3);
-    net
+    super::builtin("dmcnn-vd")
 }
 
-/// MC-CNN fast stereo-matching network \[33\]: 3×3 convolutions with 32 channels
-/// at 1280×720, followed by a 1×1 similarity layer.
+/// MC-CNN fast stereo-matching network \[33\] (`workloads/mccnn.json`):
+/// twelve 3×3 convolutions with 32 channels at 1280×720, followed by a 1×1
+/// similarity layer.
 ///
 /// Table I(b) regime: ~100 KB of weights, ~29 MB peak feature map.
 pub fn mccnn() -> Network {
-    let mut net = Network::new("MCCNN");
-    let (w, h) = (1280, 720);
-    let mut prev = chain_conv(&mut net, None, "conv1_3x3", 32, 1, w, h, 3);
-    for i in 2..=12 {
-        prev = chain_conv(
-            &mut net,
-            Some(prev),
-            &format!("conv{i}_3x3"),
-            32,
-            32,
-            w,
-            h,
-            3,
-        );
-    }
-    let _last = chain_conv(&mut net, Some(prev), "similarity_1x1", 1, 32, w, h, 1);
-    net
+    super::builtin("mccnn")
 }
 
-/// The custom reference network of the validation section (Section IV):
-/// ten 3×3 layers with K = 32 followed by a final 1×1 layer with K = 16,
-/// operating on a 1280×720×3 input.
+/// The custom reference network of the validation section (Section IV,
+/// `workloads/reference.json`): ten 3×3 layers with K = 32 followed by a
+/// final 1×1 layer with K = 16, operating on a 1280×720×3 input.
 pub fn reference_net() -> Network {
-    let mut net = Network::new("ReferenceNet");
-    let (w, h) = (1280, 720);
-    let mut prev = chain_conv(&mut net, None, "conv1_3x3", 32, 3, w, h, 3);
-    for i in 2..=10 {
-        prev = chain_conv(
-            &mut net,
-            Some(prev),
-            &format!("conv{i}_3x3"),
-            32,
-            32,
-            w,
-            h,
-            3,
-        );
-    }
-    let _last = chain_conv(&mut net, Some(prev), "conv11_1x1", 16, 32, w, h, 1);
-    net
+    super::builtin("reference")
 }
 
 #[cfg(test)]

@@ -22,9 +22,10 @@
 //!
 //! The schema is the bridge in both directions: [`WorkloadDoc::from_network`]
 //! exports any in-memory [`Network`] (including the built-in zoo models) as a
-//! fully explicit document — the reference files under `workloads/` are
-//! produced this way — and the loader turns documents back into validated
-//! [`Network`]s. Round-tripping a network through JSON reproduces it exactly.
+//! fully explicit document — every zoo document under `workloads/` is
+//! byte-equal to its own export — and the loader turns documents back into
+//! validated [`Network`]s. Round-tripping a network through JSON reproduces
+//! it exactly.
 
 use crate::layer::{Layer, OpType};
 use crate::loader::WorkloadError;

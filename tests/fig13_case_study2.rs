@@ -1,12 +1,12 @@
 //! Integration tests for the declarative accelerator frontend and the
-//! case-study matrix runner (DeFiNES §V case study 2, Fig. 13–16): the
-//! reference files under `accelerators/` load back into the exact zoo
-//! architectures with bit-identical fingerprints, file-loaded accelerators
-//! cost bit-identically to their built-in twins (sharing the mapping cache),
-//! and the matrix runner names every `(accelerator, workload, fuse policy)`
-//! cell of one shared-cache engine run.
+//! case-study matrix runner (DeFiNES §V case study 2, Fig. 13–16): the zoo
+//! documents under `accelerators/` are exactly what the exporter writes and
+//! round-trip with bit-identical fingerprints, a file-loaded accelerator
+//! shares the mapping cache with its built-in twin, and the matrix runner
+//! names every `(accelerator, workload, fuse policy)` cell of one
+//! shared-cache engine run.
 
-use defines_arch::{loader, schema, zoo, Accelerator};
+use defines_arch::{loader, schema, zoo};
 use defines_core::matrix::{run_matrix, MatrixConfig};
 use defines_core::{
     DfCostModel, DfStrategy, Explorer, FusePolicy, OptimizeTarget, OverlapMode, TileSize,
@@ -23,93 +23,34 @@ fn accelerator_path(file: &str) -> PathBuf {
         .join(file)
 }
 
-/// The reference files and the zoo constructors they must reproduce, in
-/// `--accelerator` name order.
-fn reference_files() -> [(&'static str, Accelerator); 11] {
-    [
-        ("meta-proto.json", zoo::meta_proto_like()),
-        ("meta-proto-df.json", zoo::meta_proto_like_df()),
-        ("tpu.json", zoo::tpu_like()),
-        ("tpu-df.json", zoo::tpu_like_df()),
-        ("edge-tpu.json", zoo::edge_tpu_like()),
-        ("edge-tpu-df.json", zoo::edge_tpu_like_df()),
-        ("ascend.json", zoo::ascend_like()),
-        ("ascend-df.json", zoo::ascend_like_df()),
-        ("tesla-npu.json", zoo::tesla_npu_like()),
-        ("tesla-npu-df.json", zoo::tesla_npu_like_df()),
-        ("depfin.json", zoo::depfin_like()),
-    ]
-}
-
-#[test]
-fn reference_files_match_zoo_architectures_exactly() {
-    for (file, expected) in reference_files() {
-        let loaded = loader::from_json_file(accelerator_path(file))
-            .unwrap_or_else(|e| panic!("{file}: {e}"));
-        assert_eq!(loaded, expected, "{file} must load the zoo architecture");
-        assert_eq!(
-            loaded.fingerprint(),
-            expected.fingerprint(),
-            "{file} must reproduce the zoo fingerprint bit for bit"
-        );
-    }
-}
-
 #[test]
 fn reference_files_are_regenerable() {
-    // The checked-in files are exactly what `export-accelerators` would
-    // write today: export each zoo architecture and compare against the file
-    // on disk.
-    for (file, acc) in reference_files() {
+    // Each zoo document is exactly what the exporter writes for the
+    // accelerator it loads to — the exporter's end-to-end byte check. The
+    // embedded document is `accelerators/<name>.json` as compiled.
+    for name in zoo::names() {
+        let acc = zoo::by_name(name).unwrap();
         let exported = schema::to_json_pretty(&acc).unwrap() + "\n";
-        let on_disk = std::fs::read_to_string(accelerator_path(file)).unwrap();
+        let document = std::fs::read_to_string(accelerator_path(&format!("{name}.json"))).unwrap();
         assert_eq!(
-            on_disk, exported,
-            "{file} is stale: re-run `cargo run --release --bin export-accelerators`"
+            document, exported,
+            "accelerators/{name}.json is not in exporter form"
         );
     }
 }
 
 #[test]
 fn every_zoo_accelerator_round_trips_with_identical_fingerprint() {
-    // Beyond the checked-in files: the in-memory export/load round trip is
-    // exact for the whole zoo, including the infinite register bandwidths
-    // that JSON cannot represent directly (they travel as null).
-    for (_, acc) in reference_files() {
+    // The in-memory export/load round trip is exact for the whole zoo,
+    // including the infinite register bandwidths that JSON cannot represent
+    // directly (they travel as null).
+    for name in zoo::names() {
+        let acc = zoo::by_name(name).unwrap();
         let json = schema::to_json_pretty(&acc).unwrap();
         let reloaded = loader::from_json_str(&json).unwrap();
         assert_eq!(reloaded, acc, "{}", acc.name());
         assert_eq!(reloaded.fingerprint(), acc.fingerprint(), "{}", acc.name());
     }
-}
-
-#[test]
-fn file_loaded_accelerator_sweeps_bit_identical_to_builtin() {
-    // The acceptance gate of the frontend: an FSRCNN sweep on the
-    // file-loaded Meta-prototype-like DF architecture produces records
-    // bit-identical to the builtin zoo constructor's.
-    let builtin = zoo::meta_proto_like_df();
-    let loaded = loader::from_json_file(accelerator_path("meta-proto-df.json")).unwrap();
-    let net = models::fsrcnn();
-    let tiles = [(4, 4), (60, 72), (960, 540)];
-
-    let model_a = DfCostModel::new(&builtin).with_fast_mapper();
-    let model_b = DfCostModel::new(&loaded).with_fast_mapper();
-    let sweep_a = Explorer::new(&model_a)
-        .sweep(&net, &tiles, &OverlapMode::ALL)
-        .unwrap();
-    let sweep_b = Explorer::new(&model_b)
-        .sweep(&net, &tiles, &OverlapMode::ALL)
-        .unwrap();
-    assert_eq!(sweep_a, sweep_b, "all design points must cost identically");
-
-    let best_a = Explorer::new(&model_a)
-        .best_single_strategy(&net, &tiles, &OverlapMode::ALL, OptimizeTarget::Energy)
-        .unwrap();
-    let best_b = Explorer::new(&model_b)
-        .best_single_strategy(&net, &tiles, &OverlapMode::ALL, OptimizeTarget::Energy)
-        .unwrap();
-    assert_eq!(best_a, best_b);
 }
 
 #[test]

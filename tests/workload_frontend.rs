@@ -1,14 +1,14 @@
-//! Integration tests for the JSON workload frontend: the reference files
-//! under `workloads/` load back into the exact zoo networks, file-loaded
-//! networks cost bit-identically to their built-in twins, the mapping memo
-//! cache is shared across the two, and malformed documents fail with errors
+//! Integration tests for the JSON workload frontend: the zoo documents under
+//! `workloads/` are exactly what the exporter writes, every document on disk
+//! is a zoo entry, the mapping memo cache is shared between a file-loaded
+//! network and its built-in twin, and malformed documents fail with errors
 //! that name the offending layer.
 
 use defines_arch::zoo;
 use defines_core::{DfCostModel, Explorer, OptimizeTarget, OverlapMode};
 use defines_mapping::MappingCache;
-use defines_workload::{loader, models, schema, Network};
-use std::path::PathBuf;
+use defines_workload::{loader, models, schema};
+use std::path::{Path, PathBuf};
 
 /// Absolute path of a reference file under the repository-root `workloads/`.
 fn workload_path(file: &str) -> PathBuf {
@@ -17,65 +17,43 @@ fn workload_path(file: &str) -> PathBuf {
         .join(file)
 }
 
-fn reference_files() -> [(&'static str, Network); 6] {
-    [
-        ("fsrcnn.json", models::fsrcnn()),
-        ("dmcnn-vd.json", models::dmcnn_vd()),
-        ("mccnn.json", models::mccnn()),
-        ("mobilenet-v1.json", models::mobilenet_v1()),
-        ("resnet18.json", models::resnet18()),
-        ("reference.json", models::reference_net()),
-    ]
-}
-
-#[test]
-fn reference_files_match_zoo_models_exactly() {
-    for (file, expected) in reference_files() {
-        let loaded =
-            loader::from_json_file(workload_path(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
-        assert_eq!(loaded, expected, "{file} must load the zoo network");
-    }
-}
-
 #[test]
 fn reference_files_are_regenerable() {
-    // The checked-in files are exactly what `export-workloads` would write
-    // today: export each zoo model and compare against the file on disk.
-    for (file, net) in reference_files() {
+    // Each zoo document is exactly what the exporter writes for the network
+    // it loads to — the exporter's end-to-end byte check. The embedded
+    // document is `workloads/<name>.json` as compiled.
+    for name in models::names() {
+        let net = models::by_name(name).unwrap();
         let exported = schema::to_json_pretty(&net).unwrap() + "\n";
-        let on_disk = std::fs::read_to_string(workload_path(file)).unwrap();
+        let document = std::fs::read_to_string(workload_path(&format!("{name}.json"))).unwrap();
         assert_eq!(
-            on_disk, exported,
-            "{file} is stale: re-run `cargo run --release --bin export-workloads`"
+            document, exported,
+            "workloads/{name}.json is not in exporter form"
         );
     }
 }
 
 #[test]
-fn file_loaded_fsrcnn_costs_bit_identical_to_builtin() {
-    let loaded = loader::from_json_file(workload_path("fsrcnn.json")).unwrap();
-    let builtin = models::fsrcnn();
-
-    let acc = zoo::meta_proto_like_df();
-    let tiles = [(4, 4), (60, 72), (960, 540)];
-
-    let model_a = DfCostModel::new(&acc).with_fast_mapper();
-    let model_b = DfCostModel::new(&acc).with_fast_mapper();
-    let sweep_a = Explorer::new(&model_a)
-        .sweep(&builtin, &tiles, &OverlapMode::ALL)
-        .unwrap();
-    let sweep_b = Explorer::new(&model_b)
-        .sweep(&loaded, &tiles, &OverlapMode::ALL)
-        .unwrap();
-    assert_eq!(sweep_a, sweep_b, "all design points must cost identically");
-
-    let best_a = Explorer::new(&model_a)
-        .best_single_strategy(&builtin, &tiles, &OverlapMode::ALL, OptimizeTarget::Energy)
-        .unwrap();
-    let best_b = Explorer::new(&model_b)
-        .best_single_strategy(&loaded, &tiles, &OverlapMode::ALL, OptimizeTarget::Energy)
-        .unwrap();
-    assert_eq!(best_a, best_b);
+fn every_reference_document_is_in_the_zoo_table() {
+    // `include_str!` makes every zoo entry's document exist at compile time;
+    // this is the other direction: no document on disk is left out of the
+    // name tables.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for (dir, names) in [
+        ("workloads", models::names()),
+        ("accelerators", zoo::names()),
+    ] {
+        let mut on_disk: Vec<String> = std::fs::read_dir(root.join(dir))
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+            .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect();
+        on_disk.sort();
+        let mut listed = names;
+        listed.sort_unstable();
+        assert_eq!(on_disk, listed, "{dir}/*.json vs its zoo name table");
+    }
 }
 
 #[test]
