@@ -9,17 +9,22 @@
 //!
 //! The bounds priced here:
 //!
-//! * **compute** — the point's exact MAC count, from the step-1 tile-type
-//!   analysis alone (back-calculation, no placement / data-copy / mapping
-//!   work). Recompute-heavy points (tiny tiles under
+//! * **compute** — the point's exact MAC count, from the step 1–2 tile types
+//!   alone ([`tile_types`], no placement / data-copy / mapping work).
+//!   Recompute-heavy points (tiny tiles under
 //!   [`OverlapMode::FullyRecompute`](crate::strategy::OverlapMode::FullyRecompute))
 //!   multiply their MACs and are the main
 //!   pruning victims;
 //! * **DRAM floor** — any schedule must read the network's external input
 //!   from DRAM and write the final output back: those bytes bound DRAM
 //!   traffic and the associated energy from below.
+//!
+//! A sweep identifies each point's tile types once and prices its bound from
+//! them ([`StrategyBounds::lower_bound_for_types`]) before the evaluation
+//! consumes the same list; [`StrategyBounds::lower_bound`] derives them from
+//! scratch.
 
-use crate::evaluate::tile_type_analyses;
+use crate::backcalc::{tile_types, StackGeometry, TileTypes};
 use crate::explore::OptimizeTarget;
 use crate::stack::partition_into_stacks;
 use crate::strategy::DfStrategy;
@@ -73,41 +78,58 @@ impl<'a> StrategyBounds<'a> {
     }
 
     /// The exact MAC count of a design point (recomputed halos included),
-    /// from the step-1 back-calculation alone.
+    /// from steps 1–2 alone.
     pub fn point_macs(&self, strategy: &DfStrategy) -> u64 {
         partition_into_stacks(self.net, self.acc, &strategy.fuse)
             .iter()
             .map(|stack| {
-                let geometry = crate::backcalc::StackGeometry::new(self.net, stack);
-                tile_type_analyses(&geometry, strategy.tile, strategy.mode)
-                    .iter()
-                    .map(|(analysis, count)| analysis.total_macs() * count)
-                    .sum::<u64>()
+                let geometry = StackGeometry::new(self.net, stack);
+                total_macs(&tile_types(&geometry, strategy.tile, strategy.mode))
             })
             .sum()
     }
 
     /// A lower bound on the point's objective value.
     pub fn lower_bound(&self, strategy: &DfStrategy) -> f64 {
+        self.bound(|| self.point_macs(strategy))
+    }
+
+    /// [`StrategyBounds::lower_bound`] of a point whose per-stack tile types
+    /// are already identified ([`crate::PreparedNetwork::tile_types`]): no
+    /// partition, geometry or back-calculation is redone.
+    pub fn lower_bound_for_types(&self, types: &[TileTypes]) -> f64 {
+        self.bound(|| types.iter().map(total_macs).sum())
+    }
+
+    /// The bound of a point with `point_macs` MACs, counted only by the
+    /// targets that need them.
+    fn bound(&self, point_macs: impl FnOnce() -> u64) -> f64 {
+        let energy = |macs: u64| {
+            // MAC energy of the point plus the unavoidable DRAM energy.
+            macs as f64 * self.acc.pe_array().mac_energy_pj() + self.dram_floor_pj
+        };
+        // Cycles at peak MAC throughput (actual compute cycles are divided by
+        // the spatial utilization, which never exceeds one).
+        let latency = |macs: u64| macs as f64 / self.acc.pe_array().total_macs() as f64;
         match self.target {
-            OptimizeTarget::Energy => self.energy_bound(strategy),
-            OptimizeTarget::Latency => self.latency_bound(strategy),
-            OptimizeTarget::Edp => self.energy_bound(strategy) * self.latency_bound(strategy),
+            OptimizeTarget::Energy => energy(point_macs()),
+            OptimizeTarget::Latency => latency(point_macs()),
+            OptimizeTarget::Edp => {
+                let macs = point_macs();
+                energy(macs) * latency(macs)
+            }
             OptimizeTarget::DramAccess => self.dram_input_bytes + self.dram_output_bytes,
             OptimizeTarget::ActivationEnergy => self.dram_floor_pj,
         }
     }
+}
 
-    /// MAC energy of the point plus the unavoidable DRAM energy.
-    fn energy_bound(&self, strategy: &DfStrategy) -> f64 {
-        self.point_macs(strategy) as f64 * self.acc.pe_array().mac_energy_pj() + self.dram_floor_pj
-    }
-
-    /// Cycles at peak MAC throughput (actual compute cycles are divided by
-    /// the spatial utilization, which never exceeds one).
-    fn latency_bound(&self, strategy: &DfStrategy) -> f64 {
-        self.point_macs(strategy) as f64 / self.acc.pe_array().total_macs() as f64
-    }
+/// MACs of one stack's tile types.
+fn total_macs(types: &TileTypes) -> u64 {
+    types
+        .iter()
+        .map(|(analysis, count)| analysis.total_macs() * count)
+        .sum()
 }
 
 #[cfg(test)]

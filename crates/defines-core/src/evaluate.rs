@@ -1,13 +1,12 @@
 //! The depth-first cost model: steps 1–6 of Section III, orchestrated per
 //! stack, per tile type and per layer.
 
-use crate::backcalc::{FmId, StackGeometry, TileAnalysis};
+use crate::backcalc::{tile_types, FmId, StackGeometry, TileAnalysis, TileTypes};
 use crate::datacopy::{copy_cost, DataCopyAction};
 use crate::memlevel::{determine_placement, PlacementPolicy, PlacementRequest};
 use crate::result::{energy_summary, EnergySummary, NetworkCost, StackCost, TileTypeCost};
 use crate::stack::{partition_into_stacks, Stack};
 use crate::strategy::{BetweenStackMemory, DfStrategy, OverlapMode, TileSize};
-use crate::tiling::TileGrid;
 use defines_arch::{Accelerator, MemoryLevelId, Operand};
 use defines_mapping::{
     AccessBreakdown, LayerCost, LomaMapper, MapperConfig, MappingCache, Objective,
@@ -15,7 +14,6 @@ use defines_mapping::{
 };
 use defines_telemetry::{span, Counter};
 use defines_workload::{Layer, LayerDims, Network};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -105,41 +103,25 @@ struct EvalScratch {
 
 /// The sweep-invariant half of a network evaluation: the stack partition's
 /// back-calculated geometries, built once by [`DfCostModel::prepare_stacks`]
-/// and shared by every design point of a sweep (the engine's evaluate
-/// closures). Borrows the network and the caller-owned stack partition.
+/// and shared by every design point of a sweep (the engine's prepare,
+/// bound and evaluate closures). Borrows the network and the caller-owned
+/// stack partition.
 pub struct PreparedNetwork<'n> {
     net: &'n Network,
     geometries: Vec<StackGeometry<'n>>,
 }
 
-/// Per-layer facts of a stack that every tile type re-uses: resolved layer
-/// reference, whether the layer carries weights, and the stack positions of
-/// its in-stack predecessors. Computed once per stack instead of once per
-/// tile type.
-struct LayerInvariant<'n> {
-    layer: &'n Layer,
-    has_weights: bool,
-    pred_positions: Vec<usize>,
-}
-
-fn layer_invariants<'n>(net: &'n Network, stack: &Stack) -> Vec<LayerInvariant<'n>> {
-    stack
-        .layers
-        .iter()
-        .map(|&lid| {
-            let layer = net.layer(lid);
-            let pred_positions = net
-                .predecessors(lid)
-                .iter()
-                .filter_map(|p| stack.layers.iter().position(|&s| s == *p))
-                .collect();
-            LayerInvariant {
-                layer,
-                has_weights: layer.op.has_weights() && layer.weight_bytes() > 0,
-                pred_positions,
-            }
-        })
-        .collect()
+impl PreparedNetwork<'_> {
+    /// Steps 1–2 of one design point: the tile types of every stack under the
+    /// strategy's tile size and overlap mode, in stack order. The exploration
+    /// engine computes them once per point and hands them to both the lower
+    /// bound and [`DfCostModel::evaluate_prepared`].
+    pub fn tile_types(&self, strategy: &DfStrategy) -> Vec<TileTypes> {
+        self.geometries
+            .iter()
+            .map(|geometry| tile_types(geometry, strategy.tile, strategy.mode))
+            .collect()
+    }
 }
 
 /// The per-tile cost components produced by the tile-type evaluation, before
@@ -283,15 +265,15 @@ impl<'a> DfCostModel<'a> {
         let stacks = partition_into_stacks(net, self.acc, &strategy.fuse);
         validate_stacks(net, &stacks)?;
         let prepared = self.prepare_stacks(net, &stacks);
-        Ok(self.evaluate_prepared(&prepared, strategy))
+        Ok(self.evaluate_prepared(&prepared, strategy, prepared.tile_types(strategy)))
     }
 
     /// Builds the per-stack geometry state every design point of a sweep
     /// shares, so the per-point evaluation ([`DfCostModel::evaluate_prepared`])
-    /// skips the validation / partitioning / back-calculation setup that is
-    /// identical across points. `stacks` must be the partition of `net` under
-    /// the fuse depth the evaluated strategies will carry
-    /// ([`partition_into_stacks`], already validated).
+    /// skips the validation / partitioning / geometry setup that is identical
+    /// across points. `stacks` must be the partition of `net` under the fuse
+    /// depth the evaluated strategies will carry ([`partition_into_stacks`],
+    /// already validated).
     pub fn prepare_stacks<'n>(&self, net: &'n Network, stacks: &'n [Stack]) -> PreparedNetwork<'n> {
         PreparedNetwork {
             net,
@@ -302,17 +284,23 @@ impl<'a> DfCostModel<'a> {
         }
     }
 
-    /// [`DfCostModel::evaluate_network`] on pre-built stack geometries: the
-    /// per-point remainder of a sweep evaluation. Only the components that
-    /// actually vary across a sweep's design points (tile size, overlap mode,
-    /// between-stack memory policy) are read from `strategy`; the fuse
-    /// partition is the prepared one. Bit-identical to
-    /// [`DfCostModel::evaluate_network`] by construction — it runs the same
-    /// per-stack sequence on the same geometry.
+    /// [`DfCostModel::evaluate_network`] on pre-built stack geometries and
+    /// the point's tile types (`types`, from [`PreparedNetwork::tile_types`]
+    /// for this `strategy`): the per-point remainder of a sweep evaluation,
+    /// steps 3–6. Only the components that actually vary across a sweep's
+    /// design points (tile size, overlap mode, between-stack memory policy)
+    /// are read from `strategy`; the fuse partition is the prepared one.
+    /// Bit-identical to [`DfCostModel::evaluate_network`] by construction —
+    /// it runs the same per-stack sequence on the same geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `types` does not hold one list per prepared stack.
     pub fn evaluate_prepared(
         &self,
         prepared: &PreparedNetwork<'_>,
         strategy: &DfStrategy,
+        types: Vec<TileTypes>,
     ) -> NetworkCost {
         debug_assert_eq!(
             partition_into_stacks(prepared.net, self.acc, &strategy.fuse),
@@ -323,18 +311,17 @@ impl<'a> DfCostModel<'a> {
                 .collect::<Vec<_>>(),
             "strategy fuse depth diverges from the prepared partition"
         );
+        assert_eq!(
+            types.len(),
+            prepared.geometries.len(),
+            "one tile-type list per prepared stack"
+        );
         let mut stack_costs = Vec::with_capacity(prepared.geometries.len());
-        for geometry in &prepared.geometries {
+        for (geometry, types) in prepared.geometries.iter().zip(types) {
             let in_level = self.stack_input_level(geometry, strategy.between_stacks);
             let out_level =
                 self.stack_output_level(prepared.net, geometry.stack(), strategy.between_stacks);
-            stack_costs.push(self.evaluate_stack_with_geometry(
-                geometry,
-                strategy.tile,
-                strategy.mode,
-                in_level,
-                out_level,
-            ));
+            stack_costs.push(self.price_stack(geometry, types, in_level, out_level));
         }
         NetworkCost::from_stacks(stack_costs)
     }
@@ -373,54 +360,45 @@ impl<'a> DfCostModel<'a> {
         stack_input_level: MemoryLevelId,
         stack_output_level: MemoryLevelId,
     ) -> StackCost {
-        let _span = span!("evaluate.stack");
-        let net = geometry.net();
-        let stack = geometry.stack();
-        let sink = net.layer(stack.last_layer());
-        let grid = TileGrid::new(sink.dims.ox, sink.dims.oy, tile);
-        let stack_weight_bytes = stack.weight_bytes(net);
-        let invariants = layer_invariants(net, stack);
-        let mut scratch = self.take_scratch();
+        let types = tile_types(geometry, tile, mode);
+        self.price_stack(geometry, types, stack_input_level, stack_output_level)
+    }
 
-        // Steps 2–5 per unique tile type (step 1 identifies the types).
-        // Signature groups are deduplicated by hash bucket (full equality
-        // only within a bucket), without cloning any analysis: small tiles on
-        // deep stacks can produce thousands of signature groups that collapse
-        // to a handful of tile types.
-        let mut type_costs: Vec<TileTypeCost> = Vec::new();
-        let mut index: std::collections::HashMap<u64, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (analysis, count) in tile_type_analyses(geometry, tile, mode) {
-            use std::hash::{Hash, Hasher};
-            let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            analysis.hash(&mut hasher);
-            let bucket = index.entry(hasher.finish()).or_default();
-            if let Some(&i) = bucket.iter().find(|&&i| type_costs[i].analysis == analysis) {
-                type_costs[i].count += count;
-                continue;
-            }
-            bucket.push(type_costs.len());
-            let eval = self.evaluate_tile_type(
-                &invariants,
-                &analysis,
-                stack_weight_bytes,
-                stack_input_level,
-                stack_output_level,
-                &mut scratch,
-            );
-            type_costs.push(TileTypeCost {
-                analysis,
-                count,
-                energy_pj: eval.energy_pj,
-                latency_cycles: eval.latency_cycles,
-                macs: eval.macs,
-                activation_access: eval.activation_access,
-                weight_access: eval.weight_access,
-                copy_access: eval.copy_access,
-                energy_summary: eval.energy_summary,
-                degraded: eval.degraded,
-            });
-        }
+    /// Steps 3–6 of one stack: prices every tile type of `types` (the stack's
+    /// step 1–2 output) and accumulates them.
+    fn price_stack(
+        &self,
+        geometry: &StackGeometry<'_>,
+        types: TileTypes,
+        stack_input_level: MemoryLevelId,
+        stack_output_level: MemoryLevelId,
+    ) -> StackCost {
+        let _span = span!("evaluate.stack");
+        let mut scratch = self.take_scratch();
+        let type_costs: Vec<TileTypeCost> = types
+            .into_iter()
+            .map(|(analysis, count)| {
+                let eval = self.evaluate_tile_type(
+                    geometry,
+                    &analysis,
+                    stack_input_level,
+                    stack_output_level,
+                    &mut scratch,
+                );
+                TileTypeCost {
+                    analysis,
+                    count,
+                    energy_pj: eval.energy_pj,
+                    latency_cycles: eval.latency_cycles,
+                    macs: eval.macs,
+                    activation_access: eval.activation_access,
+                    weight_access: eval.weight_access,
+                    copy_access: eval.copy_access,
+                    energy_summary: eval.energy_summary,
+                    degraded: eval.degraded,
+                }
+            })
+            .collect();
         self.put_scratch(scratch);
 
         // Step 6: accumulate.
@@ -445,8 +423,9 @@ impl<'a> DfCostModel<'a> {
         }
 
         StackCost {
-            stack: stack.clone(),
-            num_tiles: grid.num_tiles(),
+            stack: geometry.stack().clone(),
+            // Every tile of the grid belongs to exactly one type.
+            num_tiles: type_costs.iter().map(|t| t.count).sum(),
             tile_types: type_costs,
             energy_pj: energy,
             latency_cycles: latency,
@@ -463,9 +442,8 @@ impl<'a> DfCostModel<'a> {
     /// for every layer of the stack (steps 3–5), for a single tile.
     fn evaluate_tile_type(
         &self,
-        invariants: &[LayerInvariant<'_>],
+        geometry: &StackGeometry<'_>,
         analysis: &TileAnalysis,
-        stack_weight_bytes: u64,
         stack_input_level: MemoryLevelId,
         stack_output_level: MemoryLevelId,
         scratch: &mut EvalScratch,
@@ -489,17 +467,22 @@ impl<'a> DfCostModel<'a> {
         output_levels.clear();
         let last = analysis.layers.len() - 1;
 
-        for (pos, (rec, inv)) in analysis.layers.iter().zip(invariants).enumerate() {
+        for (pos, (rec, sl)) in analysis
+            .layers
+            .iter()
+            .zip(geometry.stack_layers())
+            .enumerate()
+        {
             if rec.to_compute_w == 0 || rec.to_compute_h == 0 {
                 output_levels.push(stack_input_level);
                 continue;
             }
-            let layer = inv.layer;
+            let layer = sl.layer;
 
             // Step 3: determine the top memory level of every data class.
             let request = PlacementRequest {
-                stack_weight_bytes,
-                layer_has_weights: inv.has_weights,
+                stack_weight_bytes: geometry.weight_bytes(),
+                layer_has_weights: sl.has_weights,
                 is_first_tile: analysis.is_first_tile,
                 input_bytes: rec.input_bytes,
                 output_bytes: rec.output_bytes,
@@ -526,7 +509,7 @@ impl<'a> DfCostModel<'a> {
             // Step 4: data copy actions that collect the inputs at the
             // determined level and maintain the overlap caches.
             let internal_fresh = rec.fresh_input_bytes - rec.external_input_bytes;
-            let producer_level = inv
+            let producer_level = sl
                 .pred_positions
                 .iter()
                 .map(|&p| output_levels[p])
@@ -716,73 +699,6 @@ impl<'a> DfCostModel<'a> {
             .hierarchy()
             .lowest_fitting(Operand::Output, bytes, MemoryLevelId(0))
     }
-}
-
-/// Step 1 of the cost model: identify tile types.
-///
-/// Tiles are grouped by a conservative geometric signature (distance to the
-/// feature-map edges in tile units, clamped at the stack's halo) so only one
-/// representative per group needs the full back-calculation. Returns one
-/// `(analysis, tile count)` pair per signature group, in deterministic
-/// (signature) order; callers deduplicate exact analysis matches.
-///
-/// This is also the basis of the cheap MAC lower bounds used by the
-/// exploration engine's pruning ([`crate::bounds`]): summing
-/// `analysis.total_macs() × count` prices a design point's compute without
-/// running placement, data-copy or mapping steps.
-pub(crate) fn tile_type_analyses(
-    geometry: &StackGeometry<'_>,
-    tile: TileSize,
-    mode: OverlapMode,
-) -> Vec<(TileAnalysis, u64)> {
-    let net = geometry.net();
-    let stack = geometry.stack();
-    let sink = net.layer(stack.last_layer());
-    let grid = TileGrid::new(sink.dims.ox, sink.dims.oy, tile);
-    let (halo_x, halo_y) = geometry.max_halo();
-    let (tx, ty) = grid.tile_size();
-    let class_x = halo_x / tx + 2;
-    let class_y = halo_y / ty + 2;
-    let cols = grid.cols();
-    let rows = grid.rows();
-
-    // The signature factorizes per axis: the x-part depends only on the
-    // column, the y-part only on the row. Classifying each axis separately
-    // and combining the counts is O(cols + rows) instead of the O(cols ×
-    // rows) of scanning every tile — the difference between microseconds and
-    // hundreds of milliseconds for single-pixel tiles on HD feature maps.
-    // `(0, 0)` is the only tile whose axis classes both start at zero, so the
-    // `is_first_tile` marker never splits a combined group.
-    // One axis class: ((near-edge distance, far-edge distance), (first tile
-    // index of the class, number of tiles in the class)).
-    type AxisClass = ((u64, u64), (u64, u64));
-    let classify_axis = |extent: u64, clamp: u64| -> Vec<AxisClass> {
-        let mut classes: BTreeMap<(u64, u64), (u64, u64)> = BTreeMap::new();
-        for i in 0..extent {
-            let sig = (i.min(clamp), (extent - 1 - i).min(clamp));
-            let entry = classes.entry(sig).or_insert((i, 0));
-            entry.1 += 1;
-        }
-        classes.into_iter().collect()
-    };
-    let col_classes = classify_axis(cols, class_x);
-    let row_classes = classify_axis(rows, class_y);
-
-    // Signature key (x near, x far, y near, y far, is-first-tile) →
-    // (representative col, representative row, tile count).
-    type Signature = (u64, u64, u64, u64, bool);
-    let mut signature_groups: BTreeMap<Signature, (u64, u64, u64)> = BTreeMap::new();
-    for &((ry, rys), (row, row_count)) in &row_classes {
-        for &((rx, rxs), (col, col_count)) in &col_classes {
-            let count = col_count * row_count;
-            let first = col == 0 && row == 0;
-            signature_groups.insert((rx, rxs, ry, rys, first), (col, row, count));
-        }
-    }
-    signature_groups
-        .into_values()
-        .map(|(col, row, count)| (geometry.analyze_tile(mode, &grid, col, row), count))
-        .collect()
 }
 
 pub(crate) fn validate_stacks(net: &Network, stacks: &[Stack]) -> Result<(), EvaluationError> {

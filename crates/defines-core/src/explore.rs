@@ -11,6 +11,7 @@
 //! [`DfCostModel::evaluate_network`] (the oracle `tests/engine_parity.rs`
 //! keeps), regardless of thread count.
 
+use crate::backcalc::TileTypes;
 use crate::bounds::StrategyBounds;
 use crate::evaluate::{DfCostModel, EvaluationError};
 use crate::fuse::{enumerate_candidates, optimal_partition_budgeted, stack_span, FusePolicy};
@@ -349,8 +350,10 @@ impl<'a> Explorer<'a> {
     /// The one engine-driving body of the sweep family: validates the network
     /// and the explorer's fuse partition, builds the design points, the
     /// per-stack geometries and the lower bounds once, then streams one
-    /// [`DfSweepRecord`] per point to `on_record` in completion order. The
-    /// bounds are applied only when `prune` is set.
+    /// [`DfSweepRecord`] per point to `on_record` in completion order. Each
+    /// point's tile types (steps 1–2) are identified once, by the engine's
+    /// prepare stage; the bound — applied only when `prune` is set — prices
+    /// them and the evaluation consumes them.
     fn run_sweep(
         &self,
         net: &Network,
@@ -376,11 +379,12 @@ impl<'a> Explorer<'a> {
         // Snapshot so the attached cache statistics describe this run, not
         // the cache's lifetime (the model may have served earlier sweeps).
         let cache_before = self.model.mapping_cache().stats();
-        let stats = engine.run(
+        let stats = engine.run_prepared(
             &points,
-            &|s: &DfStrategy| self.model.evaluate_prepared(&prepared, s),
+            &|s: &DfStrategy| prepared.tile_types(s),
+            &|s: &DfStrategy, types| self.model.evaluate_prepared(&prepared, s, types),
             &|_, c: &NetworkCost| target.value(c, acc),
-            Some(&|s: &DfStrategy| bounds.lower_bound(s)),
+            Some(&|_: &DfStrategy, types: &Vec<TileTypes>| bounds.lower_bound_for_types(types)),
             on_record,
         );
         Ok(stats.with_cache(self.model.mapping_cache().stats().since(&cache_before)))

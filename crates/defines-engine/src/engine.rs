@@ -340,6 +340,8 @@ impl SweepEngine {
     /// record carrying the panic message and continues. Failed points never
     /// update the shared pruning incumbent, so all sibling records are
     /// bit-identical to a run without the failure.
+    ///
+    /// This is [`SweepEngine::run_prepared`] with nothing prepared.
     pub fn run<P, C, E, V, L, S>(
         &self,
         points: &[P],
@@ -356,16 +358,59 @@ impl SweepEngine {
         L: Fn(&P) -> f64 + Sync,
         S: FnMut(SweepRecord<P, C>),
     {
+        let bound = lower_bound.map(|lb| move |point: &P, _: &()| lb(point));
+        self.run_prepared(
+            points,
+            &|_: &P| (),
+            &|point: &P, ()| evaluate(point),
+            objective,
+            bound.as_ref(),
+            on_record,
+        )
+    }
+
+    /// Runs a sweep whose points share a per-point intermediate: for each
+    /// point, `prepare` computes it once, `lower_bound` reads it, and
+    /// `evaluate` consumes it — prepare → bound → evaluate, back to back on
+    /// one worker, so the value never crosses threads. The DeFiNES sweep
+    /// prepares each point's tile types this way, priced by both the bound
+    /// and the evaluation.
+    ///
+    /// `prepare` runs inside the point's panic isolation like the other
+    /// closures: a panic there is one [`Outcome::Failed`] record.
+    pub fn run_prepared<P, X, C, F, E, V, L, S>(
+        &self,
+        points: &[P],
+        prepare: &F,
+        evaluate: &E,
+        objective: &V,
+        lower_bound: Option<&L>,
+        on_record: S,
+    ) -> SweepStats
+    where
+        P: Clone + Sync,
+        C: Send,
+        F: Fn(&P) -> X + Sync,
+        E: Fn(&P, X) -> C + Sync,
+        V: Fn(&P, &C) -> f64 + Sync,
+        L: Fn(&P, &X) -> f64 + Sync,
+        S: FnMut(SweepRecord<P, C>),
+    {
         let _run_span = span!("engine.run");
         // lint:allow(wall-clock, elapsed feeds SweepStats reporting only, never results)
         let start = Instant::now();
-        let bound = if self.config.prune { lower_bound } else { None };
+        let stages = Stages {
+            prepare,
+            evaluate,
+            objective,
+            lower_bound: if self.config.prune { lower_bound } else { None },
+        };
         let threads = self.config.threads.min(points.len()).max(1);
         THREADS_GAUGE.set(threads as u64);
         let (evaluated, pruned, failed) = if threads <= 1 {
-            self.run_sequential(points, evaluate, objective, bound, on_record)
+            self.run_sequential(points, &stages, on_record)
         } else {
-            self.run_parallel(points, threads, evaluate, objective, bound, on_record)
+            self.run_parallel(points, threads, &stages, on_record)
         };
         POINTS_EVALUATED.add(evaluated as u64);
         POINTS_PRUNED.add(pruned as u64);
@@ -421,19 +466,18 @@ impl SweepEngine {
             })
     }
 
-    fn run_sequential<P, C, E, V, L, S>(
+    fn run_sequential<P, X, C, F, E, V, L, S>(
         &self,
         points: &[P],
-        evaluate: &E,
-        objective: &V,
-        lower_bound: Option<&L>,
+        stages: &Stages<'_, F, E, V, L>,
         mut on_record: S,
     ) -> (usize, usize, usize)
     where
         P: Clone,
-        E: Fn(&P) -> C,
+        F: Fn(&P) -> X,
+        E: Fn(&P, X) -> C,
         V: Fn(&P, &C) -> f64,
-        L: Fn(&P) -> f64,
+        L: Fn(&P, &X) -> f64,
         S: FnMut(SweepRecord<P, C>),
     {
         let mut best = f64::INFINITY;
@@ -441,7 +485,7 @@ impl SweepEngine {
         let mut pruned = 0;
         let mut failed = 0;
         for (index, point) in points.iter().enumerate() {
-            let outcome = execute_point(index, point, best, evaluate, objective, lower_bound);
+            let outcome = stages.execute(index, point, best);
             let is_best = match &outcome {
                 Outcome::Evaluated { value, .. } => {
                     evaluated += 1;
@@ -468,21 +512,20 @@ impl SweepEngine {
         (evaluated, pruned, failed)
     }
 
-    fn run_parallel<P, C, E, V, L, S>(
+    fn run_parallel<P, X, C, F, E, V, L, S>(
         &self,
         points: &[P],
         threads: usize,
-        evaluate: &E,
-        objective: &V,
-        lower_bound: Option<&L>,
+        stages: &Stages<'_, F, E, V, L>,
         mut on_record: S,
     ) -> (usize, usize, usize)
     where
         P: Clone + Sync,
         C: Send,
-        E: Fn(&P) -> C + Sync,
+        F: Fn(&P) -> X + Sync,
+        E: Fn(&P, X) -> C + Sync,
         V: Fn(&P, &C) -> f64 + Sync,
-        L: Fn(&P) -> f64 + Sync,
+        L: Fn(&P, &X) -> f64 + Sync,
         S: FnMut(SweepRecord<P, C>),
     {
         let queue = AtomicUsize::new(0);
@@ -509,8 +552,7 @@ impl SweepEngine {
                         }
                         let point = &points[index];
                         let best = f64::from_bits(best_bits.load(Ordering::Relaxed));
-                        let outcome =
-                            execute_point(index, point, best, evaluate, objective, lower_bound);
+                        let outcome = stages.execute(index, point, best);
                         if let Outcome::Evaluated { value, .. } = &outcome {
                             atomic_f64_min(best_bits, *value);
                         }
@@ -552,56 +594,62 @@ impl SweepEngine {
     }
 }
 
-/// Executes one design point with panic isolation: the pruning check, the
-/// evaluation and the objective all run inside `catch_unwind`, so a panic
-/// anywhere becomes an [`Outcome::Failed`] for this point alone instead of
-/// unwinding through the worker (which would poison shared locks and, on the
-/// parallel path, abort the whole scope).
-///
-/// `AssertUnwindSafe` is sound here: a caught panic abandons everything the
-/// closure was building, the shared state the evaluation may have touched
-/// (the memo/mapping caches) recovers from lock
-/// poisoning by construction, and the engine never reuses partial results of
-/// a failed point.
-fn execute_point<P, C, E, V, L>(
-    index: usize,
-    point: &P,
-    best: f64,
-    evaluate: &E,
-    objective: &V,
-    lower_bound: Option<&L>,
-) -> Outcome<C>
-where
-    E: Fn(&P) -> C,
-    V: Fn(&P, &C) -> f64,
-    L: Fn(&P) -> f64,
-{
-    // `quiet_panics` silences the default panic hook for exactly this
-    // region: the payload is reported through the Failed record below, so
-    // the hook's stderr dump would only duplicate it.
-    let result = defines_telemetry::quiet_panics(|| {
-        catch_unwind(AssertUnwindSafe(|| {
-            if let Some(lb) = lower_bound {
-                let bound = lb(point);
-                if bound > best {
-                    return Outcome::Pruned { lower_bound: bound };
+/// The caller's per-point closures of one run (the bound already dropped
+/// when pruning is off).
+struct Stages<'a, F, E, V, L> {
+    prepare: &'a F,
+    evaluate: &'a E,
+    objective: &'a V,
+    lower_bound: Option<&'a L>,
+}
+
+impl<F, E, V, L> Stages<'_, F, E, V, L> {
+    /// Executes one design point with panic isolation: the preparation, the
+    /// pruning check, the evaluation and the objective all run inside
+    /// `catch_unwind`, so a panic anywhere becomes an [`Outcome::Failed`] for
+    /// this point alone instead of unwinding through the worker (which would
+    /// poison shared locks and, on the parallel path, abort the whole scope).
+    ///
+    /// `AssertUnwindSafe` is sound here: a caught panic abandons everything
+    /// the closures were building, the shared state the evaluation may have
+    /// touched (the memo/mapping caches) recovers from lock poisoning by
+    /// construction, and the engine never reuses partial results of a failed
+    /// point.
+    fn execute<P, X, C>(&self, index: usize, point: &P, best: f64) -> Outcome<C>
+    where
+        F: Fn(&P) -> X,
+        E: Fn(&P, X) -> C,
+        V: Fn(&P, &C) -> f64,
+        L: Fn(&P, &X) -> f64,
+    {
+        // `quiet_panics` silences the default panic hook for exactly this
+        // region: the payload is reported through the Failed record below,
+        // so the hook's stderr dump would only duplicate it.
+        let result = defines_telemetry::quiet_panics(|| {
+            catch_unwind(AssertUnwindSafe(|| {
+                let prepared = (self.prepare)(point);
+                if let Some(lb) = self.lower_bound {
+                    let bound = lb(point, &prepared);
+                    if bound > best {
+                        return Outcome::Pruned { lower_bound: bound };
+                    }
                 }
+                let cost = {
+                    let _span = span!("engine.execute", point = index);
+                    failpoint!("engine.execute");
+                    (self.evaluate)(point, prepared)
+                };
+                let value = (self.objective)(point, &cost);
+                Outcome::Evaluated { cost, value }
+            }))
+        });
+        result.unwrap_or_else(|payload| {
+            CAUGHT_PANICS.incr();
+            Outcome::Failed {
+                error: panic_error(payload.as_ref()),
             }
-            let cost = {
-                let _span = span!("engine.execute", point = index);
-                failpoint!("engine.execute");
-                evaluate(point)
-            };
-            let value = objective(point, &cost);
-            Outcome::Evaluated { cost, value }
-        }))
-    });
-    result.unwrap_or_else(|payload| {
-        CAUGHT_PANICS.incr();
-        Outcome::Failed {
-            error: panic_error(payload.as_ref()),
-        }
-    })
+        })
+    }
 }
 
 /// Renders a caught panic payload as a failed record's error string.
@@ -863,6 +911,96 @@ mod tests {
         for (s, p) in seq.iter().zip(&par) {
             assert_eq!(s.index, p.index);
             assert_eq!(s.value().map(f64::to_bits), p.value().map(f64::to_bits));
+        }
+    }
+
+    /// Sweeps `points` with a prepare stage that panics on point 13, pruning
+    /// on a bound read from the prepared value, and returns the records.
+    fn sweep_with_panicking_prepare(threads: usize, points: &[i64]) -> Vec<SweepRecord<i64, f64>> {
+        let engine = SweepEngine::new(EngineConfig::parallel().with_threads(threads));
+        let mut records = Vec::new();
+        let stats = engine.run_prepared(
+            points,
+            &|p: &i64| {
+                if *p == 13 {
+                    panic!("injected prepare failure for point {p}");
+                }
+                toy_eval(p)
+            },
+            &|_: &i64, prepared: f64| prepared,
+            &|_, c: &f64| *c,
+            Some(&|_: &i64, prepared: &f64| prepared / 2.0),
+            |r| records.push(r),
+        );
+        assert_eq!(stats.failed, usize::from(points.contains(&13)));
+        assert_eq!(stats.evaluated + stats.pruned + stats.failed, points.len());
+        records.sort_by_key(|r| r.index);
+        records
+    }
+
+    #[test]
+    fn panicking_prepare_fails_one_point_and_leaves_siblings_bit_identical() {
+        let points: Vec<i64> = (0..20).collect();
+        // The same sweep without the failing point: a failed point never
+        // publishes a value, so no sibling's pruning decision may change.
+        let absent: Vec<i64> = points.iter().copied().filter(|&p| p != 13).collect();
+        let reference = sweep_with_panicking_prepare(1, &absent);
+        for threads in [1, 4] {
+            let records = sweep_with_panicking_prepare(threads, &points);
+            match &records[13].outcome {
+                Outcome::Failed { error } => {
+                    assert_eq!(error, "injected prepare failure for point 13");
+                }
+                other => panic!("expected Failed outcome, got {other:?}"),
+            }
+            let siblings: Vec<_> = records.iter().filter(|r| r.point != 13).collect();
+            if threads == 1 {
+                // Sequential runs see the same incumbents, so pruning
+                // decisions and bounds match record for record.
+                for (s, r) in siblings.iter().zip(&reference) {
+                    assert_eq!((s.point, &s.outcome), (r.point, &r.outcome));
+                }
+            } else {
+                // In parallel a sibling may be pruned or evaluated, but every
+                // evaluated value is bit-identical.
+                for (s, r) in siblings.iter().zip(&reference) {
+                    if let (Some(a), Some(b)) = (s.value(), r.value()) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "point {}", s.point);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prepared_value_reaches_bound_and_evaluation_once() {
+        let prepares = AtomicUsize::new(0);
+        let points: Vec<i64> = (0..50).collect();
+        for threads in [1, 4] {
+            prepares.store(0, Ordering::Relaxed);
+            let engine = SweepEngine::new(EngineConfig::parallel().with_threads(threads));
+            let mut records = Vec::new();
+            engine.run_prepared(
+                &points,
+                &|p: &i64| {
+                    prepares.fetch_add(1, Ordering::Relaxed);
+                    (*p, toy_eval(p))
+                },
+                &|p: &i64, (q, value): (i64, f64)| {
+                    assert_eq!(*p, q, "evaluate receives its own point's value");
+                    value
+                },
+                &|_, c: &f64| *c,
+                Some(&|p: &i64, &(q, value): &(i64, f64)| {
+                    assert_eq!(*p, q, "the bound receives its own point's value");
+                    value / 2.0
+                }),
+                |r| records.push(r),
+            );
+            assert_eq!(prepares.load(Ordering::Relaxed), points.len());
+            records.sort_by_key(|r| r.index);
+            let best = SweepEngine::best_record(records).unwrap();
+            assert_eq!(best.point, 3);
         }
     }
 

@@ -81,6 +81,13 @@ pub struct PhaseRow {
     /// window is empty). Spans nest — e.g. `engine.execute` inside
     /// `engine.worker` — so shares do not sum to 1.
     pub share: f64,
+    /// Self-time: `total_ms` minus the time the phase's direct child spans
+    /// cover, milliseconds.
+    pub self_ms: f64,
+    /// `self_ms` as a fraction of the wall-clock window. Per thread,
+    /// self-times partition the traced time, so on one thread the self
+    /// shares of all phases sum to at most 1.
+    pub self_share: f64,
 }
 
 /// A per-phase wall-time breakdown of a trace: one [`PhaseRow`] per span
@@ -103,23 +110,26 @@ impl PhaseBreakdown {
         }
         let mut earliest = f64::INFINITY;
         let mut latest = f64::NEG_INFINITY;
-        let mut totals: Vec<(&'static str, u64, f64)> = Vec::new();
-        for event in events {
+        // (name, count, total µs, self µs)
+        let mut totals: Vec<(&'static str, u64, f64, f64)> = Vec::new();
+        for (event, self_us) in events.iter().zip(self_times_us(events)) {
             earliest = earliest.min(event.start_us);
             latest = latest.max(event.start_us + event.dur_us);
             match totals.iter_mut().find(|(name, ..)| *name == event.name) {
-                Some((_, count, total)) => {
+                Some((_, count, total, own)) => {
                     *count += 1;
                     *total += event.dur_us;
+                    *own += self_us;
                 }
-                None => totals.push((event.name, 1, event.dur_us)),
+                None => totals.push((event.name, 1, event.dur_us, self_us)),
             }
         }
         let wall_us = (latest - earliest).max(0.0);
         let wall_ms = wall_us / 1e3;
+        let share = |us: f64| if wall_us > 0.0 { us / wall_us } else { 0.0 };
         let mut phases: Vec<PhaseRow> = totals
             .into_iter()
-            .map(|(name, count, total_us)| PhaseRow {
+            .map(|(name, count, total_us, self_us)| PhaseRow {
                 name,
                 count,
                 total_ms: total_us / 1e3,
@@ -128,40 +138,80 @@ impl PhaseBreakdown {
                 } else {
                     0.0
                 },
-                share: if wall_us > 0.0 {
-                    total_us / wall_us
-                } else {
-                    0.0
-                },
+                share: share(total_us),
+                self_ms: self_us / 1e3,
+                self_share: share(self_us),
             })
             .collect();
         phases.sort_by(|a, b| b.total_ms.total_cmp(&a.total_ms).then(a.name.cmp(b.name)));
         Self { phases, wall_ms }
     }
 
-    /// The breakdown as a markdown table (phase, count, total, mean, share
-    /// of wall clock).
+    /// The breakdown as a markdown table (phase, count, total, self, mean,
+    /// shares of wall clock).
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
-        out.push_str("| phase | count | total (ms) | mean (µs) | % of wall |\n");
-        out.push_str("|---|---:|---:|---:|---:|\n");
+        out.push_str(
+            "| phase | count | total (ms) | self (ms) | mean (µs) | % of wall | % self |\n",
+        );
+        out.push_str("|---|---:|---:|---:|---:|---:|---:|\n");
         for row in &self.phases {
             out.push_str(&format!(
-                "| `{}` | {} | {:.3} | {:.1} | {:.1}% |\n",
+                "| `{}` | {} | {:.3} | {:.3} | {:.1} | {:.1}% | {:.1}% |\n",
                 row.name,
                 row.count,
                 row.total_ms,
+                row.self_ms,
                 row.mean_us,
-                row.share * 100.0
+                row.share * 100.0,
+                row.self_share * 100.0
             ));
         }
         out.push_str(&format!(
-            "\nwall clock: {:.3} ms ({} phases; spans nest, shares may exceed 100%)\n",
+            "\nwall clock: {:.3} ms ({} phases; `% of wall` includes nested spans, \
+             `% self` excludes them)\n",
             self.wall_ms,
             self.phases.len()
         ));
         out
     }
+}
+
+/// Each span's self-time in µs, in `events` order: its duration minus the
+/// interval its direct children cover. Per thread, spans nest by interval
+/// containment — a span's parent is the innermost earlier span of the same
+/// thread still open when it starts — the rule the benchmark ladder's
+/// `benchmark/src/spans.rs` applies.
+fn self_times_us(events: &[SpanEvent]) -> Vec<f64> {
+    let end = |e: &SpanEvent| e.start_us + e.dur_us;
+    // Per thread, parents before children: earlier start first, and of two
+    // spans starting together the longer one encloses the other.
+    let mut order: Vec<usize> = (0..events.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (a, b) = (&events[a], &events[b]);
+        a.thread
+            .cmp(&b.thread)
+            .then(a.start_us.total_cmp(&b.start_us))
+            .then(b.dur_us.total_cmp(&a.dur_us))
+    });
+    let mut self_us: Vec<f64> = events.iter().map(|e| e.dur_us).collect();
+    // Open spans of the current thread, innermost last.
+    let mut open: Vec<usize> = Vec::new();
+    for &i in &order {
+        let span = &events[i];
+        while open.last().is_some_and(|&top| {
+            events[top].thread != span.thread || end(&events[top]) <= span.start_us
+        }) {
+            open.pop();
+        }
+        if let Some(&parent) = open.last() {
+            // Clipped to the parent: clock jitter must not make a child
+            // cover more than its parent has.
+            self_us[parent] -= (end(span).min(end(&events[parent])) - span.start_us).max(0.0);
+        }
+        open.push(i);
+    }
+    self_us.into_iter().map(|us| us.max(0.0)).collect()
 }
 
 impl Serialize for PhaseBreakdown {
@@ -180,6 +230,8 @@ impl Serialize for PhaseBreakdown {
                                 ("total_ms".to_string(), Value::F64(p.total_ms)),
                                 ("mean_us".to_string(), Value::F64(p.mean_us)),
                                 ("share".to_string(), Value::F64(p.share)),
+                                ("self_ms".to_string(), Value::F64(p.self_ms)),
+                                ("self_share".to_string(), Value::F64(p.self_share)),
                             ])
                         })
                         .collect(),
@@ -279,5 +331,48 @@ mod tests {
         let md = breakdown.to_markdown();
         assert!(md.contains("| `big` |"));
         assert!(md.contains("| `small` | 2 |"));
+        assert!(!md.contains("exceed 100%"));
+    }
+
+    #[test]
+    fn self_time_subtracts_child_spans_per_thread() {
+        // Thread 0: outer [0, 100) holding mid [10, 60) holding inner
+        // [20, 30), and a second child [70, 90). Thread 1 runs an `outer`
+        // [5, 45) with a `mid` [40, 80) that overruns it by 35 µs (clock
+        // jitter) — a span on another thread never counts as a child.
+        let events = vec![
+            event("outer", 0.0, 100.0, 0),
+            event("mid", 10.0, 50.0, 0),
+            event("inner", 20.0, 10.0, 0),
+            event("inner", 70.0, 20.0, 0),
+            event("outer", 5.0, 40.0, 1),
+            event("mid", 40.0, 40.0, 1),
+        ];
+        let breakdown = PhaseBreakdown::from_events(&events);
+        let row = |name: &str| {
+            breakdown
+                .phases
+                .iter()
+                .find(|p| p.name == name)
+                .unwrap()
+                .clone()
+        };
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
+        // outer: 100 - 50 (mid) - 20 (inner) on thread 0, plus 40 - 5 (mid,
+        // clipped to outer's end) on thread 1.
+        assert!(close(row("outer").self_ms, (30.0 + 35.0) / 1e3));
+        // mid: 50 - 10 on thread 0, and 40 on thread 1 (its overrun is past
+        // its own parent, so it has no child).
+        assert!(close(row("mid").self_ms, (40.0 + 40.0) / 1e3));
+        assert!(close(row("inner").self_ms, 30.0 / 1e3));
+        // Wall window [0, 100): per thread, self-times partition the traced
+        // time, so the shares of thread 0 alone sum to exactly 1.
+        let thread0 = PhaseBreakdown::from_events(&events[..4]);
+        let sum: f64 = thread0.phases.iter().map(|p| p.self_share).sum();
+        assert!(close(sum, 1.0), "single-thread self shares sum to {sum}");
+        for p in &breakdown.phases {
+            assert!(p.self_ms <= p.total_ms + 1e-12);
+            assert!(p.self_share.is_finite());
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! mapping and core crates.
 
 use defines_arch::{zoo, Operand};
-use defines_core::backcalc::StackGeometry;
+use defines_core::backcalc::{tile_types, StackGeometry};
 use defines_core::stack::Stack;
 use defines_core::strategy::{OverlapMode, TileSize};
 use defines_core::tiling::TileGrid;
@@ -10,13 +10,19 @@ use defines_core::{DfCostModel, DfStrategy};
 use defines_mapping::{LomaMapper, MapperConfig, SingleLayerProblem, TemporalMapping};
 use defines_workload::{Layer, LayerDims, Network, OpType};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn arb_layer_dims() -> impl Strategy<Value = LayerDims> {
+    arb_layer_dims_upto(96)
+}
+
+/// Conv dims with output sides in `4..=max_side`.
+fn arb_layer_dims_upto(max_side: u64) -> impl Strategy<Value = LayerDims> {
     (
-        1u64..=64, // k
-        1u64..=32, // c
-        4u64..=96, // ox
-        4u64..=96, // oy
+        1u64..=64,       // k
+        1u64..=32,       // c
+        4u64..=max_side, // ox
+        4u64..=max_side, // oy
         prop::sample::select(vec![1u64, 3, 5]),
         prop::sample::select(vec![1u64, 2]),
     )
@@ -27,15 +33,61 @@ fn arb_layer_dims() -> impl Strategy<Value = LayerDims> {
         })
 }
 
-fn two_layer_net(d1: LayerDims, k2: u64, f2: u64) -> Network {
+/// What follows the first layer of a generated stack.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// A same-padded convolution.
+    Conv,
+    /// A same-padded 3x3 convolution with stride 2.
+    Strided,
+    /// A same-padded depthwise convolution.
+    Depthwise,
+    /// Two same-padded convolutions whose output is added back to the first
+    /// layer's (the first layer's output has two readers; near the far
+    /// edges the cached modes leave the first convolution idle along one
+    /// axis).
+    Residual,
+}
+
+fn arb_shape() -> impl Strategy<Value = Shape> {
+    prop::sample::select(vec![
+        Shape::Conv,
+        Shape::Strided,
+        Shape::Depthwise,
+        Shape::Residual,
+    ])
+}
+
+/// A stack of a first layer `d1` and the layers `shape` appends. Every pixel
+/// of every feature map is read by some output pixel, so fully-cached
+/// computes each layer's output exactly once.
+fn stack_net(d1: LayerDims, shape: Shape, k2: u64, f2: u64) -> Network {
     let mut net = Network::new("prop");
     let a = net
         .add_layer(Layer::new("a", OpType::Conv, d1), &[])
         .unwrap();
-    let d2 =
-        LayerDims::conv(k2, d1.k, d1.ox, d1.oy, f2, f2).with_padding((f2 - 1) / 2, (f2 - 1) / 2);
-    net.add_layer(Layer::new("b", OpType::Conv, d2), &[a])
+    let same = |k, c, f: u64, s: u64| {
+        LayerDims::conv(k, c, d1.ox.div_ceil(s), d1.oy.div_ceil(s), f, f)
+            .with_stride(s, s)
+            .with_padding((f - 1) / 2, (f - 1) / 2)
+    };
+    let (op, d2) = match shape {
+        Shape::Conv => (OpType::Conv, same(k2, d1.k, f2, 1)),
+        Shape::Strided => (OpType::Conv, same(k2, d1.k, 3, 2)),
+        Shape::Depthwise => (OpType::DepthwiseConv, same(d1.k, d1.k, f2, 1)),
+        Shape::Residual => (OpType::Conv, same(d1.k, d1.k, f2, 1)),
+    };
+    let b = net.add_layer(Layer::new("b", op, d2), &[a]).unwrap();
+    if let Shape::Residual = shape {
+        let c = net
+            .add_layer(Layer::new("c", OpType::Conv, d2), &[b])
+            .unwrap();
+        net.add_layer(
+            Layer::new("add", OpType::Add, same(d1.k, d1.k, 1, 1)),
+            &[c, a],
+        )
         .unwrap();
+    }
     net
 }
 
@@ -72,18 +124,20 @@ proptest! {
         }
     }
 
-    /// For any two-layer network and any tile size, the tile grid covers the
-    /// output exactly and the fully-cached analysis never recomputes: the
-    /// summed MACs equal the workload MACs.
+    /// For any generated stack (plain, strided, depthwise or residual) and
+    /// any tile size, the tile grid covers the output exactly and the
+    /// fully-cached analysis never recomputes: the summed MACs equal the
+    /// workload MACs.
     #[test]
     fn fully_cached_never_recomputes(
         d1 in arb_layer_dims(),
+        shape in arb_shape(),
         k2 in 1u64..=32,
         f2 in prop::sample::select(vec![1u64, 3]),
         tx in 1u64..=32,
         ty in 1u64..=32,
     ) {
-        let net = two_layer_net(d1, k2, f2);
+        let net = stack_net(d1, shape, k2, f2);
         let stack = Stack::new(net.layer_ids().collect());
         let geo = StackGeometry::new(&net, &stack);
         let last = net.layers().last().unwrap();
@@ -108,11 +162,12 @@ proptest! {
     #[test]
     fn input_accounting_is_consistent(
         d1 in arb_layer_dims(),
+        shape in arb_shape(),
         tx in 1u64..=24,
         ty in 1u64..=24,
         mode in prop::sample::select(OverlapMode::ALL.to_vec()),
     ) {
-        let net = two_layer_net(d1, 16, 3);
+        let net = stack_net(d1, shape, 16, 3);
         let stack = Stack::new(net.layer_ids().collect());
         let geo = StackGeometry::new(&net, &stack);
         let last = net.layers().last().unwrap();
@@ -125,6 +180,42 @@ proptest! {
                     rec.fresh_input_bytes + rec.cached_h_input_bytes + rec.cached_v_input_bytes
                 );
                 prop_assert!(rec.external_input_bytes <= rec.fresh_input_bytes);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Steps 1–2 against the ungrouped oracle: every tile of the grid through
+    /// the 2-D `analyze_tile`, grouped by equality, is exactly the multiset
+    /// of `tile_types` — which checks both the edge-signature grouping and
+    /// the per-axis composition (with its fallback on residual stacks).
+    #[test]
+    fn tile_types_match_the_tile_by_tile_oracle(
+        d1 in arb_layer_dims_upto(40),
+        shape in arb_shape(),
+        k2 in 1u64..=8,
+        f2 in prop::sample::select(vec![1u64, 3]),
+        tx in 1u64..=12,
+        ty in 1u64..=12,
+    ) {
+        let net = stack_net(d1, shape, k2, f2);
+        let stack = Stack::new(net.layer_ids().collect());
+        let geo = StackGeometry::new(&net, &stack);
+        let last = net.layers().last().unwrap();
+        let tile = TileSize::new(tx, ty);
+        let grid = TileGrid::new(last.dims.ox, last.dims.oy, tile);
+        for mode in OverlapMode::ALL {
+            let mut oracle: HashMap<_, u64> = HashMap::new();
+            for (c, r, _) in grid.iter() {
+                *oracle.entry(geo.analyze_tile(mode, &grid, c, r)).or_default() += 1;
+            }
+            let types = tile_types(&geo, tile, mode);
+            prop_assert_eq!(types.len(), oracle.len());
+            for (analysis, count) in &types {
+                prop_assert_eq!(oracle.get(analysis), Some(count));
             }
         }
     }
