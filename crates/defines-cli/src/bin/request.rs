@@ -94,7 +94,7 @@ fn main() {
             Arg::new("full-mapper")
                 .long("full-mapper")
                 .action(ArgAction::SetTrue)
-                .help("Standalone mode: use the exhaustive temporal-mapping search"),
+                .help("Standalone mode: search every temporal-mapping ordering (pruned, exact)"),
         )
         .arg(
             Arg::new("budget")

@@ -70,7 +70,10 @@ fn main() {
             Arg::new("full-mapper")
                 .long("full-mapper")
                 .action(ArgAction::SetTrue)
-                .help("Use the exhaustive temporal-mapping search instead of the fast one"),
+                .help(
+                    "Search every temporal-mapping ordering (pruned, exact) instead of \
+                     sampling 48",
+                ),
         )
         .arg(
             Arg::new("budget")

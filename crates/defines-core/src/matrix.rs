@@ -80,8 +80,8 @@ pub struct MatrixConfig {
     /// The mapping cache shared by every cell's cost model. Pass a fresh
     /// cache (the default) or a pre-warmed one from earlier sweeps.
     pub cache: MappingCache,
-    /// Whether the cells use the fast symmetry-pruned temporal-mapping
-    /// search (default) or the exhaustive reference scan.
+    /// Whether the cells sample 48 orderings per mapping search (default) or
+    /// search all of them (pruned; results equal the exhaustive scan's).
     pub fast_mapper: bool,
     /// Deterministic work budget applied to every cell's searches (mapping
     /// orderings and fusion-DP relaxations, see [`defines_mapping::Budget`]).

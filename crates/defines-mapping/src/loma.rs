@@ -7,9 +7,9 @@
 //! speed/quality knob of the paper's artifact maps to
 //! [`MapperConfig::max_orderings`].
 //!
-//! [`LomaMapper::optimize`] runs the symmetry-pruned branch-and-bound search
-//! of [`crate::search`], which returns a bit-identical [`LayerCost`] while
-//! evaluating only a fraction of the orderings;
+//! [`LomaMapper::optimize`] runs the transposition-pruned branch-and-bound
+//! search of [`crate::search`], which returns a bit-identical [`LayerCost`]
+//! while evaluating only a fraction of the orderings;
 //! [`LomaMapper::optimize_exhaustive`] keeps the plain scan as the reference
 //! implementation the pruned search is tested against. Each search is one
 //! closed problem that shares no state with any other, so callers
@@ -27,7 +27,7 @@ use serde::Serialize;
 static ORDERINGS_EVALUATED: Counter = Counter::new("search.orderings_evaluated");
 /// Orderings skipped by the partial-cost lower bound.
 static PRUNED_BOUND: Counter = Counter::new("search.pruned_bound");
-/// Orderings skipped as non-canonical members of a symmetry orbit.
+/// Orderings skipped because an earlier prefix reached the same allocation state.
 static PRUNED_SYMMETRY: Counter = Counter::new("search.pruned_symmetry");
 /// Orderings skipped because they fell beyond the search budget.
 static SKIPPED_BUDGET: Counter = Counter::new("search.skipped_budget");
@@ -172,7 +172,7 @@ impl LomaMapper {
     /// Finds the best temporal mapping for a problem and returns its cost.
     ///
     /// Ties on the objective are broken by total energy, then latency, so the
-    /// result is deterministic. Runs the symmetry-pruned branch-and-bound
+    /// result is deterministic. Runs the transposition-pruned branch-and-bound
     /// search, which is guaranteed to return the same cost (and the same
     /// tie-broken mapping) as [`LomaMapper::optimize_exhaustive`]. The
     /// search's counters are published into the `search.*` telemetry metrics.

@@ -1,4 +1,4 @@
-//! The symmetry-pruned, branch-and-bound temporal-mapping search.
+//! The transposition-pruned, branch-and-bound temporal-mapping search.
 //!
 //! [`LomaMapper::optimize`](crate::LomaMapper::optimize) used to evaluate up
 //! to `6! = 720` full loop orderings per problem, each with a fresh bottom-up
@@ -6,14 +6,8 @@
 //! that cold path with a search that is guaranteed to return a bit-identical
 //! [`LayerCost`] while doing far less work:
 //!
-//! * **Canonicalization** — size-1 loops are dropped from the permutation
-//!   space ([`crate::temporal::active_loops`]), and
-//!   *interchangeable* dimensions (equal trip count, equal spatial unrolling,
-//!   identical relevance for every operand, and a symmetric role in every
-//!   data-size formula) are pinned to their canonical relative order. Each
-//!   surviving ordering is the lexicographically-first member of its symmetry
-//!   orbit, which is exactly the member an exhaustive lexicographic scan
-//!   would crown on a tie — so skipping the mirrors cannot change the result.
+//! * **Active loops only** — size-1 loops are dropped from the permutation
+//!   space ([`crate::temporal::active_loops`]).
 //! * **Prefix-tree enumeration** — orderings are walked innermost-first
 //!   through the permutation tree, and the greedy bottom-up allocation state
 //!   (per-operand level boundaries plus the refetch factors of already-closed
@@ -27,12 +21,28 @@
 //!   true cost, term-wise dominated by it, so `bound > best` proves the whole
 //!   subtree is strictly worse and it is skipped. Strictness preserves the
 //!   exhaustive scan's tie-breaking.
+//! * **Transpositions** — below a prefix the walk reads only the set of
+//!   placed loops (which fixes the effective sizes) and each operand's
+//!   allocation state (closed levels, which of them have seen a relevant
+//!   loop, and their refetch factors; open levels always price at factor 1).
+//!   Two prefixes with equal `(placed loops, allocation states)` therefore
+//!   root subtrees whose corresponding leaves have bit-identical
+//!   (value, energy, latency). The subtree walked first holds the
+//!   lexicographically-first member, leaves replace the best only when
+//!   strictly smaller, and a node bound-pruned there had
+//!   `bound > best then >= best now`; so every later prefix reaching an
+//!   already-walked state is skipped without changing the cost or the
+//!   tie-broken mapping (`Transpositions`). Most of the 720 orderings of a
+//!   problem collapse this way: cost depends on an ordering only through the
+//!   allocation state it builds.
 //!
 //! The search itself is sequential and shares nothing: it prunes against its
 //! own best only, so the result *and* the counters are a pure function of
-//! (problem, configuration). A mean search costs 20–54 µs, below any thread
-//! hand-off, so the parallelism lives one level up, across the many
-//! independent searches the sweep engine dispatches.
+//! (problem, configuration). A search costs about 20 µs at either mapper
+//! width (`mapping.search.problem_{fast,full}_us` on the benchmark ladder,
+//! 2-core host), below any thread hand-off, so the parallelism lives one
+//! level up, across the many independent searches the sweep engine
+//! dispatches.
 //!
 //! The scalar kernel behind both the bound and the leaf evaluation is
 //! allocation-free: it works on fixed-size arrays indexed by memory level and
@@ -76,8 +86,10 @@ pub struct SearchStats {
     /// Candidate orderings skipped because the partial-cost lower bound of
     /// their shared prefix already exceeded the best evaluated cost.
     pub pruned_bound: u64,
-    /// Candidate orderings skipped as non-canonical members of a symmetry
-    /// orbit (only active when the full permutation space is enumerated).
+    /// Candidate orderings skipped because an earlier prefix over the same
+    /// loops reached the same allocation state, so their costs repeat ones
+    /// already walked (only when the full permutation space is enumerated
+    /// and every operand's allocation state is incremental).
     pub pruned_symmetry: u64,
     /// Candidate orderings skipped because their rank in the deterministic
     /// enumeration fell at or beyond [`crate::Budget::max_orderings`]. A
@@ -233,14 +245,13 @@ struct SearchCtx<'p, 'a> {
     factors: [u64; 7],
     /// Temporal trip count per [`Dim::ALL`] index (1 for inactive dims).
     trip_by_dim: [u64; 7],
-    /// For each active dim: bitmask of earlier active dims that are
-    /// interchangeable with it and must therefore already be placed before it
-    /// may be chosen (symmetry canonicalization).
-    pred_mask: Vec<u8>,
-    /// Whether symmetry pruning is active (only without subsampling: a
-    /// sampled candidate's mirror may not be in the sample, so skipping it
-    /// would lose a candidate instead of a duplicate).
-    symmetry: bool,
+    /// Whether prefixes reaching an already-walked allocation state are
+    /// skipped (see [`Transpositions`]): only without subsampling (a sampled
+    /// candidate's twin may not be in the sample, so skipping it would lose
+    /// a candidate instead of a duplicate) and only when every operand's
+    /// allocation state is incremental (otherwise leaves recompute their
+    /// refetch factors from the ordering itself, which the state omits).
+    transpose: bool,
     sample: bool,
     max: u64,
     /// Rank-window budget: candidates whose selected-index reaches this value
@@ -272,6 +283,9 @@ struct WalkState {
     order_buf: [Dim; MAX_LOOPS],
     /// Scratch traffic accumulators, one slot per (level, operand).
     traffic: Vec<[Traffic; 3]>,
+    /// The allocation states walked so far (`None` when
+    /// [`SearchCtx::transpose`] is off).
+    seen: Option<Transpositions>,
     best: Option<Best>,
     stats: SearchStats,
 }
@@ -284,8 +298,86 @@ impl WalkState {
             used: 0,
             order_buf: [Dim::B; MAX_LOOPS],
             traffic: vec![[Traffic::default(); 3]; ctx.level_read_e.len()],
+            seen: ctx.transpose.then(|| {
+                // One entry per prefix-tree node at most: sum of k!/(k-d)!.
+                let k = ctx.dims.len();
+                let nodes: u64 = (1..=k).map(|d| ctx.fact[k] / ctx.fact[k - d]).sum();
+                Transpositions::new(nodes as usize)
+            }),
             best: None,
             stats: SearchStats::default(),
+        }
+    }
+}
+
+/// The set of `(placed loops, per-operand allocation state)` keys one search
+/// has walked (see the module docs for why a repeated key can be skipped): a
+/// flat open-addressing table over a key arena.
+///
+/// A key is packed as one header word — the
+/// placed-loop mask plus each operand's `closed` and `seen_relevant` bytes —
+/// followed by the factor bits of every closed level that has seen a relevant
+/// loop, in operand and level order; every other level's factor is exactly
+/// 1.0. Equal headers therefore imply equal key lengths.
+struct Transpositions {
+    /// `1 +` the key's offset in `keys`, or 0 for an empty slot.
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: the hash's top bits pick the home slot.
+    shift: u32,
+    keys: Vec<u64>,
+}
+
+impl Transpositions {
+    /// A table with room for `capacity` keys at a load factor of at most ½.
+    fn new(capacity: usize) -> Self {
+        let len = (2 * capacity).next_power_of_two().max(2);
+        Self {
+            slots: vec![0; len],
+            shift: 64 - len.trailing_zeros(),
+            keys: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Records the key of `used` and `states`; returns `false` if it was
+    /// already present.
+    fn insert(&mut self, used: u8, states: &[AllocState]) -> bool {
+        let mut key = [0u64; 1 + 3 * MAX_LEVELS];
+        let mut len = 1;
+        let mut header = used as u64;
+        for (o, alloc) in states.iter().enumerate() {
+            header |= (alloc.closed as u64) << (8 + 16 * o)
+                | (alloc.seen_relevant as u64) << (16 + 16 * o);
+            let mut priced = alloc.closed & alloc.seen_relevant;
+            while priced != 0 {
+                key[len] = alloc.factor[priced.trailing_zeros() as usize].to_bits();
+                len += 1;
+                priced &= priced - 1;
+            }
+        }
+        key[0] = header;
+        let key = &key[..len];
+
+        let mut h = 0u64;
+        for &word in key {
+            h = (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = (h >> self.shift) as usize;
+        loop {
+            match self.slots[i] {
+                0 => {
+                    self.slots[i] = self.keys.len() as u32 + 1;
+                    self.keys.extend_from_slice(key);
+                    return true;
+                }
+                slot => {
+                    let start = slot as usize - 1;
+                    if self.keys[start] == header && self.keys[start + 1..start + len] == key[1..] {
+                        return false;
+                    }
+                }
+            }
+            i = (i + 1) & mask;
         }
     }
 }
@@ -374,11 +466,10 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
             trip_by_dim[dim_index(*d)] = *t;
         }
 
-        let mut ctx = Self {
+        Self {
             problem,
             objective,
-            pred_mask: vec![0; k],
-            symmetry: !sample,
+            transpose: !sample && ops.iter().all(|op| op.incremental),
             sample,
             max,
             budget,
@@ -396,66 +487,6 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
             trips,
             factors,
             trip_by_dim,
-        };
-        if ctx.symmetry {
-            ctx.compute_symmetry();
-        }
-        ctx
-    }
-
-    /// Marks, for every active dimension, the earlier interchangeable
-    /// dimensions it must follow. Two dimensions are interchangeable when
-    /// swapping them in *any* ordering provably yields the exact same cost:
-    /// equal temporal trip count, equal spatial unrolling factor, identical
-    /// relevance for every evaluated operand, and a symmetric role in every
-    /// data-size formula (purely multiplicative dims always qualify; the
-    /// OX/OY and FX/FY sliding-window pairs qualify when the strides match
-    /// and the partner pair is temporally trivial with equal unrolling).
-    fn compute_symmetry(&mut self) {
-        let k = self.dims.len();
-        for j in 1..k {
-            for i in 0..j {
-                if self.interchangeable(i, j) {
-                    self.pred_mask[j] |= 1 << i;
-                }
-            }
-        }
-    }
-
-    fn interchangeable(&self, i: usize, j: usize) -> bool {
-        let (di, dj) = (self.dims[i], self.dims[j]);
-        if self.trips[i] != self.trips[j] {
-            return false;
-        }
-        if self.factors[dim_index(di)] != self.factors[dim_index(dj)] {
-            return false;
-        }
-        let (bi, bj) = (1u8 << dim_index(di), 1u8 << dim_index(dj));
-        for op in &self.ops {
-            if (op.relevant & bi != 0) != (op.relevant & bj != 0) {
-                return false;
-            }
-        }
-        let multiplicative = |d: Dim| matches!(d, Dim::B | Dim::K | Dim::C);
-        if multiplicative(di) && multiplicative(dj) {
-            return true;
-        }
-        let dims = &self.problem.dims;
-        let inactive = |d: Dim| !self.dims.contains(&d);
-        match (di, dj) {
-            (Dim::OX, Dim::OY) | (Dim::OY, Dim::OX) => {
-                dims.stride_x == dims.stride_y
-                    && inactive(Dim::FX)
-                    && inactive(Dim::FY)
-                    && self.factors[dim_index(Dim::FX)] == self.factors[dim_index(Dim::FY)]
-            }
-            (Dim::FX, Dim::FY) | (Dim::FY, Dim::FX) => {
-                dims.stride_x == dims.stride_y
-                    && inactive(Dim::OX)
-                    && inactive(Dim::OY)
-                    && self.factors[dim_index(Dim::OX)] == self.factors[dim_index(Dim::OY)]
-            }
-            _ => false,
         }
     }
 
@@ -494,10 +525,6 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
             if selected == 0 {
                 continue;
             }
-            if self.symmetry && (self.pred_mask[idx] & state.used) != self.pred_mask[idx] {
-                state.stats.pruned_symmetry += selected;
-                continue;
-            }
             // Rank-window budget: a subtree whose first candidate already
             // sits at or beyond the budget is skipped wholesale. The check
             // depends only on enumeration ranks — never on timing or the
@@ -510,6 +537,20 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
             let fully_in_budget = start_rank + selected <= self.budget;
             let mut child = *states;
             self.push(state, depth, idx, &mut child);
+            // Transposition: an earlier prefix over the same loop set reached
+            // this exact allocation state, so its subtree already held every
+            // leaf value of this one, at lower ranks. The check follows the
+            // budget test, so that twin was fully in budget; a straddling
+            // duplicate's beyond-budget tail stays charged to the budget.
+            if let Some(seen) = &mut state.seen {
+                if !seen.insert(state.used, &child[..self.ops.len()]) {
+                    let in_budget = selected.min(self.budget - start_rank);
+                    state.stats.pruned_symmetry += in_budget;
+                    state.stats.skipped_budget += selected - in_budget;
+                    self.pop(state, idx);
+                    continue;
+                }
+            }
             if depth + 1 == k {
                 self.evaluate_leaf(state, &child);
                 self.pop(state, idx);
@@ -939,16 +980,60 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_detection_fires_for_square_one_by_one_conv() {
-        // A square tile on a 1x1 conv: OX and OY have equal trips, equal
-        // unrolling, equal relevance, and FX/FY are trivial -> the OX/OY pair
-        // is interchangeable and half the orderings are symmetry-pruned.
+    fn transpositions_fire_on_a_non_square_three_by_three_conv() {
+        // Trips K 3, C 20, OX 7, OY 5, FX 3, FY 3: no two loops can be
+        // swapped in every ordering at equal cost (K is multiplicative,
+        // FX/FY are a sliding window over active OX/OY), yet prefixes still
+        // reach equal allocation states.
         let acc = zoo::meta_proto_like_df();
-        let layer = Layer::new("c", OpType::Conv, LayerDims::conv(64, 32, 32, 32, 1, 1));
+        let layer = Layer::new("c", OpType::Conv, LayerDims::conv(96, 40, 28, 20, 3, 3));
         let problem = SingleLayerProblem::new(&acc, &layer);
         let (cost, stats) = LomaMapper::default().optimize_with_stats(&problem);
+        assert_eq!(stats.orderings_total, 720);
         assert!(stats.pruned_symmetry > 0, "{stats:?}");
         assert_eq!(cost, LomaMapper::default().optimize_exhaustive(&problem));
+    }
+
+    /// The plain scan over the first `b` candidate orderings with the
+    /// search's (value, energy, latency) tie-break.
+    fn scan_window(problem: &SingleLayerProblem<'_>, b: usize) -> LayerCost {
+        let dram = problem.accelerator.hierarchy().dram_id();
+        let key = |c: &LayerCost| {
+            (
+                c.objective_value(Objective::Energy, dram),
+                c.energy_pj,
+                c.latency_cycles,
+            )
+        };
+        let mut best: Option<LayerCost> = None;
+        for order in crate::temporal::candidate_orderings(problem, usize::MAX)
+            .iter()
+            .take(b)
+        {
+            let cost = evaluate(problem, &TemporalMapping::from_order(problem, order));
+            if best.as_ref().is_none_or(|b| key(&cost) < key(b)) {
+                best = Some(cost);
+            }
+        }
+        best.expect("at least one candidate ordering")
+    }
+
+    #[test]
+    fn budget_windows_match_a_plain_scan_of_the_window() {
+        for (acc, layer) in problems() {
+            let problem = SingleLayerProblem::new(&acc, &layer);
+            for b in [1u64, 2, 7, 50, 300, 719] {
+                let config = MapperConfig::default().with_budget(crate::Budget::orderings(b));
+                let (cost, stats) = search(&problem, &config);
+                let mut expected = scan_window(&problem, b as usize);
+                expected.degraded = stats.orderings_selected > b;
+                assert_eq!(cost, expected, "{} / {} b={b}", acc.name(), layer.name);
+                assert_eq!(
+                    stats.skipped_budget,
+                    stats.orderings_selected.saturating_sub(b)
+                );
+            }
+        }
     }
 
     #[test]

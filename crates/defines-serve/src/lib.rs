@@ -22,4 +22,4 @@ pub mod protocol;
 pub mod server;
 
 pub use protocol::{render_error, render_outcome, ScheduleRequest};
-pub use server::{send_line, Resolver, ServeError, Server, ServerConfig};
+pub use server::{send_line, Resolver, ServeError, Server, ServerConfig, MAX_REQUEST_LINE_BYTES};

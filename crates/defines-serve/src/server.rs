@@ -46,7 +46,7 @@ use defines_mapping::{Budget, CacheStore, MappingCache};
 use serde::Value;
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -385,18 +385,34 @@ fn scheduler_loop(inner: &ServerInner) {
     }
 }
 
+/// The longest request line the daemon reads, newline included. A longer
+/// line is answered with an error and the connection closed, so no client can
+/// make the daemon buffer more than this per connection.
+pub const MAX_REQUEST_LINE_BYTES: u64 = 1 << 20;
+
 /// Reads the single request line, answers it, closes the connection.
 fn handle_connection(inner: &ServerInner, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return,
-    });
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() || line.trim().is_empty() {
+    })
+    .take(MAX_REQUEST_LINE_BYTES);
+    let mut line = Vec::new();
+    if reader.read_until(b'\n', &mut line).is_err() {
         return;
     }
-    let response = answer(inner, line.trim());
+    let over_long = reader.limit() == 0 && line.last() != Some(&b'\n');
+    let response = if over_long {
+        render_error(&format!(
+            "request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"
+        ))
+    } else {
+        match std::str::from_utf8(&line).map(str::trim) {
+            Ok(line) if !line.is_empty() => answer(inner, line),
+            _ => return,
+        }
+    };
     let mut stream = stream;
     let _ = stream
         .write_all(response.as_bytes())

@@ -1,6 +1,8 @@
-//! Integration tests for the symmetry-pruned, branch-and-bound LOMA search:
-//! the pruned search must return bit-identical results to the exhaustive
-//! reference scan on every problem, the integer-stride ordering sampler must
+//! Integration tests for the transposition-pruned, branch-and-bound LOMA
+//! search: the pruned search must return bit-identical results to the
+//! exhaustive reference scan on every problem (including accelerators whose
+//! capacity shares shrink outward, where prefixes are never merged), the
+//! integer-stride ordering sampler must
 //! produce exactly the requested number of distinct orderings, the
 //! canonical cache-key statistics must surface through the sweep plumbing,
 //! and the shared [`MappingCache`] must stay consistent when the engine's
@@ -120,6 +122,57 @@ fn zoo_workloads_search_parity() {
     // The exhaustive width is slower, so spot-check it on the smallest net.
     for layer in models::fsrcnn().layers() {
         assert_parity(&acc, layer, MapperConfig::default());
+    }
+}
+
+/// An accelerator whose per-sharer capacity shares *decrease* outward (the
+/// global buffers are smaller than the local ones), so no operand's
+/// allocation state is incremental: leaves recompute their refetch factors
+/// from the ordering itself and the transposition table stays off.
+const SHRINKING_SHARES: &str = r#"{
+  "format": "defines-accelerator-v1",
+  "name": "shrinking shares",
+  "pe_array": {"unroll": {"K": 8, "C": 2, "OX": 2, "OY": 2}, "mac_energy_pj": 0.1},
+  "levels": [
+    {"name": "W_reg", "capacity_bytes": 1024, "operands": ["W"],
+     "read_energy_pj_per_byte": 0.02, "write_energy_pj_per_byte": 0.02},
+    {"name": "O_reg", "capacity_bytes": 2048, "operands": ["O"],
+     "read_energy_pj_per_byte": 0.02, "write_energy_pj_per_byte": 0.02},
+    {"name": "LB_W", "capacity_bytes": 32768, "operands": ["W"],
+     "read_energy_pj_per_byte": 1.0, "write_energy_pj_per_byte": 1.0,
+     "read_bw_bytes_per_cycle": 32.0, "write_bw_bytes_per_cycle": 32.0},
+    {"name": "LB_IO", "capacity_bytes": 65536, "operands": ["I", "O"],
+     "read_energy_pj_per_byte": 1.3, "write_energy_pj_per_byte": 1.3,
+     "read_bw_bytes_per_cycle": 32.0, "write_bw_bytes_per_cycle": 32.0},
+    {"name": "GB_W", "capacity_bytes": 512, "operands": ["W"],
+     "read_energy_pj_per_byte": 4.9, "write_energy_pj_per_byte": 4.9,
+     "read_bw_bytes_per_cycle": 64.0, "write_bw_bytes_per_cycle": 64.0},
+    {"name": "GB_IO", "capacity_bytes": 4096, "operands": ["I", "O"],
+     "read_energy_pj_per_byte": 4.9, "write_energy_pj_per_byte": 4.9,
+     "read_bw_bytes_per_cycle": 64.0, "write_bw_bytes_per_cycle": 64.0},
+    {"name": "DRAM", "capacity_bytes": null, "operands": ["W", "I", "O"],
+     "read_energy_pj_per_byte": 100.0, "write_energy_pj_per_byte": 100.0,
+     "read_bw_bytes_per_cycle": 8.0, "write_bw_bytes_per_cycle": 8.0}
+  ]
+}"#;
+
+/// With non-monotone shares the search falls back to exact per-leaf
+/// allocation: it still matches the exhaustive scan, and it never merges
+/// prefixes, because the allocation state no longer determines the cost.
+#[test]
+fn non_incremental_shares_match_exhaustive_without_transpositions() {
+    let acc = defines_arch::loader::from_json_str(SHRINKING_SHARES).expect("valid accelerator");
+    for dims in [
+        LayerDims::conv(64, 32, 28, 28, 3, 3),
+        LayerDims::conv(96, 40, 28, 20, 3, 3).with_stride(2, 2),
+    ] {
+        let layer = Layer::new("c", OpType::Conv, dims);
+        let problem = SingleLayerProblem::new(&acc, &layer);
+        let mapper = LomaMapper::default();
+        let (cost, stats) = mapper.optimize_with_stats(&problem);
+        assert_eq!(stats.orderings_total, 720);
+        assert_eq!(stats.pruned_symmetry, 0, "{stats:?}");
+        assert_eq!(cost, mapper.optimize_exhaustive(&problem));
     }
 }
 
