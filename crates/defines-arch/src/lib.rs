@@ -39,10 +39,6 @@
 //! assert!(lb.serves(Operand::Input) && lb.serves(Operand::Output));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod accelerator;
 pub mod energy;
 pub mod loader;

@@ -41,7 +41,10 @@ pub struct MemoryLevel {
 
 impl MemoryLevel {
     /// Creates a fully-specified memory level.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per field of the level, named at the call site"
+    )]
     pub fn new(
         name: impl Into<String>,
         capacity_bytes: Option<u64>,

@@ -1,7 +1,9 @@
 //! Ablation: the speed/quality trade-off of the temporal-mapping search
-//! budget — the Rust counterpart of the paper artifact's `loma_lpf_limit`
-//! knob ("setting it to 6 cuts the runtime from 18 hours to 45 minutes while
-//! some design points' best found energy increases by a few percent").
+//! budget. The paper artifact trades speed for quality with `loma_lpf_limit`
+//! ("setting it to 6 cuts the runtime from 18 hours to 45 minutes while some
+//! design points' best found energy increases by a few percent"), a cap on
+//! the prime factors LOMA permutes. This mapper permutes whole dimensions, so
+//! its knob is a different one: how many of the orderings it samples.
 //!
 //! The binary evaluates the case-study-1 best region (fully-cached, three tile
 //! sizes) of FSRCNN on the Meta-prototype-like DF architecture with mapper
@@ -41,6 +43,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             max_orderings: budget,
             ..MapperConfig::default()
         });
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the ablation reports each mapper budget's wall time"
+        )]
         let start = Instant::now();
         let energies: Vec<f64> = tiles
             .iter()
@@ -70,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(reference) = reference {
         println!(
             "Reference (720 orderings): {:.3} / {:.3} / {:.3} mJ. Reduced budgets must stay within a\n\
-             few percent of these values, mirroring the paper's loma_lpf_limit observation.",
+             few percent of these values, the trade-off the paper reports for its loma_lpf_limit.",
             reference[0], reference[1], reference[2]
         );
     }

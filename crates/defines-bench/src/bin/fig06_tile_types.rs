@@ -54,6 +54,10 @@ fn main() {
                 .entry(geo.analyze_tile(mode, &grid, c, r))
                 .or_default() += 1;
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sorted by count on the next statement"
+        )]
         let mut counts: Vec<u64> = types.values().copied().collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         println!(

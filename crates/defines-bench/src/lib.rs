@@ -6,10 +6,6 @@
 //! experiment settings, simple table / heatmap printing, and JSON result
 //! dumps.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod report;
 pub mod settings;
 

@@ -14,10 +14,6 @@
 //! cargo run --release --bin sweep -- --workload my-custom-net.json
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 use defines_arch::{zoo, Accelerator};
 use defines_core::{Explorer, OverlapMode};
 use defines_mapping::Budget;

@@ -279,7 +279,10 @@ pub fn load(path: &Path) -> Result<Checkpoint, MatrixError> {
 
 /// Builds the header for a live run (also the fingerprint the loaded header
 /// is validated against).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "every run parameter the header fingerprints is an argument"
+)]
 pub(crate) fn live_header(
     target: OptimizeTarget,
     accelerators: &[(String, u64)],

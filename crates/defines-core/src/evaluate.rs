@@ -164,7 +164,7 @@ impl<'a> DfCostModel<'a> {
         &self.cache
     }
 
-    /// Uses a reduced mapper search (the `loma_lpf_limit`-style speed knob).
+    /// Uses a reduced mapper search: [`MapperConfig::fast`]'s ordering sample.
     /// Only the ordering cap changes; an objective or budget set earlier is
     /// kept, so the builder calls commute.
     pub fn with_fast_mapper(mut self) -> Self {

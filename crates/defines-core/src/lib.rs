@@ -45,10 +45,6 @@
 //! assert!(df_cost.energy_pj < sl_cost.energy_pj);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod backcalc;
 pub mod baselines;
 pub mod batch;

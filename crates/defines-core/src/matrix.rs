@@ -507,7 +507,10 @@ fn validate_axis(kind: &str, names: &[String]) -> Result<(), MatrixError> {
 /// Returns [`MatrixError::Config`] for empty or ambiguous axes and
 /// [`MatrixError::Evaluation`] when a cell's workload/partition fails
 /// upfront validation (the flattened run itself then never starts).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the public matrix entry point takes each axis and policy separately"
+)]
 pub fn run_matrix(
     accelerators: &[Accelerator],
     workloads: &[Network],
@@ -678,14 +681,16 @@ pub fn run_matrix(
 
     // The opt-in deadline only gates cell *starts* — it never reaches inside
     // a search, so completed cells stay bit-identical.
-    // lint:allow(wall-clock, deadline gates cell starts only, never results)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the deadline gates cell starts only, never results"
+    )]
     let started = std::time::Instant::now();
     let before_cell = || {
         failpoint!("matrix.cell");
         if let Some(deadline) = config.deadline {
             // A panic here is caught by the engine's per-point isolation and
             // becomes this cell's failure — never a lost run.
-            // lint:allow(wall-clock, same opt-in deadline gate as above)
             if started.elapsed() >= deadline {
                 panic!(
                     "matrix deadline of {:.3}s exceeded before the cell started",

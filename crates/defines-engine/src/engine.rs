@@ -331,7 +331,10 @@ impl SweepEngine {
         S: FnMut(SweepRecord<P, C>),
     {
         let _run_span = span!("engine.run");
-        // lint:allow(wall-clock, elapsed feeds SweepStats reporting only, never results)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "elapsed feeds SweepStats reporting only, never results"
+        )]
         let start = Instant::now();
         let stages = Stages {
             prepare,
@@ -569,8 +572,8 @@ impl<F, E, V, L> Stages<'_, F, E, V, L> {
     }
 }
 
-/// Renders a caught panic payload as a failed record's error string.
-fn panic_error(payload: &(dyn std::any::Any + Send)) -> String {
+/// Renders a caught panic payload as an error string.
+pub fn panic_error(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

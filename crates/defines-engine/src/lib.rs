@@ -36,16 +36,12 @@
 //! ([`SweepEngine::run_collect`]) is deterministic: with a deterministic
 //! evaluator it returns bit-identical results regardless of thread count.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod engine;
 pub mod fnv;
 pub mod journal;
 pub mod memo;
 
-pub use engine::{EngineConfig, Outcome, SweepEngine, SweepRecord, SweepStats};
+pub use engine::{panic_error, EngineConfig, Outcome, SweepEngine, SweepRecord, SweepStats};
 pub use fnv::Fnv;
 pub use journal::{Journal, JournalError};
 pub use memo::{CacheStats, MemoCache};

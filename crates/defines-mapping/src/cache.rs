@@ -254,6 +254,10 @@ impl MappingCache {
     /// snapshot incremental.
     pub fn drain_usage(&self) -> Vec<(ProblemKey, u64)> {
         let mut guard = self.usage.lock();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sorted by key on the next statement"
+        )]
         let mut out: Vec<(ProblemKey, u64)> = guard.drain().collect();
         out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         out

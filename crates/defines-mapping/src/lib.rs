@@ -34,10 +34,6 @@
 //! assert!(cost.latency_cycles >= cost.macs as f64 / 1024.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod allocation;
 pub mod cache;
 pub mod cost;

@@ -3,9 +3,11 @@
 //! The original LOMA \[29\] permutes prime factors of the layer dimensions and
 //! allocates them to memory levels bottom-up. This implementation permutes
 //! whole dimensions (at most 6! = 720 orderings per problem) and reuses the
-//! same greedy bottom-up memory allocation; the `loma_lpf_limit`-style
-//! speed/quality knob of the paper's artifact maps to
-//! [`MapperConfig::max_orderings`].
+//! same greedy bottom-up memory allocation. That whole-dimension permutation
+//! is the deviation from the paper: its artifact's `loma_lpf_limit` caps how
+//! many prime factors LOMA permutes, and has no counterpart here.
+//! [`MapperConfig::max_orderings`] instead samples a subset of the n!
+//! whole-dimension orderings.
 //!
 //! [`LomaMapper::optimize`] runs the transposition-pruned branch-and-bound
 //! search of [`crate::search`], which returns a bit-identical [`LayerCost`]
@@ -101,10 +103,10 @@ impl Default for MapperConfig {
 }
 
 impl MapperConfig {
-    /// A faster configuration for exploration sweeps: a reduced but diverse
-    /// set of loop orderings. The best-found costs are within a few percent of
-    /// the exhaustive search, mirroring the paper's `loma_lpf_limit = 6`
-    /// setting.
+    /// A faster configuration for exploration sweeps: 48 of the n! loop
+    /// orderings, picked at an integer stride over the enumeration (see
+    /// [`crate::temporal::candidate_orderings`]). This is ordering sampling,
+    /// not the paper's `loma_lpf_limit`, which caps prime factors.
     pub fn fast() -> Self {
         Self {
             objective: Objective::Energy,

@@ -292,7 +292,10 @@ impl CacheStore {
             return Ok(store);
         };
         store.stats.entries = store.epochs.len();
-        // lint:allow(unordered-iter, max over values is order-independent)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "max over values is order-independent"
+        )]
         let max_epoch = store.epochs.values().copied().max().unwrap_or(0);
         store.cache.set_epoch(max_epoch + 1);
         if torn {
@@ -449,6 +452,10 @@ impl CacheStore {
         if self.max_entries == 0 || self.epochs.len() <= self.max_entries {
             return Ok(());
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sorted by (epoch, key) on the next statement"
+        )]
         let mut order: Vec<(u64, ProblemKey)> =
             self.epochs.iter().map(|(k, &e)| (e, k.clone())).collect();
         order.sort_unstable();
@@ -466,6 +473,10 @@ impl CacheStore {
     /// Rewrites the file to exactly the live state — header plus one entry
     /// line per key, sorted by `(epoch, key)`.
     fn compact(&mut self) -> Result<(), StoreError> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sorted by (epoch, key) on the next statement"
+        )]
         let mut entries: Vec<(u64, ProblemKey)> =
             self.epochs.iter().map(|(k, &e)| (e, k.clone())).collect();
         entries.sort_unstable();

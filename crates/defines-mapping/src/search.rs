@@ -690,9 +690,10 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
             if fallback_exact {
                 self.exact_refetch_factors(state, op_idx, &mut exact_factors);
             }
-            // `w` indexes three parallel structures (level pairs, closure
-            // bits, exact factors), so a plain range loop is the clear form.
-            #[allow(clippy::needless_range_loop)]
+            #[allow(
+                clippy::needless_range_loop,
+                reason = "`w` indexes three parallel structures: level pairs, closure bits, exact factors"
+            )]
             for w in 0..n_windows {
                 let child = op.levels[w];
                 let parent = op.levels[w + 1];

@@ -14,10 +14,6 @@
 //! lifecycle; the `serve` and `defines-request` binaries in `defines-cli`
 //! are thin shells over these modules.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod protocol;
 pub mod server;
 

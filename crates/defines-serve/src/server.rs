@@ -41,13 +41,14 @@
 
 use crate::protocol::{render_error, render_outcome, ScheduleRequest};
 use defines_core::{run_batch, BatchConfig, BatchItem};
-use defines_engine::EngineConfig;
+use defines_engine::{panic_error, EngineConfig};
 use defines_mapping::{Budget, CacheStore, MappingCache};
 use serde::Value;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -148,6 +149,10 @@ struct HubState {
     /// process lifetime (responses are small; the expensive state is the
     /// mapping cache, which is what the store bounds).
     responses: HashMap<String, String>,
+    /// Error lines for keys whose batch panicked. Not a memo: it answers the
+    /// requests that waited on that batch, and the next request for the key
+    /// clears it and computes again.
+    failed: HashMap<String, String>,
     shutdown: bool,
 }
 
@@ -315,74 +320,94 @@ fn scheduler_loop(inner: &ServerInner) {
             st.inflight.extend(batch.iter().map(|(k, _)| k.clone()));
             batch
         };
-
-        let mut rendered: Vec<(String, String)> = Vec::with_capacity(batch.len());
-        let mut items: Vec<BatchItem> = Vec::new();
-        let mut item_keys: Vec<(String, ScheduleRequest)> = Vec::new();
-        for (key, request) in batch {
-            let resolved = inner
-                .resolver
-                .accelerator(&request.accelerator)
-                .and_then(|acc| Ok((acc, inner.resolver.workload(&request.workload)?)));
-            match resolved {
-                Ok((acc, net)) => {
-                    items.push(request.to_batch_item(acc, net));
-                    item_keys.push((key, request));
-                }
-                Err(why) => rendered.push((key, render_error(&why))),
-            }
-        }
-
-        if !items.is_empty() {
-            let engine = if inner.config.engine_threads > 0 {
-                EngineConfig::parallel().with_threads(inner.config.engine_threads)
-            } else {
-                EngineConfig::parallel()
-            };
-            let config = BatchConfig {
-                engine,
-                cache: inner.cache.clone(),
-                fast_mapper: inner.config.fast_mapper,
-                budget: inner.config.budget,
-            };
-            let outcomes = run_batch(&items, &config);
-            inner
-                .counters
-                .computed
-                .fetch_add(outcomes.len() as u64, Ordering::Relaxed);
-            for ((key, request), outcome) in item_keys.into_iter().zip(&outcomes) {
-                rendered.push((key, render_outcome(&request, outcome)));
-            }
-            // Persist the batch before publishing: a kill after clients see
-            // the answer can then only lose work that is already
-            // recomputable from the synced cache.
-            let mut store = inner.store.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(store) = store.as_mut() {
-                let before = store.stats().evicted;
-                if let Err(e) = store.sync() {
-                    // Persistence failure degrades the daemon to in-memory
-                    // serving; answers stay correct.
-                    eprintln!("warning: cache store sync failed: {e}");
-                }
-                let evicted = store.stats().evicted - before;
-                inner
-                    .counters
-                    .evictions
-                    .fetch_add(evicted, Ordering::Relaxed);
-            } else {
-                // No store: still advance the LRU epoch per batch so an
-                // attached store in a future run sees consistent epochs.
-                inner.cache.advance_epoch();
-            }
-        }
+        let keys: Vec<String> = batch.iter().map(|(k, _)| k.clone()).collect();
+        // A panic in the resolver, the renderer or the store sync must not
+        // end this thread: its keys would stay in flight and every request
+        // would wait forever. The batch's requests get an error instead.
+        let rendered = catch_unwind(AssertUnwindSafe(|| compute_batch(inner, batch)));
 
         let mut st = inner.hub.lock();
-        for (key, response) in rendered {
-            st.inflight.retain(|k| k != &key);
-            st.responses.insert(key, response);
+        // One batch is in flight at a time: this one.
+        st.inflight.clear();
+        match rendered {
+            Ok(rendered) => st.responses.extend(rendered),
+            Err(payload) => {
+                let error = format!("internal error: {}", panic_error(payload.as_ref()));
+                let error = render_error(&error);
+                st.failed
+                    .extend(keys.into_iter().map(|key| (key, error.clone())));
+            }
         }
         inner.hub.ready.notify_all();
     }
+}
+
+/// Resolves, computes and renders one batch, and syncs the store: the
+/// response line for every key of the batch.
+fn compute_batch(
+    inner: &ServerInner,
+    batch: Vec<(String, ScheduleRequest)>,
+) -> Vec<(String, String)> {
+    let mut rendered: Vec<(String, String)> = Vec::with_capacity(batch.len());
+    let mut items: Vec<BatchItem> = Vec::new();
+    let mut item_keys: Vec<(String, ScheduleRequest)> = Vec::new();
+    for (key, request) in batch {
+        let resolved = inner
+            .resolver
+            .accelerator(&request.accelerator)
+            .and_then(|acc| Ok((acc, inner.resolver.workload(&request.workload)?)));
+        match resolved {
+            Ok((acc, net)) => {
+                items.push(request.to_batch_item(acc, net));
+                item_keys.push((key, request));
+            }
+            Err(why) => rendered.push((key, render_error(&why))),
+        }
+    }
+
+    if !items.is_empty() {
+        let engine = if inner.config.engine_threads > 0 {
+            EngineConfig::parallel().with_threads(inner.config.engine_threads)
+        } else {
+            EngineConfig::parallel()
+        };
+        let config = BatchConfig {
+            engine,
+            cache: inner.cache.clone(),
+            fast_mapper: inner.config.fast_mapper,
+            budget: inner.config.budget,
+        };
+        let outcomes = run_batch(&items, &config);
+        inner
+            .counters
+            .computed
+            .fetch_add(outcomes.len() as u64, Ordering::Relaxed);
+        for ((key, request), outcome) in item_keys.into_iter().zip(&outcomes) {
+            rendered.push((key, render_outcome(&request, outcome)));
+        }
+        // Persist the batch before publishing: a kill after clients see
+        // the answer can then only lose work that is already
+        // recomputable from the synced cache.
+        let mut store = inner.store.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(store) = store.as_mut() {
+            let before = store.stats().evicted;
+            if let Err(e) = store.sync() {
+                // Persistence failure degrades the daemon to in-memory
+                // serving; answers stay correct.
+                eprintln!("warning: cache store sync failed: {e}");
+            }
+            let evicted = store.stats().evicted - before;
+            inner
+                .counters
+                .evictions
+                .fetch_add(evicted, Ordering::Relaxed);
+        } else {
+            // No store: still advance the LRU epoch per batch so an
+            // attached store in a future run sees consistent epochs.
+            inner.cache.advance_epoch();
+        }
+    }
+    rendered
 }
 
 /// The longest request line the daemon reads, newline included. A longer
@@ -390,9 +415,14 @@ fn scheduler_loop(inner: &ServerInner) {
 /// make the daemon buffer more than this per connection.
 pub const MAX_REQUEST_LINE_BYTES: u64 = 1 << 20;
 
+/// How long a connection may stall a read or a write before the worker
+/// drops it.
+const IO_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// Reads the single request line, answers it, closes the connection.
 fn handle_connection(inner: &ServerInner, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return,
@@ -469,6 +499,7 @@ fn answer(inner: &ServerInner, line: &str) -> String {
     if queued {
         ServeCounters::incr(&inner.counters.batched);
     } else {
+        st.failed.remove(&key);
         st.queue.push((key.clone(), request));
         inner.hub.kick.notify_one();
     }
@@ -478,7 +509,7 @@ fn answer(inner: &ServerInner, line: &str) -> String {
             .ready
             .wait(st)
             .unwrap_or_else(PoisonError::into_inner);
-        if let Some(response) = st.responses.get(&key) {
+        if let Some(response) = st.responses.get(&key).or_else(|| st.failed.get(&key)) {
             return response.clone();
         }
         if st.shutdown {

@@ -173,6 +173,10 @@ pub fn snapshot() -> MetricsSnapshot {
     let mut values = Vec::new();
     let mut node = REGISTRY.load(Ordering::Acquire);
     while !node.is_null() {
+        #[expect(
+            unsafe_code,
+            reason = "the lock-free registry is an intrusive list of &'static metrics"
+        )]
         // SAFETY: only `&'static Metric`s are ever pushed onto REGISTRY.
         let metric = unsafe { &*node };
         values.push(MetricValue {

@@ -3,6 +3,10 @@
 //! Lives in its own integration-test binary because it installs a counting
 //! `#[global_allocator]`; keeping it isolated means the counter only sees
 //! this file's allocations.
+#![expect(
+    unsafe_code,
+    reason = "a counting #[global_allocator] is an unsafe impl of GlobalAlloc"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,13 +22,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // caller's obligations (non-zero size) transfer directly.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        // SAFETY: `layout` is the caller's, passed on unchanged.
+        unsafe { System.alloc(layout) }
     }
 
     // SAFETY: forwards ptr/layout to `System.dealloc` unchanged; the caller
     // guarantees they match a prior `alloc` from this allocator.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: `ptr`/`layout` are the caller's, passed on unchanged.
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 

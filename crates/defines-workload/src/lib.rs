@@ -31,10 +31,6 @@
 //! assert!(summary.max_feature_map_bytes > 100 * summary.total_weight_bytes);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod analysis;
 pub mod dims;
 pub mod layer;

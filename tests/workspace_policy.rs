@@ -1,0 +1,262 @@
+//! Workspace policy the lints cannot state, checked with cargo's own view of
+//! the manifests: every member inherits `[workspace.lints]`, every dependency
+//! (of this workspace and of `benchmark/`) is a path inside the repository,
+//! and no workflow file repeats a mapping key.
+
+use serde_json::Value;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("repository root")
+}
+
+/// `cargo metadata --no-deps` for the workspace of `manifest`: its members
+/// with their declared dependencies, workspace inheritance resolved by cargo.
+/// `--no-deps` never rewrites a lockfile, so the frozen benchmark's stays as
+/// committed.
+fn metadata(manifest: &Path) -> Value {
+    let output = Command::new(env!("CARGO"))
+        .args(["metadata", "--offline", "--no-deps"])
+        .args(["--format-version", "1", "--manifest-path"])
+        .arg(manifest)
+        .output()
+        .expect("run cargo metadata");
+    assert!(
+        output.status.success(),
+        "cargo metadata failed for {}:\n{}",
+        manifest.display(),
+        String::from_utf8_lossy(&output.stderr)
+    );
+    serde_json::from_str(&String::from_utf8_lossy(&output.stdout)).expect("metadata JSON")
+}
+
+fn packages(metadata: &Value) -> &[Value] {
+    metadata
+        .get("packages")
+        .and_then(Value::as_array)
+        .expect("metadata lists packages")
+}
+
+fn field<'a>(value: &'a Value, key: &str) -> Option<&'a str> {
+    value.get(key).and_then(Value::as_str)
+}
+
+/// Whether the manifest text has a `[lints]` table with `workspace = true`.
+fn inherits_workspace_lints(manifest: &str) -> bool {
+    let mut in_lints = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            return true;
+        }
+    }
+    false
+}
+
+#[test]
+fn every_member_inherits_the_workspace_lints() {
+    let metadata = metadata(&repo_root().join("Cargo.toml"));
+    let members = packages(&metadata);
+    assert!(!members.is_empty(), "no workspace members");
+    for package in members {
+        let manifest = field(package, "manifest_path").expect("manifest_path");
+        let text = std::fs::read_to_string(manifest).expect("member manifest");
+        assert!(
+            inherits_workspace_lints(&text),
+            "{manifest} must opt into the workspace lints with `[lints] workspace = true`"
+        );
+    }
+}
+
+#[test]
+fn every_dependency_is_a_path_inside_the_repository() {
+    let root = repo_root();
+    let allowed = ["crates", "vendor", "benchmark"].map(|dir| root.join(dir));
+    let inside = |path: &str| {
+        let path = Path::new(path);
+        let path = path.canonicalize().unwrap_or_else(|_| path.to_path_buf());
+        allowed.iter().any(|dir| path.starts_with(dir))
+    };
+    let mut violations = Vec::new();
+    for manifest in [root.join("Cargo.toml"), root.join("benchmark/Cargo.toml")] {
+        let metadata = metadata(&manifest);
+        for package in packages(&metadata) {
+            let name = field(package, "name").expect("package name");
+            let manifest_path = field(package, "manifest_path").expect("manifest_path");
+            if !package.get("source").is_some_and(Value::is_null) || !inside(manifest_path) {
+                violations.push(format!("package {name} at {manifest_path}"));
+            }
+            let dependencies = package
+                .get("dependencies")
+                .and_then(Value::as_array)
+                .expect("dependencies");
+            for dependency in dependencies {
+                let dep = field(dependency, "name").expect("dependency name");
+                let path = field(dependency, "path");
+                let local = dependency.get("source").is_some_and(Value::is_null);
+                if !local || !path.is_some_and(inside) {
+                    violations.push(format!(
+                        "{name} depends on {dep} from {}",
+                        field(dependency, "source").or(path).unwrap_or("?")
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "dependencies must be paths under crates/, vendor/ or benchmark/ \
+         (there is no registry):\n{}",
+        violations.join("\n")
+    );
+}
+
+// No mapping key may repeat under the same parent in
+// `.github/workflows/*.yml`. GitHub rejects a workflow with duplicate keys
+// outright, while a last-key-wins YAML parser silently drops the first value
+// — which is how a job whose header line was lost ran another job's steps
+// under the wrong name for several PRs. The scan below is line-based (no YAML
+// dependency): it tracks indentation, opens a fresh mapping at every `- `
+// sequence item, and skips block-scalar bodies (`run: |` heredocs contain
+// `key:`-looking shell and Python).
+
+/// The mapping key a line starts with (`name: x`, `runs-on:`), if any.
+fn mapping_key(content: &str) -> Option<(&str, &str)> {
+    let end = content.find(|c: char| !(c.is_ascii_alphanumeric() || "_-.".contains(c)))?;
+    let rest = content[end..].strip_prefix(':')?;
+    (end > 0 && (rest.is_empty() || rest.starts_with(' '))).then(|| (&content[..end], rest.trim()))
+}
+
+/// `(line, key)` of every mapping key repeated under the same parent.
+fn duplicate_keys(text: &str) -> Vec<(usize, String)> {
+    let mut duplicates = Vec::new();
+    // Open mappings, innermost last: (column of their keys, keys seen).
+    let mut open: Vec<(usize, BTreeSet<String>)> = Vec::new();
+    // Key column of the mapping entry whose block scalar is being skipped.
+    let mut block_scalar: Option<usize> = None;
+    for (number, line) in text.lines().enumerate() {
+        let mut content = line.trim_start();
+        if content.is_empty() || content.starts_with('#') {
+            continue;
+        }
+        let mut column = line.len() - content.len();
+        if block_scalar.is_some_and(|parent| column > parent) {
+            continue;
+        }
+        block_scalar = None;
+        // `- key: value` starts a new mapping whose keys sit after the dash.
+        while let Some(item) = content.strip_prefix("- ") {
+            open.retain(|(col, _)| *col <= column);
+            let item = item.trim_start();
+            column += content.len() - item.len();
+            content = item;
+        }
+        let Some((key, value)) = mapping_key(content) else {
+            continue;
+        };
+        open.retain(|(col, _)| *col <= column);
+        if open.last().is_none_or(|(col, _)| *col < column) {
+            open.push((column, BTreeSet::new()));
+        }
+        let (_, seen) = open.last_mut().expect("pushed above");
+        if !seen.insert(key.to_string()) {
+            duplicates.push((number + 1, key.to_string()));
+        }
+        if value.starts_with('|') || value.starts_with('>') {
+            block_scalar = Some(column);
+        }
+    }
+    duplicates
+}
+
+/// The shape `ci.yml` had after the `perf-smoke:` header line was lost: the
+/// next job's `runs-on` / `needs` / `steps` land in the previous job.
+const EATEN_JOB_HEADER: &str = "\
+jobs:
+  serve-smoke:
+    name: scheduling daemon smoke
+    runs-on: ubuntu-latest
+    needs: lint
+    steps:
+      - uses: actions/checkout@v4
+      - name: Daemon lifecycle smoke
+        run: |
+          python3 - <<'PY'
+          name: not a key, heredoc body
+          name: still not a key
+          PY
+    runs-on: ubuntu-latest
+    needs: lint
+    steps:
+      - uses: actions/checkout@v4
+";
+
+/// Repeats that are fine: the same key in sibling jobs, in sibling sequence
+/// items, and inside block-scalar bodies.
+const UNIQUE_KEYS: &str = "\
+on:
+  push:
+    branches: [main]
+jobs:
+  lint:
+    name: lint
+    runs-on: ubuntu-latest
+    steps:
+      - uses: actions/checkout@v4
+      - name: one
+        run: echo one
+      - name: two
+        uses: actions/cache@v4
+        with:
+          path: |
+            name: cache path that looks like a key
+            name: twice
+          key: ${{ runner.os }}-cargo
+  check:
+    name: check
+    runs-on: ubuntu-latest
+    steps:
+      - name: one
+        run: |
+          python3 - <<'PY'
+          name: heredoc
+          name: heredoc
+          PY
+";
+
+#[test]
+fn duplicate_job_keys_are_reported_and_unique_ones_are_not() {
+    assert_eq!(
+        duplicate_keys(EATEN_JOB_HEADER),
+        vec![
+            (14, "runs-on".to_string()),
+            (15, "needs".to_string()),
+            (16, "steps".to_string()),
+        ]
+    );
+    assert_eq!(duplicate_keys(UNIQUE_KEYS), vec![]);
+}
+
+#[test]
+fn live_workflows_have_no_duplicate_keys() {
+    let dir = repo_root().join(".github/workflows");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&dir).expect("workflow directory") {
+        let path = entry.expect("directory entry").path();
+        if path
+            .extension()
+            .is_some_and(|ext| ext == "yml" || ext == "yaml")
+        {
+            let text = std::fs::read_to_string(&path).expect("workflow file");
+            assert_eq!(duplicate_keys(&text), vec![], "{}", path.display());
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "no workflow under {}", dir.display());
+}
