@@ -57,7 +57,7 @@ use crate::energy::{DRAM_BYTES_PER_CYCLE, DRAM_ENERGY_PJ_PER_BYTE, REGISTER_ENER
 use crate::memory::MemoryLevel;
 use crate::pe_array::SpatialUnrolling;
 use crate::schema::{parse_dim, parse_operand, AcceleratorDoc, LevelSpec, PeArraySpec, FORMAT};
-use serde::Value;
+use serde::{Fields, FromField, Value};
 use std::fmt;
 use std::path::Path;
 
@@ -168,228 +168,74 @@ const LEVEL_KEYS: [&str; 8] = [
 /// Returns [`AcceleratorDocError::Document`] or
 /// [`AcceleratorDocError::Level`] with a message naming the offending field.
 pub fn document_from_value(value: &Value) -> Result<AcceleratorDoc, AcceleratorDocError> {
-    let entries = value.as_object().ok_or_else(|| {
-        AcceleratorDocError::Document(format!(
-            "expected a JSON object at the top level, found {}",
-            value.type_name()
-        ))
-    })?;
-    for (key, _) in entries {
-        if !matches!(key.as_str(), "format" | "name" | "pe_array" | "levels") {
-            return Err(AcceleratorDocError::Document(format!(
-                "unknown top-level key '{key}' (expected format, name, pe_array, levels)"
-            )));
-        }
+    use AcceleratorDocError::Document;
+    let fields = Fields::root(value).map_err(Document)?;
+    fields
+        .only(&["format", "name", "pe_array", "levels"])
+        .map_err(Document)?;
+    let format = fields.opt::<&str>("format").map_err(Document)?;
+    if let Some(tag) = format.filter(|&tag| tag != FORMAT) {
+        return Err(Document(format!(
+            "unsupported format tag '{tag}' (this loader reads '{FORMAT}')"
+        )));
     }
-
-    let format = match value.get("format") {
-        None => None,
-        Some(v) if v.is_null() => None,
-        Some(v) => {
-            let tag = v.as_str().ok_or_else(|| {
-                AcceleratorDocError::Document("'format' must be a string".to_string())
-            })?;
-            if tag != FORMAT {
-                return Err(AcceleratorDocError::Document(format!(
-                    "unsupported format tag '{tag}' (this loader reads '{FORMAT}')"
-                )));
-            }
-            Some(tag.to_string())
-        }
-    };
-
-    let name = value
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or_else(|| AcceleratorDocError::Document("missing or non-string 'name'".to_string()))?
-        .to_string();
-
-    let pe_value = value
-        .get("pe_array")
-        .ok_or_else(|| AcceleratorDocError::Document("missing 'pe_array' object".to_string()))?;
-    let pe_array = pe_array_from_value(pe_value)?;
-
-    let levels_value = value.get("levels").ok_or_else(|| {
-        AcceleratorDocError::Document(
-            "missing 'levels' array (an accelerator needs at least one memory level)".to_string(),
-        )
+    let name = fields.req::<&str>("name").map_err(Document)?;
+    let pe_array = pe_array_from_fields(fields.req("pe_array").map_err(Document)?)
+        .map_err(|m| Document(format!("pe_array: {m}")))?;
+    let levels: &[Value] = fields.opt("levels").map_err(Document)?.ok_or_else(|| {
+        Document("missing 'levels' array (an accelerator needs at least one memory level)".into())
     })?;
-    let level_values = levels_value.as_array().ok_or_else(|| {
-        AcceleratorDocError::Document(format!(
-            "'levels' must be an array, found {}",
-            levels_value.type_name()
-        ))
-    })?;
-    let mut levels = Vec::with_capacity(level_values.len());
-    for (index, lv) in level_values.iter().enumerate() {
-        levels.push(level_spec_from_value(lv, index)?);
-    }
-
+    let levels = levels
+        .iter()
+        .enumerate()
+        .map(|(index, lv)| level_spec_from_value(lv, index))
+        .collect::<Result<_, _>>()?;
     Ok(AcceleratorDoc {
-        format,
-        name,
+        format: format.map(str::to_string),
+        name: name.to_string(),
         pe_array,
         levels,
     })
 }
 
-fn pe_array_from_value(value: &Value) -> Result<PeArraySpec, AcceleratorDocError> {
-    let entries = value.as_object().ok_or_else(|| {
-        AcceleratorDocError::Document(format!(
-            "'pe_array' must be an object, found {}",
-            value.type_name()
-        ))
-    })?;
-    for (key, _) in entries {
-        if !matches!(key.as_str(), "unroll" | "mac_energy_pj") {
-            return Err(AcceleratorDocError::Document(format!(
-                "pe_array: unknown key '{key}' (expected unroll, mac_energy_pj)"
-            )));
-        }
-    }
-    let unroll_value = value.get("unroll").ok_or_else(|| {
-        AcceleratorDocError::Document("pe_array: missing 'unroll' object".to_string())
-    })?;
-    let unroll_entries = unroll_value.as_object().ok_or_else(|| {
-        AcceleratorDocError::Document(format!(
-            "pe_array: 'unroll' must be an object of dimension -> factor, found {}",
-            unroll_value.type_name()
-        ))
-    })?;
-    let mut unroll = Vec::with_capacity(unroll_entries.len());
-    for (dim, factor) in unroll_entries {
-        if parse_dim(dim).is_none() {
-            return Err(AcceleratorDocError::Document(format!(
-                "pe_array: unknown unrolling dimension '{dim}' \
-                 (expected B, K, C, OX, OY, FX, FY)"
-            )));
-        }
-        let factor = factor.as_u64().ok_or_else(|| {
-            AcceleratorDocError::Document(format!(
-                "pe_array: unrolling factor for '{dim}' must be a non-negative integer, \
-                 found {}",
-                factor.type_name()
-            ))
-        })?;
-        unroll.push((dim.clone(), factor));
-    }
-    let mac_energy_pj = opt_f64(value, "mac_energy_pj")
-        .map_err(|m| AcceleratorDocError::Document(format!("pe_array: {m}")))?;
+fn pe_array_from_fields(fields: Fields<'_>) -> Result<PeArraySpec, String> {
+    fields.only(&["unroll", "mac_energy_pj"])?;
+    let unroll = fields
+        .req::<Fields<'_>>("unroll")?
+        .entries()
+        .iter()
+        .map(|(dim, factor)| Ok((dim.clone(), u64::read(dim, factor)?)))
+        .collect::<Result<_, String>>()?;
     Ok(PeArraySpec {
         unroll,
-        mac_energy_pj,
+        mac_energy_pj: fields.opt("mac_energy_pj")?,
     })
 }
 
 fn level_spec_from_value(value: &Value, index: usize) -> Result<LevelSpec, AcceleratorDocError> {
-    let anon = format!("#{index}");
-    let entries = value.as_object().ok_or_else(|| {
-        AcceleratorDocError::level(
-            &anon,
-            format!(
-                "each level must be a JSON object, found {}",
-                value.type_name()
-            ),
-        )
-    })?;
-    let name = value
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or_else(|| AcceleratorDocError::level(&anon, "missing or non-string 'name'"))?
-        .to_string();
-
-    for (key, _) in entries {
-        if !LEVEL_KEYS.contains(&key.as_str()) {
-            return Err(AcceleratorDocError::level(
-                &name,
-                format!(
-                    "unknown key '{key}' (expected one of: {})",
-                    LEVEL_KEYS.join(", ")
-                ),
-            ));
-        }
-    }
-
-    let kind = match value.get("kind") {
-        None => None,
-        Some(v) if v.is_null() => None,
-        Some(v) => Some(
-            v.as_str()
-                .ok_or_else(|| AcceleratorDocError::level(&name, "'kind' must be a string"))?
-                .to_string(),
-        ),
-    };
-
-    let capacity_bytes = match value.get("capacity_bytes") {
-        None => None,
-        Some(v) if v.is_null() => None,
-        Some(v) => Some(v.as_u64().ok_or_else(|| {
-            AcceleratorDocError::level(
-                &name,
-                format!(
-                    "'capacity_bytes' must be a non-negative integer or null for \
-                     unbounded (DRAM), found {}",
-                    v.type_name()
-                ),
-            )
-        })?),
-    };
-
-    let operands_value = value.get("operands").ok_or_else(|| {
-        AcceleratorDocError::level(&name, "missing 'operands' array (expected W, I, O entries)")
-    })?;
-    let operand_items = operands_value.as_array().ok_or_else(|| {
-        AcceleratorDocError::level(&name, "'operands' must be an array of operand names")
-    })?;
-    let mut operands = Vec::with_capacity(operand_items.len());
-    for item in operand_items {
-        let op = item.as_str().ok_or_else(|| {
-            AcceleratorDocError::level(&name, "'operands' entries must be strings")
-        })?;
-        operands.push(op.to_string());
-    }
-
-    let energy = |key: &str| -> Result<Option<f64>, AcceleratorDocError> {
-        opt_f64(value, key).map_err(|m| AcceleratorDocError::level(&name, m))
-    };
-    let bandwidth = |key: &str| -> Result<Option<f64>, AcceleratorDocError> {
+    let anonymous = |m| AcceleratorDocError::level(&format!("#{index}"), m);
+    let fields = Fields::new(value).map_err(anonymous)?;
+    let name = fields.req::<&str>("name").map_err(anonymous)?;
+    let spec = || -> Result<LevelSpec, String> {
+        fields.only(&LEVEL_KEYS)?;
         // JSON null means unlimited; a missing key means the kind default.
-        match value.get(key) {
+        let bandwidth = |key: &str| match fields.get(key) {
+            Some(Value::Null) => Ok(Some(f64::INFINITY)),
+            Some(v) => f64::read(key, v).map(Some),
             None => Ok(None),
-            Some(v) if v.is_null() => Ok(Some(f64::INFINITY)),
-            Some(v) => v.as_f64().map(Some).ok_or_else(|| {
-                AcceleratorDocError::level(
-                    &name,
-                    format!(
-                        "'{key}' must be a number or null for unlimited, found {}",
-                        v.type_name()
-                    ),
-                )
-            }),
-        }
+        };
+        Ok(LevelSpec {
+            name: name.to_string(),
+            kind: fields.opt::<&str>("kind")?.map(str::to_string),
+            capacity_bytes: fields.opt("capacity_bytes")?,
+            operands: fields.req("operands")?,
+            read_energy_pj_per_byte: fields.opt("read_energy_pj_per_byte")?,
+            write_energy_pj_per_byte: fields.opt("write_energy_pj_per_byte")?,
+            read_bw_bytes_per_cycle: bandwidth("read_bw_bytes_per_cycle")?,
+            write_bw_bytes_per_cycle: bandwidth("write_bw_bytes_per_cycle")?,
+        })
     };
-
-    Ok(LevelSpec {
-        read_energy_pj_per_byte: energy("read_energy_pj_per_byte")?,
-        write_energy_pj_per_byte: energy("write_energy_pj_per_byte")?,
-        read_bw_bytes_per_cycle: bandwidth("read_bw_bytes_per_cycle")?,
-        write_bw_bytes_per_cycle: bandwidth("write_bw_bytes_per_cycle")?,
-        name,
-        kind,
-        capacity_bytes,
-        operands,
-    })
-}
-
-fn opt_f64(value: &Value, key: &str) -> Result<Option<f64>, String> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(v) if v.is_null() => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| format!("'{key}' must be a number, found {}", v.type_name())),
-    }
+    spec().map_err(|m| AcceleratorDocError::level(name, m))
 }
 
 // ---------------------------------------------------------------------------

@@ -53,8 +53,6 @@ pub fn case_study_tile_grid(net: &Network) -> Vec<(u64, u64)> {
 pub struct ExperimentContext {
     /// The accelerator under study.
     pub accelerator: Accelerator,
-    /// Whether to use the fast (reduced) mapper search.
-    pub fast_mapper: bool,
 }
 
 impl ExperimentContext {
@@ -62,26 +60,18 @@ impl ExperimentContext {
     pub fn case_study_1() -> Self {
         Self {
             accelerator: zoo::meta_proto_like_df(),
-            fast_mapper: true,
         }
     }
 
     /// Context for an arbitrary accelerator.
     pub fn for_accelerator(accelerator: Accelerator) -> Self {
-        Self {
-            accelerator,
-            fast_mapper: true,
-        }
+        Self { accelerator }
     }
 
-    /// Builds a cost model bound to this context's accelerator.
+    /// Builds a cost model bound to this context's accelerator, with the
+    /// fast (reduced) mapper search.
     pub fn model(&self) -> DfCostModel<'_> {
-        let model = DfCostModel::new(&self.accelerator);
-        if self.fast_mapper {
-            model.with_mapper(MapperConfig::fast())
-        } else {
-            model
-        }
+        DfCostModel::new(&self.accelerator).with_mapper(MapperConfig::fast())
     }
 
     /// The FSRCNN workload used by case study 1.

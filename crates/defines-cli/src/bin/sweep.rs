@@ -259,7 +259,7 @@ fn run(matches: &clap::ArgMatches) -> Result<(), String> {
     // The per-point (tile x mode) sweep fixes the fuse partition per point,
     // so it only makes sense for the fixed-partition policies; `--fuse
     // search` replaces it with the partition search below.
-    let run_sweep = !matches!(policy, FusePolicy::Search { .. });
+    let run_sweep = policy != FusePolicy::Search;
     let total = grid.len() * modes.len();
     let mut record_rows: Vec<Value> = Vec::new();
     // The best evaluated record, tracked in-stream: minimal value, ties

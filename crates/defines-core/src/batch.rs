@@ -410,7 +410,7 @@ mod tests {
                     tile_grid: Some(grid.to_vec()),
                     modes: OverlapMode::ALL.to_vec(),
                     target: OptimizeTarget::Energy,
-                    policy: policy.clone(),
+                    policy: *policy,
                 });
             }
         }

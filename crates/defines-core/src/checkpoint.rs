@@ -8,7 +8,7 @@
 //! contract (flushed appends, torn tail, atomic rewrite). The header line
 //! binds the checkpoint to one exact run configuration: the format version,
 //! the optimization target, every axis (accelerator names *and* structural
-//! fingerprints, workload names, fuse labels), and a `grid_fingerprint`
+//! fingerprints, workload names, fuse keywords), and a `grid_fingerprint`
 //! hashing everything else that shapes cell results (tile grids, overlap
 //! modes, mapper configuration — which itself covers the search budget).
 //! Every further line is one completed [`CellOutcome`], appended the moment
@@ -16,7 +16,7 @@
 //!
 //! # Resume semantics
 //!
-//! Cells are keyed by `(accelerator fingerprint, workload, fuse label)` —
+//! Cells are keyed by `(accelerator fingerprint, workload, fuse keyword)` —
 //! *not* by grid position, so completion order and thread count never
 //! matter. [`run_matrix`](crate::matrix::run_matrix) skips every keyed cell
 //! found in the checkpoint and splices the recorded outcomes into the
@@ -38,10 +38,10 @@
 //! configurations in one report would be worse than re-running.
 
 use crate::explore::OptimizeTarget;
+use crate::fuse::FusePolicy;
 use crate::matrix::{CellOutcome, CellStack, MatrixError};
-use defines_engine::journal::{f64_field, field, str_field, u64_field};
 use defines_engine::{Journal, JournalError, SweepStats};
-use serde::{Serialize, Value};
+use serde::{Fields, Serialize, Value};
 use std::path::Path;
 use std::time::Duration;
 
@@ -58,17 +58,18 @@ pub struct CheckpointHeader {
     pub accelerators: Vec<(String, u64)>,
     /// The workload axis, in submission order.
     pub workloads: Vec<String>,
-    /// The fuse-policy axis labels, in submission order.
+    /// The fuse-policy axis keywords, in submission order.
     pub policies: Vec<String>,
     /// FNV-1a hash over everything else that shapes cell results: tile
-    /// grids, overlap modes, policy parameters, and each accelerator's
-    /// mapper configuration fingerprint (which covers the search budget).
+    /// grids, overlap modes, the policies' display forms, and each
+    /// accelerator's mapper configuration fingerprint (which covers the
+    /// search budget).
     pub grid_fingerprint: u64,
 }
 
 /// A loaded checkpoint: the validated header plus the raw cell values
-/// (converted to [`CellOutcome`]s by the matrix runner, which owns the axis
-/// context needed to reconstruct the fuse policies).
+/// (converted to [`CellOutcome`]s by the matrix runner, which places each
+/// on its grid slot).
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// The header line.
@@ -111,33 +112,28 @@ impl CheckpointHeader {
     }
 
     fn from_value(v: &Value) -> Result<Self, String> {
-        let version = u64_field(v, "defines_matrix_checkpoint")?;
+        let header = Fields::root(v)?;
+        let version = header.req::<u64>("defines_matrix_checkpoint")?;
         if version != VERSION {
             return Err(format!(
                 "unsupported checkpoint version {version} (this build writes {VERSION})"
             ));
         }
-        let accelerators = field(v, "accelerators")?
-            .as_array()
-            .ok_or("'accelerators' is not an array")?
+        let accelerators = header
+            .req::<&[Value]>("accelerators")?
             .iter()
-            .map(|entry| {
-                let pair = entry.as_array().filter(|p| p.len() == 2);
-                match pair {
-                    Some([name, fp]) => match (name.as_str(), fp.as_u64()) {
-                        (Some(name), Some(fp)) => Ok((name.to_string(), fp)),
-                        _ => Err("accelerator entry is not [name, fingerprint]".to_string()),
-                    },
-                    _ => Err("accelerator entry is not [name, fingerprint]".to_string()),
-                }
+            .map(|entry| match entry.as_array() {
+                Some([name, fp]) => Some((name.as_str()?.to_string(), fp.as_u64()?)),
+                _ => None,
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Option<Vec<_>>>()
+            .ok_or("accelerator entry is not [name, fingerprint]")?;
         Ok(CheckpointHeader {
-            target: str_field(v, "target")?.to_string(),
+            target: header.req::<&str>("target")?.to_string(),
             accelerators,
-            workloads: string_array(field(v, "workloads")?, "workloads")?,
-            policies: string_array(field(v, "policies")?, "policies")?,
-            grid_fingerprint: u64_field(v, "grid_fingerprint")?,
+            workloads: header.req("workloads")?,
+            policies: header.req("policies")?,
+            grid_fingerprint: header.req("grid_fingerprint")?,
         })
     }
 
@@ -170,77 +166,54 @@ impl CheckpointHeader {
     }
 }
 
-fn string_array(v: &Value, what: &str) -> Result<Vec<String>, String> {
-    v.as_array()
-        .ok_or_else(|| format!("'{what}' is not an array"))?
-        .iter()
-        .map(|item| {
-            item.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("'{what}' entry is not a string"))
-        })
-        .collect()
-}
-
-/// Reconstructs a recorded cell. The fuse *policy object* is not parseable
-/// from its display form, so it is resolved from the current run's axis via
-/// the cell's `fuse` label — the header validation already guaranteed the
-/// axes match.
-pub(crate) fn cell_from_value(
-    v: &Value,
-    policies: &[crate::fuse::FusePolicy],
-    policy_names: &[String],
-) -> Result<CellOutcome, String> {
-    let fuse = str_field(v, "fuse")?.to_string();
-    let pi = policy_names
-        .iter()
-        .position(|name| *name == fuse)
-        .ok_or_else(|| format!("cell fuse label '{fuse}' is not on the policy axis"))?;
-    let stacks = field(v, "stacks")?
-        .as_array()
-        .ok_or("'stacks' is not an array")?
+/// Reconstructs a recorded cell; its fuse policy is read back from the
+/// recorded keyword.
+pub(crate) fn cell_from_value(v: &Value) -> Result<CellOutcome, String> {
+    let cell = Fields::root(v)?;
+    let policy = FusePolicy::from_keyword(cell.req("fuse")?)?;
+    let stacks = cell
+        .req::<&[Value]>("stacks")?
         .iter()
         .map(|s| {
+            let s = Fields::new(s)?;
             Ok(CellStack {
-                layers: string_array(field(s, "layers")?, "layers")?,
-                tile: str_field(s, "tile")?.to_string(),
-                mode: str_field(s, "mode")?.to_string(),
-                value: f64_field(s, "value")?,
+                layers: s.req("layers")?,
+                tile: s.req::<&str>("tile")?.to_string(),
+                mode: s.req::<&str>("mode")?.to_string(),
+                value: s.req("value")?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let stats = field(v, "stats")?;
+    let stats = cell.req::<Fields<'_>>("stats")?;
+    let count = |key| stats.req::<u64>(key).map(|n| n as usize);
     let stats = SweepStats {
-        label: str_field(stats, "label")?.to_string(),
-        points: u64_field(stats, "points")? as usize,
-        evaluated: u64_field(stats, "evaluated")? as usize,
-        pruned: u64_field(stats, "pruned")? as usize,
-        failed: u64_field(stats, "failed")? as usize,
-        threads: u64_field(stats, "threads")? as usize,
+        label: stats.req::<&str>("label")?.to_string(),
+        points: count("points")?,
+        evaluated: count("evaluated")?,
+        pruned: count("pruned")?,
+        failed: count("failed")?,
+        threads: count("threads")?,
         // Recorded cells always carry zero elapsed time (the runner zeroes
         // it for reproducibility); parse it anyway so the round-trip stays
         // honest if that ever changes.
-        elapsed: Duration::from_secs_f64(f64_field(stats, "elapsed_ms")? / 1e3),
+        elapsed: Duration::from_secs_f64(stats.req::<f64>("elapsed_ms")? / 1e3),
         cache: None,
     };
-    if !field(v, "error")?.is_null() {
+    if cell.opt::<&str>("error")?.is_some() {
         return Err("checkpoint contains a failed cell (failed cells are never recorded)".into());
     }
     Ok(CellOutcome {
-        accelerator: str_field(v, "accelerator")?.to_string(),
-        fingerprint: u64_field(v, "fingerprint")?,
-        workload: str_field(v, "workload")?.to_string(),
-        policy: policies[pi].clone(),
-        fuse,
-        label: str_field(v, "label")?.to_string(),
-        value: f64_field(v, "value")?,
-        energy_pj: f64_field(v, "energy_pj")?,
-        latency_cycles: f64_field(v, "latency_cycles")?,
-        edp: f64_field(v, "edp")?,
-        candidates: u64_field(v, "candidates")? as usize,
-        degraded: field(v, "degraded")?
-            .as_bool()
-            .ok_or("'degraded' is not a boolean")?,
+        accelerator: cell.req::<&str>("accelerator")?.to_string(),
+        fingerprint: cell.req("fingerprint")?,
+        workload: cell.req::<&str>("workload")?.to_string(),
+        policy,
+        label: cell.req::<&str>("label")?.to_string(),
+        value: cell.req("value")?,
+        energy_pj: cell.req("energy_pj")?,
+        latency_cycles: cell.req("latency_cycles")?,
+        edp: cell.req("edp")?,
+        candidates: cell.req::<u64>("candidates")? as usize,
+        degraded: cell.req("degraded")?,
         error: None,
         stacks,
         stats,
@@ -287,8 +260,7 @@ pub(crate) fn live_header(
     target: OptimizeTarget,
     accelerators: &[(String, u64)],
     workloads: &[String],
-    policies: &[crate::fuse::FusePolicy],
-    policy_names: &[String],
+    policies: &[FusePolicy],
     grids: &[&[(u64, u64)]],
     modes: &[crate::strategy::OverlapMode],
     mapper_fingerprint: u64,
@@ -305,8 +277,7 @@ pub(crate) fn live_header(
     for mode in modes {
         h.write(mode.to_string().as_bytes());
     }
-    // Policy *parameters* (two Search policies may share an axis label
-    // prefix yet differ in span/budget — the display form carries both).
+    // The policies' display forms; existing headers fingerprint them too.
     for policy in policies {
         h.write(policy.to_string().as_bytes());
     }
@@ -315,7 +286,7 @@ pub(crate) fn live_header(
         target: target.to_string(),
         accelerators: accelerators.to_vec(),
         workloads: workloads.to_vec(),
-        policies: policy_names.to_vec(),
+        policies: policies.iter().map(|p| p.keyword().into()).collect(),
         grid_fingerprint: h.finish(),
     }
 }

@@ -532,10 +532,7 @@ impl<'a> Explorer<'a> {
         // A fixed policy's candidates are its partition, every one of them
         // chosen; `Search` lets the DP choose among overlapping candidates.
         let candidates = match policy {
-            FusePolicy::Search {
-                max_span,
-                weight_budget_factor,
-            } => enumerate_candidates(net, acc, *max_span, *weight_budget_factor),
+            FusePolicy::Search => enumerate_candidates(net, acc),
             _ => {
                 let fuse = policy.fixed_fuse_depth().expect("only Search is unfixed");
                 let stacks = partition_into_stacks(net, acc, &fuse);
@@ -544,7 +541,7 @@ impl<'a> Explorer<'a> {
             }
         };
         let (best, stats) = self.best_choice_per_stack(net, &candidates, tile_sizes, modes, target);
-        let (chosen, dp_degraded) = if matches!(policy, FusePolicy::Search { .. }) {
+        let (chosen, dp_degraded) = if *policy == FusePolicy::Search {
             let spans: Vec<(usize, usize)> = candidates.iter().map(stack_span).collect();
             let values: Vec<f64> = best.iter().map(|b| b.2).collect();
             let dp_budget = self.model.mapper_config().budget.max_dp_nodes;
@@ -574,7 +571,7 @@ impl<'a> Explorer<'a> {
         }
         let cost = NetworkCost::from_stacks(stack_costs);
         Ok(ScheduleResult {
-            policy: policy.clone(),
+            policy: *policy,
             choices,
             degraded: dp_degraded || cost.degraded,
             cost,

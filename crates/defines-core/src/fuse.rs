@@ -37,7 +37,7 @@ use std::fmt;
 /// The first three variants fix the partition with the corresponding
 /// [`FuseDepth`] policy and only search tile sizes and overlap modes per
 /// stack; [`FusePolicy::Search`] additionally searches the partition itself.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum FusePolicy {
     /// The automatic weight-budget heuristic ([`FuseDepth::Auto`]).
     Auto,
@@ -45,33 +45,16 @@ pub enum FusePolicy {
     FullNetwork,
     /// Every layer its own stack ([`FuseDepth::SingleLayerStacks`]).
     SingleLayerStacks,
-    /// Search the partition: enumerate candidate stacks as spans of
-    /// branch-free segments (plus single layers), evaluate every candidate,
-    /// and pick the optimal partition by shortest-path DP over cut points.
-    Search {
-        /// Maximum number of consecutive segments a candidate stack may span.
-        /// Spans the automatic heuristic would form are always included, so
-        /// a small `max_span` bounds work without losing to the heuristic.
-        max_span: usize,
-        /// Multiplier on the automatic weight budget
-        /// ([`weight_fuse_budget_bytes`]) gating multi-segment spans: spans
-        /// whose total weights exceed `factor × budget` are not enumerated.
-        /// `1.0` explores the heuristic's own space; larger factors admit
-        /// weight-spilling stacks the heuristic would never form.
-        weight_budget_factor: f64,
-    },
+    /// Search the partition: enumerate candidate stacks
+    /// ([`enumerate_candidates`]), evaluate every candidate, and pick the
+    /// optimal partition by shortest-path DP over cut points.
+    Search,
 }
 
 impl FusePolicy {
-    /// The default search configuration: unlimited span length, spans gated
-    /// at the heuristic's own weight budget (`factor = 1.0`). The candidate
-    /// set then always contains the automatic partition's stacks, all single
-    /// layers, and every budget-respecting segment span.
+    /// The partition search, [`FusePolicy::Search`].
     pub fn search() -> Self {
-        FusePolicy::Search {
-            max_span: usize::MAX,
-            weight_budget_factor: 1.0,
-        }
+        FusePolicy::Search
     }
 
     /// The fixed [`FuseDepth`] this policy corresponds to, or `None` for
@@ -81,7 +64,7 @@ impl FusePolicy {
             FusePolicy::Auto => Some(FuseDepth::Auto),
             FusePolicy::FullNetwork => Some(FuseDepth::FullNetwork),
             FusePolicy::SingleLayerStacks => Some(FuseDepth::SingleLayerStacks),
-            FusePolicy::Search { .. } => None,
+            FusePolicy::Search => None,
         }
     }
 
@@ -91,13 +74,12 @@ impl FusePolicy {
             FusePolicy::Auto => "auto",
             FusePolicy::FullNetwork => "full",
             FusePolicy::SingleLayerStacks => "single",
-            FusePolicy::Search { .. } => "search",
+            FusePolicy::Search => "search",
         }
     }
 
     /// Parses a fuse-policy keyword — the inverse of
-    /// [`FusePolicy::keyword`], with `search` meaning the default
-    /// [`FusePolicy::search`] configuration:
+    /// [`FusePolicy::keyword`]:
     ///
     /// * `auto` — the automatic weight-budget fuse heuristic,
     /// * `full` — the whole network as one stack,
@@ -113,7 +95,7 @@ impl FusePolicy {
             "auto" => Ok(FusePolicy::Auto),
             "full" => Ok(FusePolicy::FullNetwork),
             "single" => Ok(FusePolicy::SingleLayerStacks),
-            "search" => Ok(FusePolicy::search()),
+            "search" => Ok(FusePolicy::Search),
             other => Err(format!(
                 "unknown fuse policy '{other}' (expected one of: auto, full, single, search)"
             )),
@@ -127,19 +109,8 @@ impl fmt::Display for FusePolicy {
             FusePolicy::Auto => f.write_str("fuse policy: auto"),
             FusePolicy::FullNetwork => f.write_str("fuse policy: full network"),
             FusePolicy::SingleLayerStacks => f.write_str("fuse policy: single-layer stacks"),
-            FusePolicy::Search {
-                max_span,
-                weight_budget_factor,
-            } => {
-                if *max_span == usize::MAX {
-                    write!(f, "fuse policy: search (budget x{weight_budget_factor})")
-                } else {
-                    write!(
-                        f,
-                        "fuse policy: search (max span {max_span}, budget x{weight_budget_factor})"
-                    )
-                }
-            }
+            // Checkpoint headers fingerprint this text: keep it byte-stable.
+            FusePolicy::Search => f.write_str("fuse policy: search (budget x1)"),
         }
     }
 }
@@ -156,27 +127,19 @@ pub fn stack_span(stack: &Stack) -> (usize, usize) {
 ///
 /// 1. spans of consecutive branch-free segments, by start segment then span
 ///    length — multi-segment spans are skipped once their total weights
-///    exceed `weight_budget_factor ×` [`weight_fuse_budget_bytes`] or their
-///    length exceeds `max_span`;
+///    exceed [`weight_fuse_budget_bytes`];
 /// 2. every single layer (the degenerate stacks the heuristic falls back to
 ///    inside over-budget segments, and the building blocks that keep every
 ///    cut boundary reachable);
 /// 3. the stacks of the automatic partition itself, so the searched optimum
-///    can never be worse than the heuristic's choice regardless of the gates.
+///    can never be worse than the heuristic's choice.
 ///
 /// Duplicate layer ranges keep their first occurrence.
-pub fn enumerate_candidates(
-    net: &Network,
-    acc: &Accelerator,
-    max_span: usize,
-    weight_budget_factor: f64,
-) -> Vec<Stack> {
+pub fn enumerate_candidates(net: &Network, acc: &Accelerator) -> Vec<Stack> {
     /// Fuse-stack candidates produced across every enumeration.
     static FUSE_CANDIDATES: Counter = Counter::new("fuse.candidates");
     let _span = span!("fuse.enumerate");
-    let budget = weight_fuse_budget_bytes(acc) as f64 * weight_budget_factor.max(0.0);
-    // `as` saturates: an infinite factor admits every span.
-    let budget = budget as u64;
+    let budget = weight_fuse_budget_bytes(acc);
     let segs = segments(net);
     let seg_weight: Vec<u64> = segs
         .iter()
@@ -197,9 +160,6 @@ pub fn enumerate_candidates(
         let mut layers: Vec<LayerId> = Vec::new();
         let mut weight = 0u64;
         for (span, seg) in segs.iter().enumerate().skip(i).map(|(j, s)| (j - i + 1, s)) {
-            if span > max_span.max(1) {
-                break;
-            }
             weight = weight.saturating_add(seg_weight[i + span - 1]);
             if span >= 2 && weight > budget {
                 break;
@@ -426,7 +386,7 @@ mod tests {
     fn candidates_cover_singles_spans_and_auto_stacks() {
         let net = models::fsrcnn();
         let acc = zoo::meta_proto_like_df();
-        let candidates = enumerate_candidates(&net, &acc, usize::MAX, 1.0);
+        let candidates = enumerate_candidates(&net, &acc);
         // Every single layer is a candidate.
         for l in net.layer_ids() {
             assert!(
@@ -446,23 +406,6 @@ mod tests {
         let before = spans.len();
         spans.dedup();
         assert_eq!(spans.len(), before);
-    }
-
-    #[test]
-    fn max_span_and_budget_gate_multi_segment_spans() {
-        let net = models::fsrcnn();
-        let acc = zoo::meta_proto_like_df();
-        // max_span = 1: only single segments (here: single layers; FSRCNN is
-        // branch-free so every layer is its own segment) plus the auto stack.
-        let gated = enumerate_candidates(&net, &acc, 1, 1.0);
-        let auto = crate::stack::partition_into_stacks(&net, &acc, &FuseDepth::Auto);
-        assert_eq!(gated.len(), net.len() + auto.len());
-        // A zero budget factor also degenerates to singles + auto stacks.
-        let zero = enumerate_candidates(&net, &acc, usize::MAX, 0.0);
-        assert_eq!(zero.len(), net.len() + auto.len());
-        // The unrestricted candidate set is the full triangular family.
-        let all = enumerate_candidates(&net, &acc, usize::MAX, f64::INFINITY);
-        assert_eq!(all.len(), net.len() * (net.len() + 1) / 2);
     }
 
     #[test]

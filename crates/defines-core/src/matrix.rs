@@ -144,12 +144,9 @@ pub struct CellOutcome {
     pub fingerprint: u64,
     /// The workload's name.
     pub workload: String,
-    /// The fuse policy the cell's schedule was searched under.
+    /// The fuse policy the cell's schedule was searched under; its keyword
+    /// is the cell's label on the policy axis.
     pub policy: FusePolicy,
-    /// The policy's unique axis label: its CLI keyword, suffixed `#2`, `#3`,
-    /// … when several distinct configurations share a keyword (two
-    /// different [`FusePolicy::Search`] setups, say).
-    pub fuse: String,
     /// The cell's run label (`"workload @ accelerator [policy]"`), also
     /// carried on the inner engine run's [`SweepStats`].
     pub label: String,
@@ -233,12 +230,12 @@ pub struct MatrixReport {
 }
 
 impl MatrixReport {
-    /// Looks a cell up by its axis names (`policy` is the unique axis label
-    /// listed in [`MatrixReport::policies`]).
+    /// Looks a cell up by its axis names (`policy` is the fuse-policy
+    /// keyword listed in [`MatrixReport::policies`]).
     pub fn cell(&self, accelerator: &str, workload: &str, policy: &str) -> Option<&CellOutcome> {
-        self.cells
-            .iter()
-            .find(|c| c.accelerator == accelerator && c.workload == workload && c.fuse == policy)
+        self.cells.iter().find(|c| {
+            c.accelerator == accelerator && c.workload == workload && c.policy.keyword() == policy
+        })
     }
 
     /// Renders the report as a markdown document: a Fig.-13-style ranking
@@ -328,7 +325,7 @@ impl MatrixReport {
                     } else {
                         format!("{} stacks", cell.stacks.len())
                     };
-                    format!("{}: {} ({detail})", cell.workload, cell.fuse)
+                    format!("{}: {} ({detail})", cell.workload, cell.policy.keyword())
                 })
                 .collect();
             // Three decimals: case-study gaps are often under 1%, and a
@@ -353,7 +350,9 @@ impl MatrixReport {
             if cell.error.is_some() {
                 out.push_str(&format!(
                     "| {} | {} | {} | — | — | — | — |\n",
-                    cell.accelerator, cell.workload, cell.fuse,
+                    cell.accelerator,
+                    cell.workload,
+                    cell.policy.keyword(),
                 ));
                 continue;
             }
@@ -363,7 +362,7 @@ impl MatrixReport {
                 "| {} | {} | {} | {:.3} | {:.3} | {:.4e} | {:.4e}{mark} |\n",
                 cell.accelerator,
                 cell.workload,
-                cell.fuse,
+                cell.policy.keyword(),
                 cell.energy_pj / 1e9,
                 cell.latency_cycles / 1e6,
                 cell.edp,
@@ -404,10 +403,7 @@ impl Serialize for CellOutcome {
             ("accelerator".into(), Value::Str(self.accelerator.clone())),
             ("fingerprint".into(), Value::U64(self.fingerprint)),
             ("workload".into(), Value::Str(self.workload.clone())),
-            ("fuse".into(), Value::Str(self.fuse.clone())),
-            // The full policy (Display form carries the Search parameters),
-            // so report consumers can tell which configuration a label like
-            // "search#2" stands for.
+            ("fuse".into(), Value::Str(self.policy.keyword().into())),
             ("policy".into(), Value::Str(self.policy.to_string())),
             ("label".into(), Value::Str(self.label.clone())),
             ("value".into(), Value::F64(self.value)),
@@ -523,29 +519,7 @@ pub fn run_matrix(
 ) -> Result<MatrixReport, MatrixError> {
     let acc_names: Vec<String> = accelerators.iter().map(|a| a.name().to_string()).collect();
     let wl_names: Vec<String> = workloads.iter().map(|w| w.name().to_string()).collect();
-    // Fuse-policy axis labels: the CLI keyword, suffixed `#2`, `#3`, … when
-    // several *distinct* configurations share a keyword (e.g. two Search
-    // setups with different spans). Truly identical policies would make
-    // cells ambiguous and are rejected like any duplicate axis entry.
-    let mut policy_names: Vec<String> = Vec::with_capacity(policies.len());
-    for (i, policy) in policies.iter().enumerate() {
-        if policies[..i].contains(policy) {
-            return Err(MatrixError::Config(format!(
-                "duplicate fuse policy '{}': cells are keyed by name, so each fuse policy \
-                 may appear only once",
-                policy.keyword()
-            )));
-        }
-        let same_keyword = policies[..i]
-            .iter()
-            .filter(|p| p.keyword() == policy.keyword())
-            .count();
-        policy_names.push(if same_keyword == 0 {
-            policy.keyword().to_string()
-        } else {
-            format!("{}#{}", policy.keyword(), same_keyword + 1)
-        });
-    }
+    let policy_names: Vec<String> = policies.iter().map(|p| p.keyword().into()).collect();
     validate_axis("accelerator", &acc_names)?;
     validate_axis("workload", &wl_names)?;
     validate_axis("fuse policy", &policy_names)?;
@@ -618,7 +592,6 @@ pub fn run_matrix(
         &acc_keys,
         &wl_names,
         policies,
-        &policy_names,
         &grids,
         modes,
         mapper_fingerprint,
@@ -637,17 +610,15 @@ pub fn run_matrix(
         if populated {
             let ckpt = checkpoint::load(path)?;
             ckpt.header.validate_against(&header)?;
-            let on_grid = |names: &[String], name: &String| names.iter().position(|n| n == name);
             for v in &ckpt.cells {
-                let cell =
-                    checkpoint::cell_from_value(v, policies, &policy_names).map_err(|why| {
-                        MatrixError::Checkpoint(format!("checkpoint '{}': {why}", path.display()))
-                    })?;
+                let cell = checkpoint::cell_from_value(v).map_err(|why| {
+                    MatrixError::Checkpoint(format!("checkpoint '{}': {why}", path.display()))
+                })?;
                 let slot = acc_keys
                     .iter()
                     .position(|(name, fp)| *name == cell.accelerator && *fp == cell.fingerprint)
-                    .zip(on_grid(&wl_names, &cell.workload))
-                    .zip(on_grid(&policy_names, &cell.fuse))
+                    .zip(wl_names.iter().position(|n| *n == cell.workload))
+                    .zip(policies.iter().position(|p| *p == cell.policy))
                     .map(|((ai, wi), pi)| cell_index(ai, wi, pi))
                     .ok_or_else(|| {
                         MatrixError::Checkpoint(format!(
@@ -717,8 +688,7 @@ pub fn run_matrix(
                 accelerator: acc_names[ai].clone(),
                 fingerprint: acc_keys[ai].1,
                 workload: wl_names[wi].clone(),
-                policy: policies[pi].clone(),
-                fuse: policy_names[pi].clone(),
+                policy: policies[pi],
                 label: label.clone(),
                 value: f64::NAN,
                 energy_pj: f64::NAN,
@@ -1049,41 +1019,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_search_configurations_get_unique_axis_labels() {
-        // Two different Search setups share the "search" keyword; the axis
-        // labels disambiguate them so every cell stays addressable.
-        let accelerators = [zoo::meta_proto_like_df()];
-        let workloads = [tiny_net("tiny")];
-        let policies = [
-            FusePolicy::search(),
-            FusePolicy::Search {
-                max_span: 1,
-                weight_budget_factor: 0.5,
-            },
-        ];
-        let report = run_matrix(
-            &accelerators,
-            &workloads,
-            &policies,
-            Some(&[(8, 8)]),
-            &[OverlapMode::FullyCached],
-            OptimizeTarget::Energy,
-            &MatrixConfig::default(),
-            |_| {},
-        )
-        .unwrap();
-        assert_eq!(report.policies, vec!["search", "search#2"]);
-        assert!(report
-            .cell("Meta-proto-like DF", "tiny", "search")
-            .is_some());
-        assert!(report
-            .cell("Meta-proto-like DF", "tiny", "search#2")
-            .is_some());
-        let json = report.to_value().to_json();
-        assert!(json.contains("\"fuse\":\"search#2\""), "{json}");
-    }
-
-    #[test]
     fn empty_or_duplicate_axes_are_rejected() {
         let acc = [zoo::meta_proto_like_df()];
         let wl = [tiny_net("tiny")];
@@ -1269,6 +1204,47 @@ mod tests {
             "expected a checkpoint error, got: {err}"
         );
         assert!(err.to_string().contains("grid configuration"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn checkpoint_with_a_broken_interior_cell_is_rejected() {
+        let accelerators = [zoo::meta_proto_like_df()];
+        let workloads = [tiny_net("tiny")];
+        let path = scratch_checkpoint("broken-cell");
+        let run = || {
+            let config = MatrixConfig {
+                checkpoint: Some(path.clone()),
+                ..MatrixConfig::default()
+            };
+            run_matrix(
+                &accelerators,
+                &workloads,
+                &[FusePolicy::Auto, FusePolicy::SingleLayerStacks],
+                Some(&[(8, 8)]),
+                &[OverlapMode::FullyCached],
+                OptimizeTarget::Energy,
+                &config,
+                |_| {},
+            )
+        };
+        run().unwrap();
+        // Break the first of the two cell lines: its value becomes a string.
+        let mut ckpt = checkpoint::load(&path).unwrap();
+        assert_eq!(ckpt.cells.len(), 2);
+        let Value::Object(cell) = &mut ckpt.cells[0] else {
+            panic!("a cell line is an object");
+        };
+        let value = cell.iter_mut().find(|(k, _)| k == "value").unwrap();
+        value.1 = Value::Str("x".into());
+        let lines: Vec<String> = std::iter::once(ckpt.header.to_value())
+            .chain(ckpt.cells)
+            .map(|line| line.to_json() + "\n")
+            .collect();
+        std::fs::write(&path, lines.concat()).unwrap();
+        let err = run().unwrap_err();
+        assert!(matches!(err, MatrixError::Checkpoint(_)), "{err}");
+        assert!(err.to_string().contains("'value'"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 

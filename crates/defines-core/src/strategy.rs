@@ -210,12 +210,6 @@ impl DfStrategy {
         self
     }
 
-    /// Returns a copy with a different between-stack memory policy.
-    pub fn with_between_stacks(mut self, policy: BetweenStackMemory) -> Self {
-        self.between_stacks = policy;
-        self
-    }
-
     /// Whether this strategy is (an encoding of) plain single-layer
     /// scheduling.
     pub fn is_single_layer(&self) -> bool {

@@ -184,35 +184,10 @@ fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(format!("{name}.tmp"))
 }
 
-/// Looks a required key up in a JSON object.
-pub fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
-    v.get(key).ok_or_else(|| format!("missing field '{key}'"))
-}
-
-/// A required unsigned-integer field.
-pub fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("'{key}' is not an unsigned integer"))
-}
-
-/// A required numeric field.
-pub fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("'{key}' is not a number"))
-}
-
-/// A required string field.
-pub fn str_field<'v>(v: &'v Value, key: &str) -> Result<&'v str, String> {
-    field(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("'{key}' is not a string"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Fields;
 
     fn scratch(test: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("defines-journal-{}", std::process::id()));
@@ -232,7 +207,7 @@ mod tests {
     fn read_all(path: &Path) -> Result<Lines, JournalError> {
         let mut seen = Vec::new();
         let torn = Journal::read("test", path, |line, value, last| {
-            seen.push((line, u64_field(&value, "n")?, last));
+            seen.push((line, Fields::root(&value)?.req("n")?, last));
             Ok(())
         })?;
         Ok((seen, torn))

@@ -10,10 +10,9 @@
 //! `defines-mapping/tests/persist_faults.rs`) check what each builds on top.
 #![cfg(feature = "failpoints")]
 
-use defines_engine::journal::u64_field;
 use defines_engine::Journal;
 use defines_telemetry::fault;
-use serde::Value;
+use serde::{Fields, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
@@ -24,7 +23,7 @@ fn record(n: u64) -> Value {
 fn read_back(path: &Path) -> (Vec<u64>, bool) {
     let mut seen = Vec::new();
     let torn = Journal::read("test", path, |_, value, _| {
-        seen.push(u64_field(&value, "n")?);
+        seen.push(Fields::root(&value)?.req("n")?);
         Ok(())
     })
     .expect("a killed journal must stay readable");
@@ -54,8 +53,8 @@ fn a_kill_at_any_journal_site_leaves_old_or_new_content_never_a_hybrid() {
             path.file_name().unwrap().to_str().unwrap()
         ))
     };
-    let before_rewrite = vec![0, 1, 2, 3];
-    let after_rewrite = vec![0, 2, 4, 5];
+    let before_rewrite = [0, 1, 2, 3];
+    let after_rewrite = [0, 2, 4, 5];
 
     let mut injections = 0;
     for site in [

@@ -72,11 +72,6 @@ impl Budget {
             max_dp_nodes: 0,
         }
     }
-
-    /// Whether both fields are unlimited.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_orderings == 0 && self.max_dp_nodes == 0
-    }
 }
 
 /// Configuration of the mapping search.

@@ -38,12 +38,11 @@ use crate::problem::OperandTopLevels;
 use crate::temporal::{TemporalLoop, TemporalMapping};
 use defines_arch::schema::{parse_dim, parse_operand};
 use defines_arch::MemoryLevelId;
-use defines_engine::journal::{f64_field, field, str_field, u64_field};
 use defines_engine::{Fnv, Journal, JournalError};
 use defines_telemetry::Counter;
 use defines_workload::schema::{op_name, parse_op};
 use defines_workload::LayerDims;
-use serde::{Serialize, Value};
+use serde::{Fields, FromField, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -160,54 +159,48 @@ fn key_to_value(key: &ProblemKey) -> Value {
     ])
 }
 
-fn level_field(v: &Value, key: &str) -> Result<MemoryLevelId, String> {
-    Ok(MemoryLevelId(u64_field(v, key)? as usize))
-}
-
-fn key_from_value(v: &Value) -> Result<ProblemKey, String> {
-    let dims = field(v, "dims")?;
-    let top = field(v, "top_levels")?;
+fn key_from_value(key: Fields<'_>) -> Result<ProblemKey, String> {
+    let dims = key.req::<Fields<'_>>("dims")?;
+    let top = key.req::<Fields<'_>>("top_levels")?;
+    let level = |operand| top.req(operand).map(|id: u64| MemoryLevelId(id as usize));
     Ok(ProblemKey {
-        accelerator: u64_field(v, "accelerator")?,
-        op: parse_name("operator class", str_field(v, "op")?, parse_op)?,
+        accelerator: key.req("accelerator")?,
+        op: parse_name("operator class", key.req("op")?, parse_op)?,
         dims: LayerDims {
-            b: u64_field(dims, "b")?,
-            k: u64_field(dims, "k")?,
-            c: u64_field(dims, "c")?,
-            ox: u64_field(dims, "ox")?,
-            oy: u64_field(dims, "oy")?,
-            fx: u64_field(dims, "fx")?,
-            fy: u64_field(dims, "fy")?,
-            stride_x: u64_field(dims, "stride_x")?,
-            stride_y: u64_field(dims, "stride_y")?,
-            pad_x: u64_field(dims, "pad_x")?,
-            pad_y: u64_field(dims, "pad_y")?,
+            b: dims.req("b")?,
+            k: dims.req("k")?,
+            c: dims.req("c")?,
+            ox: dims.req("ox")?,
+            oy: dims.req("oy")?,
+            fx: dims.req("fx")?,
+            fy: dims.req("fy")?,
+            stride_x: dims.req("stride_x")?,
+            stride_y: dims.req("stride_y")?,
+            pad_x: dims.req("pad_x")?,
+            pad_y: dims.req("pad_y")?,
         },
-        act_bits: u64_field(v, "act_bits")? as u32,
-        weight_bits: u64_field(v, "weight_bits")? as u32,
+        act_bits: key.req::<u64>("act_bits")? as u32,
+        weight_bits: key.req::<u64>("weight_bits")? as u32,
         top_levels: OperandTopLevels {
-            weight: level_field(top, "weight")?,
-            input: level_field(top, "input")?,
-            output: level_field(top, "output")?,
+            weight: level("weight")?,
+            input: level("input")?,
+            output: level("output")?,
         },
-        mapper: u64_field(v, "mapper")?,
+        mapper: key.req("mapper")?,
     })
 }
 
-fn cost_from_value(v: &Value) -> Result<LayerCost, String> {
-    let accesses = field(v, "accesses").and_then(|a| field(a, "map"))?;
-    let entries = accesses
-        .as_array()
-        .ok_or("'accesses.map' is not an array")?
+fn cost_from_value(cost: Fields<'_>) -> Result<LayerCost, String> {
+    let entries = cost
+        .req::<Fields<'_>>("accesses")?
+        .req::<&[Value]>("map")?
         .iter()
         .map(|pair| {
-            let items = pair.as_array().filter(|p| p.len() == 2);
-            let [k, a] = items.ok_or("access entry is not a [key, access] pair")? else {
-                return Err("access entry is not a [key, access] pair".to_string());
+            let Some([k, a]) = pair.as_array() else {
+                return Err("access entry is not a [key, access] pair".into());
             };
-            let k = k.as_array().filter(|p| p.len() == 2);
-            let [level, operand] = k.ok_or("access key is not [level, operand]")? else {
-                return Err("access key is not [level, operand]".to_string());
+            let Some([level, operand]) = k.as_array() else {
+                return Err("access key is not [level, operand]".into());
             };
             let level = MemoryLevelId(
                 level
@@ -221,39 +214,38 @@ fn cost_from_value(v: &Value) -> Result<LayerCost, String> {
                     .ok_or("access key operand is not a string")?,
                 parse_operand,
             )?;
+            let a = Fields::new(a)?;
             Ok((
                 (level, operand),
                 Access {
-                    reads_bytes: f64_field(a, "reads_bytes")?,
-                    writes_bytes: f64_field(a, "writes_bytes")?,
+                    reads_bytes: a.req("reads_bytes")?,
+                    writes_bytes: a.req("writes_bytes")?,
                 },
             ))
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let loops = field(v, "mapping")
-        .and_then(|m| field(m, "loops"))?
-        .as_array()
-        .ok_or("'mapping.loops' is not an array")?
+    let loops = cost
+        .req::<Fields<'_>>("mapping")?
+        .req::<&[Value]>("loops")?
         .iter()
         .map(|l| {
+            let l = Fields::new(l)?;
             Ok(TemporalLoop {
-                dim: parse_name("dimension", str_field(l, "dim")?, parse_dim)?,
-                size: u64_field(l, "size")?,
+                dim: parse_name("dimension", l.req("dim")?, parse_dim)?,
+                size: l.req("size")?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
     Ok(LayerCost {
-        energy_pj: f64_field(v, "energy_pj")?,
-        mac_energy_pj: f64_field(v, "mac_energy_pj")?,
-        memory_energy_pj: f64_field(v, "memory_energy_pj")?,
-        latency_cycles: f64_field(v, "latency_cycles")?,
-        compute_cycles: f64_field(v, "compute_cycles")?,
-        macs: u64_field(v, "macs")?,
+        energy_pj: cost.req("energy_pj")?,
+        mac_energy_pj: cost.req("mac_energy_pj")?,
+        memory_energy_pj: cost.req("memory_energy_pj")?,
+        latency_cycles: cost.req("latency_cycles")?,
+        compute_cycles: cost.req("compute_cycles")?,
+        macs: cost.req("macs")?,
         accesses: AccessBreakdown::from_entries(entries),
         mapping: TemporalMapping::from_loops(loops),
-        degraded: field(v, "degraded")?
-            .as_bool()
-            .ok_or("'degraded' is not a boolean")?,
+        degraded: cost.req("degraded")?,
     })
 }
 
@@ -350,9 +342,10 @@ impl CacheStore {
         v: &Value,
         by_fp: &mut HashMap<u64, ProblemKey>,
     ) -> Result<(), String> {
-        if let Some(touched) = v.get("touch") {
-            let epoch = u64_field(v, "epoch")?;
-            let fps = touched.as_array().ok_or("'touch' is not an array")?;
+        let line = Fields::root(v)?;
+        if let Some(touched) = line.get("touch") {
+            let epoch = line.req("epoch")?;
+            let fps = <&[Value]>::read("touch", touched)?;
             for fp in fps {
                 let fp = fp.as_u64().ok_or("touch entry is not a fingerprint")?;
                 // Touches of entries this file no longer lists (evicted by a
@@ -363,13 +356,13 @@ impl CacheStore {
             }
             return Ok(());
         }
-        let fp = u64_field(v, "fp")?;
-        let epoch = u64_field(v, "epoch")?;
-        let key = key_from_value(field(v, "key")?)?;
+        let fp = line.req("fp")?;
+        let epoch = line.req("epoch")?;
+        let key = key_from_value(line.req("key")?)?;
         if key_fingerprint(&key) != fp {
             return Err(format!("entry fingerprint {fp:#x} does not match its key"));
         }
-        let cost = cost_from_value(field(v, "cost")?)?;
+        let cost = cost_from_value(line.req("cost")?)?;
         self.cache.preload(key.clone(), Arc::new(cost));
         self.epochs.insert(key.clone(), epoch);
         by_fp.insert(fp, key);

@@ -244,3 +244,51 @@ fn eviction_is_least_recently_used_with_key_tiebreak() {
     assert_eq!(store.stats().evicted, 1);
     let _ = std::fs::remove_file(&path);
 }
+
+/// A store file of three entries (lines 2–4 after the header) in which entry
+/// line `line` carries `"epoch":"x"`.
+fn store_with_broken_epoch(tag: &str, line: usize) -> PathBuf {
+    let path = fresh_path(tag);
+    let cache = MappingCache::new();
+    let mut store = CacheStore::open(&path, cache.clone(), 0).expect("open");
+    replay(&mut store, &cache, &[vec![0, 1, 2]], 7);
+    drop(store);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    assert_eq!(lines.len(), 4, "header + one line per entry");
+    let broken = &mut lines[line - 1];
+    let at = broken.find("\"epoch\":").unwrap() + "\"epoch\":".len();
+    let digits = broken[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    broken.replace_range(at..at + digits, "\"x\"");
+    std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+    path
+}
+
+#[test]
+fn broken_interior_entry_fails_the_open_naming_file_and_line() {
+    let path = store_with_broken_epoch("broken-interior", 3);
+    let err = CacheStore::open(&path, MappingCache::new(), 0)
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains(&path.display().to_string()), "{err}");
+    assert!(err.contains("line 3"), "{err}");
+    assert!(err.contains("'epoch'"), "{err}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn broken_last_entry_is_dropped_as_a_torn_tail() {
+    let path = store_with_broken_epoch("broken-tail", 4);
+    let cache = MappingCache::new();
+    let store = CacheStore::open(&path, cache.clone(), 0).expect("a torn tail is tolerated");
+    let stats = store.stats();
+    assert_eq!((stats.loaded, stats.entries), (2, 2));
+    assert_eq!(
+        stats.compactions, 1,
+        "the torn tail is healed by a compaction"
+    );
+    assert_eq!(cache.entries().len(), 2);
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(text.lines().count(), 3, "header + the two valid entries");
+    let _ = std::fs::remove_file(&path);
+}

@@ -15,7 +15,9 @@
 //!
 //! `dfmode`, `target` and `fuse` are optional (defaults `"123"`, `"energy"`,
 //! `"auto"`); `tilex`/`tiley` must be given together or both omitted (the
-//! explorer's default grid).
+//! explorer's default grid). Any other key is rejected, and so is a command
+//! carrying a key besides `cmd`: a typo'd optional key would otherwise fall
+//! back to its default and silently answer a different request.
 //!
 //! # Canonical form and byte-identity
 //!
@@ -28,8 +30,7 @@
 //! harness byte-compare daemon answers against standalone runs.
 
 use defines_core::{BatchItem, FusePolicy, OptimizeTarget, OverlapMode};
-use defines_engine::journal::str_field;
-use serde::{Serialize, Value};
+use serde::{Fields, Serialize, Value};
 
 /// A validated schedule request in canonical (defaults-resolved) form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,26 +51,32 @@ pub struct ScheduleRequest {
     pub tiley: Vec<u64>,
 }
 
-fn optional_string(v: &Value, key: &str, default: &str) -> Result<String, String> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(default.to_string()),
-        Some(s) => s
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| format!("'{key}' is not a string")),
+/// The keys a schedule request may carry.
+const SCHEDULE_KEYS: [&str; 7] = [
+    "workload",
+    "accelerator",
+    "dfmode",
+    "target",
+    "fuse",
+    "tilex",
+    "tiley",
+];
+
+/// Reads the command name of a command request (`{"cmd": …}`, no other
+/// key), or `None` when the line is a schedule request.
+pub fn command(v: &Value) -> Result<Option<&str>, String> {
+    let fields = Fields::root(v)?;
+    if fields.get("cmd").is_none() {
+        return Ok(None);
     }
+    fields.only(&["cmd"])?;
+    fields.req("cmd").map(Some)
 }
 
-fn tile_axis(v: &Value, key: &str) -> Result<Vec<u64>, String> {
-    let Some(axis) = v.get(key) else {
+fn tile_axis(fields: Fields<'_>, key: &str) -> Result<Vec<u64>, String> {
+    let Some(items) = fields.opt::<&[Value]>(key)? else {
         return Ok(Vec::new());
     };
-    if axis.is_null() {
-        return Ok(Vec::new());
-    }
-    let items = axis
-        .as_array()
-        .ok_or_else(|| format!("'{key}' is not an array"))?;
     if items.is_empty() {
         return Err(format!("'{key}' needs at least one entry"));
     }
@@ -86,14 +93,19 @@ impl ScheduleRequest {
     /// Parses and validates a request object. Keywords are checked here so a
     /// malformed request fails at the protocol boundary, not inside a batch.
     pub fn from_value(v: &Value) -> Result<Self, String> {
+        let fields = Fields::root(v)?;
+        fields.only(&SCHEDULE_KEYS)?;
+        let text = |key, default: &str| -> Result<String, String> {
+            Ok(fields.opt(key)?.unwrap_or(default).to_string())
+        };
         let request = Self {
-            workload: str_field(v, "workload")?.to_string(),
-            accelerator: str_field(v, "accelerator")?.to_string(),
-            dfmode: optional_string(v, "dfmode", "123")?,
-            target: optional_string(v, "target", "energy")?,
-            fuse: optional_string(v, "fuse", "auto")?,
-            tilex: tile_axis(v, "tilex")?,
-            tiley: tile_axis(v, "tiley")?,
+            workload: fields.req::<&str>("workload")?.to_string(),
+            accelerator: fields.req::<&str>("accelerator")?.to_string(),
+            dfmode: text("dfmode", "123")?,
+            target: text("target", "energy")?,
+            fuse: text("fuse", "auto")?,
+            tilex: tile_axis(fields, "tilex")?,
+            tiley: tile_axis(fields, "tiley")?,
         };
         // Validate the axes eagerly; also canonicalizes dfmode (dedup).
         let modes =
@@ -255,5 +267,20 @@ mod tests {
         ] {
             assert!(parse(json).is_err(), "{json} should fail");
         }
+    }
+
+    #[test]
+    fn unknown_request_keys_are_rejected() {
+        let err = parse(r#"{"workload":"w","accelerator":"a","targte":"latency"}"#).unwrap_err();
+        assert!(err.contains("targte"), "{err}");
+    }
+
+    #[test]
+    fn commands_carry_only_cmd() {
+        let v = |json| serde_json::from_str(json).unwrap();
+        assert_eq!(command(&v(r#"{"cmd":"ping"}"#)), Ok(Some("ping")));
+        assert_eq!(command(&v(r#"{"workload":"w"}"#)), Ok(None));
+        let err = command(&v(r#"{"cmd":"stats","verbose":true}"#)).unwrap_err();
+        assert!(err.contains("verbose"), "{err}");
     }
 }

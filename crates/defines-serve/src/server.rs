@@ -39,7 +39,7 @@
 //! open), and compaction is an atomic rename. The response memo is
 //! process-local and simply refills.
 
-use crate::protocol::{render_error, render_outcome, ScheduleRequest};
+use crate::protocol::{self, render_error, render_outcome, ScheduleRequest};
 use defines_core::{run_batch, BatchConfig, BatchItem};
 use defines_engine::{panic_error, EngineConfig};
 use defines_mapping::{Budget, CacheStore, MappingCache};
@@ -456,7 +456,11 @@ fn answer(inner: &ServerInner, line: &str) -> String {
         Ok(v) => v,
         Err(e) => return render_error(&format!("invalid JSON: {e}")),
     };
-    if let Some(cmd) = value.get("cmd").and_then(Value::as_str) {
+    let command = match protocol::command(&value) {
+        Ok(command) => command,
+        Err(why) => return render_error(&why),
+    };
+    if let Some(cmd) = command {
         return match cmd {
             "ping" => Value::Object(vec![
                 ("ok".into(), Value::Bool(true)),

@@ -129,12 +129,6 @@ impl LayerDims {
         self
     }
 
-    /// Returns a copy with the given batch size.
-    pub fn with_batch(mut self, b: u64) -> Self {
-        self.b = b;
-        self
-    }
-
     /// Loop bound of a given dimension.
     pub fn size(&self, dim: Dim) -> u64 {
         match dim {

@@ -55,7 +55,7 @@ use crate::dims::{input_extent, LayerDims};
 use crate::layer::{Layer, LayerId, OpType};
 use crate::network::Network;
 use crate::schema::{parse_op, LayerSpec, WorkloadDoc, FORMAT};
-use serde::Value;
+use serde::{Fields, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -167,182 +167,64 @@ const LAYER_KEYS: [&str; 14] = [
 /// Returns [`WorkloadError::Document`] or [`WorkloadError::Layer`] with a
 /// message naming the offending field.
 pub fn document_from_value(value: &Value) -> Result<WorkloadDoc, WorkloadError> {
-    let entries = value.as_object().ok_or_else(|| {
-        WorkloadError::Document(format!(
-            "expected a JSON object at the top level, found {}",
-            value.type_name()
-        ))
-    })?;
-    for (key, _) in entries {
-        if !matches!(key.as_str(), "format" | "name" | "layers") {
-            return Err(WorkloadError::Document(format!(
-                "unknown top-level key '{key}' (expected format, name, layers)"
-            )));
-        }
+    use WorkloadError::Document;
+    let fields = Fields::root(value).map_err(Document)?;
+    fields
+        .only(&["format", "name", "layers"])
+        .map_err(Document)?;
+    let format = fields.opt::<&str>("format").map_err(Document)?;
+    if let Some(tag) = format.filter(|&tag| tag != FORMAT) {
+        return Err(Document(format!(
+            "unsupported format tag '{tag}' (this loader reads '{FORMAT}')"
+        )));
     }
-
-    let format = match value.get("format") {
-        None => None,
-        Some(v) if v.is_null() => None,
-        Some(v) => {
-            let tag = v
-                .as_str()
-                .ok_or_else(|| WorkloadError::Document("'format' must be a string".to_string()))?;
-            if tag != FORMAT {
-                return Err(WorkloadError::Document(format!(
-                    "unsupported format tag '{tag}' (this loader reads '{FORMAT}')"
-                )));
-            }
-            Some(tag.to_string())
-        }
-    };
-
-    let name = value
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or_else(|| WorkloadError::Document("missing or non-string 'name'".to_string()))?
-        .to_string();
-
-    let layers_value = value
-        .get("layers")
-        .ok_or_else(|| WorkloadError::Document("missing 'layers' array".to_string()))?;
-    let layer_values = layers_value.as_array().ok_or_else(|| {
-        WorkloadError::Document(format!(
-            "'layers' must be an array, found {}",
-            layers_value.type_name()
-        ))
-    })?;
-
-    let mut layers = Vec::with_capacity(layer_values.len());
-    for (index, lv) in layer_values.iter().enumerate() {
-        layers.push(layer_spec_from_value(lv, index)?);
-    }
-
+    let name = fields.req::<&str>("name").map_err(Document)?;
+    let layers = fields
+        .req::<&[Value]>("layers")
+        .map_err(Document)?
+        .iter()
+        .enumerate()
+        .map(|(index, lv)| layer_spec_from_value(lv, index))
+        .collect::<Result<_, _>>()?;
     Ok(WorkloadDoc {
-        format,
-        name,
+        format: format.map(str::to_string),
+        name: name.to_string(),
         layers,
     })
 }
 
 fn layer_spec_from_value(value: &Value, index: usize) -> Result<LayerSpec, WorkloadError> {
-    let anon = format!("#{index}");
-    let entries = value.as_object().ok_or_else(|| {
-        WorkloadError::layer(
-            &anon,
-            format!(
-                "each layer must be a JSON object, found {}",
-                value.type_name()
-            ),
-        )
-    })?;
-    let name = value
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or_else(|| WorkloadError::layer(&anon, "missing or non-string 'name'"))?
-        .to_string();
-
-    for (key, _) in entries {
-        if !LAYER_KEYS.contains(&key.as_str()) {
-            return Err(WorkloadError::layer(
-                &name,
-                format!(
-                    "unknown key '{key}' (expected one of: {})",
-                    LAYER_KEYS.join(", ")
-                ),
-            ));
-        }
-    }
-
-    let op = value
-        .get("op")
-        .and_then(Value::as_str)
-        .ok_or_else(|| WorkloadError::layer(&name, "missing or non-string 'op'"))?
-        .to_string();
-
-    let inputs = match value.get("inputs") {
-        None => Vec::new(),
-        Some(v) => {
-            let items = v.as_array().ok_or_else(|| {
-                WorkloadError::layer(&name, "'inputs' must be an array of layer names")
-            })?;
-            items
-                .iter()
-                .map(|item| {
-                    item.as_str().map(str::to_string).ok_or_else(|| {
-                        WorkloadError::layer(&name, "'inputs' entries must be strings")
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?
-        }
+    let anonymous = |m| WorkloadError::layer(&format!("#{index}"), m);
+    let fields = Fields::new(value).map_err(anonymous)?;
+    let name = fields.req::<&str>("name").map_err(anonymous)?;
+    let spec = || -> Result<LayerSpec, String> {
+        fields.only(&LAYER_KEYS)?;
+        let bits = |key: &str| match fields.opt::<u64>(key)? {
+            None => Ok(None),
+            Some(bits) => u32::try_from(bits)
+                .ok()
+                .filter(|&b| b > 0)
+                .map(Some)
+                .ok_or_else(|| format!("'{key}' must be a positive bit width")),
+        };
+        Ok(LayerSpec {
+            name: name.to_string(),
+            op: fields.req::<&str>("op")?.to_string(),
+            inputs: fields.opt("inputs")?.unwrap_or_default(),
+            k: fields.opt("k")?,
+            c: fields.opt("c")?,
+            ox: fields.opt("ox")?,
+            oy: fields.opt("oy")?,
+            fx: fields.opt("fx")?,
+            fy: fields.opt("fy")?,
+            stride: fields.opt("stride")?,
+            padding: fields.opt("padding")?,
+            batch: fields.opt("batch")?,
+            act_bits: bits("act_bits")?,
+            weight_bits: bits("weight_bits")?,
+        })
     };
-
-    Ok(LayerSpec {
-        name: name.clone(),
-        op,
-        inputs,
-        k: opt_dim(value, "k", &name)?,
-        c: opt_dim(value, "c", &name)?,
-        ox: opt_dim(value, "ox", &name)?,
-        oy: opt_dim(value, "oy", &name)?,
-        fx: opt_dim(value, "fx", &name)?,
-        fy: opt_dim(value, "fy", &name)?,
-        stride: opt_pair(value, "stride", &name)?,
-        padding: opt_pair(value, "padding", &name)?,
-        batch: opt_dim(value, "batch", &name)?,
-        act_bits: opt_bits(value, "act_bits", &name)?,
-        weight_bits: opt_bits(value, "weight_bits", &name)?,
-    })
-}
-
-fn opt_dim(value: &Value, key: &str, layer: &str) -> Result<Option<u64>, WorkloadError> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(v) if v.is_null() => Ok(None),
-        Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-            WorkloadError::layer(
-                layer,
-                format!(
-                    "'{key}' must be a non-negative integer, found {}",
-                    v.type_name()
-                ),
-            )
-        }),
-    }
-}
-
-fn opt_bits(value: &Value, key: &str, layer: &str) -> Result<Option<u32>, WorkloadError> {
-    match opt_dim(value, key, layer)? {
-        None => Ok(None),
-        Some(bits) => u32::try_from(bits)
-            .ok()
-            .filter(|&b| b > 0)
-            .map(Some)
-            .ok_or_else(|| {
-                WorkloadError::layer(layer, format!("'{key}' must be a positive bit width"))
-            }),
-    }
-}
-
-fn opt_pair(value: &Value, key: &str, layer: &str) -> Result<Option<(u64, u64)>, WorkloadError> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(v) if v.is_null() => Ok(None),
-        Some(v) => {
-            let items = v.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
-                WorkloadError::layer(layer, format!("'{key}' must be a 2-element array [x, y]"))
-            })?;
-            let x = items[0].as_u64();
-            let y = items[1].as_u64();
-            match (x, y) {
-                (Some(x), Some(y)) => Ok(Some((x, y))),
-                _ => Err(WorkloadError::layer(
-                    layer,
-                    format!("'{key}' entries must be non-negative integers"),
-                )),
-            }
-        }
-    }
+    spec().map_err(|m| WorkloadError::layer(name, m))
 }
 
 // ---------------------------------------------------------------------------

@@ -245,7 +245,7 @@ proptest! {
 fn candidate_sets_contain_auto_stacks_and_singles() {
     for acc in [zoo::meta_proto_like_df(), zoo::tpu_like()] {
         for net in [models::fsrcnn(), models::resnet18()] {
-            let candidates = enumerate_candidates(&net, &acc, usize::MAX, 1.0);
+            let candidates = enumerate_candidates(&net, &acc);
             for stack in defines_core::stack::partition_into_stacks(&net, &acc, &FuseDepth::Auto) {
                 assert!(
                     candidates.iter().any(|c| c == &stack),
