@@ -221,6 +221,81 @@ proptest! {
     }
 }
 
+/// A bandwidth entry of a generated level: omitted (the kind's default),
+/// `null` (unlimited) or a number.
+fn arb_bandwidths() -> impl Strategy<Value = &'static str> {
+    prop::sample::select(vec![
+        "",
+        r#", "read_bw_bytes_per_cycle": null"#,
+        r#", "read_bw_bytes_per_cycle": null, "write_bw_bytes_per_cycle": null"#,
+        r#", "write_bw_bytes_per_cycle": 8.0"#,
+    ])
+}
+
+/// Accelerator documents that lean on the loader: energies and bandwidths
+/// left to the kind defaults or given as `null`, the DRAM level omitted or
+/// spelled out, and operand and dimension names in lower case.
+fn arb_accelerator_doc() -> impl Strategy<Value = String> {
+    (
+        (2u64..=32, 1u64..=16, 1u64..=8),
+        prop::sample::select(vec![("K", "C", "OX"), ("k", "c", "ox")]),
+        prop::sample::select(vec!["", r#", "mac_energy_pj": 0.25"#]),
+        (1u64..=4096, 1024u64..=262_144, 262_144u64..=4_194_304),
+        (arb_bandwidths(), arb_bandwidths(), arb_bandwidths()),
+        prop::sample::select(vec![("w", "i", "o"), ("weight", "input", "output")]),
+        prop::sample::select(vec!["", r#", "read_energy_pj_per_byte": 0.5"#]),
+        prop::sample::select(vec![
+            "",
+            r#", {"name": "DRAM", "kind": "dram", "operands": ["w", "i", "o"]}"#,
+        ]),
+    )
+        .prop_map(
+            |((k, c, ox), (dk, dc, dox), mac, (reg, lb, gb), (bw1, bw2, bw3), (w, i, o), e, dram)| {
+                format!(
+                    r#"{{"name": "generated",
+                      "pe_array": {{"unroll": {{"{dk}": {k}, "{dc}": {c}, "{dox}": {ox}}}{mac}}},
+                      "levels": [
+                        {{"name": "W_reg", "kind": "register", "capacity_bytes": {reg},
+                          "operands": ["{w}"]{bw1}}},
+                        {{"name": "LB", "capacity_bytes": {lb}, "operands": ["{i}", "{o}"]{bw2}{e}}},
+                        {{"name": "GB", "kind": "sram", "capacity_bytes": {gb},
+                          "operands": ["{w}", "{i}", "{o}"]{bw3}}}{dram}
+                      ]}}"#
+                )
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Exporting a generated stack (plain, strided, depthwise or residual)
+    /// and loading the document back gives the same network.
+    #[test]
+    fn generated_networks_round_trip_through_json(
+        d1 in arb_layer_dims(),
+        shape in arb_shape(),
+        k2 in 1u64..=32,
+        f2 in prop::sample::select(vec![1u64, 3]),
+    ) {
+        let net = stack_net(d1, shape, k2, f2);
+        let json = defines_workload::schema::to_json_pretty(&net).unwrap();
+        prop_assert_eq!(defines_workload::loader::from_json_str(&json).unwrap(), net);
+    }
+
+    /// An accelerator loaded from a document that relies on the loader's
+    /// defaults and spellings exports to a fully explicit document that
+    /// loads back into the same accelerator, fingerprint included.
+    #[test]
+    fn generated_accelerators_round_trip_through_json(doc in arb_accelerator_doc()) {
+        let acc = defines_arch::loader::from_json_str(&doc).unwrap();
+        let json = defines_arch::schema::to_json_pretty(&acc).unwrap();
+        let reloaded = defines_arch::loader::from_json_str(&json).unwrap();
+        prop_assert_eq!(reloaded.fingerprint(), acc.fingerprint());
+        prop_assert_eq!(reloaded, acc);
+    }
+}
+
 /// Non-proptest cross-crate check: the depth-first model's energy equals the
 /// sum of its per-stack energies, and per-stack energies equal the weighted
 /// sum of their tile types.
