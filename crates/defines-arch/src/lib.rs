@@ -19,9 +19,9 @@
 //! ([`energy`]); see `docs/paper-map.md` ("Deliberate deviations from the
 //! paper") for the substitution rationale.
 //!
-//! Accelerators are also *data*: the [`schema`] module defines a declarative
-//! JSON document format ([`AcceleratorDoc`]) mirroring the workload frontend,
-//! and the [`loader`] turns such documents into validated [`Accelerator`]s.
+//! Accelerators are also *data*: the [`loader`] reads a declarative JSON
+//! document format mirroring the workload frontend straight into validated
+//! [`Accelerator`]s, and [`schema::to_json_pretty`] writes one back out.
 //! Round trips are exact — a file-loaded accelerator has the same
 //! [`Accelerator::fingerprint`] as its in-memory twin, so it shares
 //! mapping-cache entries with it.
@@ -53,4 +53,3 @@ pub use loader::AcceleratorDocError;
 pub use memory::{MemoryHierarchy, MemoryLevel, MemoryLevelId};
 pub use operand::Operand;
 pub use pe_array::{PeArray, SpatialUnrolling};
-pub use schema::AcceleratorDoc;

@@ -1,5 +1,6 @@
-//! JSON accelerator loader: parses an [`AcceleratorDoc`] and turns it into a
-//! validated [`Accelerator`], applying per-kind defaults to omitted fields.
+//! JSON accelerator loader: reads an accelerator document (see
+//! [`crate::schema`]) straight into a validated [`Accelerator`], applying
+//! per-kind defaults to omitted fields as it reads.
 //!
 //! # Defaults
 //!
@@ -56,8 +57,9 @@ use crate::accelerator::{Accelerator, AcceleratorBuilder, ArchError};
 use crate::energy::{DRAM_BYTES_PER_CYCLE, DRAM_ENERGY_PJ_PER_BYTE, REGISTER_ENERGY_PJ_PER_BYTE};
 use crate::memory::MemoryLevel;
 use crate::pe_array::SpatialUnrolling;
-use crate::schema::{parse_dim, parse_operand, AcceleratorDoc, LevelSpec, PeArraySpec, FORMAT};
+use crate::schema::{parse_dim, parse_operand, FORMAT};
 use serde::{Fields, FromField, Value};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
 
@@ -121,12 +123,54 @@ impl AcceleratorDocError {
 /// # Errors
 ///
 /// Returns [`AcceleratorDocError::Json`] for malformed JSON,
-/// [`AcceleratorDocError::Document`] for structural problems and
-/// [`AcceleratorDocError::Level`] (naming the level) for per-level problems.
+/// [`AcceleratorDocError::Document`] for structural, PE-array and
+/// hierarchy-wide problems and [`AcceleratorDocError::Level`] (naming the
+/// level) for per-level problems.
 pub fn from_json_str(json: &str) -> Result<Accelerator, AcceleratorDocError> {
+    use AcceleratorDocError::Document;
     let value = serde_json::from_str(json).map_err(|e| AcceleratorDocError::Json(e.to_string()))?;
-    let doc = document_from_value(&value)?;
-    accelerator_from_doc(&doc)
+    let fields = Fields::root(&value).map_err(Document)?;
+    fields
+        .only(&["format", "name", "pe_array", "levels"])
+        .map_err(Document)?;
+    let format = fields.opt::<&str>("format").map_err(Document)?;
+    if let Some(tag) = format.filter(|&tag| tag != FORMAT) {
+        return Err(Document(format!(
+            "unsupported format tag '{tag}' (this loader reads '{FORMAT}')"
+        )));
+    }
+    let name = fields.req::<&str>("name").map_err(Document)?;
+    let (unrolling, mac_energy) = pe_array(fields.req("pe_array").map_err(Document)?)
+        .map_err(|m| Document(format!("pe_array: {m}")))?;
+    let levels: &[Value] = fields.opt("levels").map_err(Document)?.ok_or_else(|| {
+        Document("missing 'levels' array (an accelerator needs at least one memory level)".into())
+    })?;
+    if levels.is_empty() {
+        return Err(Document(format!(
+            "accelerator '{name}' has no memory levels (at least one on-chip level \
+             is required; DRAM is appended automatically)"
+        )));
+    }
+
+    let mut builder = AcceleratorBuilder::new(name).pe_array(unrolling, mac_energy);
+    let mut seen = BTreeSet::new();
+    for (index, value) in levels.iter().enumerate() {
+        let anonymous = |m| AcceleratorDocError::level(&format!("#{index}"), m);
+        let fields = Fields::new(value).map_err(anonymous)?;
+        let name = fields.req::<&str>("name").map_err(anonymous)?;
+        if !seen.insert(name) {
+            return Err(AcceleratorDocError::level(name, "duplicate level name"));
+        }
+        let level = memory_level(name, fields).map_err(|m| AcceleratorDocError::level(name, m))?;
+        builder = builder.add_level(level);
+    }
+
+    builder.build().map_err(|e| match e {
+        // Both cases name the structural problem; the PE array was set above,
+        // so MissingPeArray is unreachable.
+        ArchError::Hierarchy(h) => Document(h.to_string()),
+        ArchError::MissingPeArray => Document(e.to_string()),
+    })
 }
 
 /// Loads an accelerator from a JSON file.
@@ -144,10 +188,6 @@ pub fn from_json_file(path: impl AsRef<Path>) -> Result<Accelerator, Accelerator
     from_json_str(&text)
 }
 
-// ---------------------------------------------------------------------------
-// JSON value -> AcceleratorDoc
-// ---------------------------------------------------------------------------
-
 /// The keys a level object may carry; anything else is a typo worth
 /// rejecting.
 const LEVEL_KEYS: [&str; 8] = [
@@ -161,293 +201,124 @@ const LEVEL_KEYS: [&str; 8] = [
     "write_bw_bytes_per_cycle",
 ];
 
-/// Extracts an [`AcceleratorDoc`] from a parsed JSON value.
-///
-/// # Errors
-///
-/// Returns [`AcceleratorDocError::Document`] or
-/// [`AcceleratorDocError::Level`] with a message naming the offending field.
-pub fn document_from_value(value: &Value) -> Result<AcceleratorDoc, AcceleratorDocError> {
-    use AcceleratorDocError::Document;
-    let fields = Fields::root(value).map_err(Document)?;
-    fields
-        .only(&["format", "name", "pe_array", "levels"])
-        .map_err(Document)?;
-    let format = fields.opt::<&str>("format").map_err(Document)?;
-    if let Some(tag) = format.filter(|&tag| tag != FORMAT) {
-        return Err(Document(format!(
-            "unsupported format tag '{tag}' (this loader reads '{FORMAT}')"
-        )));
-    }
-    let name = fields.req::<&str>("name").map_err(Document)?;
-    let pe_array = pe_array_from_fields(fields.req("pe_array").map_err(Document)?)
-        .map_err(|m| Document(format!("pe_array: {m}")))?;
-    let levels: &[Value] = fields.opt("levels").map_err(Document)?.ok_or_else(|| {
-        Document("missing 'levels' array (an accelerator needs at least one memory level)".into())
-    })?;
-    let levels = levels
-        .iter()
-        .enumerate()
-        .map(|(index, lv)| level_spec_from_value(lv, index))
-        .collect::<Result<_, _>>()?;
-    Ok(AcceleratorDoc {
-        format: format.map(str::to_string),
-        name: name.to_string(),
-        pe_array,
-        levels,
-    })
-}
-
-fn pe_array_from_fields(fields: Fields<'_>) -> Result<PeArraySpec, String> {
+/// Reads the `pe_array` object: the spatial unrolling and the per-MAC energy.
+fn pe_array(fields: Fields<'_>) -> Result<(SpatialUnrolling, f64), String> {
     fields.only(&["unroll", "mac_energy_pj"])?;
-    let unroll = fields
-        .req::<Fields<'_>>("unroll")?
-        .entries()
-        .iter()
-        .map(|(dim, factor)| Ok((dim.clone(), u64::read(dim, factor)?)))
-        .collect::<Result<_, String>>()?;
-    Ok(PeArraySpec {
-        unroll,
-        mac_energy_pj: fields.opt("mac_energy_pj")?,
-    })
-}
-
-fn level_spec_from_value(value: &Value, index: usize) -> Result<LevelSpec, AcceleratorDocError> {
-    let anonymous = |m| AcceleratorDocError::level(&format!("#{index}"), m);
-    let fields = Fields::new(value).map_err(anonymous)?;
-    let name = fields.req::<&str>("name").map_err(anonymous)?;
-    let spec = || -> Result<LevelSpec, String> {
-        fields.only(&LEVEL_KEYS)?;
-        // JSON null means unlimited; a missing key means the kind default.
-        let bandwidth = |key: &str| match fields.get(key) {
-            Some(Value::Null) => Ok(Some(f64::INFINITY)),
-            Some(v) => f64::read(key, v).map(Some),
-            None => Ok(None),
-        };
-        Ok(LevelSpec {
-            name: name.to_string(),
-            kind: fields.opt::<&str>("kind")?.map(str::to_string),
-            capacity_bytes: fields.opt("capacity_bytes")?,
-            operands: fields.req("operands")?,
-            read_energy_pj_per_byte: fields.opt("read_energy_pj_per_byte")?,
-            write_energy_pj_per_byte: fields.opt("write_energy_pj_per_byte")?,
-            read_bw_bytes_per_cycle: bandwidth("read_bw_bytes_per_cycle")?,
-            write_bw_bytes_per_cycle: bandwidth("write_bw_bytes_per_cycle")?,
-        })
-    };
-    spec().map_err(|m| AcceleratorDocError::level(name, m))
-}
-
-// ---------------------------------------------------------------------------
-// AcceleratorDoc -> Accelerator (defaults + validation)
-// ---------------------------------------------------------------------------
-
-/// The level kinds a document may name, selecting defaults for omitted
-/// energies and bandwidths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LevelKind {
-    Sram,
-    Register,
-    Dram,
-}
-
-/// Builds a validated [`Accelerator`] from a document, applying the
-/// module-level defaults.
-///
-/// # Errors
-///
-/// Returns [`AcceleratorDocError::Document`] for PE-array and hierarchy-wide
-/// problems and [`AcceleratorDocError::Level`] — naming the level — for
-/// everything else.
-pub fn accelerator_from_doc(doc: &AcceleratorDoc) -> Result<Accelerator, AcceleratorDocError> {
-    let unrolling = unrolling_from_spec(&doc.pe_array)?;
-    let mac_energy = match doc.pe_array.mac_energy_pj {
-        None => crate::energy::MAC_ENERGY_PJ,
-        Some(e) if e.is_finite() && e > 0.0 => e,
-        Some(e) => {
-            return Err(AcceleratorDocError::Document(format!(
-                "pe_array: 'mac_energy_pj' must be a positive finite number, got {e}"
-            )));
-        }
-    };
-
-    if doc.levels.is_empty() {
-        return Err(AcceleratorDocError::Document(format!(
-            "accelerator '{}' has no memory levels (at least one on-chip level \
-             is required; DRAM is appended automatically)",
-            doc.name
-        )));
-    }
-
-    let mut builder = AcceleratorBuilder::new(doc.name.clone()).pe_array(unrolling, mac_energy);
-    let mut seen = std::collections::BTreeSet::new();
-    for spec in &doc.levels {
-        if !seen.insert(spec.name.as_str()) {
-            return Err(AcceleratorDocError::level(
-                &spec.name,
-                "duplicate level name",
-            ));
-        }
-        builder = builder.add_level(level_from_spec(spec)?);
-    }
-
-    builder.build().map_err(|e| match e {
-        // Both cases name the structural problem; the PE array was set above,
-        // so MissingPeArray is unreachable.
-        ArchError::Hierarchy(h) => AcceleratorDocError::Document(h.to_string()),
-        ArchError::MissingPeArray => AcceleratorDocError::Document(e.to_string()),
-    })
-}
-
-fn unrolling_from_spec(spec: &PeArraySpec) -> Result<SpatialUnrolling, AcceleratorDocError> {
-    if spec.unroll.is_empty() {
-        return Err(AcceleratorDocError::Document(
-            "pe_array: 'unroll' is empty — a zero-size PE array cannot compute anything \
+    let unroll = fields.req::<Fields<'_>>("unroll")?.entries();
+    if unroll.is_empty() {
+        return Err(
+            "'unroll' is empty — a zero-size PE array cannot compute anything \
              (give at least one dimension a factor > 1)"
-                .to_string(),
-        ));
+                .into(),
+        );
     }
-    let mut pairs = Vec::with_capacity(spec.unroll.len());
-    let mut seen = std::collections::BTreeSet::new();
-    for (dim_name, factor) in &spec.unroll {
+    let mut pairs = Vec::with_capacity(unroll.len());
+    let mut total = 1u64;
+    for (dim_name, factor) in unroll {
+        let factor = u64::read(dim_name, factor)?;
         let dim = parse_dim(dim_name).ok_or_else(|| {
-            AcceleratorDocError::Document(format!(
-                "pe_array: unknown unrolling dimension '{dim_name}' \
-                 (expected B, K, C, OX, OY, FX, FY)"
-            ))
+            format!("unknown unrolling dimension '{dim_name}' (expected B, K, C, OX, OY, FX, FY)")
         })?;
         // JSON keys "K" and "k" are distinct, so duplicate-dimension entries
         // can reach here; silently letting the last one win would mis-size
         // the PE array.
-        if !seen.insert(dim) {
-            return Err(AcceleratorDocError::Document(format!(
-                "pe_array: unrolling dimension '{dim_name}' is given more than once"
-            )));
+        if pairs.iter().any(|&(seen, _)| seen == dim) {
+            return Err(format!(
+                "unrolling dimension '{dim_name}' is given more than once"
+            ));
         }
-        if *factor == 0 {
-            return Err(AcceleratorDocError::Document(format!(
-                "pe_array: unrolling factor for '{dim_name}' is 0 — a zero-size PE array \
-                 cannot compute anything"
-            )));
+        if factor == 0 {
+            return Err(format!(
+                "unrolling factor for '{dim_name}' is 0 — a zero-size PE array cannot \
+                 compute anything"
+            ));
         }
-        pairs.push((dim, *factor));
+        total = total.checked_mul(factor).ok_or_else(|| {
+            format!("the unrolling factors overflow a 64-bit MAC count at '{dim_name}'")
+        })?;
+        pairs.push((dim, factor));
     }
-    let unrolling = SpatialUnrolling::from_pairs(pairs);
-    if unrolling.total() <= 1 {
-        return Err(AcceleratorDocError::Document(
-            "pe_array: all unrolling factors are 1 — a zero-size PE array cannot \
-             compute anything (give at least one dimension a factor > 1)"
-                .to_string(),
-        ));
+    if total == 1 {
+        return Err("all unrolling factors are 1 — a zero-size PE array cannot \
+                    compute anything (give at least one dimension a factor > 1)"
+            .into());
     }
-    Ok(unrolling)
+    let mac_energy = match fields.opt::<f64>("mac_energy_pj")? {
+        None => crate::energy::MAC_ENERGY_PJ,
+        Some(e) if e.is_finite() && e > 0.0 => e,
+        Some(e) => {
+            return Err(format!(
+                "'mac_energy_pj' must be a positive finite number, got {e}"
+            ))
+        }
+    };
+    Ok((SpatialUnrolling::from_pairs(pairs), mac_energy))
 }
 
-fn level_from_spec(spec: &LevelSpec) -> Result<MemoryLevel, AcceleratorDocError> {
-    let name = spec.name.as_str();
-
-    let kind = match spec.kind.as_deref() {
-        None => {
-            if spec.capacity_bytes.is_some() {
-                LevelKind::Sram
-            } else {
-                LevelKind::Dram
-            }
-        }
-        Some("sram") => LevelKind::Sram,
-        Some("register") => LevelKind::Register,
-        Some("dram") => LevelKind::Dram,
-        Some(other) => {
-            return Err(AcceleratorDocError::level(
-                name,
-                format!("unknown kind '{other}' (expected sram, register, dram)"),
+/// Reads one memory level, applying the module-level kind defaults.
+fn memory_level(name: &str, fields: Fields<'_>) -> Result<MemoryLevel, String> {
+    fields.only(&LEVEL_KEYS)?;
+    let kind = fields.opt::<&str>("kind")?;
+    let capacity = fields.opt::<u64>("capacity_bytes")?;
+    let kind = kind.unwrap_or(if capacity.is_some() { "sram" } else { "dram" });
+    let (capacity, default_energy, default_bw) = match (kind, capacity) {
+        ("dram", None) => (None, DRAM_ENERGY_PJ_PER_BYTE, DRAM_BYTES_PER_CYCLE),
+        ("dram", Some(c)) => {
+            return Err(format!(
+                "dram levels are unbounded: remove 'capacity_bytes' ({c}) or change the kind"
             ));
+        }
+        ("sram" | "register", None) => {
+            return Err("missing 'capacity_bytes' (only dram levels are unbounded)".into());
+        }
+        ("sram" | "register", Some(0)) => return Err("'capacity_bytes' must be positive".into()),
+        ("register", Some(c)) => (Some(c), REGISTER_ENERGY_PJ_PER_BYTE, f64::INFINITY),
+        ("sram", Some(c)) => (
+            Some(c),
+            crate::energy::sram_energy_pj_per_byte(c),
+            crate::energy::sram_bytes_per_cycle(c),
+        ),
+        (other, _) => {
+            return Err(format!(
+                "unknown kind '{other}' (expected sram, register, dram)"
+            ))
         }
     };
 
-    let capacity = match (kind, spec.capacity_bytes) {
-        (LevelKind::Dram, None) => None,
-        (LevelKind::Dram, Some(c)) => {
-            return Err(AcceleratorDocError::level(
-                name,
-                format!(
-                    "dram levels are unbounded: remove 'capacity_bytes' ({c}) or \
-                     change the kind"
-                ),
-            ));
-        }
-        (LevelKind::Sram | LevelKind::Register, None) => {
-            return Err(AcceleratorDocError::level(
-                name,
-                "missing 'capacity_bytes' (only dram levels are unbounded)",
-            ));
-        }
-        (LevelKind::Sram | LevelKind::Register, Some(0)) => {
-            return Err(AcceleratorDocError::level(
-                name,
-                "'capacity_bytes' must be positive",
-            ));
-        }
-        (LevelKind::Sram | LevelKind::Register, Some(c)) => Some(c),
-    };
-
-    if spec.operands.is_empty() {
-        return Err(AcceleratorDocError::level(
-            name,
-            "serves no operands (list at least one of W, I, O)",
-        ));
+    let operands = fields.req::<Vec<String>>("operands")?;
+    if operands.is_empty() {
+        return Err("serves no operands (list at least one of W, I, O)".into());
     }
-    let mut operands = Vec::with_capacity(spec.operands.len());
-    for op_name in &spec.operands {
-        let op = parse_operand(op_name).ok_or_else(|| {
-            AcceleratorDocError::level(
-                name,
-                format!("unknown operand '{op_name}' (expected W, I, O)"),
-            )
-        })?;
-        operands.push(op);
-    }
+    let operands = operands.iter().map(|op| {
+        parse_operand(op).ok_or_else(|| format!("unknown operand '{op}' (expected W, I, O)"))
+    });
+    let operands = operands.collect::<Result<Vec<_>, _>>()?;
 
-    let (default_energy, default_bw) = match kind {
-        LevelKind::Sram => {
-            let c = capacity.expect("sram capacity checked above");
-            (
-                crate::energy::sram_energy_pj_per_byte(c),
-                crate::energy::sram_bytes_per_cycle(c),
-            )
-        }
-        LevelKind::Register => (REGISTER_ENERGY_PJ_PER_BYTE, f64::INFINITY),
-        LevelKind::Dram => (DRAM_ENERGY_PJ_PER_BYTE, DRAM_BYTES_PER_CYCLE),
+    let energy = |key: &str| match fields.opt::<f64>(key)? {
+        None => Ok(default_energy),
+        Some(e) if e.is_finite() && e >= 0.0 => Ok(e),
+        Some(e) => Err(format!(
+            "'{key}' must be a non-negative finite number, got {e}"
+        )),
     };
-
-    let energy = |explicit: Option<f64>, key: &str| -> Result<f64, AcceleratorDocError> {
-        match explicit {
-            None => Ok(default_energy),
-            Some(e) if e.is_finite() && e >= 0.0 => Ok(e),
-            Some(e) => Err(AcceleratorDocError::level(
-                name,
-                format!("'{key}' must be a non-negative finite number, got {e}"),
+    // A missing key means the kind's default; JSON null means unlimited.
+    let bandwidth = |key: &str| match fields.get(key) {
+        None => Ok(default_bw),
+        Some(Value::Null) => Ok(f64::INFINITY),
+        Some(v) => match f64::read(key, v)? {
+            bw if bw > 0.0 => Ok(bw),
+            bw => Err(format!(
+                "'{key}' must be positive (or null for unlimited), got {bw}"
             )),
-        }
+        },
     };
-    let bandwidth = |explicit: Option<f64>, key: &str| -> Result<f64, AcceleratorDocError> {
-        match explicit {
-            None => Ok(default_bw),
-            Some(bw) if bw > 0.0 => Ok(bw), // f64::INFINITY (JSON null) is legal
-            Some(bw) => Err(AcceleratorDocError::level(
-                name,
-                format!("'{key}' must be positive (or null for unlimited), got {bw}"),
-            )),
-        }
-    };
-
     Ok(MemoryLevel::new(
         name,
         capacity,
-        energy(spec.read_energy_pj_per_byte, "read_energy_pj_per_byte")?,
-        energy(spec.write_energy_pj_per_byte, "write_energy_pj_per_byte")?,
-        bandwidth(spec.read_bw_bytes_per_cycle, "read_bw_bytes_per_cycle")?,
-        bandwidth(spec.write_bw_bytes_per_cycle, "write_bw_bytes_per_cycle")?,
+        energy("read_energy_pj_per_byte")?,
+        energy("write_energy_pj_per_byte")?,
+        bandwidth("read_bw_bytes_per_cycle")?,
+        bandwidth("write_bw_bytes_per_cycle")?,
         operands,
     ))
 }
@@ -581,6 +452,22 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("factors are 1"), "{err}");
+    }
+
+    #[test]
+    fn unrolling_factors_whose_product_overflows_are_rejected() {
+        // 2^32 * 2^32 wraps a u64 to 0; the PE array must be rejected for
+        // its size, not mistaken for an all-ones array.
+        let err = from_json_str(
+            r#"{"name": "x", "pe_array": {"unroll": {"K": 4294967296, "C": 4294967296}},
+                "levels": [{"name": "LB", "capacity_bytes": 1024, "operands": ["W", "I", "O"]}]}"#,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid accelerator document: pe_array: the unrolling factors overflow a 64-bit \
+             MAC count at 'C'"
+        );
     }
 
     #[test]
@@ -747,24 +634,10 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("must be positive"), "{err}");
-        let err = accelerator_from_doc(&AcceleratorDoc {
-            format: None,
-            name: "x".into(),
-            pe_array: PeArraySpec {
-                unroll: vec![("K".into(), 8)],
-                mac_energy_pj: Some(-0.5),
-            },
-            levels: vec![LevelSpec {
-                name: "LB".into(),
-                kind: None,
-                capacity_bytes: Some(1024),
-                operands: vec!["W".into(), "I".into(), "O".into()],
-                read_energy_pj_per_byte: None,
-                write_energy_pj_per_byte: None,
-                read_bw_bytes_per_cycle: None,
-                write_bw_bytes_per_cycle: None,
-            }],
-        })
+        let err = from_json_str(
+            r#"{"name": "x", "pe_array": {"unroll": {"K": 8}, "mac_energy_pj": -0.5}, "levels": [
+                {"name": "LB", "capacity_bytes": 1024, "operands": ["W", "I", "O"]}]}"#,
+        )
         .unwrap_err();
         assert!(err.to_string().contains("mac_energy_pj"), "{err}");
     }

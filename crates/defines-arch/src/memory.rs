@@ -302,23 +302,6 @@ impl MemoryHierarchy {
             .map(|(i, l)| (MemoryLevelId(i), l))
     }
 
-    /// The innermost level serving an operand.
-    pub fn innermost_for(&self, operand: Operand) -> MemoryLevelId {
-        self.levels_for(operand)
-            .next()
-            .map(|(id, _)| id)
-            .expect("hierarchy validation guarantees every operand is served")
-    }
-
-    /// The highest *on-chip* level serving an operand, or `None` when the
-    /// operand's only memory is DRAM (e.g. weights on the TPU-like baseline).
-    pub fn top_on_chip_for(&self, operand: Operand) -> Option<MemoryLevelId> {
-        self.levels_for(operand)
-            .filter(|(_, l)| !l.is_dram())
-            .last()
-            .map(|(id, _)| id)
-    }
-
     /// The lowest level serving `operand` whose capacity share can hold
     /// `bytes` bytes, searching from `floor` upward (inclusive). Falls back to
     /// DRAM, which always fits.
@@ -384,8 +367,6 @@ mod tests {
         let h = simple();
         let w: Vec<_> = h.levels_for(Operand::Weight).map(|(id, _)| id.0).collect();
         assert_eq!(w, vec![0, 2, 4, 5]);
-        assert_eq!(h.innermost_for(Operand::Input).0, 3);
-        assert_eq!(h.top_on_chip_for(Operand::Output), Some(MemoryLevelId(4)));
     }
 
     #[test]

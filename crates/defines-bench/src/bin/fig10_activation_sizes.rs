@@ -5,17 +5,18 @@
 //!
 //! Run with: `cargo run --release -p defines-bench --bin fig10_activation_sizes`
 
-use defines_bench::{table, ExperimentContext};
+use defines_arch::zoo;
+use defines_bench::table;
 use defines_core::backcalc::StackGeometry;
 use defines_core::stack::Stack;
 use defines_core::strategy::{OverlapMode, TileSize};
 use defines_core::tiling::TileGrid;
+use defines_workload::models;
 use std::collections::HashMap;
 
 fn main() {
-    let ctx = ExperimentContext::case_study_1();
-    let acc = &ctx.accelerator;
-    let net = ctx.fsrcnn();
+    let acc = &zoo::meta_proto_like_df();
+    let net = models::fsrcnn();
     let stack = Stack::new(net.layer_ids().collect());
     let geo = StackGeometry::new(&net, &stack);
     let grid = TileGrid::new(960, 540, TileSize::new(60, 72));

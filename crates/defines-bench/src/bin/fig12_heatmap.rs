@@ -6,8 +6,10 @@
 //!
 //! Run with: `cargo run --release -p defines-bench --bin fig12_heatmap`
 
-use defines_bench::{heatmap, write_json, ExperimentContext};
-use defines_core::{DfStrategy, OverlapMode, TileSize};
+use defines_arch::zoo;
+use defines_bench::{heatmap, write_json};
+use defines_core::{DfCostModel, DfStrategy, OverlapMode, TileSize};
+use defines_workload::models;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -21,9 +23,9 @@ struct Cell {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let ctx = ExperimentContext::case_study_1();
-    let net = ctx.fsrcnn();
-    let model = ctx.model();
+    let acc = zoo::meta_proto_like_df();
+    let net = models::fsrcnn();
+    let model = DfCostModel::new(&acc).with_fast_mapper();
     let xs = [1u64, 4, 16, 60, 240, 960];
     let ys = [1u64, 4, 18, 72, 270, 540];
     let mut cells = Vec::new();
@@ -59,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     ty,
                     energy_mj: cost.energy_mj(),
                     latency_mcycles: cost.latency_mcycles(),
-                    dram_mb: cost.dram_traffic_bytes(&ctx.accelerator) / (1024.0 * 1024.0),
+                    dram_mb: cost.dram_traffic_bytes(&acc) / (1024.0 * 1024.0),
                 });
             }
             energy_rows.push(energy_row);

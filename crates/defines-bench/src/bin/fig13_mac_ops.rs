@@ -4,13 +4,15 @@
 //!
 //! Run with: `cargo run --release -p defines-bench --bin fig13_mac_ops`
 
-use defines_bench::{diagonal_tile_sizes, table, ExperimentContext};
-use defines_core::{DfStrategy, OverlapMode, TileSize};
+use defines_arch::zoo;
+use defines_bench::{diagonal_tile_sizes, table};
+use defines_core::{DfCostModel, DfStrategy, OverlapMode, TileSize};
+use defines_workload::models;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let ctx = ExperimentContext::case_study_1();
-    let net = ctx.fsrcnn();
-    let model = ctx.model();
+    let acc = zoo::meta_proto_like_df();
+    let net = models::fsrcnn();
+    let model = DfCostModel::new(&acc).with_fast_mapper();
     let lbl_macs: u64 = net.layers().iter().map(|l| l.macs()).sum();
 
     let header = [

@@ -7,9 +7,11 @@
 //!
 //! Run with: `cargo run --release -p defines-bench --bin fig14_memory_access`
 
-use defines_bench::{diagonal_tile_sizes, table, write_json, ExperimentContext};
-use defines_core::{DataClass, DfStrategy, OverlapMode, TileSize};
+use defines_arch::zoo;
+use defines_bench::{diagonal_tile_sizes, table, write_json};
+use defines_core::{DataClass, DfCostModel, DfStrategy, OverlapMode, TileSize};
 use defines_mapping::AccessBreakdown;
+use defines_workload::models;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -23,10 +25,9 @@ struct Row {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let ctx = ExperimentContext::case_study_1();
-    let acc = &ctx.accelerator;
-    let net = ctx.fsrcnn();
-    let model = ctx.model();
+    let acc = &zoo::meta_proto_like_df();
+    let net = models::fsrcnn();
+    let model = DfCostModel::new(acc).with_fast_mapper();
 
     // Aggregate the per-level traffic into the three groups the paper plots:
     // local buffers (LB, registers), the global buffer, and DRAM.

@@ -7,9 +7,10 @@
 //!
 //! Run with: `cargo run --release -p defines-bench --bin fig16_case_study2`
 
-use defines_bench::{case_study_tile_grid, ratio, table, write_json, ExperimentContext};
+use defines_arch::zoo;
+use defines_bench::{case_study_tile_grid, ratio, table, write_json};
 use defines_core::baselines::fixed_fully_cached;
-use defines_core::{DfStrategy, Explorer, FusePolicy, OptimizeTarget, OverlapMode};
+use defines_core::{DfCostModel, DfStrategy, Explorer, FusePolicy, OptimizeTarget, OverlapMode};
 use defines_workload::models;
 use serde::Serialize;
 
@@ -22,13 +23,13 @@ struct Row {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let ctx = ExperimentContext::case_study_1();
-    let model = ctx.model();
+    let acc = zoo::meta_proto_like_df();
+    let model = DfCostModel::new(&acc).with_fast_mapper();
     let explorer = Explorer::new(&model);
 
     println!(
         "Fig. 16 (case study 2): strategies across workloads on {}\n",
-        ctx.accelerator.name()
+        acc.name()
     );
     let header = [
         "workload",

@@ -10,8 +10,8 @@
 //! Run with: `cargo run --release -p defines-bench --bin fig17_case_study3`
 
 use defines_arch::zoo;
-use defines_bench::{case_study_tile_grid, table, write_json, ExperimentContext};
-use defines_core::{DfStrategy, Explorer, FusePolicy, OptimizeTarget, OverlapMode};
+use defines_bench::{case_study_tile_grid, table, write_json};
+use defines_core::{DfCostModel, DfStrategy, Explorer, FusePolicy, OptimizeTarget, OverlapMode};
 use defines_workload::models;
 use serde::Serialize;
 
@@ -43,8 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let search = FusePolicy::search();
 
     for acc in zoo::all_case_study_architectures() {
-        let ctx = ExperimentContext::for_accelerator(acc);
-        let model = ctx.model();
+        let model = DfCostModel::new(&acc).with_fast_mapper();
         let explorer = Explorer::new(&model);
         let mut lbl_e = Vec::new();
         let mut lbl_l = Vec::new();
@@ -80,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (ge_search, gl_search) = (geomean(&search_e), geomean(&search_l));
         let best_df = ge_df.min(ge_search);
         rows.push(vec![
-            ctx.accelerator.name().to_string(),
+            acc.name().to_string(),
             format!("{ge_lbl:.2}"),
             format!("{ge_df:.2}"),
             format!("{ge_search:.2}"),
@@ -89,24 +88,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             format!("{gl_df:.1}"),
         ]);
         json_rows.push(Row {
-            architecture: ctx.accelerator.name().to_string(),
+            architecture: acc.name().to_string(),
             schedule: "LBL".to_string(),
             geomean_energy_mj: ge_lbl,
             geomean_latency_mcycles: gl_lbl,
         });
         json_rows.push(Row {
-            architecture: ctx.accelerator.name().to_string(),
+            architecture: acc.name().to_string(),
             schedule: "best DF".to_string(),
             geomean_energy_mj: ge_df,
             geomean_latency_mcycles: gl_df,
         });
         json_rows.push(Row {
-            architecture: ctx.accelerator.name().to_string(),
+            architecture: acc.name().to_string(),
             schedule: "searched partition".to_string(),
             geomean_energy_mj: ge_search,
             geomean_latency_mcycles: gl_search,
         });
-        println!("evaluated {}", ctx.accelerator.name());
+        println!("evaluated {}", acc.name());
     }
 
     println!(

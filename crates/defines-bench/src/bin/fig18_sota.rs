@@ -13,9 +13,9 @@
 //! `results/fig18.json`.
 
 use defines_arch::zoo;
-use defines_bench::{case_study_tile_grid, ratio, table, write_json, ExperimentContext};
+use defines_bench::{case_study_tile_grid, ratio, table, write_json};
 use defines_core::baselines::{run_baseline, BaselineKind, BaselineResult};
-use defines_core::OverlapMode;
+use defines_core::{DfCostModel, OverlapMode};
 use defines_workload::{models, Network};
 use serde::Serialize;
 
@@ -47,15 +47,14 @@ fn run_part(
     ];
     let mut rows = Vec::new();
     for acc in [zoo::meta_proto_like_df(), zoo::edge_tpu_like_df()] {
-        let ctx = ExperimentContext::for_accelerator(acc);
-        let model = ctx.model();
+        let model = DfCostModel::new(&acc).with_fast_mapper();
         let tiles = case_study_tile_grid(workload);
         let mut ours: Option<BaselineResult> = None;
         for &(name, kind) in kinds {
             let result = run_baseline(&model, workload, kind, &tiles, &OverlapMode::ALL)?;
-            let dram_mb = result.cost.dram_traffic_bytes(&ctx.accelerator) / (1024.0 * 1024.0);
+            let dram_mb = result.cost.dram_traffic_bytes(&acc) / (1024.0 * 1024.0);
             rows.push(vec![
-                ctx.accelerator.name().to_string(),
+                acc.name().to_string(),
                 name.to_string(),
                 format!("{:.2}", result.cost.energy_mj()),
                 format!("{:.1}", result.cost.latency_mcycles()),
@@ -64,7 +63,7 @@ fn run_part(
             ]);
             json.push(Row {
                 part: part.to_string(),
-                architecture: ctx.accelerator.name().to_string(),
+                architecture: acc.name().to_string(),
                 scenario: name.to_string(),
                 energy_mj: result.cost.energy_mj(),
                 latency_mcycles: result.cost.latency_mcycles(),
@@ -78,12 +77,12 @@ fn run_part(
         if let Some(ours) = ours {
             if let Some(first) = rows
                 .iter()
-                .find(|r| r[0] == ctx.accelerator.name() && r[1] != "ours (full model)")
+                .find(|r| r[0] == acc.name() && r[1] != "ours (full model)")
             {
                 let baseline_energy: f64 = first[2].parse().unwrap_or(f64::NAN);
                 println!(
                     "{}: gain of the full model over '{}': {}",
-                    ctx.accelerator.name(),
+                    acc.name(),
                     first[1],
                     ratio(baseline_energy, ours.cost.energy_mj())
                 );

@@ -10,4 +10,4 @@ pub mod report;
 pub mod settings;
 
 pub use report::{heatmap, ratio, table, write_json};
-pub use settings::{case_study_tile_grid, diagonal_tile_sizes, fig12_tile_grid, ExperimentContext};
+pub use settings::{case_study_tile_grid, diagonal_tile_sizes, fig12_tile_grid};

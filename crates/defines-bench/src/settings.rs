@@ -1,9 +1,6 @@
 //! Canonical experiment settings shared by the figure/table binaries.
 
-use defines_arch::{zoo, Accelerator};
-use defines_core::DfCostModel;
-use defines_mapping::MapperConfig;
-use defines_workload::{models, Network};
+use defines_workload::Network;
 
 /// The tile-size grid of Fig. 12: the paper sweeps 6 × 6 (Tx, Ty) points for
 /// FSRCNN's 960×540 output.
@@ -48,41 +45,10 @@ pub fn case_study_tile_grid(net: &Network) -> Vec<(u64, u64)> {
     grid
 }
 
-/// Everything an experiment binary needs: the accelerator, the workloads and a
-/// ready-to-use cost model factory.
-pub struct ExperimentContext {
-    /// The accelerator under study.
-    pub accelerator: Accelerator,
-}
-
-impl ExperimentContext {
-    /// Case-study-1 context: the Meta-prototype-like DF architecture.
-    pub fn case_study_1() -> Self {
-        Self {
-            accelerator: zoo::meta_proto_like_df(),
-        }
-    }
-
-    /// Context for an arbitrary accelerator.
-    pub fn for_accelerator(accelerator: Accelerator) -> Self {
-        Self { accelerator }
-    }
-
-    /// Builds a cost model bound to this context's accelerator, with the
-    /// fast (reduced) mapper search.
-    pub fn model(&self) -> DfCostModel<'_> {
-        DfCostModel::new(&self.accelerator).with_mapper(MapperConfig::fast())
-    }
-
-    /// The FSRCNN workload used by case study 1.
-    pub fn fsrcnn(&self) -> Network {
-        models::fsrcnn()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use defines_workload::models;
 
     #[test]
     fn fig12_grid_is_6_by_6() {
@@ -106,12 +72,5 @@ mod tests {
         assert!(g.iter().all(|&(tx, ty)| tx <= 112 && ty <= 112));
         assert!(g.iter().any(|&(tx, ty)| tx >= 28 && ty >= 28));
         assert!(!g.is_empty());
-    }
-
-    #[test]
-    fn context_builds_model() {
-        let ctx = ExperimentContext::case_study_1();
-        let model = ctx.model();
-        assert_eq!(model.accelerator().name(), "Meta-proto-like DF");
     }
 }

@@ -9,8 +9,8 @@ use crate::stack::{partition_into_stacks, Stack};
 use crate::strategy::{BetweenStackMemory, DfStrategy, OverlapMode, TileSize};
 use defines_arch::{Accelerator, MemoryLevelId, Operand};
 use defines_mapping::{
-    AccessBreakdown, LayerCost, LomaMapper, MapperConfig, MappingCache, Objective,
-    OperandTopLevels, SingleLayerProblem,
+    AccessBreakdown, LayerCost, LomaMapper, MapperConfig, MappingCache, OperandTopLevels,
+    SingleLayerProblem,
 };
 use defines_telemetry::{span, Counter};
 use defines_workload::{Layer, LayerDims, Network};
@@ -190,14 +190,6 @@ impl<'a> DfCostModel<'a> {
     /// fingerprint, so differently budgeted runs never share cache entries.
     pub fn with_search_budget(mut self, budget: defines_mapping::Budget) -> Self {
         self.mapper = LomaMapper::new(self.mapper.config().with_budget(budget));
-        self
-    }
-
-    /// Sets the single-layer mapper's optimization objective (energy by
-    /// default; latency reproduces the latency-optimized schedules of
-    /// Fig. 18(d)).
-    pub fn with_mapper_objective(mut self, objective: Objective) -> Self {
-        self.mapper = LomaMapper::new(self.mapper.config().with_objective(objective));
         self
     }
 
@@ -708,6 +700,7 @@ mod tests {
     use super::*;
     use crate::stack::FuseDepth;
     use defines_arch::zoo;
+    use defines_mapping::Objective;
     use defines_workload::{models, LayerId, OpType};
 
     fn small_net() -> Network {
@@ -749,7 +742,10 @@ mod tests {
             assert_ne!(first.mapper_config(), &MapperConfig::fast());
         }
         assert_commutes(|m| m.with_search_budget(defines_mapping::Budget::orderings(17)));
-        assert_commutes(|m| m.with_mapper_objective(Objective::Latency));
+        assert_commutes(|m| {
+            let config = m.mapper_config().with_objective(Objective::Latency);
+            m.with_mapper(config)
+        });
     }
 
     #[test]

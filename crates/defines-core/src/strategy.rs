@@ -209,14 +209,6 @@ impl DfStrategy {
         self.fuse = fuse;
         self
     }
-
-    /// Whether this strategy is (an encoding of) plain single-layer
-    /// scheduling.
-    pub fn is_single_layer(&self) -> bool {
-        self.tile.is_full()
-            && self.fuse == FuseDepth::SingleLayerStacks
-            && self.between_stacks == BetweenStackMemory::Dram
-    }
 }
 
 impl fmt::Display for DfStrategy {
@@ -256,9 +248,10 @@ mod tests {
     #[test]
     fn canonical_strategies() {
         let sl = DfStrategy::single_layer();
-        assert!(sl.is_single_layer());
+        assert!(sl.tile.is_full());
+        assert_eq!(sl.fuse, FuseDepth::SingleLayerStacks);
+        assert_eq!(sl.between_stacks, BetweenStackMemory::Dram);
         let lbl = DfStrategy::layer_by_layer();
-        assert!(!lbl.is_single_layer());
         assert_eq!(lbl.between_stacks, BetweenStackMemory::LowestFitting);
         let df = DfStrategy::depth_first(TileSize::new(4, 72), OverlapMode::FullyCached);
         assert_eq!(df.fuse, FuseDepth::Auto);

@@ -114,11 +114,6 @@ impl TemporalMapping {
         }
         factor
     }
-
-    /// Total number of temporal iterations (product of all trip counts).
-    pub fn total_iterations(&self) -> u64 {
-        self.loops.iter().map(|l| l.size).product::<u64>().max(1)
-    }
 }
 
 impl fmt::Display for TemporalMapping {
@@ -224,7 +219,8 @@ mod tests {
         let p = SingleLayerProblem::new(&acc, &layer);
         let m = TemporalMapping::from_order(&p, &Dim::SPATIAL_AND_CHANNEL);
         // K: 64/32 = 2, C: 4/2 = 2, OX: 16/4 = 4, OY: 4, FX: 3, FY: 3.
-        assert_eq!(m.total_iterations(), 2 * 2 * 4 * 4 * 3 * 3);
+        let iterations: u64 = m.loops().iter().map(|l| l.size).product();
+        assert_eq!(iterations, 2 * 2 * 4 * 4 * 3 * 3);
         // C is unrolled by 2 so its temporal loop is 2.
         assert!(m.loops().iter().any(|l| l.dim == Dim::C && l.size == 2));
     }
@@ -235,7 +231,7 @@ mod tests {
         let p = SingleLayerProblem::new(&acc, &layer);
         let m = TemporalMapping::from_order(&p, &Dim::SPATIAL_AND_CHANNEL);
         assert!(m.is_empty(), "{m}");
-        assert_eq!(m.total_iterations(), 1);
+        assert_eq!(m.loops().iter().map(|l| l.size).product::<u64>(), 1);
     }
 
     #[test]

@@ -118,13 +118,6 @@ mod armed {
             .map_or(0, |s| s.hits)
     }
 
-    /// Total injected panics fired since process start (reads the
-    /// `fault.injected` counter directly, independent of the metrics flag
-    /// snapshotting).
-    pub fn injected_total() -> u64 {
-        INJECTED.value()
-    }
-
     #[inline]
     pub(super) fn check_armed(site: &'static str) {
         if ARMED_COUNT.load(Ordering::Relaxed) == 0 {
@@ -153,7 +146,7 @@ mod armed {
 }
 
 #[cfg(feature = "failpoints")]
-pub use armed::{arm, disarm_all, hits, injected_total, ArmGuard};
+pub use armed::{arm, disarm_all, hits, ArmGuard};
 
 #[cfg(feature = "failpoints")]
 use armed::check_armed;

@@ -146,12 +146,19 @@ macro_rules! span {
     };
 }
 
+/// Serializes this crate's unit tests that toggle the global tracing and
+/// metrics flags: one test switching a flag off mid-way through another's
+/// recording would make that one fail.
+#[cfg(test)]
+static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn flags_default_off_and_toggle() {
+        let _lock = TEST_LOCK.lock().unwrap();
         // Default state: both off (other tests in this binary restore it).
         set_tracing(true);
         assert!(tracing_enabled());
@@ -165,6 +172,7 @@ mod tests {
 
     #[test]
     fn disabled_span_records_nothing() {
+        let _lock = TEST_LOCK.lock().unwrap();
         set_tracing(false);
         {
             let _s = span!("test.disabled");

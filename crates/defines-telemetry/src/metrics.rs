@@ -238,17 +238,12 @@ impl Serialize for MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Serializes tests that toggle the global metrics flag.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     static TEST_COUNTER: Counter = Counter::new("test.metrics.counter");
     static TEST_GAUGE: Gauge = Gauge::new("test.metrics.gauge");
 
     #[test]
     fn counter_and_gauge_record_when_enabled() {
-        let _lock = TEST_LOCK.lock().unwrap();
+        let _lock = crate::TEST_LOCK.lock().unwrap();
         crate::set_metrics(true);
         let before = snapshot();
         TEST_COUNTER.add(5);
@@ -262,7 +257,7 @@ mod tests {
 
     #[test]
     fn disabled_metrics_drop_updates() {
-        let _lock = TEST_LOCK.lock().unwrap();
+        let _lock = crate::TEST_LOCK.lock().unwrap();
         crate::set_metrics(false);
         let before = TEST_COUNTER.value();
         TEST_COUNTER.add(100);
@@ -271,7 +266,7 @@ mod tests {
 
     #[test]
     fn concurrent_adds_do_not_lose_updates() {
-        let _lock = TEST_LOCK.lock().unwrap();
+        let _lock = crate::TEST_LOCK.lock().unwrap();
         static CONCURRENT: Counter = Counter::new("test.metrics.concurrent");
         crate::set_metrics(true);
         let before = CONCURRENT.value();
@@ -290,7 +285,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_serializes_to_object() {
-        let _lock = TEST_LOCK.lock().unwrap();
+        let _lock = crate::TEST_LOCK.lock().unwrap();
         crate::set_metrics(true);
         TEST_COUNTER.incr();
         TEST_GAUGE.set(1);

@@ -200,14 +200,10 @@ pub fn clear_events() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
-
-    /// Serializes tests that toggle the global tracing flag.
-    static TEST_LOCK: StdMutex<()> = StdMutex::new(());
 
     #[test]
     fn span_records_name_duration_and_thread() {
-        let _lock = TEST_LOCK.lock().unwrap();
+        let _lock = crate::TEST_LOCK.lock().unwrap();
         crate::set_tracing(true);
         clear_events();
         {
@@ -227,7 +223,7 @@ mod tests {
 
     #[test]
     fn span_args_are_captured() {
-        let _lock = TEST_LOCK.lock().unwrap();
+        let _lock = crate::TEST_LOCK.lock().unwrap();
         crate::set_tracing(true);
         clear_events();
         {
@@ -241,7 +237,7 @@ mod tests {
 
     #[test]
     fn exited_threads_flush_into_the_sink() {
-        let _lock = TEST_LOCK.lock().unwrap();
+        let _lock = crate::TEST_LOCK.lock().unwrap();
         crate::set_tracing(true);
         clear_events();
         let handles: Vec<_> = (0..4)
@@ -262,7 +258,7 @@ mod tests {
 
     #[test]
     fn nested_spans_both_record() {
-        let _lock = TEST_LOCK.lock().unwrap();
+        let _lock = crate::TEST_LOCK.lock().unwrap();
         crate::set_tracing(true);
         clear_events();
         {

@@ -11,9 +11,9 @@
 //!   11-layer reference network used for validation, each a committed
 //!   document under `workloads/` at the repository root, embedded at
 //!   compile time and parsed by the [`loader`],
-//! * a declarative JSON frontend — [`schema`] defines the document types and
-//!   exports networks as JSON, [`loader`] parses documents back into
-//!   validated networks with shape inference,
+//! * a declarative JSON frontend — [`loader`] reads documents straight into
+//!   validated networks with shape inference, [`schema::to_json_pretty`]
+//!   exports networks as fully explicit documents,
 //! * [`analysis`] — utilities that reproduce the workload statistics of
 //!   Table I(b) of the paper (average / maximum feature-map size and total
 //!   weight size).
@@ -43,4 +43,3 @@ pub use dims::{Dim, LayerDims};
 pub use layer::{Layer, LayerId, OpType};
 pub use loader::{from_json_file, from_json_str, WorkloadError};
 pub use network::{Network, NetworkError};
-pub use schema::{LayerSpec, WorkloadDoc};

@@ -1,5 +1,6 @@
-//! JSON workload loader: parses a [`WorkloadDoc`] and turns it into a
-//! validated [`Network`], inferring omitted shapes.
+//! JSON workload loader: reads a workload document (see [`crate::schema`])
+//! straight into a validated [`Network`], inferring omitted shapes as it
+//! reads.
 //!
 //! # Shape inference
 //!
@@ -51,10 +52,10 @@
 //! assert_eq!((head.dims.c, head.dims.ox, head.dims.oy), (16, 64, 64));
 //! ```
 
-use crate::dims::{input_extent, LayerDims};
+use crate::dims::LayerDims;
 use crate::layer::{Layer, LayerId, OpType};
 use crate::network::Network;
-use crate::schema::{parse_op, LayerSpec, WorkloadDoc, FORMAT};
+use crate::schema::{parse_op, FORMAT};
 use serde::{Fields, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -118,9 +119,43 @@ impl WorkloadError {
 /// [`WorkloadError::Document`] for structural problems and
 /// [`WorkloadError::Layer`] (naming the layer) for per-layer problems.
 pub fn from_json_str(json: &str) -> Result<Network, WorkloadError> {
+    use WorkloadError::Document;
     let value = serde_json::from_str(json).map_err(|e| WorkloadError::Json(e.to_string()))?;
-    let doc = document_from_value(&value)?;
-    network_from_doc(&doc)
+    let fields = Fields::root(&value).map_err(Document)?;
+    fields
+        .only(&["format", "name", "layers"])
+        .map_err(Document)?;
+    let format = fields.opt::<&str>("format").map_err(Document)?;
+    if let Some(tag) = format.filter(|&tag| tag != FORMAT) {
+        return Err(Document(format!(
+            "unsupported format tag '{tag}' (this loader reads '{FORMAT}')"
+        )));
+    }
+    let name = fields.req::<&str>("name").map_err(Document)?;
+    let layers = fields.req::<&[Value]>("layers").map_err(Document)?;
+    if layers.is_empty() {
+        return Err(Document(format!("workload '{name}' contains no layers")));
+    }
+
+    let mut net = Network::new(name);
+    let mut by_name: BTreeMap<&str, LayerId> = BTreeMap::new();
+    for (index, value) in layers.iter().enumerate() {
+        let anonymous = |m| WorkloadError::layer(&format!("#{index}"), m);
+        let fields = Fields::new(value).map_err(anonymous)?;
+        let name = fields.req::<&str>("name").map_err(anonymous)?;
+        if by_name.contains_key(name) {
+            return Err(WorkloadError::layer(name, "duplicate layer name"));
+        }
+        let (layer, preds) =
+            read_layer(name, fields, &by_name, &net).map_err(|m| WorkloadError::layer(name, m))?;
+        // Unreachable in practice: name resolution already guarantees valid
+        // predecessor ids. Keep the message anyway.
+        let id = net
+            .add_layer(layer, &preds)
+            .map_err(|e| WorkloadError::layer(name, e.to_string()))?;
+        by_name.insert(name, id);
+    }
+    Ok(net)
 }
 
 /// Loads a workload from a JSON file.
@@ -137,10 +172,6 @@ pub fn from_json_file(path: impl AsRef<Path>) -> Result<Network, WorkloadError> 
     })?;
     from_json_str(&text)
 }
-
-// ---------------------------------------------------------------------------
-// JSON value -> WorkloadDoc
-// ---------------------------------------------------------------------------
 
 /// The keys a layer object may carry; anything else is a typo worth rejecting.
 const LAYER_KEYS: [&str; 14] = [
@@ -160,266 +191,131 @@ const LAYER_KEYS: [&str; 14] = [
     "weight_bits",
 ];
 
-/// Extracts a [`WorkloadDoc`] from a parsed JSON value.
-///
-/// # Errors
-///
-/// Returns [`WorkloadError::Document`] or [`WorkloadError::Layer`] with a
-/// message naming the offending field.
-pub fn document_from_value(value: &Value) -> Result<WorkloadDoc, WorkloadError> {
-    use WorkloadError::Document;
-    let fields = Fields::root(value).map_err(Document)?;
-    fields
-        .only(&["format", "name", "layers"])
-        .map_err(Document)?;
-    let format = fields.opt::<&str>("format").map_err(Document)?;
-    if let Some(tag) = format.filter(|&tag| tag != FORMAT) {
-        return Err(Document(format!(
-            "unsupported format tag '{tag}' (this loader reads '{FORMAT}')"
-        )));
-    }
-    let name = fields.req::<&str>("name").map_err(Document)?;
-    let layers = fields
-        .req::<&[Value]>("layers")
-        .map_err(Document)?
-        .iter()
-        .enumerate()
-        .map(|(index, lv)| layer_spec_from_value(lv, index))
-        .collect::<Result<_, _>>()?;
-    Ok(WorkloadDoc {
-        format: format.map(str::to_string),
-        name: name.to_string(),
-        layers,
-    })
-}
+/// Reads one layer and resolves its producers among the layers read so far.
+fn read_layer(
+    name: &str,
+    fields: Fields<'_>,
+    by_name: &BTreeMap<&str, LayerId>,
+    net: &Network,
+) -> Result<(Layer, Vec<LayerId>), String> {
+    fields.only(&LAYER_KEYS)?;
+    let op_name = fields.req::<&str>("op")?;
+    let op = parse_op(op_name).ok_or_else(|| {
+        format!("unknown op '{op_name}' (expected Conv, DepthwiseConv, Pooling, Add)")
+    })?;
 
-fn layer_spec_from_value(value: &Value, index: usize) -> Result<LayerSpec, WorkloadError> {
-    let anonymous = |m| WorkloadError::layer(&format!("#{index}"), m);
-    let fields = Fields::new(value).map_err(anonymous)?;
-    let name = fields.req::<&str>("name").map_err(anonymous)?;
-    let spec = || -> Result<LayerSpec, String> {
-        fields.only(&LAYER_KEYS)?;
-        let bits = |key: &str| match fields.opt::<u64>(key)? {
-            None => Ok(None),
-            Some(bits) => u32::try_from(bits)
-                .ok()
-                .filter(|&b| b > 0)
-                .map(Some)
-                .ok_or_else(|| format!("'{key}' must be a positive bit width")),
-        };
-        Ok(LayerSpec {
-            name: name.to_string(),
-            op: fields.req::<&str>("op")?.to_string(),
-            inputs: fields.opt("inputs")?.unwrap_or_default(),
-            k: fields.opt("k")?,
-            c: fields.opt("c")?,
-            ox: fields.opt("ox")?,
-            oy: fields.opt("oy")?,
-            fx: fields.opt("fx")?,
-            fy: fields.opt("fy")?,
-            stride: fields.opt("stride")?,
-            padding: fields.opt("padding")?,
-            batch: fields.opt("batch")?,
-            act_bits: bits("act_bits")?,
-            weight_bits: bits("weight_bits")?,
-        })
-    };
-    spec().map_err(|m| WorkloadError::layer(name, m))
-}
-
-// ---------------------------------------------------------------------------
-// WorkloadDoc -> Network (shape inference + validation)
-// ---------------------------------------------------------------------------
-
-/// Builds a validated [`Network`] from a document, applying the module-level
-/// shape-inference rules.
-///
-/// # Errors
-///
-/// Returns [`WorkloadError::Document`] for an empty document and
-/// [`WorkloadError::Layer`] — naming the layer — for everything else.
-pub fn network_from_doc(doc: &WorkloadDoc) -> Result<Network, WorkloadError> {
-    if doc.layers.is_empty() {
-        return Err(WorkloadError::Document(format!(
-            "workload '{}' contains no layers",
-            doc.name
-        )));
-    }
-
-    let mut net = Network::new(doc.name.clone());
-    let mut by_name: BTreeMap<&str, LayerId> = BTreeMap::new();
-
-    for spec in &doc.layers {
-        let name = spec.name.as_str();
-        if by_name.contains_key(name) {
-            return Err(WorkloadError::layer(name, "duplicate layer name"));
-        }
-
-        let op = parse_op(&spec.op).ok_or_else(|| {
-            WorkloadError::layer(
-                name,
-                format!(
-                    "unknown op '{}' (expected Conv, DepthwiseConv, Pooling, Add)",
-                    spec.op
-                ),
+    // Only already-declared layers are legal producers, so the stored order
+    // stays a valid topological order.
+    let inputs = fields.opt::<Vec<String>>("inputs")?.unwrap_or_default();
+    let preds = inputs.iter().map(|input| {
+        by_name.get(input.as_str()).copied().ok_or_else(|| {
+            format!(
+                "references unknown input layer '{input}' \
+                 (producers must be declared before their consumers)"
             )
-        })?;
-
-        // Resolve producer names. Only already-declared layers are legal, so
-        // the stored order stays a valid topological order.
-        let mut preds = Vec::with_capacity(spec.inputs.len());
-        for input in &spec.inputs {
-            let id = by_name.get(input.as_str()).copied().ok_or_else(|| {
-                WorkloadError::layer(
-                    name,
-                    format!(
-                        "references unknown input layer '{input}' \
-                         (producers must be declared before their consumers)"
-                    ),
-                )
-            })?;
-            preds.push(id);
+        })
+    });
+    let preds = preds.collect::<Result<Vec<_>, _>>()?;
+    match op {
+        OpType::Add if preds.len() != 2 => {
+            return Err(format!(
+                "Add layers take exactly 2 inputs, got {}",
+                preds.len()
+            ));
         }
-        match op {
-            OpType::Add if preds.len() != 2 => {
-                return Err(WorkloadError::layer(
-                    name,
-                    format!("Add layers take exactly 2 inputs, got {}", preds.len()),
-                ));
-            }
-            OpType::Conv | OpType::DepthwiseConv | OpType::Pooling if preds.len() > 1 => {
-                return Err(WorkloadError::layer(
-                    name,
-                    format!(
-                        "{} layers take at most 1 input, got {}",
-                        spec.op,
-                        preds.len()
-                    ),
-                ));
-            }
-            _ => {}
+        OpType::Conv | OpType::DepthwiseConv | OpType::Pooling if preds.len() > 1 => {
+            return Err(format!(
+                "{op_name} layers take at most 1 input, got {}",
+                preds.len()
+            ));
         }
-
-        let dims = infer_dims(spec, op, &preds, &net)?;
-        let mut layer = Layer::new(name, op, dims);
-        if let Some(bits) = spec.act_bits {
-            layer = layer.with_act_bits(bits);
-        }
-        if let Some(bits) = spec.weight_bits {
-            layer = layer.with_weight_bits(bits);
-        }
-
-        let id = net.add_layer(layer, &preds).map_err(|e| {
-            // Unreachable in practice: name resolution already guarantees
-            // valid predecessor ids. Keep the message anyway.
-            WorkloadError::layer(name, e.to_string())
-        })?;
-        by_name.insert(name, id);
+        _ => {}
     }
 
-    Ok(net)
+    let dims = infer_dims(fields, op, op_name, &preds, net)?;
+    let bits = |key: &str| match fields.opt::<u64>(key)? {
+        None => Ok(None),
+        Some(bits) => u32::try_from(bits)
+            .ok()
+            .filter(|&b| b > 0)
+            .map(Some)
+            .ok_or_else(|| format!("'{key}' must be a positive bit width")),
+    };
+    let mut layer = Layer::new(name, op, dims);
+    if let Some(bits) = bits("act_bits")? {
+        layer = layer.with_act_bits(bits);
+    }
+    if let Some(bits) = bits("weight_bits")? {
+        layer = layer.with_weight_bits(bits);
+    }
+    Ok((layer, preds))
 }
 
 /// Shape inference and congruence checking for one layer.
 fn infer_dims(
-    spec: &LayerSpec,
+    fields: Fields<'_>,
     op: OpType,
+    op_name: &str,
     preds: &[LayerId],
     net: &Network,
-) -> Result<LayerDims, WorkloadError> {
-    let name = spec.name.as_str();
+) -> Result<LayerDims, String> {
+    let dim = |key: &str| fields.opt::<u64>(key);
     let producer = preds.first().map(|&p| net.layer(p));
-    let (fx, fy) = (spec.fx.unwrap_or(1), spec.fy.unwrap_or(1));
-    let (stride_x, stride_y) = spec.stride.unwrap_or((1, 1));
-    let (pad_x, pad_y) = spec.padding.unwrap_or((0, 0));
+    let (fx, fy) = (dim("fx")?.unwrap_or(1), dim("fy")?.unwrap_or(1));
+    let (stride_x, stride_y) = fields.opt("stride")?.unwrap_or((1, 1));
+    let (pad_x, pad_y) = fields.opt("padding")?.unwrap_or((0, 0));
     if fx == 0 || fy == 0 {
-        return Err(WorkloadError::layer(name, "filter size must be positive"));
+        return Err("filter size must be positive".into());
     }
     if stride_x == 0 || stride_y == 0 {
-        return Err(WorkloadError::layer(name, "stride must be positive"));
+        return Err("stride must be positive".into());
     }
 
     // Output channels: Conv must say; per-channel ops may inherit.
-    let k = match (op, spec.k, producer) {
+    let k = match (op, dim("k")?, producer) {
         (_, Some(k), _) => k,
         (OpType::Conv, None, _) => {
-            return Err(WorkloadError::layer(
-                name,
-                "missing required dimension 'k' (output channels)",
-            ));
+            return Err("missing required dimension 'k' (output channels)".into());
         }
         (_, None, Some(p)) => p.dims.k,
-        (_, None, None) => {
-            return Err(WorkloadError::layer(
-                name,
-                "network-input layer must state 'k' explicitly",
-            ));
-        }
+        (_, None, None) => return Err("network-input layer must state 'k' explicitly".into()),
     };
 
     // Input channels: Conv reads the producer's k; per-channel ops use c = k.
-    let c = match op {
-        OpType::Conv => match (spec.c, producer) {
-            (Some(c), _) => c,
-            (None, Some(p)) => p.dims.k,
-            (None, None) => {
-                return Err(WorkloadError::layer(
-                    name,
-                    "network-input layer must state 'c' explicitly",
-                ));
-            }
-        },
-        OpType::DepthwiseConv | OpType::Pooling | OpType::Add => spec.c.unwrap_or(k),
+    let c = match (op, dim("c")?, producer) {
+        (_, Some(c), _) => c,
+        (OpType::Conv, None, Some(p)) => p.dims.k,
+        (OpType::Conv, None, None) => {
+            return Err("network-input layer must state 'c' explicitly".into());
+        }
+        (OpType::DepthwiseConv | OpType::Pooling | OpType::Add, None, _) => k,
     };
 
     // Spatial extents: explicit, or from the convolution arithmetic.
-    let infer_extent = |explicit: Option<u64>,
-                        producer_extent: Option<u64>,
-                        pad: u64,
-                        filter: u64,
-                        stride: u64,
-                        axis: &str|
-     -> Result<u64, WorkloadError> {
-        match (explicit, producer_extent) {
-            (Some(v), _) => Ok(v),
-            (None, Some(pe)) => {
-                let available = pe + 2 * pad;
-                if available < filter {
-                    return Err(WorkloadError::layer(
-                        name,
-                        format!(
-                            "cannot infer '{axis}': the {filter}-wide filter does not fit the \
-                             producer's {pe} elements (+{} padding)",
-                            2 * pad
-                        ),
-                    ));
-                }
-                Ok((available - filter) / stride + 1)
+    let extent = |axis: &str, producer_extent: Option<u64>, pad, filter, stride| match (
+        dim(axis)?,
+        producer_extent,
+    ) {
+        (Some(v), _) => Ok(v),
+        (None, Some(pe)) => {
+            let available = padded(pe, pad)?;
+            if available < filter {
+                return Err(format!(
+                    "cannot infer '{axis}': the {filter}-wide filter does not fit the \
+                         producer's {pe} elements (+{} padding)",
+                    available - pe
+                ));
             }
-            (None, None) => Err(WorkloadError::layer(
-                name,
-                format!("network-input layer must state '{axis}' explicitly"),
-            )),
+            Ok((available - filter) / stride + 1)
         }
+        (None, None) => Err(format!(
+            "network-input layer must state '{axis}' explicitly"
+        )),
     };
-    let ox = infer_extent(
-        spec.ox,
-        producer.map(|p| p.dims.ox),
-        pad_x,
-        fx,
-        stride_x,
-        "ox",
-    )?;
-    let oy = infer_extent(
-        spec.oy,
-        producer.map(|p| p.dims.oy),
-        pad_y,
-        fy,
-        stride_y,
-        "oy",
-    )?;
+    let ox = extent("ox", producer.map(|p| p.dims.ox), pad_x, fx, stride_x)?;
+    let oy = extent("oy", producer.map(|p| p.dims.oy), pad_y, fy, stride_y)?;
 
-    let b = match (spec.batch, producer) {
+    let b = match (dim("batch")?, producer) {
         (Some(b), _) => b,
         (None, Some(p)) => p.dims.b,
         (None, None) => 1,
@@ -427,10 +323,7 @@ fn infer_dims(
 
     for (value, what) in [(b, "batch"), (k, "k"), (c, "c"), (ox, "ox"), (oy, "oy")] {
         if value == 0 {
-            return Err(WorkloadError::layer(
-                name,
-                format!("dimension '{what}' must be positive"),
-            ));
+            return Err(format!("dimension '{what}' must be positive"));
         }
     }
 
@@ -447,57 +340,56 @@ fn infer_dims(
         pad_x,
         pad_y,
     };
-
-    check_against_producers(spec, op, &dims, preds, net)?;
+    check_against_producers(op, op_name, &dims, preds, net)?;
     Ok(dims)
+}
+
+/// `extent + 2 * pad`: a producer's extent with a consumer's padding on both
+/// sides.
+fn padded(extent: u64, pad: u64) -> Result<u64, String> {
+    pad.checked_mul(2)
+        .and_then(|both| both.checked_add(extent))
+        .ok_or_else(|| format!("padding {pad} overflows a 64-bit extent"))
 }
 
 /// Congruence checks between a layer's dims and what its producers provide.
 fn check_against_producers(
-    spec: &LayerSpec,
     op: OpType,
+    op_name: &str,
     dims: &LayerDims,
     preds: &[LayerId],
     net: &Network,
-) -> Result<(), WorkloadError> {
-    let name = spec.name.as_str();
-
+) -> Result<(), String> {
     // Per-channel operators keep the repository-wide convention c = k; an
     // explicit contradicting 'c' would silently change the cost model's
     // channel loop, so reject it for all three operators.
     if matches!(op, OpType::DepthwiseConv | OpType::Pooling | OpType::Add) && dims.c != dims.k {
-        return Err(WorkloadError::layer(
-            name,
-            format!(
-                "{} layers are per-channel and require c = k, got c={} and k={}",
-                spec.op, dims.c, dims.k
-            ),
+        return Err(format!(
+            "{op_name} layers are per-channel and require c = k, got c={} and k={}",
+            dims.c, dims.k
         ));
     }
 
+    let batch_mismatch = |pl: &Layer| {
+        format!(
+            "batch size {} does not match producer '{}' batch size {}",
+            dims.b, pl.name, pl.dims.b
+        )
+    };
     if op == OpType::Add {
         // Both operands must match the declared output exactly, including
         // the batch size.
         for &p in preds {
             let pl = net.layer(p);
             if pl.dims.k != dims.k || pl.dims.ox != dims.ox || pl.dims.oy != dims.oy {
-                return Err(WorkloadError::layer(
-                    name,
-                    format!(
-                        "Add operands must match: this layer is {}x{}x{} (k x ox x oy) but \
-                         input '{}' produces {}x{}x{}",
-                        dims.k, dims.ox, dims.oy, pl.name, pl.dims.k, pl.dims.ox, pl.dims.oy
-                    ),
+                return Err(format!(
+                    "Add operands must match: this layer is {}x{}x{} (k x ox x oy) but \
+                     input '{}' produces {}x{}x{}",
+                    dims.k, dims.ox, dims.oy, pl.name, pl.dims.k, pl.dims.ox, pl.dims.oy
                 ));
             }
             if pl.dims.b != dims.b {
-                return Err(WorkloadError::layer(
-                    name,
-                    format!(
-                        "batch size {} does not match producer '{}' batch size {}",
-                        dims.b, pl.name, pl.dims.b
-                    ),
-                ));
+                return Err(batch_mismatch(pl));
             }
         }
         return Ok(());
@@ -519,41 +411,40 @@ fn check_against_producers(
         } else {
             format!("per-channel operator with k={}", dims.k)
         };
-        return Err(WorkloadError::layer(
-            name,
-            format!(
-                "{what} does not match producer '{}' output channels k={}",
-                pl.name, pl.dims.k
-            ),
+        return Err(format!(
+            "{what} does not match producer '{}' output channels k={}",
+            pl.name, pl.dims.k
         ));
     }
 
     // Spatial feasibility: the producer (plus declared padding) must cover
-    // the input region the output demands.
-    let need_x = input_extent(dims.ox, dims.stride_x, dims.fx);
-    let need_y = input_extent(dims.oy, dims.stride_y, dims.fy);
-    let have_x = pl.dims.ox + 2 * dims.pad_x;
-    let have_y = pl.dims.oy + 2 * dims.pad_y;
+    // the input region the output demands, `(out - 1) * stride + filter`.
+    let need = |out: u64, stride: u64, filter: u64| {
+        (out - 1)
+            .checked_mul(stride)
+            .and_then(|n| n.checked_add(filter))
+            .ok_or_else(|| {
+                format!(
+                    "output {}x{} needs an input region that overflows a 64-bit extent",
+                    dims.ox, dims.oy
+                )
+            })
+    };
+    let need_x = need(dims.ox, dims.stride_x, dims.fx)?;
+    let need_y = need(dims.oy, dims.stride_y, dims.fy)?;
+    let have_x = padded(pl.dims.ox, dims.pad_x)?;
+    let have_y = padded(pl.dims.oy, dims.pad_y)?;
     if need_x > have_x || need_y > have_y {
-        return Err(WorkloadError::layer(
-            name,
-            format!(
-                "output {}x{} needs a {need_x}x{need_y} input region but producer '{}' \
-                 provides {have_x}x{have_y} (output {}x{} plus padding)",
-                dims.ox, dims.oy, pl.name, pl.dims.ox, pl.dims.oy
-            ),
+        return Err(format!(
+            "output {}x{} needs a {need_x}x{need_y} input region but producer '{}' \
+             provides {have_x}x{have_y} (output {}x{} plus padding)",
+            dims.ox, dims.oy, pl.name, pl.dims.ox, pl.dims.oy
         ));
     }
 
     // Batch congruence.
     if dims.b != pl.dims.b {
-        return Err(WorkloadError::layer(
-            name,
-            format!(
-                "batch size {} does not match producer '{}' batch size {}",
-                dims.b, pl.name, pl.dims.b
-            ),
-        ));
+        return Err(batch_mismatch(pl));
     }
     Ok(())
 }
@@ -649,6 +540,32 @@ mod tests {
         let err = from_json_str(json).unwrap_err();
         assert!(err.to_string().contains("layer 'b'"), "{err}");
         assert!(err.to_string().contains("input region"), "{err}");
+    }
+
+    #[test]
+    fn padding_and_input_regions_that_overflow_are_rejected() {
+        // 2 * 2^63 wraps a u64 to 0: inferring 'ox' must not read it as no
+        // padding at all.
+        let inferred = r#"{"name": "x", "layers": [
+            {"name": "a", "op": "Conv", "k": 4, "c": 3, "ox": 8, "oy": 8},
+            {"name": "b", "op": "Conv", "inputs": ["a"], "k": 4,
+             "padding": [9223372036854775808, 1]}
+        ]}"#;
+        let err = from_json_str(inferred).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "layer 'b': padding 9223372036854775808 overflows a 64-bit extent"
+        );
+        // An explicit output whose input region (ox - 1) * stride + fx does
+        // not fit in 64 bits.
+        let explicit = r#"{"name": "x", "layers": [
+            {"name": "a", "op": "Conv", "k": 4, "c": 3, "ox": 8, "oy": 8},
+            {"name": "b", "op": "Conv", "inputs": ["a"], "k": 4,
+             "ox": 9223372036854775807, "oy": 1, "stride": [4, 1]}
+        ]}"#;
+        let err = from_json_str(explicit).unwrap_err();
+        assert!(err.to_string().starts_with("layer 'b': output"), "{err}");
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 
     #[test]
