@@ -1,8 +1,10 @@
-//! Access-count, energy and latency model for a single layer-tile under a
-//! given temporal mapping.
+//! The cost of a single layer-tile under a temporal mapping: the
+//! per-(level, operand) access breakdown, energy and latency. The arithmetic
+//! that fills them lives in [`crate::search`], the one place a mapping is
+//! priced.
 
-use crate::allocation::{allocate, OperandAllocation};
 use crate::problem::SingleLayerProblem;
+use crate::search::Kernel;
 use crate::temporal::TemporalMapping;
 use defines_arch::{MemoryLevelId, Operand};
 use serde::{Serialize, Value};
@@ -232,117 +234,10 @@ impl LayerCost {
     }
 }
 
-/// Evaluates the cost of a problem under a specific temporal mapping.
-pub fn evaluate(problem: &SingleLayerProblem<'_>, mapping: &TemporalMapping) -> LayerCost {
-    let hierarchy = problem.accelerator.hierarchy();
-    let pe = problem.accelerator.pe_array();
-    let macs = problem.total_macs();
-    let mut accesses = AccessBreakdown::new();
-
-    for operand in Operand::ALL {
-        let footprint = problem.footprint_bytes(operand) as f64;
-        if footprint <= 0.0 {
-            continue;
-        }
-        let allocation = allocate(problem, mapping, operand);
-        let relevant = problem.relevant_dims(operand);
-        let spatial_reuse = pe.unrolling().spatial_reuse(relevant) as f64;
-        let pe_bytes = macs as f64 / spatial_reuse * problem.bytes_per_element(operand) as f64;
-        add_operand_traffic(
-            &mut accesses,
-            operand,
-            &allocation,
-            footprint,
-            pe_bytes,
-            |boundary| mapping.refetch_factor(relevant, boundary),
-        );
-    }
-
-    let mut memory_energy_pj = 0.0;
-    for (level_id, _operand, access) in accesses.iter() {
-        let level = hierarchy.level(level_id);
-        memory_energy_pj += access.reads_bytes * level.read_energy_pj_per_byte()
-            + access.writes_bytes * level.write_energy_pj_per_byte();
-    }
-    let mac_energy_pj = macs as f64 * pe.mac_energy_pj();
-
-    let compute_cycles = pe.compute_cycles(macs, &problem.dims);
-    let mut latency_cycles = compute_cycles;
-    for (i, level) in hierarchy.levels().iter().enumerate() {
-        let total = accesses.level_total(MemoryLevelId(i));
-        let read_cycles = if level.read_bw_bytes_per_cycle().is_finite() {
-            total.reads_bytes / level.read_bw_bytes_per_cycle()
-        } else {
-            0.0
-        };
-        let write_cycles = if level.write_bw_bytes_per_cycle().is_finite() {
-            total.writes_bytes / level.write_bw_bytes_per_cycle()
-        } else {
-            0.0
-        };
-        latency_cycles = latency_cycles.max(read_cycles).max(write_cycles);
-    }
-
-    LayerCost {
-        energy_pj: mac_energy_pj + memory_energy_pj,
-        mac_energy_pj,
-        memory_energy_pj,
-        latency_cycles,
-        compute_cycles,
-        macs,
-        accesses,
-        mapping: mapping.clone(),
-        degraded: false,
-    }
-}
-
-/// Adds the inter-level traffic of one operand to the breakdown.
-///
-/// * For read operands (weights, inputs): the PE drains `pe_bytes` from the
-///   innermost level; every lower level is filled from its parent
-///   `footprint × refetch(boundary)` bytes. The top level itself is not
-///   written (its content is provided by the depth-first model / DRAM).
-/// * For outputs: the PE performs read+write accumulation traffic at the
-///   innermost level; between adjacent levels, partial sums move up
-///   `footprint × r` bytes and come back down `footprint × (r − 1)` bytes,
-///   where `r` is the refetch factor of the lower level's boundary.
-fn add_operand_traffic(
-    accesses: &mut AccessBreakdown,
-    operand: Operand,
-    allocation: &OperandAllocation,
-    footprint: f64,
-    pe_bytes: f64,
-    refetch: impl Fn(usize) -> f64,
-) {
-    let levels = &allocation.levels;
-    let innermost = levels[0].0;
-    match operand {
-        Operand::Weight | Operand::Input => {
-            accesses.add_reads(innermost, operand, pe_bytes);
-            for window in levels.windows(2) {
-                let (child, boundary) = window[0];
-                let (parent, _) = window[1];
-                let fills = footprint * refetch(boundary);
-                accesses.add_writes(child, operand, fills);
-                accesses.add_reads(parent, operand, fills);
-            }
-        }
-        Operand::Output => {
-            accesses.add_reads(innermost, operand, pe_bytes);
-            accesses.add_writes(innermost, operand, pe_bytes);
-            for window in levels.windows(2) {
-                let (child, boundary) = window[0];
-                let (parent, _) = window[1];
-                let r = refetch(boundary);
-                let up = footprint * r;
-                let down = footprint * (r - 1.0);
-                accesses.add_reads(child, operand, up);
-                accesses.add_writes(parent, operand, up);
-                accesses.add_reads(parent, operand, down);
-                accesses.add_writes(child, operand, down);
-            }
-        }
-    }
+/// Evaluates the cost of a problem under a specific temporal mapping, through
+/// the search kernel's arithmetic (see [`crate::search`]).
+pub(crate) fn evaluate(problem: &SingleLayerProblem<'_>, mapping: &TemporalMapping) -> LayerCost {
+    Kernel::new(problem).evaluate(mapping)
 }
 
 #[cfg(test)]

@@ -34,7 +34,6 @@
 //! assert!(cost.latency_cycles >= cost.macs as f64 / 1024.0);
 //! ```
 
-pub mod allocation;
 pub mod cache;
 pub mod cost;
 pub mod loma;

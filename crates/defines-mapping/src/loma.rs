@@ -19,7 +19,7 @@
 
 use crate::cost::{evaluate, LayerCost, Objective};
 use crate::problem::SingleLayerProblem;
-use crate::search::{search, SearchStats};
+use crate::search::{search, Kernel, SearchStats};
 use crate::temporal::{candidate_orderings, TemporalMapping};
 use defines_telemetry::Counter;
 use defines_workload::Dim;
@@ -196,11 +196,12 @@ impl LomaMapper {
     }
 
     /// The reference implementation of [`LomaMapper::optimize`]: a plain scan
-    /// over every candidate ordering, evaluating each through the full cost
-    /// model. Kept (and exercised by the parity tests and the mapping
-    /// benchmark) to prove the pruned search never changes a result bit.
+    /// over every candidate ordering, pricing each through the same cost
+    /// arithmetic as the search. Kept (and exercised by the parity tests) to
+    /// prove the pruning never changes a result bit.
     pub fn optimize_exhaustive(&self, problem: &SingleLayerProblem<'_>) -> LayerCost {
         let dram = problem.accelerator.hierarchy().dram_id();
+        let kernel = Kernel::new(problem);
         let max = if self.config.max_orderings == 0 {
             usize::MAX
         } else {
@@ -208,8 +209,7 @@ impl LomaMapper {
         };
         let mut best: Option<LayerCost> = None;
         for order in candidate_orderings(problem, max) {
-            let mapping = TemporalMapping::from_order(problem, &order);
-            let cost = evaluate(problem, &mapping);
+            let cost = kernel.evaluate(&TemporalMapping::from_order(problem, &order));
             let better = match &best {
                 None => true,
                 Some(b) => {
@@ -232,8 +232,8 @@ impl LomaMapper {
     }
 
     /// Evaluates a problem under a fixed, user-supplied loop ordering
-    /// (innermost first). Used by the validation experiment, where the
-    /// temporal mapping is pinned to the one implemented by the DepFiN chip.
+    /// (innermost first), without searching. The benchmark ladder times the
+    /// cost arithmetic through it (`mapping.cost.evaluate_ns`).
     pub fn evaluate_fixed_order(
         &self,
         problem: &SingleLayerProblem<'_>,

@@ -1,36 +1,51 @@
-//! The transposition-pruned, branch-and-bound temporal-mapping search.
+//! The cost arithmetic of a temporal mapping, and the transposition-pruned,
+//! branch-and-bound search over loop orderings that drives it.
 //!
-//! [`LomaMapper::optimize`](crate::LomaMapper::optimize) used to evaluate up
-//! to `6! = 720` full loop orderings per problem, each with a fresh bottom-up
-//! memory allocation and a heap-allocated cost record. This module replaces
-//! that cold path with a search that is guaranteed to return a bit-identical
-//! [`LayerCost`] while doing far less work:
+//! # One cost arithmetic
+//!
+//! `Kernel` prices a mapping. It pushes the mapping's loops, innermost first,
+//! through an incremental bottom-up allocation state: per operand, how many
+//! non-top levels have *closed* (the data addressed by the pushed loops no
+//! longer fits their capacity share) and, per closed level, the refetch
+//! factor of the loops above its boundary. It then accumulates the
+//! per-(level, operand) traffic into dense slots, one per usable level and
+//! operand, and reduces them to energy and latency. Every [`LayerCost`] this
+//! crate returns is built from those slots: `cost::evaluate` for a fixed
+//! mapping and `search` for the best one, from the slots of the winning
+//! leaf.
+//!
+//! The greedy allocation keeps as many innermost loops at each level as fit
+//! its capacity share. The kernel compares each level against the running
+//! maximum of the shares at and below it. Data size never decreases as loops
+//! are pushed, so the greedy boundary of level `i` is the longest prefix
+//! whose size fits `max(share_0, …, share_i)`: levels close in order, and the
+//! incremental state is exact on any hierarchy, shares shrinking outward
+//! included.
+//!
+//! # The search
 //!
 //! * **Active loops only** — size-1 loops are dropped from the permutation
 //!   space ([`crate::temporal::active_loops`]).
 //! * **Prefix-tree enumeration** — orderings are walked innermost-first
-//!   through the permutation tree, and the greedy bottom-up allocation state
-//!   (per-operand level boundaries plus the refetch factors of already-closed
-//!   levels) is extended incrementally, so orderings sharing an innermost
-//!   prefix share that work instead of re-deriving it from scratch.
-//! * **Branch and bound** — at every prefix the same allocation state yields
-//!   a *monotone lower bound* on the cost of any completion: closed levels
-//!   keep their current refetch factor (future loops can only multiply it),
-//!   open levels are priced at the refetch-free minimum of one footprint
-//!   fill. The bound is evaluated with the exact float-operation order of the
-//!   true cost, term-wise dominated by it, so `bound > best` proves the whole
+//!   through the permutation tree and the allocation state is extended one
+//!   loop at a time, so orderings sharing an innermost prefix share that
+//!   work.
+//! * **Branch and bound** — at every prefix the kernel prices the same
+//!   state as a *monotone lower bound* on the cost of any completion: closed
+//!   levels keep their current refetch factor (future loops can only
+//!   multiply it), open levels are priced at the refetch-free minimum of one
+//!   footprint fill. The bound runs the same float operations as the leaf
+//!   cost, term-wise dominated by it, so `bound > best` proves the whole
 //!   subtree is strictly worse and it is skipped. Strictness preserves the
 //!   exhaustive scan's tie-breaking.
 //! * **Transpositions** — below a prefix the walk reads only the set of
 //!   placed loops (which fixes the effective sizes) and each operand's
-//!   allocation state (closed levels, which of them have seen a relevant
-//!   loop, and their refetch factors; open levels always price at factor 1).
-//!   Two prefixes with equal `(placed loops, allocation states)` therefore
-//!   root subtrees whose corresponding leaves have bit-identical
-//!   (value, energy, latency). The subtree walked first holds the
-//!   lexicographically-first member, leaves replace the best only when
-//!   strictly smaller, and a node bound-pruned there had
-//!   `bound > best then >= best now`; so every later prefix reaching an
+//!   allocation state. Two prefixes with equal `(placed loops, allocation
+//!   states)` therefore root subtrees whose corresponding leaves have
+//!   bit-identical (value, energy, latency). The subtree walked first holds
+//!   the lexicographically-first member, leaves replace the best only when
+//!   strictly smaller, and a node bound-pruned there had `bound > best` then
+//!   and so `bound >= best` now; so every later prefix reaching an
 //!   already-walked state is skipped without changing the cost or the
 //!   tie-broken mapping (`Transpositions`). Most of the 720 orderings of a
 //!   problem collapse this way: cost depends on an ordering only through the
@@ -43,20 +58,12 @@
 //! 2-core host), below any thread hand-off, so the parallelism lives one
 //! level up, across the many independent searches the sweep engine
 //! dispatches.
-//!
-//! The scalar kernel behind both the bound and the leaf evaluation is
-//! allocation-free: it works on fixed-size arrays indexed by memory level and
-//! operand, mirroring [`crate::cost::evaluate`]'s accumulation order exactly
-//! so the scalars it produces are bit-identical to the full cost model's.
-//! Only the single best ordering is re-evaluated through
-//! [`crate::cost::evaluate`] to build the returned [`LayerCost`].
 
-use crate::allocation::{sharers, usable_levels};
-use crate::cost::{evaluate, LayerCost, Objective};
+use crate::cost::{Access, AccessBreakdown, LayerCost, Objective};
 use crate::loma::MapperConfig;
 use crate::problem::SingleLayerProblem;
 use crate::temporal::{active_loops, TemporalMapping};
-use defines_arch::Operand;
+use defines_arch::{MemoryLevelId, Operand};
 use defines_workload::{Dim, OpType};
 
 /// Maximum number of temporal loops a problem can have (the six non-batch
@@ -88,8 +95,7 @@ pub struct SearchStats {
     pub pruned_bound: u64,
     /// Candidate orderings skipped because an earlier prefix over the same
     /// loops reached the same allocation state, so their costs repeat ones
-    /// already walked (only when the full permutation space is enumerated
-    /// and every operand's allocation state is incremental).
+    /// already walked (only when the full permutation space is enumerated).
     pub pruned_symmetry: u64,
     /// Candidate orderings skipped because their rank in the deterministic
     /// enumeration fell at or beyond [`crate::Budget::max_orderings`]. A
@@ -112,6 +118,7 @@ pub(crate) fn search(
     problem: &SingleLayerProblem<'_>,
     config: &MapperConfig,
 ) -> (LayerCost, SearchStats) {
+    let kernel = Kernel::new(problem);
     let loops = active_loops(problem);
     let k = loops.len();
     let mut stats = SearchStats {
@@ -123,7 +130,7 @@ pub(crate) fn search(
         stats.orderings_selected = 1;
         stats.evaluated = 1;
         let mapping = TemporalMapping::from_order(problem, &[]);
-        return (evaluate(problem, &mapping), stats);
+        return (kernel.evaluate(&mapping), stats);
     }
 
     let total: u64 = (1..=k as u64).product();
@@ -141,7 +148,7 @@ pub(crate) fn search(
     } else {
         config.budget.max_orderings
     };
-    let ctx = SearchCtx::new(problem, config.objective, &loops, sample, max, budget);
+    let ctx = SearchCtx::new(kernel, config.objective, &loops, sample, max, budget);
     let mut state = WalkState::fresh(&ctx);
     state.stats = stats;
     ctx.descend(&mut state, 0, 0, &[AllocState::default(); 3]);
@@ -152,26 +159,35 @@ pub(crate) fn search(
         stats.orderings_selected
     );
     let best = state.best.expect("at least one ordering evaluated");
-    let order = best.order[..best.order_len].to_vec();
-    let mapping = TemporalMapping::from_order(problem, &order);
-    let mut cost = evaluate(problem, &mapping);
+    let mapping = TemporalMapping::from_order(problem, &best.order[..k]);
+    let mut cost = ctx
+        .kernel
+        .layer_cost(&best.scalars, &state.best_traffic, mapping);
     cost.degraded = stats.skipped_budget > 0;
-    debug_assert_eq!(
-        cost.objective_value(config.objective, problem.accelerator.hierarchy().dram_id()),
-        best.value,
-        "scalar search kernel diverged from the full cost model"
-    );
     (cost, stats)
 }
 
-/// Read/write traffic accumulator for one (memory level, operand) slot.
-#[derive(Debug, Clone, Copy, Default)]
-struct Traffic {
-    reads: f64,
-    writes: f64,
+/// The memory levels an operand may use for this problem, innermost first:
+/// every level that serves the operand, up to and including the operand's
+/// top level.
+fn usable_levels(problem: &SingleLayerProblem<'_>, operand: Operand) -> Vec<usize> {
+    let top = problem.top_levels.level(operand).0;
+    let mut levels: Vec<usize> = problem
+        .accelerator
+        .hierarchy()
+        .levels_for(operand)
+        .map(|(id, _)| id.0)
+        .filter(|&id| id <= top)
+        .collect();
+    if levels.last() != Some(&top) {
+        // The DF model may pin an operand to a level that nominally serves
+        // other operands only in the architecture description; honour it.
+        levels.push(top);
+    }
+    levels
 }
 
-/// Per-operand, mapping-independent context of the search.
+/// Per-operand, mapping-independent context of the kernel.
 struct OpCtx {
     operand: Operand,
     /// Total operand footprint in bytes (always > 0 here).
@@ -182,26 +198,22 @@ struct OpCtx {
     relevant: u8,
     /// The operand's usable memory levels, innermost first (global indices).
     levels: Vec<usize>,
-    /// Capacity share of each non-top level, as the cost model compares it.
+    /// Per non-top level: the running maximum of the capacity shares at and
+    /// below it (see the module docs). A level's share splits its capacity
+    /// evenly between the operands that can use it.
     shares: Vec<f64>,
-    /// Whether the capacity shares are non-decreasing from the innermost
-    /// level outward. When they are (every zoo architecture), the incremental
-    /// allocation state is exact; otherwise leaf costs recompute the greedy
-    /// allocation from scratch and bounds fall back to refetch-free fills.
-    incremental: bool,
 }
 
 /// Incremental bottom-up allocation state of one operand for one prefix.
 ///
-/// Level `i` (a non-top usable level) is *closed* once the data addressed by
-/// the prefix loops no longer fits its share. The boundary itself need not be
-/// stored — the cost kernel only consumes the refetch factor of the loops
-/// above it, which is final from the moment the level closes (shares
-/// permitting, see [`OpCtx::incremental`]); open levels always price at
-/// factor 1.
+/// The first `closed` non-top usable levels are *closed*: the data addressed
+/// by the prefix loops no longer fits them. The boundary itself need not be
+/// stored — the kernel only consumes the refetch factor of the loops above
+/// it, which is final from the moment the level closes; open levels always
+/// price at factor 1.
 #[derive(Debug, Clone, Copy)]
 struct AllocState {
-    /// Bitmask of closed levels.
+    /// Number of closed levels (always the innermost ones).
     closed: u8,
     /// Per closed level: whether a relevant loop has appeared above its
     /// boundary yet (the refetch factor only multiplies after that).
@@ -221,37 +233,327 @@ impl Default for AllocState {
     }
 }
 
+/// The scalars of one priced allocation state.
+#[derive(Debug, Clone, Copy)]
+struct Scalars {
+    memory_energy: f64,
+    energy: f64,
+    latency: f64,
+    dram_bytes: f64,
+}
+
+impl Scalars {
+    fn value(&self, objective: Objective) -> f64 {
+        match objective {
+            Objective::Energy => self.energy,
+            Objective::Latency => self.latency,
+            Objective::Edp => self.energy * self.latency,
+            Objective::DramAccess => self.dram_bytes,
+        }
+    }
+}
+
+/// The one cost arithmetic: everything about pricing a problem that does not
+/// depend on the loop ordering, plus the allocation walk and the pricing of
+/// an allocation state (see the module docs).
+pub(crate) struct Kernel<'p, 'a> {
+    problem: &'p SingleLayerProblem<'a>,
+    /// Spatial unrolling factor per [`Dim::ALL`] index.
+    factors: [u64; 7],
+    ops: Vec<OpCtx>,
+    /// Per global memory level: read/write energy per byte and bandwidth.
+    level_read_e: Vec<f64>,
+    level_write_e: Vec<f64>,
+    level_read_bw: Vec<f64>,
+    level_write_bw: Vec<f64>,
+    dram: usize,
+    macs: u64,
+    mac_energy: f64,
+    compute_cycles: f64,
+}
+
+impl<'p, 'a> Kernel<'p, 'a> {
+    pub(crate) fn new(problem: &'p SingleLayerProblem<'a>) -> Self {
+        let unrolling = problem.accelerator.pe_array().unrolling();
+        let mut factors = [1u64; 7];
+        for (i, d) in Dim::ALL.iter().enumerate() {
+            factors[i] = unrolling.factor(*d);
+        }
+
+        let hierarchy = problem.accelerator.hierarchy();
+        let n_levels = hierarchy.levels().len();
+        let mut level_read_e = Vec::with_capacity(n_levels);
+        let mut level_write_e = Vec::with_capacity(n_levels);
+        let mut level_read_bw = Vec::with_capacity(n_levels);
+        let mut level_write_bw = Vec::with_capacity(n_levels);
+        for level in hierarchy.levels() {
+            level_read_e.push(level.read_energy_pj_per_byte());
+            level_write_e.push(level.write_energy_pj_per_byte());
+            level_read_bw.push(level.read_bw_bytes_per_cycle());
+            level_write_bw.push(level.write_bw_bytes_per_cycle());
+        }
+
+        let usable: Vec<(Operand, Vec<usize>)> = Operand::ALL
+            .into_iter()
+            .filter(|&op| problem.footprint_bytes(op) > 0)
+            .map(|op| (op, usable_levels(problem, op)))
+            .collect();
+        // How many operands can use each level: a shared level's capacity is
+        // split evenly between them.
+        let mut sharers = vec![0u64; n_levels];
+        for (_, levels) in &usable {
+            for &lvl in levels {
+                sharers[lvl] += 1;
+            }
+        }
+
+        let pe = problem.accelerator.pe_array();
+        let macs = problem.total_macs();
+        let mut ops = Vec::with_capacity(usable.len());
+        for (operand, levels) in usable {
+            let relevant_dims = problem.relevant_dims(operand);
+            let spatial_reuse = unrolling.spatial_reuse(relevant_dims) as f64;
+            let pe_bytes = macs as f64 / spatial_reuse * problem.bytes_per_element(operand) as f64;
+            let mut relevant = 0u8;
+            for (i, d) in Dim::ALL.iter().enumerate() {
+                if relevant_dims.contains(d) {
+                    relevant |= 1 << i;
+                }
+            }
+            assert!(levels.len() <= MAX_LEVELS, "memory hierarchy too deep");
+            let mut shares = Vec::with_capacity(levels.len() - 1);
+            let mut running_max = 0.0f64;
+            for &lvl in &levels[..levels.len() - 1] {
+                let share = match hierarchy.level(MemoryLevelId(lvl)).capacity_bytes() {
+                    None => u64::MAX,
+                    Some(c) => c / sharers[lvl],
+                };
+                running_max = running_max.max(share as f64);
+                shares.push(running_max);
+            }
+            ops.push(OpCtx {
+                operand,
+                footprint: problem.footprint_bytes(operand) as f64,
+                pe_bytes,
+                relevant,
+                levels,
+                shares,
+            });
+        }
+
+        Self {
+            problem,
+            factors,
+            ops,
+            level_read_e,
+            level_write_e,
+            level_read_bw,
+            level_write_bw,
+            dram: hierarchy.dram_id().0,
+            macs,
+            mac_energy: macs as f64 * pe.mac_energy_pj(),
+            compute_cycles: pe.compute_cycles(macs, &problem.dims),
+        }
+    }
+
+    /// The cost of a fixed temporal mapping: its loops pushed innermost
+    /// first, the resulting allocation state priced.
+    pub(crate) fn evaluate(&self, mapping: &TemporalMapping) -> LayerCost {
+        let mut eff = self.factors;
+        let mut states = [AllocState::default(); 3];
+        for l in mapping.loops() {
+            self.push(&mut eff, l.dim, l.size, &mut states);
+        }
+        let mut traffic = self.traffic_slots();
+        let scalars = self.price(&mut traffic, &states);
+        self.layer_cost(&scalars, &traffic, mapping.clone())
+    }
+
+    /// Zeroed traffic slots, one `[weight, input, output]` triple per level.
+    fn traffic_slots(&self) -> Vec<[Access; 3]> {
+        vec![[Access::default(); 3]; self.level_read_e.len()]
+    }
+
+    /// Pushes a loop of `trips` iterations over `dim` as the new outermost
+    /// loop: grows the effective (spatial × temporal-below) sizes `eff` and
+    /// updates each operand's allocation state.
+    fn push(&self, eff: &mut [u64; 7], dim: Dim, trips: u64, states: &mut [AllocState]) {
+        let di = dim_index(dim);
+        eff[di] *= trips;
+        for (op, alloc) in self.ops.iter().zip(states.iter_mut()) {
+            let relevant = op.relevant & (1 << di) != 0;
+            // The new loop sits above every closed boundary: advance their
+            // refetch trackers.
+            for lvl in 0..alloc.closed as usize {
+                let bit = 1u8 << lvl;
+                if relevant {
+                    alloc.seen_relevant |= bit;
+                } else if alloc.seen_relevant & bit != 0 {
+                    alloc.factor[lvl] *= trips as f64;
+                }
+            }
+            // Close every open level the grown prefix no longer fits; the new
+            // loop is the first (already processed) loop above their
+            // boundary. Shares grow outward, so the first level that still
+            // fits ends the scan.
+            let mut lvl = alloc.closed as usize;
+            if lvl == op.shares.len() {
+                continue;
+            }
+            let size = data_size(self.problem, op.operand, eff);
+            while lvl < op.shares.len() && size > op.shares[lvl] {
+                if relevant {
+                    alloc.seen_relevant |= 1 << lvl;
+                }
+                lvl += 1;
+            }
+            alloc.closed = lvl as u8;
+        }
+    }
+
+    /// Prices the allocation states: accumulates every (level, operand)
+    /// traffic term into `traffic`, then reduces the slots to energy and
+    /// latency.
+    ///
+    /// For a complete ordering this is the exact cost. For a prefix the
+    /// still-open levels price at refetch factor 1 — every term is then
+    /// dominated by its counterpart in any completion, and the float
+    /// operations are the same, so the result is a monotone lower bound of
+    /// every completion's cost.
+    fn price(&self, traffic: &mut [[Access; 3]], states: &[AllocState]) -> Scalars {
+        for slot in traffic.iter_mut() {
+            *slot = [Access::default(); 3];
+        }
+        // Reads by the PE array, then per level boundary: weights and
+        // inputs fill the child from the parent `footprint × refetch`
+        // bytes; outputs move partial sums up `footprint × r` bytes and back
+        // down `footprint × (r − 1)` bytes. The top level itself is not
+        // written (its content is provided by the depth-first model / DRAM).
+        for (op, alloc) in self.ops.iter().zip(states) {
+            let o = operand_index(op.operand);
+            let innermost = &mut traffic[op.levels[0]][o];
+            innermost.reads_bytes += op.pe_bytes;
+            if op.operand == Operand::Output {
+                innermost.writes_bytes += op.pe_bytes;
+            }
+            for (w, pair) in op.levels.windows(2).enumerate() {
+                let (child, parent) = (pair[0], pair[1]);
+                let r = if w < alloc.closed as usize {
+                    alloc.factor[w]
+                } else {
+                    1.0
+                };
+                match op.operand {
+                    Operand::Weight | Operand::Input => {
+                        let fills = op.footprint * r;
+                        traffic[child][o].writes_bytes += fills;
+                        traffic[parent][o].reads_bytes += fills;
+                    }
+                    Operand::Output => {
+                        let up = op.footprint * r;
+                        let down = op.footprint * (r - 1.0);
+                        traffic[child][o].reads_bytes += up;
+                        traffic[parent][o].writes_bytes += up;
+                        traffic[parent][o].reads_bytes += down;
+                        traffic[child][o].writes_bytes += down;
+                    }
+                }
+            }
+        }
+
+        // Memory energy over the slots in (level, operand) order. Slots no
+        // operand uses contribute exactly 0.
+        let mut memory_energy = 0.0;
+        for (lvl, slots) in traffic.iter().enumerate() {
+            for t in slots {
+                memory_energy += t.reads_bytes * self.level_read_e[lvl]
+                    + t.writes_bytes * self.level_write_e[lvl];
+            }
+        }
+
+        // Latency: compute-bound unless one level's traffic dominates.
+        let mut latency = self.compute_cycles;
+        let mut dram_bytes = 0.0;
+        for (lvl, slots) in traffic.iter().enumerate() {
+            let mut reads = 0.0;
+            let mut writes = 0.0;
+            for t in slots {
+                reads += t.reads_bytes;
+                writes += t.writes_bytes;
+            }
+            if lvl == self.dram {
+                dram_bytes = reads + writes;
+            }
+            let read_cycles = if self.level_read_bw[lvl].is_finite() {
+                reads / self.level_read_bw[lvl]
+            } else {
+                0.0
+            };
+            let write_cycles = if self.level_write_bw[lvl].is_finite() {
+                writes / self.level_write_bw[lvl]
+            } else {
+                0.0
+            };
+            latency = latency.max(read_cycles).max(write_cycles);
+        }
+
+        Scalars {
+            memory_energy,
+            energy: self.mac_energy + memory_energy,
+            latency,
+            dram_bytes,
+        }
+    }
+
+    /// The [`LayerCost`] of priced traffic slots: one access entry per
+    /// (usable level, operand).
+    fn layer_cost(
+        &self,
+        scalars: &Scalars,
+        traffic: &[[Access; 3]],
+        mapping: TemporalMapping,
+    ) -> LayerCost {
+        // Sized exactly: caches keep every returned cost.
+        let mut entries = Vec::with_capacity(self.ops.iter().map(|op| op.levels.len()).sum());
+        for op in &self.ops {
+            let o = operand_index(op.operand);
+            for &lvl in &op.levels {
+                entries.push(((MemoryLevelId(lvl), op.operand), traffic[lvl][o]));
+            }
+        }
+        LayerCost {
+            energy_pj: scalars.energy,
+            mac_energy_pj: self.mac_energy,
+            memory_energy_pj: scalars.memory_energy,
+            latency_cycles: scalars.latency,
+            compute_cycles: self.compute_cycles,
+            macs: self.macs,
+            accesses: AccessBreakdown::from_entries(entries),
+            mapping,
+            degraded: false,
+        }
+    }
+}
+
 /// The best leaf seen so far. Leaves are visited in lexicographic order and
 /// only a strictly smaller (value, energy, latency) replaces it, so ties
 /// resolve to the first-encountered candidate — the one the exhaustive scan
 /// crowns.
 struct Best {
     value: f64,
-    energy: f64,
-    latency: f64,
-    order_len: usize,
+    scalars: Scalars,
     order: [Dim; MAX_LOOPS],
 }
 
 /// The immutable context of one search.
 struct SearchCtx<'p, 'a> {
-    problem: &'p SingleLayerProblem<'a>,
+    kernel: Kernel<'p, 'a>,
     objective: Objective,
     /// Active loop dimensions, canonical order.
     dims: Vec<Dim>,
     /// Temporal trip count per active dimension.
     trips: Vec<u64>,
-    /// Spatial unrolling factor per [`Dim::ALL`] index.
-    factors: [u64; 7],
-    /// Temporal trip count per [`Dim::ALL`] index (1 for inactive dims).
-    trip_by_dim: [u64; 7],
-    /// Whether prefixes reaching an already-walked allocation state are
-    /// skipped (see [`Transpositions`]): only without subsampling (a sampled
-    /// candidate's twin may not be in the sample, so skipping it would lose
-    /// a candidate instead of a duplicate) and only when every operand's
-    /// allocation state is incremental (otherwise leaves recompute their
-    /// refetch factors from the ordering itself, which the state omits).
-    transpose: bool,
+    /// Whether the candidates are an integer-stride sample of the orderings.
     sample: bool,
     max: u64,
     /// Rank-window budget: candidates whose selected-index reaches this value
@@ -262,29 +564,24 @@ struct SearchCtx<'p, 'a> {
     total: u64,
     /// Sub-factorials: `fact[i] = i!`.
     fact: [u64; MAX_LOOPS + 1],
-    ops: Vec<OpCtx>,
-    /// Per global memory level: read/write energy per byte and bandwidth.
-    level_read_e: Vec<f64>,
-    level_write_e: Vec<f64>,
-    level_read_bw: Vec<f64>,
-    level_write_bw: Vec<f64>,
-    dram: usize,
-    mac_energy: f64,
-    compute_cycles: f64,
 }
 
-/// The mutable walk state: the current prefix, the scratch traffic
-/// accumulators and the search's best/stats.
+/// The mutable walk state: the current prefix, the scratch traffic slots
+/// and the search's best/stats.
 struct WalkState {
     /// Effective (spatial × temporal-below) size per [`Dim::ALL`] index for
     /// the current prefix, as used by the data-size formulas.
     eff: [u64; 7],
     used: u8,
     order_buf: [Dim; MAX_LOOPS],
-    /// Scratch traffic accumulators, one slot per (level, operand).
-    traffic: Vec<[Traffic; 3]>,
-    /// The allocation states walked so far (`None` when
-    /// [`SearchCtx::transpose`] is off).
+    /// Scratch traffic slots, one per (level, operand).
+    traffic: Vec<[Access; 3]>,
+    /// The traffic slots of the best leaf.
+    best_traffic: Vec<[Access; 3]>,
+    /// The allocation states walked so far, so that a prefix reaching one
+    /// again is skipped (see `Transpositions`). `None` when sampling: a
+    /// sampled candidate's twin may not be in the sample, so skipping it
+    /// would lose a candidate instead of a duplicate.
     seen: Option<Transpositions>,
     best: Option<Best>,
     stats: SearchStats,
@@ -294,11 +591,12 @@ impl WalkState {
     /// A fresh walk state for `ctx`'s search.
     fn fresh(ctx: &SearchCtx<'_, '_>) -> Self {
         Self {
-            eff: ctx.factors,
+            eff: ctx.kernel.factors,
             used: 0,
             order_buf: [Dim::B; MAX_LOOPS],
-            traffic: vec![[Traffic::default(); 3]; ctx.level_read_e.len()],
-            seen: ctx.transpose.then(|| {
+            traffic: ctx.kernel.traffic_slots(),
+            best_traffic: ctx.kernel.traffic_slots(),
+            seen: (!ctx.sample).then(|| {
                 // One entry per prefix-tree node at most: sum of k!/(k-d)!.
                 let k = ctx.dims.len();
                 let nodes: u64 = (1..=k).map(|d| ctx.fact[k] / ctx.fact[k - d]).sum();
@@ -314,11 +612,11 @@ impl WalkState {
 /// has walked (see the module docs for why a repeated key can be skipped): a
 /// flat open-addressing table over a key arena.
 ///
-/// A key is packed as one header word — the
-/// placed-loop mask plus each operand's `closed` and `seen_relevant` bytes —
-/// followed by the factor bits of every closed level that has seen a relevant
-/// loop, in operand and level order; every other level's factor is exactly
-/// 1.0. Equal headers therefore imply equal key lengths.
+/// A key is packed as one header word — the placed-loop mask plus each
+/// operand's `closed` count and `seen_relevant` byte — followed by the factor
+/// bits of every closed level that has seen a relevant loop, in operand and
+/// level order; every other level's factor is exactly 1.0. Equal headers
+/// therefore imply equal key lengths.
 struct Transpositions {
     /// `1 +` the key's offset in `keys`, or 0 for an empty slot.
     slots: Vec<u32>,
@@ -347,7 +645,8 @@ impl Transpositions {
         for (o, alloc) in states.iter().enumerate() {
             header |= (alloc.closed as u64) << (8 + 16 * o)
                 | (alloc.seen_relevant as u64) << (16 + 16 * o);
-            let mut priced = alloc.closed & alloc.seen_relevant;
+            // Only closed levels ever see a relevant loop.
+            let mut priced = alloc.seen_relevant;
             while priced != 0 {
                 key[len] = alloc.factor[priced.trailing_zeros() as usize].to_bits();
                 len += 1;
@@ -384,109 +683,27 @@ impl Transpositions {
 
 impl<'p, 'a> SearchCtx<'p, 'a> {
     fn new(
-        problem: &'p SingleLayerProblem<'a>,
+        kernel: Kernel<'p, 'a>,
         objective: Objective,
         loops: &[crate::temporal::TemporalLoop],
         sample: bool,
         max: u64,
         budget: u64,
     ) -> Self {
-        let unrolling = problem.accelerator.pe_array().unrolling();
-        let mut factors = [1u64; 7];
-        for (i, d) in Dim::ALL.iter().enumerate() {
-            factors[i] = unrolling.factor(*d);
-        }
-        let dims: Vec<Dim> = loops.iter().map(|l| l.dim).collect();
-        let trips: Vec<u64> = loops.iter().map(|l| l.size).collect();
-        let k = dims.len();
         let mut fact = [1u64; MAX_LOOPS + 1];
         for i in 1..=MAX_LOOPS {
             fact[i] = fact[i - 1] * i as u64;
         }
-        let total = fact[k];
-
-        let hierarchy = problem.accelerator.hierarchy();
-        let n_levels = hierarchy.levels().len();
-        let mut level_read_e = Vec::with_capacity(n_levels);
-        let mut level_write_e = Vec::with_capacity(n_levels);
-        let mut level_read_bw = Vec::with_capacity(n_levels);
-        let mut level_write_bw = Vec::with_capacity(n_levels);
-        for level in hierarchy.levels() {
-            level_read_e.push(level.read_energy_pj_per_byte());
-            level_write_e.push(level.write_energy_pj_per_byte());
-            level_read_bw.push(level.read_bw_bytes_per_cycle());
-            level_write_bw.push(level.write_bw_bytes_per_cycle());
-        }
-
-        let pe = problem.accelerator.pe_array();
-        let macs = problem.total_macs();
-        let mut ops = Vec::with_capacity(3);
-        for operand in Operand::ALL {
-            let footprint = problem.footprint_bytes(operand) as f64;
-            if footprint <= 0.0 {
-                continue;
-            }
-            let relevant_dims = problem.relevant_dims(operand);
-            let spatial_reuse = pe.unrolling().spatial_reuse(relevant_dims) as f64;
-            let pe_bytes = macs as f64 / spatial_reuse * problem.bytes_per_element(operand) as f64;
-            let mut relevant = 0u8;
-            for (i, d) in Dim::ALL.iter().enumerate() {
-                if relevant_dims.contains(d) {
-                    relevant |= 1 << i;
-                }
-            }
-            let levels: Vec<usize> = usable_levels(problem, operand)
-                .into_iter()
-                .map(|id| id.0)
-                .collect();
-            assert!(levels.len() <= MAX_LEVELS, "memory hierarchy too deep");
-            let mut shares = Vec::with_capacity(levels.len().saturating_sub(1));
-            for &lvl in &levels[..levels.len() - 1] {
-                let level = hierarchy.level(defines_arch::MemoryLevelId(lvl));
-                let share = match level.capacity_bytes() {
-                    None => u64::MAX,
-                    Some(c) => c / sharers(problem, defines_arch::MemoryLevelId(lvl)),
-                };
-                shares.push(share as f64);
-            }
-            let incremental = shares.windows(2).all(|w| w[0] <= w[1]);
-            ops.push(OpCtx {
-                operand,
-                footprint,
-                pe_bytes,
-                relevant,
-                levels,
-                shares,
-                incremental,
-            });
-        }
-
-        let mut trip_by_dim = [1u64; 7];
-        for (d, t) in dims.iter().zip(trips.iter()) {
-            trip_by_dim[dim_index(*d)] = *t;
-        }
-
         Self {
-            problem,
+            kernel,
             objective,
-            transpose: !sample && ops.iter().all(|op| op.incremental),
+            dims: loops.iter().map(|l| l.dim).collect(),
+            trips: loops.iter().map(|l| l.size).collect(),
             sample,
             max,
             budget,
-            total,
+            total: fact[loops.len()],
             fact,
-            ops,
-            level_read_e,
-            level_write_e,
-            level_read_bw,
-            level_write_bw,
-            dram: hierarchy.dram_id().0,
-            mac_energy: macs as f64 * pe.mac_energy_pj(),
-            compute_cycles: pe.compute_cycles(macs, &problem.dims),
-            dims,
-            trips,
-            factors,
-            trip_by_dim,
         }
     }
 
@@ -536,14 +753,17 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
             }
             let fully_in_budget = start_rank + selected <= self.budget;
             let mut child = *states;
-            self.push(state, depth, idx, &mut child);
+            state.order_buf[depth] = self.dims[idx];
+            state.used |= 1 << idx;
+            self.kernel
+                .push(&mut state.eff, self.dims[idx], self.trips[idx], &mut child);
             // Transposition: an earlier prefix over the same loop set reached
             // this exact allocation state, so its subtree already held every
             // leaf value of this one, at lower ranks. The check follows the
             // budget test, so that twin was fully in budget; a straddling
             // duplicate's beyond-budget tail stays charged to the budget.
             if let Some(seen) = &mut state.seen {
-                if !seen.insert(state.used, &child[..self.ops.len()]) {
+                if !seen.insert(state.used, &child[..self.kernel.ops.len()]) {
                     let in_budget = selected.min(self.budget - start_rank);
                     state.stats.pruned_symmetry += in_budget;
                     state.stats.skipped_budget += selected - in_budget;
@@ -566,7 +786,10 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
             // `skipped_budget`.
             let best_value = state.best.as_ref().map(|b| b.value);
             if let (Some(best_value), true) = (best_value, selected > 1 && fully_in_budget) {
-                let (bound, _, _) = self.eval_scalars(state, &child, false);
+                let bound = self
+                    .kernel
+                    .price(&mut state.traffic, &child)
+                    .value(self.objective);
                 if bound > best_value {
                     state.stats.pruned_bound += selected;
                     self.pop(state, idx);
@@ -578,240 +801,33 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
         }
     }
 
-    /// Extends the prefix with active dim `idx` as the new outermost loop,
-    /// updating the effective sizes and each operand's allocation state.
-    fn push(&self, state: &mut WalkState, depth: usize, idx: usize, states: &mut [AllocState]) {
-        let d = self.dims[idx];
-        let t = self.trips[idx];
-        let di = dim_index(d);
-        state.order_buf[depth] = d;
-        state.used |= 1 << idx;
-        state.eff[di] = self.factors[di] * t;
-
-        for (op, alloc) in self.ops.iter().zip(states.iter_mut()) {
-            let relevant = op.relevant & (1 << di) != 0;
-            // Advance the refetch trackers of the already-closed levels: the
-            // new loop sits above every closed boundary.
-            let mut closed = alloc.closed;
-            while closed != 0 {
-                let lvl = closed.trailing_zeros() as usize;
-                closed &= closed - 1;
-                let bit = 1u8 << lvl;
-                if relevant {
-                    alloc.seen_relevant |= bit;
-                } else if alloc.seen_relevant & bit != 0 {
-                    alloc.factor[lvl] *= t as f64;
-                }
-            }
-            if !op.incremental {
-                continue;
-            }
-            // Try to keep the new loop resident in every still-open non-top
-            // level; levels it no longer fits close with the loop as the
-            // first (already processed) loop above their boundary.
-            let mut size = None;
-            for lvl in 0..op.shares.len() {
-                let bit = 1u8 << lvl;
-                if alloc.closed & bit != 0 {
-                    continue;
-                }
-                let size = *size.get_or_insert_with(|| data_size(self.problem, op, &state.eff));
-                if size > op.shares[lvl] {
-                    alloc.closed |= bit;
-                    alloc.factor[lvl] = 1.0;
-                    if relevant {
-                        alloc.seen_relevant |= bit;
-                    }
-                }
-            }
-        }
-    }
-
+    /// Removes active dim `idx` (the outermost placed loop) from the prefix.
     fn pop(&self, state: &mut WalkState, idx: usize) {
         let di = dim_index(self.dims[idx]);
         state.used &= !(1 << idx);
-        state.eff[di] = self.factors[di];
+        state.eff[di] = self.kernel.factors[di];
     }
 
-    /// Evaluates the full ordering described by the current prefix (which now
+    /// Prices the full ordering described by the current prefix (which now
     /// covers every active loop) and updates the search's best.
     fn evaluate_leaf(&self, state: &mut WalkState, states: &[AllocState]) {
         state.stats.evaluated += 1;
-        let (value, energy, latency) = self.eval_scalars(state, states, true);
+        let scalars = self.kernel.price(&mut state.traffic, states);
+        let value = scalars.value(self.objective);
         let better = match &state.best {
             None => true,
-            Some(b) => (value, energy, latency) < (b.value, b.energy, b.latency),
+            Some(b) => {
+                (value, scalars.energy, scalars.latency)
+                    < (b.value, b.scalars.energy, b.scalars.latency)
+            }
         };
         if better {
             state.best = Some(Best {
                 value,
-                energy,
-                latency,
-                order_len: self.dims.len(),
+                scalars,
                 order: state.order_buf,
             });
-        }
-    }
-
-    /// The allocation-free scalar cost kernel.
-    ///
-    /// With `exact == true` (a complete ordering) it reproduces
-    /// [`crate::cost::evaluate`]'s energy / latency / objective scalars
-    /// bit-for-bit: the traffic terms are accumulated into dense
-    /// (level, operand) slots in the same order the cost model fills its
-    /// sorted access map, and the reductions over levels and operands follow
-    /// the same iteration order. With `exact == false` (a prefix) the same
-    /// computation prices still-open levels at refetch factor 1 — every term
-    /// is then dominated by its true counterpart in any completion and the
-    /// float accumulation order is identical, so the result is a monotone
-    /// lower bound of every completion's true cost.
-    fn eval_scalars(
-        &self,
-        state: &mut WalkState,
-        states: &[AllocState],
-        exact: bool,
-    ) -> (f64, f64, f64) {
-        for slot in state.traffic.iter_mut() {
-            *slot = [Traffic::default(); 3];
-        }
-        let mut exact_factors = [1.0f64; MAX_LEVELS];
-        for (op_idx, (op, alloc)) in self.ops.iter().zip(states.iter()).enumerate() {
-            let o = operand_index(op.operand);
-            let innermost = op.levels[0];
-            state.traffic[innermost][o].reads += op.pe_bytes;
-            if op.operand == Operand::Output {
-                state.traffic[innermost][o].writes += op.pe_bytes;
-            }
-            let n_windows = op.levels.len() - 1;
-            if n_windows == 0 {
-                continue;
-            }
-            let fallback_exact = exact && !op.incremental;
-            if fallback_exact {
-                self.exact_refetch_factors(state, op_idx, &mut exact_factors);
-            }
-            #[allow(
-                clippy::needless_range_loop,
-                reason = "`w` indexes three parallel structures: level pairs, closure bits, exact factors"
-            )]
-            for w in 0..n_windows {
-                let child = op.levels[w];
-                let parent = op.levels[w + 1];
-                let r = if fallback_exact {
-                    exact_factors[w]
-                } else if op.incremental && alloc.closed & (1 << w) != 0 {
-                    alloc.factor[w]
-                } else {
-                    1.0
-                };
-                match op.operand {
-                    Operand::Weight | Operand::Input => {
-                        let fills = op.footprint * r;
-                        state.traffic[child][o].writes += fills;
-                        state.traffic[parent][o].reads += fills;
-                    }
-                    Operand::Output => {
-                        let up = op.footprint * r;
-                        let down = op.footprint * (r - 1.0);
-                        state.traffic[child][o].reads += up;
-                        state.traffic[parent][o].writes += up;
-                        state.traffic[parent][o].reads += down;
-                        state.traffic[child][o].writes += down;
-                    }
-                }
-            }
-        }
-
-        // Memory energy, iterating (level, operand) slots in the sorted-map
-        // order of the cost model. Slots never touched contribute exactly 0.
-        let mut memory_energy = 0.0;
-        for (lvl, slots) in state.traffic.iter().enumerate() {
-            for t in slots {
-                memory_energy +=
-                    t.reads * self.level_read_e[lvl] + t.writes * self.level_write_e[lvl];
-            }
-        }
-        let energy = self.mac_energy + memory_energy;
-
-        // Latency: compute-bound unless one level's traffic dominates.
-        let mut latency = self.compute_cycles;
-        let mut dram_reads = 0.0;
-        let mut dram_writes = 0.0;
-        for (lvl, slots) in state.traffic.iter().enumerate() {
-            let mut reads = 0.0;
-            let mut writes = 0.0;
-            for t in slots {
-                reads += t.reads;
-                writes += t.writes;
-            }
-            if lvl == self.dram {
-                dram_reads = reads;
-                dram_writes = writes;
-            }
-            let read_cycles = if self.level_read_bw[lvl].is_finite() {
-                reads / self.level_read_bw[lvl]
-            } else {
-                0.0
-            };
-            let write_cycles = if self.level_write_bw[lvl].is_finite() {
-                writes / self.level_write_bw[lvl]
-            } else {
-                0.0
-            };
-            latency = latency.max(read_cycles).max(write_cycles);
-        }
-
-        let value = match self.objective {
-            Objective::Energy => energy,
-            Objective::Latency => latency,
-            Objective::Edp => energy * latency,
-            Objective::DramAccess => dram_reads + dram_writes,
-        };
-        (value, energy, latency)
-    }
-
-    /// Greedy bottom-up allocation and refetch factors recomputed from
-    /// scratch over the complete current ordering, for operands whose
-    /// capacity shares are not monotone (where the incremental state may
-    /// diverge from the reference greedy). Mirrors
-    /// [`crate::allocation::allocate`] exactly.
-    fn exact_refetch_factors(
-        &self,
-        state: &WalkState,
-        op_idx: usize,
-        factors: &mut [f64; MAX_LEVELS],
-    ) {
-        let op = &self.ops[op_idx];
-        let k = self.dims.len();
-        let mut eff = self.factors;
-        let mut boundary = 0usize;
-        let mut boundaries = [0usize; MAX_LEVELS];
-        for (lvl, share) in op.shares.iter().enumerate() {
-            while boundary < k {
-                let di = dim_index(state.order_buf[boundary]);
-                let saved = eff[di];
-                eff[di] = self.factors[di] * self.trip_by_dim[di];
-                if data_size(self.problem, op, &eff) <= *share {
-                    boundary += 1;
-                } else {
-                    eff[di] = saved;
-                    break;
-                }
-            }
-            boundaries[lvl] = boundary;
-        }
-        for (lvl, &b) in boundaries[..op.shares.len()].iter().enumerate() {
-            let mut seen_relevant = false;
-            let mut factor = 1.0f64;
-            for pos in b..k {
-                let di = dim_index(state.order_buf[pos]);
-                if op.relevant & (1 << di) != 0 {
-                    seen_relevant = true;
-                } else if seen_relevant {
-                    factor *= self.trip_by_dim[di] as f64;
-                }
-            }
-            factors[lvl] = factor;
+            state.best_traffic.copy_from_slice(&state.traffic);
         }
     }
 }
@@ -838,14 +854,14 @@ fn operand_index(op: Operand) -> usize {
     }
 }
 
-/// The resident data size of an operand given the effective per-dimension
-/// sizes of a boundary, in bytes. Mirrors
-/// [`crate::allocation::data_size_bytes`] exactly (same integer products,
-/// same float conversion points).
-fn data_size(problem: &SingleLayerProblem<'_>, op: &OpCtx, eff: &[u64; 7]) -> f64 {
+/// The data footprint, in bytes, of `operand` restricted to the effective
+/// per-dimension sizes `eff` (spatial unrolling times the temporal loops
+/// below a boundary). For inputs, the OX/FX and OY/FY pairs combine through
+/// the sliding-window relation `ix = (ox - 1) * stride + fx`.
+fn data_size(problem: &SingleLayerProblem<'_>, operand: Operand, eff: &[u64; 7]) -> f64 {
     let e = |d: Dim| eff[dim_index(d)];
-    let bytes = problem.bytes_per_element(op.operand) as f64;
-    let elements: f64 = match op.operand {
+    let bytes = problem.bytes_per_element(operand) as f64;
+    let elements: f64 = match operand {
         Operand::Weight => match problem.op {
             OpType::Conv => (e(Dim::K) * e(Dim::C) * e(Dim::FX) * e(Dim::FY)) as f64,
             OpType::DepthwiseConv => (e(Dim::K) * e(Dim::FX) * e(Dim::FY)) as f64,
@@ -869,9 +885,13 @@ fn data_size(problem: &SingleLayerProblem<'_>, op: &OpCtx, eff: &[u64; 7]) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::evaluate;
     use crate::loma::LomaMapper;
+    use crate::temporal::candidate_orderings;
+    use crate::OperandTopLevels;
     use defines_arch::zoo;
     use defines_workload::{Layer, LayerDims};
+    use proptest::prelude::*;
 
     fn problems() -> Vec<(defines_arch::Accelerator, Layer)> {
         vec![
@@ -1007,10 +1027,7 @@ mod tests {
             )
         };
         let mut best: Option<LayerCost> = None;
-        for order in crate::temporal::candidate_orderings(problem, usize::MAX)
-            .iter()
-            .take(b)
-        {
+        for order in candidate_orderings(problem, usize::MAX).iter().take(b) {
             let cost = evaluate(problem, &TemporalMapping::from_order(problem, order));
             if best.as_ref().is_none_or(|b| key(&cost) < key(b)) {
                 best = Some(cost);
@@ -1052,5 +1069,190 @@ mod tests {
         assert_eq!(full_stats.skipped_budget, 0);
         assert!(!full.degraded);
         assert!(cost.energy_pj >= full.energy_pj - 1e-9);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The running-maximum share rule rests on this: whatever the
+        /// operator and the ordering, an operand's resident data size never
+        /// shrinks as loops are pushed, and the full prefix covers at least
+        /// the operand's footprint (padded trip counts may overshoot it).
+        #[test]
+        fn data_size_never_decreases_as_loops_are_pushed(
+            dims in (1u64..=96, 1u64..=48, 1u64..=40, 1u64..=40, 1u64..=5, 1u64..=5, 1u64..=3)
+                .prop_map(|(k, c, ox, oy, fx, fy, s)| {
+                    LayerDims::conv(k, c, ox, oy, fx, fy).with_stride(s, s)
+                }),
+            op in prop::sample::select(vec![
+                OpType::Conv,
+                OpType::DepthwiseConv,
+                OpType::Pooling,
+                OpType::Add,
+            ]),
+            pick in 0usize..720,
+        ) {
+            let acc = zoo::meta_proto_like_df();
+            let layer = Layer::new("l", op, dims);
+            let problem = SingleLayerProblem::new(&acc, &layer);
+            let kernel = Kernel::new(&problem);
+            let orders = candidate_orderings(&problem, 0);
+            let mapping = TemporalMapping::from_order(&problem, &orders[pick % orders.len()]);
+            let mut eff = kernel.factors;
+            let mut states = [AllocState::default(); 3];
+            let mut sizes = Operand::ALL.map(|operand| data_size(&problem, operand, &eff));
+            for l in mapping.loops() {
+                kernel.push(&mut eff, l.dim, l.size, &mut states);
+                for (operand, size) in Operand::ALL.into_iter().zip(&mut sizes) {
+                    let grown = data_size(&problem, operand, &eff);
+                    prop_assert!(grown >= *size, "{operand} shrank pushing {}", l.dim);
+                    *size = grown;
+                }
+            }
+            for (operand, size) in Operand::ALL.into_iter().zip(sizes) {
+                prop_assert!(size >= problem.footprint_bytes(operand) as f64, "{operand}");
+            }
+        }
+    }
+
+    /// The effective sizes after pushing each prefix of `order`'s loops,
+    /// starting from the bare spatial unrolling.
+    fn effective_sizes(problem: &SingleLayerProblem<'_>, order: &[Dim]) -> Vec<[u64; 7]> {
+        let kernel = Kernel::new(problem);
+        let mapping = TemporalMapping::from_order(problem, order);
+        let mut eff = kernel.factors;
+        let mut states = [AllocState::default(); 3];
+        let mut sizes = vec![eff];
+        for l in mapping.loops() {
+            kernel.push(&mut eff, l.dim, l.size, &mut states);
+            sizes.push(eff);
+        }
+        sizes
+    }
+
+    #[test]
+    fn effective_sizes_count_only_pushed_loops() {
+        let acc = zoo::meta_proto_like();
+        let layer = Layer::new("c", OpType::Conv, LayerDims::conv(64, 4, 16, 16, 3, 3));
+        let problem = SingleLayerProblem::new(&acc, &layer);
+        // Temporal loops OX 4, OY 4, K 2, C 2, FX 3, FY 3, innermost first.
+        let order = [Dim::OX, Dim::OY, Dim::K, Dim::C, Dim::FX, Dim::FY];
+        let sizes = effective_sizes(&problem, &order);
+        let spatial = Kernel::new(&problem).factors;
+        let (ox, k) = (dim_index(Dim::OX), dim_index(Dim::K));
+        assert_eq!(sizes[0][ox], spatial[ox]);
+        assert_eq!(sizes[1][ox], 4 * spatial[ox]);
+        assert_eq!(sizes[2][k], spatial[k]);
+        assert_eq!(sizes[3][k], 2 * spatial[k]);
+        // With every loop pushed, each iteration is counted exactly once.
+        assert_eq!(sizes[6].iter().product::<u64>(), 64 * 4 * 16 * 16 * 3 * 3);
+    }
+
+    #[test]
+    fn data_size_grows_with_boundary() {
+        let acc = zoo::meta_proto_like();
+        let layer = Layer::new("c", OpType::Conv, LayerDims::conv(64, 16, 32, 32, 3, 3));
+        let problem = SingleLayerProblem::new(&acc, &layer);
+        let sizes = effective_sizes(&problem, &Dim::SPATIAL_AND_CHANNEL);
+        for op in Operand::ALL {
+            let mut prev = 0.0;
+            for eff in &sizes {
+                let s = data_size(&problem, op, eff);
+                assert!(s >= prev, "{op}: size must be monotone in boundary");
+                prev = s;
+            }
+        }
+    }
+
+    #[test]
+    fn data_size_at_full_prefix_reaches_footprint() {
+        let acc = zoo::meta_proto_like();
+        let layer = Layer::new("c", OpType::Conv, LayerDims::conv(64, 16, 32, 32, 3, 3));
+        let problem = SingleLayerProblem::new(&acc, &layer);
+        let sizes = effective_sizes(&problem, &Dim::SPATIAL_AND_CHANNEL);
+        let full = sizes.last().unwrap();
+        // With every loop pushed the resident set covers the entire operand.
+        // (Ceiling division of unrolled dimensions may slightly overestimate.)
+        for op in Operand::ALL {
+            let size = data_size(&problem, op, full);
+            assert!(size >= problem.footprint_bytes(op) as f64, "{op}");
+            assert!(size <= problem.footprint_bytes(op) as f64 * 1.3, "{op}");
+        }
+    }
+
+    #[test]
+    fn allocation_closes_inner_levels_first_and_never_the_top() {
+        let acc = zoo::meta_proto_like_df();
+        let layer = Layer::new("c", OpType::Conv, LayerDims::conv(64, 16, 32, 32, 3, 3));
+        let problem = SingleLayerProblem::new(&acc, &layer);
+        let kernel = Kernel::new(&problem);
+        for order in candidate_orderings(&problem, 0) {
+            let mapping = TemporalMapping::from_order(&problem, &order);
+            let mut eff = kernel.factors;
+            let mut states = [AllocState::default(); 3];
+            for l in mapping.loops() {
+                let before = states;
+                kernel.push(&mut eff, l.dim, l.size, &mut states);
+                for ((op, was), now) in kernel.ops.iter().zip(&before).zip(&states) {
+                    assert!(now.closed >= was.closed, "a closed level reopened");
+                    assert!((now.closed as usize) < op.levels.len(), "top level closed");
+                }
+            }
+            // Every usable level up to the operand's top carries traffic,
+            // and nothing above the top does.
+            let cost = kernel.evaluate(&mapping);
+            for operand in Operand::ALL {
+                let top = problem.top_levels.level(operand);
+                let levels: Vec<_> = cost
+                    .accesses
+                    .iter()
+                    .filter(|&(_, o, _)| o == operand)
+                    .map(|(l, _, _)| l)
+                    .collect();
+                assert_eq!(levels.last(), Some(&top), "{operand}");
+            }
+        }
+    }
+
+    #[test]
+    fn small_weights_stay_resident_in_lb_w() {
+        // Weights of 32*2*9 = 576 B fit the 32 KB weight LB, so LB_W never
+        // closes and its parent serves each weight exactly once.
+        let acc = zoo::meta_proto_like_df();
+        let layer = Layer::new("c", OpType::Conv, LayerDims::conv(32, 2, 4, 4, 3, 3));
+        let problem = SingleLayerProblem::new(&acc, &layer);
+        let kernel = Kernel::new(&problem);
+        let lb_w = acc.hierarchy().level_id_named("LB_W").unwrap().0;
+        let weights = &kernel.ops[0];
+        assert_eq!(weights.operand, Operand::Weight);
+        let lb_pos = weights.levels.iter().position(|&l| l == lb_w).unwrap();
+        let mapping = TemporalMapping::from_order(&problem, &Dim::SPATIAL_AND_CHANNEL);
+        let mut eff = kernel.factors;
+        let mut states = [AllocState::default(); 3];
+        for l in mapping.loops() {
+            kernel.push(&mut eff, l.dim, l.size, &mut states);
+        }
+        assert!(states[0].closed as usize <= lb_pos, "LB_W closed");
+        let cost = kernel.evaluate(&mapping);
+        let parent = MemoryLevelId(weights.levels[lb_pos + 1]);
+        assert_eq!(
+            cost.accesses.get(parent, Operand::Weight).reads_bytes,
+            576.0
+        );
+    }
+
+    #[test]
+    fn usable_levels_respect_top() {
+        let acc = zoo::meta_proto_like_df();
+        let lb = acc.hierarchy().level_id_named("LB_IO").unwrap();
+        let layer = Layer::new("c", OpType::Conv, LayerDims::conv(8, 8, 8, 8, 3, 3));
+        let p = SingleLayerProblem::new(&acc, &layer)
+            .with_top_levels(OperandTopLevels::dram(&acc).with_level(Operand::Input, lb));
+        let levels = usable_levels(&p, Operand::Input);
+        assert_eq!(*levels.last().unwrap(), lb.0);
+        assert!(levels.iter().all(|&l| l <= lb.0));
+        // Weights still go all the way to DRAM.
+        let w = usable_levels(&p, Operand::Weight);
+        assert_eq!(*w.last().unwrap(), acc.hierarchy().dram_id().0);
     }
 }

@@ -82,38 +82,6 @@ impl TemporalMapping {
     pub fn is_empty(&self) -> bool {
         self.loops.is_empty()
     }
-
-    /// Product of the trip counts of loops `[0, boundary)` that iterate over
-    /// dimension `dim`.
-    pub fn below_product(&self, dim: Dim, boundary: usize) -> u64 {
-        self.loops[..boundary.min(self.loops.len())]
-            .iter()
-            .filter(|l| l.dim == dim)
-            .map(|l| l.size)
-            .product::<u64>()
-            .max(1)
-    }
-
-    /// The *refetch factor* for a level whose allocation boundary is
-    /// `boundary`: the product of the trip counts of loops above the boundary
-    /// that are irrelevant to the operand **and** outer to at least one
-    /// relevant loop that is itself above the boundary.
-    ///
-    /// Data resident in the level only has to be refetched when a relevant
-    /// loop above the boundary changes the working set *and* an irrelevant
-    /// loop even further out revisits the same data later.
-    pub fn refetch_factor(&self, relevant: &[Dim], boundary: usize) -> f64 {
-        let mut seen_relevant = false;
-        let mut factor = 1.0;
-        for l in &self.loops[boundary.min(self.loops.len())..] {
-            if relevant.contains(&l.dim) {
-                seen_relevant = true;
-            } else if seen_relevant {
-                factor *= l.size as f64;
-            }
-        }
-        factor
-    }
 }
 
 impl fmt::Display for TemporalMapping {
@@ -232,38 +200,6 @@ mod tests {
         let m = TemporalMapping::from_order(&p, &Dim::SPATIAL_AND_CHANNEL);
         assert!(m.is_empty(), "{m}");
         assert_eq!(m.loops().iter().map(|l| l.size).product::<u64>(), 1);
-    }
-
-    #[test]
-    fn below_product_counts_only_inner_loops() {
-        let (acc, layer) = problem_for(LayerDims::conv(64, 4, 16, 16, 3, 3));
-        let p = SingleLayerProblem::new(&acc, &layer);
-        let m =
-            TemporalMapping::from_order(&p, &[Dim::OX, Dim::OY, Dim::K, Dim::C, Dim::FX, Dim::FY]);
-        assert_eq!(m.below_product(Dim::OX, 1), 4);
-        assert_eq!(m.below_product(Dim::OX, 0), 1);
-        assert_eq!(m.below_product(Dim::K, 2), 1);
-        assert_eq!(m.below_product(Dim::K, 3), 2);
-    }
-
-    #[test]
-    fn refetch_factor_examples() {
-        let (acc, layer) = problem_for(LayerDims::conv(128, 4, 16, 16, 1, 1));
-        let p = SingleLayerProblem::new(&acc, &layer);
-        // Innermost K (temporal 4), then OX (4), OY (4), C (2).
-        let m = TemporalMapping::from_order(&p, &[Dim::K, Dim::OX, Dim::OY, Dim::C]);
-        let w_rel = [Dim::K, Dim::C, Dim::FX, Dim::FY];
-        // Boundary after K: OX, OY are irrelevant to W but no relevant W loop
-        // sits between the boundary and them -> no refetch.
-        assert_eq!(m.refetch_factor(&w_rel, 1), 1.0);
-        // Boundary 0: K (relevant) is above, then OX/OY irrelevant above it -> 16.
-        assert_eq!(m.refetch_factor(&w_rel, 0), 16.0);
-        // Outputs: relevant K, OX, OY; C on the outside is a reduction loop but
-        // has relevant loops below it -> factor 2 at boundary 0.
-        let o_rel = [Dim::B, Dim::K, Dim::OX, Dim::OY];
-        assert_eq!(m.refetch_factor(&o_rel, 0), 2.0);
-        // Boundary above everything: never a refetch.
-        assert_eq!(m.refetch_factor(&o_rel, m.len()), 1.0);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use defines_core::stack::Stack;
 use defines_core::strategy::{OverlapMode, TileSize};
 use defines_core::tiling::TileGrid;
 use defines_core::{DfCostModel, DfStrategy};
-use defines_mapping::{LomaMapper, MapperConfig, SingleLayerProblem, TemporalMapping};
+use defines_mapping::{LomaMapper, MapperConfig, SingleLayerProblem};
 use defines_workload::{Layer, LayerDims, Network, OpType};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -108,20 +108,6 @@ proptest! {
         let dram = acc.hierarchy().dram_id();
         let w = cost.accesses.get(dram, Operand::Weight);
         prop_assert!(w.reads_bytes + 1e-9 >= layer.weight_bytes() as f64);
-    }
-
-    /// Temporal-mapping refetch factors are at least one and data sizes are
-    /// monotone in the allocation boundary.
-    #[test]
-    fn refetch_and_data_size_properties(dims in arb_layer_dims(), boundary in 0usize..8) {
-        let acc = zoo::edge_tpu_like_df();
-        let layer = Layer::new("l", OpType::Conv, dims);
-        let problem = SingleLayerProblem::new(&acc, &layer);
-        let mapping = TemporalMapping::from_order(&problem, &defines_workload::Dim::SPATIAL_AND_CHANNEL);
-        for op in Operand::ALL {
-            let rel = problem.relevant_dims(op);
-            prop_assert!(mapping.refetch_factor(rel, boundary) >= 1.0);
-        }
     }
 
     /// For any generated stack (plain, strided, depthwise or residual) and
