@@ -2,14 +2,14 @@
 //! stack, per tile type and per layer.
 
 use crate::backcalc::{tile_types, FmId, StackGeometry, TileAnalysis, TileTypes};
-use crate::datacopy::{copy_cost, DataCopyAction};
+use crate::datacopy::{copy_cost, DataCopyAction, MAX_COPY_ACTIONS};
 use crate::memlevel::{determine_placement, PlacementPolicy, PlacementRequest};
 use crate::result::{energy_summary, EnergySummary, NetworkCost, StackCost, TileTypeCost};
 use crate::stack::{partition_into_stacks, Stack};
 use crate::strategy::{BetweenStackMemory, DfStrategy, OverlapMode, TileSize};
 use defines_arch::{Accelerator, MemoryLevelId, Operand};
 use defines_mapping::{
-    AccessBreakdown, LayerCost, LomaMapper, MapperConfig, MappingCache, OperandTopLevels,
+    Access, AccessBreakdown, LayerCost, LomaMapper, MapperConfig, MappingCache, OperandTopLevels,
     SingleLayerProblem,
 };
 use defines_telemetry::{span, Counter};
@@ -84,6 +84,9 @@ pub struct DfCostModel<'a> {
     /// cache lookup needs it and hashing the full architecture per lookup is
     /// measurable on the hot path.
     acc_fingerprint: u64,
+    /// [`LomaMapper::config_fingerprint`] of `mapper`, computed once for the
+    /// same reason and refreshed whenever the mapper changes.
+    mapper_fingerprint: u64,
 }
 
 /// The sweep-invariant half of a network evaluation: the stack partition's
@@ -107,6 +110,66 @@ impl PreparedNetwork<'_> {
             .map(|geometry| tile_types(geometry, strategy.tile, strategy.mode))
             .collect()
     }
+}
+
+/// One data class's traffic for the tile type being priced, dense by memory
+/// level: a slot per (level, operand), `None` until an add touches it.
+#[derive(Debug, Default)]
+struct TrafficSlots {
+    slots: Vec<[Option<Access>; 3]>,
+}
+
+impl TrafficSlots {
+    /// Empties every slot of a `levels`-deep hierarchy, keeping the buffer.
+    fn reset(&mut self, levels: usize) {
+        self.slots.clear();
+        self.slots.resize(levels, [None; 3]);
+    }
+
+    /// The slot for a key, touched (and zeroed) if it was not yet.
+    fn slot(&mut self, level: MemoryLevelId, operand: Operand) -> &mut Access {
+        self.slots[level.0][operand as usize].get_or_insert_with(Access::default)
+    }
+
+    /// Adds `breakdown`'s traffic scaled by `factor`, as
+    /// [`AccessBreakdown::merge_scaled`] does.
+    fn merge_scaled(&mut self, breakdown: &AccessBreakdown, factor: f64) {
+        for (level, operand, access) in breakdown.iter() {
+            let slot = self.slot(level, operand);
+            slot.reads_bytes += access.reads_bytes * factor;
+            slot.writes_bytes += access.writes_bytes * factor;
+        }
+    }
+
+    /// The touched slots as an exact-size breakdown, in `(level, operand)`
+    /// order.
+    fn to_breakdown(&self) -> AccessBreakdown {
+        let touched = self.slots.iter().flatten().flatten().count();
+        let mut entries = Vec::with_capacity(touched);
+        for (level, slots) in self.slots.iter().enumerate() {
+            for (operand, slot) in Operand::ALL.into_iter().zip(slots) {
+                if let Some(access) = slot {
+                    entries.push(((MemoryLevelId(level), operand), *access));
+                }
+            }
+        }
+        AccessBreakdown::from_entries(entries)
+    }
+}
+
+/// The buffers every tile type of a stack reuses, so that pricing one
+/// allocates only its result.
+#[derive(Debug, Default)]
+struct TileScratch {
+    /// The data-copy actions of the layer being priced.
+    actions: Vec<DataCopyAction>,
+    /// The memory level holding each stack layer's freshly produced output,
+    /// by stack position.
+    output_levels: Vec<MemoryLevelId>,
+    /// Traffic of the layers' activations, weights and data copies.
+    activation: TrafficSlots,
+    weight: TrafficSlots,
+    copy: TrafficSlots,
 }
 
 /// The per-tile cost components produced by the tile-type evaluation, before
@@ -137,12 +200,14 @@ impl<'a> DfCostModel<'a> {
     /// Creates a cost model for an accelerator with the default (exhaustive)
     /// mapper configuration.
     pub fn new(acc: &'a Accelerator) -> Self {
+        let mapper = LomaMapper::default();
         Self {
             acc,
-            mapper: LomaMapper::default(),
+            mapper,
             policy: PlacementPolicy::default(),
             cache: MappingCache::new(),
             acc_fingerprint: acc.fingerprint(),
+            mapper_fingerprint: mapper.config_fingerprint(),
         }
     }
 
@@ -167,17 +232,18 @@ impl<'a> DfCostModel<'a> {
     /// Uses a reduced mapper search: [`MapperConfig::fast`]'s ordering sample.
     /// Only the ordering cap changes; an objective or budget set earlier is
     /// kept, so the builder calls commute.
-    pub fn with_fast_mapper(mut self) -> Self {
-        self.mapper = LomaMapper::new(MapperConfig {
+    pub fn with_fast_mapper(self) -> Self {
+        let config = MapperConfig {
             max_orderings: MapperConfig::fast().max_orderings,
             ..*self.mapper.config()
-        });
-        self
+        };
+        self.with_mapper(config)
     }
 
     /// Uses a custom mapper configuration.
     pub fn with_mapper(mut self, config: MapperConfig) -> Self {
         self.mapper = LomaMapper::new(config);
+        self.mapper_fingerprint = self.mapper.config_fingerprint();
         self
     }
 
@@ -188,9 +254,9 @@ impl<'a> DfCostModel<'a> {
     /// flags the affected costs [`degraded`](crate::StackCost::degraded)
     /// instead of failing. Budgets participate in the mapper's cache
     /// fingerprint, so differently budgeted runs never share cache entries.
-    pub fn with_search_budget(mut self, budget: defines_mapping::Budget) -> Self {
-        self.mapper = LomaMapper::new(self.mapper.config().with_budget(budget));
-        self
+    pub fn with_search_budget(self, budget: defines_mapping::Budget) -> Self {
+        let config = self.mapper.config().with_budget(budget);
+        self.with_mapper(config)
     }
 
     /// The single-layer mapper configuration used by this model.
@@ -332,11 +398,11 @@ impl<'a> DfCostModel<'a> {
         stack_output_level: MemoryLevelId,
     ) -> StackCost {
         let _span = span!("evaluate.stack");
-        // Buffers every tile type of the stack reuses: the data-copy actions
-        // of the layer being priced, and the memory level holding each stack
-        // layer's freshly produced output, by stack position.
-        let mut actions = Vec::new();
-        let mut output_levels = Vec::with_capacity(geometry.stack_layers().len());
+        let mut scratch = TileScratch {
+            actions: Vec::with_capacity(MAX_COPY_ACTIONS),
+            output_levels: Vec::with_capacity(geometry.stack_layers().len()),
+            ..TileScratch::default()
+        };
         let type_costs: Vec<TileTypeCost> = types
             .into_iter()
             .map(|(analysis, count)| {
@@ -345,8 +411,7 @@ impl<'a> DfCostModel<'a> {
                     &analysis,
                     stack_input_level,
                     stack_output_level,
-                    &mut actions,
-                    &mut output_levels,
+                    &mut scratch,
                 );
                 TileTypeCost {
                     analysis,
@@ -367,11 +432,18 @@ impl<'a> DfCostModel<'a> {
         let mut energy = 0.0;
         let mut latency = 0.0;
         let mut macs = 0u64;
-        let mut activation = AccessBreakdown::new();
-        let mut weight = AccessBreakdown::new();
-        let mut copy = AccessBreakdown::new();
         let mut summary = EnergySummary::default();
         let mut degraded = false;
+        let TileScratch {
+            activation,
+            weight,
+            copy,
+            ..
+        } = &mut scratch;
+        let levels = self.acc.hierarchy().len();
+        activation.reset(levels);
+        weight.reset(levels);
+        copy.reset(levels);
         for t in &type_costs {
             let f = t.count as f64;
             energy += t.energy_pj * f;
@@ -392,26 +464,24 @@ impl<'a> DfCostModel<'a> {
             energy_pj: energy,
             latency_cycles: latency,
             macs,
-            activation_access: activation,
-            weight_access: weight,
-            copy_access: copy,
+            activation_access: activation.to_breakdown(),
+            weight_access: weight.to_breakdown(),
+            copy_access: copy.to_breakdown(),
             energy_summary: summary,
             degraded,
         }
     }
 
     /// Evaluates one tile type: placement, data copies and single-layer costs
-    /// for every layer of the stack (steps 3–5), for a single tile. `actions`
-    /// and `output_levels` are [`DfCostModel::price_stack`]'s buffers,
-    /// cleared here before use.
+    /// for every layer of the stack (steps 3–5), for a single tile. `scratch`
+    /// holds [`DfCostModel::price_stack`]'s buffers, cleared here before use.
     fn evaluate_tile_type(
         &self,
         geometry: &StackGeometry<'_>,
         analysis: &TileAnalysis,
         stack_input_level: MemoryLevelId,
         stack_output_level: MemoryLevelId,
-        actions: &mut Vec<DataCopyAction>,
-        output_levels: &mut Vec<MemoryLevelId>,
+        scratch: &mut TileScratch,
     ) -> TileEval {
         /// Distinct tile types priced across every stack evaluation.
         static TILE_TYPES: Counter = Counter::new("evaluate.tile_types");
@@ -421,13 +491,20 @@ impl<'a> DfCostModel<'a> {
         let mut energy = 0.0;
         let mut latency = 0.0;
         let mut macs = 0u64;
-        let mut activation_access = AccessBreakdown::new();
-        let mut weight_access = AccessBreakdown::new();
-        let mut copy_access = AccessBreakdown::new();
         let mut mac_energy = 0.0;
         let mut degraded = false;
-        // Where each stack layer's freshly produced output resides, by stack
-        // position (`analysis.layers` is in stack order).
+        let TileScratch {
+            actions,
+            output_levels,
+            activation,
+            weight,
+            copy,
+        } = scratch;
+        let levels = self.acc.hierarchy().len();
+        activation.reset(levels);
+        weight.reset(levels);
+        copy.reset(levels);
+        // `analysis.layers` is in stack order, as `output_levels` is.
         output_levels.clear();
         let last = analysis.layers.len() - 1;
 
@@ -556,19 +633,30 @@ impl<'a> DfCostModel<'a> {
             macs += layer_cost.macs;
             mac_energy += layer_cost.mac_energy_pj;
             degraded |= layer_cost.degraded;
-            copy_access.merge(&copies.accesses);
+            // One addition per key of the layer's copy sum, formed first:
+            // the float summation order the breakdowns are pinned to.
+            for (level, operand, bytes) in copies.reads() {
+                copy.slot(level, operand).reads_bytes += bytes;
+            }
+            for (level, operand, bytes) in copies.writes() {
+                copy.slot(level, operand).writes_bytes += bytes;
+            }
             for (level, operand, access) in layer_cost.accesses.iter() {
                 let target = if operand == Operand::Weight {
-                    &mut weight_access
+                    &mut *weight
                 } else {
-                    &mut activation_access
+                    &mut *activation
                 };
-                target.add_reads(level, operand, access.reads_bytes);
-                target.add_writes(level, operand, access.writes_bytes);
+                let slot = target.slot(level, operand);
+                slot.reads_bytes += access.reads_bytes;
+                slot.writes_bytes += access.writes_bytes;
             }
             output_levels.push(output_top);
         }
 
+        let activation_access = activation.to_breakdown();
+        let weight_access = weight.to_breakdown();
+        let copy_access = copy.to_breakdown();
         let summary = energy_summary(
             self.acc,
             mac_energy,
@@ -602,7 +690,7 @@ impl<'a> DfCostModel<'a> {
         let (key, canonicalized) = defines_mapping::ProblemKey::canonical_with_fingerprints(
             &problem,
             self.acc_fingerprint,
-            self.mapper.config_fingerprint(),
+            self.mapper_fingerprint,
         );
         self.cache
             .optimize_shared_keyed(key, canonicalized, &self.mapper, &problem)
@@ -702,6 +790,7 @@ mod tests {
     use defines_arch::zoo;
     use defines_mapping::Objective;
     use defines_workload::{models, LayerId, OpType};
+    use proptest::prelude::*;
 
     fn small_net() -> Network {
         let mut net = Network::new("small");
@@ -739,6 +828,10 @@ mod tests {
                 first.mapper.config_fingerprint(),
                 last.mapper.config_fingerprint()
             );
+            // The fingerprint cached for cache keys follows every setter.
+            for model in [&first, &last] {
+                assert_eq!(model.mapper_fingerprint, model.mapper.config_fingerprint());
+            }
             assert_ne!(first.mapper_config(), &MapperConfig::fast());
         }
         assert_commutes(|m| m.with_search_budget(defines_mapping::Budget::orderings(17)));
@@ -903,5 +996,74 @@ mod tests {
             mid < tiny * 1.5,
             "mid {mid} should not be much worse than tiny {tiny}"
         );
+    }
+
+    /// One traffic add: reads or writes, a level, an operand and a byte
+    /// count — zero one time in four, else in thirds, so that summation
+    /// order shows in the bits.
+    fn traffic_add() -> impl Strategy<Value = (bool, usize, usize, f64)> {
+        (0u8..2, 0usize..8, 0usize..3, 0u64..4096).prop_map(|(write, level, operand, bytes)| {
+            let bytes = if bytes % 4 == 0 {
+                0.0
+            } else {
+                bytes as f64 / 3.0
+            };
+            (write == 1, level, operand, bytes)
+        })
+    }
+
+    fn entry_bits(breakdown: &AccessBreakdown) -> Vec<(MemoryLevelId, Operand, u64, u64)> {
+        breakdown
+            .iter()
+            .map(|(l, o, a)| (l, o, a.reads_bytes.to_bits(), a.writes_bytes.to_bits()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dense slots end up holding what an `AccessBreakdown` fed the
+        /// same adds holds: the same keys — one touched only by a zero add
+        /// included — in the same order, with the same bits; and so does
+        /// step 6's scaled merge.
+        #[test]
+        fn traffic_slots_match_an_access_breakdown(
+            adds in (
+                traffic_add(),
+                traffic_add(),
+                traffic_add(),
+                traffic_add(),
+                traffic_add(),
+                traffic_add(),
+                traffic_add(),
+                traffic_add(),
+            ),
+            factor in 1u64..64,
+        ) {
+            let adds = [adds.0, adds.1, adds.2, adds.3, adds.4, adds.5, adds.6, adds.7];
+            let mut slots = TrafficSlots::default();
+            slots.reset(8);
+            let mut reference = AccessBreakdown::new();
+            for (write, level, operand, bytes) in adds {
+                let (level, operand) = (MemoryLevelId(level), Operand::ALL[operand]);
+                if write {
+                    slots.slot(level, operand).writes_bytes += bytes;
+                    reference.add_writes(level, operand, bytes);
+                } else {
+                    slots.slot(level, operand).reads_bytes += bytes;
+                    reference.add_reads(level, operand, bytes);
+                }
+            }
+            prop_assert_eq!(entry_bits(&slots.to_breakdown()), entry_bits(&reference));
+
+            let factor = factor as f64;
+            slots.reset(8);
+            let mut merged = AccessBreakdown::new();
+            for _ in 0..2 {
+                slots.merge_scaled(&reference, factor);
+                merged.merge_scaled(&reference, factor);
+            }
+            prop_assert_eq!(entry_bits(&slots.to_breakdown()), entry_bits(&merged));
+        }
     }
 }

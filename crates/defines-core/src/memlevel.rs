@@ -9,7 +9,6 @@
 
 use defines_arch::{Accelerator, MemoryLevelId, Operand};
 use serde::Serialize;
-use std::collections::BTreeMap;
 
 /// The memory levels assigned to all data classes of one layer-tile
 /// combination.
@@ -67,53 +66,65 @@ impl Default for PlacementPolicy {
     }
 }
 
-/// Remaining capacity tracker over the memory hierarchy.
+/// At most one reservation per data class: weights, inputs, outputs and the
+/// two overlap caches.
+const MAX_RESERVATIONS: usize = 5;
+
+/// Remaining capacity tracker over the memory hierarchy: the levels that
+/// hold a reservation, each with the capacity it has left. A level absent
+/// from the list still has its full capacity.
 #[derive(Debug, Clone)]
 struct CapacityTracker<'a> {
     acc: &'a Accelerator,
-    remaining: BTreeMap<MemoryLevelId, u64>,
+    reserved: [(MemoryLevelId, u64); MAX_RESERVATIONS],
+    len: usize,
 }
 
 impl<'a> CapacityTracker<'a> {
     fn new(acc: &'a Accelerator) -> Self {
-        let remaining = acc
-            .hierarchy()
-            .levels()
+        Self {
+            acc,
+            reserved: [(MemoryLevelId(0), 0); MAX_RESERVATIONS],
+            len: 0,
+        }
+    }
+
+    /// The capacity level `id` has left.
+    fn remaining(&self, id: MemoryLevelId) -> u64 {
+        match self.reserved[..self.len]
             .iter()
-            .enumerate()
-            .map(|(i, l)| (MemoryLevelId(i), l.capacity_bytes().unwrap_or(u64::MAX)))
-            .collect();
-        Self { acc, remaining }
+            .find(|&&(level, _)| level == id)
+        {
+            Some(&(_, left)) => left,
+            None => self
+                .acc
+                .hierarchy()
+                .level(id)
+                .capacity_bytes()
+                .unwrap_or(u64::MAX),
+        }
     }
 
     /// The lowest level serving `operand` whose remaining capacity can hold
     /// `bytes`, reserving the space. Falls back to DRAM.
     fn place_lowest(&mut self, operand: Operand, bytes: u64) -> MemoryLevelId {
-        let dram = self.acc.hierarchy().dram_id();
-        let candidates: Vec<MemoryLevelId> = self
-            .acc
-            .hierarchy()
-            .levels_for(operand)
-            .map(|(id, _)| id)
-            .collect();
-        for id in candidates {
-            if self.remaining[&id] >= bytes {
+        let hierarchy = self.acc.hierarchy();
+        for (id, _) in hierarchy.levels_for(operand) {
+            if self.remaining(id) >= bytes {
                 self.reserve(id, bytes);
                 return id;
             }
         }
-        dram
+        hierarchy.dram_id()
     }
 
     /// The highest on-chip level serving `operand` that can hold `bytes`
     /// (DRAM-only-skipping baseline), or DRAM when nothing fits.
     fn place_highest_on_chip(&mut self, operand: Operand, bytes: u64) -> MemoryLevelId {
-        let dram = self.acc.hierarchy().dram_id();
-        let candidate = self
-            .acc
-            .hierarchy()
+        let hierarchy = self.acc.hierarchy();
+        let candidate = hierarchy
             .levels_for(operand)
-            .filter(|(id, l)| !l.is_dram() && self.remaining[id] >= bytes)
+            .filter(|(id, l)| !l.is_dram() && self.remaining(*id) >= bytes)
             .map(|(id, _)| id)
             .last();
         match candidate {
@@ -121,7 +132,7 @@ impl<'a> CapacityTracker<'a> {
                 self.reserve(id, bytes);
                 id
             }
-            None => dram,
+            None => hierarchy.dram_id(),
         }
     }
 
@@ -130,13 +141,27 @@ impl<'a> CapacityTracker<'a> {
     /// [`CapacityTracker::place_highest_on_chip`]), so an over-reservation is
     /// a placement accounting bug — the debug assertion surfaces it instead
     /// of letting `saturating_sub` silently clamp the books to zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a sixth distinct level: [`determine_placement`] places at
+    /// most [`MAX_RESERVATIONS`] data classes.
     fn reserve(&mut self, id: MemoryLevelId, bytes: u64) {
-        if let Some(r) = self.remaining.get_mut(&id) {
-            debug_assert!(
-                bytes <= *r,
-                "over-reservation at memory level {id:?}: {bytes} bytes requested, {r} remaining"
-            );
-            *r = r.saturating_sub(bytes);
+        let r = self.remaining(id);
+        debug_assert!(
+            bytes <= r,
+            "over-reservation at memory level {id:?}: {bytes} bytes requested, {r} remaining"
+        );
+        let left = r.saturating_sub(bytes);
+        match self.reserved[..self.len]
+            .iter_mut()
+            .find(|(level, _)| *level == id)
+        {
+            Some(slot) => slot.1 = left,
+            None => {
+                self.reserved[self.len] = (id, left);
+                self.len += 1;
+            }
         }
     }
 }
@@ -204,6 +229,7 @@ pub fn determine_placement(
 mod tests {
     use super::*;
     use defines_arch::zoo;
+    use proptest::prelude::*;
 
     fn meta_df() -> defines_arch::Accelerator {
         zoo::meta_proto_like_df()
@@ -365,7 +391,7 @@ mod tests {
         // without touching the LB's (exhausted) books.
         let next = tracker.place_lowest(Operand::Input, capacity);
         assert_ne!(next, lb);
-        assert_eq!(tracker.remaining[&lb], 0);
+        assert_eq!(tracker.remaining(lb), 0);
     }
 
     #[test]
@@ -381,5 +407,175 @@ mod tests {
         };
         let p = determine_placement(&acc, &req, &PlacementPolicy::default());
         assert!(acc.hierarchy().level(p.weight).is_dram());
+    }
+
+    /// Reference placement: a `BTreeMap` of every level's remaining
+    /// capacity, the plain form the fixed-size tracker is checked against.
+    mod reference {
+        use super::super::{DataPlacement, PlacementPolicy, PlacementRequest};
+        use defines_arch::{Accelerator, MemoryLevelId, Operand};
+        use std::collections::BTreeMap;
+
+        struct CapacityTracker<'a> {
+            acc: &'a Accelerator,
+            remaining: BTreeMap<MemoryLevelId, u64>,
+        }
+
+        impl<'a> CapacityTracker<'a> {
+            fn new(acc: &'a Accelerator) -> Self {
+                let remaining = acc
+                    .hierarchy()
+                    .levels()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, l)| (MemoryLevelId(i), l.capacity_bytes().unwrap_or(u64::MAX)))
+                    .collect();
+                Self { acc, remaining }
+            }
+
+            fn place_lowest(&mut self, operand: Operand, bytes: u64) -> MemoryLevelId {
+                let dram = self.acc.hierarchy().dram_id();
+                let candidates: Vec<MemoryLevelId> = self
+                    .acc
+                    .hierarchy()
+                    .levels_for(operand)
+                    .map(|(id, _)| id)
+                    .collect();
+                for id in candidates {
+                    if self.remaining[&id] >= bytes {
+                        self.reserve(id, bytes);
+                        return id;
+                    }
+                }
+                dram
+            }
+
+            fn place_highest_on_chip(&mut self, operand: Operand, bytes: u64) -> MemoryLevelId {
+                let dram = self.acc.hierarchy().dram_id();
+                let candidate = self
+                    .acc
+                    .hierarchy()
+                    .levels_for(operand)
+                    .filter(|(id, l)| !l.is_dram() && self.remaining[id] >= bytes)
+                    .map(|(id, _)| id)
+                    .last();
+                match candidate {
+                    Some(id) => {
+                        self.reserve(id, bytes);
+                        id
+                    }
+                    None => dram,
+                }
+            }
+
+            fn reserve(&mut self, id: MemoryLevelId, bytes: u64) {
+                if let Some(r) = self.remaining.get_mut(&id) {
+                    *r = r.saturating_sub(bytes);
+                }
+            }
+        }
+
+        pub(super) fn determine_placement(
+            acc: &Accelerator,
+            request: &PlacementRequest,
+            policy: &PlacementPolicy,
+        ) -> DataPlacement {
+            let dram = acc.hierarchy().dram_id();
+            let mut tracker = CapacityTracker::new(acc);
+            let weight_home = if request.stack_weight_bytes > 0 {
+                tracker.place_lowest(Operand::Weight, request.stack_weight_bytes)
+            } else {
+                dram
+            };
+            let weight = if !request.layer_has_weights || request.is_first_tile {
+                dram
+            } else {
+                weight_home
+            };
+            let input = if policy.multi_level_skipping {
+                tracker.place_lowest(Operand::Input, request.input_bytes)
+            } else {
+                tracker.place_highest_on_chip(Operand::Input, request.input_bytes)
+            };
+            let output = if policy.multi_level_skipping {
+                tracker.place_lowest(Operand::Output, request.output_bytes)
+            } else {
+                tracker.place_highest_on_chip(Operand::Output, request.output_bytes)
+            };
+            let cache_h = (request.cache_h_bytes > 0)
+                .then(|| tracker.place_lowest(Operand::Input, request.cache_h_bytes));
+            let cache_v = (request.cache_v_bytes > 0)
+                .then(|| tracker.place_lowest(Operand::Input, request.cache_v_bytes));
+            DataPlacement {
+                weight,
+                input,
+                output,
+                cache_h,
+                cache_v,
+            }
+        }
+    }
+
+    /// A byte count spread over every scale from nothing to 256 MiB, so
+    /// requests land below, across and above every level's capacity.
+    fn bytes() -> impl Strategy<Value = u64> {
+        (0u32..=28, 0u64..1 << 28).prop_map(|(bits, v)| v >> (28 - bits))
+    }
+
+    /// A request size for `acc`: `bytes` itself, or for `kind` 2 and 3 the
+    /// whole or half capacity of an on-chip level picked by `bytes`, so
+    /// that exact fits and exactly drained levels come up.
+    fn size(acc: &Accelerator, (kind, bytes): (u8, u64)) -> u64 {
+        let on_chip = acc.hierarchy().len() as u64 - 1;
+        let capacity = || {
+            acc.hierarchy()
+                .level(MemoryLevelId((bytes % on_chip) as usize))
+                .capacity_bytes()
+                .unwrap_or(bytes)
+        };
+        match kind {
+            2 => capacity(),
+            3 => capacity() / 2,
+            _ => bytes,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The fixed-size tracker places every request where the `BTreeMap`
+        /// tracker did, on every committed accelerator under both policies.
+        #[test]
+        fn placement_matches_the_btreemap_reference(
+            sizes in (
+                (0u8..4, bytes()),
+                (0u8..4, bytes()),
+                (0u8..4, bytes()),
+                (0u8..4, bytes()),
+                (0u8..4, bytes()),
+            ),
+            flags in (0u8..2, 0u8..2),
+        ) {
+            for name in zoo::names() {
+                let acc = zoo::by_name(name).unwrap();
+                let request = PlacementRequest {
+                    stack_weight_bytes: size(&acc, sizes.0),
+                    layer_has_weights: flags.0 == 1,
+                    is_first_tile: flags.1 == 1,
+                    input_bytes: size(&acc, sizes.1),
+                    output_bytes: size(&acc, sizes.2),
+                    cache_h_bytes: size(&acc, sizes.3),
+                    cache_v_bytes: size(&acc, sizes.4),
+                };
+                for multi_level_skipping in [true, false] {
+                    let policy = PlacementPolicy { multi_level_skipping };
+                    prop_assert_eq!(
+                        determine_placement(&acc, &request, &policy),
+                        reference::determine_placement(&acc, &request, &policy),
+                        "{} {:?} {:?}", name, policy, request
+                    );
+                }
+            }
+        }
     }
 }

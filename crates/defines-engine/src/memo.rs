@@ -1,14 +1,82 @@
 //! A sharded, thread-safe memoization cache with hit/miss accounting.
+//!
+//! # Hashing
+//!
+//! Keys are hashed with FxHash, the multiplicative word-at-a-time hash rustc
+//! uses for its own tables: once to pick the shard and once inside the
+//! shard's map. (Storing the hash beside each key to skip the second pass
+//! was measured on the mapping cache: no faster, and 8 bytes more per entry.)
+//! The hash is in-memory only: it is never written to disk, so keys that
+//! outlive the process (the mapping-cache store, matrix checkpoints) stay on
+//! the release-stable [`Fnv`](crate::Fnv). Nothing observes the iteration
+//! order it induces either: [`MemoCache::snapshot`] documents its order as
+//! unspecified, and its callers sort.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Number of independent shards; keys are distributed by hash so concurrent
 /// workers rarely contend on the same lock.
 const SHARDS: usize = 16;
+
+/// FxHash: per machine word, rotate the state, xor the word in and multiply.
+/// Weak against adversarial keys and unstable across releases of this
+/// crate, which is fine for an in-memory table of the program's own keys.
+#[derive(Debug, Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(tail));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(n.into());
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.add(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds the [`FxHasher`]s of the shards and of the shard choice.
+type Fx = BuildHasherDefault<FxHasher>;
+
+/// One shard's map.
+type Shard<K, V> = HashMap<K, V, Fx>;
 
 /// Hit/miss statistics of a [`MemoCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,7 +131,7 @@ impl CacheStats {
 /// with a deterministic computation both produce the same value and the
 /// second insert is a no-op, so results never depend on the interleaving.
 pub struct MemoCache<K, V> {
-    shards: Vec<Mutex<HashMap<K, V>>>,
+    shards: Vec<Mutex<Shard<K, V>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     canonical_hits: AtomicU64,
@@ -88,17 +156,19 @@ impl<K: Hash + Eq, V: Clone> MemoCache<K, V> {
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             canonical_hits: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, V>> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARDS]
+    /// The shard holding `key`. The shard's map indexes buckets by the low
+    /// bits of the same hash and tags them with its top seven, so bits 48–51
+    /// are free of both and spread keys over the shards independently.
+    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
+        let hash = Fx::default().hash_one(key);
+        &self.shards[(hash >> 48) as usize % SHARDS]
     }
 
     /// Locks a shard, recovering from poisoning. Sound because no code path
@@ -109,7 +179,7 @@ impl<K: Hash + Eq, V: Clone> MemoCache<K, V> {
     /// sweep alive after a worker panic (which the engine now catches and
     /// reports as a failed point) instead of cascading `PoisonError` panics
     /// through every other worker sharing the cache.
-    fn lock_shard(shard: &Mutex<HashMap<K, V>>) -> MutexGuard<'_, HashMap<K, V>> {
+    fn lock_shard(shard: &Mutex<Shard<K, V>>) -> MutexGuard<'_, Shard<K, V>> {
         shard.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -327,6 +397,30 @@ mod tests {
             // Touch every shard to prove none propagates PoisonError.
             assert_eq!(cache.get_or_insert_with(k + 100, || Explosive(k)).0, k);
         }
+    }
+
+    /// Structured keys — small integers in several fields, like the
+    /// mapping cache's layer dimensions — still spread over every shard.
+    #[test]
+    fn structured_keys_spread_over_every_shard() {
+        let cache: MemoCache<(u64, u32, usize), ()> = MemoCache::new();
+        for k in 0..16u64 {
+            for c in 0..16u32 {
+                for level in 0..16usize {
+                    cache.insert((k, c, level), ());
+                }
+            }
+        }
+        let per_shard: Vec<usize> = cache
+            .shards
+            .iter()
+            .map(|s| MemoCache::<(u64, u32, usize), ()>::lock_shard(s).len())
+            .collect();
+        let fair = cache.len() / SHARDS;
+        assert!(
+            per_shard.iter().all(|&n| n > fair / 2 && n < fair * 2),
+            "{per_shard:?}"
+        );
     }
 
     #[test]

@@ -25,7 +25,10 @@
 //! undeclared producers, channel mismatches against the producer, spatial
 //! regions larger than what the producer (plus padding) supplies, `Add`
 //! layers without exactly two congruent inputs, and zero-sized dimensions
-//! are all rejected.
+//! are all rejected. So is, on every layer, any number the cost model would
+//! overflow: an input region `(out - 1) * stride + filter` or its padded
+//! extent, an input, output or weight footprint, or the MAC count that does
+//! not fit in a `u64`.
 //!
 //! # Bring your own network
 //!
@@ -248,6 +251,7 @@ fn read_layer(
     if let Some(bits) = bits("weight_bits")? {
         layer = layer.with_weight_bits(bits);
     }
+    check_counts(&layer)?;
     Ok((layer, preds))
 }
 
@@ -340,8 +344,85 @@ fn infer_dims(
         pad_x,
         pad_y,
     };
-    check_against_producers(op, op_name, &dims, preds, net)?;
+    let region = input_region(&dims)?;
+    padded(region.0, pad_x)?;
+    padded(region.1, pad_y)?;
+    check_against_producers(op, op_name, &dims, region, preds, net)?;
     Ok(dims)
+}
+
+/// The input region the whole output demands, `(out - 1) * stride + filter`
+/// per axis.
+fn input_region(dims: &LayerDims) -> Result<(u64, u64), String> {
+    let axis = |out: u64, stride: u64, filter: u64| {
+        (out - 1)
+            .checked_mul(stride)
+            .and_then(|n| n.checked_add(filter))
+            .ok_or_else(|| {
+                format!(
+                    "output {}x{} needs an input region that overflows a 64-bit extent",
+                    dims.ox, dims.oy
+                )
+            })
+    };
+    Ok((
+        axis(dims.ox, dims.stride_x, dims.fx)?,
+        axis(dims.oy, dims.stride_y, dims.fy)?,
+    ))
+}
+
+/// Checks that the layer's input, output and weight footprints and its MAC
+/// count — the products [`Layer`] multiplies out unchecked — fit in a `u64`.
+fn check_counts(layer: &Layer) -> Result<(), String> {
+    let d = &layer.dims;
+    let (iw, ih) = (d.input_width(), d.input_height());
+    let act = u64::from(layer.act_bits.div_ceil(8));
+    let weight = u64::from(layer.weight_bits.div_ceil(8));
+    let (input, weights, macs): (&[u64], &[u64], &[u64]) = match layer.op {
+        OpType::Conv => (
+            &[d.b, d.c, iw, ih, act],
+            &[d.k, d.c, d.fx, d.fy, weight],
+            &[d.b, d.k, d.c, d.ox, d.oy, d.fx, d.fy],
+        ),
+        OpType::DepthwiseConv => (
+            &[d.b, d.k, iw, ih, act],
+            &[d.k, d.fx, d.fy, weight],
+            &[d.b, d.k, d.ox, d.oy, d.fx, d.fy],
+        ),
+        OpType::Pooling => (
+            &[d.b, d.k, iw, ih, act],
+            &[],
+            &[d.b, d.k, d.ox, d.oy, d.fx, d.fy],
+        ),
+        OpType::Add => (
+            &[2, d.b, d.k, d.ox, d.oy, act],
+            &[],
+            &[d.b, d.k, d.ox, d.oy],
+        ),
+    };
+    let output = [d.b, d.k, d.ox, d.oy, act];
+    let counts = [
+        ("input footprint", "byte count", input),
+        ("output footprint", "byte count", &output),
+        ("weight footprint", "byte count", weights),
+        ("MAC count", "count", macs),
+    ];
+    for (what, unit, factors) in counts {
+        // Every factor is positive, so the fold overflows exactly when the
+        // product does, whatever the order.
+        if factors
+            .iter()
+            .try_fold(1u64, |p, &f| p.checked_mul(f))
+            .is_none()
+        {
+            let product: Vec<String> = factors.iter().map(u64::to_string).collect();
+            return Err(format!(
+                "{what} {} overflows a 64-bit {unit}",
+                product.join("x")
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// `extent + 2 * pad`: a producer's extent with a consumer's padding on both
@@ -357,6 +438,7 @@ fn check_against_producers(
     op: OpType,
     op_name: &str,
     dims: &LayerDims,
+    (need_x, need_y): (u64, u64),
     preds: &[LayerId],
     net: &Network,
 ) -> Result<(), String> {
@@ -418,20 +500,7 @@ fn check_against_producers(
     }
 
     // Spatial feasibility: the producer (plus declared padding) must cover
-    // the input region the output demands, `(out - 1) * stride + filter`.
-    let need = |out: u64, stride: u64, filter: u64| {
-        (out - 1)
-            .checked_mul(stride)
-            .and_then(|n| n.checked_add(filter))
-            .ok_or_else(|| {
-                format!(
-                    "output {}x{} needs an input region that overflows a 64-bit extent",
-                    dims.ox, dims.oy
-                )
-            })
-    };
-    let need_x = need(dims.ox, dims.stride_x, dims.fx)?;
-    let need_y = need(dims.oy, dims.stride_y, dims.fy)?;
+    // the input region the output demands.
     let have_x = padded(pl.dims.ox, dims.pad_x)?;
     let have_y = padded(pl.dims.oy, dims.pad_y)?;
     if need_x > have_x || need_y > have_y {
@@ -566,6 +635,90 @@ mod tests {
         let err = from_json_str(explicit).unwrap_err();
         assert!(err.to_string().starts_with("layer 'b': output"), "{err}");
         assert!(err.to_string().contains("overflows"), "{err}");
+    }
+
+    /// A one-layer document: a network-input `Conv` with the given extra
+    /// fields, so no producer check stands between its numbers and the
+    /// cost model.
+    fn input_layer(fields: &str) -> String {
+        format!(
+            r#"{{"name": "x", "layers": [{{"name": "a", "op": "Conv", "inputs": [], {fields}}}]}}"#
+        )
+    }
+
+    fn load_error(fields: &str) -> String {
+        from_json_str(&input_layer(fields)).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn input_layer_region_that_overflows_is_rejected() {
+        assert_eq!(
+            load_error(r#""k": 4, "c": 3, "ox": 9223372036854775807, "oy": 1, "stride": [4, 1]"#),
+            "layer 'a': output 9223372036854775807x1 needs an input region that overflows \
+             a 64-bit extent"
+        );
+    }
+
+    #[test]
+    fn input_layer_padding_that_overflows_is_rejected() {
+        assert_eq!(
+            load_error(r#""k": 4, "c": 3, "ox": 8, "oy": 8, "padding": [9223372036854775808, 1]"#),
+            "layer 'a': padding 9223372036854775808 overflows a 64-bit extent"
+        );
+    }
+
+    #[test]
+    fn input_footprint_that_overflows_is_rejected() {
+        // 2^33 channels of 2^16 x 2^16 elements: the output (2^32) fits.
+        assert_eq!(
+            load_error(r#""k": 1, "c": 8589934592, "ox": 65536, "oy": 65536"#),
+            "layer 'a': input footprint 1x8589934592x65536x65536x1 overflows a 64-bit byte count"
+        );
+    }
+
+    #[test]
+    fn output_footprint_that_overflows_is_rejected() {
+        assert_eq!(
+            load_error(r#""k": 8589934592, "c": 1, "ox": 65536, "oy": 65536"#),
+            "layer 'a': output footprint 1x8589934592x65536x65536x1 overflows a 64-bit byte \
+             count"
+        );
+    }
+
+    #[test]
+    fn weight_footprint_that_overflows_is_rejected() {
+        // 2^32 x 2^32 one-tap filters on a 1x1 output: both activations fit.
+        assert_eq!(
+            load_error(r#""k": 4294967296, "c": 4294967296, "ox": 1, "oy": 1"#),
+            "layer 'a': weight footprint 4294967296x4294967296x1x1x1 overflows a 64-bit byte \
+             count"
+        );
+    }
+
+    #[test]
+    fn mac_count_that_overflows_is_rejected() {
+        // Every footprint fits (2^44, 2^44, 2^40); the MACs are 2^64.
+        assert_eq!(
+            load_error(r#""k": 1048576, "c": 1048576, "ox": 4096, "oy": 4096"#),
+            "layer 'a': MAC count 1x1048576x1048576x4096x4096x1x1 overflows a 64-bit count"
+        );
+    }
+
+    /// No committed network comes near the bounds.
+    #[test]
+    fn checked_counts_accept_every_zoo_layer() {
+        for net in [
+            models::fsrcnn(),
+            models::dmcnn_vd(),
+            models::mccnn(),
+            models::mobilenet_v1(),
+            models::resnet18(),
+            models::reference_net(),
+        ] {
+            for layer in net.layers() {
+                assert_eq!(check_counts(layer), Ok(()), "{}", layer.name);
+            }
+        }
     }
 
     #[test]
