@@ -71,7 +71,8 @@ impl Accelerator {
     }
 
     /// Returns a copy of this accelerator with a different name.
-    pub fn renamed(mut self, name: impl Into<String>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn renamed(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
         self
     }

@@ -12,17 +12,17 @@
 //! All energies are in picojoules per byte transferred unless stated otherwise.
 
 /// Energy of one 8-bit MAC operation, in pJ.
-pub const MAC_ENERGY_PJ: f64 = 0.1;
+pub(crate) const MAC_ENERGY_PJ: f64 = 0.1;
 
 /// Energy per byte of a register-file access, in pJ.
-pub const REGISTER_ENERGY_PJ_PER_BYTE: f64 = 0.02;
+pub(crate) const REGISTER_ENERGY_PJ_PER_BYTE: f64 = 0.02;
 
 /// Energy per byte of a DRAM access, in pJ (LPDDR-class interface).
-pub const DRAM_ENERGY_PJ_PER_BYTE: f64 = 100.0;
+pub(crate) const DRAM_ENERGY_PJ_PER_BYTE: f64 = 100.0;
 
 /// DRAM bandwidth in bytes per cycle. The paper fixes the DRAM interface to
 /// 64 bit/cycle for all case studies to mimic the on-/off-chip bottleneck.
-pub const DRAM_BYTES_PER_CYCLE: f64 = 8.0;
+pub(crate) const DRAM_BYTES_PER_CYCLE: f64 = 8.0;
 
 /// CACTI-like SRAM read/write energy fit, in pJ per byte, as a function of the
 /// macro capacity in bytes.
@@ -31,14 +31,19 @@ pub const DRAM_BYTES_PER_CYCLE: f64 = 8.0;
 /// scratchpad costs slightly under 1 pJ/B while a 2 MB global buffer costs
 /// several pJ/B, an order of magnitude below DRAM.
 ///
+/// [`MemoryLevel::sram`](crate::MemoryLevel::sram) prices its level with
+/// this fit:
+///
 /// ```
-/// use defines_arch::energy::sram_energy_pj_per_byte;
-/// let lb = sram_energy_pj_per_byte(32 * 1024);
-/// let gb = sram_energy_pj_per_byte(2 * 1024 * 1024);
+/// use defines_arch::{zoo, MemoryLevel, Operand};
+/// let lb = MemoryLevel::sram("LB", 32 * 1024, Operand::ALL).read_energy_pj_per_byte();
+/// let gb = MemoryLevel::sram("GB", 2 * 1024 * 1024, Operand::ALL).read_energy_pj_per_byte();
+/// let acc = zoo::meta_proto_like();
+/// let dram = acc.hierarchy().level(acc.hierarchy().dram_id());
 /// assert!(lb < gb);
-/// assert!(gb < defines_arch::energy::DRAM_ENERGY_PJ_PER_BYTE);
+/// assert!(gb < dram.read_energy_pj_per_byte());
 /// ```
-pub fn sram_energy_pj_per_byte(capacity_bytes: u64) -> f64 {
+pub(crate) fn sram_energy_pj_per_byte(capacity_bytes: u64) -> f64 {
     let kb = capacity_bytes as f64 / 1024.0;
     0.1 + 0.15 * kb.max(0.25).sqrt()
 }
@@ -50,7 +55,7 @@ pub fn sram_energy_pj_per_byte(capacity_bytes: u64) -> f64 {
 /// enough data to work at its full speed for ideal workloads"; we model that
 /// as generous bandwidths that grow with the macro size class: local buffers
 /// provide 32 B/cycle, global buffers 64 B/cycle.
-pub fn sram_bytes_per_cycle(capacity_bytes: u64) -> f64 {
+pub(crate) fn sram_bytes_per_cycle(capacity_bytes: u64) -> f64 {
     if capacity_bytes <= 256 * 1024 {
         32.0
     } else {

@@ -16,12 +16,12 @@
 //! compile time and parsed by the [`loader`].
 //!
 //! SRAM access energies are produced by an analytical CACTI-like fit
-//! ([`energy`]); see `docs/paper-map.md` ("Deliberate deviations from the
-//! paper") for the substitution rationale.
+//! ([`MemoryLevel::sram`]); see `docs/paper-map.md` ("Deliberate deviations
+//! from the paper") for the substitution rationale.
 //!
 //! Accelerators are also *data*: the [`loader`] reads a declarative JSON
 //! document format mirroring the workload frontend straight into validated
-//! [`Accelerator`]s, and [`schema::to_json_pretty`] writes one back out.
+//! [`Accelerator`]s, and [`to_json_pretty`] writes one back out.
 //! Round trips are exact — a file-loaded accelerator has the same
 //! [`Accelerator::fingerprint`] as its in-memory twin, so it shares
 //! mapping-cache entries with it.
@@ -39,17 +39,19 @@
 //! assert!(lb.serves(Operand::Input) && lb.serves(Operand::Output));
 //! ```
 
-pub mod accelerator;
-pub mod energy;
+mod accelerator;
+mod energy;
+// named by benchmark/ (frozen until ROADMAP 3(a))
 pub mod loader;
-pub mod memory;
-pub mod operand;
-pub mod pe_array;
-pub mod schema;
+mod memory;
+mod operand;
+mod pe_array;
+mod schema;
+// catalog namespace: `zoo::tpu_like_df()` names one built-in accelerator
 pub mod zoo;
 
-pub use accelerator::{Accelerator, AcceleratorBuilder, ArchError};
-pub use loader::AcceleratorDocError;
-pub use memory::{MemoryHierarchy, MemoryLevel, MemoryLevelId};
+pub use accelerator::{Accelerator, AcceleratorBuilder, ArchError, OperandCapacity};
+pub use memory::{HierarchyError, MemoryHierarchy, MemoryLevel, MemoryLevelId};
 pub use operand::Operand;
 pub use pe_array::{PeArray, SpatialUnrolling};
+pub use schema::{parse_dim, parse_operand, to_json_pretty};

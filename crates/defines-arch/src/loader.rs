@@ -1,6 +1,7 @@
-//! JSON accelerator loader: reads an accelerator document (see
-//! [`crate::schema`]) straight into a validated [`Accelerator`], applying
-//! per-kind defaults to omitted fields as it reads.
+//! JSON accelerator loader: reads an accelerator document (the format
+//! [`to_json_pretty`](crate::to_json_pretty) writes) straight into a
+//! validated [`Accelerator`], applying per-kind defaults to omitted fields as
+//! it reads.
 //!
 //! # Defaults
 //!
@@ -9,21 +10,19 @@
 //! to omitted energies and bandwidths:
 //!
 //! * `"sram"` (the default whenever a `capacity_bytes` is given) — the
-//!   CACTI-like fit of [`crate::energy`]: energy from
-//!   [`sram_energy_pj_per_byte`](crate::energy::sram_energy_pj_per_byte),
-//!   bandwidth from
-//!   [`sram_bytes_per_cycle`](crate::energy::sram_bytes_per_cycle).
-//! * `"register"` — [`REGISTER_ENERGY_PJ_PER_BYTE`] and unlimited bandwidth
-//!   (register files are wide enough never to bottleneck the PE array).
+//!   CACTI-like fit of [`MemoryLevel::sram`](crate::MemoryLevel::sram):
+//!   energy `0.1 + 0.15·sqrt(KB)` pJ/B, bandwidth 32 B/cycle up to 256 KB
+//!   and 64 B/cycle above.
+//! * `"register"` — 0.02 pJ/B and unlimited bandwidth (register files are
+//!   wide enough never to bottleneck the PE array).
 //! * `"dram"` (the default when `capacity_bytes` is absent or `null`) —
-//!   [`DRAM_ENERGY_PJ_PER_BYTE`] and [`DRAM_BYTES_PER_CYCLE`], unbounded
-//!   capacity.
+//!   100 pJ/B and 8 B/cycle, unbounded capacity.
 //!
 //! A bandwidth given as JSON `null` means *unlimited* (internally
 //! `f64::INFINITY`); omitting the key means *use the kind's default*. The
 //! outermost DRAM level may be omitted entirely — the default DRAM is
 //! appended automatically, mirroring [`AcceleratorBuilder::build`]. The
-//! per-MAC energy defaults to [`MAC_ENERGY_PJ`](crate::energy::MAC_ENERGY_PJ).
+//! per-MAC energy defaults to 0.1 pJ.
 //!
 //! # Validation
 //!

@@ -66,7 +66,7 @@ impl MemoryLevel {
     }
 
     /// Creates an on-chip SRAM level with CACTI-like default energy and
-    /// bandwidth derived from its capacity (see [`crate::energy`]).
+    /// bandwidth derived from its capacity.
     pub fn sram(
         name: impl Into<String>,
         capacity_bytes: u64,
@@ -97,7 +97,7 @@ impl MemoryLevel {
     }
 
     /// Creates the DRAM level (unbounded capacity, serves every operand).
-    pub fn dram() -> Self {
+    pub(crate) fn dram() -> Self {
         Self::new(
             "DRAM",
             None,
@@ -120,7 +120,8 @@ impl MemoryLevel {
     }
 
     /// Whether a data set of `bytes` fits in this level.
-    pub fn fits(&self, bytes: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn fits(&self, bytes: u64) -> bool {
         match self.capacity_bytes {
             None => true,
             Some(c) => bytes <= c,
@@ -171,14 +172,20 @@ impl MemoryLevel {
 /// An ordered memory hierarchy, from innermost registers (index 0) to DRAM
 /// (last index).
 ///
-/// ```
-/// use defines_arch::{MemoryHierarchy, MemoryLevel, Operand};
+/// [`AcceleratorBuilder::build`](crate::AcceleratorBuilder::build) validates
+/// one and appends the DRAM level:
 ///
-/// let h = MemoryHierarchy::new(vec![
-///     MemoryLevel::register("W_reg", 1024, [Operand::Weight]),
-///     MemoryLevel::sram("LB", 64 * 1024, Operand::ALL),
-///     MemoryLevel::dram(),
-/// ]).unwrap();
+/// ```
+/// use defines_arch::{AcceleratorBuilder, MemoryLevel, Operand, SpatialUnrolling};
+/// use defines_workload::Dim;
+///
+/// let acc = AcceleratorBuilder::new("demo")
+///     .pe_array(SpatialUnrolling::from_pairs([(Dim::K, 8)]), 0.5)
+///     .add_level(MemoryLevel::register("W_reg", 1024, [Operand::Weight]))
+///     .add_level(MemoryLevel::sram("LB", 64 * 1024, Operand::ALL))
+///     .build()
+///     .unwrap();
+/// let h = acc.hierarchy();
 /// assert_eq!(h.len(), 3);
 /// assert_eq!(h.levels_for(Operand::Input).count(), 2);
 /// assert!(h.level(h.dram_id()).is_dram());
@@ -225,7 +232,7 @@ impl MemoryHierarchy {
     ///
     /// Returns an error if the hierarchy is empty, does not end with DRAM,
     /// contains a level after DRAM, or leaves some operand unserved.
-    pub fn new(levels: Vec<MemoryLevel>) -> Result<Self, HierarchyError> {
+    pub(crate) fn new(levels: Vec<MemoryLevel>) -> Result<Self, HierarchyError> {
         if levels.is_empty() {
             return Err(HierarchyError::Empty);
         }
@@ -331,7 +338,8 @@ impl MemoryHierarchy {
     }
 
     /// Total on-chip capacity in bytes (all levels except DRAM).
-    pub fn total_on_chip_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_on_chip_bytes(&self) -> u64 {
         self.levels.iter().filter_map(|l| l.capacity_bytes()).sum()
     }
 }

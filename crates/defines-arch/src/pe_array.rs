@@ -45,7 +45,7 @@ impl SpatialUnrolling {
     }
 
     /// Iterates over `(dimension, factor)` pairs with factor > 1.
-    pub fn iter(&self) -> impl Iterator<Item = (Dim, u64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Dim, u64)> + '_ {
         self.factors.iter().map(|(&d, &f)| (d, f))
     }
 
@@ -56,7 +56,7 @@ impl SpatialUnrolling {
     /// For every unrolled dimension `d` with factor `u` and layer bound `n`,
     /// the per-dimension utilization is `n / (u * ceil(n / u))`; the total is
     /// the product over dimensions.
-    pub fn utilization(&self, dims: &LayerDims) -> f64 {
+    pub(crate) fn utilization(&self, dims: &LayerDims) -> f64 {
         let mut util = 1.0;
         for (dim, factor) in self.iter() {
             let n = dims.size(dim).max(1);
@@ -88,11 +88,15 @@ impl fmt::Display for SpatialUnrolling {
 /// A MAC array with a fixed spatial unrolling.
 ///
 /// ```
-/// use defines_arch::{PeArray, SpatialUnrolling};
+/// use defines_arch::{AcceleratorBuilder, MemoryLevel, Operand, SpatialUnrolling};
 /// use defines_workload::Dim;
 ///
-/// let pe = PeArray::new(SpatialUnrolling::from_pairs([(Dim::K, 32), (Dim::C, 32)]), 0.5);
-/// assert_eq!(pe.total_macs(), 1024);
+/// let acc = AcceleratorBuilder::new("demo")
+///     .pe_array(SpatialUnrolling::from_pairs([(Dim::K, 32), (Dim::C, 32)]), 0.5)
+///     .add_level(MemoryLevel::sram("LB", 64 * 1024, Operand::ALL))
+///     .build()
+///     .unwrap();
+/// assert_eq!(acc.pe_array().total_macs(), 1024);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PeArray {
@@ -102,7 +106,7 @@ pub struct PeArray {
 
 impl PeArray {
     /// Creates a PE array with the given unrolling and per-MAC energy in pJ.
-    pub fn new(unrolling: SpatialUnrolling, mac_energy_pj: f64) -> Self {
+    pub(crate) fn new(unrolling: SpatialUnrolling, mac_energy_pj: f64) -> Self {
         Self {
             unrolling,
             mac_energy_pj,

@@ -46,10 +46,10 @@ use serde::Value;
 
 /// The format tag expected in an accelerator document's optional `format`
 /// field.
-pub const FORMAT: &str = "defines-accelerator-v1";
+pub(crate) const FORMAT: &str = "defines-accelerator-v1";
 
 /// The canonical document name of an operand (`"W"`, `"I"`, `"O"`).
-pub fn operand_name(op: Operand) -> &'static str {
+pub(crate) fn operand_name(op: Operand) -> &'static str {
     match op {
         Operand::Weight => "W",
         Operand::Input => "I",
@@ -99,9 +99,9 @@ pub fn parse_dim(name: &str) -> Option<Dim> {
 /// exportable.
 ///
 /// ```
-/// use defines_arch::{schema, zoo};
+/// use defines_arch::{to_json_pretty, zoo};
 ///
-/// let json = schema::to_json_pretty(&zoo::meta_proto_like_df()).unwrap();
+/// let json = to_json_pretty(&zoo::meta_proto_like_df()).unwrap();
 /// let reloaded = defines_arch::loader::from_json_str(&json).unwrap();
 /// assert_eq!(reloaded, zoo::meta_proto_like_df());
 /// assert_eq!(

@@ -7,8 +7,9 @@
 //! accelerator and its file-loaded twin are one value with one
 //! [`Accelerator::fingerprint`]. The documents are fully explicit: every SRAM
 //! energy and bandwidth is written out as the CACTI-like fit of
-//! [`crate::energy`] prices the level's capacity, and every register and DRAM
-//! cost as the [`crate::energy`] constants. JSON holds no comments, so the
+//! [`MemoryLevel::sram`](crate::MemoryLevel::sram) prices the level's
+//! capacity, and every register and DRAM cost as the loader's kind defaults
+//! ([`loader`]). JSON holds no comments, so the
 //! modelling rationale lives in the rustdoc of the constructor that loads
 //! each document.
 //!
@@ -21,7 +22,6 @@
 
 use crate::accelerator::Accelerator;
 use crate::loader;
-use crate::operand::Operand;
 
 /// Pairs each name with its document, the repository-root
 /// `accelerators/<name>.json`, embedded at compile time.
@@ -183,20 +183,20 @@ pub fn all_case_study_architectures() -> Vec<Accelerator> {
     v
 }
 
-/// True when the accelerator has at least one on-chip memory level dedicated
-/// to or shared with weights (the TPU-like baseline does not, which is why it
-/// benefits so little from depth-first scheduling in case study 3).
-pub fn has_on_chip_weight_buffer(acc: &Accelerator) -> bool {
-    acc.hierarchy()
-        .levels_for(Operand::Weight)
-        .any(|(_, l)| !l.is_dram() && l.capacity_bytes().unwrap_or(0) >= 16 * 1024)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operand::Operand::{Input, Output};
+    use crate::operand::Operand::{Input, Output, Weight};
     use defines_workload::Dim;
+
+    /// True when the accelerator has at least one on-chip memory level dedicated
+    /// to or shared with weights (the TPU-like baseline does not, which is why it
+    /// benefits so little from depth-first scheduling in case study 3).
+    fn has_on_chip_weight_buffer(acc: &Accelerator) -> bool {
+        acc.hierarchy()
+            .levels_for(Weight)
+            .any(|(_, l)| !l.is_dram() && l.capacity_bytes().unwrap_or(0) >= 16 * 1024)
+    }
 
     #[test]
     fn documents_pin_the_builder_integers() {

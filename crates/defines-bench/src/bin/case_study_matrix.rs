@@ -15,7 +15,7 @@
 //! Run with: `cargo run --release -p defines-bench --bin case_study_matrix`
 
 use defines_arch::zoo;
-use defines_core::matrix::{run_matrix, MatrixConfig};
+use defines_core::{run_matrix, MatrixConfig};
 use defines_core::{FusePolicy, OptimizeTarget, OverlapMode};
 use defines_workload::models;
 use serde::Serialize;

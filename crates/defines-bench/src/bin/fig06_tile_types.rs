@@ -7,8 +7,8 @@
 use defines_bench::table;
 use defines_core::backcalc::StackGeometry;
 use defines_core::stack::Stack;
-use defines_core::strategy::{OverlapMode, TileSize};
 use defines_core::tiling::TileGrid;
+use defines_core::{OverlapMode, TileSize};
 use defines_workload::models;
 use std::collections::HashMap;
 

@@ -9,7 +9,7 @@
 
 use defines_arch::zoo;
 use defines_bench::{case_study_tile_grid, ratio, table, write_json};
-use defines_core::baselines::fixed_fully_cached;
+use defines_core::fixed_fully_cached;
 use defines_core::{DfCostModel, DfStrategy, Explorer, FusePolicy, OptimizeTarget, OverlapMode};
 use defines_workload::models;
 use serde::Serialize;

@@ -14,7 +14,7 @@
 
 use defines_arch::zoo;
 use defines_bench::{case_study_tile_grid, ratio, table, write_json};
-use defines_core::baselines::{run_baseline, BaselineKind, BaselineResult};
+use defines_core::{run_baseline, BaselineKind, BaselineResult};
 use defines_core::{DfCostModel, OverlapMode};
 use defines_workload::{models, Network};
 use serde::Serialize;

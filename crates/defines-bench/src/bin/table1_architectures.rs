@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release -p defines-bench --bin table1_architectures`
 
-use defines_arch::accelerator::OperandCapacity;
+use defines_arch::OperandCapacity;
 use defines_arch::{zoo, Operand};
 use defines_bench::table;
 

@@ -4,8 +4,8 @@
 //! Run with: `cargo run --release -p defines-bench --bin table1_workloads`
 
 use defines_bench::table;
-use defines_workload::analysis::{format_bytes, WorkloadSummary};
 use defines_workload::models;
+use defines_workload::{format_bytes, WorkloadSummary};
 
 fn main() {
     let header = [

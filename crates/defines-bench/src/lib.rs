@@ -6,8 +6,8 @@
 //! experiment settings, simple table / heatmap printing, and JSON result
 //! dumps.
 
-pub mod report;
-pub mod settings;
+mod report;
+mod settings;
 
 pub use report::{heatmap, ratio, table, write_json};
-pub use settings::{case_study_tile_grid, diagonal_tile_sizes, fig12_tile_grid};
+pub use settings::{case_study_tile_grid, diagonal_tile_sizes};

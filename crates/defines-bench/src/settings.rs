@@ -2,20 +2,6 @@
 
 use defines_workload::Network;
 
-/// The tile-size grid of Fig. 12: the paper sweeps 6 × 6 (Tx, Ty) points for
-/// FSRCNN's 960×540 output.
-pub fn fig12_tile_grid() -> Vec<(u64, u64)> {
-    let xs = [1u64, 4, 16, 60, 240, 960];
-    let ys = [1u64, 4, 18, 72, 270, 540];
-    let mut grid = Vec::with_capacity(36);
-    for &ty in &ys {
-        for &tx in &xs {
-            grid.push((tx, ty));
-        }
-    }
-    grid
-}
-
 /// The diagonal design points of Fig. 13–15.
 pub fn diagonal_tile_sizes() -> Vec<(u64, u64)> {
     vec![(1, 1), (4, 4), (16, 18), (60, 72), (240, 270), (960, 540)]
@@ -49,6 +35,20 @@ pub fn case_study_tile_grid(net: &Network) -> Vec<(u64, u64)> {
 mod tests {
     use super::*;
     use defines_workload::models;
+
+    /// The tile-size grid of Fig. 12: the paper sweeps 6 × 6 (Tx, Ty) points for
+    /// FSRCNN's 960×540 output.
+    fn fig12_tile_grid() -> Vec<(u64, u64)> {
+        let xs = [1u64, 4, 16, 60, 240, 960];
+        let ys = [1u64, 4, 18, 72, 270, 540];
+        let mut grid = Vec::with_capacity(36);
+        for &ty in &ys {
+            for &tx in &xs {
+                grid.push((tx, ty));
+            }
+        }
+        grid
+    }
 
     #[test]
     fn fig12_grid_is_6_by_6() {

@@ -21,7 +21,7 @@ use defines_arch::zoo;
 use defines_cli::{
     parse_budget, parse_deadline, parse_modes, resolve_accelerator, resolve_workload, tile_grid,
 };
-use defines_core::matrix::{run_matrix, MatrixConfig};
+use defines_core::{run_matrix, MatrixConfig};
 use defines_core::{FusePolicy, OptimizeTarget};
 use defines_engine::EngineConfig;
 use defines_workload::models;

@@ -53,7 +53,7 @@ fn looks_like_path(spec: &str) -> bool {
 /// # Errors
 ///
 /// Returns a message listing the valid names for an unknown workload.
-pub fn workload_by_name(name: &str) -> Result<Network, String> {
+pub(crate) fn workload_by_name(name: &str) -> Result<Network, String> {
     models::by_name(name).ok_or_else(|| {
         format!(
             "unknown workload '{name}' (expected one of: {}; or a path to a \
@@ -74,7 +74,7 @@ pub fn workload_by_name(name: &str) -> Result<Network, String> {
 /// for files, or the unknown-name message for zoo lookups.
 pub fn resolve_workload(spec: &str) -> Result<(Network, Source), String> {
     if looks_like_path(spec) {
-        let net = defines_workload::loader::from_json_file(spec).map_err(|e| e.to_string())?;
+        let net = defines_workload::from_json_file(spec).map_err(|e| e.to_string())?;
         Ok((net, Source::File))
     } else {
         workload_by_name(spec).map(|net| (net, Source::Builtin))
@@ -86,7 +86,7 @@ pub fn resolve_workload(spec: &str) -> Result<(Network, Source), String> {
 /// # Errors
 ///
 /// Returns a message listing the valid names for an unknown accelerator.
-pub fn accelerator_by_name(name: &str) -> Result<Accelerator, String> {
+pub(crate) fn accelerator_by_name(name: &str) -> Result<Accelerator, String> {
     zoo::by_name(name).ok_or_else(|| {
         format!(
             "unknown accelerator '{name}' (expected one of: {}; or a path to an \
@@ -281,7 +281,7 @@ mod tests {
         assert_eq!(source, Source::Builtin);
 
         // A JSON file with the exported FSRCNN loads to the same network.
-        let json = defines_workload::schema::to_json_pretty(&net).unwrap();
+        let json = defines_workload::to_json_pretty(&net).unwrap();
         let dir = std::env::temp_dir().join(format!("defines-cli-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fsrcnn.json");
@@ -307,7 +307,7 @@ mod tests {
         // A JSON file with the exported architecture loads to the same
         // accelerator, including its fingerprint. The path is per-process so
         // concurrent test runs never read each other's half-written files.
-        let json = defines_arch::schema::to_json_pretty(&acc).unwrap();
+        let json = defines_arch::to_json_pretty(&acc).unwrap();
         let dir = std::env::temp_dir().join(format!("defines-cli-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("meta-proto-df.json");

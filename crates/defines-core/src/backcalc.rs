@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, HashMap};
 
 /// Identifier of a feature map relative to a stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
-pub enum FmId {
+pub(crate) enum FmId {
     /// The output feature map of a layer inside the stack.
     Internal(LayerId),
     /// A feature map entering the stack from outside: the output of an
@@ -30,7 +30,7 @@ pub enum FmId {
 
 /// Static shape information of a feature map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
-pub struct FmDims {
+pub(crate) struct FmDims {
     /// Width in pixels.
     pub width: u64,
     /// Height in pixels.
@@ -43,7 +43,7 @@ pub struct FmDims {
 
 impl FmDims {
     /// Total size of the feature map in bytes.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.width * self.height * self.channels * self.bytes_per_element
     }
 }
@@ -125,7 +125,7 @@ impl TileAnalysis {
 /// The distinct tile types of one stack under one (tile size, overlap mode):
 /// each analysis with the number of tiles sharing it, in first-occurrence
 /// order ([`tile_types`]).
-pub type TileTypes = Vec<(TileAnalysis, u64)>;
+pub(crate) type TileTypes = Vec<(TileAnalysis, u64)>;
 
 /// Pre-computed structural information of a stack used to analyze its tiles.
 ///
@@ -182,13 +182,8 @@ impl StackLayer<'_> {
 }
 
 impl<'a> StackGeometry<'a> {
-    /// The network this geometry was built for.
-    pub fn net(&self) -> &'a Network {
-        self.net
-    }
-
     /// The stack this geometry was built for.
-    pub fn stack(&self) -> &'a Stack {
+    pub(crate) fn stack(&self) -> &'a Stack {
         self.stack
     }
 
@@ -308,12 +303,12 @@ impl<'a> StackGeometry<'a> {
     }
 
     /// Total weight bytes of the stack's layers.
-    pub fn weight_bytes(&self) -> u64 {
+    pub(crate) fn weight_bytes(&self) -> u64 {
         self.weight_bytes
     }
 
     /// The shape of a feature map.
-    pub fn fm_dims(&self, fm: FmId) -> FmDims {
+    pub(crate) fn fm_dims(&self, fm: FmId) -> FmDims {
         self.fms[self
             .fms
             .binary_search_by_key(&fm, |&(id, _)| id)
@@ -322,7 +317,7 @@ impl<'a> StackGeometry<'a> {
     }
 
     /// The external feature maps feeding the stack.
-    pub fn external_inputs(&self) -> Vec<FmId> {
+    pub(crate) fn external_inputs(&self) -> Vec<FmId> {
         self.fms
             .iter()
             .map(|&(id, _)| id)
@@ -334,7 +329,8 @@ impl<'a> StackGeometry<'a> {
     /// feature map) the needed region of a tile extends beyond the tile's own
     /// footprint. Used to bound how many tile columns / rows near a feature-map
     /// edge can behave differently from interior tiles.
-    pub fn max_halo(&self) -> (u64, u64) {
+    #[cfg(test)]
+    pub(crate) fn max_halo(&self) -> (u64, u64) {
         self.halo
     }
 
@@ -717,7 +713,7 @@ impl<'a> StackGeometry<'a> {
 ///
 /// This is the one step 1–2 function: the evaluation prices each returned
 /// type (steps 3–6), and the exploration engine's lower bounds
-/// ([`crate::bounds`]) sum `analysis.total_macs() × count` over it.
+/// (`crate::bounds`) sum `analysis.total_macs() × count` over it.
 pub fn tile_types(geometry: &StackGeometry<'_>, tile: TileSize, mode: OverlapMode) -> TileTypes {
     let _span = span!("backcalc.tile_types");
     let sink = &geometry.net.layer(geometry.stack.last_layer()).dims;

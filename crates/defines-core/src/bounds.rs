@@ -79,7 +79,7 @@ impl<'a> StrategyBounds<'a> {
 
     /// The exact MAC count of a design point (recomputed halos included),
     /// from steps 1–2 alone.
-    pub fn point_macs(&self, strategy: &DfStrategy) -> u64 {
+    pub(crate) fn point_macs(&self, strategy: &DfStrategy) -> u64 {
         partition_into_stacks(self.net, self.acc, &strategy.fuse)
             .iter()
             .map(|stack| {
@@ -97,7 +97,7 @@ impl<'a> StrategyBounds<'a> {
     /// [`StrategyBounds::lower_bound`] of a point whose per-stack tile types
     /// are already identified ([`crate::PreparedNetwork::tile_types`]): no
     /// partition, geometry or back-calculation is redone.
-    pub fn lower_bound_for_types(&self, types: &[TileTypes]) -> f64 {
+    pub(crate) fn lower_bound_for_types(&self, types: &[TileTypes]) -> f64 {
         self.bound(|| types.iter().map(total_macs).sum())
     }
 

@@ -4,7 +4,7 @@
 //!
 //! # File format
 //!
-//! The file is a [`defines_engine::journal`]; that module states the crash
+//! The file is a [`defines_engine::Journal`]; that type states the crash
 //! contract (flushed appends, torn tail, atomic rewrite). The header line
 //! binds the checkpoint to one exact run configuration: the format version,
 //! the optimization target, every axis (accelerator names *and* structural
@@ -50,7 +50,7 @@ const VERSION: u64 = 1;
 
 /// The header line binding a checkpoint to one run configuration.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CheckpointHeader {
+pub(crate) struct CheckpointHeader {
     /// The optimization target (display form, e.g. `"energy"`).
     pub target: String,
     /// The accelerator axis: `(name, structural fingerprint)` per entry, in
@@ -73,7 +73,7 @@ pub struct CheckpointHeader {
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// The header line.
-    pub header: CheckpointHeader,
+    pub(crate) header: CheckpointHeader,
     /// One raw JSON value per recorded cell line, in file (completion)
     /// order.
     pub cells: Vec<Value>,
@@ -140,7 +140,7 @@ impl CheckpointHeader {
     /// Checks that `self` (loaded from a file) describes the same run as
     /// `current` (built from the live arguments), field by field so the
     /// error names what drifted.
-    pub fn validate_against(&self, current: &CheckpointHeader) -> Result<(), MatrixError> {
+    pub(crate) fn validate_against(&self, current: &CheckpointHeader) -> Result<(), MatrixError> {
         let mismatch = |what: &str| {
             Err(MatrixError::Checkpoint(format!(
                 "checkpoint does not match this run: {what} differs \
@@ -228,7 +228,7 @@ impl From<JournalError> for MatrixError {
 
 /// Loads and parses a checkpoint file. The header is validated structurally
 /// here; matching it against the live run is the caller's
-/// [`CheckpointHeader::validate_against`].
+/// `CheckpointHeader::validate_against`.
 pub fn load(path: &Path) -> Result<Checkpoint, MatrixError> {
     let mut header = None;
     let mut cells = Vec::new();

@@ -37,14 +37,14 @@ impl DataCopyAction {
     }
 
     /// Whether the action actually moves data.
-    pub fn is_noop(&self) -> bool {
+    pub(crate) fn is_noop(&self) -> bool {
         self.bytes == 0 || self.from == self.to
     }
 }
 
 /// The most actions one bundle may move data with: step 4 issues two input
 /// collections plus a store and a collect per overlap cache.
-pub const MAX_COPY_ACTIONS: usize = 6;
+pub(crate) const MAX_COPY_ACTIONS: usize = 6;
 
 /// Byte sums keyed by `K`, in order of first appearance. Each moving action
 /// adds at most one key, so [`MAX_COPY_ACTIONS`] slots always suffice.
@@ -95,7 +95,7 @@ pub struct DataCopyCost {
 impl DataCopyCost {
     /// Bytes the copies read, summed per (source level, operand), in order
     /// of first appearance in the bundle.
-    pub fn reads(&self) -> impl Iterator<Item = (MemoryLevelId, Operand, f64)> + '_ {
+    pub(crate) fn reads(&self) -> impl Iterator<Item = (MemoryLevelId, Operand, f64)> + '_ {
         self.reads
             .iter()
             .map(|((level, operand), bytes)| (level, operand, bytes))
@@ -103,7 +103,7 @@ impl DataCopyCost {
 
     /// Bytes the copies write, summed per (destination level, operand), in
     /// order of first appearance in the bundle.
-    pub fn writes(&self) -> impl Iterator<Item = (MemoryLevelId, Operand, f64)> + '_ {
+    pub(crate) fn writes(&self) -> impl Iterator<Item = (MemoryLevelId, Operand, f64)> + '_ {
         self.writes
             .iter()
             .map(|((level, operand), bytes)| (level, operand, bytes))
@@ -115,7 +115,7 @@ impl DataCopyCost {
 ///
 /// # Panics
 ///
-/// Panics if more than [`MAX_COPY_ACTIONS`] of the actions move data.
+/// Panics if more than `MAX_COPY_ACTIONS` of the actions move data.
 pub fn copy_cost(acc: &Accelerator, actions: &[DataCopyAction]) -> DataCopyCost {
     let hierarchy = acc.hierarchy();
     let blank = (MemoryLevelId(0), Operand::Input);

@@ -94,7 +94,7 @@ pub struct DfCostModel<'a> {
 /// and shared by every design point of a sweep (the engine's prepare,
 /// bound and evaluate closures). Borrows the network and the caller-owned
 /// stack partition.
-pub struct PreparedNetwork<'n> {
+pub(crate) struct PreparedNetwork<'n> {
     net: &'n Network,
     geometries: Vec<StackGeometry<'n>>,
 }
@@ -104,7 +104,7 @@ impl PreparedNetwork<'_> {
     /// strategy's tile size and overlap mode, in stack order. The exploration
     /// engine computes them once per point and hands them to both the lower
     /// bound and [`DfCostModel::evaluate_prepared`].
-    pub fn tile_types(&self, strategy: &DfStrategy) -> Vec<TileTypes> {
+    pub(crate) fn tile_types(&self, strategy: &DfStrategy) -> Vec<TileTypes> {
         self.geometries
             .iter()
             .map(|geometry| tile_types(geometry, strategy.tile, strategy.mode))
@@ -260,14 +260,14 @@ impl<'a> DfCostModel<'a> {
     }
 
     /// The single-layer mapper configuration used by this model.
-    pub fn mapper_config(&self) -> &MapperConfig {
+    pub(crate) fn mapper_config(&self) -> &MapperConfig {
         self.mapper.config()
     }
 
     /// Disables multi-level memory skipping (activations are kept in the
     /// highest on-chip memory instead of the lowest level they fit in),
     /// reproducing the "only DRAM skipping" baseline of Fig. 18(b).
-    pub fn without_multi_level_skipping(mut self) -> Self {
+    pub(crate) fn without_multi_level_skipping(mut self) -> Self {
         self.policy.multi_level_skipping = false;
         self
     }
@@ -298,7 +298,11 @@ impl<'a> DfCostModel<'a> {
     /// across points. `stacks` must be the partition of `net` under the fuse
     /// depth the evaluated strategies will carry ([`partition_into_stacks`],
     /// already validated).
-    pub fn prepare_stacks<'n>(&self, net: &'n Network, stacks: &'n [Stack]) -> PreparedNetwork<'n> {
+    pub(crate) fn prepare_stacks<'n>(
+        &self,
+        net: &'n Network,
+        stacks: &'n [Stack],
+    ) -> PreparedNetwork<'n> {
         PreparedNetwork {
             net,
             geometries: stacks
@@ -320,7 +324,7 @@ impl<'a> DfCostModel<'a> {
     /// # Panics
     ///
     /// Panics if `types` does not hold one list per prepared stack.
-    pub fn evaluate_prepared(
+    pub(crate) fn evaluate_prepared(
         &self,
         prepared: &PreparedNetwork<'_>,
         strategy: &DfStrategy,

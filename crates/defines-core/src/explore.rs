@@ -14,7 +14,7 @@
 use crate::backcalc::TileTypes;
 use crate::bounds::StrategyBounds;
 use crate::evaluate::{DfCostModel, EvaluationError};
-use crate::fuse::{enumerate_candidates, optimal_partition_budgeted, stack_span, FusePolicy};
+use crate::fuse::{enumerate_candidates, optimal_partition, stack_span, FusePolicy};
 use crate::result::{NetworkCost, StackCost};
 use crate::stack::{partition_into_stacks, FuseDepth, Stack};
 use crate::strategy::{DfStrategy, OverlapMode, TileSize};
@@ -51,7 +51,8 @@ pub enum OptimizeTarget {
 impl OptimizeTarget {
     /// The target's keyword in the `target` vocabulary of the CLI flags and
     /// the daemon's request field.
-    pub fn keyword(&self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn keyword(&self) -> &'static str {
         match self {
             OptimizeTarget::Energy => "energy",
             OptimizeTarget::Latency => "latency",
@@ -61,7 +62,7 @@ impl OptimizeTarget {
         }
     }
 
-    /// Parses a target keyword — the inverse of [`OptimizeTarget::keyword`].
+    /// Parses a target keyword: `energy`, `latency`, `edp`, `dram` or `activation`.
     ///
     /// # Errors
     ///
@@ -215,7 +216,7 @@ impl<'a> Explorer<'a> {
     /// per-cell schedule searches — use this so each run's [`SweepStats`]
     /// names its (workload, accelerator, policy) cell rather than just the
     /// workload.
-    pub fn with_run_label(mut self, label: impl Into<String>) -> Self {
+    pub(crate) fn with_run_label(mut self, label: impl Into<String>) -> Self {
         self.run_label = Some(label.into());
         self
     }
@@ -496,10 +497,10 @@ impl<'a> Explorer<'a> {
     /// [`enumerate_candidates`]) and the
     /// globally optimal partition is selected by shortest-path dynamic
     /// programming over the layer cut boundaries
-    /// ([`crate::fuse::optimal_partition`], budgeted by the model's
+    /// ([`optimal_partition`], budgeted by the model's
     /// [`Budget::max_dp_nodes`](defines_mapping::Budget::max_dp_nodes)) —
     /// exact for the additive targets because
-    /// [`NetworkCost::from_stacks`](crate::NetworkCost::from_stacks) sums per
+    /// `NetworkCost::from_stacks` sums per
     /// stack, and therefore never worse than the [`FusePolicy::Auto`]
     /// combination on the same grid.
     ///
@@ -545,9 +546,8 @@ impl<'a> Explorer<'a> {
             let spans: Vec<(usize, usize)> = candidates.iter().map(stack_span).collect();
             let values: Vec<f64> = best.iter().map(|b| b.2).collect();
             let dp_budget = self.model.mapper_config().budget.max_dp_nodes;
-            let (chosen, _, degraded) =
-                optimal_partition_budgeted(net.len(), &spans, &values, dp_budget)
-                    .expect("single-layer candidates make every partition boundary reachable");
+            let (chosen, _, degraded) = optimal_partition(net.len(), &spans, &values, dp_budget)
+                .expect("single-layer candidates make every partition boundary reachable");
             (chosen, degraded)
         } else {
             ((0..candidates.len()).collect(), false)

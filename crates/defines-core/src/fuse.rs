@@ -118,7 +118,7 @@ impl fmt::Display for FusePolicy {
 /// The contiguous layer range `[start, end)` a candidate stack covers. Every
 /// candidate the search enumerates is a contiguous run of layer ids, which is
 /// what makes the partition problem a shortest path over cut boundaries.
-pub fn stack_span(stack: &Stack) -> (usize, usize) {
+pub(crate) fn stack_span(stack: &Stack) -> (usize, usize) {
     (stack.first_layer().0, stack.last_layer().0 + 1)
 }
 
@@ -127,7 +127,7 @@ pub fn stack_span(stack: &Stack) -> (usize, usize) {
 ///
 /// 1. spans of consecutive branch-free segments, by start segment then span
 ///    length — multi-segment spans are skipped once their total weights
-///    exceed [`weight_fuse_budget_bytes`];
+///    exceed `weight_fuse_budget_bytes`;
 /// 2. every single layer (the degenerate stacks the heuristic falls back to
 ///    inside over-budget segments, and the building blocks that keep every
 ///    cut boundary reachable);
@@ -189,22 +189,15 @@ pub fn enumerate_candidates(net: &Network, acc: &Accelerator) -> Vec<Stack> {
 ///
 /// `spans[i]` is candidate `i`'s layer range `[start, end)` and `values[i]`
 /// its (additive) cost contribution. Returns the chosen candidate indices in
-/// layer order together with the minimal total value, or `None` when the
-/// candidates cannot tile `0..num_layers` (never the case for
-/// [`enumerate_candidates`], which always contains every single layer).
+/// layer order, the minimal total value and the budget's degraded flag
+/// (below), or `None` when the candidates cannot tile `0..num_layers` (never
+/// the case for [`enumerate_candidates`], which always contains every single
+/// layer).
 ///
 /// Ties resolve to the earliest candidate index at each boundary, making the
 /// result deterministic and independent of evaluation order.
-pub fn optimal_partition(
-    num_layers: usize,
-    spans: &[(usize, usize)],
-    values: &[f64],
-) -> Option<(Vec<usize>, f64)> {
-    optimal_partition_budgeted(num_layers, spans, values, 0)
-        .map(|(chosen, total, _degraded)| (chosen, total))
-}
-
-/// [`optimal_partition`] under a deterministic work budget: at most
+///
+/// The search runs under a deterministic work budget: at most
 /// `max_dp_nodes` multi-layer candidate relaxations are performed (`0` means
 /// unlimited), counted in the DP's fixed boundary-then-candidate order so the
 /// cutoff is a pure function of the input, never of timing.
@@ -215,7 +208,7 @@ pub fn optimal_partition(
 /// flag is `true` iff at least one candidate was skipped — the result is
 /// then the exact optimum over the *relaxed* subset only, and a larger
 /// budget might find a better partition.
-pub fn optimal_partition_budgeted(
+pub fn optimal_partition(
     num_layers: usize,
     spans: &[(usize, usize)],
     values: &[f64],
@@ -415,7 +408,7 @@ mod tests {
         // the earlier candidate structure by value strictness).
         let spans = [(0, 3), (0, 1), (1, 3), (1, 2), (2, 3)];
         let values = [5.0, 1.0, 3.0, 2.0, 2.0];
-        let (chosen, total) = optimal_partition(3, &spans, &values).unwrap();
+        let (chosen, total, _) = optimal_partition(3, &spans, &values, 0).unwrap();
         assert_eq!(chosen, vec![1, 2]);
         assert!((total - 4.0).abs() < 1e-12);
     }
@@ -426,7 +419,7 @@ mod tests {
         // candidate is listed first and must win the tie.
         let spans = [(0, 2), (0, 1), (1, 2)];
         let values = [2.0, 1.0, 1.0];
-        let (chosen, total) = optimal_partition(2, &spans, &values).unwrap();
+        let (chosen, total, _) = optimal_partition(2, &spans, &values, 0).unwrap();
         assert_eq!(chosen, vec![0]);
         assert!((total - 2.0).abs() < 1e-12);
     }
@@ -434,7 +427,7 @@ mod tests {
     #[test]
     fn dp_reports_untileable_candidate_sets() {
         // No candidate covers layer 1.
-        assert!(optimal_partition(2, &[(0, 1)], &[1.0]).is_none());
+        assert!(optimal_partition(2, &[(0, 1)], &[1.0], 0).is_none());
         assert!(brute_force_partition(2, &[(0, 1)], &[1.0]).is_none());
     }
 
@@ -455,26 +448,24 @@ mod tests {
             }
         }
         let (full_chosen, full_total, full_degraded) =
-            optimal_partition_budgeted(n, &spans, &values, 0).unwrap();
+            optimal_partition(n, &spans, &values, 0).unwrap();
         assert!(!full_degraded, "unlimited budget never degrades");
         assert_eq!(
-            optimal_partition(n, &spans, &values).unwrap(),
-            (full_chosen.clone(), full_total),
-            "unlimited budgeted DP is the plain DP"
+            optimal_partition(n, &spans, &values, u64::MAX).unwrap(),
+            (full_chosen.clone(), full_total, false),
+            "a budget of 0 is unlimited"
         );
         // A generous budget covering every multi-layer candidate is also
         // un-degraded and identical.
         let multi = spans.iter().filter(|(s, e)| e - s > 1).count() as u64;
-        let (chosen, total, degraded) =
-            optimal_partition_budgeted(n, &spans, &values, multi).unwrap();
+        let (chosen, total, degraded) = optimal_partition(n, &spans, &values, multi).unwrap();
         assert!(!degraded);
         assert_eq!((chosen, total), (full_chosen, full_total));
         // Tiny budgets always complete (single-layer spans are free), are
         // flagged degraded whenever a candidate was skipped, never beat the
         // optimum, and are reproducible.
         for budget in 1..multi {
-            let (chosen, total, degraded) =
-                optimal_partition_budgeted(n, &spans, &values, budget).unwrap();
+            let (chosen, total, degraded) = optimal_partition(n, &spans, &values, budget).unwrap();
             assert!(
                 total >= full_total - 1e-9,
                 "budget {budget} beat the optimum"
@@ -486,12 +477,12 @@ mod tests {
                 boundary = spans[idx].1;
             }
             assert_eq!(boundary, n);
-            let again = optimal_partition_budgeted(n, &spans, &values, budget).unwrap();
+            let again = optimal_partition(n, &spans, &values, budget).unwrap();
             assert_eq!(again.0, chosen, "budgeted DP must be reproducible");
             assert_eq!(again.2, degraded);
         }
         // A budget of 1 skips candidates on this dense set.
-        let (_, _, degraded) = optimal_partition_budgeted(n, &spans, &values, 1).unwrap();
+        let (_, _, degraded) = optimal_partition(n, &spans, &values, 1).unwrap();
         assert!(degraded, "a budget of 1 must be flagged degraded here");
     }
 
@@ -512,7 +503,7 @@ mod tests {
                 values.push((state % 1000) as f64 / 10.0);
             }
         }
-        let (dp_chosen, dp_total) = optimal_partition(n, &spans, &values).unwrap();
+        let (dp_chosen, dp_total, _) = optimal_partition(n, &spans, &values, 0).unwrap();
         let (bf_chosen, bf_total) = brute_force_partition(n, &spans, &values).unwrap();
         assert!((dp_total - bf_total).abs() < 1e-9);
         assert_eq!(dp_chosen, bf_chosen);

@@ -12,10 +12,11 @@ use serde::Serialize;
 /// `x1 < x0` (or `y1 < y0`) denotes the empty rectangle.
 ///
 /// ```
-/// use defines_core::geometry::Rect;
-/// let r = Rect::new(0, 9, 0, 4);
-/// assert_eq!(r.width(), 10);
-/// assert_eq!(r.height(), 5);
+/// use defines_core::{tiling::TileGrid, TileSize};
+/// // The first 10×5 tile of a 960×540 feature map.
+/// let grid = TileGrid::new(960, 540, TileSize::new(10, 5));
+/// let (_, _, r) = grid.iter().next().unwrap();
+/// assert_eq!((r.x0, r.x1, r.y0, r.y1), (0, 9, 0, 4));
 /// assert_eq!(r.area(), 50);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
@@ -32,12 +33,12 @@ pub struct Rect {
 
 impl Rect {
     /// Creates a rectangle from inclusive bounds.
-    pub fn new(x0: i64, x1: i64, y0: i64, y1: i64) -> Self {
+    pub(crate) fn new(x0: i64, x1: i64, y0: i64, y1: i64) -> Self {
         Self { x0, x1, y0, y1 }
     }
 
     /// The canonical empty rectangle.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self {
             x0: 0,
             x1: -1,
@@ -47,12 +48,12 @@ impl Rect {
     }
 
     /// Whether the rectangle contains no cells.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.x1 < self.x0 || self.y1 < self.y0
     }
 
     /// Width in cells (0 when empty).
-    pub fn width(&self) -> u64 {
+    pub(crate) fn width(&self) -> u64 {
         if self.is_empty() {
             0
         } else {
@@ -61,7 +62,7 @@ impl Rect {
     }
 
     /// Height in cells (0 when empty).
-    pub fn height(&self) -> u64 {
+    pub(crate) fn height(&self) -> u64 {
         if self.is_empty() {
             0
         } else {
@@ -75,7 +76,8 @@ impl Rect {
     }
 
     /// Intersection with another rectangle.
-    pub fn intersect(&self, other: &Rect) -> Rect {
+    #[cfg(test)]
+    pub(crate) fn intersect(&self, other: &Rect) -> Rect {
         let r = Rect {
             x0: self.x0.max(other.x0),
             x1: self.x1.min(other.x1),
@@ -91,7 +93,7 @@ impl Rect {
 
     /// Bounding box of two rectangles (the paper's branch handling combines
     /// the outermost edges of the per-branch regions, Fig. 8).
-    pub fn union_bbox(&self, other: &Rect) -> Rect {
+    pub(crate) fn union_bbox(&self, other: &Rect) -> Rect {
         if self.is_empty() {
             return *other;
         }
@@ -107,7 +109,7 @@ impl Rect {
     }
 
     /// Clamps the rectangle to `[0, w-1] × [0, h-1]`.
-    pub fn clamp_to(&self, w: u64, h: u64) -> Rect {
+    pub(crate) fn clamp_to(&self, w: u64, h: u64) -> Rect {
         let r = Rect {
             x0: self.x0.max(0),
             x1: self.x1.min(w as i64 - 1),
@@ -123,7 +125,7 @@ impl Rect {
 
     /// Removes the columns left of (and including) `x` — data already computed
     /// by the tile to the left in a cached mode.
-    pub fn trim_left_through(&self, x: i64) -> Rect {
+    pub(crate) fn trim_left_through(&self, x: i64) -> Rect {
         let r = Rect {
             x0: self.x0.max(x + 1),
             ..*self
@@ -137,7 +139,7 @@ impl Rect {
 
     /// Removes the rows above (and including) `y` — data already computed by
     /// the tile row above in fully-cached mode.
-    pub fn trim_top_through(&self, y: i64) -> Rect {
+    pub(crate) fn trim_top_through(&self, y: i64) -> Rect {
         let r = Rect {
             y0: self.y0.max(y + 1),
             ..*self
@@ -155,7 +157,7 @@ impl Rect {
 ///
 /// `in = [out.x0 * sx - px, out.x1 * sx - px + fx - 1]` (same along y), before
 /// clamping to the input feature map.
-pub fn project_to_input(
+pub(crate) fn project_to_input(
     out: &Rect,
     stride: (u64, u64),
     kernel: (u64, u64),

@@ -45,32 +45,41 @@
 //! assert!(df_cost.energy_pj < sl_cost.energy_pj);
 //! ```
 
+// named by benchmark/ (frozen until ROADMAP 3(a))
 pub mod backcalc;
-pub mod baselines;
-pub mod batch;
-pub mod bounds;
+mod baselines;
+mod batch;
+mod bounds;
+// named by benchmark/ (frozen until ROADMAP 3(a))
 pub mod checkpoint;
+// named by benchmark/ (frozen until ROADMAP 3(a))
 pub mod datacopy;
-pub mod evaluate;
-pub mod explore;
-pub mod fuse;
-pub mod geometry;
-pub mod matrix;
+mod evaluate;
+mod explore;
+mod fuse;
+mod geometry;
+mod matrix;
+// named by benchmark/ (frozen until ROADMAP 3(a))
 pub mod memlevel;
-pub mod result;
+mod result;
+// named by benchmark/ (frozen until ROADMAP 3(a))
 pub mod stack;
-pub mod strategy;
+mod strategy;
+// named by benchmark/ (frozen until ROADMAP 3(a))
 pub mod tiling;
 
+pub use baselines::{fixed_fully_cached, run_baseline, BaselineKind, BaselineResult};
 pub use batch::{run_batch, BatchConfig, BatchItem, BatchOutcome};
 pub use bounds::StrategyBounds;
-pub use checkpoint::{Checkpoint, CheckpointHeader};
-pub use evaluate::{DfCostModel, EvaluationError, PreparedNetwork};
+pub use evaluate::{DfCostModel, EvaluationError};
 pub use explore::{
     DfSweepRecord, ExplorationResult, Explorer, OptimizeTarget, ScheduleResult, StackChoice,
 };
-pub use fuse::FusePolicy;
-pub use matrix::{run_matrix, CellOutcome, MatrixConfig, MatrixError, MatrixReport, RankingEntry};
+pub use fuse::{brute_force_partition, enumerate_candidates, optimal_partition, FusePolicy};
+pub use geometry::Rect;
+pub use matrix::{
+    run_matrix, CellOutcome, CellStack, MatrixConfig, MatrixError, MatrixReport, RankingEntry,
+};
 pub use result::{DataClass, NetworkCost, StackCost, TileTypeCost};
 pub use stack::{FuseDepth, Stack};
-pub use strategy::{BetweenStackMemory, DfStrategy, OverlapMode, TileSize};
+pub use strategy::{DfStrategy, OverlapMode, TileSize};

@@ -1341,7 +1341,7 @@ mod tests {
         // its run must be answered entirely from the cache — zero new
         // misses — and produce the identical cell value.
         let builtin = zoo::meta_proto_like_df();
-        let json = defines_arch::schema::to_json_pretty(&builtin).unwrap();
+        let json = defines_arch::to_json_pretty(&builtin).unwrap();
         let loaded = defines_arch::loader::from_json_str(&json).unwrap();
         assert_eq!(loaded.fingerprint(), builtin.fingerprint());
 

@@ -2,7 +2,7 @@
 
 use crate::backcalc::TileAnalysis;
 use crate::stack::Stack;
-use defines_arch::{Accelerator, MemoryLevelId, Operand};
+use defines_arch::{Accelerator, MemoryLevelId};
 use defines_mapping::AccessBreakdown;
 use serde::Serialize;
 
@@ -29,7 +29,7 @@ impl DataClass {
 
 /// Summary of where the energy of an evaluation went.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
-pub struct EnergySummary {
+pub(crate) struct EnergySummary {
     /// Energy of the MAC operations, in pJ.
     pub mac_pj: f64,
     /// Energy of DRAM accesses, in pJ.
@@ -47,12 +47,13 @@ pub struct EnergySummary {
 
 impl EnergySummary {
     /// Total energy in pJ.
-    pub fn total_pj(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total_pj(&self) -> f64 {
         self.mac_pj + self.dram_pj + self.on_chip_pj
     }
 
     /// Adds another summary to this one.
-    pub fn accumulate(&mut self, other: &EnergySummary) {
+    pub(crate) fn accumulate(&mut self, other: &EnergySummary) {
         self.mac_pj += other.mac_pj;
         self.dram_pj += other.dram_pj;
         self.on_chip_pj += other.on_chip_pj;
@@ -62,7 +63,7 @@ impl EnergySummary {
     }
 
     /// Scales the summary by a factor (used when replicating tile types).
-    pub fn scaled(&self, f: f64) -> EnergySummary {
+    pub(crate) fn scaled(&self, f: f64) -> EnergySummary {
         EnergySummary {
             mac_pj: self.mac_pj * f,
             dram_pj: self.dram_pj * f,
@@ -76,7 +77,7 @@ impl EnergySummary {
 
 /// Builds an [`EnergySummary`] from per-class access breakdowns and the MAC
 /// energy, pricing each access with the accelerator's memory-level costs.
-pub fn energy_summary(
+pub(crate) fn energy_summary(
     acc: &Accelerator,
     mac_pj: f64,
     activation: &AccessBreakdown,
@@ -134,7 +135,7 @@ pub struct TileTypeCost {
     /// Access breakdown of one tile: data copy actions.
     pub copy_access: AccessBreakdown,
     /// Energy summary of one tile.
-    pub energy_summary: EnergySummary,
+    pub(crate) energy_summary: EnergySummary,
     /// Whether any single-layer mapping search inside this tile type ran out
     /// of its deterministic work budget and returned a best-so-far mapping
     /// (see [`defines_mapping::Budget`]). `false` under unlimited budgets.
@@ -163,7 +164,7 @@ pub struct StackCost {
     /// Aggregated data-copy accesses.
     pub copy_access: AccessBreakdown,
     /// Aggregated energy summary.
-    pub energy_summary: EnergySummary,
+    pub(crate) energy_summary: EnergySummary,
     /// Whether any tile type of this stack is budget-degraded (OR over
     /// [`TileTypeCost::degraded`]): the reported cost is exact for the
     /// mappings that were searched, but a larger budget might find better
@@ -174,7 +175,8 @@ pub struct StackCost {
 impl StackCost {
     /// Number of distinct tile types (a proxy for code/control complexity,
     /// Fig. 6).
-    pub fn tile_type_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn tile_type_count(&self) -> usize {
         self.tile_types.len()
     }
 }
@@ -197,7 +199,7 @@ pub struct NetworkCost {
     /// Aggregated data-copy accesses.
     pub copy_access: AccessBreakdown,
     /// Aggregated energy summary.
-    pub energy_summary: EnergySummary,
+    pub(crate) energy_summary: EnergySummary,
     /// Whether any stack is budget-degraded (OR over
     /// [`StackCost::degraded`]).
     pub degraded: bool,
@@ -205,7 +207,7 @@ pub struct NetworkCost {
 
 impl NetworkCost {
     /// Builds the network cost by summing stack costs.
-    pub fn from_stacks(stacks: Vec<StackCost>) -> Self {
+    pub(crate) fn from_stacks(stacks: Vec<StackCost>) -> Self {
         let mut energy = 0.0;
         let mut latency = 0.0;
         let mut macs = 0;
@@ -262,7 +264,7 @@ impl NetworkCost {
     }
 
     /// Total bytes moved at a given memory level, across all data classes.
-    pub fn level_traffic_bytes(&self, level: MemoryLevelId) -> f64 {
+    pub(crate) fn level_traffic_bytes(&self, level: MemoryLevelId) -> f64 {
         DataClass::ALL
             .iter()
             .map(|&c| self.access_of(c).level_total(level).total_bytes())
@@ -275,7 +277,8 @@ impl NetworkCost {
     }
 
     /// Total traffic of one operand across all levels and data classes.
-    pub fn operand_traffic_bytes(&self, operand: Operand) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn operand_traffic_bytes(&self, operand: defines_arch::Operand) -> f64 {
         DataClass::ALL
             .iter()
             .map(|&c| self.access_of(c).operand_total(operand).total_bytes())
@@ -292,7 +295,7 @@ impl NetworkCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use defines_arch::zoo;
+    use defines_arch::{zoo, Operand};
 
     fn dummy_breakdown(
         level: MemoryLevelId,

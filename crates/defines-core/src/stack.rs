@@ -66,7 +66,7 @@ impl Stack {
     }
 
     /// Whether a layer belongs to the stack.
-    pub fn contains(&self, id: LayerId) -> bool {
+    pub(crate) fn contains(&self, id: LayerId) -> bool {
         self.layers.contains(&id)
     }
 
@@ -88,7 +88,7 @@ impl Stack {
 /// architecture whose only on-chip weight storage is its registers (the
 /// TPU-like baseline) gets a budget of zero and falls back to one-layer
 /// stacks.
-pub fn weight_fuse_budget_bytes(acc: &Accelerator) -> u64 {
+pub(crate) fn weight_fuse_budget_bytes(acc: &Accelerator) -> u64 {
     const MIN_WEIGHT_BUFFER_BYTES: u64 = 8 * 1024;
     acc.hierarchy()
         .levels_for(Operand::Weight)
@@ -106,7 +106,7 @@ pub fn weight_fuse_budget_bytes(acc: &Accelerator) -> u64 {
 /// * the network is first split into *segments* at its branch-free cut points
 ///   (all layers between two cut points go together or not at all),
 /// * segments are greedily merged into stacks while the total weight size
-///   stays within [`weight_fuse_budget_bytes`],
+///   stays within `weight_fuse_budget_bytes`,
 /// * a multi-layer segment that does not fit by itself degenerates into
 ///   one-layer stacks, exactly as described in Section III.
 pub fn partition_into_stacks(net: &Network, acc: &Accelerator, fuse: &FuseDepth) -> Vec<Stack> {
@@ -169,7 +169,7 @@ pub(crate) fn auto_partition(net: &Network, acc: &Accelerator) -> Vec<Stack> {
 /// two points where there are no branches are added to a stack, or none of
 /// them" (Section III). Every returned segment is a contiguous run of layer
 /// ids, the segments are in topological order, and together they cover every
-/// layer exactly once. The fuse-depth search ([`crate::fuse`]) enumerates its
+/// layer exactly once. The fuse-depth search (`crate::fuse`) enumerates its
 /// stack candidates as spans of consecutive segments.
 pub fn segments(net: &Network) -> Vec<Vec<LayerId>> {
     let cuts = net.cut_points();

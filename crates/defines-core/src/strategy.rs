@@ -68,7 +68,7 @@ impl OverlapMode {
     }
 
     /// Whether the horizontal overlap is cached.
-    pub fn caches_horizontal(&self) -> bool {
+    pub(crate) fn caches_horizontal(&self) -> bool {
         matches!(
             self,
             OverlapMode::HCachedVRecompute | OverlapMode::FullyCached
@@ -76,7 +76,7 @@ impl OverlapMode {
     }
 
     /// Whether the vertical overlap is cached.
-    pub fn caches_vertical(&self) -> bool {
+    pub(crate) fn caches_vertical(&self) -> bool {
         matches!(self, OverlapMode::FullyCached)
     }
 }
@@ -123,12 +123,12 @@ impl TileSize {
     }
 
     /// Whether this tile covers the whole feature map regardless of its size.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.tx == u64::MAX && self.ty == u64::MAX
     }
 
     /// The effective tile size for a feature map of `w`×`h` pixels.
-    pub fn clamped(&self, w: u64, h: u64) -> (u64, u64) {
+    pub(crate) fn clamped(&self, w: u64, h: u64) -> (u64, u64) {
         (self.tx.min(w), self.ty.min(h))
     }
 }
@@ -145,7 +145,7 @@ impl fmt::Display for TileSize {
 
 /// Where feature maps are passed between consecutive stacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
-pub enum BetweenStackMemory {
+pub(crate) enum BetweenStackMemory {
     /// The lowest memory level in which the full feature map fits (the
     /// layer-by-layer behaviour of Fig. 1(b)).
     #[default]
@@ -165,7 +165,7 @@ pub struct DfStrategy {
     /// Axis 3: fuse depth (how layers are grouped into stacks).
     pub fuse: FuseDepth,
     /// How feature maps travel between stacks.
-    pub between_stacks: BetweenStackMemory,
+    pub(crate) between_stacks: BetweenStackMemory,
 }
 
 impl DfStrategy {
@@ -205,7 +205,7 @@ impl DfStrategy {
     }
 
     /// Returns a copy with a manually specified fuse depth.
-    pub fn with_fuse(mut self, fuse: FuseDepth) -> Self {
+    pub(crate) fn with_fuse(mut self, fuse: FuseDepth) -> Self {
         self.fuse = fuse;
         self
     }

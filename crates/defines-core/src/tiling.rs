@@ -12,7 +12,7 @@ use crate::geometry::Rect;
 /// last column / row are smaller (Fig. 6 of the paper).
 ///
 /// ```
-/// use defines_core::{strategy::TileSize, tiling::TileGrid};
+/// use defines_core::{tiling::TileGrid, TileSize};
 /// let grid = TileGrid::new(960, 540, TileSize::new(60, 72));
 /// assert_eq!(grid.cols(), 16);
 /// assert_eq!(grid.rows(), 8); // 540 / 72 = 7.5 -> 8 rows, last one partial
@@ -54,7 +54,7 @@ impl TileGrid {
     }
 
     /// The effective (clamped) tile size.
-    pub fn tile_size(&self) -> (u64, u64) {
+    pub(crate) fn tile_size(&self) -> (u64, u64) {
         (self.tx, self.ty)
     }
 
@@ -63,7 +63,7 @@ impl TileGrid {
     /// # Panics
     ///
     /// Panics if the coordinates are outside the grid.
-    pub fn tile_rect(&self, col: u64, row: u64) -> Rect {
+    pub(crate) fn tile_rect(&self, col: u64, row: u64) -> Rect {
         assert!(
             col < self.cols() && row < self.rows(),
             "tile index out of range"

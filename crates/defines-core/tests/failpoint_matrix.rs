@@ -5,10 +5,10 @@
 //! resume, must cost nothing but the re-run of the cells it lost.
 #![cfg(feature = "failpoints")]
 
-use defines_core::explore::OptimizeTarget;
-use defines_core::matrix::{run_matrix, MatrixConfig, MatrixReport};
 use defines_core::FusePolicy;
+use defines_core::OptimizeTarget;
 use defines_core::OverlapMode;
+use defines_core::{run_matrix, MatrixConfig, MatrixReport};
 use defines_engine::EngineConfig;
 use defines_telemetry::fault;
 use defines_workload::{Layer, LayerDims, Network, OpType};

@@ -26,7 +26,7 @@
 //! Two small primitives also live here because both `defines-core` (matrix
 //! checkpoints) and `defines-mapping` (the mapping-cache store) keep files
 //! that outlive the process: [`Fnv`], a hash that is stable across Rust
-//! releases, and [`journal`], the append-only JSONL file format with its
+//! releases, and [`Journal`], the append-only JSONL file format with its
 //! crash contract.
 //!
 //! # Determinism
@@ -36,10 +36,10 @@
 //! ([`SweepEngine::run_collect`]) is deterministic: with a deterministic
 //! evaluator it returns bit-identical results regardless of thread count.
 
-pub mod engine;
-pub mod fnv;
-pub mod journal;
-pub mod memo;
+mod engine;
+mod fnv;
+mod journal;
+mod memo;
 
 pub use engine::{panic_error, EngineConfig, Outcome, SweepEngine, SweepRecord, SweepStats};
 pub use fnv::Fnv;

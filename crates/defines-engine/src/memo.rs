@@ -271,12 +271,13 @@ impl<K: Hash + Eq, V: Clone> MemoCache<K, V> {
     }
 
     /// Number of distinct entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards.iter().map(|s| Self::lock_shard(s).len()).sum()
     }
 
     /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 

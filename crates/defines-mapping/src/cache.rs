@@ -82,6 +82,10 @@ impl ProblemKey {
     ///   value can reach the result. This is what makes tile problems that
     ///   differ only in the placement of (non-existent) weights — common in
     ///   pooling/add-heavy sweeps — resolve to one cache entry.
+    ///
+    /// Benchmark probes and tests only; the program calls
+    /// [`ProblemKey::canonical_with_fingerprints`], see ROADMAP 3(a).
+    #[doc(hidden)]
     pub fn canonical(problem: &SingleLayerProblem<'_>, mapper: &LomaMapper) -> (Self, bool) {
         Self::canonical_with_fingerprints(
             problem,
@@ -181,6 +185,11 @@ impl MappingCache {
     /// Returns a shared handle to the cached cost for the problem, running
     /// the mapper on a miss. A hit costs one reference-count bump, not a deep
     /// copy of the cost record.
+    ///
+    /// Benchmark probes and tests only; the program calls
+    /// [`MappingCache::optimize_shared_keyed`] with a key from
+    /// [`ProblemKey::canonical_with_fingerprints`], see ROADMAP 3(a).
+    #[doc(hidden)]
     pub fn optimize_shared(
         &self,
         mapper: &LomaMapper,
@@ -226,7 +235,7 @@ impl MappingCache {
 
     /// Enables last-used tracking for this cache (and all clones of the
     /// handle). Required before attaching the cache to a persistent store.
-    pub fn track_usage(&self) {
+    pub(crate) fn track_usage(&self) {
         self.usage.enabled.store(true, Ordering::Relaxed);
     }
 
@@ -252,7 +261,7 @@ impl MappingCache {
     /// The keys touched since tracking began, with the epoch of their most
     /// recent touch, sorted by key. Draining (`clear`) keeps the next
     /// snapshot incremental.
-    pub fn drain_usage(&self) -> Vec<(ProblemKey, u64)> {
+    pub(crate) fn drain_usage(&self) -> Vec<(ProblemKey, u64)> {
         let mut guard = self.usage.lock();
         #[expect(
             clippy::disallowed_methods,
@@ -277,13 +286,13 @@ impl MappingCache {
 
     /// The cached cost for `key` without counting a hit or miss — for
     /// persistence bookkeeping that must not distort the lookup statistics.
-    pub fn peek(&self, key: &ProblemKey) -> Option<Arc<LayerCost>> {
+    pub(crate) fn peek(&self, key: &ProblemKey) -> Option<Arc<LayerCost>> {
         self.inner.peek(key)
     }
 
     /// Removes an entry, returning its cost if it was present. Eviction
     /// bookkeeping: no effect on hit/miss counters.
-    pub fn remove(&self, key: &ProblemKey) -> Option<Arc<LayerCost>> {
+    pub(crate) fn remove(&self, key: &ProblemKey) -> Option<Arc<LayerCost>> {
         self.usage.lock().remove(key);
         self.inner.remove(key)
     }
@@ -299,12 +308,6 @@ impl MappingCache {
     /// Hit/miss statistics accumulated since creation (or the last clear).
     pub fn stats(&self) -> CacheStats {
         self.inner.stats()
-    }
-
-    /// Drops all entries and resets the statistics.
-    pub fn clear(&self) {
-        self.inner.clear();
-        self.usage.lock().clear();
     }
 }
 

@@ -152,8 +152,10 @@ impl AccessBreakdown {
         }
     }
 
-    /// Scales all traffic by a factor (used when replicating tile types).
-    pub fn scaled(&self, factor: f64) -> AccessBreakdown {
+    /// Scales all traffic by a factor: the reference [`Self::merge_scaled`]
+    /// is tested against.
+    #[cfg(test)]
+    pub(crate) fn scaled(&self, factor: f64) -> AccessBreakdown {
         let map = self
             .map
             .iter()
@@ -214,17 +216,17 @@ pub struct LayerCost {
 
 impl LayerCost {
     /// Energy-delay product (pJ · cycles).
-    pub fn edp(&self) -> f64 {
+    pub(crate) fn edp(&self) -> f64 {
         self.energy_pj * self.latency_cycles
     }
 
     /// Total DRAM traffic in bytes.
-    pub fn dram_bytes(&self, dram: MemoryLevelId) -> f64 {
+    pub(crate) fn dram_bytes(&self, dram: MemoryLevelId) -> f64 {
         self.accesses.level_total(dram).total_bytes()
     }
 
     /// The scalar value of an objective for this cost.
-    pub fn objective_value(&self, objective: Objective, dram: MemoryLevelId) -> f64 {
+    pub(crate) fn objective_value(&self, objective: Objective, dram: MemoryLevelId) -> f64 {
         match objective {
             Objective::Energy => self.energy_pj,
             Objective::Latency => self.latency_cycles,

@@ -34,12 +34,13 @@
 //! assert!(cost.latency_cycles >= cost.macs as f64 / 1024.0);
 //! ```
 
-pub mod cache;
-pub mod cost;
-pub mod loma;
-pub mod persist;
-pub mod problem;
-pub mod search;
+mod cache;
+mod cost;
+mod loma;
+mod persist;
+mod problem;
+mod search;
+// named by benchmark/ (frozen until ROADMAP 3(a))
 pub mod temporal;
 
 pub use cache::{MappingCache, ProblemKey};
@@ -48,4 +49,3 @@ pub use loma::{Budget, LomaMapper, MapperConfig};
 pub use persist::{CacheStore, StoreError, StoreStats};
 pub use problem::{OperandTopLevels, SingleLayerProblem};
 pub use search::SearchStats;
-pub use temporal::{TemporalLoop, TemporalMapping};

@@ -4,7 +4,7 @@
 //! survives restarts: every distinct `(accelerator, problem, mapper)`
 //! sub-problem is searched once *per deployment*, not once per process.
 //!
-//! The file is a [`defines_engine::journal`] — header line, flushed appends,
+//! The file is a [`defines_engine::Journal`] — header line, flushed appends,
 //! torn-tail tolerance, atomic-rename rewrite; that module states the crash
 //! contract. This module owns what the lines *mean*: the header key and
 //! version, entry lines (`fp`, `epoch`, `key`, `cost`) and compact `touch`
@@ -36,12 +36,12 @@ use crate::cache::{MappingCache, ProblemKey};
 use crate::cost::{Access, AccessBreakdown, LayerCost};
 use crate::problem::OperandTopLevels;
 use crate::temporal::{TemporalLoop, TemporalMapping};
-use defines_arch::schema::{parse_dim, parse_operand};
 use defines_arch::MemoryLevelId;
+use defines_arch::{parse_dim, parse_operand};
 use defines_engine::{Fnv, Journal, JournalError};
 use defines_telemetry::Counter;
-use defines_workload::schema::{op_name, parse_op};
 use defines_workload::LayerDims;
+use defines_workload::{op_name, parse_op};
 use serde::{Fields, FromField, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -128,7 +128,7 @@ fn parse_name<T>(what: &str, name: &str, parse: fn(&str) -> Option<T>) -> Result
 
 /// Stable FNV-1a fingerprint of a cache key, written on every entry line
 /// and re-verified on load.
-pub fn key_fingerprint(key: &ProblemKey) -> u64 {
+pub(crate) fn key_fingerprint(key: &ProblemKey) -> u64 {
     let mut h = Fnv::new();
     h.write_u64(key.accelerator);
     h.write(op_name(key.op).as_bytes());
@@ -494,15 +494,5 @@ impl CacheStore {
     /// The store's lifetime statistics.
     pub fn stats(&self) -> StoreStats {
         self.stats
-    }
-
-    /// The cache this store persists (cheap clone of the shared handle).
-    pub fn cache(&self) -> MappingCache {
-        self.cache.clone()
-    }
-
-    /// The file the store persists to.
-    pub fn path(&self) -> &Path {
-        self.journal.path()
     }
 }

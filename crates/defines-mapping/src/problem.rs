@@ -109,12 +109,12 @@ impl<'a> SingleLayerProblem<'a> {
     /// The loop dimensions that are *relevant* to an operand — i.e. the
     /// dimensions that index into the operand's data. Irrelevant loops provide
     /// temporal reuse for the operand.
-    pub fn relevant_dims(&self, operand: Operand) -> &'static [Dim] {
+    pub(crate) fn relevant_dims(&self, operand: Operand) -> &'static [Dim] {
         relevant_dims(self.op, operand)
     }
 
     /// Bytes per element of an operand.
-    pub fn bytes_per_element(&self, operand: Operand) -> u64 {
+    pub(crate) fn bytes_per_element(&self, operand: Operand) -> u64 {
         let bits = match operand {
             Operand::Weight => self.weight_bits,
             Operand::Input | Operand::Output => self.act_bits,
@@ -124,7 +124,7 @@ impl<'a> SingleLayerProblem<'a> {
 
     /// Total number of MAC operations (or per-element operations for layers
     /// without MACs) of the problem.
-    pub fn total_macs(&self) -> u64 {
+    pub(crate) fn total_macs(&self) -> u64 {
         match self.op {
             OpType::Conv => self.dims.total_macs(),
             OpType::DepthwiseConv | OpType::Pooling => {
@@ -140,7 +140,7 @@ impl<'a> SingleLayerProblem<'a> {
     }
 
     /// Total weight footprint in bytes (zero for weight-less operators).
-    pub fn weight_footprint_bytes(&self) -> u64 {
+    pub(crate) fn weight_footprint_bytes(&self) -> u64 {
         let elements = match self.op {
             OpType::Conv => self.dims.weight_elements(),
             OpType::DepthwiseConv => self.dims.k * self.dims.fx * self.dims.fy,
@@ -150,7 +150,7 @@ impl<'a> SingleLayerProblem<'a> {
     }
 
     /// Total input footprint in bytes for the problem's dimensions.
-    pub fn input_footprint_bytes(&self) -> u64 {
+    pub(crate) fn input_footprint_bytes(&self) -> u64 {
         let channels = match self.op {
             OpType::Conv => self.dims.c,
             OpType::DepthwiseConv | OpType::Pooling => self.dims.k,
@@ -164,12 +164,12 @@ impl<'a> SingleLayerProblem<'a> {
     }
 
     /// Total output footprint in bytes.
-    pub fn output_footprint_bytes(&self) -> u64 {
+    pub(crate) fn output_footprint_bytes(&self) -> u64 {
         self.dims.output_elements() * self.bytes_per_element(Operand::Output)
     }
 
     /// Total footprint of an operand in bytes.
-    pub fn footprint_bytes(&self, operand: Operand) -> u64 {
+    pub(crate) fn footprint_bytes(&self, operand: Operand) -> u64 {
         match operand {
             Operand::Weight => self.weight_footprint_bytes(),
             Operand::Input => self.input_footprint_bytes(),
@@ -179,7 +179,7 @@ impl<'a> SingleLayerProblem<'a> {
 }
 
 /// Relevant dimensions per (operator class, operand).
-pub fn relevant_dims(op: OpType, operand: Operand) -> &'static [Dim] {
+pub(crate) fn relevant_dims(op: OpType, operand: Operand) -> &'static [Dim] {
     match (op, operand) {
         (OpType::Conv, Operand::Weight) => &[Dim::K, Dim::C, Dim::FX, Dim::FY],
         (OpType::Conv, Operand::Input) => &[Dim::B, Dim::C, Dim::OX, Dim::OY, Dim::FX, Dim::FY],

@@ -106,7 +106,8 @@ pub struct SearchStats {
 
 impl SearchStats {
     /// Orderings skipped by either pruning mechanism.
-    pub fn pruned(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn pruned(&self) -> u64 {
         self.pruned_bound + self.pruned_symmetry
     }
 }

@@ -22,16 +22,16 @@ pub struct TemporalLoop {
 ///
 /// ```
 /// use defines_arch::zoo;
-/// use defines_mapping::{SingleLayerProblem, TemporalMapping};
+/// use defines_mapping::{LomaMapper, SingleLayerProblem};
 /// use defines_workload::{Dim, Layer, LayerDims, OpType};
 ///
 /// let acc = zoo::meta_proto_like();
 /// let layer = Layer::new("c", OpType::Conv, LayerDims::conv(64, 4, 16, 16, 3, 3));
 /// let problem = SingleLayerProblem::new(&acc, &layer);
+/// let m = LomaMapper::default().optimize(&problem).mapping;
 /// // Meta-proto unrolls K32 C2 OX4 OY4, so K contributes a temporal loop of 2.
-/// let m = TemporalMapping::from_order(&problem, &[Dim::K, Dim::C, Dim::OX, Dim::OY, Dim::FX, Dim::FY]);
-/// assert_eq!(m.loops()[0].dim, Dim::K);
-/// assert_eq!(m.loops()[0].size, 2);
+/// let k = m.loops().iter().find(|l| l.dim == Dim::K).unwrap();
+/// assert_eq!(k.size, 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TemporalMapping {
@@ -42,7 +42,7 @@ impl TemporalMapping {
     /// Builds a temporal mapping from an ordering of dimensions
     /// (innermost first). Dimensions whose temporal trip count is 1 are
     /// dropped.
-    pub fn from_order(problem: &SingleLayerProblem<'_>, order: &[Dim]) -> Self {
+    pub(crate) fn from_order(problem: &SingleLayerProblem<'_>, order: &[Dim]) -> Self {
         let unrolling = problem.accelerator.pe_array().unrolling();
         let mut loops = Vec::with_capacity(order.len());
         for &dim in order {
@@ -72,14 +72,10 @@ impl TemporalMapping {
         &self.loops
     }
 
-    /// Number of temporal loops.
-    pub fn len(&self) -> usize {
-        self.loops.len()
-    }
-
     /// Whether there are no temporal loops (the whole tile fits one PE-array
     /// pass).
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.loops.is_empty()
     }
 }
@@ -105,7 +101,7 @@ impl fmt::Display for TemporalMapping {
 /// This is the "drop size-1 dims" half of the search-space canonicalization:
 /// trivial loops can sit anywhere in an ordering without changing anything,
 /// so they are excluded from the permutation space outright.
-pub fn active_loops(problem: &SingleLayerProblem<'_>) -> Vec<TemporalLoop> {
+pub(crate) fn active_loops(problem: &SingleLayerProblem<'_>) -> Vec<TemporalLoop> {
     let unrolling = problem.accelerator.pe_array().unrolling();
     Dim::SPATIAL_AND_CHANNEL
         .iter()
@@ -123,7 +119,7 @@ pub fn active_loops(problem: &SingleLayerProblem<'_>) -> Vec<TemporalLoop> {
 ///
 /// Permutations are enumerated lexicographically with respect to the
 /// canonical dimension order — the same enumeration the pruned search in
-/// [`crate::search`] walks, which is what makes the two agree bit-for-bit on
+/// `crate::search` walks, which is what makes the two agree bit-for-bit on
 /// tie-breaking. Subsampling picks index `i * total / max` for each
 /// `i < max`: exact integer striding, so the sample always contains exactly
 /// `max` *distinct* orderings (the float-stride sampler it replaces could

@@ -8,8 +8,8 @@
 
 use defines_arch::MemoryLevelId;
 use defines_mapping::{
+    temporal::{TemporalLoop, TemporalMapping},
     Access, AccessBreakdown, CacheStore, LayerCost, MappingCache, OperandTopLevels, ProblemKey,
-    TemporalLoop, TemporalMapping,
 };
 use defines_telemetry::fault;
 use defines_workload::{Dim, LayerDims, OpType};

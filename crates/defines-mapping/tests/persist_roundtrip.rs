@@ -6,8 +6,8 @@
 
 use defines_arch::MemoryLevelId;
 use defines_mapping::{
-    Access, AccessBreakdown, CacheStore, LayerCost, MappingCache, ProblemKey, TemporalLoop,
-    TemporalMapping,
+    temporal::{TemporalLoop, TemporalMapping},
+    Access, AccessBreakdown, CacheStore, LayerCost, MappingCache, ProblemKey,
 };
 use defines_workload::{Dim, LayerDims, OpType};
 use proptest::prelude::*;

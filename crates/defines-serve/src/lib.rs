@@ -10,12 +10,12 @@
 //! The signature invariant of the repo carries through the wire: a daemon
 //! response is **bit-identical** to a standalone `best_schedule` run of the
 //! same request — cold, warm, or after a restart from the persisted cache.
-//! See [`protocol`] for the wire format and [`server`] for the daemon
+//! See [`ScheduleRequest`] for the wire format and [`Server`] for the daemon
 //! lifecycle; the `serve` and `defines-request` binaries in `defines-cli`
-//! are thin shells over these modules.
+//! are thin shells over this crate.
 
-pub mod protocol;
-pub mod server;
+mod protocol;
+mod server;
 
-pub use protocol::{render_error, render_outcome, ScheduleRequest};
+pub use protocol::{render_outcome, ScheduleRequest};
 pub use server::{send_line, Resolver, ServeError, Server, ServerConfig, MAX_REQUEST_LINE_BYTES};

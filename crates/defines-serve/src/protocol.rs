@@ -64,7 +64,7 @@ const SCHEDULE_KEYS: [&str; 7] = [
 
 /// Reads the command name of a command request (`{"cmd": …}`, no other
 /// key), or `None` when the line is a schedule request.
-pub fn command(v: &Value) -> Result<Option<&str>, String> {
+pub(crate) fn command(v: &Value) -> Result<Option<&str>, String> {
     let fields = Fields::root(v)?;
     if fields.get("cmd").is_none() {
         return Ok(None);
@@ -125,7 +125,7 @@ impl ScheduleRequest {
 
     /// The canonical JSON form: fixed field order, defaults resolved. Two
     /// requests with equal canonical forms are the same request.
-    pub fn canonical_value(&self) -> Value {
+    pub(crate) fn canonical_value(&self) -> Value {
         Value::Object(vec![
             ("workload".into(), Value::Str(self.workload.clone())),
             ("accelerator".into(), Value::Str(self.accelerator.clone())),
@@ -150,7 +150,7 @@ impl ScheduleRequest {
 
     /// The tile grid, y-major like the `sweep` CLI, or `None` for the
     /// explorer's default grid.
-    pub fn tile_grid(&self) -> Option<Vec<(u64, u64)>> {
+    pub(crate) fn tile_grid(&self) -> Option<Vec<(u64, u64)>> {
         if self.tilex.is_empty() {
             return None;
         }
@@ -213,7 +213,7 @@ pub fn render_outcome(request: &ScheduleRequest, outcome: &defines_core::BatchOu
 
 /// Renders an error response for a request that never reached a batch
 /// (parse or resolution failure).
-pub fn render_error(error: &str) -> String {
+pub(crate) fn render_error(error: &str) -> String {
     Value::Object(vec![
         ("ok".into(), Value::Bool(false)),
         ("error".into(), Value::Str(error.to_string())),

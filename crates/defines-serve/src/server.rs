@@ -34,7 +34,7 @@
 //! # Crash safety
 //!
 //! The store is synced after every batch and is a
-//! [`defines_engine::journal`]: a kill between batches loses nothing, a kill
+//! [`defines_engine::Journal`]: a kill between batches loses nothing, a kill
 //! mid-append loses at most one entry (healed as a torn tail on the next
 //! open), and compaction is an atomic rename. The response memo is
 //! process-local and simply refills.
@@ -46,8 +46,8 @@ use defines_mapping::{Budget, CacheStore, MappingCache};
 use serde::Value;
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -419,6 +419,13 @@ pub const MAX_REQUEST_LINE_BYTES: u64 = 1 << 20;
 /// drops it.
 const IO_TIMEOUT: Duration = Duration::from_secs(60);
 
+/// The most input drained from a connection after its over-long request line
+/// was answered: enough for a client that sends a few times the cap.
+const DRAIN_MAX_BYTES: u64 = 4 * MAX_REQUEST_LINE_BYTES;
+
+/// How long one drain read may stall before the worker closes anyway.
+const DRAIN_READ_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Reads the single request line, answers it, closes the connection.
 fn handle_connection(inner: &ServerInner, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
@@ -448,6 +455,18 @@ fn handle_connection(inner: &ServerInner, stream: TcpStream) {
         .write_all(response.as_bytes())
         .and_then(|()| stream.write_all(b"\n"))
         .and_then(|()| stream.flush());
+    if over_long {
+        // Closing a socket that still holds unread input sends a reset, which
+        // can discard the error line before the client reads it. Half-close
+        // instead, and read what the client still sends (bounded) so that
+        // the close is a plain FIN.
+        let _ = stream.shutdown(Shutdown::Write);
+        let _ = stream.set_read_timeout(Some(DRAIN_READ_TIMEOUT));
+        let _ = io::copy(
+            &mut reader.into_inner().take(DRAIN_MAX_BYTES),
+            &mut io::sink(),
+        );
+    }
 }
 
 /// Computes the response line for one request line.

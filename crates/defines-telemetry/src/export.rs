@@ -68,7 +68,7 @@ pub fn chrome_trace(events: &[SpanEvent]) -> Value {
 
 /// Aggregate statistics of one span name.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PhaseRow {
+pub(crate) struct PhaseRow {
     /// Span name.
     pub name: &'static str,
     /// Number of spans with this name.
@@ -90,12 +90,12 @@ pub struct PhaseRow {
     pub self_share: f64,
 }
 
-/// A per-phase wall-time breakdown of a trace: one [`PhaseRow`] per span
+/// A per-phase wall-time breakdown of a trace: one `PhaseRow` per span
 /// name, sorted by total time descending.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Per-phase rows, heaviest first.
-    pub phases: Vec<PhaseRow>,
+    pub(crate) phases: Vec<PhaseRow>,
     /// The trace's wall-clock window (earliest start to latest end),
     /// milliseconds. Zero for an empty trace.
     pub wall_ms: f64,

@@ -15,7 +15,7 @@
 //!   [`span!`] expands to a guard whose construction is one relaxed atomic
 //!   load and whose drop is a branch on a `None`; no clock is read and no
 //!   allocation happens.
-//! * [`set_metrics`] / [`metrics_enabled`] — counters and gauges. When off,
+//! * [`set_metrics`] — counters and gauges. When off,
 //!   [`Counter::add`] is a single relaxed atomic load.
 //!
 //! Spans are buffered per thread (a `thread_local` `Vec`, no lock on the hot
@@ -54,19 +54,17 @@
     reason = "this crate owns the span clock: Instant::now feeds trace events, never results"
 )]
 
-pub mod export;
+mod export;
+// the `failpoint!` macro's probe and the fault-injection campaigns' arming API
 pub mod fault;
-pub mod metrics;
-pub mod shield;
-pub mod span;
+mod metrics;
+mod shield;
+mod span;
 
-pub use export::{chrome_trace, PhaseBreakdown, PhaseRow};
-pub use metrics::{snapshot, Counter, Gauge, MetricKind, MetricsSnapshot};
+pub use export::{chrome_trace, PhaseBreakdown};
+pub use metrics::{snapshot, Counter, Gauge, MetricValue, MetricsSnapshot};
 pub use shield::quiet_panics;
-pub use span::{
-    clear_events, drain_events, flush_on_exit, flush_thread_spans, SpanEvent, SpanFlushGuard,
-    SpanGuard,
-};
+pub use span::{clear_events, drain_events, flush_on_exit, SpanEvent, SpanFlushGuard, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -91,7 +89,7 @@ pub fn set_tracing(on: bool) {
 
 /// Whether the metrics registry is recording. One relaxed atomic load.
 #[inline(always)]
-pub fn metrics_enabled() -> bool {
+pub(crate) fn metrics_enabled() -> bool {
     METRICS.load(Ordering::Relaxed)
 }
 
@@ -136,10 +134,10 @@ macro_rules! failpoint {
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
-        $crate::span::SpanGuard::enter($name)
+        $crate::SpanGuard::enter($name)
     };
     ($name:expr, $($key:ident = $value:expr),+ $(,)?) => {
-        $crate::span::SpanGuard::enter_with_args(
+        $crate::SpanGuard::enter_with_args(
             $name,
             &[$((stringify!($key), $value as u64)),+],
         )

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 /// What kind of time series a metric is — decides how
 /// [`MetricsSnapshot::since`] differences two snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
+pub(crate) enum MetricKind {
     /// Monotonically increasing count; `since` subtracts.
     Counter,
     /// Last-written level; `since` keeps the later value.
@@ -142,11 +142,6 @@ impl Gauge {
         self.inner.ensure_registered();
         self.inner.value.store(v, Ordering::Relaxed);
     }
-
-    /// Current value (0 until first registered write).
-    pub fn value(&self) -> u64 {
-        self.inner.value.load(Ordering::Relaxed)
-    }
 }
 
 /// One metric's name, kind and value at snapshot time.
@@ -155,7 +150,7 @@ pub struct MetricValue {
     /// Metric name as declared.
     pub name: &'static str,
     /// Counter or gauge (drives [`MetricsSnapshot::since`]).
-    pub kind: MetricKind,
+    pub(crate) kind: MetricKind,
     /// Value at snapshot time.
     pub value: u64,
 }

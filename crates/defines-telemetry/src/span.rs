@@ -156,7 +156,7 @@ impl Drop for SpanGuard {
 /// returns — *before* the thread-local destructors run — so a drain right
 /// after the scope can miss a buffer still in flight. Prefer the RAII form
 /// [`flush_on_exit`], which survives early `return`s.
-pub fn flush_thread_spans() {
+pub(crate) fn flush_thread_spans() {
     BUFFER.with(|buffer| buffer.borrow_mut().flush());
 }
 

@@ -13,7 +13,7 @@ use serde::Serialize;
 ///
 /// ```
 /// use defines_workload::models;
-/// use defines_workload::analysis::WorkloadSummary;
+/// use defines_workload::WorkloadSummary;
 ///
 /// let s = WorkloadSummary::of(&models::mobilenet_v1());
 /// assert!(s.is_weight_dominant());
@@ -74,8 +74,8 @@ impl WorkloadSummary {
 /// Formats a byte count in the mixed KB/MB units used by Table I(b).
 ///
 /// ```
-/// assert_eq!(defines_workload::analysis::format_bytes(15_976), "15.6 KB");
-/// assert_eq!(defines_workload::analysis::format_bytes(29_900_000), "28.5 MB");
+/// assert_eq!(defines_workload::format_bytes(15_976), "15.6 KB");
+/// assert_eq!(defines_workload::format_bytes(29_900_000), "28.5 MB");
 /// ```
 pub fn format_bytes(bytes: u64) -> String {
     const KB: f64 = 1024.0;

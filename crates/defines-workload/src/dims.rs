@@ -164,7 +164,7 @@ impl LayerDims {
     }
 
     /// Number of input elements (of the full required input region).
-    pub fn input_elements(&self) -> u64 {
+    pub(crate) fn input_elements(&self) -> u64 {
         self.b * self.c * self.input_width() * self.input_height()
     }
 
@@ -177,12 +177,17 @@ impl LayerDims {
 /// Input extent along one axis for `out` output elements with stride `s` and
 /// kernel size `f`: `(out - 1) * s + f`.
 ///
+/// [`LayerDims::input_width`] and [`LayerDims::input_height`] apply it per
+/// axis:
+///
 /// ```
-/// assert_eq!(defines_workload::dims::input_extent(6, 1, 3), 8);
-/// assert_eq!(defines_workload::dims::input_extent(4, 2, 3), 9);
-/// assert_eq!(defines_workload::dims::input_extent(0, 1, 3), 0);
+/// use defines_workload::LayerDims;
+/// let dims = LayerDims::conv(1, 1, 6, 4, 3, 3).with_stride(1, 2);
+/// assert_eq!(dims.input_width(), 8);
+/// assert_eq!(dims.input_height(), 9);
+/// assert_eq!(LayerDims::conv(1, 1, 0, 0, 3, 3).input_width(), 0);
 /// ```
-pub fn input_extent(out: u64, stride: u64, kernel: u64) -> u64 {
+pub(crate) fn input_extent(out: u64, stride: u64, kernel: u64) -> u64 {
     if out == 0 {
         0
     } else {

@@ -87,9 +87,9 @@ pub struct Layer {
 
 impl Layer {
     /// Default activation precision used by the paper's case studies (8 bit).
-    pub const DEFAULT_ACT_BITS: u32 = 8;
+    pub(crate) const DEFAULT_ACT_BITS: u32 = 8;
     /// Default weight precision used by the paper's case studies (8 bit).
-    pub const DEFAULT_WEIGHT_BITS: u32 = 8;
+    pub(crate) const DEFAULT_WEIGHT_BITS: u32 = 8;
 
     /// Creates a layer with default 8-bit activation and weight precision.
     pub fn new(name: impl Into<String>, op: OpType, dims: LayerDims) -> Self {
@@ -109,7 +109,7 @@ impl Layer {
     }
 
     /// Returns a copy with the given weight precision in bits.
-    pub fn with_weight_bits(mut self, bits: u32) -> Self {
+    pub(crate) fn with_weight_bits(mut self, bits: u32) -> Self {
         self.weight_bits = bits;
         self
     }
@@ -167,7 +167,7 @@ impl Layer {
     }
 
     /// Number of output activation elements.
-    pub fn output_elements(&self) -> u64 {
+    pub(crate) fn output_elements(&self) -> u64 {
         self.dims.output_elements()
     }
 
@@ -177,7 +177,7 @@ impl Layer {
     }
 
     /// Number of input activation elements required to produce the full output.
-    pub fn input_elements(&self) -> u64 {
+    pub(crate) fn input_elements(&self) -> u64 {
         match self.op {
             OpType::Conv => self.dims.input_elements(),
             OpType::DepthwiseConv | OpType::Pooling => {

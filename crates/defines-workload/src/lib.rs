@@ -10,19 +10,19 @@
 //!   DeFiNES paper (FSRCNN, DMCNN-VD, MC-CNN, MobileNetV1, ResNet18) plus the
 //!   11-layer reference network used for validation, each a committed
 //!   document under `workloads/` at the repository root, embedded at
-//!   compile time and parsed by the [`loader`],
-//! * a declarative JSON frontend — [`loader`] reads documents straight into
-//!   validated networks with shape inference, [`schema::to_json_pretty`]
-//!   exports networks as fully explicit documents,
-//! * [`analysis`] — utilities that reproduce the workload statistics of
-//!   Table I(b) of the paper (average / maximum feature-map size and total
-//!   weight size).
+//!   compile time and parsed by [`from_json_str`],
+//! * a declarative JSON frontend — [`from_json_str`] / [`from_json_file`]
+//!   read documents straight into validated networks with shape inference,
+//!   [`to_json_pretty`] exports networks as fully explicit documents,
+//! * [`WorkloadSummary`] and [`format_bytes`] — utilities that reproduce the
+//!   workload statistics of Table I(b) of the paper (average / maximum
+//!   feature-map size and total weight size).
 //!
 //! # Example
 //!
 //! ```
 //! use defines_workload::models;
-//! use defines_workload::analysis::WorkloadSummary;
+//! use defines_workload::WorkloadSummary;
 //!
 //! let net = models::fsrcnn();
 //! let summary = WorkloadSummary::of(&net);
@@ -31,15 +31,18 @@
 //! assert!(summary.max_feature_map_bytes > 100 * summary.total_weight_bytes);
 //! ```
 
-pub mod analysis;
-pub mod dims;
-pub mod layer;
-pub mod loader;
+mod analysis;
+mod dims;
+mod layer;
+mod loader;
+// catalog namespace: `models::fsrcnn()` names one built-in network
 pub mod models;
-pub mod network;
-pub mod schema;
+mod network;
+mod schema;
 
+pub use analysis::{format_bytes, WorkloadSummary};
 pub use dims::{Dim, LayerDims};
 pub use layer::{Layer, LayerId, OpType};
 pub use loader::{from_json_file, from_json_str, WorkloadError};
 pub use network::{Network, NetworkError};
+pub use schema::{op_name, parse_op, to_json_pretty};

@@ -47,7 +47,7 @@
 //!   ]
 //! }"#;
 //!
-//! let net = defines_workload::loader::from_json_str(json).unwrap();
+//! let net = defines_workload::from_json_str(json).unwrap();
 //! assert_eq!(net.len(), 4);
 //! // `body` inferred c = 16 (stem's k) and ox/oy = 128 ("same" padding);
 //! // `pool` inferred k = c = 16 and ox/oy = 64; `head` runs at 64x64.

@@ -2,7 +2,7 @@
 
 use crate::layer::{Layer, LayerId};
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Errors produced while constructing or validating a [`Network`].
@@ -154,7 +154,8 @@ impl Network {
     }
 
     /// Layers with no predecessors (network inputs).
-    pub fn source_layers(&self) -> Vec<LayerId> {
+    #[cfg(test)]
+    pub(crate) fn source_layers(&self) -> Vec<LayerId> {
         self.layer_ids()
             .filter(|&l| self.predecessors(l).is_empty())
             .collect()
@@ -171,8 +172,9 @@ impl Network {
 
     /// Whether the DAG is a simple chain (every layer has at most one
     /// predecessor and at most one successor).
-    pub fn is_chain(&self) -> bool {
-        let mut out_degree: BTreeMap<LayerId, usize> = BTreeMap::new();
+    #[cfg(test)]
+    pub(crate) fn is_chain(&self) -> bool {
+        let mut out_degree = std::collections::BTreeMap::<LayerId, usize>::new();
         for (i, preds) in self.predecessors.iter().enumerate() {
             if preds.len() > 1 {
                 return false;

@@ -38,7 +38,7 @@ use crate::network::Network;
 use serde::Value;
 
 /// The format tag expected in a workload document's optional `format` field.
-pub const FORMAT: &str = "defines-workload-v1";
+pub(crate) const FORMAT: &str = "defines-workload-v1";
 
 /// The canonical document name of an operator.
 pub fn op_name(op: OpType) -> &'static str {
@@ -75,10 +75,10 @@ pub fn parse_op(name: &str) -> Option<OpType> {
 /// edges are by name, so names must be unique to be exportable.
 ///
 /// ```
-/// use defines_workload::{models, schema};
+/// use defines_workload::{models, to_json_pretty};
 ///
-/// let json = schema::to_json_pretty(&models::fsrcnn()).unwrap();
-/// let reloaded = defines_workload::loader::from_json_str(&json).unwrap();
+/// let json = to_json_pretty(&models::fsrcnn()).unwrap();
+/// let reloaded = defines_workload::from_json_str(&json).unwrap();
 /// assert_eq!(reloaded, models::fsrcnn());
 /// ```
 pub fn to_json_pretty(net: &Network) -> Result<String, WorkloadError> {

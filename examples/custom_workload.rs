@@ -8,7 +8,7 @@
 
 use defines_arch::zoo;
 use defines_core::{DfCostModel, Explorer, OptimizeTarget, OverlapMode};
-use defines_workload::{loader, schema};
+use defines_workload::{from_json_file, from_json_str, to_json_pretty};
 
 const DEMO: &str = r#"{
   "name": "demo-edge-net",
@@ -30,8 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Load the network: from a file if given, else from the inline demo
     //    document. Omitted dims (dw's k/c/ox/oy, pw's c, ...) are inferred.
     let net = match std::env::args().nth(1) {
-        Some(path) => loader::from_json_file(&path)?,
-        None => loader::from_json_str(DEMO)?,
+        Some(path) => from_json_file(&path)?,
+        None => from_json_str(DEMO)?,
     };
     println!("loaded '{}' with {} layers:", net.name(), net.len());
     for id in net.layer_ids() {
@@ -59,9 +59,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Export the (possibly shape-inferred) network as a fully explicit
     //    document — the canonical form used by workloads/*.json.
-    println!(
-        "\nfully explicit export:\n{}",
-        schema::to_json_pretty(&net)?
-    );
+    println!("\nfully explicit export:\n{}", to_json_pretty(&net)?);
     Ok(())
 }

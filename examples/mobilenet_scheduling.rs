@@ -9,8 +9,8 @@ use defines_arch::zoo;
 use defines_core::{
     DfCostModel, DfStrategy, Explorer, FusePolicy, OptimizeTarget, OverlapMode, TileSize,
 };
-use defines_workload::analysis::WorkloadSummary;
 use defines_workload::models;
+use defines_workload::WorkloadSummary;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let network = models::mobilenet_v1();

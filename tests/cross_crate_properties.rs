@@ -4,9 +4,9 @@
 use defines_arch::{zoo, Operand};
 use defines_core::backcalc::{tile_types, StackGeometry};
 use defines_core::stack::Stack;
-use defines_core::strategy::{OverlapMode, TileSize};
 use defines_core::tiling::TileGrid;
 use defines_core::{DfCostModel, DfStrategy};
+use defines_core::{OverlapMode, TileSize};
 use defines_mapping::{LomaMapper, MapperConfig, SingleLayerProblem};
 use defines_workload::{Layer, LayerDims, Network, OpType};
 use proptest::prelude::*;
@@ -265,8 +265,8 @@ proptest! {
         f2 in prop::sample::select(vec![1u64, 3]),
     ) {
         let net = stack_net(d1, shape, k2, f2);
-        let json = defines_workload::schema::to_json_pretty(&net).unwrap();
-        prop_assert_eq!(defines_workload::loader::from_json_str(&json).unwrap(), net);
+        let json = defines_workload::to_json_pretty(&net).unwrap();
+        prop_assert_eq!(defines_workload::from_json_str(&json).unwrap(), net);
     }
 
     /// An accelerator loaded from a document that relies on the loader's
@@ -275,7 +275,7 @@ proptest! {
     #[test]
     fn generated_accelerators_round_trip_through_json(doc in arb_accelerator_doc()) {
         let acc = defines_arch::loader::from_json_str(&doc).unwrap();
-        let json = defines_arch::schema::to_json_pretty(&acc).unwrap();
+        let json = defines_arch::to_json_pretty(&acc).unwrap();
         let reloaded = defines_arch::loader::from_json_str(&json).unwrap();
         prop_assert_eq!(reloaded.fingerprint(), acc.fingerprint());
         prop_assert_eq!(reloaded, acc);

@@ -6,8 +6,8 @@
 //! names every `(accelerator, workload, fuse policy)` cell of one
 //! shared-cache engine run.
 
-use defines_arch::{loader, schema, zoo};
-use defines_core::matrix::{run_matrix, MatrixConfig};
+use defines_arch::{loader, to_json_pretty, zoo};
+use defines_core::{run_matrix, MatrixConfig};
 use defines_core::{
     DfCostModel, DfStrategy, Explorer, FusePolicy, OptimizeTarget, OverlapMode, TileSize,
 };
@@ -30,7 +30,7 @@ fn reference_files_are_regenerable() {
     // embedded document is `accelerators/<name>.json` as compiled.
     for name in zoo::names() {
         let acc = zoo::by_name(name).unwrap();
-        let exported = schema::to_json_pretty(&acc).unwrap() + "\n";
+        let exported = to_json_pretty(&acc).unwrap() + "\n";
         let document = std::fs::read_to_string(accelerator_path(&format!("{name}.json"))).unwrap();
         assert_eq!(
             document, exported,
@@ -46,7 +46,7 @@ fn every_zoo_accelerator_round_trips_with_identical_fingerprint() {
     // directly (they travel as null).
     for name in zoo::names() {
         let acc = zoo::by_name(name).unwrap();
-        let json = schema::to_json_pretty(&acc).unwrap();
+        let json = to_json_pretty(&acc).unwrap();
         let reloaded = loader::from_json_str(&json).unwrap();
         assert_eq!(reloaded, acc, "{}", acc.name());
         assert_eq!(reloaded.fingerprint(), acc.fingerprint(), "{}", acc.name());

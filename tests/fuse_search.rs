@@ -5,7 +5,7 @@
 //! sink even for permuted-order workload files.
 
 use defines_arch::zoo;
-use defines_core::fuse::{brute_force_partition, enumerate_candidates, optimal_partition};
+use defines_core::{brute_force_partition, enumerate_candidates, optimal_partition};
 use defines_core::{
     DfCostModel, Explorer, FuseDepth, FusePolicy, OptimizeTarget, OverlapMode, Stack, TileSize,
 };
@@ -184,7 +184,7 @@ proptest! {
                 values.push((state % 16) as f64);
             }
         }
-        let (dp_chosen, dp_total) = optimal_partition(n, &spans, &values).unwrap();
+        let (dp_chosen, dp_total, _) = optimal_partition(n, &spans, &values, 0).unwrap();
         let (bf_chosen, bf_total) = brute_force_partition(n, &spans, &values).unwrap();
         prop_assert!((dp_total - bf_total).abs() < 1e-9);
         // Both tile the layer range exactly.
@@ -287,7 +287,7 @@ fn default_tile_grid_ignores_trailing_auxiliary_head_in_workload_file() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("permuted.json");
     std::fs::write(&path, json).unwrap();
-    let net = defines_workload::loader::from_json_file(&path).unwrap();
+    let net = defines_workload::from_json_file(&path).unwrap();
     // The aux head is last in insertion order…
     assert_eq!(net.layers().last().unwrap().name, "aux_head");
     // …but the grid follows the 128×128 main output.

@@ -157,7 +157,7 @@ fn fig17_tpu_needs_weight_buffer_for_df() {
 /// a weight-dominant workload the full model's choice is substantially better.
 #[test]
 fn fig18_weight_blind_optimization_is_costly() {
-    use defines_core::baselines::{run_baseline, BaselineKind};
+    use defines_core::{run_baseline, BaselineKind};
     let acc = zoo::edge_tpu_like_df();
     let model = DfCostModel::new(&acc).with_fast_mapper();
     let net = models::resnet18();

@@ -49,7 +49,7 @@ type Element = [u64; 4];
 
 /// Integer traffic per (memory level index, operand).
 #[derive(Debug)]
-pub struct Counts {
+pub(crate) struct Counts {
     /// Every count is in units of `1 / scale` bytes.
     pub scale: u64,
     /// `(reads, writes)` per (level index, operand), for every level an
@@ -148,7 +148,7 @@ impl Touched {
 /// reduce over channels, or filter taps on an add layer; if `order` misses
 /// or repeats a dimension that needs a temporal loop; or if an input's tile
 /// sequence is not a whole number of passes.
-pub fn count(problem: &SingleLayerProblem<'_>, order: &[Dim]) -> Counts {
+pub(crate) fn count(problem: &SingleLayerProblem<'_>, order: &[Dim]) -> Counts {
     let d = problem.dims;
     assert_eq!(d.b, 1, "the interpreter has no batch loop");
     if problem.op != OpType::Conv {

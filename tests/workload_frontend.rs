@@ -7,7 +7,7 @@
 use defines_arch::zoo;
 use defines_core::{DfCostModel, Explorer, OptimizeTarget, OverlapMode};
 use defines_mapping::MappingCache;
-use defines_workload::{loader, models, schema};
+use defines_workload::{from_json_file, from_json_str, models, to_json_pretty};
 use std::path::{Path, PathBuf};
 
 /// Absolute path of a reference file under the repository-root `workloads/`.
@@ -24,7 +24,7 @@ fn reference_files_are_regenerable() {
     // document is `workloads/<name>.json` as compiled.
     for name in models::names() {
         let net = models::by_name(name).unwrap();
-        let exported = schema::to_json_pretty(&net).unwrap() + "\n";
+        let exported = to_json_pretty(&net).unwrap() + "\n";
         let document = std::fs::read_to_string(workload_path(&format!("{name}.json"))).unwrap();
         assert_eq!(
             document, exported,
@@ -61,7 +61,7 @@ fn mapping_cache_is_shared_across_file_loaded_and_builtin_models() {
     // The memo key fingerprints the op (operator, precisions, tile dims, top
     // levels, accelerator) — not the layer or network name — so a file-loaded
     // twin of a zoo model re-uses every mapping the zoo evaluation produced.
-    let loaded = loader::from_json_file(workload_path("fsrcnn.json")).unwrap();
+    let loaded = from_json_file(workload_path("fsrcnn.json")).unwrap();
     let builtin = models::fsrcnn();
     let acc = zoo::meta_proto_like_df();
     let cache = MappingCache::new();
@@ -90,7 +90,7 @@ fn mapping_cache_is_shared_across_file_loaded_and_builtin_models() {
 
 #[test]
 fn engine_stats_are_labelled_with_the_workload_name() {
-    let loaded = loader::from_json_file(workload_path("fsrcnn.json")).unwrap();
+    let loaded = from_json_file(workload_path("fsrcnn.json")).unwrap();
     let acc = zoo::meta_proto_like_df();
     let model = DfCostModel::new(&acc).with_fast_mapper();
     let stats = Explorer::new(&model)
@@ -112,7 +112,7 @@ fn malformed_documents_name_the_offending_layer() {
         {"name": "in", "op": "Conv", "k": 8, "c": 3, "ox": 32, "oy": 32},
         {"name": "out", "op": "Conv", "inputs": ["hidden"], "k": 8}
     ]}"#;
-    let err = loader::from_json_str(missing_edge).unwrap_err();
+    let err = from_json_str(missing_edge).unwrap_err();
     assert!(err.to_string().contains("layer 'out'"), "{err}");
     assert!(
         err.to_string().contains("unknown input layer 'hidden'"),
@@ -124,7 +124,7 @@ fn malformed_documents_name_the_offending_layer() {
         {"name": "in", "op": "Conv", "k": 8, "c": 3, "ox": 32, "oy": 32},
         {"name": "out", "op": "Conv", "inputs": ["in"], "k": 8, "c": 16, "ox": 32, "oy": 32}
     ]}"#;
-    let err = loader::from_json_str(dim_mismatch).unwrap_err();
+    let err = from_json_str(dim_mismatch).unwrap_err();
     assert_eq!(
         err.to_string(),
         "layer 'out': input channels c=16 does not match producer 'in' output channels k=8"
@@ -134,7 +134,7 @@ fn malformed_documents_name_the_offending_layer() {
     let unknown_op = r#"{"name": "broken", "layers": [
         {"name": "norm", "op": "BatchNorm", "k": 8, "c": 8, "ox": 32, "oy": 32}
     ]}"#;
-    let err = loader::from_json_str(unknown_op).unwrap_err();
+    let err = from_json_str(unknown_op).unwrap_err();
     assert_eq!(
         err.to_string(),
         "layer 'norm': unknown op 'BatchNorm' (expected Conv, DepthwiseConv, Pooling, Add)"
@@ -157,7 +157,7 @@ fn hand_written_network_sweeps_end_to_end() {
         {"name": "head", "op": "Conv", "inputs": ["pw"], "k": 4, "fx": 3, "fy": 3}
       ]
     }"#;
-    let net = loader::from_json_str(json).unwrap();
+    let net = from_json_str(json).unwrap();
     assert_eq!(net.len(), 4);
 
     let acc = zoo::meta_proto_like_df();
@@ -174,6 +174,6 @@ fn hand_written_network_sweeps_end_to_end() {
     assert!(best.cost.latency_cycles > 0.0);
 
     // And it round-trips through the exporter like any zoo model.
-    let reloaded = loader::from_json_str(&schema::to_json_pretty(&net).unwrap()).unwrap();
+    let reloaded = from_json_str(&to_json_pretty(&net).unwrap()).unwrap();
     assert_eq!(reloaded, net);
 }
