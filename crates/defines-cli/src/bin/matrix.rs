@@ -348,10 +348,12 @@ fn run(matches: &clap::ArgMatches) -> Result<(), String> {
         .zip(report.metrics.get("search.pruned_bound"))
     {
         println!(
-            "mapping search  : {} orderings evaluated, {} pruned by bound, {} by symmetry",
+            "mapping search  : {} orderings evaluated, {} pruned by bound, {} by symmetry, \
+             {} nodes",
             metrics.0,
             metrics.1,
             report.metrics.get("search.pruned_symmetry").unwrap_or(0),
+            report.metrics.get("search.nodes").unwrap_or(0),
         );
     }
 

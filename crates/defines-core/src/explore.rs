@@ -497,7 +497,7 @@ impl<'a> Explorer<'a> {
     /// [`enumerate_candidates`]) and the
     /// globally optimal partition is selected by shortest-path dynamic
     /// programming over the layer cut boundaries
-    /// ([`optimal_partition`], budgeted by the model's
+    /// (`optimal_partition`, budgeted by the model's
     /// [`Budget::max_dp_nodes`](defines_mapping::Budget::max_dp_nodes)) —
     /// exact for the additive targets because
     /// `NetworkCost::from_stacks` sums per

@@ -208,7 +208,7 @@ pub fn enumerate_candidates(net: &Network, acc: &Accelerator) -> Vec<Stack> {
 /// flag is `true` iff at least one candidate was skipped — the result is
 /// then the exact optimum over the *relaxed* subset only, and a larger
 /// budget might find a better partition.
-pub fn optimal_partition(
+pub(crate) fn optimal_partition(
     num_layers: usize,
     spans: &[(usize, usize)],
     values: &[f64],
@@ -281,7 +281,8 @@ pub fn optimal_partition(
 /// tiling (candidates tried in index order, so ties resolve to the
 /// lexicographically earliest choice sequence). Exponential — test-sized
 /// inputs only; the DP/brute-force parity tests rely on it.
-pub fn brute_force_partition(
+#[cfg(test)]
+fn brute_force_partition(
     num_layers: usize,
     spans: &[(usize, usize)],
     values: &[f64],
@@ -324,6 +325,7 @@ mod tests {
     use super::*;
     use defines_arch::zoo;
     use defines_workload::models;
+    use proptest::prelude::*;
 
     /// The one keyword vocabulary (CLI flags, daemon request fields): every
     /// value parses back from its own keyword.
@@ -507,5 +509,42 @@ mod tests {
         let (bf_chosen, bf_total) = brute_force_partition(n, &spans, &values).unwrap();
         assert!((dp_total - bf_total).abs() < 1e-9);
         assert_eq!(dp_chosen, bf_chosen);
+    }
+
+    // DP vs brute force on synthetic candidate sets shaped like the search's
+    // (all contiguous spans over up to 6 segments, pseudo-random values): totals
+    // and chosen partitions must agree.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn dp_matches_brute_force_on_random_values(
+            n in 1usize..=6,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut spans = Vec::new();
+            let mut values = Vec::new();
+            let mut state = seed | 1;
+            for s in 0..n {
+                for e in (s + 1)..=n {
+                    spans.push((s, e));
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    // Coarse values make ties likely, exercising tie-breaking.
+                    values.push((state % 16) as f64);
+                }
+            }
+            let (dp_chosen, dp_total, _) = optimal_partition(n, &spans, &values, 0).unwrap();
+            let (bf_chosen, bf_total) = brute_force_partition(n, &spans, &values).unwrap();
+            prop_assert!((dp_total - bf_total).abs() < 1e-9);
+            // Both tile the layer range exactly.
+            let mut boundary = 0;
+            for &idx in &dp_chosen {
+                prop_assert_eq!(spans[idx].0, boundary);
+                boundary = spans[idx].1;
+            }
+            prop_assert_eq!(boundary, n);
+            let _ = bf_chosen;
+        }
     }
 }

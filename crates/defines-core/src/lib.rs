@@ -75,7 +75,7 @@ pub use evaluate::{DfCostModel, EvaluationError};
 pub use explore::{
     DfSweepRecord, ExplorationResult, Explorer, OptimizeTarget, ScheduleResult, StackChoice,
 };
-pub use fuse::{brute_force_partition, enumerate_candidates, optimal_partition, FusePolicy};
+pub use fuse::{enumerate_candidates, FusePolicy};
 pub use geometry::Rect;
 pub use matrix::{
     run_matrix, CellOutcome, CellStack, MatrixConfig, MatrixError, MatrixReport, RankingEntry,

@@ -33,6 +33,8 @@ static PRUNED_BOUND: Counter = Counter::new("search.pruned_bound");
 static PRUNED_SYMMETRY: Counter = Counter::new("search.pruned_symmetry");
 /// Orderings skipped because they fell beyond the search budget.
 static SKIPPED_BUDGET: Counter = Counter::new("search.skipped_budget");
+/// Prefix-tree nodes the searches pushed.
+static NODES: Counter = Counter::new("search.nodes");
 /// Searches that exhausted their budget and returned a degraded result.
 static BUDGET_EXHAUSTED: Counter = Counter::new("fault.budget_exhausted");
 
@@ -179,6 +181,7 @@ impl LomaMapper {
         PRUNED_BOUND.add(stats.pruned_bound);
         PRUNED_SYMMETRY.add(stats.pruned_symmetry);
         SKIPPED_BUDGET.add(stats.skipped_budget);
+        NODES.add(stats.nodes);
         if stats.skipped_budget > 0 {
             BUDGET_EXHAUSTED.incr();
         }

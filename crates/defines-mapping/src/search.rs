@@ -30,14 +30,23 @@
 //!   through the permutation tree and the allocation state is extended one
 //!   loop at a time, so orderings sharing an innermost prefix share that
 //!   work.
-//! * **Branch and bound** — at every prefix the kernel prices the same
-//!   state as a *monotone lower bound* on the cost of any completion: closed
-//!   levels keep their current refetch factor (future loops can only
-//!   multiply it), open levels are priced at the refetch-free minimum of one
-//!   footprint fill. The bound runs the same float operations as the leaf
-//!   cost, term-wise dominated by it, so `bound > best` proves the whole
-//!   subtree is strictly worse and it is skipped. Strictness preserves the
-//!   exhaustive scan's tie-breaking.
+//! * **Branch and bound** — a prefix's allocation state, priced, is a
+//!   *monotone lower bound* on the cost of any completion: closed levels keep
+//!   their current refetch factor (future loops can only multiply it), open
+//!   levels are priced at the refetch-free minimum of one footprint fill.
+//!   Every term is dominated by its counterpart in any completion, so
+//!   `price(prefix) > best` proves the whole subtree is strictly worse and it
+//!   is skipped. Strictness preserves the exhaustive scan's tie-breaking.
+//! * **A derived form decides, `price` reports** — a priced value is affine
+//!   in the boundaries' refetch excesses `r − 1`, with non-negative terms, so
+//!   `LinearForms` precomputes it once per problem: a dozen or so
+//!   multiply-adds per bound instead of filling and reducing every traffic
+//!   slot. It is not bit-equal to `price`, so it is used for decisions only.
+//!   Its rounding error is far inside a relative guard band of `1e-9`
+//!   (`BAND`): a form value outside the band around the best prunes, descends
+//!   or drops a leaf on its own; inside the band, or when not finite, `price`
+//!   decides. Every decision, and so every `SearchStats` counter, is the one
+//!   `price` alone would make, and every reported number comes from `price`.
 //! * **Transpositions** — below a prefix the walk reads only the set of
 //!   placed loops (which fixes the effective sizes) and each operand's
 //!   allocation state. Two prefixes with equal `(placed loops, allocation
@@ -53,11 +62,11 @@
 //!
 //! The search itself is sequential and shares nothing: it prunes against its
 //! own best only, so the result *and* the counters are a pure function of
-//! (problem, configuration). A search costs about 20 µs at either mapper
-//! width (`mapping.search.problem_{fast,full}_us` on the benchmark ladder,
-//! 2-core host), below any thread hand-off, so the parallelism lives one
-//! level up, across the many independent searches the sweep engine
-//! dispatches.
+//! (problem, configuration). A search of the case-study grid costs about
+//! 15 µs (`mapping.search.self_ms` over `searches` in the benchmark ladder's
+//! traced `matrix-fullmap` pass, 2-core host), below any thread hand-off, so
+//! the parallelism lives one level up, across the many independent searches
+//! the sweep engine dispatches.
 
 use crate::cost::{Access, AccessBreakdown, LayerCost, Objective};
 use crate::loma::MapperConfig;
@@ -102,6 +111,10 @@ pub struct SearchStats {
     /// non-zero count marks the returned cost as *degraded*: it is the exact
     /// optimum of the in-budget candidate window, not of the full space.
     pub skipped_budget: u64,
+    /// Prefix-tree nodes the walk pushed (leaves and transposition-pruned
+    /// nodes included): the walk's own work, where the fields above count
+    /// candidate orderings.
+    pub nodes: u64,
 }
 
 impl SearchStats {
@@ -250,6 +263,185 @@ impl Scalars {
             Objective::Latency => self.latency,
             Objective::Edp => self.energy * self.latency,
             Objective::DramAccess => self.dram_bytes,
+        }
+    }
+}
+
+/// Relative half-width of the guard band around a [`LinearForm`] value. The
+/// forms and `price` each round to well under `1e-13` relative (see
+/// `LinearForm`), so a value outside the band sits on the same side of the
+/// incumbent as the exact price.
+const BAND: f64 = 1e-9;
+
+/// One scalar of `price` as an affine function of the refetch excesses
+/// `r − 1` of every (operand, boundary): `base + Σ coef·(r − 1)`.
+///
+/// Every traffic term of `price` is `bytes·(a·r + b)` with `a + b ≥ 0` (the
+/// output's partial sums move back down `fp·(r − 1)`, so `b = −fp` there), and
+/// `r ≥ 1`; rewritten over `r − 1` every coefficient and every part of the
+/// base is non-negative for non-negative energies. A sum of at most a few
+/// dozen non-negative products then rounds to within `1e-13` of its exact
+/// value, as `price`'s own slot sums do: the two differ only in association.
+/// The forms decide pruning only; every reported number comes from `price`.
+#[derive(Clone)]
+struct LinearForm {
+    base: f64,
+    /// Indexed like `AllocState::factor`, per `Kernel::ops` entry: padding
+    /// boundaries carry 0 against an excess of exactly 0.
+    coef: [[f64; MAX_LEVELS]; 3],
+}
+
+impl LinearForm {
+    fn new(base: f64) -> Self {
+        Self {
+            base,
+            coef: [[0.0; MAX_LEVELS]; 3],
+        }
+    }
+
+    /// Adds `weight·(a·r + b)` for the refetch factor `r` of boundary `w` of
+    /// operand `j`.
+    fn add(&mut self, (j, w): (usize, usize), weight: f64, a: f64, b: f64) {
+        self.coef[j][w] += weight * a;
+        self.base += weight * (a + b);
+    }
+
+    fn is_zero(&self) -> bool {
+        self.base == 0.0 && self.coef.iter().flatten().all(|&c| c == 0.0)
+    }
+
+    fn at(&self, excess: &[[f64; MAX_LEVELS]; 3]) -> f64 {
+        // Independent lanes per boundary, so the products vectorize.
+        let mut lanes = [0.0; MAX_LEVELS];
+        for (coef, x) in self.coef.iter().zip(excess) {
+            for ((lane, c), x) in lanes.iter_mut().zip(coef).zip(x) {
+                *lane += c * x;
+            }
+        }
+        lanes.iter().fold(self.base, |sum, lane| sum + lane)
+    }
+}
+
+/// The [`LinearForm`]s of `price`'s scalars, built once per problem.
+struct LinearForms {
+    compute_cycles: f64,
+    energy: LinearForm,
+    dram_bytes: LinearForm,
+    /// Per level and direction with a finite bandwidth and any traffic: the
+    /// bytes moved and the bandwidth they move at (built for the latency
+    /// objectives only).
+    transfers: Vec<(LinearForm, f64)>,
+}
+
+impl LinearForms {
+    /// The forms `objective` reads, of the traffic `price` accumulates, term
+    /// by term.
+    fn new(kernel: &Kernel<'_, '_>, objective: Objective) -> Self {
+        let mut energy = LinearForm::new(kernel.mac_energy);
+        let mut dram_bytes = LinearForm::new(0.0);
+        // Bytes read, then written, per level: only latency reads them.
+        let mut rows = if matches!(objective, Objective::Latency | Objective::Edp) {
+            vec![LinearForm::new(0.0); 2 * kernel.level_read_e.len()]
+        } else {
+            Vec::new()
+        };
+        for (j, op) in kernel.ops.iter().enumerate() {
+            // `bytes = a·r + b` read (or written) at `lvl` for boundary `w`.
+            let mut term = |lvl: usize, write: bool, w: usize, a: f64, b: f64| {
+                let e = if write {
+                    kernel.level_write_e[lvl]
+                } else {
+                    kernel.level_read_e[lvl]
+                };
+                energy.add((j, w), e, a, b);
+                if let Some(row) = rows.get_mut(2 * lvl + usize::from(write)) {
+                    row.add((j, w), 1.0, a, b);
+                }
+                if lvl == kernel.dram {
+                    dram_bytes.add((j, w), 1.0, a, b);
+                }
+            };
+            // The PE array's traffic is fixed (`a = 0`).
+            let inner = op.levels[0];
+            term(inner, false, 0, 0.0, op.pe_bytes);
+            if op.operand == Operand::Output {
+                term(inner, true, 0, 0.0, op.pe_bytes);
+            }
+            let fp = op.footprint;
+            for (w, pair) in op.levels.windows(2).enumerate() {
+                let (child, parent) = (pair[0], pair[1]);
+                match op.operand {
+                    Operand::Weight | Operand::Input => {
+                        term(child, true, w, fp, 0.0);
+                        term(parent, false, w, fp, 0.0);
+                    }
+                    Operand::Output => {
+                        term(child, false, w, fp, 0.0);
+                        term(parent, true, w, fp, 0.0);
+                        term(parent, false, w, fp, -fp);
+                        term(child, true, w, fp, -fp);
+                    }
+                }
+            }
+        }
+        // The error bound needs non-negative terms. The loader rejects a
+        // negative energy, the constructors do not: such a kernel's energy
+        // is never approximated.
+        if !kernel
+            .level_read_e
+            .iter()
+            .chain(&kernel.level_write_e)
+            .chain([&kernel.mac_energy])
+            .all(|&e| e >= 0.0)
+        {
+            energy.base = f64::NAN;
+        }
+        let bandwidths = kernel.level_read_bw.iter().zip(&kernel.level_write_bw);
+        let transfers = rows
+            .into_iter()
+            .zip(bandwidths.flat_map(|(&read, &write)| [read, write]))
+            .filter(|(form, bw)| bw.is_finite() && !form.is_zero())
+            .collect();
+        Self {
+            compute_cycles: kernel.compute_cycles,
+            energy,
+            dram_bytes,
+            transfers,
+        }
+    }
+
+    /// `price(states).value(objective)` through the forms: equal to it
+    /// within well under [`BAND`], or not finite.
+    fn approx(&self, states: &[AllocState; 3], objective: Objective) -> f64 {
+        let excess = states.map(|alloc| alloc.factor.map(|r| r - 1.0));
+        let latency = || {
+            self.transfers
+                .iter()
+                .fold(self.compute_cycles, |latency, (bytes, bw)| {
+                    latency.max(bytes.at(&excess) / bw)
+                })
+        };
+        match objective {
+            Objective::Energy => self.energy.at(&excess),
+            Objective::Latency => latency(),
+            Objective::Edp => self.energy.at(&excess) * latency(),
+            Objective::DramAccess => self.dram_bytes.at(&excess),
+        }
+    }
+
+    /// Whether the states' priced value exceeds `best`, when
+    /// [`LinearForms::approx`] is finite and outside the guard band around
+    /// `best`; `None` when only `price` can tell.
+    fn settle(&self, states: &[AllocState; 3], objective: Objective, best: f64) -> Option<bool> {
+        let approx = self.approx(states, objective);
+        if !approx.is_finite() {
+            None
+        } else if approx * (1.0 - BAND) > best {
+            Some(true)
+        } else if approx * (1.0 + BAND) < best {
+            Some(false)
+        } else {
+            None
         }
     }
 }
@@ -549,6 +741,7 @@ struct Best {
 /// The immutable context of one search.
 struct SearchCtx<'p, 'a> {
     kernel: Kernel<'p, 'a>,
+    forms: LinearForms,
     objective: Objective,
     /// Active loop dimensions, canonical order.
     dims: Vec<Dim>,
@@ -696,6 +889,7 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
             fact[i] = fact[i - 1] * i as u64;
         }
         Self {
+            forms: LinearForms::new(&kernel, objective),
             kernel,
             objective,
             dims: loops.iter().map(|l| l.dim).collect(),
@@ -758,6 +952,7 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
             state.used |= 1 << idx;
             self.kernel
                 .push(&mut state.eff, self.dims[idx], self.trips[idx], &mut child);
+            state.stats.nodes += 1;
             // Transposition: an earlier prefix over the same loop set reached
             // this exact allocation state, so its subtree already held every
             // leaf value of this one, at lower ranks. The check follows the
@@ -787,11 +982,7 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
             // `skipped_budget`.
             let best_value = state.best.as_ref().map(|b| b.value);
             if let (Some(best_value), true) = (best_value, selected > 1 && fully_in_budget) {
-                let bound = self
-                    .kernel
-                    .price(&mut state.traffic, &child)
-                    .value(self.objective);
-                if bound > best_value {
+                if self.exceeds(&mut state.traffic, &child, best_value) {
                     state.stats.pruned_bound += selected;
                     self.pop(state, idx);
                     continue;
@@ -800,6 +991,14 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
             self.descend(state, depth + 1, base, &child);
             self.pop(state, idx);
         }
+    }
+
+    /// `price(states) > best` for the search's objective, running `price`
+    /// only when [`LinearForms::settle`] cannot decide.
+    fn exceeds(&self, traffic: &mut [[Access; 3]], states: &[AllocState; 3], best: f64) -> bool {
+        self.forms
+            .settle(states, self.objective, best)
+            .unwrap_or_else(|| self.kernel.price(traffic, states).value(self.objective) > best)
     }
 
     /// Removes active dim `idx` (the outermost placed loop) from the prefix.
@@ -811,8 +1010,14 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
 
     /// Prices the full ordering described by the current prefix (which now
     /// covers every active loop) and updates the search's best.
-    fn evaluate_leaf(&self, state: &mut WalkState, states: &[AllocState]) {
+    fn evaluate_leaf(&self, state: &mut WalkState, states: &[AllocState; 3]) {
         state.stats.evaluated += 1;
+        // A leaf whose value settles above the best cannot replace it.
+        if let Some(best) = &state.best {
+            if self.forms.settle(states, self.objective, best.value) == Some(true) {
+                return;
+            }
+        }
         let scalars = self.kernel.price(&mut state.traffic, states);
         let value = scalars.value(self.objective);
         let better = match &state.best {
@@ -938,6 +1143,53 @@ mod tests {
         }
     }
 
+    const OBJECTIVES: [Objective; 4] = [
+        Objective::Energy,
+        Objective::Latency,
+        Objective::Edp,
+        Objective::DramAccess,
+    ];
+
+    /// Every counter of the search on `problems()` under each objective, as
+    /// the walk that priced every bound with `price` counted them: any
+    /// changed pruning decision moves at least one.
+    #[test]
+    fn search_counters_are_pinned() {
+        /// (selected, evaluated, pruned_bound, pruned_symmetry, nodes).
+        type Pin = (u64, u64, u64, u64, u64);
+        // Per problem, objectives in `OBJECTIVES` order.
+        #[rustfmt::skip]
+        let pins: [[Pin; 4]; 4] = [
+            [(720, 24, 174, 522, 335), (720, 29, 152, 539, 363),
+             (720, 25, 170, 525, 342), (720, 35, 0, 685, 469)],
+            [(24, 4, 0, 20, 36), (24, 4, 0, 20, 36), (24, 4, 0, 20, 36), (24, 4, 0, 20, 36)],
+            [(720, 10, 82, 628, 215), (720, 14, 54, 652, 255),
+             (720, 10, 82, 628, 215), (720, 21, 0, 699, 319)],
+            [(720, 9, 82, 629, 213), (720, 20, 16, 684, 300),
+             (720, 9, 82, 629, 213), (720, 23, 0, 697, 321)],
+        ];
+        for ((acc, layer), pins) in problems().into_iter().zip(pins) {
+            let problem = SingleLayerProblem::new(&acc, &layer);
+            for (objective, pin) in OBJECTIVES.into_iter().zip(pins) {
+                let config = MapperConfig::default().with_objective(objective);
+                let (_, s) = search(&problem, &config);
+                assert_eq!(
+                    (
+                        s.orderings_selected,
+                        s.evaluated,
+                        s.pruned_bound,
+                        s.pruned_symmetry,
+                        s.nodes
+                    ),
+                    pin,
+                    "{} / {objective:?}",
+                    acc.name()
+                );
+                assert_eq!(s.skipped_budget, 0);
+            }
+        }
+    }
+
     #[test]
     fn sampled_search_matches_exhaustive_reference() {
         for (acc, layer) in problems() {
@@ -961,12 +1213,7 @@ mod tests {
         let acc = zoo::meta_proto_like_df();
         let layer = Layer::new("c", OpType::Conv, LayerDims::conv(64, 32, 28, 28, 3, 3));
         let problem = SingleLayerProblem::new(&acc, &layer);
-        for objective in [
-            Objective::Energy,
-            Objective::Latency,
-            Objective::Edp,
-            Objective::DramAccess,
-        ] {
+        for objective in OBJECTIVES {
             let mapper = LomaMapper::new(MapperConfig::default().with_objective(objective));
             assert_eq!(
                 mapper.optimize(&problem),
@@ -1112,6 +1359,113 @@ mod tests {
             }
             for (operand, size) in Operand::ALL.into_iter().zip(sizes) {
                 prop_assert!(size >= problem.footprint_bytes(operand) as f64, "{operand}");
+            }
+        }
+    }
+
+    /// `acc` with every level's write energy and write bandwidth scaled by
+    /// `(energy, bandwidth)`: the zoo's levels read and write alike, which
+    /// would hide a read/write mix-up.
+    fn skew_writes(
+        acc: &defines_arch::Accelerator,
+        (energy, bandwidth): (f64, f64),
+    ) -> defines_arch::Accelerator {
+        let pe = acc.pe_array();
+        let mut builder = defines_arch::AcceleratorBuilder::new(acc.name())
+            .pe_array(pe.unrolling().clone(), pe.mac_energy_pj());
+        for level in acc.hierarchy().levels() {
+            builder = builder.add_level(defines_arch::MemoryLevel::new(
+                level.name(),
+                level.capacity_bytes(),
+                level.read_energy_pj_per_byte(),
+                level.write_energy_pj_per_byte() * energy,
+                level.read_bw_bytes_per_cycle(),
+                level.write_bw_bytes_per_cycle() * bandwidth,
+                level.operands(),
+            ));
+        }
+        builder.build().expect("a rescaled hierarchy stays valid")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The linear forms track `price` at every prefix of an ordering,
+        /// and the band decision is `price`'s own wherever the incumbent
+        /// sits: at the priced value, one ulp to either side, and well away.
+        #[test]
+        fn band_decisions_equal_exact_pricing(
+            acc_pick in 0usize..10,
+            op in prop::sample::select(vec![
+                OpType::Conv,
+                OpType::DepthwiseConv,
+                OpType::Pooling,
+                OpType::Add,
+            ]),
+            dims in (1u64..=96, 1u64..=48, 1u64..=40, 1u64..=40, 1u64..=5, 1u64..=5, 1u64..=2)
+                .prop_map(|(k, c, ox, oy, fx, fy, s)| {
+                    LayerDims::conv(k, c, ox, oy, fx, fy).with_stride(s, s)
+                }),
+            tops in (0usize..8, 0usize..8, 0usize..8),
+            pick in 0usize..720,
+            // Quarters from 0.25 to 4.
+            write_skew in (1u32..=16, 1u32..=16)
+                .prop_map(|(e, bw)| (f64::from(e) / 4.0, f64::from(bw) / 4.0)),
+        ) {
+            let acc = skew_writes(
+                &zoo::all_case_study_architectures()[acc_pick],
+                write_skew,
+            );
+            let n_levels = acc.hierarchy().levels().len();
+            let top = |pick: usize| MemoryLevelId(pick % n_levels);
+            let layer = Layer::new("l", op, dims);
+            let problem = SingleLayerProblem::new(&acc, &layer).with_top_levels(
+                OperandTopLevels::dram(&acc)
+                    .with_level(Operand::Weight, top(tops.0))
+                    .with_level(Operand::Input, top(tops.1))
+                    .with_level(Operand::Output, top(tops.2)),
+            );
+            let loops = active_loops(&problem);
+            let orders = candidate_orderings(&problem, 0);
+            let order = &orders[pick % orders.len()];
+            for objective in OBJECTIVES {
+                let ctx = SearchCtx::new(
+                    Kernel::new(&problem),
+                    objective,
+                    &loops,
+                    false,
+                    u64::MAX,
+                    u64::MAX,
+                );
+                let mut traffic = ctx.kernel.traffic_slots();
+                let mut eff = ctx.kernel.factors;
+                let mut states = [AllocState::default(); 3];
+                let mapping = TemporalMapping::from_order(&problem, order);
+                for depth in 0..=mapping.loops().len() {
+                    if depth > 0 {
+                        let l = &mapping.loops()[depth - 1];
+                        ctx.kernel.push(&mut eff, l.dim, l.size, &mut states);
+                    }
+                    let exact = ctx.kernel.price(&mut traffic, &states).value(objective);
+                    let approx = ctx.forms.approx(&states, objective);
+                    prop_assert!(
+                        (approx - exact).abs() <= 1e-12 * exact,
+                        "{objective:?} depth {depth}: {approx} vs {exact}"
+                    );
+                    for best in [
+                        exact,
+                        exact.next_up(),
+                        exact.next_down(),
+                        exact * (1.0 + 1e-6),
+                        exact * (1.0 - 1e-6),
+                    ] {
+                        prop_assert_eq!(
+                            ctx.exceeds(&mut traffic, &states, best),
+                            exact > best,
+                            "{:?} depth {} best {}", objective, depth, best
+                        );
+                    }
+                }
             }
         }
     }

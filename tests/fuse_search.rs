@@ -5,7 +5,7 @@
 //! sink even for permuted-order workload files.
 
 use defines_arch::zoo;
-use defines_core::{brute_force_partition, enumerate_candidates, optimal_partition};
+use defines_core::enumerate_candidates;
 use defines_core::{
     DfCostModel, Explorer, FuseDepth, FusePolicy, OptimizeTarget, OverlapMode, Stack, TileSize,
 };
@@ -159,43 +159,6 @@ fn search_matches_exhaustive_partition_enumeration_on_a_chain() {
         (searched_value - exhaustive).abs() <= exhaustive * 1e-9,
         "DP picked {searched_value}, exhaustive minimum is {exhaustive}"
     );
-}
-
-// DP vs brute force on synthetic candidate sets shaped like the search's
-// (all contiguous spans over up to 6 segments, pseudo-random values): totals
-// and chosen partitions must agree.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-    #[test]
-    fn dp_matches_brute_force_on_random_values(
-        n in 1usize..=6,
-        seed in 0u64..u64::MAX,
-    ) {
-        let mut spans = Vec::new();
-        let mut values = Vec::new();
-        let mut state = seed | 1;
-        for s in 0..n {
-            for e in (s + 1)..=n {
-                spans.push((s, e));
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                // Coarse values make ties likely, exercising tie-breaking.
-                values.push((state % 16) as f64);
-            }
-        }
-        let (dp_chosen, dp_total, _) = optimal_partition(n, &spans, &values, 0).unwrap();
-        let (bf_chosen, bf_total) = brute_force_partition(n, &spans, &values).unwrap();
-        prop_assert!((dp_total - bf_total).abs() < 1e-9);
-        // Both tile the layer range exactly.
-        let mut boundary = 0;
-        for &idx in &dp_chosen {
-            prop_assert_eq!(spans[idx].0, boundary);
-            boundary = spans[idx].1;
-        }
-        prop_assert_eq!(boundary, n);
-        let _ = bf_chosen;
-    }
 }
 
 // Automatic partitions cover every layer exactly once, in topological order,

@@ -98,9 +98,15 @@ fn search_counters_stay_consistent_with_returned_stats() {
     let evaluated = delta.get("search.orderings_evaluated").unwrap_or(0);
     let pruned_bound = delta.get("search.pruned_bound").unwrap_or(0);
     let pruned_symmetry = delta.get("search.pruned_symmetry").unwrap_or(0);
+    let nodes = delta.get("search.nodes").unwrap_or(0);
     assert_eq!(
-        (evaluated, pruned_bound, pruned_symmetry),
-        (stats.evaluated, stats.pruned_bound, stats.pruned_symmetry),
+        (evaluated, pruned_bound, pruned_symmetry, nodes),
+        (
+            stats.evaluated,
+            stats.pruned_bound,
+            stats.pruned_symmetry,
+            stats.nodes
+        ),
         "mirrored counters must equal the returned stats: {delta:?}"
     );
     assert_eq!(
@@ -109,6 +115,10 @@ fn search_counters_stay_consistent_with_returned_stats() {
         "mirrored counters must account for every candidate ordering: {delta:?}"
     );
     assert!(evaluated > 0, "the search evaluated at least the winner");
+    assert!(
+        nodes >= evaluated,
+        "every evaluated leaf is a pushed node: {delta:?}"
+    );
 }
 
 /// Searches share nothing: however many threads miss one cold key at once,

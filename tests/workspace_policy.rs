@@ -1,7 +1,8 @@
 //! Workspace policy the lints cannot state, checked with cargo's own view of
 //! the manifests: every member inherits `[workspace.lints]`, every dependency
 //! (of this workspace and of `benchmark/`) is a path inside the repository,
-//! and no workflow file repeats a mapping key.
+//! no workflow file repeats a mapping key, and the documents cite code by
+//! item path, never by line number.
 
 use serde_json::Value;
 use std::collections::BTreeSet;
@@ -259,4 +260,82 @@ fn live_workflows_have_no_duplicate_keys() {
         }
     }
     assert!(checked > 0, "no workflow under {}", dir.display());
+}
+
+/// The code anchors of a document: every backticked `path.rs::item` or
+/// `path.rs::{item, item}`, as (path, item paths).
+fn code_anchors(text: &str) -> Vec<(String, Vec<String>)> {
+    let mut anchors = Vec::new();
+    for span in text.split('`').skip(1).step_by(2) {
+        let Some((path, items)) = span.split_once(".rs::") else {
+            continue;
+        };
+        let items = items.trim_start_matches('{').trim_end_matches('}');
+        anchors.push((
+            format!("{path}.rs"),
+            items.split(", ").map(str::to_string).collect(),
+        ));
+    }
+    anchors
+}
+
+/// Whether `source` defines an item (function, type, static, ...) named
+/// `name`.
+fn defines(source: &str, name: &str) -> bool {
+    [
+        "fn", "struct", "enum", "trait", "type", "static", "const", "mod",
+    ]
+    .iter()
+    .any(|keyword| {
+        source
+            .match_indices(&format!("{keyword} {name}"))
+            .any(|(at, found)| {
+                let before = source[..at].chars().next_back();
+                let after = source[at + found.len()..].chars().next();
+                !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
+                    && !after.is_some_and(|c| c.is_alphanumeric() || c == '_')
+            })
+    })
+}
+
+/// Documents cite code by file and item path, never by line number: a line
+/// number drifts with every edit above it and nothing notices. Every cited
+/// item path must resolve to a definition in the cited file.
+#[test]
+fn docs_cite_code_by_item_path_not_line() {
+    let root = repo_root();
+    let mut checked = 0;
+    for entry in std::fs::read_dir(root.join("docs")).expect("docs directory") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().is_none_or(|ext| ext != "md") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("document");
+        for (n, line) in text.lines().enumerate() {
+            let line_anchor = line
+                .match_indices(".rs:")
+                .any(|(at, _)| line[at + 4..].starts_with(|c: char| c.is_ascii_digit()));
+            assert!(
+                !line_anchor,
+                "{}:{}: cite the item path, not a line: {line}",
+                path.display(),
+                n + 1
+            );
+        }
+        for (file, items) in code_anchors(&text) {
+            let source = std::fs::read_to_string(root.join(&file))
+                .unwrap_or_else(|e| panic!("{}: {file}: {e}", path.display()));
+            for item in items {
+                for name in item.split("::") {
+                    assert!(
+                        defines(&source, name),
+                        "{}: {file} defines no `{name}` (of `{item}`)",
+                        path.display()
+                    );
+                }
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 0, "no code anchors under docs/");
 }
