@@ -3,6 +3,7 @@
 use crate::memory::{HierarchyError, MemoryHierarchy, MemoryLevel};
 use crate::operand::Operand;
 use crate::pe_array::{PeArray, SpatialUnrolling};
+use defines_workload::Fnv;
 use serde::Serialize;
 use std::fmt;
 
@@ -70,37 +71,37 @@ impl Accelerator {
         &self.hierarchy
     }
 
-    /// Returns a copy of this accelerator with a different name.
-    #[cfg(test)]
-    pub(crate) fn renamed(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
     /// A stable structural fingerprint of the accelerator: the name, the PE
-    /// array and every memory level's parameters are hashed. Two accelerators
+    /// array and every memory level's parameters are hashed with [`Fnv`], so
+    /// the value is the same for every build of the tool. Two accelerators
     /// with the same fingerprint behave identically under the cost model, so
     /// the fingerprint can key cross-accelerator memoization caches (the
-    /// mapping cache of `defines-mapping`).
+    /// mapping cache of `defines-mapping`, its disk store and the matrix
+    /// checkpoint header).
     pub fn fingerprint(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        self.name.hash(&mut h);
+        let mut h = Fnv::new();
+        let write_str = |h: &mut Fnv, s: &str| {
+            h.write_u64(s.len() as u64);
+            h.write(s.as_bytes());
+        };
+        write_str(&mut h, &self.name);
         for (dim, factor) in self.pe_array.unrolling().iter() {
-            (dim as u64, factor).hash(&mut h);
+            h.write_u64(dim as u64);
+            h.write_u64(factor);
         }
-        self.pe_array.mac_energy_pj().to_bits().hash(&mut h);
+        h.write_u64(self.pe_array.mac_energy_pj().to_bits());
         for level in self.hierarchy.levels() {
-            level.name().hash(&mut h);
-            level.capacity_bytes().hash(&mut h);
-            level.read_energy_pj_per_byte().to_bits().hash(&mut h);
-            level.write_energy_pj_per_byte().to_bits().hash(&mut h);
-            level.read_bw_bytes_per_cycle().to_bits().hash(&mut h);
-            level.write_bw_bytes_per_cycle().to_bits().hash(&mut h);
-            level.is_dram().hash(&mut h);
-            for operand in crate::operand::Operand::ALL {
-                level.serves(operand).hash(&mut h);
+            write_str(&mut h, level.name());
+            let capacity = level.capacity_bytes();
+            h.write_u64(u64::from(capacity.is_some()));
+            h.write_u64(capacity.unwrap_or(0));
+            h.write_u64(level.read_energy_pj_per_byte().to_bits());
+            h.write_u64(level.write_energy_pj_per_byte().to_bits());
+            h.write_u64(level.read_bw_bytes_per_cycle().to_bits());
+            h.write_u64(level.write_bw_bytes_per_cycle().to_bits());
+            h.write_u64(u64::from(level.is_dram()));
+            for operand in Operand::ALL {
+                h.write_u64(u64::from(level.serves(operand)));
             }
         }
         h.finish()
@@ -249,28 +250,27 @@ mod tests {
 
     #[test]
     fn fingerprint_is_stable_and_discriminating() {
-        let build = |mac_pj: f64| {
-            AcceleratorBuilder::new("a")
+        let build = |name: &str, mac_pj: f64| {
+            AcceleratorBuilder::new(name)
                 .pe_array(SpatialUnrolling::from_pairs([(Dim::K, 8)]), mac_pj)
                 .add_level(MemoryLevel::sram("LB", 1024, Operand::ALL))
                 .build()
                 .unwrap()
         };
-        let a = build(0.5);
-        assert_eq!(a.fingerprint(), build(0.5).fingerprint());
-        assert_ne!(a.fingerprint(), build(0.6).fingerprint());
-        assert_ne!(a.fingerprint(), a.clone().renamed("b").fingerprint());
+        let a = build("a", 0.5);
+        assert_eq!(a.fingerprint(), build("a", 0.5).fingerprint());
+        assert_ne!(a.fingerprint(), build("a", 0.6).fingerprint());
+        // The name is part of the identity.
+        assert_ne!(a.fingerprint(), build("b", 0.5).fingerprint());
     }
 
+    /// The fingerprint keys persisted stores and checkpoint headers, so its
+    /// value must not depend on the toolchain: pinned as a literal.
     #[test]
-    fn renamed_keeps_structure() {
-        let acc = AcceleratorBuilder::new("a")
-            .pe_array(SpatialUnrolling::from_pairs([(Dim::K, 8)]), 0.5)
-            .add_level(MemoryLevel::sram("LB", 1024, Operand::ALL))
-            .build()
-            .unwrap();
-        let b = acc.clone().renamed("b");
-        assert_eq!(b.name(), "b");
-        assert_eq!(b.hierarchy(), acc.hierarchy());
+    fn fingerprint_is_pinned() {
+        assert_eq!(
+            crate::zoo::meta_proto_like_df().fingerprint(),
+            10_449_326_031_983_051_547
+        );
     }
 }

@@ -119,15 +119,6 @@ impl MemoryLevel {
         self.capacity_bytes
     }
 
-    /// Whether a data set of `bytes` fits in this level.
-    #[cfg(test)]
-    pub(crate) fn fits(&self, bytes: u64) -> bool {
-        match self.capacity_bytes {
-            None => true,
-            Some(c) => bytes <= c,
-        }
-    }
-
     /// Read energy in pJ per byte.
     pub fn read_energy_pj_per_byte(&self) -> f64 {
         self.read_energy_pj_per_byte
@@ -428,10 +419,6 @@ mod tests {
 
     #[test]
     fn fits_and_capacity() {
-        let lb = MemoryLevel::sram("LB", 1000, [Operand::Input]);
-        assert!(lb.fits(1000));
-        assert!(!lb.fits(1001));
-        assert!(MemoryLevel::dram().fits(u64::MAX));
         let h = simple();
         assert_eq!(
             h.total_on_chip_bytes(),

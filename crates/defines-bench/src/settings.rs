@@ -36,28 +36,6 @@ mod tests {
     use super::*;
     use defines_workload::models;
 
-    /// The tile-size grid of Fig. 12: the paper sweeps 6 × 6 (Tx, Ty) points for
-    /// FSRCNN's 960×540 output.
-    fn fig12_tile_grid() -> Vec<(u64, u64)> {
-        let xs = [1u64, 4, 16, 60, 240, 960];
-        let ys = [1u64, 4, 18, 72, 270, 540];
-        let mut grid = Vec::with_capacity(36);
-        for &ty in &ys {
-            for &tx in &xs {
-                grid.push((tx, ty));
-            }
-        }
-        grid
-    }
-
-    #[test]
-    fn fig12_grid_is_6_by_6() {
-        let g = fig12_tile_grid();
-        assert_eq!(g.len(), 36);
-        assert!(g.contains(&(960, 540)));
-        assert!(g.contains(&(1, 1)));
-    }
-
     #[test]
     fn diagonal_matches_fig13() {
         assert_eq!(diagonal_tile_sizes().len(), 6);

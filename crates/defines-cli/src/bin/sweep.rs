@@ -17,7 +17,7 @@
 use clap::{Arg, ArgAction, Command};
 use defines_arch::zoo;
 use defines_cli::{parse_budget, parse_modes, resolve_accelerator, resolve_workload, tile_grid};
-use defines_core::{DfCostModel, Explorer, FusePolicy, OptimizeTarget, ScheduleResult};
+use defines_core::{CellStack, DfCostModel, Explorer, FusePolicy, OptimizeTarget, ScheduleResult};
 use defines_engine::{EngineConfig, Outcome};
 use defines_workload::{models, Network};
 use serde::Value;
@@ -154,20 +154,7 @@ fn schedule_to_json(net: &Network, schedule: &ScheduleResult) -> Value {
     let stacks: Vec<Value> = schedule
         .choices
         .iter()
-        .map(|choice| {
-            let layers: Vec<Value> = choice
-                .stack
-                .layers
-                .iter()
-                .map(|&l| Value::Str(net.layer(l).name.clone()))
-                .collect();
-            Value::Object(vec![
-                ("layers".into(), Value::Array(layers)),
-                ("tile".into(), Value::Str(choice.tile.to_string())),
-                ("mode".into(), Value::Str(choice.mode.to_string())),
-                ("value".into(), Value::F64(choice.value)),
-            ])
-        })
+        .map(|choice| serde::Serialize::to_value(&CellStack::new(net, choice)))
         .collect();
     Value::Object(vec![
         (

@@ -115,7 +115,7 @@ pub fn run_baseline(
             // chosen schedule is then re-evaluated with that same restricted
             // placement (the hardware behaviour it models).
             let restricted = DfCostModel::new(model.accelerator())
-                .with_mapper(*model_mapper_config(model))
+                .with_mapper(*model.mapper_config())
                 .without_multi_level_skipping();
             let restricted_explorer = Explorer::new(&restricted);
             let best = restricted_explorer.best_single_strategy(
@@ -163,12 +163,6 @@ pub fn run_baseline(
         }
     };
     Ok(result)
-}
-
-/// Convenience accessor for the model's mapper configuration (used when
-/// constructing a derived, restricted model).
-fn model_mapper_config<'b>(model: &'b DfCostModel<'_>) -> &'b defines_mapping::MapperConfig {
-    model.mapper_config()
 }
 
 /// A fully-cached candidate strategy with a fixed tile size, used by case

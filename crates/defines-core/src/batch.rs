@@ -23,7 +23,7 @@ use crate::stack::partition_into_stacks;
 use crate::strategy::OverlapMode;
 use defines_arch::Accelerator;
 use defines_engine::{EngineConfig, Outcome, SweepEngine, SweepStats};
-use defines_mapping::{Budget, MappingCache};
+use defines_mapping::{Budget, MapperConfig, MappingCache};
 use defines_workload::Network;
 use std::borrow::Cow;
 use std::time::Duration;
@@ -146,18 +146,23 @@ impl<'a> Cell<'a> {
     }
 }
 
-/// The cost model every cell against `accelerator` evaluates in.
-pub(crate) fn cost_model<'a>(
-    accelerator: &'a Accelerator,
-    config: &BatchConfig,
-) -> DfCostModel<'a> {
-    let model = DfCostModel::new(accelerator).with_shared_cache(config.cache.clone());
-    let model = if config.fast_mapper {
-        model.with_fast_mapper()
+/// The mapper configuration every cell of a run searches with: the one
+/// source for both the cost models and the matrix checkpoint's mapper
+/// fingerprint.
+pub(crate) fn mapper_config(config: &BatchConfig) -> MapperConfig {
+    let base = if config.fast_mapper {
+        MapperConfig::fast()
     } else {
-        model
+        MapperConfig::default()
     };
-    model.with_search_budget(config.budget)
+    base.with_budget(config.budget)
+}
+
+/// The cost model every cell against `accelerator` evaluates in.
+fn cost_model<'a>(accelerator: &'a Accelerator, config: &BatchConfig) -> DfCostModel<'a> {
+    DfCostModel::new(accelerator)
+        .with_shared_cache(config.cache.clone())
+        .with_mapper(mapper_config(config))
 }
 
 /// Runs `cells` as one flattened engine run labelled `label`, streaming

@@ -13,6 +13,9 @@
 //! modes, mapper configuration — which itself covers the search budget).
 //! Every further line is one completed [`CellOutcome`], appended the moment
 //! the cell finishes, in completion order.
+//! Every number in the header is an [`Fnv`] hash, so a checkpoint resumes
+//! under any build; version 1 headers, whose accelerator fingerprints were
+//! `DefaultHasher` hashes, are refused as an unsupported version.
 //!
 //! # Resume semantics
 //!
@@ -41,12 +44,13 @@ use crate::explore::OptimizeTarget;
 use crate::fuse::FusePolicy;
 use crate::matrix::{CellOutcome, CellStack, MatrixError};
 use defines_engine::{Journal, JournalError, SweepStats};
+use defines_workload::Fnv;
 use serde::{Fields, Serialize, Value};
 use std::path::Path;
 use std::time::Duration;
 
 /// Format version written to (and required of) the header line.
-const VERSION: u64 = 1;
+const VERSION: u64 = 2;
 
 /// The header line binding a checkpoint to one run configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,13 +85,6 @@ pub struct Checkpoint {
     /// mid-append). The partial line is dropped; its cell re-runs.
     pub torn_tail: bool,
 }
-
-// Deterministic FNV-1a over a byte stream — used instead of
-// `DefaultHasher` because checkpoints outlive the process and
-// `DefaultHasher`'s algorithm is not guaranteed stable across Rust
-// releases. The implementation lives in `defines-engine` so the
-// mapping-cache store shares the exact same fingerprint algorithm.
-pub(crate) use defines_engine::Fnv;
 
 impl CheckpointHeader {
     pub(crate) fn to_value(&self) -> Value {

@@ -75,22 +75,6 @@ impl Rect {
         self.width() * self.height()
     }
 
-    /// Intersection with another rectangle.
-    #[cfg(test)]
-    pub(crate) fn intersect(&self, other: &Rect) -> Rect {
-        let r = Rect {
-            x0: self.x0.max(other.x0),
-            x1: self.x1.min(other.x1),
-            y0: self.y0.max(other.y0),
-            y1: self.y1.min(other.y1),
-        };
-        if r.is_empty() {
-            Rect::empty()
-        } else {
-            r
-        }
-    }
-
     /// Bounding box of two rectangles (the paper's branch handling combines
     /// the outermost edges of the per-branch regions, Fig. 8).
     pub(crate) fn union_bbox(&self, other: &Rect) -> Rect {
@@ -196,12 +180,8 @@ mod tests {
     fn intersection_and_union() {
         let a = Rect::new(0, 9, 0, 9);
         let b = Rect::new(5, 14, -3, 4);
-        let i = a.intersect(&b);
-        assert_eq!(i, Rect::new(5, 9, 0, 4));
         let u = a.union_bbox(&b);
         assert_eq!(u, Rect::new(0, 14, -3, 9));
-        let disjoint = Rect::new(0, 1, 0, 1).intersect(&Rect::new(5, 6, 5, 6));
-        assert!(disjoint.is_empty());
         assert_eq!(Rect::empty().union_bbox(&a), a);
     }
 

@@ -22,12 +22,12 @@
 use crate::batch::{self, BatchConfig, BatchOutcome, Cell};
 use crate::checkpoint;
 use crate::evaluate::EvaluationError;
-use crate::explore::OptimizeTarget;
+use crate::explore::{OptimizeTarget, StackChoice};
 use crate::fuse::FusePolicy;
 use crate::strategy::OverlapMode;
 use defines_arch::Accelerator;
 use defines_engine::{EngineConfig, Journal, SweepStats};
-use defines_mapping::MappingCache;
+use defines_mapping::{LomaMapper, MappingCache};
 use defines_telemetry::{failpoint, Counter, MetricsSnapshot};
 use defines_workload::Network;
 use serde::{Serialize, Value};
@@ -132,6 +132,24 @@ pub struct CellStack {
     pub mode: String,
     /// The stack's contribution to the optimization target.
     pub value: f64,
+}
+
+impl CellStack {
+    /// Renders one chosen stack of `net`'s schedule: the one rendering shared
+    /// by the matrix report and the sweep CLI's `partition` entries.
+    pub fn new(net: &Network, choice: &StackChoice) -> Self {
+        Self {
+            layers: choice
+                .stack
+                .layers
+                .iter()
+                .map(|&l| net.layer(l).name.clone())
+                .collect(),
+            tile: choice.tile.to_string(),
+            mode: choice.mode.to_string(),
+            value: choice.value,
+        }
+    }
 }
 
 /// One evaluated `(accelerator, workload, fuse policy)` cell.
@@ -570,15 +588,7 @@ pub fn run_matrix(
     // ---- Checkpoint: resume completed cells, open the file for appends ----
     // The header binds the file to this exact run; anything that shapes cell
     // results (beyond the axes themselves) is folded into the fingerprint.
-    let mapper_fingerprint = {
-        let cfg = *batch::cost_model(&accelerators[0], &runner).mapper_config();
-        let mut h = checkpoint::Fnv::new();
-        h.write_u64(cfg.objective as u64);
-        h.write_u64(cfg.max_orderings as u64);
-        h.write_u64(cfg.budget.max_orderings);
-        h.write_u64(cfg.budget.max_dp_nodes);
-        h.finish()
-    };
+    let mapper_fingerprint = LomaMapper::new(batch::mapper_config(&runner)).config_fingerprint();
     let acc_keys: Vec<(String, u64)> = accelerators
         .iter()
         .map(|a| (a.name().to_string(), a.fingerprint()))
@@ -711,21 +721,10 @@ pub fn run_matrix(
             };
             let outcome = match result.schedule {
                 Some(schedule) => {
-                    let net = &workloads[wi];
                     let stacks = schedule
                         .choices
                         .iter()
-                        .map(|choice| CellStack {
-                            layers: choice
-                                .stack
-                                .layers
-                                .iter()
-                                .map(|&l| net.layer(l).name.clone())
-                                .collect(),
-                            tile: choice.tile.to_string(),
-                            mode: choice.mode.to_string(),
-                            value: choice.value,
-                        })
+                        .map(|choice| CellStack::new(&workloads[wi], choice))
                         .collect();
                     CellOutcome {
                         value: result.value,
@@ -1204,6 +1203,50 @@ mod tests {
             "expected a checkpoint error, got: {err}"
         );
         assert!(err.to_string().contains("grid configuration"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn checkpoint_from_format_version_1_is_refused_as_unsupported() {
+        let accelerators = [zoo::meta_proto_like_df()];
+        let workloads = [tiny_net("tiny")];
+        let path = scratch_checkpoint("version-1");
+        let run = || {
+            let config = MatrixConfig {
+                checkpoint: Some(path.clone()),
+                ..MatrixConfig::default()
+            };
+            run_matrix(
+                &accelerators,
+                &workloads,
+                &[FusePolicy::Auto],
+                Some(&[(8, 8)]),
+                &[OverlapMode::FullyCached],
+                OptimizeTarget::Energy,
+                &config,
+                |_| {},
+            )
+        };
+        run().unwrap();
+        // A version 1 header: same run, but its accelerator fingerprint came
+        // from the release-unstable hasher those builds used.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let version = "\"defines_matrix_checkpoint\":";
+        let fingerprint = accelerators[0].fingerprint().to_string();
+        assert!(text.starts_with(&format!("{{{version}2,")), "{text}");
+        let v1 = text
+            .replacen(&format!("{version}2"), &format!("{version}1"), 1)
+            .replacen(&fingerprint, "12345", 1);
+        std::fs::write(&path, v1).unwrap();
+        let err = run().unwrap_err();
+        assert!(
+            matches!(err, MatrixError::Checkpoint(_)),
+            "expected a checkpoint error, got: {err}"
+        );
+        assert!(
+            err.to_string().contains("unsupported checkpoint version 1"),
+            "{err}"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -171,7 +171,7 @@ pub(crate) fn auto_partition(net: &Network, acc: &Accelerator) -> Vec<Stack> {
 /// ids, the segments are in topological order, and together they cover every
 /// layer exactly once. The fuse-depth search (`crate::fuse`) enumerates its
 /// stack candidates as spans of consecutive segments.
-pub fn segments(net: &Network) -> Vec<Vec<LayerId>> {
+pub(crate) fn segments(net: &Network) -> Vec<Vec<LayerId>> {
     let cuts = net.cut_points();
     let mut segs = Vec::new();
     let mut start = 0usize;

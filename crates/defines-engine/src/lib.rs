@@ -23,11 +23,12 @@
 //! same machinery serves per-stack "best combination" searches and the
 //! `defines-cli` sweep binary.
 //!
-//! Two small primitives also live here because both `defines-core` (matrix
-//! checkpoints) and `defines-mapping` (the mapping-cache store) keep files
-//! that outlive the process: [`Fnv`], a hash that is stable across Rust
-//! releases, and [`Journal`], the append-only JSONL file format with its
-//! crash contract.
+//! [`Journal`], the append-only JSONL file format with its crash contract,
+//! also lives here because both `defines-core` (matrix checkpoints) and
+//! `defines-mapping` (the mapping-cache store) keep files that outlive the
+//! process. The keys in those files are fingerprinted with
+//! `defines_workload::Fnv`, the workspace's one identity hash; this crate
+//! re-exports it only for the benchmark ladder, which names it from here.
 //!
 //! # Determinism
 //!
@@ -37,11 +38,12 @@
 //! evaluator it returns bit-identical results regardless of thread count.
 
 mod engine;
-mod fnv;
 mod journal;
 mod memo;
 
 pub use engine::{panic_error, EngineConfig, Outcome, SweepEngine, SweepRecord, SweepStats};
-pub use fnv::Fnv;
+// `benchmark/` names `defines_engine::Fnv`; in-tree code imports it from
+// `defines-workload`.
+pub use defines_workload::Fnv;
 pub use journal::{Journal, JournalError};
 pub use memo::{CacheStats, MemoCache};

@@ -8,9 +8,9 @@
 //! was measured on the mapping cache: no faster, and 8 bytes more per entry.)
 //! The hash is in-memory only: it is never written to disk, so keys that
 //! outlive the process (the mapping-cache store, matrix checkpoints) stay on
-//! the release-stable [`Fnv`](crate::Fnv). Nothing observes the iteration
-//! order it induces either: [`MemoCache::snapshot`] documents its order as
-//! unspecified, and its callers sort.
+//! the release-stable [`Fnv`](defines_workload::Fnv). Nothing observes the
+//! iteration order it induces either: [`MemoCache::snapshot`] documents its
+//! order as unspecified, and its callers sort.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};

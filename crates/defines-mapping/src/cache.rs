@@ -254,7 +254,7 @@ impl MappingCache {
     /// lookups between two calls share one epoch, which is what makes the
     /// recorded usage — and therefore LRU eviction — independent of how
     /// threads interleaved within the batch.
-    pub fn advance_epoch(&self) {
+    pub(crate) fn advance_epoch(&self) {
         self.usage.epoch.fetch_add(1, Ordering::Relaxed);
     }
 

@@ -22,7 +22,7 @@ use crate::problem::SingleLayerProblem;
 use crate::search::{search, Kernel, SearchStats};
 use crate::temporal::{candidate_orderings, TemporalMapping};
 use defines_telemetry::Counter;
-use defines_workload::Dim;
+use defines_workload::{Dim, Fnv};
 use serde::Serialize;
 
 /// Loop orderings fully evaluated by the branch-and-bound search.
@@ -50,9 +50,11 @@ static BUDGET_EXHAUSTED: Counter = Counter::new("fault.budget_exhausted");
 ///
 /// `0` means unlimited for either field, and [`Budget::default`] is fully
 /// unlimited. Budgets change results (they shrink the candidate window), so
-/// they are part of [`LomaMapper::config_fingerprint`] — caches never mix
-/// budgeted and unbudgeted entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
+/// both fields are hashed into [`LomaMapper::config_fingerprint`], the one
+/// mapper identity: the mapping cache, its disk store and the matrix
+/// checkpoint header all key on it, so none of them mixes budgeted and
+/// unbudgeted results.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct Budget {
     /// Maximum candidate orderings (evaluated or bound-pruned) per
     /// temporal-mapping search; `0` = unlimited.
@@ -152,19 +154,18 @@ impl LomaMapper {
         &self.config
     }
 
-    /// A stable fingerprint of the configuration, used by
+    /// A stable [`Fnv`] fingerprint of the configuration, used by
     /// [`MappingCache`](crate::MappingCache) keys so one cache can serve
-    /// mappers with different settings.
+    /// mappers with different settings, and by the matrix checkpoint header.
     pub fn config_fingerprint(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        (self.config.objective as u64).hash(&mut h);
-        self.config.max_orderings.hash(&mut h);
+        let mut h = Fnv::new();
+        h.write_u64(self.config.objective as u64);
+        h.write_u64(self.config.max_orderings as u64);
         // The budget IS hashed: it shrinks the candidate window and therefore
         // changes results, so budgeted and unbudgeted searches must never
         // share cache entries.
-        self.config.budget.hash(&mut h);
+        h.write_u64(self.config.budget.max_orderings);
+        h.write_u64(self.config.budget.max_dp_nodes);
         h.finish()
     }
 
@@ -340,5 +341,17 @@ mod tests {
         let c = LomaMapper::default().optimize(&p);
         assert!(c.mapping.is_empty());
         assert!(c.energy_pj > 0.0);
+    }
+
+    /// The mapper fingerprint keys persisted stores and checkpoint headers,
+    /// so its value must not depend on the toolchain: pinned as literals.
+    #[test]
+    fn config_fingerprint_is_pinned() {
+        let fingerprint = |config| LomaMapper::new(config).config_fingerprint();
+        assert_eq!(
+            fingerprint(MapperConfig::default()),
+            9_742_633_530_154_921_919
+        );
+        assert_eq!(fingerprint(MapperConfig::fast()), 5_472_378_961_044_891_605);
     }
 }

@@ -9,9 +9,12 @@
 //! contract. This module owns what the lines *mean*: the header key and
 //! version, entry lines (`fp`, `epoch`, `key`, `cost`) and compact `touch`
 //! lines, the LRU epochs, and when to sync and compact. Every entry line
-//! carries an FNV-1a [`Fnv`] fingerprint of its key, recomputed and verified
-//! on load, because the file outlives the process and `DefaultHasher` is not
-//! stable across Rust releases.
+//! carries an [`Fnv`] fingerprint of its key, recomputed and verified on
+//! load; the key's accelerator and mapper fingerprints are [`Fnv`] hashes
+//! too, so a line means the same to every build. Lines written while those
+//! two were `DefaultHasher` hashes still load but never hit (they are
+//! recomputed on demand): a line holds the old hash, not the accelerator,
+//! so it cannot be re-keyed.
 //!
 //! # Eviction determinism
 //!
@@ -38,10 +41,10 @@ use crate::problem::OperandTopLevels;
 use crate::temporal::{TemporalLoop, TemporalMapping};
 use defines_arch::MemoryLevelId;
 use defines_arch::{parse_dim, parse_operand};
-use defines_engine::{Fnv, Journal, JournalError};
+use defines_engine::{Journal, JournalError};
 use defines_telemetry::Counter;
 use defines_workload::LayerDims;
-use defines_workload::{op_name, parse_op};
+use defines_workload::{op_name, parse_op, Fnv};
 use serde::{Fields, FromField, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;

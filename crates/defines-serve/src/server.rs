@@ -401,10 +401,6 @@ fn compute_batch(
                 .counters
                 .evictions
                 .fetch_add(evicted, Ordering::Relaxed);
-        } else {
-            // No store: still advance the LRU epoch per batch so an
-            // attached store in a future run sees consistent epochs.
-            inner.cache.advance_epoch();
         }
     }
     rendered

@@ -1,9 +1,13 @@
-//! Deterministic FNV-1a hashing for artifacts that outlive the process.
+//! Deterministic FNV-1a hashing: the one algorithm behind every identity
+//! that outlives the process.
 //!
 //! `std::collections::hash_map::DefaultHasher` is not guaranteed stable
-//! across Rust releases, so anything persisted to disk (matrix checkpoints,
-//! the mapping-cache store) fingerprints its keys with this fixed algorithm
-//! instead. The constants are the standard 64-bit FNV-1a offset basis and
+//! across Rust releases (clippy denies it workspace-wide), so every
+//! fingerprint — `Accelerator::fingerprint`, the mapper's
+//! `config_fingerprint`, the mapping-cache store's key fingerprint and the
+//! matrix checkpoint header — is computed with this fixed algorithm
+//! instead. It lives in this, the lowest crate, so every other crate can
+//! reach it. The constants are the standard 64-bit FNV-1a offset basis and
 //! prime.
 
 /// Deterministic FNV-1a over a byte stream.

@@ -16,7 +16,9 @@
 //!   [`to_json_pretty`] exports networks as fully explicit documents,
 //! * [`WorkloadSummary`] and [`format_bytes`] — utilities that reproduce the
 //!   workload statistics of Table I(b) of the paper (average / maximum
-//!   feature-map size and total weight size).
+//!   feature-map size and total weight size),
+//! * [`Fnv`] — the release-stable hash every fingerprint in the workspace
+//!   is computed with (accelerator, mapper, cache key, checkpoint header).
 //!
 //! # Example
 //!
@@ -33,6 +35,7 @@
 
 mod analysis;
 mod dims;
+mod fnv;
 mod layer;
 mod loader;
 // catalog namespace: `models::fsrcnn()` names one built-in network
@@ -42,6 +45,7 @@ mod schema;
 
 pub use analysis::{format_bytes, WorkloadSummary};
 pub use dims::{Dim, LayerDims};
+pub use fnv::Fnv;
 pub use layer::{Layer, LayerId, OpType};
 pub use loader::{from_json_file, from_json_str, WorkloadError};
 pub use network::{Network, NetworkError};
