@@ -57,7 +57,7 @@ use crate::energy::{DRAM_BYTES_PER_CYCLE, DRAM_ENERGY_PJ_PER_BYTE, REGISTER_ENER
 use crate::memory::MemoryLevel;
 use crate::pe_array::SpatialUnrolling;
 use crate::schema::{parse_dim, parse_operand, FORMAT};
-use serde::{Fields, FromField, Value};
+use serde::{Fields, FromField, Items, Tape};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
@@ -127,7 +127,10 @@ impl AcceleratorDocError {
 /// level) for per-level problems.
 pub fn from_json_str(json: &str) -> Result<Accelerator, AcceleratorDocError> {
     use AcceleratorDocError::Document;
-    let value = serde_json::from_str(json).map_err(|e| AcceleratorDocError::Json(e.to_string()))?;
+    let mut tape = Tape::new();
+    let value = tape
+        .parse(json)
+        .map_err(|e| AcceleratorDocError::Json(e.to_string()))?;
     let fields = Fields::root(&value).map_err(Document)?;
     fields
         .only(&["format", "name", "pe_array", "levels"])
@@ -141,7 +144,7 @@ pub fn from_json_str(json: &str) -> Result<Accelerator, AcceleratorDocError> {
     let name = fields.req::<&str>("name").map_err(Document)?;
     let (unrolling, mac_energy) = pe_array(fields.req("pe_array").map_err(Document)?)
         .map_err(|m| Document(format!("pe_array: {m}")))?;
-    let levels: &[Value] = fields.opt("levels").map_err(Document)?.ok_or_else(|| {
+    let levels: Items<'_> = fields.opt("levels").map_err(Document)?.ok_or_else(|| {
         Document("missing 'levels' array (an accelerator needs at least one memory level)".into())
     })?;
     if levels.is_empty() {
@@ -153,9 +156,9 @@ pub fn from_json_str(json: &str) -> Result<Accelerator, AcceleratorDocError> {
 
     let mut builder = AcceleratorBuilder::new(name).pe_array(unrolling, mac_energy);
     let mut seen = BTreeSet::new();
-    for (index, value) in levels.iter().enumerate() {
+    for (index, value) in levels.enumerate() {
         let anonymous = |m| AcceleratorDocError::level(&format!("#{index}"), m);
-        let fields = Fields::new(value).map_err(anonymous)?;
+        let fields = Fields::new(&value).map_err(anonymous)?;
         let name = fields.req::<&str>("name").map_err(anonymous)?;
         if !seen.insert(name) {
             return Err(AcceleratorDocError::level(name, "duplicate level name"));
@@ -203,7 +206,7 @@ const LEVEL_KEYS: [&str; 8] = [
 /// Reads the `pe_array` object: the spatial unrolling and the per-MAC energy.
 fn pe_array(fields: Fields<'_>) -> Result<(SpatialUnrolling, f64), String> {
     fields.only(&["unroll", "mac_energy_pj"])?;
-    let unroll = fields.req::<Fields<'_>>("unroll")?.entries();
+    let unroll: Vec<_> = fields.req::<Fields<'_>>("unroll")?.entries().collect();
     if unroll.is_empty() {
         return Err(
             "'unroll' is empty — a zero-size PE array cannot compute anything \
@@ -303,7 +306,7 @@ fn memory_level(name: &str, fields: Fields<'_>) -> Result<MemoryLevel, String> {
     // A missing key means the kind's default; JSON null means unlimited.
     let bandwidth = |key: &str| match fields.get(key) {
         None => Ok(default_bw),
-        Some(Value::Null) => Ok(f64::INFINITY),
+        Some(v) if v.is_null() => Ok(f64::INFINITY),
         Some(v) => match f64::read(key, v)? {
             bw if bw > 0.0 => Ok(bw),
             bw => Err(format!(

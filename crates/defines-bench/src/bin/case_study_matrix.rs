@@ -18,7 +18,6 @@ use defines_arch::zoo;
 use defines_core::{run_matrix, MatrixConfig};
 use defines_core::{FusePolicy, OptimizeTarget, OverlapMode};
 use defines_workload::models;
-use serde::Serialize;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let accelerators = zoo::df_architectures();
@@ -53,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     std::fs::create_dir_all("results")?;
-    std::fs::write("results/matrix.json", report.to_value().to_json_pretty())?;
+    std::fs::write("results/matrix.json", serde::to_json_pretty(&report))?;
     std::fs::write("results/matrix.md", report.to_markdown())?;
     println!("\nWrote results/matrix.json and results/matrix.md");
     Ok(())

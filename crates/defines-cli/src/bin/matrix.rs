@@ -25,7 +25,6 @@ use defines_core::{run_matrix, MatrixConfig};
 use defines_core::{FusePolicy, OptimizeTarget};
 use defines_engine::EngineConfig;
 use defines_workload::models;
-use serde::Serialize;
 
 fn main() {
     let matches = Command::new("matrix")
@@ -382,7 +381,7 @@ fn run(matches: &clap::ArgMatches) -> Result<(), String> {
     }
 
     if let Some(path) = matches.value_of("json") {
-        std::fs::write(path, report.to_value().to_json_pretty())
+        std::fs::write(path, serde::to_json_pretty(&report))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote JSON report to {path}");
     }

@@ -45,7 +45,7 @@ use crate::fuse::FusePolicy;
 use crate::matrix::{CellOutcome, CellStack, MatrixError};
 use defines_engine::{Journal, JournalError, SweepStats};
 use defines_workload::Fnv;
-use serde::{Fields, Serialize, Value};
+use serde::{Fields, Items, Serialize, Value, ValueRef};
 use std::path::Path;
 use std::time::Duration;
 
@@ -108,7 +108,7 @@ impl CheckpointHeader {
         ])
     }
 
-    fn from_value(v: &Value) -> Result<Self, String> {
+    fn from_value(v: &ValueRef<'_>) -> Result<Self, String> {
         let header = Fields::root(v)?;
         let version = header.req::<u64>("defines_matrix_checkpoint")?;
         if version != VERSION {
@@ -117,11 +117,10 @@ impl CheckpointHeader {
             ));
         }
         let accelerators = header
-            .req::<&[Value]>("accelerators")?
-            .iter()
-            .map(|entry| match entry.as_array() {
-                Some([name, fp]) => Some((name.as_str()?.to_string(), fp.as_u64()?)),
-                _ => None,
+            .req::<Items<'_>>("accelerators")?
+            .map(|entry| {
+                let (name, fp) = entry.as_pair()?;
+                Some((name.as_str()?.to_string(), fp.as_u64()?))
             })
             .collect::<Option<Vec<_>>>()
             .ok_or("accelerator entry is not [name, fingerprint]")?;
@@ -166,13 +165,16 @@ impl CheckpointHeader {
 /// Reconstructs a recorded cell; its fuse policy is read back from the
 /// recorded keyword.
 pub(crate) fn cell_from_value(v: &Value) -> Result<CellOutcome, String> {
+    v.read(|v| read_cell(&v))
+}
+
+fn read_cell(v: &ValueRef<'_>) -> Result<CellOutcome, String> {
     let cell = Fields::root(v)?;
     let policy = FusePolicy::from_keyword(cell.req("fuse")?)?;
     let stacks = cell
-        .req::<&[Value]>("stacks")?
-        .iter()
+        .req::<Items<'_>>("stacks")?
         .map(|s| {
-            let s = Fields::new(s)?;
+            let s = Fields::new(&s)?;
             Ok(CellStack {
                 layers: s.req("layers")?,
                 tile: s.req::<&str>("tile")?.to_string(),
@@ -233,7 +235,7 @@ pub fn load(path: &Path) -> Result<Checkpoint, MatrixError> {
         if header.is_none() {
             header = Some(CheckpointHeader::from_value(&value)?);
         } else {
-            cells.push(value);
+            cells.push(value.to_value());
         }
         Ok(())
     })?;

@@ -30,7 +30,7 @@ use defines_engine::{EngineConfig, Journal, SweepStats};
 use defines_mapping::{LomaMapper, MappingCache};
 use defines_telemetry::{failpoint, Counter, MetricsSnapshot};
 use defines_workload::Network;
-use serde::{Serialize, Value};
+use serde::{Serialize, Writer};
 use std::fmt;
 use std::time::Duration;
 
@@ -122,7 +122,7 @@ impl Default for MatrixConfig {
 
 /// One stack of a cell's chosen schedule, with layer names resolved so the
 /// report stands alone without the `Network`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CellStack {
     /// The layer names of the stack, in topological order.
     pub layers: Vec<String>,
@@ -201,7 +201,7 @@ pub struct CellOutcome {
 
 /// One row of the Fig.-13-style accelerator ranking: accelerators ordered by
 /// the sum, over workloads, of their best cell value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RankingEntry {
     /// 1-based rank (1 = best).
     pub rank: usize,
@@ -401,86 +401,41 @@ impl MatrixReport {
     }
 }
 
-impl Serialize for CellStack {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "layers".into(),
-                Value::Array(self.layers.iter().map(|l| Value::Str(l.clone())).collect()),
-            ),
-            ("tile".into(), Value::Str(self.tile.clone())),
-            ("mode".into(), Value::Str(self.mode.clone())),
-            ("value".into(), Value::F64(self.value)),
-        ])
-    }
-}
-
 impl Serialize for CellOutcome {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("accelerator".into(), Value::Str(self.accelerator.clone())),
-            ("fingerprint".into(), Value::U64(self.fingerprint)),
-            ("workload".into(), Value::Str(self.workload.clone())),
-            ("fuse".into(), Value::Str(self.policy.keyword().into())),
-            ("policy".into(), Value::Str(self.policy.to_string())),
-            ("label".into(), Value::Str(self.label.clone())),
-            ("value".into(), Value::F64(self.value)),
-            ("energy_pj".into(), Value::F64(self.energy_pj)),
-            ("latency_cycles".into(), Value::F64(self.latency_cycles)),
-            ("edp".into(), Value::F64(self.edp)),
-            ("candidates".into(), Value::U64(self.candidates as u64)),
-            ("degraded".into(), Value::Bool(self.degraded)),
-            ("error".into(), self.error.to_value()),
-            (
-                "stacks".into(),
-                Value::Array(self.stacks.iter().map(Serialize::to_value).collect()),
-            ),
-            ("stats".into(), self.stats.to_value()),
-        ])
-    }
-}
-
-impl Serialize for RankingEntry {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("rank".into(), Value::U64(self.rank as u64)),
-            ("accelerator".into(), Value::Str(self.accelerator.clone())),
-            ("total_value".into(), Value::F64(self.total_value)),
-            ("ratio_to_best".into(), Value::F64(self.ratio_to_best)),
-            (
-                "best_cells".into(),
-                Value::Array(
-                    self.best_cells
-                        .iter()
-                        .map(|&i| Value::U64(i as u64))
-                        .collect(),
-                ),
-            ),
-        ])
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        w.field("accelerator", &self.accelerator);
+        w.field("fingerprint", &self.fingerprint);
+        w.field("workload", &self.workload);
+        w.field("fuse", self.policy.keyword());
+        w.field("policy", &self.policy.to_string());
+        w.field("label", &self.label);
+        w.field("value", &self.value);
+        w.field("energy_pj", &self.energy_pj);
+        w.field("latency_cycles", &self.latency_cycles);
+        w.field("edp", &self.edp);
+        w.field("candidates", &self.candidates);
+        w.field("degraded", &self.degraded);
+        w.field("error", &self.error);
+        w.field("stacks", &self.stacks);
+        w.field("stats", &self.stats);
+        w.end_object();
     }
 }
 
 impl Serialize for MatrixReport {
-    fn to_value(&self) -> Value {
-        let names =
-            |items: &[String]| Value::Array(items.iter().map(|n| Value::Str(n.clone())).collect());
-        Value::Object(vec![
-            ("target".into(), Value::Str(self.target.to_string())),
-            ("accelerators".into(), names(&self.accelerators)),
-            ("workloads".into(), names(&self.workloads)),
-            ("policies".into(), names(&self.policies)),
-            (
-                "cells".into(),
-                Value::Array(self.cells.iter().map(Serialize::to_value).collect()),
-            ),
-            (
-                "ranking".into(),
-                Value::Array(self.ranking.iter().map(Serialize::to_value).collect()),
-            ),
-            ("stats".into(), self.stats.to_value()),
-            ("inner_stats".into(), self.inner_stats.to_value()),
-            ("metrics".into(), self.metrics.to_value()),
-        ])
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        w.field("target", &self.target.to_string());
+        w.field("accelerators", &self.accelerators);
+        w.field("workloads", &self.workloads);
+        w.field("policies", &self.policies);
+        w.field("cells", &self.cells);
+        w.field("ranking", &self.ranking);
+        w.field("stats", &self.stats);
+        w.field("inner_stats", &self.inner_stats);
+        w.field("metrics", &self.metrics);
+        w.end_object();
     }
 }
 
@@ -746,7 +701,7 @@ pub fn run_matrix(
             // Failed cells are never checkpointed: resuming retries them.
             if outcome.error.is_none() {
                 if let Some(j) = journal.as_mut() {
-                    if let Err(e) = j.append(&outcome.to_value()) {
+                    if let Err(e) = j.append(&outcome) {
                         // Keep computing (the work is not lost for this
                         // process), but surface the first append failure
                         // after the run instead of silently dropping cells
@@ -835,6 +790,7 @@ mod tests {
     use super::*;
     use defines_arch::zoo;
     use defines_workload::{Layer, LayerDims, OpType};
+    use serde::Value;
 
     fn tiny_net(name: &str) -> Network {
         let mut net = Network::new(name);

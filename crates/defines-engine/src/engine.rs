@@ -2,7 +2,7 @@
 
 use crate::memo::CacheStats;
 use defines_telemetry::{failpoint, span, Counter, Gauge};
-use serde::{Serialize, Value};
+use serde::{Serialize, Writer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -196,35 +196,26 @@ impl SweepStats {
 }
 
 impl Serialize for SweepStats {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("label".to_string(), Value::Str(self.label.clone())),
-            ("points".to_string(), Value::U64(self.points as u64)),
-            ("evaluated".to_string(), Value::U64(self.evaluated as u64)),
-            ("pruned".to_string(), Value::U64(self.pruned as u64)),
-            ("failed".to_string(), Value::U64(self.failed as u64)),
-            ("threads".to_string(), Value::U64(self.threads as u64)),
-            (
-                "elapsed_ms".to_string(),
-                Value::F64(self.elapsed.as_secs_f64() * 1e3),
-            ),
-        ];
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        w.field("label", &self.label);
+        w.field("points", &self.points);
+        w.field("evaluated", &self.evaluated);
+        w.field("pruned", &self.pruned);
+        w.field("failed", &self.failed);
+        w.field("threads", &self.threads);
+        w.field("elapsed_ms", &(self.elapsed.as_secs_f64() * 1e3));
         if let Some(cache) = &self.cache {
-            fields.push((
-                "cache".to_string(),
-                Value::Object(vec![
-                    ("entries".to_string(), Value::U64(cache.entries as u64)),
-                    ("hits".to_string(), Value::U64(cache.hits)),
-                    ("misses".to_string(), Value::U64(cache.misses)),
-                    (
-                        "canonical_hits".to_string(),
-                        Value::U64(cache.canonical_hits),
-                    ),
-                    ("hit_rate".to_string(), Value::F64(cache.hit_rate())),
-                ]),
-            ));
+            w.key("cache");
+            w.begin_object();
+            w.field("entries", &cache.entries);
+            w.field("hits", &cache.hits);
+            w.field("misses", &cache.misses);
+            w.field("canonical_hits", &cache.canonical_hits);
+            w.field("hit_rate", &cache.hit_rate());
+            w.end_object();
         }
-        Value::Object(fields)
+        w.end_object();
     }
 }
 

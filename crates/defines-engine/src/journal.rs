@@ -5,18 +5,23 @@
 //!
 //! # Format and contract
 //!
-//! * One compact JSON value per line. The first non-empty line is a
-//!   **header object**; what it must contain (a format key, a version) is the
-//!   consumer's business.
+//! * One compact JSON value per line, written by the value's
+//!   [`Serialize`] impl into a buffer the journal reuses. The first non-empty
+//!   line is a **header object**; what it must contain (a format key, a
+//!   version) is the consumer's business.
 //! * **Append** is one `write_all(json + "\n")` followed by `flush` — no
 //!   per-line `fsync`. The contract is survival of *process* death (a kill
 //!   loses at most the line it interrupted), not of power loss.
-//! * **Torn tail**: an unparseable *last* non-empty line is what a kill
-//!   mid-append leaves behind. [`Journal::read`] drops and reports it; an
-//!   unparseable line anywhere else — or an unparseable header — is an error
-//!   naming the file and the 1-based line.
+//! * **Read** hands each line to the consumer as a borrowed [`ValueRef`] on
+//!   one [`Tape`] reused across lines, so reading builds no owned tree.
+//! * **Torn tail**: a *last* non-empty line that is not valid UTF-8 or not
+//!   valid JSON is what a kill mid-append leaves behind (the cut can land
+//!   inside a multi-byte character). [`Journal::read`] drops and reports it;
+//!   such a line anywhere else — or as the header — is an error naming the
+//!   file and the 1-based line.
 //! * **Rewrite** ([`Journal::rewrite`]) produces the new content in a
-//!   `<name>.tmp` sibling, `flush`es and `sync_all`s it, then `rename`s it
+//!   `<name>.tmp` sibling through one buffered writer (one `write` per
+//!   buffer, not per line), `flush`es and `sync_all`s it, then `rename`s it
 //!   over the original: a crash at any instant leaves either the old or the
 //!   new file, never a hybrid, and the renamed file's data is on disk before
 //!   the name points at it. The handle keeps appending to the new file. A
@@ -27,12 +32,14 @@
 //! campaign in `tests/failpoint_journal.rs` drives them.
 
 use defines_telemetry::failpoint;
-use serde::Value;
-use std::borrow::Borrow;
+use serde::{Serialize, Tape, ValueRef, Writer};
 use std::fmt;
 use std::fs::File;
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+
+/// Bytes a rewrite buffers before each `write` to its `.tmp` file.
+const REWRITE_BUFFER: usize = 1 << 16;
 
 /// An error reading or writing a journal file. The message names the file
 /// and, for content errors, the offending line.
@@ -54,6 +61,8 @@ pub struct Journal {
     what: &'static str,
     path: PathBuf,
     file: File,
+    /// The line being written, reused across appends and rewrites.
+    line: String,
 }
 
 impl Journal {
@@ -75,6 +84,7 @@ impl Journal {
             what,
             path: path.to_path_buf(),
             file,
+            line: String::new(),
         })
     }
 
@@ -95,25 +105,30 @@ impl Journal {
     pub fn read(
         what: &'static str,
         path: &Path,
-        mut visit: impl FnMut(usize, Value, bool) -> Result<(), String>,
+        mut visit: impl FnMut(usize, ValueRef<'_>, bool) -> Result<(), String>,
     ) -> Result<bool, JournalError> {
-        let text = std::fs::read_to_string(path)
+        let bytes = std::fs::read(path)
             .map_err(|e| JournalError(format!("cannot read {what} '{}': {e}", path.display())))?;
         let bad = |line_no: usize, why: String| {
             JournalError(format!("{what} '{}' line {line_no}: {why}", path.display()))
         };
-        let mut lines = text
-            .lines()
+        let mut lines = bytes
+            .split(|&b| b == b'\n')
             .enumerate()
-            .filter(|(_, line)| !line.trim().is_empty())
+            .filter(|(_, line)| !is_blank(line))
             .peekable();
+        let mut tape = Tape::new();
         let mut header = true;
         while let Some((index, line)) = lines.next() {
             let is_last = lines.peek().is_none();
-            match serde_json::from_str(line) {
+            let parsed = match std::str::from_utf8(line) {
+                Ok(text) => tape.parse(text).map_err(|e| format!("invalid JSON: {e}")),
+                Err(e) => Err(format!("invalid UTF-8: {e}")),
+            };
+            match parsed {
                 Ok(value) => visit(index + 1, value, is_last).map_err(|why| bad(index + 1, why))?,
                 Err(_) if is_last && !header => return Ok(true),
-                Err(e) => return Err(bad(index + 1, format!("invalid JSON: {e}"))),
+                Err(why) => return Err(bad(index + 1, why)),
             }
             header = false;
         }
@@ -122,12 +137,11 @@ impl Journal {
 
     /// Appends one line and flushes, so a kill right after loses at most the
     /// line it interrupted.
-    pub fn append(&mut self, value: &Value) -> Result<(), JournalError> {
+    pub fn append(&mut self, value: &(impl Serialize + ?Sized)) -> Result<(), JournalError> {
         failpoint!("journal.append");
-        let mut line = value.to_json();
-        line.push('\n');
+        render_line(&mut self.line, value);
         self.file
-            .write_all(line.as_bytes())
+            .write_all(self.line.as_bytes())
             .and_then(|()| self.file.flush())
             .map_err(|e| {
                 JournalError(format!(
@@ -141,26 +155,26 @@ impl Journal {
     /// Atomically replaces the file's content with `lines` (header first) and
     /// keeps appending after them — see the module docs for the crash
     /// contract.
-    pub fn rewrite<V: Borrow<Value>>(
+    pub fn rewrite<V: Serialize>(
         &mut self,
         lines: impl IntoIterator<Item = V>,
     ) -> Result<(), JournalError> {
         failpoint!("journal.rewrite.begin");
         let tmp = tmp_path(&self.path);
-        let mut file = File::create(&tmp)
+        let file = File::create(&tmp)
             .map_err(|e| JournalError(format!("cannot create '{}': {e}", tmp.display())))?;
+        let mut out = BufWriter::with_capacity(REWRITE_BUFFER, file);
         for (i, value) in lines.into_iter().enumerate() {
             if i > 0 {
                 failpoint!("journal.rewrite.mid");
             }
-            let mut line = value.borrow().to_json();
-            line.push('\n');
-            file.write_all(line.as_bytes())
+            render_line(&mut self.line, &value);
+            out.write_all(self.line.as_bytes())
                 .map_err(|e| JournalError(format!("cannot write '{}': {e}", tmp.display())))?;
         }
-        file.flush()
-            .and_then(|()| file.sync_all())
-            .map_err(|e| JournalError(format!("cannot flush '{}': {e}", tmp.display())))?;
+        let cannot_flush = |e| JournalError(format!("cannot flush '{}': {e}", tmp.display()));
+        let file = out.into_inner().map_err(|e| cannot_flush(e.into_error()))?;
+        file.sync_all().map_err(cannot_flush)?;
         failpoint!("journal.rewrite.rename");
         std::fs::rename(&tmp, &self.path).map_err(|e| {
             JournalError(format!(
@@ -175,6 +189,25 @@ impl Journal {
     }
 }
 
+/// Renders `value` as one compact line, newline included, into `line`.
+fn render_line(line: &mut String, value: &(impl Serialize + ?Sized)) {
+    line.clear();
+    value.serialize(&mut Writer::compact(line));
+    line.push('\n');
+}
+
+/// Whether a line holds only whitespace (as `str::trim` counts it).
+fn is_blank(line: &[u8]) -> bool {
+    // Any ASCII byte that is not whitespace settles it without decoding.
+    if line
+        .iter()
+        .any(|&b| b.is_ascii() && !char::from(b).is_whitespace())
+    {
+        return false;
+    }
+    std::str::from_utf8(line).is_ok_and(|text| text.trim().is_empty())
+}
+
 /// The `<name>.tmp` sibling a rewrite stages its content in.
 fn tmp_path(path: &Path) -> PathBuf {
     let name = path
@@ -187,7 +220,7 @@ fn tmp_path(path: &Path) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Fields;
+    use serde::{Fields, Value};
 
     fn scratch(test: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("defines-journal-{}", std::process::id()));
@@ -225,6 +258,35 @@ mod tests {
         let (seen, torn) = read_all(&path).unwrap();
         assert_eq!(seen.len(), 2);
         assert!(torn);
+    }
+
+    #[test]
+    fn a_tail_cut_inside_a_multi_byte_character_is_torn_not_an_error() {
+        let path = scratch("torn-utf8");
+        let mut journal = Journal::open("test", &path).unwrap();
+        let named = |n: u64| {
+            Value::Object(vec![
+                ("n".into(), Value::U64(n)),
+                ("w".into(), Value::Str("café".into())),
+            ])
+        };
+        for n in 0..3 {
+            journal.append(&named(n)).unwrap();
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        // Cut the last line between the two bytes of its `é`.
+        let cut = bytes.len() - "é\"}\n".len() + 1;
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let (seen, torn) = read_all(&path).unwrap();
+        assert_eq!(seen, vec![(1, 0, false), (2, 1, false)]);
+        assert!(torn);
+        // The same bytes on an interior line are an error naming the line.
+        let mut interior = bytes[..cut].to_vec();
+        interior.extend_from_slice(b"\n{\"n\":3}\n");
+        std::fs::write(&path, &interior).unwrap();
+        let err = read_all(&path).unwrap_err().to_string();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(err.contains("line 3: invalid UTF-8"), "{err}");
     }
 
     #[test]

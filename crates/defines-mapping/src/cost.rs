@@ -7,7 +7,7 @@ use crate::problem::SingleLayerProblem;
 use crate::search::Kernel;
 use crate::temporal::TemporalMapping;
 use defines_arch::{MemoryLevelId, Operand};
-use serde::{Serialize, Value};
+use serde::{Serialize, Writer};
 
 /// Read/write traffic at one memory level attributable to one operand, in
 /// bytes.
@@ -40,18 +40,12 @@ pub struct AccessBreakdown {
 }
 
 impl Serialize for AccessBreakdown {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer<'_>) {
         // Matches the derived (BTreeMap-backed) encoding: a `map` field whose
         // non-string keys render as an array of `[key, value]` pairs.
-        Value::Object(vec![(
-            "map".to_string(),
-            Value::Array(
-                self.map
-                    .iter()
-                    .map(|(k, a)| Value::Array(vec![k.to_value(), a.to_value()]))
-                    .collect(),
-            ),
-        )])
+        w.begin_object();
+        w.field("map", &self.map);
+        w.end_object();
     }
 }
 

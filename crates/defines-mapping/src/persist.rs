@@ -39,13 +39,13 @@ use crate::cache::{MappingCache, ProblemKey};
 use crate::cost::{Access, AccessBreakdown, LayerCost};
 use crate::problem::OperandTopLevels;
 use crate::temporal::{TemporalLoop, TemporalMapping};
-use defines_arch::MemoryLevelId;
 use defines_arch::{parse_dim, parse_operand};
+use defines_arch::{MemoryLevelId, Operand};
 use defines_engine::{Journal, JournalError};
 use defines_telemetry::Counter;
 use defines_workload::LayerDims;
 use defines_workload::{op_name, parse_op, Fnv};
-use serde::{Fields, FromField, Serialize, Value};
+use serde::{Fields, FromField, Items, Serialize, ValueRef, Writer};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -150,19 +150,69 @@ pub(crate) fn key_fingerprint(key: &ProblemKey) -> u64 {
     h.finish()
 }
 
-fn key_to_value(key: &ProblemKey) -> Value {
-    Value::Object(vec![
-        ("accelerator".into(), Value::U64(key.accelerator)),
-        ("op".into(), Value::Str(op_name(key.op).into())),
-        ("dims".into(), key.dims.to_value()),
-        ("act_bits".into(), Value::U64(u64::from(key.act_bits))),
-        ("weight_bits".into(), Value::U64(u64::from(key.weight_bits))),
-        ("top_levels".into(), key.top_levels.to_value()),
-        ("mapper".into(), Value::U64(key.mapper)),
-    ])
+/// One line of the store file, written straight into the journal's line
+/// buffer.
+enum Line<'a> {
+    /// `{"defines_mapping_cache": VERSION}`.
+    Header,
+    /// One cache entry with its key fingerprint and last-used epoch.
+    Entry {
+        fp: u64,
+        epoch: u64,
+        key: &'a ProblemKey,
+        cost: &'a LayerCost,
+    },
+    /// The entries (by fingerprint) re-used at `epoch`.
+    Touch { fps: &'a [u64], epoch: u64 },
 }
 
-fn key_from_value(key: Fields<'_>) -> Result<ProblemKey, String> {
+impl<'a> Line<'a> {
+    fn entry(epoch: u64, key: &'a ProblemKey, cost: &'a LayerCost) -> Self {
+        let fp = key_fingerprint(key);
+        Line::Entry {
+            fp,
+            epoch,
+            key,
+            cost,
+        }
+    }
+}
+
+impl Serialize for Line<'_> {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        match *self {
+            Line::Header => w.field(HEADER_KEY, &VERSION),
+            Line::Entry {
+                fp,
+                epoch,
+                key,
+                cost,
+            } => {
+                w.field("fp", &fp);
+                w.field("epoch", &epoch);
+                w.key("key");
+                w.begin_object();
+                w.field("accelerator", &key.accelerator);
+                w.field("op", op_name(key.op));
+                w.field("dims", &key.dims);
+                w.field("act_bits", &key.act_bits);
+                w.field("weight_bits", &key.weight_bits);
+                w.field("top_levels", &key.top_levels);
+                w.field("mapper", &key.mapper);
+                w.end_object();
+                w.field("cost", cost);
+            }
+            Line::Touch { fps, epoch } => {
+                w.field("touch", fps);
+                w.field("epoch", &epoch);
+            }
+        }
+        w.end_object();
+    }
+}
+
+fn read_key(key: Fields<'_>) -> Result<ProblemKey, String> {
     let dims = key.req::<Fields<'_>>("dims")?;
     let top = key.req::<Fields<'_>>("top_levels")?;
     let level = |operand| top.req(operand).map(|id: u64| MemoryLevelId(id as usize));
@@ -193,52 +243,55 @@ fn key_from_value(key: Fields<'_>) -> Result<ProblemKey, String> {
     })
 }
 
-fn cost_from_value(cost: Fields<'_>) -> Result<LayerCost, String> {
-    let entries = cost
-        .req::<Fields<'_>>("accesses")?
-        .req::<&[Value]>("map")?
-        .iter()
-        .map(|pair| {
-            let Some([k, a]) = pair.as_array() else {
-                return Err("access entry is not a [key, access] pair".into());
-            };
-            let Some([level, operand]) = k.as_array() else {
-                return Err("access key is not [level, operand]".into());
-            };
-            let level = MemoryLevelId(
-                level
-                    .as_u64()
-                    .ok_or("access key level is not an unsigned integer")? as usize,
-            );
-            let operand = parse_name(
-                "operand",
-                operand
-                    .as_str()
-                    .ok_or("access key operand is not a string")?,
-                parse_operand,
-            )?;
-            let a = Fields::new(a)?;
-            Ok((
-                (level, operand),
-                Access {
-                    reads_bytes: a.req("reads_bytes")?,
-                    writes_bytes: a.req("writes_bytes")?,
-                },
-            ))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let loops = cost
-        .req::<Fields<'_>>("mapping")?
-        .req::<&[Value]>("loops")?
-        .iter()
-        .map(|l| {
-            let l = Fields::new(l)?;
-            Ok(TemporalLoop {
-                dim: parse_name("dimension", l.req("dim")?, parse_dim)?,
-                size: l.req("size")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
+fn read_access(pair: ValueRef<'_>) -> Result<((MemoryLevelId, Operand), Access), String> {
+    let (k, a) = pair
+        .as_pair()
+        .ok_or("access entry is not a [key, access] pair")?;
+    let (level, operand) = k.as_pair().ok_or("access key is not [level, operand]")?;
+    let level = MemoryLevelId(
+        level
+            .as_u64()
+            .ok_or("access key level is not an unsigned integer")? as usize,
+    );
+    let operand = parse_name(
+        "operand",
+        operand
+            .as_str()
+            .ok_or("access key operand is not a string")?,
+        parse_operand,
+    )?;
+    let a = Fields::new(&a)?;
+    let access = Access {
+        reads_bytes: a.req("reads_bytes")?,
+        writes_bytes: a.req("writes_bytes")?,
+    };
+    Ok(((level, operand), access))
+}
+
+fn read_loop(l: ValueRef<'_>) -> Result<TemporalLoop, String> {
+    let l = Fields::new(&l)?;
+    Ok(TemporalLoop {
+        dim: parse_name("dimension", l.req("dim")?, parse_dim)?,
+        size: l.req("size")?,
+    })
+}
+
+/// Reads every item of `items`, into a `Vec` allocated once at its final
+/// size.
+fn read_all<T>(
+    items: Items<'_>,
+    read: impl Fn(ValueRef<'_>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let mut out = Vec::with_capacity(items.len());
+    for item in items {
+        out.push(read(item)?);
+    }
+    Ok(out)
+}
+
+fn read_cost(cost: Fields<'_>) -> Result<LayerCost, String> {
+    let accesses = cost.req::<Fields<'_>>("accesses")?.req("map")?;
+    let loops = cost.req::<Fields<'_>>("mapping")?.req("loops")?;
     Ok(LayerCost {
         energy_pj: cost.req("energy_pj")?,
         mac_energy_pj: cost.req("mac_energy_pj")?,
@@ -246,23 +299,10 @@ fn cost_from_value(cost: Fields<'_>) -> Result<LayerCost, String> {
         latency_cycles: cost.req("latency_cycles")?,
         compute_cycles: cost.req("compute_cycles")?,
         macs: cost.req("macs")?,
-        accesses: AccessBreakdown::from_entries(entries),
-        mapping: TemporalMapping::from_loops(loops),
+        accesses: AccessBreakdown::from_entries(read_all(accesses, read_access)?),
+        mapping: TemporalMapping::from_loops(read_all(loops, read_loop)?),
         degraded: cost.req("degraded")?,
     })
-}
-
-fn header_value() -> Value {
-    Value::Object(vec![(HEADER_KEY.into(), Value::U64(VERSION))])
-}
-
-fn entry_value(fp: u64, epoch: u64, key: &ProblemKey, cost: &LayerCost) -> Value {
-    Value::Object(vec![
-        ("fp".into(), Value::U64(fp)),
-        ("epoch".into(), Value::U64(epoch)),
-        ("key".into(), key_to_value(key)),
-        ("cost".into(), cost.to_value()),
-    ])
 }
 
 impl CacheStore {
@@ -283,7 +323,7 @@ impl CacheStore {
             stats: StoreStats::default(),
         };
         let Some(torn) = store.load()? else {
-            store.journal.append(&header_value())?;
+            store.journal.append(&Line::Header)?;
             return Ok(store);
         };
         store.stats.entries = store.epochs.len();
@@ -306,17 +346,19 @@ impl CacheStore {
     /// header (fresh store), else whether the final line was torn.
     fn load(&mut self) -> Result<Option<bool>, StoreError> {
         // Transient fingerprint index so touch lines can name entries
-        // compactly.
-        let mut by_fp: HashMap<u64, ProblemKey> = HashMap::new();
+        // compactly; built at the first touch line (a compacted file has
+        // none).
+        let mut by_fp: Option<HashMap<u64, ProblemKey>> = None;
         let mut header_seen = false;
         let mut broken_tail = false;
         let path = self.journal.path().to_path_buf();
         let torn = Journal::read("store", &path, |_, v, last| {
             if !header_seen {
                 header_seen = true;
-                let version = v
-                    .get(HEADER_KEY)
-                    .and_then(Value::as_u64)
+                let version = Fields::root(&v)
+                    .ok()
+                    .and_then(|header| header.get(HEADER_KEY))
+                    .and_then(|version| version.as_u64())
                     .ok_or("not a mapping-cache store header")?;
                 if version != VERSION {
                     return Err(format!(
@@ -325,7 +367,7 @@ impl CacheStore {
                 }
                 return Ok(());
             }
-            match self.apply_line(&v, &mut by_fp) {
+            match self.apply_line(v, &mut by_fp) {
                 // A structurally valid JSON line with broken content can
                 // also be the torn tail of a larger record that happened to
                 // parse (rare but possible when the cut lands inside a
@@ -342,13 +384,22 @@ impl CacheStore {
 
     fn apply_line(
         &mut self,
-        v: &Value,
-        by_fp: &mut HashMap<u64, ProblemKey>,
+        v: ValueRef<'_>,
+        by_fp: &mut Option<HashMap<u64, ProblemKey>>,
     ) -> Result<(), String> {
-        let line = Fields::root(v)?;
+        let line = Fields::root(&v)?;
         if let Some(touched) = line.get("touch") {
             let epoch = line.req("epoch")?;
-            let fps = <&[Value]>::read("touch", touched)?;
+            let fps = Items::read("touch", touched)?;
+            let by_fp = by_fp.get_or_insert_with(|| {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "collected into a map, so the order is not observed"
+                )]
+                let keys = self.epochs.keys();
+                keys.map(|key| (key_fingerprint(key), key.clone()))
+                    .collect()
+            });
             for fp in fps {
                 let fp = fp.as_u64().ok_or("touch entry is not a fingerprint")?;
                 // Touches of entries this file no longer lists (evicted by a
@@ -361,21 +412,23 @@ impl CacheStore {
         }
         let fp = line.req("fp")?;
         let epoch = line.req("epoch")?;
-        let key = key_from_value(line.req("key")?)?;
+        let key = read_key(line.req("key")?)?;
         if key_fingerprint(&key) != fp {
             return Err(format!("entry fingerprint {fp:#x} does not match its key"));
         }
-        let cost = cost_from_value(line.req("cost")?)?;
+        let cost = read_cost(line.req("cost")?)?;
         self.cache.preload(key.clone(), Arc::new(cost));
-        self.epochs.insert(key.clone(), epoch);
-        by_fp.insert(fp, key);
+        if let Some(by_fp) = by_fp {
+            by_fp.insert(fp, key.clone());
+        }
+        self.epochs.insert(key, epoch);
         self.stats.loaded += 1;
         STORE_LOADED.incr();
         Ok(())
     }
 
-    fn append(&mut self, value: &Value) -> Result<(), StoreError> {
-        self.journal.append(value)?;
+    fn append(&mut self, line: &Line<'_>) -> Result<(), StoreError> {
+        self.journal.append(line)?;
         self.appended_since_compact += 1;
         Ok(())
     }
@@ -415,8 +468,7 @@ impl CacheStore {
             let Some(cost) = self.cache.peek(&key) else {
                 continue;
             };
-            let fp = key_fingerprint(&key);
-            self.append(&entry_value(fp, epoch, &key, &cost))?;
+            self.append(&Line::entry(epoch, &key, &cost))?;
             self.epochs.insert(key, epoch);
             self.stats.stored += 1;
             STORE_STORED.incr();
@@ -424,13 +476,7 @@ impl CacheStore {
         for (epoch, mut fps) in retouched {
             fps.sort_unstable();
             fps.dedup();
-            self.append(&Value::Object(vec![
-                (
-                    "touch".into(),
-                    Value::Array(fps.into_iter().map(Value::U64).collect()),
-                ),
-                ("epoch".into(), Value::U64(epoch)),
-            ]))?;
+            self.append(&Line::Touch { fps: &fps, epoch })?;
         }
         self.stats.entries = self.epochs.len();
         self.evict_over_bound()?;
@@ -476,13 +522,17 @@ impl CacheStore {
         let mut entries: Vec<(u64, ProblemKey)> =
             self.epochs.iter().map(|(k, &e)| (e, k.clone())).collect();
         entries.sort_unstable();
-        let cache = &self.cache;
-        let lines = entries.iter().filter_map(|(epoch, key)| {
-            let cost = cache.peek(key)?;
-            Some(entry_value(key_fingerprint(key), *epoch, key, &cost))
-        });
+        let mut costs = Vec::with_capacity(entries.len());
+        for (epoch, key) in &entries {
+            if let Some(cost) = self.cache.peek(key) {
+                costs.push((*epoch, key, cost));
+            }
+        }
+        let lines = costs
+            .iter()
+            .map(|(epoch, key, cost)| Line::entry(*epoch, key, cost));
         self.journal
-            .rewrite(std::iter::once(header_value()).chain(lines))?;
+            .rewrite(std::iter::once(Line::Header).chain(lines))?;
         self.appended_since_compact = 0;
         self.stats.compactions += 1;
         STORE_COMPACTIONS.incr();

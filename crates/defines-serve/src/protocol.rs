@@ -21,16 +21,17 @@
 //!
 //! # Canonical form and byte-identity
 //!
-//! [`ScheduleRequest::canonical_value`] renders a request with fixed field
-//! order and defaults filled in, so textually different request lines that
-//! mean the same thing coalesce under one [`ScheduleRequest::canonical_key`].
-//! Responses ([`render_outcome`]) embed that canonical form and contain no
-//! timestamps, elapsed times or other run-relative state: a response is a
-//! pure function of the request, which is what lets the cross-process test
-//! harness byte-compare daemon answers against standalone runs.
+//! A request serializes in canonical form — fixed field order, defaults
+//! filled in — so textually different request lines that mean the same
+//! thing coalesce under one [`ScheduleRequest::canonical_key`]. Responses
+//! ([`render_outcome`], written straight into the response string) embed
+//! that canonical form and contain no timestamps, elapsed times or other
+//! run-relative state: a response is a pure function of the request, which
+//! is what lets the cross-process test harness byte-compare daemon answers
+//! against standalone runs.
 
 use defines_core::{BatchItem, FusePolicy, OptimizeTarget, OverlapMode};
-use serde::{Fields, Serialize, Value};
+use serde::{Fields, Items, Serialize, Value, ValueRef, Writer};
 
 /// A validated schedule request in canonical (defaults-resolved) form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,7 +65,7 @@ const SCHEDULE_KEYS: [&str; 7] = [
 
 /// Reads the command name of a command request (`{"cmd": …}`, no other
 /// key), or `None` when the line is a schedule request.
-pub(crate) fn command(v: &Value) -> Result<Option<&str>, String> {
+pub(crate) fn command<'v>(v: &ValueRef<'v>) -> Result<Option<&'v str>, String> {
     let fields = Fields::root(v)?;
     if fields.get("cmd").is_none() {
         return Ok(None);
@@ -73,15 +74,14 @@ pub(crate) fn command(v: &Value) -> Result<Option<&str>, String> {
     fields.req("cmd").map(Some)
 }
 
-fn tile_axis(fields: Fields<'_>, key: &str) -> Result<Vec<u64>, String> {
-    let Some(items) = fields.opt::<&[Value]>(key)? else {
+fn tile_axis(fields: &Fields<'_>, key: &str) -> Result<Vec<u64>, String> {
+    let Some(items) = fields.opt::<Items<'_>>(key)? else {
         return Ok(Vec::new());
     };
     if items.is_empty() {
         return Err(format!("'{key}' needs at least one entry"));
     }
     items
-        .iter()
         .map(|item| match item.as_u64() {
             Some(n) if n > 0 => Ok(n),
             _ => Err(format!("'{key}' entries must be positive integers")),
@@ -93,6 +93,11 @@ impl ScheduleRequest {
     /// Parses and validates a request object. Keywords are checked here so a
     /// malformed request fails at the protocol boundary, not inside a batch.
     pub fn from_value(v: &Value) -> Result<Self, String> {
+        v.read(|v| Self::read(&v))
+    }
+
+    /// [`ScheduleRequest::from_value`] on a parsed request line.
+    pub(crate) fn read(v: &ValueRef<'_>) -> Result<Self, String> {
         let fields = Fields::root(v)?;
         fields.only(&SCHEDULE_KEYS)?;
         let text = |key, default: &str| -> Result<String, String> {
@@ -104,8 +109,8 @@ impl ScheduleRequest {
             dfmode: text("dfmode", "123")?,
             target: text("target", "energy")?,
             fuse: text("fuse", "auto")?,
-            tilex: tile_axis(fields, "tilex")?,
-            tiley: tile_axis(fields, "tiley")?,
+            tilex: tile_axis(&fields, "tilex")?,
+            tiley: tile_axis(&fields, "tiley")?,
         };
         // Validate the axes eagerly; also canonicalizes dfmode (dedup).
         let modes =
@@ -123,29 +128,9 @@ impl ScheduleRequest {
         Ok(Self { dfmode, ..request })
     }
 
-    /// The canonical JSON form: fixed field order, defaults resolved. Two
-    /// requests with equal canonical forms are the same request.
-    pub(crate) fn canonical_value(&self) -> Value {
-        Value::Object(vec![
-            ("workload".into(), Value::Str(self.workload.clone())),
-            ("accelerator".into(), Value::Str(self.accelerator.clone())),
-            ("dfmode".into(), Value::Str(self.dfmode.clone())),
-            ("target".into(), Value::Str(self.target.clone())),
-            ("fuse".into(), Value::Str(self.fuse.clone())),
-            (
-                "tilex".into(),
-                Value::Array(self.tilex.iter().map(|&n| Value::U64(n)).collect()),
-            ),
-            (
-                "tiley".into(),
-                Value::Array(self.tiley.iter().map(|&n| Value::U64(n)).collect()),
-            ),
-        ])
-    }
-
     /// The coalescing key: the canonical form as compact JSON.
     pub fn canonical_key(&self) -> String {
-        self.canonical_value().to_json()
+        serde::to_json(self)
     }
 
     /// The tile grid, y-major like the `sweep` CLI, or `None` for the
@@ -187,38 +172,53 @@ impl ScheduleRequest {
     }
 }
 
+/// The canonical JSON form: fixed field order, defaults resolved. Two
+/// requests with equal canonical forms are the same request.
+impl Serialize for ScheduleRequest {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        w.field("workload", &self.workload);
+        w.field("accelerator", &self.accelerator);
+        w.field("dfmode", &self.dfmode);
+        w.field("target", &self.target);
+        w.field("fuse", &self.fuse);
+        w.field("tilex", &self.tilex);
+        w.field("tiley", &self.tiley);
+        w.end_object();
+    }
+}
+
 /// Renders the response line for a completed schedule request: the canonical
 /// request echoed back, the objective value, and the full schedule (or the
 /// error). Deterministic — see the module docs.
 pub fn render_outcome(request: &ScheduleRequest, outcome: &defines_core::BatchOutcome) -> String {
-    let mut fields = vec![("ok".to_string(), Value::Bool(outcome.error.is_none()))];
-    fields.push(("request".into(), request.canonical_value()));
+    let mut out = String::new();
+    let w = &mut Writer::compact(&mut out);
+    w.begin_object();
+    w.field("ok", &outcome.error.is_none());
+    w.field("request", request);
     match (&outcome.schedule, &outcome.error) {
         (Some(schedule), None) => {
-            fields.push(("value".into(), Value::F64(outcome.value)));
-            fields.push(("result".into(), schedule.to_value()));
+            w.field("value", &outcome.value);
+            w.field("result", schedule);
         }
-        (_, Some(error)) => {
-            fields.push(("error".into(), Value::Str(error.clone())));
-        }
-        (None, None) => {
-            fields.push((
-                "error".into(),
-                Value::Str("request produced no result".into()),
-            ));
-        }
+        (_, Some(error)) => w.field("error", error),
+        (None, None) => w.field("error", "request produced no result"),
     }
-    Value::Object(fields).to_json()
+    w.end_object();
+    out
 }
 
 /// Renders an error response for a request that never reached a batch
 /// (parse or resolution failure).
 pub(crate) fn render_error(error: &str) -> String {
-    Value::Object(vec![
-        ("ok".into(), Value::Bool(false)),
-        ("error".into(), Value::Str(error.to_string())),
-    ])
-    .to_json()
+    let mut out = String::new();
+    let w = &mut Writer::compact(&mut out);
+    w.begin_object();
+    w.field("ok", &false);
+    w.field("error", error);
+    w.end_object();
+    out
 }
 
 #[cfg(test)]
@@ -277,10 +277,13 @@ mod tests {
 
     #[test]
     fn commands_carry_only_cmd() {
-        let v = |json| serde_json::from_str(json).unwrap();
-        assert_eq!(command(&v(r#"{"cmd":"ping"}"#)), Ok(Some("ping")));
-        assert_eq!(command(&v(r#"{"workload":"w"}"#)), Ok(None));
-        let err = command(&v(r#"{"cmd":"stats","verbose":true}"#)).unwrap_err();
+        let mut tape = serde::Tape::new();
+        let v = tape.parse(r#"{"cmd":"ping"}"#).unwrap();
+        assert_eq!(command(&v), Ok(Some("ping")));
+        let v = tape.parse(r#"{"workload":"w"}"#).unwrap();
+        assert_eq!(command(&v), Ok(None));
+        let v = tape.parse(r#"{"cmd":"stats","verbose":true}"#).unwrap();
+        let err = command(&v).unwrap_err();
         assert!(err.contains("verbose"), "{err}");
     }
 }

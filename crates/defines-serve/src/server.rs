@@ -43,7 +43,7 @@ use crate::protocol::{self, render_error, render_outcome, ScheduleRequest};
 use defines_core::{run_batch, BatchConfig, BatchItem};
 use defines_engine::{panic_error, EngineConfig};
 use defines_mapping::{Budget, CacheStore, MappingCache};
-use serde::Value;
+use serde::{Tape, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -467,7 +467,8 @@ fn handle_connection(inner: &ServerInner, stream: TcpStream) {
 
 /// Computes the response line for one request line.
 fn answer(inner: &ServerInner, line: &str) -> String {
-    let value = match serde_json::from_str(line) {
+    let mut tape = Tape::new();
+    let value = match tape.parse(line) {
         Ok(v) => v,
         Err(e) => return render_error(&format!("invalid JSON: {e}")),
     };
@@ -500,7 +501,7 @@ fn answer(inner: &ServerInner, line: &str) -> String {
             other => render_error(&format!("unknown command '{other}'")),
         };
     }
-    let request = match ScheduleRequest::from_value(&value) {
+    let request = match ScheduleRequest::read(&value) {
         Ok(r) => r,
         Err(why) => return render_error(&why),
     };

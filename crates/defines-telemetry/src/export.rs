@@ -1,7 +1,7 @@
 //! Exporters: Chrome trace-event JSON and per-phase wall-time breakdowns.
 
 use crate::span::SpanEvent;
-use serde::{Serialize, Value};
+use serde::{Serialize, Value, Writer};
 
 /// Renders spans as a Chrome trace-event document (the JSON Object Format),
 /// loadable in Perfetto / `chrome://tracing`: one complete (`"ph": "X"`)
@@ -67,7 +67,7 @@ pub fn chrome_trace(events: &[SpanEvent]) -> Value {
 }
 
 /// Aggregate statistics of one span name.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub(crate) struct PhaseRow {
     /// Span name.
     pub name: &'static str,
@@ -215,29 +215,11 @@ fn self_times_us(events: &[SpanEvent]) -> Vec<f64> {
 }
 
 impl Serialize for PhaseBreakdown {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("wall_ms".to_string(), Value::F64(self.wall_ms)),
-            (
-                "phases".to_string(),
-                Value::Array(
-                    self.phases
-                        .iter()
-                        .map(|p| {
-                            Value::Object(vec![
-                                ("name".to_string(), Value::Str(p.name.to_string())),
-                                ("count".to_string(), Value::U64(p.count)),
-                                ("total_ms".to_string(), Value::F64(p.total_ms)),
-                                ("mean_us".to_string(), Value::F64(p.mean_us)),
-                                ("share".to_string(), Value::F64(p.share)),
-                                ("self_ms".to_string(), Value::F64(p.self_ms)),
-                                ("self_share".to_string(), Value::F64(p.self_share)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        w.field("wall_ms", &self.wall_ms);
+        w.field("phases", &self.phases);
+        w.end_object();
     }
 }
 

@@ -22,7 +22,7 @@
 //! list (a single CAS); subsequent updates are one relaxed atomic add/store.
 //! With metrics disabled an update is a single relaxed load.
 
-use serde::{Serialize, Value};
+use serde::{Serialize, Writer};
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 
@@ -220,19 +220,19 @@ impl MetricsSnapshot {
 }
 
 impl Serialize for MetricsSnapshot {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.values
-                .iter()
-                .map(|v| (v.name.to_string(), Value::U64(v.value)))
-                .collect(),
-        )
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        for v in &self.values {
+            w.field(v.name, &v.value);
+        }
+        w.end_object();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
     static TEST_COUNTER: Counter = Counter::new("test.metrics.counter");
     static TEST_GAUGE: Gauge = Gauge::new("test.metrics.gauge");
 

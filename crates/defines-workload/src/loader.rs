@@ -59,7 +59,7 @@ use crate::dims::LayerDims;
 use crate::layer::{Layer, LayerId, OpType};
 use crate::network::Network;
 use crate::schema::{parse_op, FORMAT};
-use serde::{Fields, Value};
+use serde::{Fields, Items, Tape};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -123,7 +123,10 @@ impl WorkloadError {
 /// [`WorkloadError::Layer`] (naming the layer) for per-layer problems.
 pub fn from_json_str(json: &str) -> Result<Network, WorkloadError> {
     use WorkloadError::Document;
-    let value = serde_json::from_str(json).map_err(|e| WorkloadError::Json(e.to_string()))?;
+    let mut tape = Tape::new();
+    let value = tape
+        .parse(json)
+        .map_err(|e| WorkloadError::Json(e.to_string()))?;
     let fields = Fields::root(&value).map_err(Document)?;
     fields
         .only(&["format", "name", "layers"])
@@ -135,16 +138,16 @@ pub fn from_json_str(json: &str) -> Result<Network, WorkloadError> {
         )));
     }
     let name = fields.req::<&str>("name").map_err(Document)?;
-    let layers = fields.req::<&[Value]>("layers").map_err(Document)?;
+    let layers = fields.req::<Items<'_>>("layers").map_err(Document)?;
     if layers.is_empty() {
         return Err(Document(format!("workload '{name}' contains no layers")));
     }
 
     let mut net = Network::new(name);
     let mut by_name: BTreeMap<&str, LayerId> = BTreeMap::new();
-    for (index, value) in layers.iter().enumerate() {
+    for (index, value) in layers.enumerate() {
         let anonymous = |m| WorkloadError::layer(&format!("#{index}"), m);
-        let fields = Fields::new(value).map_err(anonymous)?;
+        let fields = Fields::new(&value).map_err(anonymous)?;
         let name = fields.req::<&str>("name").map_err(anonymous)?;
         if by_name.contains_key(name) {
             return Err(WorkloadError::layer(name, "duplicate layer name"));
@@ -235,7 +238,7 @@ fn read_layer(
         _ => {}
     }
 
-    let dims = infer_dims(fields, op, op_name, &preds, net)?;
+    let dims = infer_dims(&fields, op, op_name, &preds, net)?;
     let bits = |key: &str| match fields.opt::<u64>(key)? {
         None => Ok(None),
         Some(bits) => u32::try_from(bits)
@@ -257,7 +260,7 @@ fn read_layer(
 
 /// Shape inference and congruence checking for one layer.
 fn infer_dims(
-    fields: Fields<'_>,
+    fields: &Fields<'_>,
     op: OpType,
     op_name: &str,
     preds: &[LayerId],
