@@ -42,7 +42,7 @@ use crate::accelerator::Accelerator;
 use crate::loader::AcceleratorDocError;
 use crate::operand::Operand;
 use defines_workload::Dim;
-use serde::Value;
+use serde::{Serialize, Writer};
 
 /// The format tag expected in an accelerator document's optional `format`
 /// field.
@@ -121,60 +121,55 @@ pub fn to_json_pretty(acc: &Accelerator) -> Result<String, AcceleratorDocError> 
                     .to_string(),
             });
         }
-        let operands = level.operands().map(|o| Value::Str(operand_name(o).into()));
-        levels.push(object([
-            ("name", Value::Str(level.name().into())),
-            (
-                "capacity_bytes",
-                level.capacity_bytes().map_or(Value::Null, Value::U64),
-            ),
-            ("operands", Value::Array(operands.collect())),
-            (
-                "read_energy_pj_per_byte",
-                Value::F64(level.read_energy_pj_per_byte()),
-            ),
-            (
-                "write_energy_pj_per_byte",
-                Value::F64(level.write_energy_pj_per_byte()),
-            ),
-            // A non-finite (unlimited) bandwidth renders as null.
-            (
-                "read_bw_bytes_per_cycle",
-                Value::F64(level.read_bw_bytes_per_cycle()),
-            ),
-            (
-                "write_bw_bytes_per_cycle",
-                Value::F64(level.write_bw_bytes_per_cycle()),
-            ),
-        ]));
+        levels.push(LevelDoc {
+            name: level.name().to_string(),
+            capacity_bytes: level.capacity_bytes(),
+            operands: level.operands().map(operand_name).collect(),
+            read_energy_pj_per_byte: level.read_energy_pj_per_byte(),
+            write_energy_pj_per_byte: level.write_energy_pj_per_byte(),
+            read_bw_bytes_per_cycle: level.read_bw_bytes_per_cycle(),
+            write_bw_bytes_per_cycle: level.write_bw_bytes_per_cycle(),
+        });
     }
+    let mut out = String::new();
+    let w = &mut Writer::pretty(&mut out);
+    w.begin_object();
+    w.field("format", FORMAT);
+    w.field("name", acc.name());
+    w.key("pe_array");
+    w.begin_object();
+    w.key("unroll");
+    w.begin_object();
     // Canonical B, K, C, OX, OY, FX, FY order; factors of 1 are left out.
-    let unroll = acc.pe_array().unrolling().iter();
-    let unroll = unroll.map(|(dim, factor)| (dim.to_string(), Value::U64(factor)));
-    let pe_array = object([
-        ("unroll", Value::Object(unroll.collect())),
-        ("mac_energy_pj", Value::F64(acc.pe_array().mac_energy_pj())),
-    ]);
-    Ok(object([
-        ("format", Value::Str(FORMAT.into())),
-        ("name", Value::Str(acc.name().into())),
-        ("pe_array", pe_array),
-        ("levels", Value::Array(levels)),
-    ])
-    .to_json_pretty())
+    for (dim, factor) in acc.pe_array().unrolling().iter() {
+        w.field(&dim.to_string(), &factor);
+    }
+    w.end_object();
+    w.field("mac_energy_pj", &acc.pe_array().mac_energy_pj());
+    w.end_object();
+    w.field("levels", &levels);
+    w.end_object();
+    Ok(out)
 }
 
-/// A JSON object with the given entries, in order.
-fn object<const N: usize>(entries: [(&str, Value); N]) -> Value {
-    Value::Object(Vec::from(
-        entries.map(|(key, value)| (key.to_string(), value)),
-    ))
+/// One exported memory level. An unlimited capacity is written as `null`,
+/// and so is a non-finite (unlimited) bandwidth.
+#[derive(Serialize)]
+struct LevelDoc {
+    name: String,
+    capacity_bytes: Option<u64>,
+    operands: Vec<&'static str>,
+    read_energy_pj_per_byte: f64,
+    write_energy_pj_per_byte: f64,
+    read_bw_bytes_per_cycle: f64,
+    write_bw_bytes_per_cycle: f64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::zoo;
+    use serde::Value;
 
     #[test]
     fn operand_names_round_trip() {

@@ -23,7 +23,7 @@ use clap::{Arg, ArgAction, Command};
 use defines_cli::{parse_budget, parse_tile_axis, resolve_accelerator, resolve_workload};
 use defines_core::{run_batch, BatchConfig};
 use defines_serve::{render_outcome, send_line, ScheduleRequest};
-use serde::Value;
+use serde::{Fields, Tape};
 
 fn main() {
     let matches = Command::new("defines-request")
@@ -125,9 +125,11 @@ fn main() {
     match run(&matches) {
         Ok(response) => {
             println!("{response}");
-            let ok = serde_json::from_str(&response)
+            let mut tape = Tape::new();
+            let ok = tape
+                .parse(&response)
                 .ok()
-                .and_then(|v: Value| v.get("ok").and_then(Value::as_bool))
+                .and_then(|v| Fields::root(&v).ok()?.get("ok")?.as_bool())
                 .unwrap_or(false);
             if !ok {
                 std::process::exit(1);
@@ -165,36 +167,19 @@ fn run(matches: &clap::ArgMatches) -> Result<String, String> {
             .transpose()
             .map(Option::unwrap_or_default)
     };
-    // Round-trip through the protocol parser: the client validates and
+    // The protocol's own constructor: the client validates and
     // canonicalizes exactly like the daemon, so both paths send/answer the
-    // same canonical request. Omitted tile axes stay omitted (the protocol
-    // reads an absent axis as "default grid", an empty array as an error).
-    let mut fields = vec![
-        ("workload".to_string(), Value::Str(workload.to_string())),
-        ("accelerator".into(), Value::Str(accelerator.to_string())),
-        (
-            "dfmode".into(),
-            Value::Str(matches.value_of("dfmode").unwrap().to_string()),
-        ),
-        (
-            "target".into(),
-            Value::Str(matches.value_of("target").unwrap().to_string()),
-        ),
-        (
-            "fuse".into(),
-            Value::Str(matches.value_of("fuse").unwrap().to_string()),
-        ),
-    ];
-    for flag in ["tilex", "tiley"] {
-        let axis = tile_axis(flag)?;
-        if !axis.is_empty() {
-            fields.push((
-                flag.to_string(),
-                Value::Array(axis.into_iter().map(Value::U64).collect()),
-            ));
-        }
-    }
-    let request = ScheduleRequest::from_value(&Value::Object(fields))?;
+    // same canonical request. An omitted tile axis is empty (the default
+    // grid).
+    let request = ScheduleRequest::new(
+        workload,
+        accelerator,
+        matches.value_of("dfmode").unwrap(),
+        matches.value_of("target").unwrap(),
+        matches.value_of("fuse").unwrap(),
+        tile_axis("tilex")?,
+        tile_axis("tiley")?,
+    )?;
 
     if !matches.get_flag("standalone") {
         return send_line(addr, &request.canonical_key());

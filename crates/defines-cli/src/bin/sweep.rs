@@ -20,7 +20,7 @@ use defines_cli::{parse_budget, parse_modes, resolve_accelerator, resolve_worklo
 use defines_core::{CellStack, DfCostModel, Explorer, FusePolicy, OptimizeTarget, ScheduleResult};
 use defines_engine::{EngineConfig, Outcome};
 use defines_workload::{models, Network};
-use serde::Value;
+use serde::{Serialize, Writer};
 
 fn main() {
     let matches = Command::new("sweep")
@@ -148,29 +148,46 @@ fn main() {
     }
 }
 
-/// Renders the chosen partition and per-stack strategy choices as a JSON
-/// object for the report's `schedule` section.
-fn schedule_to_json(net: &Network, schedule: &ScheduleResult) -> Value {
-    let stacks: Vec<Value> = schedule
-        .choices
-        .iter()
-        .map(|choice| serde::Serialize::to_value(&CellStack::new(net, choice)))
-        .collect();
-    Value::Object(vec![
-        (
-            "policy".into(),
-            Value::Str(schedule.policy.keyword().to_string()),
-        ),
-        ("candidates".into(), Value::U64(schedule.candidates as u64)),
-        ("degraded".into(), Value::Bool(schedule.degraded)),
-        ("partition".into(), Value::Array(stacks)),
-        ("energy_pj".into(), Value::F64(schedule.cost.energy_pj)),
-        (
-            "latency_cycles".into(),
-            Value::F64(schedule.cost.latency_cycles),
-        ),
-        ("stats".into(), serde::Serialize::to_value(&schedule.stats)),
-    ])
+/// One `records` entry of the JSON report: a sweep record without its cost.
+/// Each outcome keeps its own key (`value`, `lower_bound` or `error`).
+struct RecordRow {
+    index: usize,
+    strategy: String,
+    outcome: Outcome<()>,
+}
+
+impl Serialize for RecordRow {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        w.field("index", &self.index);
+        w.field("strategy", &self.strategy);
+        match &self.outcome {
+            Outcome::Evaluated { value, .. } => w.field("value", value),
+            Outcome::Pruned { lower_bound } => w.field("lower_bound", lower_bound),
+            Outcome::Failed { error } => w.field("error", error),
+        }
+        w.field("pruned", &matches!(self.outcome, Outcome::Pruned { .. }));
+        w.end_object();
+    }
+}
+
+/// Writes the report's `schedule` section: the chosen partition and
+/// per-stack strategy choices.
+fn write_schedule(w: &mut Writer<'_>, net: &Network, schedule: &ScheduleResult) {
+    w.begin_object();
+    w.field("policy", schedule.policy.keyword());
+    w.field("candidates", &schedule.candidates);
+    w.field("degraded", &schedule.degraded);
+    w.key("partition");
+    w.begin_array();
+    for choice in &schedule.choices {
+        w.item(&CellStack::new(net, choice));
+    }
+    w.end_array();
+    w.field("energy_pj", &schedule.cost.energy_pj);
+    w.field("latency_cycles", &schedule.cost.latency_cycles);
+    w.field("stats", &schedule.stats);
+    w.end_object();
 }
 
 /// Prints the chosen partition and per-stack choices, one line per stack.
@@ -248,7 +265,7 @@ fn run(matches: &clap::ArgMatches) -> Result<(), String> {
     // search` replaces it with the partition search below.
     let run_sweep = policy != FusePolicy::Search;
     let total = grid.len() * modes.len();
-    let mut record_rows: Vec<Value> = Vec::new();
+    let mut records: Vec<RecordRow> = Vec::new();
     // The best evaluated record, tracked in-stream: minimal value, ties
     // broken by submission index — the same arg-min `best_single_strategy`
     // computes, without re-running the sweep (a pruned point can never beat
@@ -273,7 +290,7 @@ fn run(matches: &clap::ArgMatches) -> Result<(), String> {
         let stats = explorer
             .sweep_streaming(&net, &grid, &modes, target, |record| {
                 done += 1;
-                let row = match &record.outcome {
+                let outcome = match &record.outcome {
                     Outcome::Evaluated { value, .. } => {
                         let better = match &best {
                             None => true,
@@ -295,12 +312,10 @@ fn run(matches: &clap::ArgMatches) -> Result<(), String> {
                                 },
                             );
                         }
-                        Value::Object(vec![
-                            ("index".into(), Value::U64(record.index as u64)),
-                            ("strategy".into(), Value::Str(record.point.to_string())),
-                            ("value".into(), Value::F64(*value)),
-                            ("pruned".into(), Value::Bool(false)),
-                        ])
+                        Outcome::Evaluated {
+                            cost: (),
+                            value: *value,
+                        }
                     }
                     Outcome::Pruned { lower_bound } => {
                         if !quiet {
@@ -310,26 +325,24 @@ fn run(matches: &clap::ArgMatches) -> Result<(), String> {
                                 record.point,
                             );
                         }
-                        Value::Object(vec![
-                            ("index".into(), Value::U64(record.index as u64)),
-                            ("strategy".into(), Value::Str(record.point.to_string())),
-                            ("lower_bound".into(), Value::F64(*lower_bound)),
-                            ("pruned".into(), Value::Bool(true)),
-                        ])
+                        Outcome::Pruned {
+                            lower_bound: *lower_bound,
+                        }
                     }
                     Outcome::Failed { error } => {
                         // Failures stream even under --quiet: a silently
                         // dropped point would misreport the sweep as complete.
                         eprintln!("[{done:>width$}/{total}] {}  FAILED: {error}", record.point,);
-                        Value::Object(vec![
-                            ("index".into(), Value::U64(record.index as u64)),
-                            ("strategy".into(), Value::Str(record.point.to_string())),
-                            ("error".into(), Value::Str(error.clone())),
-                            ("pruned".into(), Value::Bool(false)),
-                        ])
+                        Outcome::Failed {
+                            error: error.clone(),
+                        }
                     }
                 };
-                record_rows.push(row);
+                records.push(RecordRow {
+                    index: record.index,
+                    strategy: record.point.to_string(),
+                    outcome,
+                });
             })
             .map_err(|e| e.to_string())?;
         sweep_stats = Some(stats);
@@ -355,27 +368,14 @@ fn run(matches: &clap::ArgMatches) -> Result<(), String> {
     let (sl_value, lbl_value) = (target.value(&sl, &acc), target.value(&lbl, &acc));
 
     println!();
-    let mut best_json = None;
     if let Some((best_value, _, best)) = &best {
-        let best_cost = best
-            .cost()
-            .expect("tracked best is always evaluated")
-            .clone();
+        let best_cost = best.cost().expect("tracked best is always evaluated");
         println!("best strategy   : {}", best.point);
         println!(
             "  {target}: {best_value:.4e}  (energy {:.3} mJ, latency {:.3} Mcycles)",
             best_cost.energy_mj(),
             best_cost.latency_mcycles()
         );
-        best_json = Some(Value::Object(vec![
-            ("strategy".into(), Value::Str(best.point.to_string())),
-            ("value".into(), Value::F64(*best_value)),
-            ("energy_pj".into(), Value::F64(best_cost.energy_pj)),
-            (
-                "latency_cycles".into(),
-                Value::F64(best_cost.latency_cycles),
-            ),
-        ]));
     }
     print_schedule(&net, &schedule, target);
     println!(
@@ -449,56 +449,45 @@ fn run(matches: &clap::ArgMatches) -> Result<(), String> {
                 println!("| `{}` | {} |", metric.name, metric.value);
             }
         }
-        profile_json = Some(Value::Object(vec![
-            ("breakdown".into(), serde::Serialize::to_value(&breakdown)),
-            ("metrics".into(), serde::Serialize::to_value(&metrics)),
-        ]));
+        profile_json = Some((breakdown, metrics));
     }
 
     if let Some(path) = matches.value_of("json") {
-        let mut fields = vec![
-            ("workload".into(), Value::Str(net.name().to_string())),
-            (
-                "workload_source".into(),
-                Value::Str(workload_source.as_str().to_string()),
-            ),
-            ("accelerator".into(), Value::Str(acc.name().to_string())),
-            (
-                "accelerator_source".into(),
-                Value::Str(accelerator_source.as_str().to_string()),
-            ),
-            ("target".into(), Value::Str(target.to_string())),
-            (
-                "fuse".into(),
-                Value::Str(schedule.policy.keyword().to_string()),
-            ),
-        ];
-        if let Some(best) = best_json {
-            fields.push(("best".into(), best));
+        let mut out = String::new();
+        let w = &mut Writer::pretty(&mut out);
+        w.begin_object();
+        w.field("workload", net.name());
+        w.field("workload_source", workload_source.as_str());
+        w.field("accelerator", acc.name());
+        w.field("accelerator_source", accelerator_source.as_str());
+        w.field("target", &target.to_string());
+        w.field("fuse", schedule.policy.keyword());
+        if let Some((value, _, best)) = &best {
+            let cost = best.cost().expect("tracked best is always evaluated");
+            w.key("best");
+            w.begin_object();
+            w.field("strategy", &best.point.to_string());
+            w.field("value", value);
+            w.field("energy_pj", &cost.energy_pj);
+            w.field("latency_cycles", &cost.latency_cycles);
+            w.end_object();
         }
-        fields.extend([
-            ("schedule".into(), schedule_to_json(&net, &schedule)),
-            ("single_layer_value".into(), Value::F64(sl_value)),
-            ("layer_by_layer_value".into(), Value::F64(lbl_value)),
-            ("stats".into(), serde::Serialize::to_value(engine_stats)),
-            (
-                "cache".into(),
-                Value::Object(vec![
-                    ("entries".into(), Value::U64(cache.entries as u64)),
-                    ("hits".into(), Value::U64(cache.hits)),
-                    ("misses".into(), Value::U64(cache.misses)),
-                    ("canonical_hits".into(), Value::U64(cache.canonical_hits)),
-                    ("hit_rate".into(), Value::F64(cache.hit_rate())),
-                ]),
-            ),
-            ("records".into(), Value::Array(record_rows)),
-        ]);
-        if let Some(profile) = profile_json {
-            fields.push(("profile".into(), profile));
+        w.key("schedule");
+        write_schedule(w, &net, &schedule);
+        w.field("single_layer_value", &sl_value);
+        w.field("layer_by_layer_value", &lbl_value);
+        w.field("stats", engine_stats);
+        w.field("cache", &cache);
+        w.field("records", &records);
+        if let Some((breakdown, metrics)) = &profile_json {
+            w.key("profile");
+            w.begin_object();
+            w.field("breakdown", breakdown);
+            w.field("metrics", metrics);
+            w.end_object();
         }
-        let doc = Value::Object(fields);
-        std::fs::write(path, doc.to_json_pretty())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        w.end_object();
+        std::fs::write(path, out).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote JSON report to {path}");
     }
     Ok(())

@@ -299,7 +299,6 @@ mod tests {
     use super::*;
     use defines_arch::zoo;
     use defines_workload::models;
-    use serde::Serialize;
 
     fn item(label: &str, tile: (u64, u64)) -> BatchItem {
         BatchItem {
@@ -343,8 +342,8 @@ mod tests {
             standalone.stats.elapsed = Duration::ZERO;
             let batched = outcome.schedule.as_ref().unwrap();
             assert_eq!(
-                batched.to_value().to_json(),
-                standalone.to_value().to_json(),
+                serde::to_json(batched),
+                serde::to_json(&standalone),
                 "batched result must be bit-identical to the standalone run"
             );
             assert_eq!(outcome.value, standalone.value(it.target, &it.accelerator));
@@ -379,8 +378,8 @@ mod tests {
         );
         let alone = run_batch(&items[1..], &config);
         assert_eq!(
-            with_bad[1].schedule.as_ref().unwrap().to_value().to_json(),
-            alone[0].schedule.as_ref().unwrap().to_value().to_json()
+            serde::to_json(with_bad[1].schedule.as_ref().unwrap()),
+            serde::to_json(alone[0].schedule.as_ref().unwrap())
         );
         assert_eq!(with_bad[1].value.to_bits(), alone[0].value.to_bits());
     }

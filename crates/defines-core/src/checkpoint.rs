@@ -45,7 +45,7 @@ use crate::fuse::FusePolicy;
 use crate::matrix::{CellOutcome, CellStack, MatrixError};
 use defines_engine::{Journal, JournalError, SweepStats};
 use defines_workload::Fnv;
-use serde::{Fields, Items, Serialize, Value, ValueRef};
+use serde::{Fields, Items, Serialize, ValueRef, Writer};
 use std::path::Path;
 use std::time::Duration;
 
@@ -71,44 +71,34 @@ pub(crate) struct CheckpointHeader {
     pub grid_fingerprint: u64,
 }
 
-/// A loaded checkpoint: the validated header plus the raw cell values
-/// (converted to [`CellOutcome`]s by the matrix runner, which places each
-/// on its grid slot).
+/// A loaded checkpoint: the validated header plus the recorded cells (placed
+/// on their grid slots by the matrix runner).
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// The header line.
     pub(crate) header: CheckpointHeader,
-    /// One raw JSON value per recorded cell line, in file (completion)
-    /// order.
-    pub cells: Vec<Value>,
+    /// One recorded cell per line, in file (completion) order.
+    pub cells: Vec<CellOutcome>,
     /// Whether the file ended in a partial line (the recording process died
     /// mid-append). The partial line is dropped; its cell re-runs.
     pub torn_tail: bool,
 }
 
-impl CheckpointHeader {
-    pub(crate) fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("defines_matrix_checkpoint".into(), Value::U64(VERSION)),
-            ("target".into(), Value::Str(self.target.clone())),
-            (
-                "accelerators".into(),
-                Value::Array(
-                    self.accelerators
-                        .iter()
-                        .map(|(name, fp)| {
-                            Value::Array(vec![Value::Str(name.clone()), Value::U64(*fp)])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("workloads".into(), self.workloads.to_value()),
-            ("policies".into(), self.policies.to_value()),
-            ("grid_fingerprint".into(), Value::U64(self.grid_fingerprint)),
-        ])
+impl Serialize for CheckpointHeader {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        w.field("defines_matrix_checkpoint", &VERSION);
+        w.field("target", &self.target);
+        w.field("accelerators", &self.accelerators);
+        w.field("workloads", &self.workloads);
+        w.field("policies", &self.policies);
+        w.field("grid_fingerprint", &self.grid_fingerprint);
+        w.end_object();
     }
+}
 
-    fn from_value(v: &ValueRef<'_>) -> Result<Self, String> {
+impl CheckpointHeader {
+    fn read(v: &ValueRef<'_>) -> Result<Self, String> {
         let header = Fields::root(v)?;
         let version = header.req::<u64>("defines_matrix_checkpoint")?;
         if version != VERSION {
@@ -164,10 +154,6 @@ impl CheckpointHeader {
 
 /// Reconstructs a recorded cell; its fuse policy is read back from the
 /// recorded keyword.
-pub(crate) fn cell_from_value(v: &Value) -> Result<CellOutcome, String> {
-    v.read(|v| read_cell(&v))
-}
-
 fn read_cell(v: &ValueRef<'_>) -> Result<CellOutcome, String> {
     let cell = Fields::root(v)?;
     let policy = FusePolicy::from_keyword(cell.req("fuse")?)?;
@@ -227,15 +213,17 @@ impl From<JournalError> for MatrixError {
 
 /// Loads and parses a checkpoint file. The header is validated structurally
 /// here; matching it against the live run is the caller's
-/// `CheckpointHeader::validate_against`.
+/// `CheckpointHeader::validate_against`. A cell line that does not read
+/// back fails the load with an error naming the file, the line and the
+/// field.
 pub fn load(path: &Path) -> Result<Checkpoint, MatrixError> {
     let mut header = None;
     let mut cells = Vec::new();
     let torn_tail = Journal::read("checkpoint", path, |_, value, _| {
         if header.is_none() {
-            header = Some(CheckpointHeader::from_value(&value)?);
+            header = Some(CheckpointHeader::read(&value)?);
         } else {
-            cells.push(value.to_value());
+            cells.push(read_cell(&value)?);
         }
         Ok(())
     })?;

@@ -51,8 +51,7 @@ pub enum OptimizeTarget {
 impl OptimizeTarget {
     /// The target's keyword in the `target` vocabulary of the CLI flags and
     /// the daemon's request field.
-    #[cfg(test)]
-    pub(crate) fn keyword(&self) -> &'static str {
+    pub fn keyword(&self) -> &'static str {
         match self {
             OptimizeTarget::Energy => "energy",
             OptimizeTarget::Latency => "latency",

@@ -575,10 +575,7 @@ pub fn run_matrix(
         if populated {
             let ckpt = checkpoint::load(path)?;
             ckpt.header.validate_against(&header)?;
-            for v in &ckpt.cells {
-                let cell = checkpoint::cell_from_value(v).map_err(|why| {
-                    MatrixError::Checkpoint(format!("checkpoint '{}': {why}", path.display()))
-                })?;
+            for cell in &ckpt.cells {
                 let slot = acc_keys
                     .iter()
                     .position(|(name, fp)| *name == cell.accelerator && *fp == cell.fingerprint)
@@ -592,13 +589,14 @@ pub fn run_matrix(
                             cell.label
                         ))
                     })?;
-                slots[slot] = Some(cell);
+                slots[slot] = Some(cell.clone());
             }
             // Rewrites the valid prefix (appending after a torn tail would
             // corrupt the next line) and keeps appending from there.
-            file.rewrite(std::iter::once(&header.to_value()).chain(&ckpt.cells))?;
+            let cells = ckpt.cells.iter().map(|cell| cell as &dyn Serialize);
+            file.rewrite(std::iter::once(&header as &dyn Serialize).chain(cells))?;
         } else {
-            file.append(&header.to_value())?;
+            file.append(&header)?;
         }
     }
     let resumed_cells = slots.iter().flatten().count();
@@ -790,7 +788,6 @@ mod tests {
     use super::*;
     use defines_arch::zoo;
     use defines_workload::{Layer, LayerDims, OpType};
-    use serde::Value;
 
     fn tiny_net(name: &str) -> Network {
         let mut net = Network::new(name);
@@ -923,7 +920,7 @@ mod tests {
         assert!(md.contains("## Ranking"), "{md}");
         assert!(md.contains("## Cells"), "{md}");
 
-        let json = report.to_value().to_json();
+        let json = serde::to_json(&report);
         assert!(
             json.contains("\"accelerator\":\"Meta-proto-like DF\""),
             "{json}"
@@ -1058,12 +1055,7 @@ mod tests {
     /// engine stats and metrics delta, whose wall-clock / cross-run counters
     /// legitimately differ between an uninterrupted and a resumed run.
     fn deterministic_json(report: &MatrixReport) -> String {
-        Value::Object(vec![
-            ("cells".into(), report.cells.to_value()),
-            ("ranking".into(), report.ranking.to_value()),
-            ("inner_stats".into(), report.inner_stats.to_value()),
-        ])
-        .to_json()
+        serde::to_json(&(&report.cells, &report.ranking, &report.inner_stats))
     }
 
     #[test]
@@ -1127,6 +1119,48 @@ mod tests {
         let ckpt = checkpoint::load(&path).unwrap();
         assert_eq!(ckpt.cells.len(), 4);
         assert!(!ckpt.torn_tail);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A resume rewrites the file's valid prefix: the header and every
+    /// recorded cell must come back as exactly the bytes they had, or a
+    /// field lost on the way through the typed cell would go unnoticed.
+    #[test]
+    fn resume_rewrites_the_recorded_lines_byte_for_byte() {
+        let accelerators = [zoo::meta_proto_like_df(), zoo::tpu_like_df()];
+        let workloads = [tiny_net("tiny")];
+        let path = scratch_checkpoint("rewrite");
+        let run = || {
+            let config = MatrixConfig {
+                checkpoint: Some(path.clone()),
+                ..MatrixConfig::default()
+            };
+            run_matrix(
+                &accelerators,
+                &workloads,
+                &[FusePolicy::Auto, FusePolicy::search()],
+                Some(&[(8, 8), (30, 30)]),
+                &OverlapMode::ALL,
+                OptimizeTarget::Latency,
+                &config,
+                |_| {},
+            )
+            .unwrap()
+        };
+        run();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 1 + 4, "header + one line per cell");
+        let recorded = lines[..4].join("\n") + "\n";
+        let torn = &lines[4][..lines[4].len() / 3];
+        std::fs::write(&path, recorded.clone() + torn).unwrap();
+        let resumed = run();
+        assert_eq!(resumed.stats.points, 1, "only the torn cell re-runs");
+        let rewritten = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            rewritten.starts_with(&recorded),
+            "the rewrite changed recorded lines:\n{recorded}\n---\n{rewritten}"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1229,18 +1263,14 @@ mod tests {
         };
         run().unwrap();
         // Break the first of the two cell lines: its value becomes a string.
-        let mut ckpt = checkpoint::load(&path).unwrap();
-        assert_eq!(ckpt.cells.len(), 2);
-        let Value::Object(cell) = &mut ckpt.cells[0] else {
-            panic!("a cell line is an object");
-        };
-        let value = cell.iter_mut().find(|(k, _)| k == "value").unwrap();
-        value.1 = Value::Str("x".into());
-        let lines: Vec<String> = std::iter::once(ckpt.header.to_value())
-            .chain(ckpt.cells)
-            .map(|line| line.to_json() + "\n")
-            .collect();
-        std::fs::write(&path, lines.concat()).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        assert_eq!(lines.len(), 1 + 2, "header + one line per cell");
+        let cell = &mut lines[1];
+        let at = cell.find("\"value\":").unwrap() + "\"value\":".len();
+        let end = at + cell[at..].find(',').unwrap();
+        cell.replace_range(at..end, "\"x\"");
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
         let err = run().unwrap_err();
         assert!(matches!(err, MatrixError::Checkpoint(_)), "{err}");
         assert!(err.to_string().contains("'value'"), "{err}");

@@ -206,14 +206,7 @@ impl Serialize for SweepStats {
         w.field("threads", &self.threads);
         w.field("elapsed_ms", &(self.elapsed.as_secs_f64() * 1e3));
         if let Some(cache) = &self.cache {
-            w.key("cache");
-            w.begin_object();
-            w.field("entries", &cache.entries);
-            w.field("hits", &cache.hits);
-            w.field("misses", &cache.misses);
-            w.field("canonical_hits", &cache.canonical_hits);
-            w.field("hit_rate", &cache.hit_rate());
-            w.end_object();
+            w.field("cache", cache);
         }
         w.end_object();
     }

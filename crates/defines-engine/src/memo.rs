@@ -12,6 +12,7 @@
 //! iteration order it induces either: [`MemoCache::snapshot`] documents its
 //! order as unspecified, and its callers sort.
 
+use serde::{Serialize, Writer};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,6 +121,19 @@ impl CacheStats {
         } else {
             self.hits as f64 / total as f64
         }
+    }
+}
+
+/// The `cache` block of the sweep reports: the counters, then the hit rate.
+impl Serialize for CacheStats {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        w.field("entries", &self.entries);
+        w.field("hits", &self.hits);
+        w.field("misses", &self.misses);
+        w.field("canonical_hits", &self.canonical_hits);
+        w.field("hit_rate", &self.hit_rate());
+        w.end_object();
     }
 }
 

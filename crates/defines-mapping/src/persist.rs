@@ -117,7 +117,8 @@ pub struct CacheStore {
     epochs: HashMap<ProblemKey, u64>,
     /// The file (always positioned at its end).
     journal: Journal,
-    /// Lines appended since the last compaction; when this exceeds the
+    /// Lines appended since the last compaction, starting at open from the
+    /// loaded file's lines beyond its live entries; when this exceeds the
     /// entry count the log has roughly doubled and gets compacted.
     appended_since_compact: usize,
     stats: StoreStats,
@@ -322,11 +323,14 @@ impl CacheStore {
             appended_since_compact: 0,
             stats: StoreStats::default(),
         };
-        let Some(torn) = store.load()? else {
+        let Some((lines, torn)) = store.load()? else {
             store.journal.append(&Line::Header)?;
             return Ok(store);
         };
         store.stats.entries = store.epochs.len();
+        // The loaded file's lines beyond its live entries count toward the
+        // doubling rule, so it bounds the file across restarts too.
+        store.appended_since_compact = lines.saturating_sub(store.epochs.len());
         #[expect(
             clippy::disallowed_methods,
             reason = "max over values is order-independent"
@@ -343,14 +347,16 @@ impl CacheStore {
     }
 
     /// Streams the file into the cache. Returns `None` for a file without a
-    /// header (fresh store), else whether the final line was torn.
-    fn load(&mut self) -> Result<Option<bool>, StoreError> {
+    /// header (fresh store), else the count of lines applied after the
+    /// header and whether the final line was torn.
+    fn load(&mut self) -> Result<Option<(usize, bool)>, StoreError> {
         // Transient fingerprint index so touch lines can name entries
         // compactly; built at the first touch line (a compacted file has
         // none).
         let mut by_fp: Option<HashMap<u64, ProblemKey>> = None;
         let mut header_seen = false;
         let mut broken_tail = false;
+        let mut lines = 0;
         let path = self.journal.path().to_path_buf();
         let torn = Journal::read("store", &path, |_, v, last| {
             if !header_seen {
@@ -376,10 +382,13 @@ impl CacheStore {
                     broken_tail = true;
                     Ok(())
                 }
-                applied => applied,
+                applied => {
+                    lines += 1;
+                    applied
+                }
             }
         })?;
-        Ok(header_seen.then_some(torn || broken_tail))
+        Ok(header_seen.then_some((lines, torn || broken_tail)))
     }
 
     fn apply_line(
@@ -539,7 +548,7 @@ impl CacheStore {
         Ok(())
     }
 
-    /// Forces a compaction now (tests and orderly shutdown).
+    /// Forces a compaction now, whatever the doubling rule says.
     pub fn compact_now(&mut self) -> Result<(), StoreError> {
         self.compact()
     }

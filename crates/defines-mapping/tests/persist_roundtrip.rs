@@ -292,3 +292,26 @@ fn broken_last_entry_is_dropped_as_a_torn_tail() {
     assert_eq!(text.lines().count(), 3, "header + the two valid entries");
     let _ = std::fs::remove_file(&path);
 }
+
+/// The doubling rule bounds the file across restarts, not just within one
+/// process: every life that re-touches the entries appends a `touch` line,
+/// and the lines an earlier life left behind count toward the next
+/// compaction.
+#[test]
+fn restarts_that_only_touch_keep_the_file_bounded() {
+    let path = fresh_path("lives");
+    let keys = [0, 1, 2, 3];
+    for _ in 0..40 {
+        let cache = MappingCache::new();
+        let mut store = CacheStore::open(&path, cache.clone(), 0).expect("open");
+        replay(&mut store, &cache, &[keys.to_vec()], 9);
+        drop(store);
+    }
+    let lines = std::fs::read_to_string(&path).unwrap().lines().count();
+    let bound = 2 * keys.len().max(16) + 2;
+    assert!(
+        lines <= bound,
+        "{lines} lines after 40 lives (bound {bound})"
+    );
+    let _ = std::fs::remove_file(&path);
+}

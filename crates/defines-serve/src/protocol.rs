@@ -40,12 +40,12 @@ pub struct ScheduleRequest {
     pub workload: String,
     /// Accelerator spec (builtin name or file path, resolver-interpreted).
     pub accelerator: String,
-    /// Overlap-mode digits (validated, duplicates removed).
-    pub dfmode: String,
-    /// Optimization-target keyword (validated).
-    pub target: String,
-    /// Fuse-policy keyword (validated).
-    pub fuse: String,
+    /// Overlap modes, in first-mention order without repeats.
+    pub dfmode: Vec<OverlapMode>,
+    /// Optimization target.
+    pub target: OptimizeTarget,
+    /// Fuse policy.
+    pub fuse: FusePolicy,
     /// Tile x extents; empty together with `tiley` means the default grid.
     pub tilex: Vec<u64>,
     /// Tile y extents.
@@ -82,50 +82,78 @@ fn tile_axis(fields: &Fields<'_>, key: &str) -> Result<Vec<u64>, String> {
         return Err(format!("'{key}' needs at least one entry"));
     }
     items
-        .map(|item| match item.as_u64() {
-            Some(n) if n > 0 => Ok(n),
-            _ => Err(format!("'{key}' entries must be positive integers")),
-        })
+        .map(|item| item.as_u64().ok_or_else(|| positive_entries(key)))
         .collect()
 }
 
-impl ScheduleRequest {
-    /// Parses and validates a request object. Keywords are checked here so a
-    /// malformed request fails at the protocol boundary, not inside a batch.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        v.read(|v| Self::read(&v))
-    }
+fn positive_entries(key: &str) -> String {
+    format!("'{key}' entries must be positive integers")
+}
 
-    /// [`ScheduleRequest::from_value`] on a parsed request line.
-    pub(crate) fn read(v: &ValueRef<'_>) -> Result<Self, String> {
-        let fields = Fields::root(v)?;
-        fields.only(&SCHEDULE_KEYS)?;
-        let text = |key, default: &str| -> Result<String, String> {
-            Ok(fields.opt(key)?.unwrap_or(default).to_string())
-        };
-        let request = Self {
-            workload: fields.req::<&str>("workload")?.to_string(),
-            accelerator: fields.req::<&str>("accelerator")?.to_string(),
-            dfmode: text("dfmode", "123")?,
-            target: text("target", "energy")?,
-            fuse: text("fuse", "auto")?,
-            tilex: tile_axis(&fields, "tilex")?,
-            tiley: tile_axis(&fields, "tiley")?,
-        };
-        // Validate the axes eagerly; also canonicalizes dfmode (dedup).
-        let modes =
-            OverlapMode::parse_digits(&request.dfmode).map_err(|why| format!("'dfmode': {why}"))?;
-        OptimizeTarget::from_keyword(&request.target)?;
-        FusePolicy::from_keyword(&request.fuse)?;
-        if request.tilex.is_empty() != request.tiley.is_empty() {
+impl ScheduleRequest {
+    /// Validates a request given in the protocol's vocabulary: `dfmode`
+    /// digits, `target` and `fuse` keywords, and tile axes that are both
+    /// empty (the explorer's default grid) or both given. Repeated `dfmode`
+    /// digits are dropped. Keywords are checked here so a malformed request
+    /// fails at the protocol boundary, not inside a batch.
+    pub fn new(
+        workload: &str,
+        accelerator: &str,
+        dfmode: &str,
+        target: &str,
+        fuse: &str,
+        tilex: Vec<u64>,
+        tiley: Vec<u64>,
+    ) -> Result<Self, String> {
+        for (key, axis) in [("tilex", &tilex), ("tiley", &tiley)] {
+            if axis.contains(&0) {
+                return Err(positive_entries(key));
+            }
+        }
+        let dfmode = OverlapMode::parse_digits(dfmode).map_err(|why| format!("'dfmode': {why}"))?;
+        let target = OptimizeTarget::from_keyword(target)?;
+        let fuse = FusePolicy::from_keyword(fuse)?;
+        if tilex.is_empty() != tiley.is_empty() {
             return Err(
                 "'tilex' and 'tiley' must be given together (or both omitted for the \
                  default grid)"
                     .into(),
             );
         }
-        let dfmode = modes.iter().map(OverlapMode::digit).collect();
-        Ok(Self { dfmode, ..request })
+        Ok(Self {
+            workload: workload.to_string(),
+            accelerator: accelerator.to_string(),
+            dfmode,
+            target,
+            fuse,
+            tilex,
+            tiley,
+        })
+    }
+
+    /// Parses and validates a request object.
+    // Kept for the frozen harness: `benchmark/` calls `ScheduleRequest::from_value`
+    // on the request lines it parses into a `Value`.
+    pub fn from_value(v: &Value) -> Result<Self, String> {
+        v.read(|v| Self::read(&v))
+    }
+
+    /// Reads a parsed request line: the fields with their defaults, then
+    /// [`ScheduleRequest::new`].
+    pub(crate) fn read(v: &ValueRef<'_>) -> Result<Self, String> {
+        let fields = Fields::root(v)?;
+        fields.only(&SCHEDULE_KEYS)?;
+        let keyword =
+            |key, default| -> Result<&str, String> { Ok(fields.opt(key)?.unwrap_or(default)) };
+        Self::new(
+            fields.req("workload")?,
+            fields.req("accelerator")?,
+            keyword("dfmode", "123")?,
+            keyword("target", "energy")?,
+            keyword("fuse", "auto")?,
+            tile_axis(&fields, "tilex")?,
+            tile_axis(&fields, "tiley")?,
+        )
     }
 
     /// The coalescing key: the canonical form as compact JSON.
@@ -163,11 +191,9 @@ impl ScheduleRequest {
             accelerator,
             network,
             tile_grid: self.tile_grid(),
-            modes: OverlapMode::parse_digits(&self.dfmode)
-                .expect("dfmode was validated at parse time"),
-            target: OptimizeTarget::from_keyword(&self.target)
-                .expect("target was validated at parse time"),
-            policy: FusePolicy::from_keyword(&self.fuse).expect("fuse was validated at parse time"),
+            modes: self.dfmode.clone(),
+            target: self.target,
+            policy: self.fuse,
         }
     }
 }
@@ -179,9 +205,10 @@ impl Serialize for ScheduleRequest {
         w.begin_object();
         w.field("workload", &self.workload);
         w.field("accelerator", &self.accelerator);
-        w.field("dfmode", &self.dfmode);
-        w.field("target", &self.target);
-        w.field("fuse", &self.fuse);
+        let digits: String = self.dfmode.iter().map(OverlapMode::digit).collect();
+        w.field("dfmode", &digits);
+        w.field("target", self.target.keyword());
+        w.field("fuse", self.fuse.keyword());
         w.field("tilex", &self.tilex);
         w.field("tiley", &self.tiley);
         w.end_object();
@@ -226,16 +253,17 @@ mod tests {
     use super::*;
 
     fn parse(json: &str) -> Result<ScheduleRequest, String> {
-        let v = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        ScheduleRequest::from_value(&v)
+        let mut tape = serde::Tape::new();
+        let v = tape.parse(json).map_err(|e| e.to_string())?;
+        ScheduleRequest::read(&v)
     }
 
     #[test]
     fn defaults_are_resolved_and_canonicalized() {
         let r = parse(r#"{"workload":"fsrcnn","accelerator":"tpu-like"}"#).unwrap();
-        assert_eq!(r.dfmode, "123");
-        assert_eq!(r.target, "energy");
-        assert_eq!(r.fuse, "auto");
+        assert_eq!(r.dfmode, OverlapMode::ALL);
+        assert_eq!(r.target, OptimizeTarget::Energy);
+        assert_eq!(r.fuse, FusePolicy::Auto);
         assert!(r.tile_grid().is_none());
     }
 
@@ -247,6 +275,46 @@ mod tests {
         .unwrap();
         let b = parse(r#"{"workload":"fsrcnn","accelerator":"tpu-like","dfmode":"31"}"#).unwrap();
         assert_eq!(a.canonical_key(), b.canonical_key());
+    }
+
+    /// Canonical keys are coalescing keys and run labels, and responses echo
+    /// them: each must stay byte-for-byte what earlier builds wrote.
+    #[test]
+    fn canonical_keys_are_pinned() {
+        let base = r#""workload":"fsrcnn","accelerator":"tpu-like""#;
+        let key = |dfmode: &str, target: &str, fuse: &str, tiles: &str| {
+            format!(r#"{{{base},"dfmode":"{dfmode}","target":"{target}","fuse":"{fuse}",{tiles}}}"#)
+        };
+        let no_tiles = r#""tilex":[],"tiley":[]"#;
+        let mut table = vec![
+            (
+                format!("{{{base}}}"),
+                key("123", "energy", "auto", no_tiles),
+            ),
+            (
+                format!(r#"{{{base},"dfmode":"3311"}}"#),
+                key("31", "energy", "auto", no_tiles),
+            ),
+            (
+                format!(r#"{{{base},"dfmode":"2122"}}"#),
+                key("21", "energy", "auto", no_tiles),
+            ),
+            (
+                format!(r#"{{"tiley":[8,4],"tilex":[16],{base},"dfmode":"321"}}"#),
+                key("321", "energy", "auto", r#""tilex":[16],"tiley":[8,4]"#),
+            ),
+        ];
+        for target in ["energy", "latency", "edp", "dram", "activation"] {
+            let line = format!(r#"{{{base},"target":"{target}"}}"#);
+            table.push((line, key("123", target, "auto", no_tiles)));
+        }
+        for fuse in ["auto", "full", "single", "search"] {
+            let line = format!(r#"{{{base},"fuse":"{fuse}"}}"#);
+            table.push((line, key("123", "energy", fuse, no_tiles)));
+        }
+        for (line, expected) in table {
+            assert_eq!(parse(&line).unwrap().canonical_key(), expected, "{line}");
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::protocol::{self, render_error, render_outcome, ScheduleRequest};
 use defines_core::{run_batch, BatchConfig, BatchItem};
 use defines_engine::{panic_error, EngineConfig};
 use defines_mapping::{Budget, CacheStore, MappingCache};
-use serde::{Tape, Value};
+use serde::{Tape, Writer};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -281,7 +281,8 @@ impl Server {
         }
         let _ = scheduler.join();
         // Final persistence pass: everything computed is already synced per
-        // batch; this compacts so the next start loads a minimal file.
+        // batch; this syncs whatever is left. The store compacts by its own
+        // rule, which also bounds the file across restarts.
         if let Some(store) = self
             .inner
             .store
@@ -290,7 +291,6 @@ impl Server {
             .as_mut()
         {
             store.sync().map_err(|e| ServeError(e.to_string()))?;
-            store.compact_now().map_err(|e| ServeError(e.to_string()))?;
         }
         Ok(())
     }
@@ -478,11 +478,7 @@ fn answer(inner: &ServerInner, line: &str) -> String {
     };
     if let Some(cmd) = command {
         return match cmd {
-            "ping" => Value::Object(vec![
-                ("ok".into(), Value::Bool(true)),
-                ("pong".into(), Value::Bool(true)),
-            ])
-            .to_json(),
+            "ping" => r#"{"ok":true,"pong":true}"#.to_string(),
             "stats" => stats_response(inner),
             "shutdown" => {
                 let mut st = inner.hub.lock();
@@ -492,11 +488,7 @@ fn answer(inner: &ServerInner, line: &str) -> String {
                 drop(st);
                 // Unblock the accept loop so `run` can observe the flag.
                 let _ = TcpStream::connect(inner.local_addr);
-                Value::Object(vec![
-                    ("ok".into(), Value::Bool(true)),
-                    ("shutdown".into(), Value::Bool(true)),
-                ])
-                .to_json()
+                r#"{"ok":true,"shutdown":true}"#.to_string()
             }
             other => render_error(&format!("unknown command '{other}'")),
         };
@@ -541,41 +533,36 @@ fn answer(inner: &ServerInner, line: &str) -> String {
 /// The `stats` command: per-daemon serve counters, mapping-cache stats, and
 /// (when persistent) store stats.
 fn stats_response(inner: &ServerInner) -> String {
+    let mut out = String::new();
+    let w = &mut Writer::compact(&mut out);
+    w.begin_object();
+    w.field("ok", &true);
+    w.key("stats");
+    w.begin_object();
+    w.key("serve");
+    w.begin_object();
     let c = &inner.counters;
-    let serve = Value::Object(vec![
-        (
-            "requests".into(),
-            Value::U64(c.requests.load(Ordering::Relaxed)),
-        ),
-        (
-            "batched".into(),
-            Value::U64(c.batched.load(Ordering::Relaxed)),
-        ),
-        (
-            "memo_hits".into(),
-            Value::U64(c.memo_hits.load(Ordering::Relaxed)),
-        ),
-        (
-            "computed".into(),
-            Value::U64(c.computed.load(Ordering::Relaxed)),
-        ),
-        (
-            "cache_loads".into(),
-            Value::U64(c.cache_loads.load(Ordering::Relaxed)),
-        ),
-        (
-            "evictions".into(),
-            Value::U64(c.evictions.load(Ordering::Relaxed)),
-        ),
-    ]);
+    for (key, counter) in [
+        ("requests", &c.requests),
+        ("batched", &c.batched),
+        ("memo_hits", &c.memo_hits),
+        ("computed", &c.computed),
+        ("cache_loads", &c.cache_loads),
+        ("evictions", &c.evictions),
+    ] {
+        w.field(key, &counter.load(Ordering::Relaxed));
+    }
+    w.end_object();
     let cache = inner.cache.stats();
-    let cache = Value::Object(vec![
-        ("hits".into(), Value::U64(cache.hits)),
-        ("misses".into(), Value::U64(cache.misses)),
-        ("canonical_hits".into(), Value::U64(cache.canonical_hits)),
-        ("entries".into(), Value::U64(cache.entries as u64)),
-    ]);
-    let store = match inner
+    w.key("cache");
+    w.begin_object();
+    w.field("hits", &cache.hits);
+    w.field("misses", &cache.misses);
+    w.field("canonical_hits", &cache.canonical_hits);
+    w.field("entries", &cache.entries);
+    w.end_object();
+    w.key("store");
+    match inner
         .store
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
@@ -583,28 +570,19 @@ fn stats_response(inner: &ServerInner) -> String {
     {
         Some(store) => {
             let s = store.stats();
-            Value::Object(vec![
-                ("loaded".into(), Value::U64(s.loaded)),
-                ("stored".into(), Value::U64(s.stored)),
-                ("evicted".into(), Value::U64(s.evicted)),
-                ("compactions".into(), Value::U64(s.compactions)),
-                ("entries".into(), Value::U64(s.entries as u64)),
-            ])
+            w.begin_object();
+            w.field("loaded", &s.loaded);
+            w.field("stored", &s.stored);
+            w.field("evicted", &s.evicted);
+            w.field("compactions", &s.compactions);
+            w.field("entries", &s.entries);
+            w.end_object();
         }
-        None => Value::Null,
-    };
-    Value::Object(vec![
-        ("ok".into(), Value::Bool(true)),
-        (
-            "stats".into(),
-            Value::Object(vec![
-                ("serve".into(), serve),
-                ("cache".into(), cache),
-                ("store".into(), store),
-            ]),
-        ),
-    ])
-    .to_json()
+        None => w.null(),
+    }
+    w.end_object();
+    w.end_object();
+    out
 }
 
 /// Sends one request line to a daemon and returns its response line — the

@@ -7,6 +7,8 @@ use serde::{Serialize, Value, Writer};
 /// loadable in Perfetto / `chrome://tracing`: one complete (`"ph": "X"`)
 /// event per span, one track per recorded thread, plus `thread_name`
 /// metadata events naming the tracks.
+// Kept returning a `Value`: `benchmark/` calls `defines_telemetry::chrome_trace`
+// and renders the tree itself.
 pub fn chrome_trace(events: &[SpanEvent]) -> Value {
     let mut threads: Vec<u32> = events.iter().map(|e| e.thread).collect();
     threads.sort_unstable();

@@ -35,7 +35,7 @@
 use crate::layer::OpType;
 use crate::loader::WorkloadError;
 use crate::network::Network;
-use serde::Value;
+use serde::{Serialize, Writer};
 
 /// The format tag expected in a workload document's optional `format` field.
 pub(crate) const FORMAT: &str = "defines-workload-v1";
@@ -95,45 +95,58 @@ pub fn to_json_pretty(net: &Network) -> Result<String, WorkloadError> {
             });
         }
         let inputs = net.predecessors(id).iter();
-        let inputs = inputs.map(|&p| Value::Str(net.layer(p).name.clone()));
         let d = &layer.dims;
-        let pair = |x, y| Value::Array(vec![Value::U64(x), Value::U64(y)]);
-        layers.push(object([
-            ("name", Value::Str(layer.name.clone())),
-            ("op", Value::Str(op_name(layer.op).into())),
-            ("inputs", Value::Array(inputs.collect())),
-            ("k", Value::U64(d.k)),
-            ("c", Value::U64(d.c)),
-            ("ox", Value::U64(d.ox)),
-            ("oy", Value::U64(d.oy)),
-            ("fx", Value::U64(d.fx)),
-            ("fy", Value::U64(d.fy)),
-            ("stride", pair(d.stride_x, d.stride_y)),
-            ("padding", pair(d.pad_x, d.pad_y)),
-            ("batch", Value::U64(d.b)),
-            ("act_bits", Value::U64(layer.act_bits.into())),
-            ("weight_bits", Value::U64(layer.weight_bits.into())),
-        ]));
+        layers.push(LayerDoc {
+            name: layer.name.clone(),
+            op: op_name(layer.op),
+            inputs: inputs.map(|&p| net.layer(p).name.clone()).collect(),
+            k: d.k,
+            c: d.c,
+            ox: d.ox,
+            oy: d.oy,
+            fx: d.fx,
+            fy: d.fy,
+            stride: [d.stride_x, d.stride_y],
+            padding: [d.pad_x, d.pad_y],
+            batch: d.b,
+            act_bits: layer.act_bits,
+            weight_bits: layer.weight_bits,
+        });
     }
-    Ok(object([
-        ("format", Value::Str(FORMAT.into())),
-        ("name", Value::Str(net.name().into())),
-        ("layers", Value::Array(layers)),
-    ])
-    .to_json_pretty())
+    let mut out = String::new();
+    let w = &mut Writer::pretty(&mut out);
+    w.begin_object();
+    w.field("format", FORMAT);
+    w.field("name", net.name());
+    w.field("layers", &layers);
+    w.end_object();
+    Ok(out)
 }
 
-/// A JSON object with the given entries, in order.
-fn object<const N: usize>(entries: [(&str, Value); N]) -> Value {
-    Value::Object(Vec::from(
-        entries.map(|(key, value)| (key.to_string(), value)),
-    ))
+/// One exported layer, every dimension explicit.
+#[derive(Serialize)]
+struct LayerDoc {
+    name: String,
+    op: &'static str,
+    inputs: Vec<String>,
+    k: u64,
+    c: u64,
+    ox: u64,
+    oy: u64,
+    fx: u64,
+    fy: u64,
+    stride: [u64; 2],
+    padding: [u64; 2],
+    batch: u64,
+    act_bits: u32,
+    weight_bits: u32,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models;
+    use serde::Value;
 
     #[test]
     fn op_names_round_trip() {

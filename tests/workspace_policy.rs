@@ -1,8 +1,8 @@
 //! Workspace policy the lints cannot state, checked with cargo's own view of
 //! the manifests: every member inherits `[workspace.lints]`, every dependency
 //! (of this workspace and of `benchmark/`) is a path inside the repository,
-//! no workflow file repeats a mapping key, and the documents cite code by
-//! item path, never by line number.
+//! no workflow file repeats a mapping key, the documents cite code by item
+//! path, never by line number, and program code builds no JSON tree.
 
 use serde_json::Value;
 use std::collections::BTreeSet;
@@ -338,4 +338,152 @@ fn docs_cite_code_by_item_path_not_line() {
         }
     }
     assert!(checked > 0, "no code anchors under docs/");
+}
+
+// One JSON path in the program: it writes through `serde::Serialize` /
+// `serde::Writer` and reads through `serde::Tape` / `serde::Fields`. The
+// owned tree `serde::Value` stays for the frozen benchmark harness, which
+// builds and inspects trees itself and calls two program entry points that
+// take or return one. Tests may use trees freely.
+
+/// The files allowed to name `Value` outside tests, each with the harness
+/// call that keeps it; the file must say so in a comment.
+const VALUE_ENTRY_POINTS: [(&str, &str); 2] = [
+    (
+        "crates/defines-telemetry/src/export.rs",
+        "defines_telemetry::chrome_trace",
+    ),
+    (
+        "crates/defines-serve/src/protocol.rs",
+        "ScheduleRequest::from_value",
+    ),
+];
+
+/// The lines of `source` outside `#[cfg(test)]` items, numbered from 1.
+/// rustfmt closes an item at the indentation its attribute sits at: with a
+/// `}` line, or with `;` or `,` on a one-line item.
+fn non_test_lines(source: &str) -> Vec<(usize, &str)> {
+    let mut lines = Vec::new();
+    let mut test_item: Option<&str> = None;
+    for (n, line) in source.lines().enumerate() {
+        let code = line.trim_start();
+        let indent = &line[..line.len() - code.len()];
+        if let Some(open) = test_item {
+            let same_level = indent == open && !code.starts_with("#[");
+            if same_level && (code.starts_with('}') || code.ends_with([';', ','])) {
+                test_item = None;
+            }
+        } else if code.starts_with("#[cfg(test)]") || code.starts_with("#[cfg(all(test") {
+            test_item = Some(indent);
+        } else {
+            lines.push((n + 1, line));
+        }
+    }
+    lines
+}
+
+/// Whether a line of code names the tree type, calls `.to_value()`, or
+/// parses text into a tree. Comments are prose, not code.
+fn builds_a_tree(line: &str) -> bool {
+    let code = line.trim_start();
+    if code.starts_with("//") {
+        return false;
+    }
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let names_value = code.match_indices("Value").any(|(at, word)| {
+        !code[..at].chars().next_back().is_some_and(ident)
+            && !code[at + word.len()..].chars().next().is_some_and(ident)
+    });
+    names_value
+        || code.contains(".to_value()")
+        || code.contains("serde_json::from_str")
+        || code.contains("serde::from_str")
+}
+
+fn rust_files(dir: &Path, files: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("source directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, files);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            files.push(path);
+        }
+    }
+}
+
+#[test]
+fn test_items_are_told_apart_from_program_code() {
+    let source = "\
+use serde::Value;
+#[cfg(test)]
+use serde::Value;
+fn program() {}
+#[cfg(test)]
+#[expect(dead_code, reason = \"x\")]
+fn helper() {
+    let v: Value;
+}
+impl A {
+    #[cfg(test)]
+    fn in_impl() {
+        x.to_value();
+    }
+    fn kept() {}
+}
+#[cfg(test)]
+mod tests {
+    fn inner() {}
+}
+";
+    let kept: Vec<usize> = non_test_lines(source).iter().map(|(n, _)| *n).collect();
+    assert_eq!(kept, [1, 4, 10, 15, 16]);
+    assert!(builds_a_tree("use serde::{Fields, Value};"));
+    assert!(builds_a_tree("    let v = report.to_value();"));
+    assert!(!builds_a_tree("use serde::{Fields, ValueRef};"));
+    assert!(!builds_a_tree("pub struct MetricValue {"));
+    assert!(!builds_a_tree("/// Reads a [`Value`] tree."));
+}
+
+#[test]
+fn only_the_harness_entry_points_build_json_trees() {
+    let root = repo_root();
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates directory") {
+        let src = entry.expect("directory entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    assert!(files.len() > 50, "found only {} source files", files.len());
+    let mut violations = Vec::new();
+    for path in files {
+        let relative = path.strip_prefix(&root).expect("under the root");
+        let relative = relative.to_string_lossy().replace('\\', "/");
+        let source = std::fs::read_to_string(&path).expect("source file");
+        if let Some((_, call)) = VALUE_ENTRY_POINTS
+            .iter()
+            .find(|(file, _)| *file == relative)
+        {
+            let says_why = source.lines().any(|line| {
+                let line = line.trim_start();
+                line.starts_with("//") && line.contains("benchmark") && line.contains(call)
+            });
+            assert!(
+                says_why,
+                "{relative} must say in a comment that the benchmark harness calls `{call}`"
+            );
+            continue;
+        }
+        for (n, line) in non_test_lines(&source) {
+            if builds_a_tree(line) {
+                violations.push(format!("{relative}:{n}: {}", line.trim()));
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "program code writes JSON through `Serialize` and reads it through \
+         `Tape`/`Fields`; `serde::Value` is the benchmark harness's:\n{}",
+        violations.join("\n")
+    );
 }
