@@ -9,8 +9,8 @@
 //! The hash is in-memory only: it is never written to disk, so keys that
 //! outlive the process (the mapping-cache store, matrix checkpoints) stay on
 //! the release-stable [`Fnv`](defines_workload::Fnv). Nothing observes the
-//! iteration order it induces either: [`MemoCache::snapshot`] documents its
-//! order as unspecified, and its callers sort.
+//! iteration order it induces either: [`MemoCache::retain`] documents its
+//! order as unspecified, and the callers that collect entries sort.
 
 use serde::{Serialize, Writer};
 use std::collections::HashMap;
@@ -200,23 +200,34 @@ impl<K: Hash + Eq, V: Clone> MemoCache<K, V> {
     /// Returns the cached value for `key`, computing and inserting it on a
     /// miss.
     pub fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        self.get_or_insert_with_meta(key, compute).0
+        self.get_or_insert_with_meta(key, compute, |_, v| v.clone())
+            .0
     }
 
-    /// Like [`MemoCache::get_or_insert_with`], additionally reporting whether
-    /// the lookup was answered from the cache (`true`) or computed (`false`).
-    pub fn get_or_insert_with_meta(&self, key: K, compute: impl FnOnce() -> V) -> (V, bool) {
+    /// Like [`MemoCache::get_or_insert_with`], but returns what `visit`
+    /// makes of the stored value, and whether the lookup was a hit. `visit`
+    /// runs once under the shard lock and may update the value in place; on
+    /// a miss that lost a race it sees the winner's value.
+    pub fn get_or_insert_with_meta<R>(
+        &self,
+        key: K,
+        compute: impl FnOnce() -> V,
+        visit: impl FnOnce(&K, &mut V) -> R,
+    ) -> (R, bool) {
         let shard = self.shard(&key);
-        if let Some(hit) = Self::lock_shard(shard).get(&key) {
+        if let Some(hit) = Self::lock_shard(shard).get_mut(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return (hit.clone(), true);
+            return (visit(&key, hit), true);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let value = compute();
-        Self::lock_shard(shard)
-            .entry(key)
-            .or_insert_with(|| value.clone());
-        (value, false)
+        let mut value = compute();
+        let mut guard = Self::lock_shard(shard);
+        if let Some(raced) = guard.get_mut(&key) {
+            return (visit(&key, raced), false);
+        }
+        let seen = visit(&key, &mut value);
+        guard.insert(key, value);
+        (seen, false)
     }
 
     /// Attributes the most recent hit to key canonicalization: the caller's
@@ -253,35 +264,24 @@ impl<K: Hash + Eq, V: Clone> MemoCache<K, V> {
         }
     }
 
-    /// Removes `key`, returning its value if it was present. No effect on the
-    /// hit/miss counters (eviction is bookkeeping, not a lookup).
-    pub fn remove(&self, key: &K) -> Option<V> {
-        Self::lock_shard(self.shard(key)).remove(key)
+    /// Applies `f` to the value of `key`, if present, under the shard lock.
+    /// No effect on the hit/miss counters: this is bookkeeping, not a lookup.
+    pub fn update<R>(&self, key: &K, f: impl FnOnce(&mut V) -> R) -> Option<R> {
+        Self::lock_shard(self.shard(key)).get_mut(key).map(f)
     }
 
-    /// The cached value for `key` without counting a hit or miss — for
-    /// bookkeeping reads (persistence) that must not distort the lookup
-    /// statistics.
-    pub fn peek(&self, key: &K) -> Option<V> {
-        Self::lock_shard(self.shard(key)).get(key).cloned()
-    }
-
-    /// All entries, in unspecified (shard) order. Callers that need
-    /// determinism must sort; the cache itself has no key ordering.
+    /// Visits every entry, shard by shard under its lock, and drops those
+    /// for which `keep` returns `false`. The visiting order is unspecified:
+    /// callers that collect entries sort them. No effect on the hit/miss
+    /// counters.
     #[expect(
         clippy::disallowed_methods,
-        reason = "shard order is documented as unspecified; the one caller sorts by key"
+        reason = "the order is documented as unspecified; callers that collect sort"
     )]
-    pub fn snapshot(&self) -> Vec<(K, V)>
-    where
-        K: Clone,
-    {
-        let mut out = Vec::new();
+    pub fn retain(&self, mut keep: impl FnMut(&K, &mut V) -> bool) {
         for shard in &self.shards {
-            let guard = Self::lock_shard(shard);
-            out.extend(guard.iter().map(|(k, v)| (k.clone(), v.clone())));
+            Self::lock_shard(shard).retain(|k, v| keep(k, v));
         }
-        out
     }
 
     /// Number of distinct entries.

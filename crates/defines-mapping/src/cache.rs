@@ -10,7 +10,8 @@
 //! distinct sub-problem is searched once no matter how many design points,
 //! sweeps or cost-model instances share the cache.
 //!
-//! The cache is one table, canonical key → shared cost. A miss runs
+//! The cache is one table, canonical key → shared cost plus the entry's
+//! LRU epochs for the persistent store (last use, last write). A miss runs
 //! [`LomaMapper::optimize`] with no lock held (only the insert takes the
 //! key's shard lock), and searches share nothing: two threads that miss the
 //! same cold key at the same instant both search it, compute the same bits,
@@ -23,7 +24,6 @@ use crate::problem::{OperandTopLevels, SingleLayerProblem};
 use defines_engine::{CacheStats, MemoCache};
 use defines_telemetry::{span, Counter};
 use defines_workload::{LayerDims, OpType};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -143,36 +143,53 @@ impl ProblemKey {
 /// their [canonical form](ProblemKey::canonical), with canonical hits counted
 /// separately in the [`CacheStats`].
 #[derive(Debug, Clone, Default)]
-pub struct MappingCache {
-    inner: Arc<MemoCache<ProblemKey, Arc<LayerCost>>>,
-    /// Last-used epoch tracking for the persistent store's LRU eviction (see
-    /// [`crate::persist`]). Disabled by default: when off, the hot lookup
-    /// path pays exactly one relaxed atomic load. Epochs advance only at
-    /// *batch* boundaries ([`MappingCache::advance_epoch`]), never per
-    /// lookup, so every touch within one batch records the same epoch and
-    /// the recorded usage is independent of thread interleaving — the
-    /// foundation of the store's deterministic eviction order.
-    usage: Arc<UsageTracker>,
-}
+pub struct MappingCache(Arc<Shared>);
 
-/// See [`MappingCache::usage`].
+/// What the handles of one [`MappingCache`] share.
 #[derive(Debug, Default)]
-struct UsageTracker {
-    enabled: AtomicBool,
+struct Shared {
+    /// The one table: canonical key → cost and LRU state.
+    table: MemoCache<ProblemKey, Entry>,
+    /// Whether lookups record their epoch for the persistent store's LRU
+    /// eviction (see [`crate::persist`]). Off by default: an untracked
+    /// lookup pays one relaxed atomic load for it.
+    tracked: AtomicBool,
+    /// The usage epoch; only [`CacheStore::sync`](crate::CacheStore::sync)
+    /// advances it, at batch boundaries.
     epoch: AtomicU64,
-    last_used: Mutex<HashMap<ProblemKey, u64>>,
+    /// The keys whose `used` epoch changed since the last
+    /// [`MappingCache::take_touched`]: one push per entry and epoch, so a
+    /// repeated hit takes no lock beyond its shard's.
+    touched: Mutex<Vec<ProblemKey>>,
 }
 
-impl UsageTracker {
-    /// Locks the last-used map, recovering from poisoning. Sound for the same
-    /// reason as `MemoCache`'s shard recovery: every critical section is a
-    /// single map operation that cannot be observed half-done, so a panicking
-    /// thread leaves the map valid and the poison flag carries no
-    /// information.
-    fn lock(&self) -> MutexGuard<'_, HashMap<ProblemKey, u64>> {
-        self.last_used
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+/// The epoch of a use or a write that never happened.
+pub(crate) const NEVER: u64 = u64::MAX;
+
+/// One mapping: its cost and its LRU state.
+#[derive(Debug, Clone)]
+pub(crate) struct Entry {
+    pub(crate) cost: Arc<LayerCost>,
+    /// The epoch of the last tracked use.
+    pub(crate) used: u64,
+    /// The epoch the store's file last carried for this entry.
+    pub(crate) persisted: u64,
+}
+
+impl Entry {
+    /// An entry no tracked lookup has used, listed by the store's file at
+    /// `persisted` ([`NEVER`]: not listed).
+    pub(crate) fn new(cost: Arc<LayerCost>, persisted: u64) -> Self {
+        Self {
+            cost,
+            used: NEVER,
+            persisted,
+        }
+    }
+
+    /// Records a use at `epoch`: `true` when it is the first in that epoch.
+    fn touch(&mut self, epoch: u64) -> bool {
+        std::mem::replace(&mut self.used, epoch) != epoch
     }
 }
 
@@ -180,6 +197,11 @@ impl MappingCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The one table, for the store's bookkeeping.
+    pub(crate) fn table(&self) -> &MemoCache<ProblemKey, Entry> {
+        &self.0.table
     }
 
     /// Returns a shared handle to the cached cost for the problem, running
@@ -208,106 +230,104 @@ impl MappingCache {
         mapper: &LomaMapper,
         problem: &SingleLayerProblem<'_>,
     ) -> Arc<LayerCost> {
-        let key_for_usage = self
-            .usage
-            .enabled
-            .load(Ordering::Relaxed)
-            .then(|| key.clone());
-        let (cost, hit) = self.inner.get_or_insert_with_meta(key, || {
-            let _span = span!("mapping.search");
-            Arc::new(mapper.optimize(problem))
-        });
+        let tracked = self.0.tracked.load(Ordering::Relaxed);
+        let epoch = tracked.then(|| self.current_epoch());
+        let ((cost, first_touch), hit) = self.0.table.get_or_insert_with_meta(
+            key,
+            || {
+                let _span = span!("mapping.search");
+                Entry::new(Arc::new(mapper.optimize(problem)), NEVER)
+            },
+            |key, entry| {
+                let first = epoch.is_some_and(|epoch| entry.touch(epoch));
+                (entry.cost.clone(), first.then(|| key.clone()))
+            },
+        );
         if hit {
             CACHE_HITS.incr();
             if canonicalized {
-                self.inner.record_canonical_hit();
+                self.0.table.record_canonical_hit();
                 CACHE_CANONICAL_HITS.incr();
             }
         } else {
             CACHE_MISSES.incr();
         }
-        if let Some(key) = key_for_usage {
-            let epoch = self.usage.epoch.load(Ordering::Relaxed);
-            self.usage.lock().insert(key, epoch);
+        if let Some(key) = first_touch {
+            self.touched().push(key);
         }
         cost
     }
 
-    /// Enables last-used tracking for this cache (and all clones of the
-    /// handle). Required before attaching the cache to a persistent store.
+    /// Locks the touched list. Poisoning is recovered from: every critical
+    /// section is one push or take, which cannot be seen half-done.
+    fn touched(&self) -> MutexGuard<'_, Vec<ProblemKey>> {
+        self.0
+            .touched
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Starts recording usage for this cache (and all clones of the handle)
+    /// and forgets what an earlier store listed: a store attached now lists
+    /// only what it loads or persists. Required before attaching the cache
+    /// to a persistent store.
     pub(crate) fn track_usage(&self) {
-        self.usage.enabled.store(true, Ordering::Relaxed);
+        self.0.tracked.store(true, Ordering::Relaxed);
+        self.0.table.retain(|_, entry| {
+            entry.persisted = NEVER;
+            true
+        });
     }
 
     /// The current usage epoch.
     pub fn current_epoch(&self) -> u64 {
-        self.usage.epoch.load(Ordering::Relaxed)
+        self.0.epoch.load(Ordering::Relaxed)
     }
 
     /// Sets the usage epoch (used when reloading a persisted store, which
     /// resumes counting after the highest persisted epoch).
     pub fn set_epoch(&self, epoch: u64) {
-        self.usage.epoch.store(epoch, Ordering::Relaxed);
+        self.0.epoch.store(epoch, Ordering::Relaxed);
     }
 
-    /// Advances the usage epoch by one. Call at batch boundaries only: all
-    /// lookups between two calls share one epoch, which is what makes the
-    /// recorded usage — and therefore LRU eviction — independent of how
-    /// threads interleaved within the batch.
-    pub(crate) fn advance_epoch(&self) {
-        self.usage.epoch.fetch_add(1, Ordering::Relaxed);
+    /// The keys whose `used` epoch changed since the last call, sorted by key
+    /// without repeats. Taking the list keeps the next one incremental.
+    pub(crate) fn take_touched(&self) -> Vec<ProblemKey> {
+        let mut keys = std::mem::take(&mut *self.touched());
+        keys.sort_unstable();
+        keys.dedup();
+        keys
     }
 
-    /// The keys touched since tracking began, with the epoch of their most
-    /// recent touch, sorted by key. Draining (`clear`) keeps the next
-    /// snapshot incremental.
-    pub(crate) fn drain_usage(&self) -> Vec<(ProblemKey, u64)> {
-        let mut guard = self.usage.lock();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "sorted by key on the next statement"
-        )]
-        let mut out: Vec<(ProblemKey, u64)> = guard.drain().collect();
-        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    /// Records a usage epoch for `key` directly (store reload path).
+    /// Records a use of `key` at `epoch`, as a tracked lookup in that epoch
+    /// would. A key the cache does not hold is ignored.
     pub fn set_usage(&self, key: ProblemKey, epoch: u64) {
-        self.usage.lock().insert(key, epoch);
+        if self.0.table.update(&key, |entry| entry.touch(epoch)) == Some(true) {
+            self.touched().push(key);
+        }
     }
 
-    /// Inserts a previously computed cost without touching the hit/miss
-    /// counters, returning `true` if the key was absent. Used by the
-    /// persistent store to warm the cache from disk.
+    /// Inserts a previously computed cost, unused, without touching the
+    /// hit/miss counters, returning `true` if the key was absent.
     pub fn preload(&self, key: ProblemKey, cost: Arc<LayerCost>) -> bool {
-        self.inner.insert(key, cost)
-    }
-
-    /// The cached cost for `key` without counting a hit or miss — for
-    /// persistence bookkeeping that must not distort the lookup statistics.
-    pub(crate) fn peek(&self, key: &ProblemKey) -> Option<Arc<LayerCost>> {
-        self.inner.peek(key)
-    }
-
-    /// Removes an entry, returning its cost if it was present. Eviction
-    /// bookkeeping: no effect on hit/miss counters.
-    pub(crate) fn remove(&self, key: &ProblemKey) -> Option<Arc<LayerCost>> {
-        self.usage.lock().remove(key);
-        self.inner.remove(key)
+        self.0.table.insert(key, Entry::new(cost, NEVER))
     }
 
     /// All entries, sorted by key (deterministic regardless of insertion or
     /// shard order).
     pub fn entries(&self) -> Vec<(ProblemKey, Arc<LayerCost>)> {
-        let mut out = self.inner.snapshot();
+        let mut out = Vec::new();
+        self.0.table.retain(|key, entry| {
+            out.push((key.clone(), entry.cost.clone()));
+            true
+        });
         out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         out
     }
 
     /// Hit/miss statistics accumulated since creation (or the last clear).
     pub fn stats(&self) -> CacheStats {
-        self.inner.stats()
+        self.0.table.stats()
     }
 }
 

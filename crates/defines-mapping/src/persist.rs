@@ -21,12 +21,13 @@
 //! The store is LRU-bounded ([`CacheStore::open`]'s `max_entries`), and the
 //! eviction order must be a pure function of the *logical* request history —
 //! never of thread interleaving or of when the store happened to be synced.
-//! Two mechanisms deliver that:
+//! The LRU state lives in the cache entries themselves: each carries the
+//! epoch of its last use and the epoch its line last carried in the file.
+//! Two rules make the order deterministic:
 //!
-//! 1. usage epochs advance only at batch boundaries
-//!    ([`MappingCache::advance_epoch`], called by [`CacheStore::sync`]), so
-//!    every lookup within one batch records the same epoch no matter which
-//!    worker thread performed it, and
+//! 1. the usage epoch advances only at batch boundaries (once per
+//!    [`CacheStore::sync`]), so every lookup within one batch records the
+//!    same epoch no matter which worker thread performed it, and
 //! 2. ties are broken by the total order on [`ProblemKey`]: eviction removes
 //!    the entries with the smallest `(epoch, key)` first.
 //!
@@ -35,7 +36,7 @@
 //! append/load cycles happened in between — the property the persistence
 //! round-trip tests pin down.
 
-use crate::cache::{MappingCache, ProblemKey};
+use crate::cache::{Entry, MappingCache, ProblemKey, NEVER};
 use crate::cost::{Access, AccessBreakdown, LayerCost};
 use crate::problem::OperandTopLevels;
 use crate::temporal::{TemporalLoop, TemporalMapping};
@@ -96,7 +97,7 @@ pub struct StoreStats {
     pub evicted: u64,
     /// File compactions since open.
     pub compactions: u64,
-    /// Entries currently tracked (persisted or pending persistence).
+    /// Entries the file currently lists.
     pub entries: usize,
 }
 
@@ -112,9 +113,6 @@ pub struct CacheStore {
     cache: MappingCache,
     /// Maximum entries kept (0 = unbounded).
     max_entries: usize,
-    /// Last-used epoch per tracked key — the store's logical state. The
-    /// compacted file is a pure function of this map plus the cache costs.
-    epochs: HashMap<ProblemKey, u64>,
     /// The file (always positioned at its end).
     journal: Journal,
     /// Lines appended since the last compaction, starting at open from the
@@ -156,27 +154,11 @@ pub(crate) fn key_fingerprint(key: &ProblemKey) -> u64 {
 enum Line<'a> {
     /// `{"defines_mapping_cache": VERSION}`.
     Header,
-    /// One cache entry with its key fingerprint and last-used epoch.
-    Entry {
-        fp: u64,
-        epoch: u64,
-        key: &'a ProblemKey,
-        cost: &'a LayerCost,
-    },
+    /// One cache entry with its last-used epoch (the line also carries the
+    /// key's fingerprint).
+    Entry(u64, &'a ProblemKey, &'a LayerCost),
     /// The entries (by fingerprint) re-used at `epoch`.
     Touch { fps: &'a [u64], epoch: u64 },
-}
-
-impl<'a> Line<'a> {
-    fn entry(epoch: u64, key: &'a ProblemKey, cost: &'a LayerCost) -> Self {
-        let fp = key_fingerprint(key);
-        Line::Entry {
-            fp,
-            epoch,
-            key,
-            cost,
-        }
-    }
 }
 
 impl Serialize for Line<'_> {
@@ -184,13 +166,8 @@ impl Serialize for Line<'_> {
         w.begin_object();
         match *self {
             Line::Header => w.field(HEADER_KEY, &VERSION),
-            Line::Entry {
-                fp,
-                epoch,
-                key,
-                cost,
-            } => {
-                w.field("fp", &fp);
+            Line::Entry(epoch, key, cost) => {
+                w.field("fp", &key_fingerprint(key));
                 w.field("epoch", &epoch);
                 w.key("key");
                 w.begin_object();
@@ -313,12 +290,13 @@ impl CacheStore {
     /// `max_entries` bounds the store (and the cache entries it manages);
     /// `0` means unbounded. A torn final line — the recording process died
     /// mid-append — is dropped and healed by an immediate compaction.
+    /// Entries the cache held before are not listed until a lookup touches
+    /// them.
     pub fn open(path: &Path, cache: MappingCache, max_entries: usize) -> Result<Self, StoreError> {
         cache.track_usage();
         let mut store = CacheStore {
             cache,
             max_entries,
-            epochs: HashMap::new(),
             journal: Journal::open("store", path)?,
             appended_since_compact: 0,
             stats: StoreStats::default(),
@@ -327,16 +305,14 @@ impl CacheStore {
             store.journal.append(&Line::Header)?;
             return Ok(store);
         };
-        store.stats.entries = store.epochs.len();
+        let live = store.live();
+        store.stats.entries = live.len();
         // The loaded file's lines beyond its live entries count toward the
         // doubling rule, so it bounds the file across restarts too.
-        store.appended_since_compact = lines.saturating_sub(store.epochs.len());
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "max over values is order-independent"
-        )]
-        let max_epoch = store.epochs.values().copied().max().unwrap_or(0);
-        store.cache.set_epoch(max_epoch + 1);
+        store.appended_since_compact = lines.saturating_sub(live.len());
+        store
+            .cache
+            .set_epoch(live.last().map_or(0, |&(epoch, ..)| epoch) + 1);
         if torn {
             // Appending after a partial line would corrupt the next record;
             // rewrite the file from the loaded (valid) state instead.
@@ -344,6 +320,20 @@ impl CacheStore {
         }
         store.evict_over_bound()?;
         Ok(store)
+    }
+
+    /// The entries the file lists, with their epochs, sorted by
+    /// `(epoch, key)`: the order of eviction and of a compacted file.
+    fn live(&self) -> Vec<(u64, ProblemKey, Arc<LayerCost>)> {
+        let mut live = Vec::with_capacity(self.stats.entries);
+        self.cache.table().retain(|key, entry| {
+            if entry.persisted != NEVER {
+                live.push((entry.persisted, key.clone(), entry.cost.clone()));
+            }
+            true
+        });
+        live.sort_unstable_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        live
     }
 
     /// Streams the file into the cache. Returns `None` for a file without a
@@ -397,16 +387,13 @@ impl CacheStore {
         by_fp: &mut Option<HashMap<u64, ProblemKey>>,
     ) -> Result<(), String> {
         let line = Fields::root(&v)?;
+        let table = self.cache.table();
         if let Some(touched) = line.get("touch") {
             let epoch = line.req("epoch")?;
             let fps = Items::read("touch", touched)?;
             let by_fp = by_fp.get_or_insert_with(|| {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "collected into a map, so the order is not observed"
-                )]
-                let keys = self.epochs.keys();
-                keys.map(|key| (key_fingerprint(key), key.clone()))
+                let live = self.live().into_iter();
+                live.map(|(_, key, _)| (key_fingerprint(&key), key))
                     .collect()
             });
             for fp in fps {
@@ -414,7 +401,7 @@ impl CacheStore {
                 // Touches of entries this file no longer lists (evicted by a
                 // later compaction) are inert, not an error.
                 if let Some(key) = by_fp.get(&fp) {
-                    self.epochs.insert(key.clone(), epoch);
+                    table.update(key, |entry| entry.persisted = epoch);
                 }
             }
             return Ok(());
@@ -426,11 +413,13 @@ impl CacheStore {
             return Err(format!("entry fingerprint {fp:#x} does not match its key"));
         }
         let cost = read_cost(line.req("cost")?)?;
-        self.cache.preload(key.clone(), Arc::new(cost));
         if let Some(by_fp) = by_fp {
             by_fp.insert(fp, key.clone());
         }
-        self.epochs.insert(key, epoch);
+        // A cost the cache already holds wins over the persisted one.
+        if table.update(&key, |e| e.persisted = epoch).is_none() {
+            table.insert(key, Entry::new(Arc::new(cost), epoch));
+        }
         self.stats.loaded += 1;
         STORE_LOADED.incr();
         Ok(())
@@ -442,56 +431,52 @@ impl CacheStore {
         Ok(())
     }
 
-    /// Harvests everything the cache touched since the last sync, persists
-    /// it, advances the usage epoch, and enforces the size bound.
+    /// Persists everything the cache touched since the last sync, advances
+    /// the usage epoch, and enforces the size bound.
     ///
     /// Call at batch boundaries only: the epoch advance here is what makes
     /// all lookups *within* a batch indistinguishable to the LRU policy (see
     /// the module docs). New entries are appended in key order; re-touched
     /// entries become one compact `touch` line per epoch.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        let touched = self.cache.drain_usage();
-        self.cache.advance_epoch();
-        let mut new_entries: Vec<(ProblemKey, u64)> = Vec::new();
+        let touched = self.cache.take_touched();
+        self.cache.set_epoch(self.cache.current_epoch() + 1);
         // epoch -> fingerprints re-touched at that epoch. Epochs are few
         // (usually one per sync), so a sorted Vec keyed by epoch keeps the
         // output order deterministic without a tree map.
         let mut retouched: Vec<(u64, Vec<u64>)> = Vec::new();
-        for (key, epoch) in touched {
-            match self.epochs.get(&key) {
-                None => new_entries.push((key, epoch)),
-                Some(&known) if known != epoch => {
-                    let fp = key_fingerprint(&key);
-                    match retouched.binary_search_by_key(&epoch, |&(e, _)| e) {
-                        Ok(i) => retouched[i].1.push(fp),
-                        Err(i) => retouched.insert(i, (epoch, vec![fp])),
-                    }
-                    self.epochs.insert(key, epoch);
-                }
-                Some(_) => {}
-            }
-        }
-        for (key, epoch) in new_entries {
-            // A touched key can be absent from the cache only if someone
-            // cleared it mid-flight; skipping is the honest response.
-            let Some(cost) = self.cache.peek(&key) else {
+        for key in touched {
+            // Marks the entry as written at its last use. A touched key can
+            // be absent from the cache only once evicted; skipping it is the
+            // honest response.
+            let Some((epoch, was, cost)) = self.cache.table().update(&key, |entry| {
+                let was = std::mem::replace(&mut entry.persisted, entry.used);
+                (entry.used, was, entry.cost.clone())
+            }) else {
                 continue;
             };
-            self.append(&Line::entry(epoch, &key, &cost))?;
-            self.epochs.insert(key, epoch);
-            self.stats.stored += 1;
-            STORE_STORED.incr();
+            if was == NEVER {
+                self.append(&Line::Entry(epoch, &key, &cost))?;
+                self.stats.stored += 1;
+                self.stats.entries += 1;
+                STORE_STORED.incr();
+            } else if was != epoch {
+                let fp = key_fingerprint(&key);
+                match retouched.binary_search_by_key(&epoch, |&(e, _)| e) {
+                    Ok(i) => retouched[i].1.push(fp),
+                    Err(i) => retouched.insert(i, (epoch, vec![fp])),
+                }
+            }
         }
         for (epoch, mut fps) in retouched {
             fps.sort_unstable();
             fps.dedup();
             self.append(&Line::Touch { fps: &fps, epoch })?;
         }
-        self.stats.entries = self.epochs.len();
         self.evict_over_bound()?;
         // Compact when the log has roughly doubled past the live entry
         // count — amortized O(1) lines per entry.
-        if self.appended_since_compact > self.epochs.len().max(16) {
+        if self.appended_since_compact > self.stats.entries.max(16) {
             self.compact()?;
         }
         Ok(())
@@ -500,46 +485,30 @@ impl CacheStore {
     /// Evicts least-recently-used entries (smallest `(epoch, key)` first)
     /// until the bound holds, then compacts so the file stops listing them.
     fn evict_over_bound(&mut self) -> Result<(), StoreError> {
-        if self.max_entries == 0 || self.epochs.len() <= self.max_entries {
+        if self.max_entries == 0 || self.stats.entries <= self.max_entries {
             return Ok(());
         }
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "sorted by (epoch, key) on the next statement"
-        )]
-        let mut order: Vec<(u64, ProblemKey)> =
-            self.epochs.iter().map(|(k, &e)| (e, k.clone())).collect();
-        order.sort_unstable();
-        let excess = order.len() - self.max_entries;
-        for (_, key) in order.into_iter().take(excess) {
-            self.cache.remove(&key);
-            self.epochs.remove(&key);
-            self.stats.evicted += 1;
-            STORE_EVICTED.incr();
+        let live = self.live();
+        let excess = live.len().saturating_sub(self.max_entries);
+        if let Some((epoch, key, _)) = live[..excess].last() {
+            let last = (*epoch, key);
+            self.cache
+                .table()
+                .retain(|key, entry| entry.persisted == NEVER || (entry.persisted, key) > last);
         }
-        self.stats.entries = self.epochs.len();
+        self.stats.evicted += excess as u64;
+        STORE_EVICTED.add(excess as u64);
+        self.stats.entries = live.len() - excess;
         self.compact()
     }
 
     /// Rewrites the file to exactly the live state — header plus one entry
     /// line per key, sorted by `(epoch, key)`.
     fn compact(&mut self) -> Result<(), StoreError> {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "sorted by (epoch, key) on the next statement"
-        )]
-        let mut entries: Vec<(u64, ProblemKey)> =
-            self.epochs.iter().map(|(k, &e)| (e, k.clone())).collect();
-        entries.sort_unstable();
-        let mut costs = Vec::with_capacity(entries.len());
-        for (epoch, key) in &entries {
-            if let Some(cost) = self.cache.peek(key) {
-                costs.push((*epoch, key, cost));
-            }
-        }
-        let lines = costs
+        let live = self.live();
+        let lines = live
             .iter()
-            .map(|(epoch, key, cost)| Line::entry(*epoch, key, cost));
+            .map(|(epoch, key, cost)| Line::Entry(*epoch, key, cost));
         self.journal
             .rewrite(std::iter::once(Line::Header).chain(lines))?;
         self.appended_since_compact = 0;

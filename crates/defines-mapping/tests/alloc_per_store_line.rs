@@ -163,6 +163,6 @@ fn loading_an_entry_allocates_what_it_keeps_and_little_else() {
     let large = fewest_allocations(|| open(&large_path));
     let per_entry = (large - small) as f64 / 200.0;
     // Three kept (two `Vec`s and an `Arc`), plus the amortized growth of
-    // the cache shards and the epoch map.
+    // the cache shards and of the sorted list of live entries.
     assert!(per_entry <= 3.1, "{per_entry} allocations per loaded entry");
 }

@@ -7,9 +7,10 @@
 use defines_arch::MemoryLevelId;
 use defines_mapping::{
     temporal::{TemporalLoop, TemporalMapping},
-    Access, AccessBreakdown, CacheStore, LayerCost, MappingCache, ProblemKey,
+    Access, AccessBreakdown, CacheStore, LayerCost, LomaMapper, MapperConfig, MappingCache,
+    ProblemKey, SingleLayerProblem,
 };
-use defines_workload::{Dim, LayerDims, OpType};
+use defines_workload::{Dim, Layer, LayerDims, OpType};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -314,4 +315,59 @@ fn restarts_that_only_touch_keep_the_file_bounded() {
         "{lines} lines after 40 lives (bound {bound})"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// A store attached to a cache that already holds entries lists none of
+/// them: an entry computed before `CacheStore::open` is persisted, and
+/// counts toward the bound, only once a lookup touches it again.
+#[test]
+fn entries_computed_before_open_are_persisted_once_touched() {
+    let acc = defines_arch::zoo::meta_proto_like_df();
+    let mapper = LomaMapper::new(MapperConfig::fast());
+    let layers =
+        [8, 16].map(|k| Layer::new("c", OpType::Conv, LayerDims::conv(k, 8, 14, 14, 3, 3)));
+    let problems: Vec<_> = layers
+        .iter()
+        .map(|layer| SingleLayerProblem::new(&acc, layer))
+        .collect();
+    let cache = MappingCache::new();
+    for problem in &problems {
+        cache.optimize_shared(&mapper, problem);
+    }
+
+    let path = fresh_path("before-open");
+    let lines = || std::fs::read_to_string(&path).unwrap().lines().count();
+    let mut store = CacheStore::open(&path, cache.clone(), 1).expect("open");
+    store.sync().expect("sync");
+    assert_eq!(lines(), 1, "only the header: nothing was touched");
+    assert_eq!((store.stats().stored, store.stats().entries), (0, 0));
+
+    // A hit lists its entry; the untouched one is outside the bound.
+    cache.optimize_shared(&mapper, &problems[0]);
+    store.sync().expect("sync");
+    assert_eq!(lines(), 2);
+    assert_eq!((store.stats().stored, store.stats().entries), (1, 1));
+    assert_eq!(store.stats().evicted, 0);
+    assert_eq!(cache.entries().len(), 2);
+
+    // Listing the second goes over the bound: the older listed entry goes.
+    cache.optimize_shared(&mapper, &problems[1]);
+    store.sync().expect("sync");
+    assert_eq!(store.stats().evicted, 1);
+    let keys: Vec<ProblemKey> = cache.entries().into_iter().map(|(k, _)| k).collect();
+    assert_eq!(keys, vec![ProblemKey::canonical(&problems[1], &mapper).0]);
+    assert_eq!(cache.stats().misses, 2, "both lookups after open were hits");
+    drop(store);
+
+    let reloaded = CacheStore::open(&path, MappingCache::new(), 1).expect("reopen");
+    assert_eq!((reloaded.stats().loaded, reloaded.stats().entries), (1, 1));
+
+    // What an earlier store listed is held, not listed, by the next one.
+    let other = fresh_path("before-open-other");
+    let mut store = CacheStore::open(&other, cache.clone(), 1).expect("open other");
+    store.compact_now().expect("compact");
+    assert_eq!(store.stats().entries, 0);
+    assert_eq!(std::fs::read_to_string(&other).unwrap().lines().count(), 1);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&other);
 }

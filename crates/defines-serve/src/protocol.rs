@@ -15,9 +15,10 @@
 //!
 //! `dfmode`, `target` and `fuse` are optional (defaults `"123"`, `"energy"`,
 //! `"auto"`); `tilex`/`tiley` must be given together or both omitted (the
-//! explorer's default grid). Any other key is rejected, and so is a command
-//! carrying a key besides `cmd`: a typo'd optional key would otherwise fall
-//! back to its default and silently answer a different request.
+//! explorer's default grid; an empty list counts as omitted). Any other key
+//! is rejected, and so is a command carrying a key besides `cmd`: a typo'd
+//! optional key would otherwise fall back to its default and silently answer
+//! a different request.
 //!
 //! # Canonical form and byte-identity
 //!
@@ -74,13 +75,12 @@ pub(crate) fn command<'v>(v: &ValueRef<'v>) -> Result<Option<&'v str>, String> {
     fields.req("cmd").map(Some)
 }
 
+/// Reads a tile axis; an empty list means the same as an omitted one, so
+/// the canonical form of a default-grid request is itself a valid request.
 fn tile_axis(fields: &Fields<'_>, key: &str) -> Result<Vec<u64>, String> {
     let Some(items) = fields.opt::<Items<'_>>(key)? else {
         return Ok(Vec::new());
     };
-    if items.is_empty() {
-        return Err(format!("'{key}' needs at least one entry"));
-    }
     items
         .map(|item| item.as_u64().ok_or_else(|| positive_entries(key)))
         .collect()
@@ -317,9 +317,34 @@ mod tests {
         }
     }
 
+    /// The canonical form is a request line that reads back to the same
+    /// request, so a client may send it as is.
+    #[test]
+    fn canonical_keys_read_back_to_their_request() {
+        let base = r#""workload":"fsrcnn","accelerator":"tpu-like""#;
+        let mut lines = vec![
+            format!("{{{base}}}"),
+            format!(r#"{{{base},"tilex":[16,8],"tiley":[4]}}"#),
+            format!(r#"{{{base},"dfmode":"2122","tilex":[60],"tiley":[72]}}"#),
+        ];
+        for target in ["energy", "latency", "edp", "dram", "activation"] {
+            lines.push(format!(r#"{{{base},"target":"{target}"}}"#));
+        }
+        for fuse in ["auto", "full", "single", "search"] {
+            lines.push(format!(r#"{{{base},"fuse":"{fuse}"}}"#));
+        }
+        for line in lines {
+            let request = parse(&line).unwrap();
+            assert_eq!(parse(&request.canonical_key()), Ok(request), "{line}");
+        }
+    }
+
     #[test]
     fn tile_axes_must_come_together() {
         let err = parse(r#"{"workload":"w","accelerator":"a","tilex":[8]}"#).unwrap_err();
+        assert!(err.contains("together"), "{err}");
+        let err =
+            parse(r#"{"workload":"w","accelerator":"a","tilex":[],"tiley":[8]}"#).unwrap_err();
         assert!(err.contains("together"), "{err}");
         let r = parse(r#"{"workload":"w","accelerator":"a","tilex":[8,16],"tiley":[4]}"#).unwrap();
         assert_eq!(r.tile_grid().unwrap(), vec![(8, 4), (16, 4)]);
