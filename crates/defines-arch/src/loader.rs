@@ -28,7 +28,8 @@
 //!
 //! Every error names the offending level or field: unknown operand links,
 //! unknown unrolling dimensions, zero unrolling factors (a zero-size PE
-//! array), zero capacities, negative energies, missing memory levels,
+//! array), zero capacities, negative energies, missing memory levels, more
+//! levels than [`MemoryHierarchy::MAX_LEVELS`](crate::MemoryHierarchy::MAX_LEVELS),
 //! operands served by no level, and typo'd keys are all rejected.
 //!
 //! # Bring your own hardware
@@ -428,6 +429,31 @@ mod tests {
         let err = from_json_str(r#"{"name": "x", "pe_array": {"unroll": {"K": 8}}, "levels": []}"#)
             .unwrap_err();
         assert!(err.to_string().contains("has no memory levels"), "{err}");
+    }
+
+    #[test]
+    fn hierarchies_deeper_than_the_bound_are_rejected() {
+        let document = |on_chip: usize| {
+            let levels: Vec<String> = (0..on_chip)
+                .map(|i| {
+                    format!(
+                        r#"{{"name": "L{i}", "capacity_bytes": 1024, "operands": ["W", "I", "O"]}}"#
+                    )
+                })
+                .collect();
+            format!(
+                r#"{{"name": "x", "pe_array": {{"unroll": {{"K": 8}}}}, "levels": [{}]}}"#,
+                levels.join(", ")
+            )
+        };
+        // DRAM is appended to the on-chip levels.
+        let deepest = crate::MemoryHierarchy::MAX_LEVELS - 1;
+        assert!(from_json_str(&document(deepest)).is_ok());
+        let err = from_json_str(&document(deepest + 1)).unwrap_err();
+        assert!(
+            err.to_string().contains("17 levels, more than the 16"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Memory levels and the memory hierarchy.
 
 use crate::operand::Operand;
-use serde::Serialize;
-use std::collections::BTreeSet;
+use serde::{Serialize, Writer};
 use std::fmt;
 
 /// Index of a memory level inside a [`MemoryHierarchy`].
@@ -36,7 +35,48 @@ pub struct MemoryLevel {
     write_energy_pj_per_byte: f64,
     read_bw_bytes_per_cycle: f64,
     write_bw_bytes_per_cycle: f64,
-    operands: BTreeSet<Operand>,
+    operands: OperandSet,
+}
+
+/// A set of operands, one bit per [`Operand::ALL`] index, so that
+/// [`MemoryLevel::serves`] — asked on every placement and mapping set-up — is
+/// one AND.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct OperandSet(u8);
+
+impl OperandSet {
+    fn contains(self, operand: Operand) -> bool {
+        self.0 & (1 << operand as u8) != 0
+    }
+
+    /// The members, in W / I / O order.
+    fn iter(self) -> impl Iterator<Item = Operand> {
+        Operand::ALL.into_iter().filter(move |&o| self.contains(o))
+    }
+}
+
+impl FromIterator<Operand> for OperandSet {
+    fn from_iter<I: IntoIterator<Item = Operand>>(operands: I) -> Self {
+        Self(operands.into_iter().fold(0, |set, o| set | (1 << o as u8)))
+    }
+}
+
+/// Printed as the ordered set it stands for.
+impl fmt::Debug for OperandSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// Written as the ordered set it stands for: an array in W / I / O order.
+impl Serialize for OperandSet {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_array();
+        for operand in self.iter() {
+            w.item(&operand);
+        }
+        w.end_array();
+    }
 }
 
 impl MemoryLevel {
@@ -146,17 +186,17 @@ impl MemoryLevel {
 
     /// Whether this level stores the given operand.
     pub fn serves(&self, operand: Operand) -> bool {
-        self.operands.contains(&operand)
+        self.operands.contains(operand)
     }
 
-    /// The operands served by this level.
+    /// The operands served by this level, in W / I / O order.
     pub fn operands(&self) -> impl Iterator<Item = Operand> + '_ {
-        self.operands.iter().copied()
+        self.operands.iter()
     }
 
     /// Number of operands sharing this level.
     pub fn shared_by(&self) -> usize {
-        self.operands.len()
+        self.operands.0.count_ones() as usize
     }
 }
 
@@ -197,6 +237,8 @@ pub enum HierarchyError {
     OperandNotServed(Operand),
     /// A bounded level appears above DRAM.
     BoundedAboveDram(String),
+    /// More levels than [`MemoryHierarchy::MAX_LEVELS`].
+    TooDeep(usize),
 }
 
 impl fmt::Display for HierarchyError {
@@ -210,6 +252,11 @@ impl fmt::Display for HierarchyError {
             HierarchyError::BoundedAboveDram(n) => {
                 write!(f, "level {n} appears after DRAM in the hierarchy")
             }
+            HierarchyError::TooDeep(n) => write!(
+                f,
+                "memory hierarchy has {n} levels, more than the {} supported",
+                MemoryHierarchy::MAX_LEVELS
+            ),
         }
     }
 }
@@ -217,15 +264,24 @@ impl fmt::Display for HierarchyError {
 impl std::error::Error for HierarchyError {}
 
 impl MemoryHierarchy {
+    /// The most levels (DRAM included) a hierarchy may have, so that the
+    /// mapping cost kernel keeps its per-level state in fixed-size arrays.
+    /// The deepest zoo hierarchy has 9.
+    pub const MAX_LEVELS: usize = 16;
+
     /// Builds a hierarchy from levels ordered innermost → outermost.
     ///
     /// # Errors
     ///
-    /// Returns an error if the hierarchy is empty, does not end with DRAM,
-    /// contains a level after DRAM, or leaves some operand unserved.
+    /// Returns an error if the hierarchy is empty or deeper than
+    /// [`MemoryHierarchy::MAX_LEVELS`], does not end with DRAM, contains a
+    /// level after DRAM, or leaves some operand unserved.
     pub(crate) fn new(levels: Vec<MemoryLevel>) -> Result<Self, HierarchyError> {
         if levels.is_empty() {
             return Err(HierarchyError::Empty);
+        }
+        if levels.len() > Self::MAX_LEVELS {
+            return Err(HierarchyError::TooDeep(levels.len()));
         }
         let last = levels.last().expect("non-empty");
         if !last.is_dram() {
@@ -415,6 +471,16 @@ mod tests {
             dram_in_middle.unwrap_err(),
             HierarchyError::BoundedAboveDram(_)
         ));
+        let deep = |n| {
+            let mut levels = vec![MemoryLevel::register("r", 64, Operand::ALL); n - 1];
+            levels.push(MemoryLevel::dram());
+            MemoryHierarchy::new(levels)
+        };
+        assert!(deep(MemoryHierarchy::MAX_LEVELS).is_ok());
+        assert_eq!(
+            deep(MemoryHierarchy::MAX_LEVELS + 1).unwrap_err(),
+            HierarchyError::TooDeep(MemoryHierarchy::MAX_LEVELS + 1)
+        );
     }
 
     #[test]

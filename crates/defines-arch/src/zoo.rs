@@ -234,6 +234,98 @@ mod tests {
         assert_eq!(by_name("nope"), None);
     }
 
+    /// Every zoo accelerator's exported document, serialized value and
+    /// fingerprint, pinned as literals (`Fnv` of the two texts): storing a
+    /// level's operands as a bitmask must not move a byte of any of them.
+    #[test]
+    fn exports_and_fingerprints_are_pinned() {
+        let pins: [(&str, u64, u64, u64); 11] = [
+            (
+                "meta-proto",
+                5_281_737_880_883_501_604,
+                13_886_394_166_361_450_093,
+                6_518_971_266_165_570_487,
+            ),
+            (
+                "meta-proto-df",
+                6_861_627_613_102_326_320,
+                5_553_281_294_610_721_103,
+                10_449_326_031_983_051_547,
+            ),
+            (
+                "tpu",
+                9_024_579_313_880_953_307,
+                4_607_467_532_542_982_745,
+                10_467_930_437_063_069_156,
+            ),
+            (
+                "tpu-df",
+                11_378_227_792_339_592_184,
+                17_530_029_031_854_220_810,
+                9_886_538_930_853_553_954,
+            ),
+            (
+                "edge-tpu",
+                17_048_740_644_154_843_528,
+                15_014_948_788_311_577_321,
+                3_820_770_790_251_272_826,
+            ),
+            (
+                "edge-tpu-df",
+                17_853_119_129_231_311_407,
+                14_763_476_050_485_513_310,
+                12_189_510_166_200_859_061,
+            ),
+            (
+                "ascend",
+                16_696_903_322_127_797_045,
+                12_855_977_219_810_628_924,
+                15_008_756_152_827_629_242,
+            ),
+            (
+                "ascend-df",
+                7_574_450_701_367_481_365,
+                13_465_366_088_205_499_959,
+                17_697_044_360_171_178_958,
+            ),
+            (
+                "tesla-npu",
+                9_232_462_042_506_404_146,
+                113_306_992_116_203_859,
+                18_169_416_246_104_472_370,
+            ),
+            (
+                "tesla-npu-df",
+                14_255_448_374_437_680_045,
+                3_239_872_927_351_243_020,
+                9_378_605_028_041_436_632,
+            ),
+            (
+                "depfin",
+                10_412_213_455_664_278_735,
+                16_920_493_114_164_852_426,
+                8_505_622_849_935_291_808,
+            ),
+        ];
+        let fnv = |text: &str| {
+            let mut h = defines_workload::Fnv::new();
+            h.write(text.as_bytes());
+            h.finish()
+        };
+        let mut got = Vec::new();
+        for (name, ..) in pins {
+            let acc = by_name(name).expect("zoo name");
+            let export = crate::to_json_pretty(&acc).expect("zoo level names are unique");
+            got.push((
+                name,
+                fnv(&export),
+                fnv(&serde::to_json(&acc)),
+                acc.fingerprint(),
+            ));
+        }
+        assert_eq!(got, pins);
+    }
+
     #[test]
     fn all_architectures_have_1024_macs() {
         for acc in all_case_study_architectures() {

@@ -13,6 +13,7 @@ use crate::geometry::{project_to_input, Rect};
 use crate::stack::Stack;
 use crate::strategy::{OverlapMode, TileSize};
 use crate::tiling::TileGrid;
+use defines_engine::FxBuildHasher;
 use defines_telemetry::span;
 use defines_workload::{LayerDims, LayerId, Network};
 use serde::Serialize;
@@ -716,6 +717,13 @@ impl<'a> StackGeometry<'a> {
 /// (`crate::bounds`) sum `analysis.total_macs() × count` over it.
 pub fn tile_types(geometry: &StackGeometry<'_>, tile: TileSize, mode: OverlapMode) -> TileTypes {
     let _span = span!("backcalc.tile_types");
+    merge_equal(grouped_types(geometry, tile, mode))
+}
+
+/// [`tile_types`] before equal analyses are merged: one entry per distinct
+/// composed (column pass, row pass, first-tile) key and per fallback group,
+/// in signature order.
+fn grouped_types(geometry: &StackGeometry<'_>, tile: TileSize, mode: OverlapMode) -> TileTypes {
     let sink = &geometry.net.layer(geometry.stack.last_layer()).dims;
     let grid = TileGrid::new(sink.ox, sink.oy, tile);
     let cols = geometry.axis_classes(Axis::X, &grid, mode);
@@ -746,7 +754,7 @@ pub fn tile_types(geometry: &StackGeometry<'_>, tile: TileSize, mode: OverlapMod
             }
         }
     }
-    merge_equal(types)
+    types
 }
 
 /// One axis of the tile grid.
@@ -818,7 +826,8 @@ fn signature_classes(tiles: u64, clamp: u64) -> Vec<(u64, u64)> {
 /// one axis hides its values on the other.
 fn merge_equal(mut types: TileTypes) -> TileTypes {
     let owner: Vec<usize> = {
-        let mut first_of: HashMap<&TileAnalysis, usize> = HashMap::with_capacity(types.len());
+        let mut first_of: HashMap<&TileAnalysis, usize, FxBuildHasher> =
+            HashMap::with_capacity_and_hasher(types.len(), FxBuildHasher::default());
         types
             .iter()
             .enumerate()
@@ -1151,19 +1160,16 @@ mod tests {
         fallbacks
     }
 
-    #[test]
-    fn tile_types_match_the_tile_by_tile_oracle_on_a_3x3_chain() {
-        let net = net_of(&[
+    fn chain_3x3() -> Network {
+        net_of(&[
             ("a", OpType::Conv, LayerDims::conv(4, 2, 12, 9, 3, 3), &[]),
             ("b", OpType::Conv, LayerDims::conv(3, 4, 10, 7, 3, 3), &[0]),
             ("c", OpType::Conv, LayerDims::conv(2, 3, 8, 5, 3, 3), &[1]),
-        ]);
-        assert_eq!(assert_matches_oracle(&net), 0);
+        ])
     }
 
-    #[test]
-    fn tile_types_match_the_tile_by_tile_oracle_with_stride_2() {
-        let net = net_of(&[
+    fn stride_2() -> Network {
+        net_of(&[
             (
                 "a",
                 OpType::Conv,
@@ -1186,13 +1192,11 @@ mod tests {
                     .with_padding(0, 1),
                 &[1],
             ),
-        ]);
-        assert_eq!(assert_matches_oracle(&net), 0);
+        ])
     }
 
-    #[test]
-    fn tile_types_match_the_tile_by_tile_oracle_with_depthwise() {
-        let net = net_of(&[
+    fn depthwise() -> Network {
+        net_of(&[
             ("a", OpType::Conv, LayerDims::conv(4, 2, 11, 10, 1, 1), &[]),
             (
                 "dw",
@@ -1206,17 +1210,14 @@ mod tests {
                 LayerDims::conv(6, 4, 11, 10, 1, 1),
                 &[1],
             ),
-        ]);
-        assert_eq!(assert_matches_oracle(&net), 0);
+        ])
     }
 
-    #[test]
-    fn tile_types_match_the_tile_by_tile_oracle_on_a_1x1_chain() {
-        let net = net_of(&[
+    fn chain_1x1() -> Network {
+        net_of(&[
             ("a", OpType::Conv, LayerDims::conv(4, 2, 9, 13, 1, 1), &[]),
             ("b", OpType::Conv, LayerDims::conv(3, 4, 9, 13, 1, 1), &[0]),
-        ]);
-        assert_eq!(assert_matches_oracle(&net), 0);
+        ])
     }
 
     /// A residual block `p → a → c → add(c, p)`: near the right (bottom)
@@ -1224,10 +1225,9 @@ mod tests {
     /// it still computes along the other axis. Its edge into `p`'s output —
     /// which `add` reads too — is then live on one axis only, the one case
     /// the per-axis composition hands to `analyze_tile`.
-    #[test]
-    fn tile_types_match_the_tile_by_tile_oracle_on_a_residual_add() {
+    fn residual_add() -> Network {
         let same = |k, c| LayerDims::conv(k, c, 9, 7, 3, 3).with_padding(1, 1);
-        let net = net_of(&[
+        net_of(&[
             ("p", OpType::Conv, LayerDims::conv(4, 2, 9, 7, 1, 1), &[]),
             ("a", OpType::Conv, same(4, 4), &[0]),
             ("c", OpType::Conv, same(4, 4), &[1]),
@@ -1237,11 +1237,76 @@ mod tests {
                 LayerDims::conv(4, 4, 9, 7, 1, 1),
                 &[2, 0],
             ),
-        ]);
+        ])
+    }
+
+    #[test]
+    fn tile_types_match_the_tile_by_tile_oracle_on_a_3x3_chain() {
+        assert_eq!(assert_matches_oracle(&chain_3x3()), 0);
+    }
+
+    #[test]
+    fn tile_types_match_the_tile_by_tile_oracle_with_stride_2() {
+        assert_eq!(assert_matches_oracle(&stride_2()), 0);
+    }
+
+    #[test]
+    fn tile_types_match_the_tile_by_tile_oracle_with_depthwise() {
+        assert_eq!(assert_matches_oracle(&depthwise()), 0);
+    }
+
+    #[test]
+    fn tile_types_match_the_tile_by_tile_oracle_on_a_1x1_chain() {
+        assert_eq!(assert_matches_oracle(&chain_1x1()), 0);
+    }
+
+    #[test]
+    fn tile_types_match_the_tile_by_tile_oracle_on_a_residual_add() {
         assert!(
-            assert_matches_oracle(&net) > 0,
+            assert_matches_oracle(&residual_add()) > 0,
             "the fallback must be exercised"
         );
+    }
+
+    /// `merge_equal`'s reference: a pairwise `==` scan that folds every
+    /// entry into the first equal one.
+    fn merge_pairwise(types: TileTypes) -> TileTypes {
+        let mut merged: TileTypes = Vec::new();
+        for (analysis, count) in types {
+            match merged.iter_mut().find(|(first, _)| *first == analysis) {
+                Some((_, total)) => *total += count,
+                None => merged.push((analysis, count)),
+            }
+        }
+        merged
+    }
+
+    /// The hashed merge keeps what the pairwise scan keeps — the same
+    /// owners, counts and order — on every stack, tile and mode of the
+    /// oracle tests above, some of which do merge.
+    #[test]
+    fn merge_equal_matches_a_pairwise_scan() {
+        let mut merges = 0;
+        for net in [
+            chain_3x3(),
+            stride_2(),
+            depthwise(),
+            chain_1x1(),
+            residual_add(),
+        ] {
+            let stack = full_stack(&net);
+            let geo = StackGeometry::new(&net, &stack);
+            for (tx, ty) in ORACLE_TILES {
+                let tile = TileSize::new(tx, ty);
+                for mode in OverlapMode::ALL {
+                    let grouped = grouped_types(&geo, tile, mode);
+                    let expected = merge_pairwise(grouped.clone());
+                    merges += grouped.len() - expected.len();
+                    assert_eq!(merge_equal(grouped), expected, "{tile:?} {mode}");
+                }
+            }
+        }
+        assert!(merges > 0, "no case merges: the check is vacuous");
     }
 
     /// The closed-form axis classes equal grouping every tile by its

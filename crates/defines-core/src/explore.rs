@@ -19,10 +19,11 @@ use crate::result::{NetworkCost, StackCost};
 use crate::stack::{partition_into_stacks, FuseDepth, Stack};
 use crate::strategy::{DfStrategy, OverlapMode, TileSize};
 use defines_arch::Accelerator;
-use defines_engine::{EngineConfig, Outcome, SweepEngine, SweepRecord, SweepStats};
+use defines_engine::{EngineConfig, FxBuildHasher, Outcome, SweepEngine, SweepRecord, SweepStats};
 use defines_telemetry::span;
 use defines_workload::Network;
 use serde::Serialize;
+use std::collections::HashSet;
 use std::fmt;
 
 /// A streamed record of the DeFiNES design space: one depth-first strategy
@@ -591,7 +592,8 @@ impl<'a> Explorer<'a> {
     ) -> Vec<TileSize> {
         let sink = net.layer(stack.last_layer());
         let (w, h) = (sink.dims.ox, sink.dims.oy);
-        let mut seen = std::collections::HashSet::with_capacity(tile_sizes.len() + 1);
+        let mut seen: HashSet<_, FxBuildHasher> =
+            HashSet::with_capacity_and_hasher(tile_sizes.len() + 1, FxBuildHasher::default());
         tile_sizes
             .iter()
             .map(|&(tx, ty)| TileSize::new(tx, ty))

@@ -26,9 +26,11 @@
 
 use crate::stack::{auto_partition, segments, weight_fuse_budget_bytes, FuseDepth, Stack};
 use defines_arch::Accelerator;
+use defines_engine::FxBuildHasher;
 use defines_telemetry::{span, Counter};
 use defines_workload::{LayerId, Network};
 use serde::Serialize;
+use std::collections::HashSet;
 use std::fmt;
 
 /// How the fuse-depth axis is handled by a schedule search
@@ -146,7 +148,7 @@ pub fn enumerate_candidates(net: &Network, acc: &Accelerator) -> Vec<Stack> {
         .map(|s| s.iter().map(|&l| net.layer(l).weight_bytes()).sum())
         .collect();
 
-    let mut seen = std::collections::HashSet::new();
+    let mut seen: HashSet<_, FxBuildHasher> = HashSet::default();
     let mut candidates: Vec<Stack> = Vec::new();
     let mut push = |stack: Stack, candidates: &mut Vec<Stack>| {
         if seen.insert(stack_span(&stack)) {

@@ -46,4 +46,4 @@ pub use engine::{panic_error, EngineConfig, Outcome, SweepEngine, SweepRecord, S
 // `defines-workload`.
 pub use defines_workload::Fnv;
 pub use journal::{Journal, JournalError};
-pub use memo::{CacheStats, MemoCache};
+pub use memo::{CacheStats, FxBuildHasher, FxHasher, MemoCache};

@@ -25,8 +25,11 @@ const SHARDS: usize = 16;
 /// FxHash: per machine word, rotate the state, xor the word in and multiply.
 /// Weak against adversarial keys and unstable across releases of this
 /// crate, which is fine for an in-memory table of the program's own keys.
+/// It is the workspace's one in-memory hasher: every `HashMap` / `HashSet`
+/// of the model's crates names [`FxBuildHasher`] (`tests/workspace_policy.rs`
+/// checks it), so no hot path hashes with SipHash.
 #[derive(Debug, Default)]
-struct FxHasher(u64);
+pub struct FxHasher(u64);
 
 impl FxHasher {
     fn add(&mut self, word: u64) {
@@ -73,11 +76,12 @@ impl Hasher for FxHasher {
     }
 }
 
-/// Builds the [`FxHasher`]s of the shards and of the shard choice.
-type Fx = BuildHasherDefault<FxHasher>;
+/// Builds [`FxHasher`]s: the hasher of the shards, of the shard choice and of
+/// every other in-memory hash table of the program.
+pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// One shard's map.
-type Shard<K, V> = HashMap<K, V, Fx>;
+type Shard<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// Hit/miss statistics of a [`MemoCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -181,7 +185,7 @@ impl<K: Hash + Eq, V: Clone> MemoCache<K, V> {
     /// bits of the same hash and tags them with its top seven, so bits 48–51
     /// are free of both and spread keys over the shards independently.
     fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
-        let hash = Fx::default().hash_one(key);
+        let hash = FxBuildHasher::default().hash_one(key);
         &self.shards[(hash >> 48) as usize % SHARDS]
     }
 
@@ -228,6 +232,12 @@ impl<K: Hash + Eq, V: Clone> MemoCache<K, V> {
         let seen = visit(&key, &mut value);
         guard.insert(key, value);
         (seen, false)
+    }
+
+    /// Counts a hit the caller answered without a lookup: a repeat of a key
+    /// it already looked up, whose value it kept.
+    pub fn record_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Attributes the most recent hit to key canonicalization: the caller's

@@ -258,6 +258,22 @@ impl MappingCache {
         cost
     }
 
+    /// Counts a lookup the caller answered itself: it repeats, under a key
+    /// already looked up in this cache, a result the caller kept from that
+    /// lookup. It counts as the hit the lookup would have been — in
+    /// [`CacheStats::hits`], in `mapping.cache.hits`, and as a canonical hit
+    /// when `canonicalized` says the key was. Usage tracking needs nothing:
+    /// the epoch advances only between batches, and the first lookup already
+    /// touched the entry in this one.
+    pub fn count_repeat_hit(&self, canonicalized: bool) {
+        self.0.table.record_hit();
+        CACHE_HITS.incr();
+        if canonicalized {
+            self.0.table.record_canonical_hit();
+            CACHE_CANONICAL_HITS.incr();
+        }
+    }
+
     /// Locks the touched list. Poisoning is recovered from: every critical
     /// section is one push or take, which cannot be seen half-done.
     fn touched(&self) -> MutexGuard<'_, Vec<ProblemKey>> {

@@ -232,7 +232,7 @@ impl LayerCost {
 
 /// Evaluates the cost of a problem under a specific temporal mapping, through
 /// the search kernel's arithmetic (see [`crate::search`]).
-pub(crate) fn evaluate(problem: &SingleLayerProblem<'_>, mapping: &TemporalMapping) -> LayerCost {
+pub(crate) fn evaluate(problem: &SingleLayerProblem<'_>, mapping: TemporalMapping) -> LayerCost {
     Kernel::new(problem).evaluate(mapping)
 }
 
@@ -248,7 +248,7 @@ mod tests {
         let layer = Layer::new("c", OpType::Conv, dims);
         let p = SingleLayerProblem::new(&acc, &layer);
         let m = TemporalMapping::from_order(&p, order);
-        let c = evaluate(&p, &m);
+        let c = evaluate(&p, m);
         (acc, c)
     }
 
@@ -273,7 +273,7 @@ mod tests {
         let p = SingleLayerProblem::new(&acc, &layer);
         let m =
             TemporalMapping::from_order(&p, &[Dim::C, Dim::FX, Dim::FY, Dim::K, Dim::OX, Dim::OY]);
-        let c = evaluate(&p, &m);
+        let c = evaluate(&p, m);
         let dram = acc.hierarchy().dram_id();
         let o_at_dram = c.accesses.get(dram, Operand::Output);
         assert!((o_at_dram.writes_bytes - (64.0 * 32.0 * 32.0)).abs() < 1e-6);
@@ -346,7 +346,7 @@ mod tests {
         );
         let p = SingleLayerProblem::new(&acc, &layer);
         let m = TemporalMapping::from_order(&p, &Dim::SPATIAL_AND_CHANNEL);
-        let c = evaluate(&p, &m);
+        let c = evaluate(&p, m);
         assert_eq!(c.accesses.operand_total(Operand::Weight).total_bytes(), 0.0);
         assert!(c.accesses.operand_total(Operand::Input).total_bytes() > 0.0);
     }
@@ -358,7 +358,7 @@ mod tests {
         let p = SingleLayerProblem::new(&acc, &layer);
         for order in candidate_orderings(&p, 64) {
             let m = TemporalMapping::from_order(&p, &order);
-            let c = evaluate(&p, &m);
+            let c = evaluate(&p, m);
             assert!(c.energy_pj.is_finite() && c.energy_pj > 0.0);
             assert!(c.latency_cycles.is_finite() && c.latency_cycles > 0.0);
         }

@@ -213,7 +213,7 @@ impl LomaMapper {
         };
         let mut best: Option<LayerCost> = None;
         for order in candidate_orderings(problem, max) {
-            let cost = kernel.evaluate(&TemporalMapping::from_order(problem, &order));
+            let cost = kernel.evaluate(TemporalMapping::from_order(problem, &order));
             let better = match &best {
                 None => true,
                 Some(b) => {
@@ -243,8 +243,7 @@ impl LomaMapper {
         problem: &SingleLayerProblem<'_>,
         order: &[Dim],
     ) -> LayerCost {
-        let mapping = TemporalMapping::from_order(problem, order);
-        evaluate(problem, &mapping)
+        evaluate(problem, TemporalMapping::from_order(problem, order))
     }
 }
 

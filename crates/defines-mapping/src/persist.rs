@@ -42,7 +42,7 @@ use crate::problem::OperandTopLevels;
 use crate::temporal::{TemporalLoop, TemporalMapping};
 use defines_arch::{parse_dim, parse_operand};
 use defines_arch::{MemoryLevelId, Operand};
-use defines_engine::{Journal, JournalError};
+use defines_engine::{FxBuildHasher, Journal, JournalError};
 use defines_telemetry::Counter;
 use defines_workload::LayerDims;
 use defines_workload::{op_name, parse_op, Fnv};
@@ -343,7 +343,7 @@ impl CacheStore {
         // Transient fingerprint index so touch lines can name entries
         // compactly; built at the first touch line (a compacted file has
         // none).
-        let mut by_fp: Option<HashMap<u64, ProblemKey>> = None;
+        let mut by_fp: Option<HashMap<u64, ProblemKey, FxBuildHasher>> = None;
         let mut header_seen = false;
         let mut broken_tail = false;
         let mut lines = 0;
@@ -384,7 +384,7 @@ impl CacheStore {
     fn apply_line(
         &mut self,
         v: ValueRef<'_>,
-        by_fp: &mut Option<HashMap<u64, ProblemKey>>,
+        by_fp: &mut Option<HashMap<u64, ProblemKey, FxBuildHasher>>,
     ) -> Result<(), String> {
         let line = Fields::root(&v)?;
         let table = self.cache.table();

@@ -72,7 +72,7 @@ use crate::cost::{Access, AccessBreakdown, LayerCost, Objective};
 use crate::loma::MapperConfig;
 use crate::problem::SingleLayerProblem;
 use crate::temporal::{active_loops, TemporalMapping};
-use defines_arch::{MemoryLevelId, Operand};
+use defines_arch::{MemoryHierarchy, MemoryLevelId, Operand};
 use defines_workload::{Dim, OpType};
 
 /// Maximum number of temporal loops a problem can have (the six non-batch
@@ -80,6 +80,21 @@ use defines_workload::{Dim, OpType};
 pub(crate) const MAX_LOOPS: usize = 6;
 /// Maximum number of memory levels on one operand's path.
 const MAX_LEVELS: usize = 8;
+/// Maximum number of memory levels in a hierarchy.
+const MAX_HIERARCHY: usize = MemoryHierarchy::MAX_LEVELS;
+
+/// Traffic slots, one `[weight, input, output]` triple per memory level of
+/// the hierarchy (the kernel's level count of them are used).
+type Traffic = [[Access; 3]; MAX_HIERARCHY];
+
+/// Zeroed traffic slots.
+const TRAFFIC_ZERO: Traffic = {
+    let zero = Access {
+        reads_bytes: 0.0,
+        writes_bytes: 0.0,
+    };
+    [[zero; 3]; MAX_HIERARCHY]
+};
 
 /// Counters describing one temporal-mapping search
 /// ([`LomaMapper::optimize_with_stats`](crate::LomaMapper::optimize_with_stats)).
@@ -144,7 +159,7 @@ pub(crate) fn search(
         stats.orderings_selected = 1;
         stats.evaluated = 1;
         let mapping = TemporalMapping::from_order(problem, &[]);
-        return (kernel.evaluate(&mapping), stats);
+        return (kernel.evaluate(mapping), stats);
     }
 
     let total: u64 = (1..=k as u64).product();
@@ -183,22 +198,28 @@ pub(crate) fn search(
 
 /// The memory levels an operand may use for this problem, innermost first:
 /// every level that serves the operand, up to and including the operand's
-/// top level.
-fn usable_levels(problem: &SingleLayerProblem<'_>, operand: Operand) -> Vec<usize> {
+/// top level. Returns them in a fixed array, and how many there are.
+///
+/// # Panics
+///
+/// Panics if there are more than [`MAX_LEVELS`].
+fn usable_levels(
+    problem: &SingleLayerProblem<'_>,
+    operand: Operand,
+) -> ([usize; MAX_LEVELS], usize) {
     let top = problem.top_levels.level(operand).0;
-    let mut levels: Vec<usize> = problem
-        .accelerator
-        .hierarchy()
-        .levels_for(operand)
-        .map(|(id, _)| id.0)
-        .filter(|&id| id <= top)
-        .collect();
-    if levels.last() != Some(&top) {
-        // The DF model may pin an operand to a level that nominally serves
-        // other operands only in the architecture description; honour it.
-        levels.push(top);
+    let mut levels = [0; MAX_LEVELS];
+    let mut depth = 0;
+    let serving = problem.accelerator.hierarchy().levels_for(operand);
+    let below_top = serving.map(|(id, _)| id.0).filter(|&id| id < top);
+    // The top is usable even when it nominally serves other operands only:
+    // the DF model may pin an operand there.
+    for id in below_top.chain([top]) {
+        assert!(depth < MAX_LEVELS, "memory hierarchy too deep");
+        levels[depth] = id;
+        depth += 1;
     }
-    levels
+    (levels, depth)
 }
 
 /// Per-operand, mapping-independent context of the kernel.
@@ -210,12 +231,38 @@ struct OpCtx {
     pe_bytes: f64,
     /// Bitmask over [`Dim::ALL`] indices of the operand's relevant loops.
     relevant: u8,
-    /// The operand's usable memory levels, innermost first (global indices).
-    levels: Vec<usize>,
+    /// The number of usable levels.
+    depth: usize,
+    /// The operand's usable memory levels, innermost first (global
+    /// indices): see [`OpCtx::levels`].
+    level_ids: [usize; MAX_LEVELS],
     /// Per non-top level: the running maximum of the capacity shares at and
     /// below it (see the module docs). A level's share splits its capacity
     /// evenly between the operands that can use it.
-    shares: Vec<f64>,
+    share_caps: [f64; MAX_LEVELS],
+}
+
+impl OpCtx {
+    /// A slot no operand fills.
+    const UNUSED: OpCtx = OpCtx {
+        operand: Operand::Weight,
+        footprint: 0.0,
+        pe_bytes: 0.0,
+        relevant: 0,
+        depth: 0,
+        level_ids: [0; MAX_LEVELS],
+        share_caps: [0.0; MAX_LEVELS],
+    };
+
+    /// The usable memory levels, innermost first (global indices).
+    fn levels(&self) -> &[usize] {
+        &self.level_ids[..self.depth]
+    }
+
+    /// The capacity share of every non-top usable level.
+    fn shares(&self) -> &[f64] {
+        &self.share_caps[..self.depth - 1]
+    }
 }
 
 /// Incremental bottom-up allocation state of one operand for one prefix.
@@ -341,11 +388,11 @@ impl LinearForms {
         let mut dram_bytes = LinearForm::new(0.0);
         // Bytes read, then written, per level: only latency reads them.
         let mut rows = if matches!(objective, Objective::Latency | Objective::Edp) {
-            vec![LinearForm::new(0.0); 2 * kernel.level_read_e.len()]
+            vec![LinearForm::new(0.0); 2 * kernel.n_levels]
         } else {
             Vec::new()
         };
-        for (j, op) in kernel.ops.iter().enumerate() {
+        for (j, op) in kernel.ops().iter().enumerate() {
             // `bytes = a·r + b` read (or written) at `lvl` for boundary `w`.
             let mut term = |lvl: usize, write: bool, w: usize, a: f64, b: f64| {
                 let e = if write {
@@ -362,13 +409,13 @@ impl LinearForms {
                 }
             };
             // The PE array's traffic is fixed (`a = 0`).
-            let inner = op.levels[0];
+            let inner = op.levels()[0];
             term(inner, false, 0, 0.0, op.pe_bytes);
             if op.operand == Operand::Output {
                 term(inner, true, 0, 0.0, op.pe_bytes);
             }
             let fp = op.footprint;
-            for (w, pair) in op.levels.windows(2).enumerate() {
+            for (w, pair) in op.levels().windows(2).enumerate() {
                 let (child, parent) = (pair[0], pair[1]);
                 match op.operand {
                     Operand::Weight | Operand::Input => {
@@ -387,16 +434,18 @@ impl LinearForms {
         // The error bound needs non-negative terms. The loader rejects a
         // negative energy, the constructors do not: such a kernel's energy
         // is never approximated.
-        if !kernel
-            .level_read_e
+        let n = kernel.n_levels;
+        if !kernel.level_read_e[..n]
             .iter()
-            .chain(&kernel.level_write_e)
+            .chain(&kernel.level_write_e[..n])
             .chain([&kernel.mac_energy])
             .all(|&e| e >= 0.0)
         {
             energy.base = f64::NAN;
         }
-        let bandwidths = kernel.level_read_bw.iter().zip(&kernel.level_write_bw);
+        let bandwidths = kernel.level_read_bw[..n]
+            .iter()
+            .zip(&kernel.level_write_bw[..n]);
         let transfers = rows
             .into_iter()
             .zip(bandwidths.flat_map(|(&read, &write)| [read, write]))
@@ -448,17 +497,23 @@ impl LinearForms {
 
 /// The one cost arithmetic: everything about pricing a problem that does not
 /// depend on the loop ordering, plus the allocation walk and the pricing of
-/// an allocation state (see the module docs).
+/// an allocation state (see the module docs). Its state is fixed-size: a
+/// search or a [`crate::cost::evaluate`] sets it up without the allocator.
 pub(crate) struct Kernel<'p, 'a> {
     problem: &'p SingleLayerProblem<'a>,
     /// Spatial unrolling factor per [`Dim::ALL`] index.
     factors: [u64; 7],
-    ops: Vec<OpCtx>,
-    /// Per global memory level: read/write energy per byte and bandwidth.
-    level_read_e: Vec<f64>,
-    level_write_e: Vec<f64>,
-    level_read_bw: Vec<f64>,
-    level_write_bw: Vec<f64>,
+    /// One entry per operand with data, in W / I / O order: see
+    /// [`Kernel::ops`].
+    op_slots: [OpCtx; 3],
+    n_ops: usize,
+    /// Per global memory level: read/write energy per byte and bandwidth,
+    /// `n_levels` of each.
+    level_read_e: [f64; MAX_HIERARCHY],
+    level_write_e: [f64; MAX_HIERARCHY],
+    level_read_bw: [f64; MAX_HIERARCHY],
+    level_write_bw: [f64; MAX_HIERARCHY],
+    n_levels: usize,
     dram: usize,
     macs: u64,
     mac_energy: f64,
@@ -474,74 +529,78 @@ impl<'p, 'a> Kernel<'p, 'a> {
         }
 
         let hierarchy = problem.accelerator.hierarchy();
-        let n_levels = hierarchy.levels().len();
-        let mut level_read_e = Vec::with_capacity(n_levels);
-        let mut level_write_e = Vec::with_capacity(n_levels);
-        let mut level_read_bw = Vec::with_capacity(n_levels);
-        let mut level_write_bw = Vec::with_capacity(n_levels);
-        for level in hierarchy.levels() {
-            level_read_e.push(level.read_energy_pj_per_byte());
-            level_write_e.push(level.write_energy_pj_per_byte());
-            level_read_bw.push(level.read_bw_bytes_per_cycle());
-            level_write_bw.push(level.write_bw_bytes_per_cycle());
+        let n_levels = hierarchy.len();
+        assert!(n_levels <= MAX_HIERARCHY, "memory hierarchy too deep");
+        let mut level_read_e = [0.0; MAX_HIERARCHY];
+        let mut level_write_e = [0.0; MAX_HIERARCHY];
+        let mut level_read_bw = [0.0; MAX_HIERARCHY];
+        let mut level_write_bw = [0.0; MAX_HIERARCHY];
+        for (lvl, level) in hierarchy.levels().iter().enumerate() {
+            level_read_e[lvl] = level.read_energy_pj_per_byte();
+            level_write_e[lvl] = level.write_energy_pj_per_byte();
+            level_read_bw[lvl] = level.read_bw_bytes_per_cycle();
+            level_write_bw[lvl] = level.write_bw_bytes_per_cycle();
         }
 
-        let usable: Vec<(Operand, Vec<usize>)> = Operand::ALL
-            .into_iter()
-            .filter(|&op| problem.footprint_bytes(op) > 0)
-            .map(|op| (op, usable_levels(problem, op)))
-            .collect();
+        let mut op_slots = [OpCtx::UNUSED; 3];
+        let mut n_ops = 0;
+        for operand in Operand::ALL {
+            if problem.footprint_bytes(operand) > 0 {
+                let (level_ids, depth) = usable_levels(problem, operand);
+                op_slots[n_ops] = OpCtx {
+                    operand,
+                    depth,
+                    level_ids,
+                    ..OpCtx::UNUSED
+                };
+                n_ops += 1;
+            }
+        }
+        let ops = &mut op_slots[..n_ops];
         // How many operands can use each level: a shared level's capacity is
         // split evenly between them.
-        let mut sharers = vec![0u64; n_levels];
-        for (_, levels) in &usable {
-            for &lvl in levels {
+        let mut sharers = [0u64; MAX_HIERARCHY];
+        for op in ops.iter() {
+            for &lvl in op.levels() {
                 sharers[lvl] += 1;
             }
         }
 
         let pe = problem.accelerator.pe_array();
         let macs = problem.total_macs();
-        let mut ops = Vec::with_capacity(usable.len());
-        for (operand, levels) in usable {
+        for op in ops.iter_mut() {
+            let operand = op.operand;
             let relevant_dims = problem.relevant_dims(operand);
             let spatial_reuse = unrolling.spatial_reuse(relevant_dims) as f64;
-            let pe_bytes = macs as f64 / spatial_reuse * problem.bytes_per_element(operand) as f64;
-            let mut relevant = 0u8;
+            op.pe_bytes = macs as f64 / spatial_reuse * problem.bytes_per_element(operand) as f64;
             for (i, d) in Dim::ALL.iter().enumerate() {
                 if relevant_dims.contains(d) {
-                    relevant |= 1 << i;
+                    op.relevant |= 1 << i;
                 }
             }
-            assert!(levels.len() <= MAX_LEVELS, "memory hierarchy too deep");
-            let mut shares = Vec::with_capacity(levels.len() - 1);
             let mut running_max = 0.0f64;
-            for &lvl in &levels[..levels.len() - 1] {
+            for w in 0..op.depth - 1 {
+                let lvl = op.level_ids[w];
                 let share = match hierarchy.level(MemoryLevelId(lvl)).capacity_bytes() {
                     None => u64::MAX,
                     Some(c) => c / sharers[lvl],
                 };
                 running_max = running_max.max(share as f64);
-                shares.push(running_max);
+                op.share_caps[w] = running_max;
             }
-            ops.push(OpCtx {
-                operand,
-                footprint: problem.footprint_bytes(operand) as f64,
-                pe_bytes,
-                relevant,
-                levels,
-                shares,
-            });
+            op.footprint = problem.footprint_bytes(operand) as f64;
         }
 
         Self {
             problem,
             factors,
-            ops,
+            op_slots,
+            n_ops,
             level_read_e,
             level_write_e,
             level_read_bw,
             level_write_bw,
+            n_levels,
             dram: hierarchy.dram_id().0,
             macs,
             mac_energy: macs as f64 * pe.mac_energy_pj(),
@@ -549,22 +608,23 @@ impl<'p, 'a> Kernel<'p, 'a> {
         }
     }
 
+    /// The operands with data, in W / I / O order.
+    fn ops(&self) -> &[OpCtx] {
+        &self.op_slots[..self.n_ops]
+    }
+
     /// The cost of a fixed temporal mapping: its loops pushed innermost
-    /// first, the resulting allocation state priced.
-    pub(crate) fn evaluate(&self, mapping: &TemporalMapping) -> LayerCost {
+    /// first, the resulting allocation state priced. The returned cost owns
+    /// `mapping`.
+    pub(crate) fn evaluate(&self, mapping: TemporalMapping) -> LayerCost {
         let mut eff = self.factors;
         let mut states = [AllocState::default(); 3];
         for l in mapping.loops() {
             self.push(&mut eff, l.dim, l.size, &mut states);
         }
-        let mut traffic = self.traffic_slots();
+        let mut traffic = TRAFFIC_ZERO;
         let scalars = self.price(&mut traffic, &states);
-        self.layer_cost(&scalars, &traffic, mapping.clone())
-    }
-
-    /// Zeroed traffic slots, one `[weight, input, output]` triple per level.
-    fn traffic_slots(&self) -> Vec<[Access; 3]> {
-        vec![[Access::default(); 3]; self.level_read_e.len()]
+        self.layer_cost(&scalars, &traffic, mapping)
     }
 
     /// Pushes a loop of `trips` iterations over `dim` as the new outermost
@@ -573,7 +633,7 @@ impl<'p, 'a> Kernel<'p, 'a> {
     fn push(&self, eff: &mut [u64; 7], dim: Dim, trips: u64, states: &mut [AllocState]) {
         let di = dim_index(dim);
         eff[di] *= trips;
-        for (op, alloc) in self.ops.iter().zip(states.iter_mut()) {
+        for (op, alloc) in self.ops().iter().zip(states.iter_mut()) {
             let relevant = op.relevant & (1 << di) != 0;
             // The new loop sits above every closed boundary: advance their
             // refetch trackers.
@@ -590,11 +650,12 @@ impl<'p, 'a> Kernel<'p, 'a> {
             // boundary. Shares grow outward, so the first level that still
             // fits ends the scan.
             let mut lvl = alloc.closed as usize;
-            if lvl == op.shares.len() {
+            let shares = op.shares();
+            if lvl == shares.len() {
                 continue;
             }
             let size = data_size(self.problem, op.operand, eff);
-            while lvl < op.shares.len() && size > op.shares[lvl] {
+            while lvl < shares.len() && size > shares[lvl] {
                 if relevant {
                     alloc.seen_relevant |= 1 << lvl;
                 }
@@ -613,7 +674,8 @@ impl<'p, 'a> Kernel<'p, 'a> {
     /// dominated by its counterpart in any completion, and the float
     /// operations are the same, so the result is a monotone lower bound of
     /// every completion's cost.
-    fn price(&self, traffic: &mut [[Access; 3]], states: &[AllocState]) -> Scalars {
+    fn price(&self, traffic: &mut Traffic, states: &[AllocState]) -> Scalars {
+        let traffic = &mut traffic[..self.n_levels];
         for slot in traffic.iter_mut() {
             *slot = [Access::default(); 3];
         }
@@ -622,14 +684,14 @@ impl<'p, 'a> Kernel<'p, 'a> {
         // bytes; outputs move partial sums up `footprint × r` bytes and back
         // down `footprint × (r − 1)` bytes. The top level itself is not
         // written (its content is provided by the depth-first model / DRAM).
-        for (op, alloc) in self.ops.iter().zip(states) {
+        for (op, alloc) in self.ops().iter().zip(states) {
             let o = operand_index(op.operand);
-            let innermost = &mut traffic[op.levels[0]][o];
+            let innermost = &mut traffic[op.levels()[0]][o];
             innermost.reads_bytes += op.pe_bytes;
             if op.operand == Operand::Output {
                 innermost.writes_bytes += op.pe_bytes;
             }
-            for (w, pair) in op.levels.windows(2).enumerate() {
+            for (w, pair) in op.levels().windows(2).enumerate() {
                 let (child, parent) = (pair[0], pair[1]);
                 let r = if w < alloc.closed as usize {
                     alloc.factor[w]
@@ -707,10 +769,10 @@ impl<'p, 'a> Kernel<'p, 'a> {
         mapping: TemporalMapping,
     ) -> LayerCost {
         // Sized exactly: caches keep every returned cost.
-        let mut entries = Vec::with_capacity(self.ops.iter().map(|op| op.levels.len()).sum());
-        for op in &self.ops {
+        let mut entries = Vec::with_capacity(self.ops().iter().map(|op| op.depth).sum());
+        for op in self.ops() {
             let o = operand_index(op.operand);
-            for &lvl in &op.levels {
+            for &lvl in op.levels() {
                 entries.push(((MemoryLevelId(lvl), op.operand), traffic[lvl][o]));
             }
         }
@@ -769,9 +831,9 @@ struct WalkState {
     used: u8,
     order_buf: [Dim; MAX_LOOPS],
     /// Scratch traffic slots, one per (level, operand).
-    traffic: Vec<[Access; 3]>,
+    traffic: Traffic,
     /// The traffic slots of the best leaf.
-    best_traffic: Vec<[Access; 3]>,
+    best_traffic: Traffic,
     /// The allocation states walked so far, so that a prefix reaching one
     /// again is skipped (see `Transpositions`). `None` when sampling: a
     /// sampled candidate's twin may not be in the sample, so skipping it
@@ -788,8 +850,8 @@ impl WalkState {
             eff: ctx.kernel.factors,
             used: 0,
             order_buf: [Dim::B; MAX_LOOPS],
-            traffic: ctx.kernel.traffic_slots(),
-            best_traffic: ctx.kernel.traffic_slots(),
+            traffic: TRAFFIC_ZERO,
+            best_traffic: TRAFFIC_ZERO,
             seen: (!ctx.sample).then(|| {
                 // One entry per prefix-tree node at most: sum of k!/(k-d)!.
                 let k = ctx.dims.len();
@@ -959,7 +1021,7 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
             // budget test, so that twin was fully in budget; a straddling
             // duplicate's beyond-budget tail stays charged to the budget.
             if let Some(seen) = &mut state.seen {
-                if !seen.insert(state.used, &child[..self.kernel.ops.len()]) {
+                if !seen.insert(state.used, &child[..self.kernel.n_ops]) {
                     let in_budget = selected.min(self.budget - start_rank);
                     state.stats.pruned_symmetry += in_budget;
                     state.stats.skipped_budget += selected - in_budget;
@@ -995,7 +1057,7 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
 
     /// `price(states) > best` for the search's objective, running `price`
     /// only when [`LinearForms::settle`] cannot decide.
-    fn exceeds(&self, traffic: &mut [[Access; 3]], states: &[AllocState; 3], best: f64) -> bool {
+    fn exceeds(&self, traffic: &mut Traffic, states: &[AllocState; 3], best: f64) -> bool {
         self.forms
             .settle(states, self.objective, best)
             .unwrap_or_else(|| self.kernel.price(traffic, states).value(self.objective) > best)
@@ -1033,7 +1095,8 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
                 scalars,
                 order: state.order_buf,
             });
-            state.best_traffic.copy_from_slice(&state.traffic);
+            let n = self.kernel.n_levels;
+            state.best_traffic[..n].copy_from_slice(&state.traffic[..n]);
         }
     }
 }
@@ -1276,7 +1339,7 @@ mod tests {
         };
         let mut best: Option<LayerCost> = None;
         for order in candidate_orderings(problem, usize::MAX).iter().take(b) {
-            let cost = evaluate(problem, &TemporalMapping::from_order(problem, order));
+            let cost = evaluate(problem, TemporalMapping::from_order(problem, order));
             if best.as_ref().is_none_or(|b| key(&cost) < key(b)) {
                 best = Some(cost);
             }
@@ -1437,7 +1500,7 @@ mod tests {
                     u64::MAX,
                     u64::MAX,
                 );
-                let mut traffic = ctx.kernel.traffic_slots();
+                let mut traffic = TRAFFIC_ZERO;
                 let mut eff = ctx.kernel.factors;
                 let mut states = [AllocState::default(); 3];
                 let mapping = TemporalMapping::from_order(&problem, order);
@@ -1548,14 +1611,14 @@ mod tests {
             for l in mapping.loops() {
                 let before = states;
                 kernel.push(&mut eff, l.dim, l.size, &mut states);
-                for ((op, was), now) in kernel.ops.iter().zip(&before).zip(&states) {
+                for ((op, was), now) in kernel.ops().iter().zip(&before).zip(&states) {
                     assert!(now.closed >= was.closed, "a closed level reopened");
-                    assert!((now.closed as usize) < op.levels.len(), "top level closed");
+                    assert!((now.closed as usize) < op.depth, "top level closed");
                 }
             }
             // Every usable level up to the operand's top carries traffic,
             // and nothing above the top does.
-            let cost = kernel.evaluate(&mapping);
+            let cost = kernel.evaluate(mapping);
             for operand in Operand::ALL {
                 let top = problem.top_levels.level(operand);
                 let levels: Vec<_> = cost
@@ -1578,9 +1641,9 @@ mod tests {
         let problem = SingleLayerProblem::new(&acc, &layer);
         let kernel = Kernel::new(&problem);
         let lb_w = acc.hierarchy().level_id_named("LB_W").unwrap().0;
-        let weights = &kernel.ops[0];
+        let weights = &kernel.ops()[0];
         assert_eq!(weights.operand, Operand::Weight);
-        let lb_pos = weights.levels.iter().position(|&l| l == lb_w).unwrap();
+        let lb_pos = weights.levels().iter().position(|&l| l == lb_w).unwrap();
         let mapping = TemporalMapping::from_order(&problem, &Dim::SPATIAL_AND_CHANNEL);
         let mut eff = kernel.factors;
         let mut states = [AllocState::default(); 3];
@@ -1588,8 +1651,8 @@ mod tests {
             kernel.push(&mut eff, l.dim, l.size, &mut states);
         }
         assert!(states[0].closed as usize <= lb_pos, "LB_W closed");
-        let cost = kernel.evaluate(&mapping);
-        let parent = MemoryLevelId(weights.levels[lb_pos + 1]);
+        let cost = kernel.evaluate(mapping);
+        let parent = MemoryLevelId(weights.levels()[lb_pos + 1]);
         assert_eq!(
             cost.accesses.get(parent, Operand::Weight).reads_bytes,
             576.0
@@ -1603,11 +1666,12 @@ mod tests {
         let layer = Layer::new("c", OpType::Conv, LayerDims::conv(8, 8, 8, 8, 3, 3));
         let p = SingleLayerProblem::new(&acc, &layer)
             .with_top_levels(OperandTopLevels::dram(&acc).with_level(Operand::Input, lb));
-        let levels = usable_levels(&p, Operand::Input);
+        let (levels, depth) = usable_levels(&p, Operand::Input);
+        let levels = &levels[..depth];
         assert_eq!(*levels.last().unwrap(), lb.0);
         assert!(levels.iter().all(|&l| l <= lb.0));
         // Weights still go all the way to DRAM.
-        let w = usable_levels(&p, Operand::Weight);
-        assert_eq!(*w.last().unwrap(), acc.hierarchy().dram_id().0);
+        let (w, depth) = usable_levels(&p, Operand::Weight);
+        assert_eq!(w[depth - 1], acc.hierarchy().dram_id().0);
     }
 }

@@ -112,7 +112,8 @@ impl std::error::Error for ServeError {}
 /// Per-daemon accounting behind the `stats` command (per daemon, not
 /// process-global telemetry counters: those would mix several in-process
 /// servers, e.g. under `cargo test`). The identity
-/// `requests == memo_hits + batched + computed` always holds.
+/// `requests == memo_hits + batched + computed` always holds. Evictions are
+/// not counted here: `stats` reports the store's own count.
 #[derive(Debug, Default)]
 struct ServeCounters {
     requests: AtomicU64,
@@ -120,7 +121,6 @@ struct ServeCounters {
     memo_hits: AtomicU64,
     computed: AtomicU64,
     cache_loads: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl ServeCounters {
@@ -390,17 +390,11 @@ fn compute_batch(
         // recomputable from the synced cache.
         let mut store = inner.store.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(store) = store.as_mut() {
-            let before = store.stats().evicted;
             if let Err(e) = store.sync() {
                 // Persistence failure degrades the daemon to in-memory
                 // serving; answers stay correct.
                 eprintln!("warning: cache store sync failed: {e}");
             }
-            let evicted = store.stats().evicted - before;
-            inner
-                .counters
-                .evictions
-                .fetch_add(evicted, Ordering::Relaxed);
         }
     }
     rendered
@@ -531,8 +525,16 @@ fn answer(inner: &ServerInner, line: &str) -> String {
 }
 
 /// The `stats` command: per-daemon serve counters, mapping-cache stats, and
-/// (when persistent) store stats.
+/// (when persistent) store stats. `serve.evictions` is the store's own
+/// `evicted` count (0 without a store): the evictions of opening it and of
+/// every sync, so the two always agree.
 fn stats_response(inner: &ServerInner) -> String {
+    let store = inner
+        .store
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .as_ref()
+        .map(CacheStore::stats);
     let mut out = String::new();
     let w = &mut Writer::compact(&mut out);
     w.begin_object();
@@ -548,10 +550,10 @@ fn stats_response(inner: &ServerInner) -> String {
         ("memo_hits", &c.memo_hits),
         ("computed", &c.computed),
         ("cache_loads", &c.cache_loads),
-        ("evictions", &c.evictions),
     ] {
         w.field(key, &counter.load(Ordering::Relaxed));
     }
+    w.field("evictions", &store.as_ref().map_or(0, |s| s.evicted));
     w.end_object();
     let cache = inner.cache.stats();
     w.key("cache");
@@ -562,14 +564,8 @@ fn stats_response(inner: &ServerInner) -> String {
     w.field("entries", &cache.entries);
     w.end_object();
     w.key("store");
-    match inner
-        .store
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .as_ref()
-    {
-        Some(store) => {
-            let s = store.stats();
+    match store {
+        Some(s) => {
             w.begin_object();
             w.field("loaded", &s.loaded);
             w.field("stored", &s.stored);

@@ -334,3 +334,51 @@ fn mapping_cache_stays_consistent_under_contention() {
     assert!(std::sync::Arc::ptr_eq(&arcs[0], &arcs[1]));
     assert!(std::sync::Arc::ptr_eq(&arcs[2], &arcs[3]));
 }
+
+/// What the `sweep` command line does on one engine thread with the default
+/// grid and every overlap mode, in process: the per-point sweep (fixed fuse
+/// policies only), the schedule search, then the two baselines, all on the
+/// model's one mapping cache. Returns that cache's (hits, misses, canonical
+/// hits).
+fn sweep_cache_counts(net: &Network, policy: &str) -> (u64, u64, u64) {
+    let acc = zoo::meta_proto_like_df();
+    let model = DfCostModel::new(&acc).with_fast_mapper();
+    let policy = defines_core::FusePolicy::from_keyword(policy).unwrap();
+    let mut explorer = Explorer::new(&model).with_threads(1);
+    if let Some(fuse) = policy.fixed_fuse_depth() {
+        explorer = explorer.with_fuse_depth(fuse);
+    }
+    let grid = Explorer::default_tile_grid(net);
+    let target = OptimizeTarget::Energy;
+    if policy.fixed_fuse_depth().is_some() {
+        explorer
+            .sweep_streaming(net, &grid, &OverlapMode::ALL, target, |_| {})
+            .unwrap();
+    }
+    explorer
+        .best_schedule(net, &grid, &OverlapMode::ALL, target, &policy)
+        .unwrap();
+    explorer.baselines(net).unwrap();
+    let stats = model.mapping_cache().stats();
+    (stats.hits, stats.misses, stats.canonical_hits)
+}
+
+/// The mapping-cache counters of three whole `sweep` runs, pinned as
+/// literals. A lookup answered without the shared cache (a repeat inside one
+/// stack evaluation) still counts as the hit the cache would have given, and
+/// as canonical when its key was canonicalized, so none of these may move.
+#[test]
+fn sweep_cache_counters_are_pinned() {
+    assert_eq!(
+        sweep_cache_counts(&models::dmcnn_vd(), "auto"),
+        (165_109, 7_621, 0)
+    );
+    assert_eq!(
+        sweep_cache_counts(&models::resnet18(), "search"),
+        (18_354, 2_015, 5_875)
+    );
+    assert_eq!(
+        sweep_cache_counts(&models::mobilenet_v1(), "search"),
+        (97_149, 6_417, 7)
+    );
+}

@@ -487,3 +487,138 @@ fn only_the_harness_entry_points_build_json_trees() {
         violations.join("\n")
     );
 }
+
+// One in-memory hasher: every `HashMap` / `HashSet` in the program code of
+// the model's crates names `defines_engine::FxBuildHasher`, so that no hot
+// path slides back to std's SipHash (it cost 13 % of a warm sweep in
+// `backcalc::merge_equal` alone). The tables are keyed by the program's own
+// values — layer tiles, tile analyses, store fingerprints — never by a
+// client, so a hash-flooding attack has nothing to aim at. `defines-arch`
+// and `defines-workload` sit below the engine and hold no hash table. The
+// daemon (`defines-serve`) is not covered: its response memo and failure map
+// are keyed by client request text, and stay on std's randomly keyed SipHash
+// so a client cannot pick colliding keys.
+
+/// The crates whose program code must hash with `FxBuildHasher`.
+const FX_ONLY_CRATES: [&str; 5] = [
+    "defines-core",
+    "defines-mapping",
+    "defines-engine",
+    "defines-arch",
+    "defines-workload",
+];
+
+/// Constructors that fix std's default hasher whatever the annotation says.
+const DEFAULT_HASHER_CONSTRUCTORS: [&str; 4] = ["new", "with_capacity", "from", "from_iter"];
+
+/// Every place in `code` where a `HashMap` or `HashSet` gets std's default
+/// hasher: a generic use whose arguments do not name `FxBuildHasher`, or a
+/// constructor that fixes the default hasher. Imports and other bare
+/// mentions pass; `code` is program code with comments removed.
+fn default_hasher_uses(code: &str) -> Vec<String> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut found = Vec::new();
+    for name in ["HashMap", "HashSet"] {
+        for (at, _) in code.match_indices(name) {
+            let rest = &code[at + name.len()..];
+            let whole_word = !code[..at].chars().next_back().is_some_and(ident)
+                && !rest.chars().next().is_some_and(ident);
+            if !whole_word {
+                continue;
+            }
+            if rest.starts_with('<') {
+                // The balanced generic arguments (`->` is not a closer).
+                let mut depth = 0;
+                let mut end = rest.len();
+                let bytes = rest.as_bytes();
+                for (i, &b) in bytes.iter().enumerate() {
+                    match b {
+                        b'<' => depth += 1,
+                        b'>' if i == 0 || bytes[i - 1] != b'-' => {
+                            depth -= 1;
+                            if depth == 0 {
+                                end = i + 1;
+                                break;
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                let generics = &rest[..end];
+                if !generics.contains("FxBuildHasher") {
+                    found.push(format!(
+                        "{name}{}",
+                        generics.split_whitespace().collect::<Vec<_>>().join(" ")
+                    ));
+                }
+            } else if let Some(call) = rest.strip_prefix("::") {
+                let method: String = call.chars().take_while(|&c| ident(c)).collect();
+                if DEFAULT_HASHER_CONSTRUCTORS.contains(&method.as_str()) {
+                    found.push(format!("{name}::{method}"));
+                }
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn default_hasher_uses_are_found() {
+    let code = "\
+use std::collections::{HashMap, HashSet};
+type Shard<K, V> = HashMap<K, V, FxBuildHasher>;
+let seen: HashSet<_, FxBuildHasher> = HashSet::default();
+let map: HashMap<
+    Key,
+    Vec<u64>,
+    FxBuildHasher,
+> = HashMap::with_capacity_and_hasher(8, FxBuildHasher::default());
+let f: HashMap<u8, Box<dyn Fn() -> u8>, FxBuildHasher> = HashMap::default();
+let slow: HashMap<u64, Vec<u64>> = HashMap::new();
+let set = HashSet::with_capacity(4);
+let counts = xs.collect::<HashMap<_, _>>();
+struct MyHashMap;
+";
+    assert_eq!(
+        default_hasher_uses(code),
+        [
+            "HashMap<u64, Vec<u64>>",
+            "HashMap::new",
+            "HashMap<_, _>",
+            "HashSet::with_capacity",
+        ]
+    );
+}
+
+#[test]
+fn model_crates_hash_only_with_the_fx_hasher() {
+    let root = repo_root();
+    let mut violations = Vec::new();
+    let mut checked = 0;
+    for krate in FX_ONLY_CRATES {
+        let mut files = Vec::new();
+        rust_files(&root.join("crates").join(krate).join("src"), &mut files);
+        for path in files {
+            let source = std::fs::read_to_string(&path).expect("source file");
+            let code: Vec<&str> = non_test_lines(&source)
+                .into_iter()
+                .map(|(_, line)| line)
+                .filter(|line| !line.trim_start().starts_with("//"))
+                .collect();
+            let code = code.join("\n");
+            checked += code.matches("FxBuildHasher").count();
+            for found in default_hasher_uses(&code) {
+                let relative = path.strip_prefix(&root).expect("under the root");
+                violations.push(format!("{}: {found}", relative.display()));
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "name `defines_engine::FxBuildHasher` as the hasher of every hash table \
+         (`HashMap<K, V, FxBuildHasher>`, built with `default()` or \
+         `with_capacity_and_hasher`):\n{}",
+        violations.join("\n")
+    );
+    assert!(checked > 5, "found only {checked} FxBuildHasher uses");
+}
