@@ -10,17 +10,20 @@
 //! distinct sub-problem is searched once no matter how many design points,
 //! sweeps or cost-model instances share the cache.
 //!
-//! The cache is one table, canonical key → shared cost plus the entry's
-//! LRU epochs for the persistent store (last use, last write). A miss runs
+//! The cache is one table, canonical key → answer plus the entry's LRU
+//! epochs for the persistent store (last use, last write). An answer is
+//! *priced* (the shared cost) or, loaded from a v2 store line, *stored*: the
+//! winning loops and the degraded flag, priced on the first hit. A miss runs
 //! [`LomaMapper::optimize`] with no lock held (only the insert takes the
 //! key's shard lock), and searches share nothing: two threads that miss the
 //! same cold key at the same instant both search it, compute the same bits,
 //! and the first insert wins. `docs/architecture.md` ("Searches share
 //! nothing") records how rare that race is.
 
-use crate::cost::LayerCost;
+use crate::cost::{self, LayerCost};
 use crate::loma::LomaMapper;
 use crate::problem::{OperandTopLevels, SingleLayerProblem};
+use crate::temporal::{Loops, TemporalLoop, TemporalMapping};
 use defines_engine::{CacheStats, MemoCache};
 use defines_telemetry::{span, Counter};
 use defines_workload::{LayerDims, OpType};
@@ -148,7 +151,7 @@ pub struct MappingCache(Arc<Shared>);
 /// What the handles of one [`MappingCache`] share.
 #[derive(Debug, Default)]
 struct Shared {
-    /// The one table: canonical key → cost and LRU state.
+    /// The one table: canonical key → answer and LRU state.
     table: MemoCache<ProblemKey, Entry>,
     /// Whether lookups record their epoch for the persistent store's LRU
     /// eviction (see [`crate::persist`]). Off by default: an untracked
@@ -166,22 +169,54 @@ struct Shared {
 /// The epoch of a use or a write that never happened.
 pub(crate) const NEVER: u64 = u64::MAX;
 
-/// One mapping: its cost and its LRU state.
+/// One mapping: its answer and its LRU state.
 #[derive(Debug, Clone)]
 pub(crate) struct Entry {
-    pub(crate) cost: Arc<LayerCost>,
+    pub(crate) answer: Answer,
     /// The epoch of the last tracked use.
     pub(crate) used: u64,
     /// The epoch the store's file last carried for this entry.
     pub(crate) persisted: u64,
 }
 
+/// What an entry knows of its mapping. Either form is one pointer, so a
+/// computed entry carries a tag for the choice, not the stored form's
+/// loops; either clones without the allocator.
+#[derive(Debug, Clone)]
+pub(crate) enum Answer {
+    /// The cost: computed in this process, loaded from a v1 store line, or
+    /// priced from a stored answer.
+    Priced(Arc<LayerCost>),
+    /// A v2 store line's answer — the winning loops, innermost first, and
+    /// whether the search that found them exhausted its budget — priced on
+    /// the entry's first hit.
+    Stored { loops: Arc<Loops>, degraded: bool },
+}
+
+impl Answer {
+    /// The winning loops, innermost first.
+    pub(crate) fn loops(&self) -> &[TemporalLoop] {
+        match self {
+            Answer::Priced(cost) => cost.mapping.loops(),
+            Answer::Stored { loops, .. } => loops,
+        }
+    }
+
+    /// Whether the search that found the loops exhausted its budget.
+    pub(crate) fn degraded(&self) -> bool {
+        match self {
+            Answer::Priced(cost) => cost.degraded,
+            Answer::Stored { degraded, .. } => *degraded,
+        }
+    }
+}
+
 impl Entry {
     /// An entry no tracked lookup has used, listed by the store's file at
     /// `persisted` ([`NEVER`]: not listed).
-    pub(crate) fn new(cost: Arc<LayerCost>, persisted: u64) -> Self {
+    pub(crate) fn new(answer: Answer, persisted: u64) -> Self {
         Self {
-            cost,
+            answer,
             used: NEVER,
             persisted,
         }
@@ -191,6 +226,31 @@ impl Entry {
     fn touch(&mut self, epoch: u64) -> bool {
         std::mem::replace(&mut self.used, epoch) != epoch
     }
+
+    /// The entry's cost. A stored answer is priced for `problem`, the
+    /// problem looked up under this entry's key, and kept priced.
+    fn cost(&mut self, problem: &SingleLayerProblem<'_>) -> Arc<LayerCost> {
+        match &self.answer {
+            Answer::Priced(cost) => cost.clone(),
+            Answer::Stored { loops, degraded } => {
+                let cost = price(problem, loops, *degraded);
+                self.answer = Answer::Priced(cost.clone());
+                cost
+            }
+        }
+    }
+}
+
+/// The cost of a stored answer. The cost of a search is a function of its
+/// loops alone (every reported cost comes from the kernel's `price`), so
+/// this is the cost the search returned, bit for bit. Runs once per loaded
+/// entry, so it is kept off the hit path.
+#[cold]
+#[inline(never)]
+fn price(problem: &SingleLayerProblem<'_>, loops: &Loops, degraded: bool) -> Arc<LayerCost> {
+    let mut cost = cost::evaluate(problem, TemporalMapping::from_loops(loops.to_vec()));
+    cost.degraded = degraded;
+    Arc::new(cost)
 }
 
 impl MappingCache {
@@ -206,7 +266,8 @@ impl MappingCache {
 
     /// Returns a shared handle to the cached cost for the problem, running
     /// the mapper on a miss. A hit costs one reference-count bump, not a deep
-    /// copy of the cost record.
+    /// copy of the cost record; the first hit on a stored answer prices its
+    /// loops once, under the shard lock, and counts as a hit like any other.
     ///
     /// Benchmark probes and tests only; the program calls
     /// [`MappingCache::optimize_shared_keyed`] with a key from
@@ -236,11 +297,11 @@ impl MappingCache {
             key,
             || {
                 let _span = span!("mapping.search");
-                Entry::new(Arc::new(mapper.optimize(problem)), NEVER)
+                Entry::new(Answer::Priced(Arc::new(mapper.optimize(problem))), NEVER)
             },
             |key, entry| {
                 let first = epoch.is_some_and(|epoch| entry.touch(epoch));
-                (entry.cost.clone(), first.then(|| key.clone()))
+                (entry.cost(problem), first.then(|| key.clone()))
             },
         );
         if hit {
@@ -326,15 +387,35 @@ impl MappingCache {
     /// Inserts a previously computed cost, unused, without touching the
     /// hit/miss counters, returning `true` if the key was absent.
     pub fn preload(&self, key: ProblemKey, cost: Arc<LayerCost>) -> bool {
-        self.0.table.insert(key, Entry::new(cost, NEVER))
+        self.0
+            .table
+            .insert(key, Entry::new(Answer::Priced(cost), NEVER))
     }
 
-    /// All entries, sorted by key (deterministic regardless of insertion or
-    /// shard order).
+    /// The priced entries, sorted by key (deterministic regardless of
+    /// insertion or shard order). That is every entry of a cache that was
+    /// only computed or preloaded; of the entries a v2 store file loaded,
+    /// only those a lookup has hit since.
     pub fn entries(&self) -> Vec<(ProblemKey, Arc<LayerCost>)> {
         let mut out = Vec::new();
         self.0.table.retain(|key, entry| {
-            out.push((key.clone(), entry.cost.clone()));
+            if let Answer::Priced(cost) = &entry.answer {
+                out.push((key.clone(), cost.clone()));
+            }
+            true
+        });
+        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    /// Every entry's winning mapping and degraded flag, priced or stored,
+    /// sorted by key: what a store line keeps of it. Tests only.
+    #[doc(hidden)]
+    pub fn mappings(&self) -> Vec<(ProblemKey, TemporalMapping, bool)> {
+        let mut out = Vec::new();
+        self.0.table.retain(|key, entry| {
+            let mapping = TemporalMapping::from_loops(entry.answer.loops().to_vec());
+            out.push((key.clone(), mapping, entry.answer.degraded()));
             true
         });
         out.sort_unstable_by(|a, b| a.0.cmp(&b.0));

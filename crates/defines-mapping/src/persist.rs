@@ -7,14 +7,31 @@
 //! The file is a [`defines_engine::Journal`] — header line, flushed appends,
 //! torn-tail tolerance, atomic-rename rewrite; that module states the crash
 //! contract. This module owns what the lines *mean*: the header key and
-//! version, entry lines (`fp`, `epoch`, `key`, `cost`) and compact `touch`
-//! lines, the LRU epochs, and when to sync and compact. Every entry line
-//! carries an [`Fnv`] fingerprint of its key, recomputed and verified on
-//! load; the key's accelerator and mapper fingerprints are [`Fnv`] hashes
-//! too, so a line means the same to every build. Lines written while those
-//! two were `DefaultHasher` hashes still load but never hit (they are
-//! recomputed on demand): a line holds the old hash, not the accelerator,
-//! so it cannot be re-keyed.
+//! version, entry lines and compact `touch` lines, the LRU epochs, and when
+//! to sync and compact. Every entry line carries an [`Fnv`] fingerprint of
+//! its key, recomputed and verified on load; the key's accelerator and
+//! mapper fingerprints are [`Fnv`] hashes too, so a line means the same to
+//! every build. Lines written while those two were `DefaultHasher` hashes
+//! still load but never hit (they are recomputed on demand): a line holds
+//! the old hash, not the accelerator, so it cannot be re-keyed.
+//!
+//! # Format versions
+//!
+//! A version 2 entry line stores the answer, not its cost, and holds no
+//! float:
+//!
+//! ```text
+//! {"fp":…,"epoch":3,"key":[accelerator,op,b,k,c,ox,oy,fx,fy,stride_x,stride_y,pad_x,pad_y,act_bits,weight_bits,weight_top,input_top,output_top,mapper],"loops":[["OX",4],["K",2]]}
+//! ```
+//!
+//! `op` numbers the operator class (`Conv`, `DepthwiseConv`, `Pooling`,
+//! `Add` from 0), the loops run innermost first, and `"degraded":true` is
+//! added when the search exhausted its budget. Such an entry loads
+//! *stored*, and the first lookup that hits it prices its loops
+//! ([`MappingCache::optimize_shared_keyed`]). A version 1 entry line holds
+//! the whole cost (`"key"` as an object, `"cost"`) and loads priced. Every
+//! line this build writes is version 2: a version 1 file is read as it is,
+//! and the first sync with anything to write rewrites it whole.
 //!
 //! # Eviction determinism
 //!
@@ -36,16 +53,16 @@
 //! append/load cycles happened in between — the property the persistence
 //! round-trip tests pin down.
 
-use crate::cache::{Entry, MappingCache, ProblemKey, NEVER};
+use crate::cache::{Answer, Entry, MappingCache, ProblemKey, NEVER};
 use crate::cost::{Access, AccessBreakdown, LayerCost};
 use crate::problem::OperandTopLevels;
-use crate::temporal::{TemporalLoop, TemporalMapping};
+use crate::temporal::{Loops, TemporalLoop, TemporalMapping};
 use defines_arch::{parse_dim, parse_operand};
 use defines_arch::{MemoryLevelId, Operand};
 use defines_engine::{FxBuildHasher, Journal, JournalError};
 use defines_telemetry::Counter;
-use defines_workload::LayerDims;
 use defines_workload::{op_name, parse_op, Fnv};
+use defines_workload::{Dim, LayerDims, OpType};
 use serde::{Fields, FromField, Items, Serialize, ValueRef, Writer};
 use std::collections::HashMap;
 use std::fmt;
@@ -61,8 +78,20 @@ static STORE_EVICTED: Counter = Counter::new("mapping.store.evicted");
 /// Full rewrites of the file (compactions).
 static STORE_COMPACTIONS: Counter = Counter::new("mapping.store.compactions");
 
-/// On-disk format version, bound into the header line.
-const VERSION: u64 = 1;
+/// On-disk format version, bound into the header line: the one this build
+/// writes.
+const VERSION: u64 = 2;
+
+/// The version whose entry lines carry the whole cost; still read.
+const V1: u64 = 1;
+
+/// The operator classes, numbered in a version 2 key by their index here.
+const OPS: [OpType; 4] = [
+    OpType::Conv,
+    OpType::DepthwiseConv,
+    OpType::Pooling,
+    OpType::Add,
+];
 
 /// Header key naming the file format (and guarding against feeding some
 /// other JSONL artifact to the store).
@@ -119,6 +148,9 @@ pub struct CacheStore {
     /// loaded file's lines beyond its live entries; when this exceeds the
     /// entry count the log has roughly doubled and gets compacted.
     appended_since_compact: usize,
+    /// Whether the file is still version 1: it takes no line of this
+    /// build's, so the next sync that has one rewrites the file instead.
+    v1: bool,
     stats: StoreStats,
 }
 
@@ -156,7 +188,7 @@ enum Line<'a> {
     Header,
     /// One cache entry with its last-used epoch (the line also carries the
     /// key's fingerprint).
-    Entry(u64, &'a ProblemKey, &'a LayerCost),
+    Entry(u64, &'a ProblemKey, &'a Answer),
     /// The entries (by fingerprint) re-used at `epoch`.
     Touch { fps: &'a [u64], epoch: u64 },
 }
@@ -166,20 +198,19 @@ impl Serialize for Line<'_> {
         w.begin_object();
         match *self {
             Line::Header => w.field(HEADER_KEY, &VERSION),
-            Line::Entry(epoch, key, cost) => {
+            Line::Entry(epoch, key, answer) => {
                 w.field("fp", &key_fingerprint(key));
                 w.field("epoch", &epoch);
-                w.key("key");
-                w.begin_object();
-                w.field("accelerator", &key.accelerator);
-                w.field("op", op_name(key.op));
-                w.field("dims", &key.dims);
-                w.field("act_bits", &key.act_bits);
-                w.field("weight_bits", &key.weight_bits);
-                w.field("top_levels", &key.top_levels);
-                w.field("mapper", &key.mapper);
-                w.end_object();
-                w.field("cost", cost);
+                w.field("key", &key_numbers(key));
+                w.key("loops");
+                w.begin_array();
+                for l in answer.loops() {
+                    w.item(&(l.dim, l.size));
+                }
+                w.end_array();
+                if answer.degraded() {
+                    w.field("degraded", &true);
+                }
             }
             Line::Touch { fps, epoch } => {
                 w.field("touch", fps);
@@ -190,7 +221,119 @@ impl Serialize for Line<'_> {
     }
 }
 
-fn read_key(key: Fields<'_>) -> Result<ProblemKey, String> {
+/// The numbers of a version 2 key, in their fixed order.
+fn key_numbers(key: &ProblemKey) -> [u64; KEY_NUMBERS] {
+    let d = &key.dims;
+    let top = &key.top_levels;
+    [
+        key.accelerator,
+        OPS.iter()
+            .position(|&op| op == key.op)
+            .expect("OPS lists every operator class") as u64,
+        d.b,
+        d.k,
+        d.c,
+        d.ox,
+        d.oy,
+        d.fx,
+        d.fy,
+        d.stride_x,
+        d.stride_y,
+        d.pad_x,
+        d.pad_y,
+        u64::from(key.act_bits),
+        u64::from(key.weight_bits),
+        top.weight.0 as u64,
+        top.input.0 as u64,
+        top.output.0 as u64,
+        key.mapper,
+    ]
+}
+
+/// How many numbers a version 2 key holds.
+const KEY_NUMBERS: usize = 19;
+
+/// Reads a version 2 key: [`key_numbers`] back.
+fn read_key(key: Items<'_>) -> Result<ProblemKey, String> {
+    if key.len() != KEY_NUMBERS {
+        return Err(format!(
+            "'key' must hold {KEY_NUMBERS} numbers, found {}",
+            key.len()
+        ));
+    }
+    let mut n = [0u64; KEY_NUMBERS];
+    for (slot, item) in n.iter_mut().zip(key) {
+        *slot = item
+            .as_u64()
+            .ok_or("'key' must hold non-negative integers")?;
+    }
+    let bits = |n: u64| u32::try_from(n).map_err(|_| format!("element width {n} out of range"));
+    let level = |n: u64| MemoryLevelId(n as usize);
+    Ok(ProblemKey {
+        accelerator: n[0],
+        op: *usize::try_from(n[1])
+            .ok()
+            .and_then(|code| OPS.get(code))
+            .ok_or_else(|| format!("unknown operator class code {}", n[1]))?,
+        dims: LayerDims {
+            b: n[2],
+            k: n[3],
+            c: n[4],
+            ox: n[5],
+            oy: n[6],
+            fx: n[7],
+            fy: n[8],
+            stride_x: n[9],
+            stride_y: n[10],
+            pad_x: n[11],
+            pad_y: n[12],
+        },
+        act_bits: bits(n[13])?,
+        weight_bits: bits(n[14])?,
+        top_levels: OperandTopLevels {
+            weight: level(n[15]),
+            input: level(n[16]),
+            output: level(n[17]),
+        },
+        mapper: n[18],
+    })
+}
+
+/// Reads a version 2 entry's answer: its `[dim, size]` loops and its
+/// degraded flag. Each loop must be one a search of `key` can return: a
+/// dimension other than batch, not repeated, with a trip count from 2 to
+/// the dimension's size.
+fn read_answer(line: &Fields<'_>, key: &ProblemKey) -> Result<Answer, String> {
+    let mut loops = Loops::EMPTY;
+    for item in line.req::<Items<'_>>("loops")? {
+        let (dim, size) = item.as_pair().ok_or("a loop is not a [dim, size] pair")?;
+        let l = TemporalLoop {
+            dim: parse_name(
+                "dimension",
+                dim.as_str().ok_or("a loop's dimension is not a string")?,
+                parse_dim,
+            )?,
+            size: size
+                .as_u64()
+                .ok_or("a loop's size is not a non-negative integer")?,
+        };
+        let fits = l.dim != Dim::B
+            && (2..=key.dims.size(l.dim)).contains(&l.size)
+            && loops.iter().all(|other| other.dim != l.dim);
+        if !fits {
+            return Err(format!("loop [{}, {}] does not fit its key", l.dim, l.size));
+        }
+        loops.push(l);
+    }
+    let degraded = line.opt("degraded")?.unwrap_or(false);
+    Ok(Answer::Stored {
+        loops: Arc::new(loops),
+        degraded,
+    })
+}
+
+/// Reads a version 1 key, an object.
+fn read_key_v1(key: Fields<'_>) -> Result<ProblemKey, String> {
     let dims = key.req::<Fields<'_>>("dims")?;
     let top = key.req::<Fields<'_>>("top_levels")?;
     let level = |operand| top.req(operand).map(|id: u64| MemoryLevelId(id as usize));
@@ -299,6 +442,7 @@ impl CacheStore {
             max_entries,
             journal: Journal::open("store", path)?,
             appended_since_compact: 0,
+            v1: false,
             stats: StoreStats::default(),
         };
         let Some((lines, torn)) = store.load()? else {
@@ -324,11 +468,11 @@ impl CacheStore {
 
     /// The entries the file lists, with their epochs, sorted by
     /// `(epoch, key)`: the order of eviction and of a compacted file.
-    fn live(&self) -> Vec<(u64, ProblemKey, Arc<LayerCost>)> {
+    fn live(&self) -> Vec<(u64, ProblemKey, Answer)> {
         let mut live = Vec::with_capacity(self.stats.entries);
         self.cache.table().retain(|key, entry| {
             if entry.persisted != NEVER {
-                live.push((entry.persisted, key.clone(), entry.cost.clone()));
+                live.push((entry.persisted, key.clone(), entry.answer.clone()));
             }
             true
         });
@@ -356,11 +500,12 @@ impl CacheStore {
                     .and_then(|header| header.get(HEADER_KEY))
                     .and_then(|version| version.as_u64())
                     .ok_or("not a mapping-cache store header")?;
-                if version != VERSION {
+                if version != VERSION && version != V1 {
                     return Err(format!(
                         "unsupported store version {version} (this build writes {VERSION})"
                     ));
                 }
+                self.v1 = version == V1;
                 return Ok(());
             }
             match self.apply_line(v, &mut by_fp) {
@@ -408,25 +553,36 @@ impl CacheStore {
         }
         let fp = line.req("fp")?;
         let epoch = line.req("epoch")?;
-        let key = read_key(line.req("key")?)?;
+        let (key, answer) = if self.v1 {
+            let key = read_key_v1(line.req("key")?)?;
+            let cost = read_cost(line.req("cost")?)?;
+            (key, Answer::Priced(Arc::new(cost)))
+        } else {
+            let key = read_key(line.req("key")?)?;
+            let answer = read_answer(&line, &key)?;
+            (key, answer)
+        };
         if key_fingerprint(&key) != fp {
             return Err(format!("entry fingerprint {fp:#x} does not match its key"));
         }
-        let cost = read_cost(line.req("cost")?)?;
         if let Some(by_fp) = by_fp {
             by_fp.insert(fp, key.clone());
         }
-        // A cost the cache already holds wins over the persisted one.
+        // An answer the cache already holds wins over the persisted one.
         if table.update(&key, |e| e.persisted = epoch).is_none() {
-            table.insert(key, Entry::new(Arc::new(cost), epoch));
+            table.insert(key, Entry::new(answer, epoch));
         }
         self.stats.loaded += 1;
         STORE_LOADED.incr();
         Ok(())
     }
 
+    /// Appends `line`, or, to a version 1 file, holds it back for the
+    /// sync's rewrite.
     fn append(&mut self, line: &Line<'_>) -> Result<(), StoreError> {
-        self.journal.append(line)?;
+        if !self.v1 {
+            self.journal.append(line)?;
+        }
         self.appended_since_compact += 1;
         Ok(())
     }
@@ -439,6 +595,7 @@ impl CacheStore {
     /// the module docs). New entries are appended in key order; re-touched
     /// entries become one compact `touch` line per epoch.
     pub fn sync(&mut self) -> Result<(), StoreError> {
+        let appended = self.appended_since_compact;
         let touched = self.cache.take_touched();
         self.cache.set_epoch(self.cache.current_epoch() + 1);
         // epoch -> fingerprints re-touched at that epoch. Epochs are few
@@ -449,14 +606,14 @@ impl CacheStore {
             // Marks the entry as written at its last use. A touched key can
             // be absent from the cache only once evicted; skipping it is the
             // honest response.
-            let Some((epoch, was, cost)) = self.cache.table().update(&key, |entry| {
+            let Some((epoch, was, answer)) = self.cache.table().update(&key, |entry| {
                 let was = std::mem::replace(&mut entry.persisted, entry.used);
-                (entry.used, was, entry.cost.clone())
+                (entry.used, was, entry.answer.clone())
             }) else {
                 continue;
             };
             if was == NEVER {
-                self.append(&Line::Entry(epoch, &key, &cost))?;
+                self.append(&Line::Entry(epoch, &key, &answer))?;
                 self.stats.stored += 1;
                 self.stats.entries += 1;
                 STORE_STORED.incr();
@@ -475,8 +632,10 @@ impl CacheStore {
         }
         self.evict_over_bound()?;
         // Compact when the log has roughly doubled past the live entry
-        // count — amortized O(1) lines per entry.
-        if self.appended_since_compact > self.stats.entries.max(16) {
+        // count — amortized O(1) lines per entry — or when a version 1 file
+        // held lines back.
+        let held_back = self.v1 && self.appended_since_compact > appended;
+        if held_back || self.appended_since_compact > self.stats.entries.max(16) {
             self.compact()?;
         }
         Ok(())
@@ -503,15 +662,16 @@ impl CacheStore {
     }
 
     /// Rewrites the file to exactly the live state — header plus one entry
-    /// line per key, sorted by `(epoch, key)`.
+    /// line per key, sorted by `(epoch, key)` — in version 2.
     fn compact(&mut self) -> Result<(), StoreError> {
         let live = self.live();
         let lines = live
             .iter()
-            .map(|(epoch, key, cost)| Line::Entry(*epoch, key, cost));
+            .map(|(epoch, key, answer)| Line::Entry(*epoch, key, answer));
         self.journal
             .rewrite(std::iter::once(Line::Header).chain(lines))?;
         self.appended_since_compact = 0;
+        self.v1 = false;
         self.stats.compactions += 1;
         STORE_COMPACTIONS.incr();
         Ok(())

@@ -71,13 +71,11 @@
 use crate::cost::{Access, AccessBreakdown, LayerCost, Objective};
 use crate::loma::MapperConfig;
 use crate::problem::SingleLayerProblem;
-use crate::temporal::{active_loops, TemporalMapping};
+use crate::temporal::{active_loops, Loops, TemporalMapping, MAX_LOOPS};
 use defines_arch::{MemoryHierarchy, MemoryLevelId, Operand};
 use defines_workload::{Dim, OpType};
+use std::cell::Cell;
 
-/// Maximum number of temporal loops a problem can have (the six non-batch
-/// dimensions; batch is never temporal in this model).
-pub(crate) const MAX_LOOPS: usize = 6;
 /// Maximum number of memory levels on one operand's path.
 const MAX_LEVELS: usize = 8;
 /// Maximum number of memory levels in a hierarchy.
@@ -177,10 +175,13 @@ pub(crate) fn search(
     } else {
         config.budget.max_orderings
     };
-    let ctx = SearchCtx::new(kernel, config.objective, &loops, sample, max, budget);
+    let ctx = SearchCtx::new(kernel, config.objective, loops, sample, max, budget);
     let mut state = WalkState::fresh(&ctx);
     state.stats = stats;
     ctx.descend(&mut state, 0, 0, &[AllocState::default(); 3]);
+    if let Some(seen) = state.seen.take() {
+        TRANSPOSITIONS.set(seen);
+    }
 
     let stats = state.stats;
     debug_assert_eq!(
@@ -613,6 +614,12 @@ impl<'p, 'a> Kernel<'p, 'a> {
         &self.op_slots[..self.n_ops]
     }
 
+    /// The most words a `Transpositions` key of this problem takes: the
+    /// header and one factor per non-top usable level.
+    fn key_words(&self) -> usize {
+        1 + self.ops().iter().map(|op| op.depth - 1).sum::<usize>()
+    }
+
     /// The cost of a fixed temporal mapping: its loops pushed innermost
     /// first, the resulting allocation state priced. The returned cost owns
     /// `mapping`.
@@ -805,10 +812,9 @@ struct SearchCtx<'p, 'a> {
     kernel: Kernel<'p, 'a>,
     forms: LinearForms,
     objective: Objective,
-    /// Active loop dimensions, canonical order.
-    dims: Vec<Dim>,
-    /// Temporal trip count per active dimension.
-    trips: Vec<u64>,
+    /// The active loops (dimension and temporal trip count), canonical
+    /// order.
+    loops: Loops,
     /// Whether the candidates are an integer-stride sample of the orderings.
     sample: bool,
     max: u64,
@@ -835,9 +841,10 @@ struct WalkState {
     /// The traffic slots of the best leaf.
     best_traffic: Traffic,
     /// The allocation states walked so far, so that a prefix reaching one
-    /// again is skipped (see `Transpositions`). `None` when sampling: a
-    /// sampled candidate's twin may not be in the sample, so skipping it
-    /// would lose a candidate instead of a duplicate.
+    /// again is skipped (see `Transpositions`): the thread's table, lent to
+    /// this search. `None` when sampling: a sampled candidate's twin may not
+    /// be in the sample, so skipping it would lose a candidate instead of a
+    /// duplicate.
     seen: Option<Transpositions>,
     best: Option<Best>,
     stats: SearchStats,
@@ -854,14 +861,23 @@ impl WalkState {
             best_traffic: TRAFFIC_ZERO,
             seen: (!ctx.sample).then(|| {
                 // One entry per prefix-tree node at most: sum of k!/(k-d)!.
-                let k = ctx.dims.len();
+                let k = ctx.loops.len();
                 let nodes: u64 = (1..=k).map(|d| ctx.fact[k] / ctx.fact[k - d]).sum();
-                Transpositions::new(nodes as usize)
+                let mut seen = TRANSPOSITIONS.take();
+                seen.reset(nodes as usize, ctx.kernel.key_words());
+                seen
             }),
             best: None,
             stats: SearchStats::default(),
         }
     }
+}
+
+thread_local! {
+    /// Each thread's transposition table. An exhaustive search takes it,
+    /// resets it in O(1) and puts it back, so that a search allocates none
+    /// once its thread has searched a problem as large.
+    static TRANSPOSITIONS: Cell<Transpositions> = Cell::default();
 }
 
 /// The set of `(placed loops, per-operand allocation state)` keys one search
@@ -873,23 +889,40 @@ impl WalkState {
 /// bits of every closed level that has seen a relevant loop, in operand and
 /// level order; every other level's factor is exactly 1.0. Equal headers
 /// therefore imply equal key lengths.
+#[derive(Default)]
 struct Transpositions {
-    /// `1 +` the key's offset in `keys`, or 0 for an empty slot.
-    slots: Vec<u32>,
-    /// `64 - log2(slots.len())`: the hash's top bits pick the home slot.
+    /// Per slot, the generation that filled it and `1 +` its key's offset
+    /// in `keys`; a slot of an earlier generation is empty. A search uses
+    /// the first `mask + 1` slots.
+    slots: Vec<(u32, u32)>,
+    /// The current generation, never 0.
+    generation: u32,
+    /// The slot count of this search (a power of two) less one.
+    mask: usize,
+    /// `64 - log2(mask + 1)`: the hash's top bits pick the home slot.
     shift: u32,
     keys: Vec<u64>,
 }
 
 impl Transpositions {
-    /// A table with room for `capacity` keys at a load factor of at most ½.
-    fn new(capacity: usize) -> Self {
+    /// Empties the table for a search of at most `capacity` keys of at most
+    /// `words` words each, at a load factor of at most ½. Allocates only to
+    /// grow past what an earlier search used.
+    fn reset(&mut self, capacity: usize, words: usize) {
         let len = (2 * capacity).next_power_of_two().max(2);
-        Self {
-            slots: vec![0; len],
-            shift: 64 - len.trailing_zeros(),
-            keys: Vec::with_capacity(capacity),
+        if self.slots.len() < len {
+            self.slots.resize(len, (0, 0));
         }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: every stamp could read as current.
+            self.slots.fill((0, 0));
+            self.generation = 1;
+        }
+        self.mask = len - 1;
+        self.shift = 64 - len.trailing_zeros();
+        self.keys.clear();
+        self.keys.reserve(capacity * words);
     }
 
     /// Records the key of `used` and `states`; returns `false` if it was
@@ -916,23 +949,22 @@ impl Transpositions {
         for &word in key {
             h = (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
         }
-        let mask = self.slots.len() - 1;
         let mut i = (h >> self.shift) as usize;
         loop {
             match self.slots[i] {
-                0 => {
-                    self.slots[i] = self.keys.len() as u32 + 1;
-                    self.keys.extend_from_slice(key);
-                    return true;
-                }
-                slot => {
+                (generation, slot) if generation == self.generation => {
                     let start = slot as usize - 1;
                     if self.keys[start] == header && self.keys[start + 1..start + len] == key[1..] {
                         return false;
                     }
                 }
+                _ => {
+                    self.slots[i] = (self.generation, self.keys.len() as u32 + 1);
+                    self.keys.extend_from_slice(key);
+                    return true;
+                }
             }
-            i = (i + 1) & mask;
+            i = (i + 1) & self.mask;
         }
     }
 }
@@ -941,7 +973,7 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
     fn new(
         kernel: Kernel<'p, 'a>,
         objective: Objective,
-        loops: &[crate::temporal::TemporalLoop],
+        loops: Loops,
         sample: bool,
         max: u64,
         budget: u64,
@@ -954,12 +986,11 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
             forms: LinearForms::new(&kernel, objective),
             kernel,
             objective,
-            dims: loops.iter().map(|l| l.dim).collect(),
-            trips: loops.iter().map(|l| l.size).collect(),
+            total: fact[loops.len()],
+            loops,
             sample,
             max,
             budget,
-            total: fact[loops.len()],
             fact,
         }
     }
@@ -986,7 +1017,7 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
         leaf_base: u64,
         states: &[AllocState; 3],
     ) {
-        let k = self.dims.len();
+        let k = self.loops.len();
         let sub = self.fact[k - depth - 1];
         let mut branch = 0u64;
         for idx in 0..k {
@@ -1010,10 +1041,10 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
             }
             let fully_in_budget = start_rank + selected <= self.budget;
             let mut child = *states;
-            state.order_buf[depth] = self.dims[idx];
+            let l = self.loops[idx];
+            state.order_buf[depth] = l.dim;
             state.used |= 1 << idx;
-            self.kernel
-                .push(&mut state.eff, self.dims[idx], self.trips[idx], &mut child);
+            self.kernel.push(&mut state.eff, l.dim, l.size, &mut child);
             state.stats.nodes += 1;
             // Transposition: an earlier prefix over the same loop set reached
             // this exact allocation state, so its subtree already held every
@@ -1065,7 +1096,7 @@ impl<'p, 'a> SearchCtx<'p, 'a> {
 
     /// Removes active dim `idx` (the outermost placed loop) from the prefix.
     fn pop(&self, state: &mut WalkState, idx: usize) {
-        let di = dim_index(self.dims[idx]);
+        let di = dim_index(self.loops[idx].dim);
         state.used &= !(1 << idx);
         state.eff[di] = self.kernel.factors[di];
     }
@@ -1495,7 +1526,7 @@ mod tests {
                 let ctx = SearchCtx::new(
                     Kernel::new(&problem),
                     objective,
-                    &loops,
+                    loops,
                     false,
                     u64::MAX,
                     u64::MAX,

@@ -4,6 +4,11 @@ use crate::problem::SingleLayerProblem;
 use defines_workload::Dim;
 use serde::Serialize;
 use std::fmt;
+use std::ops::Deref;
+
+/// Maximum number of temporal loops a problem can have (the six non-batch
+/// dimensions; batch is never temporal in this model).
+pub(crate) const MAX_LOOPS: usize = Dim::SPATIAL_AND_CHANNEL.len();
 
 /// One temporal loop: a dimension and its trip count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -101,16 +106,54 @@ impl fmt::Display for TemporalMapping {
 /// This is the "drop size-1 dims" half of the search-space canonicalization:
 /// trivial loops can sit anywhere in an ordering without changing anything,
 /// so they are excluded from the permutation space outright.
-pub(crate) fn active_loops(problem: &SingleLayerProblem<'_>) -> Vec<TemporalLoop> {
+pub(crate) fn active_loops(problem: &SingleLayerProblem<'_>) -> Loops {
     let unrolling = problem.accelerator.pe_array().unrolling();
-    Dim::SPATIAL_AND_CHANNEL
-        .iter()
-        .copied()
-        .filter_map(|d| {
-            let size = problem.dims.size(d).div_ceil(unrolling.factor(d));
-            (size > 1).then_some(TemporalLoop { dim: d, size })
-        })
-        .collect()
+    let mut loops = Loops::EMPTY;
+    for dim in Dim::SPATIAL_AND_CHANNEL {
+        let size = problem.dims.size(dim).div_ceil(unrolling.factor(dim));
+        if size > 1 {
+            loops.push(TemporalLoop { dim, size });
+        }
+    }
+    loops
+}
+
+/// At most [`MAX_LOOPS`] temporal loops, held inline: a list that costs no
+/// allocation to build or copy.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Loops {
+    slots: [TemporalLoop; MAX_LOOPS],
+    len: u8,
+}
+
+impl Loops {
+    /// The empty list.
+    pub(crate) const EMPTY: Self = Self {
+        slots: [TemporalLoop {
+            dim: Dim::B,
+            size: 1,
+        }; MAX_LOOPS],
+        len: 0,
+    };
+
+    /// Appends `l`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list already holds [`MAX_LOOPS`] loops, which a list of
+    /// distinct non-batch dimensions never does.
+    pub(crate) fn push(&mut self, l: TemporalLoop) {
+        self.slots[usize::from(self.len)] = l;
+        self.len += 1;
+    }
+}
+
+impl Deref for Loops {
+    type Target = [TemporalLoop];
+
+    fn deref(&self) -> &[TemporalLoop] {
+        &self.slots[..usize::from(self.len)]
+    }
 }
 
 /// Generates candidate loop orderings (innermost-first permutations of the

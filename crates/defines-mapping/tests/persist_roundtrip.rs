@@ -3,6 +3,11 @@
 //! fresh cache, must reproduce the surviving entries, their LRU epochs, and
 //! — after re-compaction — the exact file bytes. The compacted file is a
 //! pure function of the logical request history.
+//!
+//! A store line keeps a cost's mapping and degraded flag, from which a hit
+//! re-prices the rest; the synthetic costs here price nothing, so a
+//! reloaded entry is compared by what its line kept
+//! (`MappingCache::mappings`).
 
 use defines_arch::MemoryLevelId;
 use defines_mapping::{
@@ -167,15 +172,16 @@ proptest! {
         prop_assert_eq!(stats_a.entries, entries_a.len());
 
         // Second life: a fresh cache reloaded from the file must hold the
-        // same entries with the same costs...
+        // same entries with the same answers...
         let cache_b = MappingCache::new();
         let mut store_b = CacheStore::open(&path, cache_b.clone(), bound).expect("reopen");
         prop_assert_eq!(store_b.stats().loaded as usize, entries_a.len());
-        let entries_b = cache_b.entries();
+        let entries_b = cache_b.mappings();
         prop_assert_eq!(entries_a.len(), entries_b.len());
-        for ((ka, ca), (kb, cb)) in entries_a.iter().zip(&entries_b) {
+        for ((ka, ca), (kb, mapping, degraded)) in entries_a.iter().zip(&entries_b) {
             prop_assert_eq!(ka, kb, "reloaded key order diverged");
-            prop_assert_eq!(ca.as_ref(), cb.as_ref(), "reloaded cost diverged for {:?}", ka);
+            prop_assert_eq!(&ca.mapping, mapping, "reloaded mapping diverged for {:?}", ka);
+            prop_assert_eq!(ca.degraded, *degraded, "reloaded flag diverged for {:?}", ka);
         }
         // ...and re-compacting must byte-reproduce the file: the epochs (LRU
         // order) survived the round-trip exactly.
@@ -288,10 +294,41 @@ fn broken_last_entry_is_dropped_as_a_torn_tail() {
         stats.compactions, 1,
         "the torn tail is healed by a compaction"
     );
-    assert_eq!(cache.entries().len(), 2);
+    assert_eq!(cache.mappings().len(), 2);
     let text = std::fs::read_to_string(&path).unwrap();
     assert_eq!(text.lines().count(), 3, "header + the two valid entries");
     let _ = std::fs::remove_file(&path);
+}
+
+/// A format 2 line's loops must be ones a search of its key can return:
+/// otherwise a hit would price a mapping of some other problem.
+#[test]
+fn loops_that_do_not_fit_their_key_fail_the_open() {
+    for (tag, loops) in [
+        ("batch", r#"[["B",2]]"#),
+        ("repeated", r#"[["OX",2],["OX",2]]"#),
+        ("trivial", r#"[["OX",1]]"#),
+        ("oversized", r#"[["OX",1000]]"#),
+    ] {
+        let path = fresh_path(tag);
+        let cache = MappingCache::new();
+        let mut store = CacheStore::open(&path, cache.clone(), 0).expect("open");
+        replay(&mut store, &cache, &[vec![0, 1, 2]], 7);
+        drop(store);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let line = &mut lines[2];
+        let at = line.find("\"loops\":").unwrap() + "\"loops\":".len();
+        let end = at + line[at..].find("]]").unwrap() + 2;
+        line.replace_range(at..end, loops);
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        let err = CacheStore::open(&path, MappingCache::new(), 0)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("line 3"), "{tag}: {err}");
+        assert!(err.contains("does not fit its key"), "{tag}: {err}");
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 /// The doubling rule bounds the file across restarts, not just within one
