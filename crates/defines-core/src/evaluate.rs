@@ -4,7 +4,9 @@
 use crate::backcalc::{tile_types, FmId, StackGeometry, TileAnalysis, TileTypes};
 use crate::datacopy::{copy_cost, DataCopyAction, MAX_COPY_ACTIONS};
 use crate::memlevel::{determine_placement, PlacementPolicy, PlacementRequest};
-use crate::result::{energy_summary, EnergySummary, NetworkCost, StackCost, TileTypeCost};
+use crate::result::{
+    energy_summary, EnergySummary, NetworkCost, StackCost, StackValue, TileTypeCost,
+};
 use crate::stack::{partition_into_stacks, Stack};
 use crate::strategy::{BetweenStackMemory, DfStrategy, OverlapMode, TileSize};
 use defines_arch::{Accelerator, MemoryLevelId, Operand};
@@ -144,18 +146,24 @@ impl TrafficSlots {
         }
     }
 
+    /// The touched slots as `(level, operand, access)`, in `(level,
+    /// operand)` order.
+    fn iter(&self) -> impl Iterator<Item = (MemoryLevelId, Operand, Access)> + '_ {
+        let slots = self.slots.as_flattened().iter().enumerate();
+        slots.filter_map(|(i, slot)| {
+            slot.map(|access| (MemoryLevelId(i / 3), Operand::ALL[i % 3], access))
+        })
+    }
+
     /// The touched slots as an exact-size breakdown, in `(level, operand)`
     /// order.
     fn to_breakdown(&self) -> AccessBreakdown {
         let touched = self.slots.iter().flatten().flatten().count();
         let mut entries = Vec::with_capacity(touched);
-        for (level, slots) in self.slots.iter().enumerate() {
-            for (operand, slot) in Operand::ALL.into_iter().zip(slots) {
-                if let Some(access) = slot {
-                    entries.push(((MemoryLevelId(level), operand), *access));
-                }
-            }
-        }
+        entries.extend(
+            self.iter()
+                .map(|(level, operand, access)| ((level, operand), access)),
+        );
         AccessBreakdown::from_entries(entries)
     }
 }
@@ -176,19 +184,9 @@ struct LayerTileKey {
 /// its mapping-cache key was canonicalized.
 type LayerCosts = HashMap<LayerTileKey, (Arc<LayerCost>, bool), FxBuildHasher>;
 
-thread_local! {
-    /// The memo's table between two stack evaluations on this thread:
-    /// always empty, only its capacity is kept. A stack evaluation takes it,
-    /// fills it, clears it and puts it back, so once the table has grown to
-    /// the thread's largest stack an evaluation allocates nothing for its
-    /// memo, and the table is sized by distinct layer tiles. Sizing it per
-    /// call for every possible lookup would not do: one DMCNN-VD stack can
-    /// make 31 600 lookups of 2 903 distinct keys, a 4 MB table.
-    static LAYER_COSTS: RefCell<LayerCosts> = RefCell::default();
-}
-
 /// The buffers every tile type of a stack reuses, so that pricing one
-/// allocates only its result.
+/// allocates only its result: lent by [`SCRATCH`] for one stack
+/// evaluation.
 #[derive(Debug, Default)]
 struct TileScratch {
     /// The data-copy actions of the layer being priced.
@@ -196,29 +194,61 @@ struct TileScratch {
     /// The memory level holding each stack layer's freshly produced output,
     /// by stack position.
     output_levels: Vec<MemoryLevelId>,
-    /// Traffic of the layers' activations, weights and data copies.
+    /// Traffic of the layers' activations, weights and data copies: the
+    /// tile type's while steps 3–5 fill them, the stack's in step 6 of the
+    /// report path.
     activation: TrafficSlots,
     weight: TrafficSlots,
     copy: TrafficSlots,
     /// The stack's layer-cost memo: tile types share most of their layer
     /// tiles, and a repeat is answered here instead of by the shared
-    /// mapping cache (see [`DfCostModel::evaluate_tile_type`]). Lent by
-    /// [`LAYER_COSTS`] for one [`DfCostModel::price_stack`] call.
+    /// mapping cache (see [`DfCostModel::fill_tile_type`]). Empty between
+    /// two stack evaluations; only its capacity is kept.
     layer_costs: LayerCosts,
 }
 
-/// The per-tile cost components produced by the tile-type evaluation, before
-/// the caller attaches the analysis and tile count.
-struct TileEval {
+thread_local! {
+    /// This thread's [`TileScratch`] between two stack evaluations. A stack
+    /// evaluation takes it, fills it, clears its memo and puts it back, so
+    /// once the buffers have grown to the thread's largest stack an
+    /// evaluation allocates nothing for them, and the memo's table is sized
+    /// by distinct layer tiles. Sizing the memo per call for every possible
+    /// lookup would not do: one DMCNN-VD stack can make 31 600 lookups of
+    /// 2 903 distinct keys, a 4 MB table.
+    static SCRATCH: RefCell<TileScratch> = RefCell::default();
+}
+
+/// Runs one stack evaluation on this thread's [`TileScratch`]. The memo's
+/// scope ends with it: its entries go, its table stays.
+fn with_scratch<R>(evaluate: impl FnOnce(&mut TileScratch) -> R) -> R {
+    let mut scratch = SCRATCH.take();
+    scratch.actions.reserve(MAX_COPY_ACTIONS);
+    let out = evaluate(&mut scratch);
+    scratch.layer_costs.clear();
+    SCRATCH.set(scratch);
+    out
+}
+
+/// What steps 3–5 give for one tile of a type, besides the traffic they
+/// leave in the [`TileScratch`] slots.
+struct TileScalars {
     energy_pj: f64,
     latency_cycles: f64,
     macs: u64,
-    activation_access: AccessBreakdown,
-    weight_access: AccessBreakdown,
-    copy_access: AccessBreakdown,
+    /// Priced from the slots, once, for both paths.
     energy_summary: EnergySummary,
     /// Whether any single-layer search in this tile exhausted its budget.
     degraded: bool,
+}
+
+/// How a stack evaluation's mapping-cache lookups count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lookups {
+    /// As lookups: hits, misses and usage epochs.
+    Counted,
+    /// As repeats of lookups an earlier evaluation of the same batch made
+    /// and counted: they count nothing and touch no usage epoch.
+    Repeated,
 }
 
 impl<'a> fmt::Debug for DfCostModel<'a> {
@@ -384,7 +414,13 @@ impl<'a> DfCostModel<'a> {
             let in_level = self.stack_input_level(geometry, strategy.between_stacks);
             let out_level =
                 self.stack_output_level(prepared.net, geometry.stack(), strategy.between_stacks);
-            stack_costs.push(self.price_stack(geometry, types, in_level, out_level));
+            stack_costs.push(self.price_stack(
+                geometry,
+                types,
+                in_level,
+                out_level,
+                Lookups::Counted,
+            ));
         }
         NetworkCost::from_stacks(stack_costs)
     }
@@ -402,20 +438,85 @@ impl<'a> DfCostModel<'a> {
         stack_output_level: MemoryLevelId,
     ) -> StackCost {
         let geometry = StackGeometry::new(net, stack);
-        self.evaluate_stack_with_geometry(
+        let types = tile_types(&geometry, tile, mode);
+        self.price_stack(
             &geometry,
-            tile,
-            mode,
+            types,
             stack_input_level,
             stack_output_level,
+            Lookups::Counted,
         )
     }
 
-    /// [`DfCostModel::evaluate_stack`] on a pre-built stack geometry, so
-    /// callers evaluating many (tile, mode) candidates for the same stack —
+    /// [`DfCostModel::evaluate_stack`] for its value only: the
+    /// [`StackValue`] of the same candidate, which every
+    /// [`crate::OptimizeTarget`] reads as it reads the [`StackCost`], bit
+    /// for bit, without building the cost report.
+    pub fn evaluate_stack_value(
+        &self,
+        net: &Network,
+        stack: &Stack,
+        tile: TileSize,
+        mode: OverlapMode,
+        stack_input_level: MemoryLevelId,
+        stack_output_level: MemoryLevelId,
+    ) -> StackValue {
+        let geometry = StackGeometry::new(net, stack);
+        self.stack_value_with_geometry(&geometry, tile, mode, stack_input_level, stack_output_level)
+    }
+
+    /// [`DfCostModel::evaluate_stack_value`] on a pre-built stack geometry,
+    /// so callers pricing many (tile, mode) candidates for the same stack —
     /// the combination and fuse-depth searches — pay the geometry
     /// back-calculation setup once.
-    pub(crate) fn evaluate_stack_with_geometry(
+    pub(crate) fn stack_value_with_geometry(
+        &self,
+        geometry: &StackGeometry<'_>,
+        tile: TileSize,
+        mode: OverlapMode,
+        stack_input_level: MemoryLevelId,
+        stack_output_level: MemoryLevelId,
+    ) -> StackValue {
+        let types = tile_types(geometry, tile, mode);
+        let _span = span!("evaluate.stack");
+        let dram = self.acc.hierarchy().dram_id();
+        with_scratch(|scratch| {
+            let mut value = StackValue::default();
+            for (analysis, count) in &types {
+                let tile = self.fill_tile_type(
+                    geometry,
+                    analysis,
+                    stack_input_level,
+                    stack_output_level,
+                    Lookups::Counted,
+                    scratch,
+                );
+                // Step 6: the report path's sums, term by term.
+                let f = *count as f64;
+                value.energy_pj += tile.energy_pj * f;
+                value.latency_cycles += tile.latency_cycles * f;
+                value.macs += tile.macs * count;
+                value.activation_memory_pj += tile.energy_summary.activation_memory_pj * f;
+                value.degraded |= tile.degraded;
+                let classes = [&scratch.activation, &scratch.weight, &scratch.copy];
+                for (sums, class) in value.dram_traffic.iter_mut().zip(classes) {
+                    for (sum, slot) in sums.iter_mut().zip(&class.slots[dram.0]) {
+                        if let Some(access) = slot {
+                            sum.reads_bytes += access.reads_bytes * f;
+                            sum.writes_bytes += access.writes_bytes * f;
+                        }
+                    }
+                }
+            }
+            value
+        })
+    }
+
+    /// The [`StackCost`] of a candidate a schedule search has chosen on its
+    /// [`StackValue`]: [`DfCostModel::evaluate_stack`] on a pre-built
+    /// geometry, whose mapping-cache lookups repeat the search's and so
+    /// count nothing (see [`MappingCache::repeat_shared_keyed`]).
+    pub(crate) fn reprice_stack(
         &self,
         geometry: &StackGeometry<'_>,
         tile: TileSize,
@@ -424,112 +525,117 @@ impl<'a> DfCostModel<'a> {
         stack_output_level: MemoryLevelId,
     ) -> StackCost {
         let types = tile_types(geometry, tile, mode);
-        self.price_stack(geometry, types, stack_input_level, stack_output_level)
+        self.price_stack(
+            geometry,
+            types,
+            stack_input_level,
+            stack_output_level,
+            Lookups::Repeated,
+        )
     }
 
-    /// Steps 3–6 of one stack: prices every tile type of `types` (the stack's
-    /// step 1–2 output) and accumulates them.
+    /// Steps 3–6 of one stack on the report path: prices every tile type of
+    /// `types` (the stack's step 1–2 output) and accumulates them into the
+    /// full [`StackCost`].
     fn price_stack(
         &self,
         geometry: &StackGeometry<'_>,
         types: TileTypes,
         stack_input_level: MemoryLevelId,
         stack_output_level: MemoryLevelId,
+        lookups: Lookups,
     ) -> StackCost {
         let _span = span!("evaluate.stack");
-        let mut scratch = TileScratch {
-            actions: Vec::with_capacity(MAX_COPY_ACTIONS),
-            output_levels: Vec::with_capacity(geometry.stack_layers().len()),
-            layer_costs: LAYER_COSTS.take(),
-            ..TileScratch::default()
-        };
-        let type_costs: Vec<TileTypeCost> = types
-            .into_iter()
-            .map(|(analysis, count)| {
-                let eval = self.evaluate_tile_type(
-                    geometry,
-                    &analysis,
-                    stack_input_level,
-                    stack_output_level,
-                    &mut scratch,
-                );
-                TileTypeCost {
-                    analysis,
-                    count,
-                    energy_pj: eval.energy_pj,
-                    latency_cycles: eval.latency_cycles,
-                    macs: eval.macs,
-                    activation_access: eval.activation_access,
-                    weight_access: eval.weight_access,
-                    copy_access: eval.copy_access,
-                    energy_summary: eval.energy_summary,
-                    degraded: eval.degraded,
-                }
-            })
-            .collect();
-        // The memo's scope ends here: its entries go, its table stays.
-        scratch.layer_costs.clear();
-        LAYER_COSTS.set(std::mem::take(&mut scratch.layer_costs));
+        with_scratch(|scratch| {
+            let type_costs: Vec<TileTypeCost> = types
+                .into_iter()
+                .map(|(analysis, count)| {
+                    let tile = self.fill_tile_type(
+                        geometry,
+                        &analysis,
+                        stack_input_level,
+                        stack_output_level,
+                        lookups,
+                        scratch,
+                    );
+                    TileTypeCost {
+                        analysis,
+                        count,
+                        energy_pj: tile.energy_pj,
+                        latency_cycles: tile.latency_cycles,
+                        macs: tile.macs,
+                        activation_access: scratch.activation.to_breakdown(),
+                        weight_access: scratch.weight.to_breakdown(),
+                        copy_access: scratch.copy.to_breakdown(),
+                        energy_summary: tile.energy_summary,
+                        degraded: tile.degraded,
+                    }
+                })
+                .collect();
 
-        // Step 6: accumulate.
-        let mut energy = 0.0;
-        let mut latency = 0.0;
-        let mut macs = 0u64;
-        let mut summary = EnergySummary::default();
-        let mut degraded = false;
-        let TileScratch {
-            activation,
-            weight,
-            copy,
-            ..
-        } = &mut scratch;
-        let levels = self.acc.hierarchy().len();
-        activation.reset(levels);
-        weight.reset(levels);
-        copy.reset(levels);
-        for t in &type_costs {
-            let f = t.count as f64;
-            energy += t.energy_pj * f;
-            latency += t.latency_cycles * f;
-            macs += t.macs * t.count;
-            activation.merge_scaled(&t.activation_access, f);
-            weight.merge_scaled(&t.weight_access, f);
-            copy.merge_scaled(&t.copy_access, f);
-            summary.accumulate(&t.energy_summary.scaled(f));
-            degraded |= t.degraded;
-        }
+            // Step 6: accumulate.
+            let mut energy = 0.0;
+            let mut latency = 0.0;
+            let mut macs = 0u64;
+            let mut summary = EnergySummary::default();
+            let mut degraded = false;
+            let TileScratch {
+                activation,
+                weight,
+                copy,
+                ..
+            } = scratch;
+            let levels = self.acc.hierarchy().len();
+            activation.reset(levels);
+            weight.reset(levels);
+            copy.reset(levels);
+            for t in &type_costs {
+                let f = t.count as f64;
+                energy += t.energy_pj * f;
+                latency += t.latency_cycles * f;
+                macs += t.macs * t.count;
+                activation.merge_scaled(&t.activation_access, f);
+                weight.merge_scaled(&t.weight_access, f);
+                copy.merge_scaled(&t.copy_access, f);
+                summary.accumulate(&t.energy_summary.scaled(f));
+                degraded |= t.degraded;
+            }
 
-        StackCost {
-            stack: geometry.stack().clone(),
-            // Every tile of the grid belongs to exactly one type.
-            num_tiles: type_costs.iter().map(|t| t.count).sum(),
-            tile_types: type_costs,
-            energy_pj: energy,
-            latency_cycles: latency,
-            macs,
-            activation_access: activation.to_breakdown(),
-            weight_access: weight.to_breakdown(),
-            copy_access: copy.to_breakdown(),
-            energy_summary: summary,
-            degraded,
-        }
+            StackCost {
+                stack: geometry.stack().clone(),
+                // Every tile of the grid belongs to exactly one type.
+                num_tiles: type_costs.iter().map(|t| t.count).sum(),
+                tile_types: type_costs,
+                energy_pj: energy,
+                latency_cycles: latency,
+                macs,
+                activation_access: activation.to_breakdown(),
+                weight_access: weight.to_breakdown(),
+                copy_access: copy.to_breakdown(),
+                energy_summary: summary,
+                degraded,
+            }
+        })
     }
 
-    /// Evaluates one tile type: placement, data copies and single-layer costs
-    /// for every layer of the stack (steps 3–5), for a single tile. `scratch`
-    /// holds [`DfCostModel::price_stack`]'s buffers, cleared here before use,
-    /// and its layer-cost memo, kept across the stack's tile types: a layer
-    /// tile priced before in this stack skips the problem, the key, the
-    /// hashing and the shard lock of the shared mapping cache, and counts as
-    /// the hit that lookup would have been.
-    fn evaluate_tile_type(
+    /// Steps 3–5 of one tile type — placement, data copies and single-layer
+    /// costs for every layer of the stack, for a single tile — which both
+    /// paths run: fills `scratch`'s traffic slots with the tile's traffic
+    /// and returns its scalars. The slots and buffers are cleared here
+    /// before use; the layer-cost memo is kept across the stack's tile
+    /// types: a layer tile priced before in this stack skips the problem,
+    /// the key, the hashing and the shard lock of the shared mapping cache,
+    /// and counts as the hit that lookup would have been (under
+    /// [`Lookups::Counted`]).
+    fn fill_tile_type(
         &self,
         geometry: &StackGeometry<'_>,
         analysis: &TileAnalysis,
         stack_input_level: MemoryLevelId,
         stack_output_level: MemoryLevelId,
+        lookups: Lookups,
         scratch: &mut TileScratch,
-    ) -> TileEval {
+    ) -> TileScalars {
         /// Distinct tile types priced across every stack evaluation.
         static TILE_TYPES: Counter = Counter::new("evaluate.tile_types");
         let _span = span!("evaluate.tile_type");
@@ -670,7 +776,9 @@ impl<'a> DfCostModel<'a> {
             let layer_cost = match layer_costs.entry(key) {
                 Entry::Occupied(seen) => {
                     let (cost, canonicalized) = seen.into_mut();
-                    self.cache.count_repeat_hit(*canonicalized);
+                    if lookups == Lookups::Counted {
+                        self.cache.count_repeat_hit(*canonicalized);
+                    }
                     &**cost
                 }
                 Entry::Vacant(slot) => {
@@ -687,7 +795,9 @@ impl<'a> DfCostModel<'a> {
                         pad_x: 0,
                         pad_y: 0,
                     };
-                    &*slot.insert(self.evaluate_layer_tile(layer, dims, tops)).0
+                    &*slot
+                        .insert(self.evaluate_layer_tile(layer, dims, tops, lookups))
+                        .0
                 }
             };
 
@@ -717,37 +827,29 @@ impl<'a> DfCostModel<'a> {
             output_levels.push(output_top);
         }
 
-        let activation_access = activation.to_breakdown();
-        let weight_access = weight.to_breakdown();
-        let copy_access = copy.to_breakdown();
-        let summary = energy_summary(
-            self.acc,
-            mac_energy,
-            &activation_access,
-            &weight_access,
-            &copy_access,
-        );
-
-        TileEval {
+        TileScalars {
             energy_pj: energy,
             latency_cycles: latency,
             macs,
-            activation_access,
-            weight_access,
-            copy_access,
-            energy_summary: summary,
+            energy_summary: energy_summary(
+                self.acc,
+                mac_energy,
+                [activation.iter(), weight.iter(), copy.iter()],
+            ),
             degraded,
         }
     }
 
-    /// Memoized single-layer evaluation through the mapping cache. Returns a
-    /// shared handle — a cache hit is a reference-count bump, not a deep copy
-    /// of the access breakdown — and whether the key was canonicalized.
+    /// Memoized single-layer evaluation through the mapping cache, counted
+    /// or not as `lookups` says. Returns a shared handle — a cache hit is a
+    /// reference-count bump, not a deep copy of the access breakdown — and
+    /// whether the key was canonicalized.
     fn evaluate_layer_tile(
         &self,
         layer: &Layer,
         dims: LayerDims,
         tops: OperandTopLevels,
+        lookups: Lookups,
     ) -> (Arc<LayerCost>, bool) {
         let problem = SingleLayerProblem::for_tile(self.acc, layer, dims, tops);
         let (key, canonicalized) = defines_mapping::ProblemKey::canonical_with_fingerprints(
@@ -755,9 +857,16 @@ impl<'a> DfCostModel<'a> {
             self.acc_fingerprint,
             self.mapper_fingerprint,
         );
-        let cost = self
-            .cache
-            .optimize_shared_keyed(key, canonicalized, &self.mapper, &problem);
+        let cost = match lookups {
+            Lookups::Counted => {
+                self.cache
+                    .optimize_shared_keyed(key, canonicalized, &self.mapper, &problem)
+            }
+            Lookups::Repeated => {
+                self.cache
+                    .repeat_shared_keyed(key, canonicalized, &self.mapper, &problem)
+            }
+        };
         (cost, canonicalized)
     }
 

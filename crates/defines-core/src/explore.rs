@@ -11,11 +11,11 @@
 //! [`DfCostModel::evaluate_network`] (the oracle `tests/engine_parity.rs`
 //! keeps), regardless of thread count.
 
-use crate::backcalc::TileTypes;
+use crate::backcalc::{StackGeometry, TileTypes};
 use crate::bounds::StrategyBounds;
 use crate::evaluate::{DfCostModel, EvaluationError};
 use crate::fuse::{enumerate_candidates, optimal_partition, stack_span, FusePolicy};
-use crate::result::{NetworkCost, StackCost};
+use crate::result::{NetworkCost, StackCost, StackValue};
 use crate::stack::{partition_into_stacks, FuseDepth, Stack};
 use crate::strategy::{DfStrategy, OverlapMode, TileSize};
 use defines_arch::Accelerator;
@@ -490,7 +490,9 @@ impl<'a> Explorer<'a> {
     ///
     /// All `(candidate stack × tile size × overlap mode)` triples are
     /// flattened into a single engine run sharing the work queue and the
-    /// model's mapping cache. For the fixed-partition policies the candidate
+    /// model's mapping cache. Each is priced for its value only (a
+    /// [`StackValue`]); each chosen stack is then priced in full once, for
+    /// the schedule's [`NetworkCost`]. For the fixed-partition policies the candidate
     /// stacks *are* the partition; for [`FusePolicy::Search`] the candidates
     /// are spans of branch-free segments (plus single layers and the
     /// automatic partition's stacks, see
@@ -541,7 +543,13 @@ impl<'a> Explorer<'a> {
                 stacks
             }
         };
-        let (best, stats) = self.best_choice_per_stack(net, &candidates, tile_sizes, modes, target);
+        // One geometry per candidate stack, shared by all its (tile, mode)
+        // evaluations and by the chosen stacks' report pricing.
+        let geometries: Vec<StackGeometry<'_>> = candidates
+            .iter()
+            .map(|stack| StackGeometry::new(net, stack))
+            .collect();
+        let (best, stats) = self.best_choice_per_stack(net, &geometries, tile_sizes, modes, target);
         let (chosen, dp_degraded) = if *policy == FusePolicy::Search {
             let spans: Vec<(usize, usize)> = candidates.iter().map(stack_span).collect();
             let values: Vec<f64> = best.iter().map(|b| b.2).collect();
@@ -552,22 +560,21 @@ impl<'a> Explorer<'a> {
         } else {
             ((0..candidates.len()).collect(), false)
         };
-        // The chosen candidate indices are distinct (they tile the network),
-        // so their choices and stacks can be moved out instead of cloned.
-        let n_candidates = candidates.len();
-        let mut slots: Vec<Option<_>> = candidates.into_iter().zip(best).map(Some).collect();
+        // The search kept each candidate's value only: each chosen stack is
+        // priced in full once, on the report path.
+        let dram = acc.hierarchy().dram_id();
         let mut choices = Vec::with_capacity(chosen.len());
         let mut stack_costs = Vec::with_capacity(chosen.len());
         for idx in chosen {
-            let (stack, (tile, mode, value, cost)) =
-                slots[idx].take().expect("partition indices are distinct");
+            let (tile, mode, value) = best[idx];
+            let geometry = &geometries[idx];
+            stack_costs.push(self.model.reprice_stack(geometry, tile, mode, dram, dram));
             choices.push(StackChoice {
-                stack,
+                stack: geometry.stack().clone(),
                 tile,
                 mode,
                 value,
             });
-            stack_costs.push(cost);
         }
         let cost = NetworkCost::from_stacks(stack_costs);
         Ok(ScheduleResult {
@@ -575,7 +582,7 @@ impl<'a> Explorer<'a> {
             choices,
             degraded: dp_degraded || cost.degraded,
             cost,
-            candidates: n_candidates,
+            candidates: candidates.len(),
             stats,
         })
     }
@@ -602,82 +609,65 @@ impl<'a> Explorer<'a> {
             .collect()
     }
 
-    /// Evaluates every `(stack, tile, mode)` triple in one engine run and
-    /// returns, per stack, the choice minimizing the target (ties resolve to
-    /// the earliest candidate, matching a sequential scan) along with the run
+    /// Prices every `(stack, tile, mode)` triple on the value path in one
+    /// engine run and returns, per stack (one geometry each), the choice
+    /// minimizing the target and its value (ties resolve to the earliest
+    /// candidate, matching a sequential scan) along with the run
     /// statistics. The stacks need not form a partition — the fuse-depth
     /// search passes overlapping candidates.
     fn best_choice_per_stack(
         &self,
         net: &Network,
-        stacks: &[Stack],
+        geometries: &[StackGeometry<'_>],
         tile_sizes: &[(u64, u64)],
         modes: &[OverlapMode],
         target: OptimizeTarget,
-    ) -> (Vec<(TileSize, OverlapMode, f64, StackCost)>, SweepStats) {
+    ) -> (Vec<(TileSize, OverlapMode, f64)>, SweepStats) {
         let _span = span!("explore.stack_search");
-        let acc = self.model.accelerator();
-        let dram = acc.hierarchy().dram_id();
+        let dram = self.model.accelerator().hierarchy().dram_id();
 
         // Flatten every (stack, tile, mode) candidate into one engine run so
         // all stacks' candidates share the work queue and the mapping cache.
         let mut points: Vec<(usize, TileSize, OverlapMode)> = Vec::new();
-        for (stack_idx, stack) in stacks.iter().enumerate() {
-            for tile in Self::stack_tile_candidates(net, stack, tile_sizes) {
+        for (stack_idx, geometry) in geometries.iter().enumerate() {
+            for tile in Self::stack_tile_candidates(net, geometry.stack(), tile_sizes) {
                 for &mode in modes {
                     points.push((stack_idx, tile, mode));
                 }
             }
         }
 
-        // One geometry per candidate stack, shared by all its (tile, mode)
-        // evaluations instead of being re-derived per design point.
-        let geometries: Vec<crate::backcalc::StackGeometry<'_>> = stacks
-            .iter()
-            .map(|stack| crate::backcalc::StackGeometry::new(net, stack))
-            .collect();
-
         let engine = SweepEngine::new(self.engine).with_label(format!(
             "{} ({} stack candidates)",
             self.engine_label(net),
-            stacks.len()
+            geometries.len()
         ));
         // Snapshot so the attached cache statistics describe this run alone.
         let cache_before = self.model.mapping_cache().stats();
         let (records, stats) = engine.run_collect(
             &points,
             &|&(stack_idx, tile, mode): &(usize, TileSize, OverlapMode)| {
-                self.model.evaluate_stack_with_geometry(
-                    &geometries[stack_idx],
-                    tile,
-                    mode,
-                    dram,
-                    dram,
-                )
+                self.model
+                    .stack_value_with_geometry(&geometries[stack_idx], tile, mode, dram, dram)
             },
-            &|_, c: &StackCost| target.stack_value(c, acc),
+            &|_, v: &StackValue| v.value(target),
             None::<&fn(&(usize, TileSize, OverlapMode)) -> f64>,
         );
         let stats = stats.with_cache(self.model.mapping_cache().stats().since(&cache_before));
 
         // Per stack, pick the candidate with the minimal target value; ties
         // resolve to the earliest candidate, matching a sequential scan.
-        let mut best: Vec<Option<(TileSize, OverlapMode, f64, StackCost)>> =
-            (0..stacks.len()).map(|_| None).collect();
+        let mut best: Vec<Option<(TileSize, OverlapMode, f64)>> = vec![None; geometries.len()];
         for record in records {
             let (stack_idx, tile, mode) = record.point;
-            let (value, cost) = match record.outcome {
-                Outcome::Evaluated { cost, value } => (value, cost),
+            let value = match record.outcome {
+                Outcome::Evaluated { value, .. } => value,
                 Outcome::Pruned { .. } => unreachable!("combination search never prunes"),
                 Outcome::Failed { error } => panic!("design point evaluation failed: {error}"),
             };
             let slot = &mut best[stack_idx];
-            let better = match slot {
-                None => true,
-                Some((_, _, best_value, _)) => value < *best_value,
-            };
-            if better {
-                *slot = Some((tile, mode, value, cost));
+            if slot.is_none_or(|(_, _, best_value)| value < best_value) {
+                *slot = Some((tile, mode, value));
             }
         }
         let best = best
@@ -1116,6 +1106,121 @@ mod tests {
             &[OverlapMode::FullyCached],
         );
         assert_eq!(results, sequential);
+    }
+
+    /// Every target, every candidate of the fuse-depth search on every zoo
+    /// net, all three modes: the value path's `StackValue` reads the same
+    /// bits as `stack_value` of the report path's `StackCost`, and
+    /// `best_schedule` returns what an exhaustive report-path scan over the
+    /// same candidates chooses, with the same values and cost.
+    #[test]
+    fn stack_values_equal_the_report_path_bit_for_bit() {
+        const TARGETS: [OptimizeTarget; 5] = [
+            OptimizeTarget::Energy,
+            OptimizeTarget::Latency,
+            OptimizeTarget::Edp,
+            OptimizeTarget::DramAccess,
+            OptimizeTarget::ActivationEnergy,
+        ];
+        let acc = zoo::meta_proto_like_df();
+        let model = DfCostModel::new(&acc).with_fast_mapper();
+        let explorer = Explorer::new(&model);
+        let dram = acc.hierarchy().dram_id();
+        let tiles = [(16, 16)];
+        let mut compared = 0;
+        for name in defines_workload::models::names() {
+            let net = defines_workload::models::by_name(name).expect("zoo net");
+            let candidates = enumerate_candidates(&net, &acc);
+            // Per candidate stack, its (tile, mode) choices in the search's
+            // order, each with its report-path cost.
+            let mut costs: Vec<Vec<(TileSize, OverlapMode, StackCost)>> = Vec::new();
+            for stack in &candidates {
+                let geometry = StackGeometry::new(&net, stack);
+                let mut choices = Vec::new();
+                for tile in Explorer::stack_tile_candidates(&net, stack, &tiles) {
+                    for mode in OverlapMode::ALL {
+                        let value =
+                            model.stack_value_with_geometry(&geometry, tile, mode, dram, dram);
+                        let cost = model.evaluate_stack(&net, stack, tile, mode, dram, dram);
+                        assert_eq!((value.macs, value.degraded), (cost.macs, cost.degraded));
+                        for target in TARGETS {
+                            assert_eq!(
+                                value.value(target).to_bits(),
+                                target.stack_value(&cost, &acc).to_bits(),
+                                "{name} {stack:?} {tile} {mode} {target}"
+                            );
+                            compared += 1;
+                        }
+                        choices.push((tile, mode, cost));
+                    }
+                }
+                costs.push(choices);
+            }
+            for target in TARGETS {
+                // The exhaustive scan: the first minimal choice per stack,
+                // then the same DP over the candidates' values.
+                let best: Vec<&(TileSize, OverlapMode, StackCost)> = costs
+                    .iter()
+                    .map(|choices| {
+                        choices
+                            .iter()
+                            .reduce(|best, c| {
+                                let value = |c: &(_, _, StackCost)| target.stack_value(&c.2, &acc);
+                                if value(c) < value(best) {
+                                    c
+                                } else {
+                                    best
+                                }
+                            })
+                            .expect("every stack has a choice")
+                    })
+                    .collect();
+                let values: Vec<f64> = best
+                    .iter()
+                    .map(|c| target.stack_value(&c.2, &acc))
+                    .collect();
+                let spans: Vec<(usize, usize)> = candidates.iter().map(stack_span).collect();
+                let (chosen, _, _) =
+                    optimal_partition(net.len(), &spans, &values, 0).expect("a partition");
+                let schedule = explorer
+                    .best_schedule(
+                        &net,
+                        &tiles,
+                        &OverlapMode::ALL,
+                        target,
+                        &FusePolicy::search(),
+                    )
+                    .unwrap();
+                let expected: Vec<(Stack, TileSize, OverlapMode, u64)> = chosen
+                    .iter()
+                    .map(|&i| {
+                        (
+                            candidates[i].clone(),
+                            best[i].0,
+                            best[i].1,
+                            values[i].to_bits(),
+                        )
+                    })
+                    .collect();
+                let searched: Vec<(Stack, TileSize, OverlapMode, u64)> = schedule
+                    .choices
+                    .iter()
+                    .map(|c| (c.stack.clone(), c.tile, c.mode, c.value.to_bits()))
+                    .collect();
+                assert_eq!(searched, expected, "{name} {target}");
+                let cost =
+                    NetworkCost::from_stacks(chosen.iter().map(|&i| best[i].2.clone()).collect());
+                assert_eq!(schedule.cost, cost, "{name} {target}");
+                assert_eq!(
+                    (
+                        schedule.cost.energy_pj.to_bits(),
+                        schedule.cost.latency_cycles.to_bits()
+                    ),
+                    (cost.energy_pj.to_bits(), cost.latency_cycles.to_bits())
+                );
+            }
+        }
+        assert!(compared > 15_000, "{compared} comparisons");
     }
 
     #[test]

@@ -80,6 +80,6 @@ pub use geometry::Rect;
 pub use matrix::{
     run_matrix, CellOutcome, CellStack, MatrixConfig, MatrixError, MatrixReport, RankingEntry,
 };
-pub use result::{DataClass, NetworkCost, StackCost, TileTypeCost};
+pub use result::{DataClass, NetworkCost, StackCost, StackValue, TileTypeCost};
 pub use stack::{FuseDepth, Stack};
 pub use strategy::{DfStrategy, OverlapMode, TileSize};

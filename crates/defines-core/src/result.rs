@@ -1,9 +1,10 @@
 //! Cost-result structures: per tile type, per stack, and per network.
 
 use crate::backcalc::TileAnalysis;
+use crate::explore::OptimizeTarget;
 use crate::stack::Stack;
-use defines_arch::{Accelerator, MemoryLevelId};
-use defines_mapping::AccessBreakdown;
+use defines_arch::{Accelerator, MemoryLevelId, Operand};
+use defines_mapping::{Access, AccessBreakdown};
 use serde::Serialize;
 
 /// The class a memory access belongs to, used for the Fig.-14-style
@@ -75,22 +76,21 @@ impl EnergySummary {
     }
 }
 
-/// Builds an [`EnergySummary`] from per-class access breakdowns and the MAC
-/// energy, pricing each access with the accelerator's memory-level costs.
-pub(crate) fn energy_summary(
-    acc: &Accelerator,
-    mac_pj: f64,
-    activation: &AccessBreakdown,
-    weight: &AccessBreakdown,
-    copies: &AccessBreakdown,
-) -> EnergySummary {
+/// Builds an [`EnergySummary`] from the MAC energy and the traffic of each
+/// data class — activations, weights, copies: `(level, operand, access)`
+/// entries in `(level, operand)` order — pricing each access with the
+/// accelerator's memory-level costs.
+pub(crate) fn energy_summary<I>(acc: &Accelerator, mac_pj: f64, classes: [I; 3]) -> EnergySummary
+where
+    I: IntoIterator<Item = (MemoryLevelId, Operand, Access)>,
+{
     let hierarchy = acc.hierarchy();
     let mut s = EnergySummary {
         mac_pj,
         ..Default::default()
     };
-    let mut add = |bd: &AccessBreakdown, class: DataClass| {
-        for (level_id, _operand, access) in bd.iter() {
+    for (class, traffic) in DataClass::ALL.into_iter().zip(classes) {
+        for (level_id, _operand, access) in traffic {
             let level = hierarchy.level(level_id);
             let e = access.reads_bytes * level.read_energy_pj_per_byte()
                 + access.writes_bytes * level.write_energy_pj_per_byte();
@@ -108,10 +108,7 @@ pub(crate) fn energy_summary(
                 }
             }
         }
-    };
-    add(activation, DataClass::Activation);
-    add(weight, DataClass::Weight);
-    add(copies, DataClass::DataCopy);
+    }
     s
 }
 
@@ -178,6 +175,55 @@ impl StackCost {
     #[cfg(test)]
     pub(crate) fn tile_type_count(&self) -> usize {
         self.tile_types.len()
+    }
+}
+
+/// What one stack candidate costs, as far as an [`OptimizeTarget`] reads
+/// it: the value path's result, which a schedule search keeps per candidate
+/// instead of a [`StackCost`]. Each sum runs in the order of the
+/// [`StackCost`]'s, so [`StackValue::value`] equals
+/// [`OptimizeTarget::stack_value`] of the same candidate's [`StackCost`],
+/// bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct StackValue {
+    /// Total energy of the stack, in pJ.
+    pub energy_pj: f64,
+    /// Total latency of the stack, in cycles.
+    pub latency_cycles: f64,
+    /// Total MAC operations.
+    pub macs: u64,
+    /// Whether any tile type of the stack is budget-degraded, as
+    /// [`StackCost::degraded`].
+    pub degraded: bool,
+    /// Memory energy caused by activations (including data copies), in pJ.
+    pub(crate) activation_memory_pj: f64,
+    /// DRAM traffic per data class ([`DataClass::ALL`] order) and operand
+    /// ([`Operand::ALL`] order). A slot no tile touched reads zero: adding
+    /// it to a sum that starts at `+0.0` changes no bit.
+    pub(crate) dram_traffic: [[Access; 3]; 3],
+}
+
+impl StackValue {
+    /// The scalar value of `target` for this stack.
+    pub fn value(&self, target: OptimizeTarget) -> f64 {
+        match target {
+            OptimizeTarget::Energy => self.energy_pj,
+            OptimizeTarget::Latency => self.latency_cycles,
+            OptimizeTarget::Edp => self.energy_pj * self.latency_cycles,
+            OptimizeTarget::DramAccess => {
+                // `AccessBreakdown::level_total` per class, then the sum.
+                let [activation, weight, copy] = self.dram_traffic.map(|operands| {
+                    let mut total = Access::default();
+                    for access in operands {
+                        total.reads_bytes += access.reads_bytes;
+                        total.writes_bytes += access.writes_bytes;
+                    }
+                    total.total_bytes()
+                });
+                activation + weight + copy
+            }
+            OptimizeTarget::ActivationEnergy => self.activation_memory_pj,
+        }
     }
 }
 
@@ -295,7 +341,7 @@ impl NetworkCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use defines_arch::{zoo, Operand};
+    use defines_arch::zoo;
 
     fn dummy_breakdown(
         level: MemoryLevelId,
@@ -317,7 +363,7 @@ mod tests {
         let act = dummy_breakdown(lb, Operand::Input, 1000.0, 0.0);
         let w = dummy_breakdown(dram, Operand::Weight, 1000.0, 0.0);
         let copies = AccessBreakdown::new();
-        let s = energy_summary(&acc, 10.0, &act, &w, &copies);
+        let s = energy_summary(&acc, 10.0, [act.iter(), w.iter(), copies.iter()]);
         assert!(s.dram_pj > s.on_chip_pj, "DRAM must dominate: {s:?}");
         assert!(s.weight_memory_pj > 0.0);
         assert!(s.activation_memory_pj > 0.0);

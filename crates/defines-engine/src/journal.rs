@@ -12,8 +12,10 @@
 //! * **Append** is one `write_all(json + "\n")` followed by `flush` — no
 //!   per-line `fsync`. The contract is survival of *process* death (a kill
 //!   loses at most the line it interrupted), not of power loss.
-//! * **Read** hands each line to the consumer as a borrowed [`ValueRef`] on
-//!   one [`Tape`] reused across lines, so reading builds no owned tree.
+//! * **Read** streams the file through one buffered reader, a line and its
+//!   lookahead at a time, and hands each line to the consumer as a borrowed
+//!   [`ValueRef`] on one [`Tape`] reused across lines, so reading holds
+//!   neither the whole file nor an owned tree.
 //! * **Torn tail**: a *last* non-empty line that is not valid UTF-8 or not
 //!   valid JSON is what a kill mid-append leaves behind (the cut can land
 //!   inside a multi-byte character). [`Journal::read`] drops and reports it;
@@ -35,7 +37,7 @@ use defines_telemetry::failpoint;
 use serde::{Serialize, Tape, ValueRef, Writer};
 use std::fmt;
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Bytes a rewrite buffers before each `write` to its `.tmp` file.
@@ -107,30 +109,37 @@ impl Journal {
         path: &Path,
         mut visit: impl FnMut(usize, ValueRef<'_>, bool) -> Result<(), String>,
     ) -> Result<bool, JournalError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| JournalError(format!("cannot read {what} '{}': {e}", path.display())))?;
+        let cannot_read = |e: std::io::Error| {
+            JournalError(format!("cannot read {what} '{}': {e}", path.display()))
+        };
         let bad = |line_no: usize, why: String| {
             JournalError(format!("{what} '{}' line {line_no}: {why}", path.display()))
         };
-        let mut lines = bytes
-            .split(|&b| b == b'\n')
-            .enumerate()
-            .filter(|(_, line)| !is_blank(line))
-            .peekable();
+        let mut lines = Lines {
+            reader: BufReader::new(File::open(path).map_err(cannot_read)?),
+            line_no: 0,
+        };
+        // The line being visited and its lookahead, which says whether it is
+        // the last.
+        let (mut line, mut next) = (Vec::new(), Vec::new());
+        let mut current = lines.next_non_blank(&mut line).map_err(cannot_read)?;
         let mut tape = Tape::new();
         let mut header = true;
-        while let Some((index, line)) = lines.next() {
-            let is_last = lines.peek().is_none();
-            let parsed = match std::str::from_utf8(line) {
+        while let Some(line_no) = current {
+            let following = lines.next_non_blank(&mut next).map_err(cannot_read)?;
+            let is_last = following.is_none();
+            let parsed = match std::str::from_utf8(&line) {
                 Ok(text) => tape.parse(text).map_err(|e| format!("invalid JSON: {e}")),
                 Err(e) => Err(format!("invalid UTF-8: {e}")),
             };
             match parsed {
-                Ok(value) => visit(index + 1, value, is_last).map_err(|why| bad(index + 1, why))?,
+                Ok(value) => visit(line_no, value, is_last).map_err(|why| bad(line_no, why))?,
                 Err(_) if is_last && !header => return Ok(true),
-                Err(why) => return Err(bad(index + 1, why)),
+                Err(why) => return Err(bad(line_no, why)),
             }
             header = false;
+            std::mem::swap(&mut line, &mut next);
+            current = following;
         }
         Ok(false)
     }
@@ -186,6 +195,34 @@ impl Journal {
         // The handle followed the rename (same inode) and sits at its end.
         self.file = file;
         Ok(())
+    }
+}
+
+/// A journal file's lines, read through one buffer, with their 1-based
+/// numbers.
+struct Lines {
+    reader: BufReader<File>,
+    /// The number of the line read last.
+    line_no: usize,
+}
+
+impl Lines {
+    /// Reads the next non-blank line, without its `\n`, into `line` and
+    /// returns its number; `None` at the end of the file.
+    fn next_non_blank(&mut self, line: &mut Vec<u8>) -> std::io::Result<Option<usize>> {
+        loop {
+            line.clear();
+            if self.reader.read_until(b'\n', line)? == 0 {
+                return Ok(None);
+            }
+            self.line_no += 1;
+            if line.last() == Some(&b'\n') {
+                line.pop();
+            }
+            if !is_blank(line) {
+                return Ok(Some(self.line_no));
+            }
+        }
     }
 }
 
@@ -318,6 +355,41 @@ mod tests {
         assert_eq!(seen, vec![(1, 0, false), (2, 1, true)]);
         assert!(!torn);
         assert!(Journal::read("test", &scratch("missing"), |_, _, _| Ok(())).is_err());
+    }
+
+    #[test]
+    fn a_blank_lookahead_line_does_not_end_the_file() {
+        let path = scratch("blank-lookahead");
+        // Each record is followed by blank lines, whitespace-only ones
+        // included: the lookahead skips them to find whether one is last.
+        std::fs::write(&path, "{\"n\":0}\n\n \t\n{\"n\":1}\n\n{\"n\":2}\n  \n\n").unwrap();
+        let (seen, torn) = read_all(&path).unwrap();
+        assert_eq!(seen, vec![(1, 0, false), (4, 1, false), (6, 2, true)]);
+        assert!(!torn);
+        // A torn tail stays torn with blank lines after it, and an interior
+        // line followed only by blank lines and a torn tail is not last.
+        std::fs::write(&path, "{\"n\":0}\n\n{\"n\":1}\n \n{\"n\":\n\n  ").unwrap();
+        let (seen, torn) = read_all(&path).unwrap();
+        assert_eq!(seen, vec![(1, 0, false), (3, 1, false)]);
+        assert!(torn);
+    }
+
+    #[test]
+    fn lines_longer_than_the_read_buffer_arrive_whole() {
+        let path = scratch("long-lines");
+        let long = |n: u64| {
+            Value::Object(vec![
+                ("n".into(), Value::U64(n)),
+                ("pad".into(), Value::Str("x".repeat(20_000))),
+            ])
+        };
+        let mut journal = Journal::open("test", &path).unwrap();
+        for n in 0..3 {
+            journal.append(&long(n)).unwrap();
+        }
+        let (seen, torn) = read_all(&path).unwrap();
+        assert_eq!(seen, vec![(1, 0, false), (2, 1, false), (3, 2, true)]);
+        assert!(!torn);
     }
 
     #[test]

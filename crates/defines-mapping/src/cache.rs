@@ -319,6 +319,24 @@ impl MappingCache {
         cost
     }
 
+    /// [`MappingCache::optimize_shared_keyed`] for a lookup that repeats
+    /// one the caller made earlier in the same batch: it counts no hit, miss
+    /// or canonical hit and touches no usage epoch, since the first lookup
+    /// did all that. An entry gone in between (a store evicts only between
+    /// batches) is looked up again as any lookup is.
+    pub fn repeat_shared_keyed(
+        &self,
+        key: ProblemKey,
+        canonicalized: bool,
+        mapper: &LomaMapper,
+        problem: &SingleLayerProblem<'_>,
+    ) -> Arc<LayerCost> {
+        match self.0.table.update(&key, |entry| entry.cost(problem)) {
+            Some(cost) => cost,
+            None => self.optimize_shared_keyed(key, canonicalized, mapper, problem),
+        }
+    }
+
     /// Counts a lookup the caller answered itself: it repeats, under a key
     /// already looked up in this cache, a result the caller kept from that
     /// lookup. It counts as the hit the lookup would have been — in

@@ -449,14 +449,20 @@ impl CacheStore {
             store.journal.append(&Line::Header)?;
             return Ok(store);
         };
-        let live = store.live();
-        store.stats.entries = live.len();
+        // One counting pass: the listed entries and the latest epoch.
+        let (mut listed, mut latest) = (0, 0);
+        store.cache.table().retain(|_, entry| {
+            if entry.persisted != NEVER {
+                listed += 1;
+                latest = latest.max(entry.persisted);
+            }
+            true
+        });
+        store.stats.entries = listed;
         // The loaded file's lines beyond its live entries count toward the
         // doubling rule, so it bounds the file across restarts too.
-        store.appended_since_compact = lines.saturating_sub(live.len());
-        store
-            .cache
-            .set_epoch(live.last().map_or(0, |&(epoch, ..)| epoch) + 1);
+        store.appended_since_compact = lines.saturating_sub(listed);
+        store.cache.set_epoch(latest + 1);
         if torn {
             // Appending after a partial line would corrupt the next record;
             // rewrite the file from the loaded (valid) state instead.

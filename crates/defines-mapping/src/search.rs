@@ -194,6 +194,7 @@ pub(crate) fn search(
         .kernel
         .layer_cost(&best.scalars, &state.best_traffic, mapping);
     cost.degraded = stats.skipped_budget > 0;
+    ctx.forms.recycle();
     (cost, stats)
 }
 
@@ -377,7 +378,8 @@ struct LinearForms {
     dram_bytes: LinearForm,
     /// Per level and direction with a finite bandwidth and any traffic: the
     /// bytes moved and the bandwidth they move at (built for the latency
-    /// objectives only).
+    /// objectives only). The thread's [`TRANSFERS`] buffer, lent for one
+    /// search.
     transfers: Vec<(LinearForm, f64)>,
 }
 
@@ -387,12 +389,22 @@ impl LinearForms {
     fn new(kernel: &Kernel<'_, '_>, objective: Objective) -> Self {
         let mut energy = LinearForm::new(kernel.mac_energy);
         let mut dram_bytes = LinearForm::new(0.0);
-        // Bytes read, then written, per level: only latency reads them.
-        let mut rows = if matches!(objective, Objective::Latency | Objective::Edp) {
-            vec![LinearForm::new(0.0); 2 * kernel.n_levels]
-        } else {
-            Vec::new()
-        };
+        // Bytes read, then written, per level, at its bandwidth: only
+        // latency reads them. On the thread's buffer, handed back by
+        // `LinearForms::recycle`.
+        let mut transfers = TRANSFERS.take();
+        transfers.clear();
+        if matches!(objective, Objective::Latency | Objective::Edp) {
+            let n = kernel.n_levels;
+            let bandwidths = kernel.level_read_bw[..n]
+                .iter()
+                .zip(&kernel.level_write_bw[..n]);
+            transfers.extend(
+                bandwidths
+                    .flat_map(|(&read, &write)| [read, write])
+                    .map(|bw| (LinearForm::new(0.0), bw)),
+            );
+        }
         for (j, op) in kernel.ops().iter().enumerate() {
             // `bytes = a·r + b` read (or written) at `lvl` for boundary `w`.
             let mut term = |lvl: usize, write: bool, w: usize, a: f64, b: f64| {
@@ -402,7 +414,7 @@ impl LinearForms {
                     kernel.level_read_e[lvl]
                 };
                 energy.add((j, w), e, a, b);
-                if let Some(row) = rows.get_mut(2 * lvl + usize::from(write)) {
+                if let Some((row, _)) = transfers.get_mut(2 * lvl + usize::from(write)) {
                     row.add((j, w), 1.0, a, b);
                 }
                 if lvl == kernel.dram {
@@ -444,20 +456,18 @@ impl LinearForms {
         {
             energy.base = f64::NAN;
         }
-        let bandwidths = kernel.level_read_bw[..n]
-            .iter()
-            .zip(&kernel.level_write_bw[..n]);
-        let transfers = rows
-            .into_iter()
-            .zip(bandwidths.flat_map(|(&read, &write)| [read, write]))
-            .filter(|(form, bw)| bw.is_finite() && !form.is_zero())
-            .collect();
+        transfers.retain(|(form, bw)| bw.is_finite() && !form.is_zero());
         Self {
             compute_cycles: kernel.compute_cycles,
             energy,
             dram_bytes,
             transfers,
         }
+    }
+
+    /// Hands the transfers' buffer back to the thread for its next search.
+    fn recycle(self) {
+        TRANSFERS.set(self.transfers);
     }
 
     /// `price(states).value(objective)` through the forms: equal to it
@@ -878,6 +888,9 @@ thread_local! {
     /// resets it in O(1) and puts it back, so that a search allocates none
     /// once its thread has searched a problem as large.
     static TRANSPOSITIONS: Cell<Transpositions> = Cell::default();
+    /// Each thread's buffer for [`LinearForms::transfers`], taken and put
+    /// back by every search the same way.
+    static TRANSFERS: Cell<Vec<(LinearForm, f64)>> = Cell::default();
 }
 
 /// The set of `(placed loops, per-operand allocation state)` keys one search

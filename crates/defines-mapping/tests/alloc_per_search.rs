@@ -1,7 +1,8 @@
-//! Pins what an exhaustive mapping search allocates: its loop lists and
-//! linear forms are fixed-size state, and its transposition table is the
-//! thread's own, reset in O(1) per search, so once the thread has searched
-//! a problem as large, `LomaMapper::optimize` allocates only the two buffers
+//! Pins what an exhaustive mapping search allocates, under every objective:
+//! its loop lists and linear forms are fixed-size state, and its
+//! transposition table and the latency forms' transfer list are the
+//! thread's own, reused across searches, so once the thread has searched a
+//! problem as large, `LomaMapper::optimize` allocates only the two buffers
 //! the returned `LayerCost` owns: the mapping's loop list and the access
 //! breakdown's entries.
 //!
@@ -14,7 +15,7 @@
 )]
 
 use defines_arch::zoo;
-use defines_mapping::{LomaMapper, SingleLayerProblem};
+use defines_mapping::{LomaMapper, MapperConfig, Objective, SingleLayerProblem};
 use defines_workload::{Layer, LayerDims, OpType};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,26 +75,37 @@ fn an_exhaustive_search_allocates_only_what_its_cost_owns() {
             LayerDims::conv(96, 96, 40, 40, 5, 5),
         ),
     ];
-    let mapper = LomaMapper::default();
     let mut checked = 0;
-    for name in zoo::names() {
-        let acc = zoo::by_name(name).expect("zoo name");
-        for layer in &layers {
-            let problem = SingleLayerProblem::new(&acc, layer);
-            // The warm-up search grows the thread's transposition table.
-            let (_, stats) = mapper.optimize_with_stats(&problem);
-            if stats.dims_active != 6 {
-                continue;
+    for objective in [
+        Objective::Energy,
+        Objective::Latency,
+        Objective::Edp,
+        Objective::DramAccess,
+    ] {
+        let mapper = LomaMapper::new(MapperConfig::default().with_objective(objective));
+        for name in zoo::names() {
+            let acc = zoo::by_name(name).expect("zoo name");
+            for layer in &layers {
+                let problem = SingleLayerProblem::new(&acc, layer);
+                // The warm-up search grows the thread's buffers.
+                let (_, stats) = mapper.optimize_with_stats(&problem);
+                if stats.dims_active != 6 {
+                    continue;
+                }
+                assert!(stats.pruned_symmetry > 0, "{name}: the table is in use");
+                let allocations = fewest_allocations(|| mapper.optimize(&problem));
+                assert_eq!(
+                    allocations, 2,
+                    "{objective:?} {name} {}: {allocations} allocations",
+                    layer.name
+                );
+                checked += 1;
             }
-            assert!(stats.pruned_symmetry > 0, "{name}: the table is in use");
-            let allocations = fewest_allocations(|| mapper.optimize(&problem));
-            assert_eq!(
-                allocations, 2,
-                "{name} {}: {allocations} allocations",
-                layer.name
-            );
-            checked += 1;
         }
     }
-    assert_eq!(checked, 22, "every zoo accelerator, both layers");
+    assert_eq!(
+        checked,
+        4 * 22,
+        "every objective, zoo accelerator and layer"
+    );
 }
