@@ -5,9 +5,23 @@
 //!
 //! [`StackGeometry::analyze_tile`] is the 2-D reference for one tile.
 //! [`tile_types`] produces the same analyses for a whole tile grid one axis
-//! at a time: every column class and every row class is back-calculated once
-//! in 1-D, and the 2-D analysis of each distinct (column pass, row pass,
-//! first-tile) combination is composed from the two with integer products.
+//! at a time, in two halves:
+//!
+//! * [`stack_axes`] back-calculates every column class and every row class
+//!   once in 1-D. A class's pass depends only on the axis, the tile extent
+//!   along it and whether the mode caches along it, so the geometry keeps
+//!   each axis's classes it has built: every point of a sweep and every
+//!   candidate of a schedule search that share a stack's geometry share
+//!   them, and each is built once per run.
+//! * `compose_types` composes the 2-D analysis of each distinct (column
+//!   pass, row pass, first-tile) combination from the two with integer
+//!   products.
+//!
+//! [`stack_macs`] counts the MACs of the composed types without composing
+//! them: a layer's MACs are its per-pixel count times a column length times
+//! a row length, so their sum over the grid factorizes per axis. The
+//! exploration engine's bound reads only that count, so only the points it
+//! evaluates are composed.
 
 use crate::geometry::{project_to_input, Rect};
 use crate::stack::Stack;
@@ -18,6 +32,7 @@ use defines_telemetry::span;
 use defines_workload::{LayerDims, LayerId, Network};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Identifier of a feature map relative to a stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
@@ -136,7 +151,7 @@ pub(crate) type TileTypes = Vec<(TileAnalysis, u64)>;
 /// in-stack predecessors, the stack's weight footprint) — are derived once
 /// here, so the per-tile analysis works on flat arrays instead of rebuilding
 /// keyed maps for every tile type.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StackGeometry<'a> {
     net: &'a Network,
     stack: &'a Stack,
@@ -156,10 +171,14 @@ pub struct StackGeometry<'a> {
     halo: (u64, u64),
     /// Total weight bytes of the stack's layers.
     weight_bytes: u64,
+    /// The axis classes built so far ([`StackGeometry::axis`]). Engine
+    /// threads share the geometry, so a lock guards the list; it is held
+    /// only for a lookup or an insert.
+    axes: Mutex<Vec<(AxisKey, Arc<AxisClasses>)>>,
 }
 
 /// Per-layer invariants of a stack, resolved once at geometry construction.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct StackLayer<'a> {
     pub(crate) layer: &'a defines_workload::Layer,
     /// Whether the layer carries weights that must be placed.
@@ -295,6 +314,7 @@ impl<'a> StackGeometry<'a> {
             shared_edges,
             halo,
             weight_bytes: stack.weight_bytes(net),
+            axes: Mutex::new(Vec::new()),
         }
     }
 
@@ -355,10 +375,15 @@ impl<'a> StackGeometry<'a> {
         let tile_rect = grid.tile_rect(col, row);
         // The last column of every feature map the left neighbour needed, and
         // the last row the tile above needed: the data a caching mode kept.
+        let edges = |axis: Axis, tile_end: i64| {
+            let mut edges = Vec::new();
+            self.axis_edges(axis, tile_end, &mut edges);
+            edges
+        };
         let left_edges = (mode.caches_horizontal() && col > 0)
-            .then(|| self.axis_edges(Axis::X, grid.tile_rect(col - 1, row).x1));
+            .then(|| edges(Axis::X, grid.tile_rect(col - 1, row).x1));
         let above_edges = (mode.caches_vertical() && row > 0)
-            .then(|| self.axis_edges(Axis::Y, grid.tile_rect(col, row - 1).y1));
+            .then(|| edges(Axis::Y, grid.tile_rect(col, row - 1).y1));
 
         // Needed region of every feature map (union over consumers) and its
         // "core" (stride-only) size used for cache-capacity estimation, as
@@ -496,12 +521,13 @@ impl<'a> StackGeometry<'a> {
     }
 
     /// The last index, along `axis`, of every feature map's region needed to
-    /// produce the output tile ending at `tile_end` there. The edges are
-    /// independent of the overlap-storing mode (caching only trims regions
-    /// on the left / top), which is what makes per-tile analysis independent
-    /// of the processing history.
-    fn axis_edges(&self, axis: Axis, tile_end: i64) -> Vec<Option<i64>> {
-        let mut edges: Vec<Option<i64>> = vec![None; self.fms.len()];
+    /// produce the output tile ending at `tile_end` there, into `edges`. The
+    /// edges are independent of the overlap-storing mode (caching only trims
+    /// regions on the left / top), which is what makes per-tile analysis
+    /// independent of the processing history.
+    fn axis_edges(&self, axis: Axis, tile_end: i64, edges: &mut Vec<Option<i64>>) {
+        edges.clear();
+        edges.resize(self.fms.len(), None);
         let sink_pos = self.layers.len() - 1;
         for (pos, sl) in self.layers.iter().enumerate().rev() {
             let end = if pos == sink_pos {
@@ -518,34 +544,46 @@ impl<'a> StackGeometry<'a> {
                 edges[fi] = Some(edges[fi].map_or(e, |old| old.max(e)));
             }
         }
-        edges
     }
 
     /// [`StackGeometry::analyze_tile`] along one axis for the tile spanning
-    /// `tile` there. `prev_end` is the last index of the previous tile on
-    /// this axis when the mode caches its overlap (its data is trimmed away).
-    fn axis_pass(&self, axis: Axis, tile: (i64, i64), prev_end: Option<i64>) -> AxisPass {
-        let prev = prev_end.map(|end| self.axis_edges(axis, end));
-        let cached_end = |fi: usize| prev.as_ref().and_then(|edges| edges[fi]);
-        let mut needed: Vec<Option<(i64, i64)>> = vec![None; self.fms.len()];
-        let mut core = vec![0u64; self.fms.len()];
-        let mut pass = AxisPass {
-            layers: vec![0; self.layers.len()],
-            edges: vec![(0, 0); self.edge_count],
-            fms: Vec::new(),
-        };
+    /// `tile` there, written into `out` (zeroed, laid out as
+    /// [`PassShape`] says). `prev_end` is the last index of the previous tile
+    /// on this axis when the mode caches its overlap (its data is trimmed
+    /// away).
+    fn axis_pass(
+        &self,
+        axis: Axis,
+        tile: (i64, i64),
+        prev_end: Option<i64>,
+        scratch: &mut PassScratch,
+        out: &mut [u64],
+    ) {
+        let PassScratch { prev, needed } = scratch;
+        prev.clear();
+        if let Some(end) = prev_end {
+            self.axis_edges(axis, end, prev);
+        }
+        let cached_end = |fi: usize| prev.get(fi).copied().flatten();
+        needed.clear();
+        needed.resize(self.fms.len(), None);
+        let (layers, rest) = out.split_at_mut(self.layers.len());
+        let (edges, fms) = rest.split_at_mut(2 * self.edge_count);
+        let (edges, fms) = (edges.as_chunks_mut::<2>().0, fms.as_chunks_mut::<2>().0);
         let sink_pos = self.layers.len() - 1;
         for (pos, sl) in self.layers.iter().enumerate().rev() {
+            // A feature map's core extent accumulates in its slot while its
+            // readers are visited.
             let (mut tc, tc_core) = if pos == sink_pos {
                 (Some(tile), span_len(Some(tile)))
             } else {
-                (needed[sl.own_fm], core[sl.own_fm])
+                (needed[sl.own_fm], fms[sl.own_fm][1])
             };
             if let Some(end) = cached_end(sl.own_fm) {
                 tc = tc.and_then(|(lo, hi)| nonempty(lo.max(end + 1), hi));
             }
             let Some((lo, hi)) = tc else { continue };
-            pass.layers[pos] = span_len(tc);
+            layers[pos] = span_len(tc);
             let tc_core = tc_core.min(span_len(tc));
             let (s, f, p) = axis.window(&sl.layer.dims);
             for (e, fi) in sl.edges() {
@@ -559,74 +597,139 @@ impl<'a> StackGeometry<'a> {
                     Some((a, b)) => (a.min(ilo), b.max(ihi)),
                     None => (ilo, ihi),
                 });
-                core[fi] = core[fi].max((tc_core * s as u64).min(n as u64));
+                fms[fi][1] = fms[fi][1].max((tc_core * s as u64).min(n as u64));
                 let cached = cached_end(fi).map_or(0, |end| (end.min(ihi) - ilo + 1).max(0) as u64);
-                pass.edges[e] = ((ihi - ilo + 1) as u64, cached);
+                edges[e] = [(ihi - ilo + 1) as u64, cached];
             }
         }
-        pass.fms = needed.into_iter().map(span_len).zip(core).collect();
-        pass
+        for (slot, &interval) in fms.iter_mut().zip(needed.iter()) {
+            slot[0] = span_len(interval);
+        }
     }
 
-    /// The signature classes of one axis of `grid` (laid over the stack's
-    /// output) with their passes under `mode`. Signatures are clamped at the
-    /// stack's halo in tiles plus two, so a tile whose regions can reach a
-    /// feature-map edge never shares a class with an interior one.
-    fn axis_classes(&self, axis: Axis, grid: &TileGrid, mode: OverlapMode) -> AxisClasses {
+    /// The layout of this stack's passes.
+    fn pass_shape(&self) -> PassShape {
+        PassShape {
+            layers: self.layers.len(),
+            edges: self.edge_count,
+            fms: self.fms.len(),
+        }
+    }
+
+    /// The signature classes of one axis of the grid laid over the stack's
+    /// output, with tiles `size` long on it, and their passes when the mode
+    /// caches along that axis (`cached`) or not. Signatures are clamped at
+    /// the stack's halo in tiles plus two, so a tile whose regions can reach
+    /// a feature-map edge never shares a class with an interior one.
+    fn axis_classes(&self, axis: Axis, size: u64, cached: bool) -> AxisClasses {
         let sink = &self.net.layer(self.stack.last_layer()).dims;
-        let (tx, ty) = grid.tile_size();
-        let (tiles, size, extent, halo, cached) = match axis {
-            Axis::X => (
-                grid.cols(),
-                tx,
-                sink.ox,
-                self.halo.0,
-                mode.caches_horizontal(),
-            ),
-            Axis::Y => (
-                grid.rows(),
-                ty,
-                sink.oy,
-                self.halo.1,
-                mode.caches_vertical(),
-            ),
+        let (extent, halo) = match axis {
+            Axis::X => (sink.ox, self.halo.0),
+            Axis::Y => (sink.oy, self.halo.1),
         };
         let span = |i: u64| {
             let start = i * size;
             (start as i64, (start + size - 1).min(extent - 1) as i64)
         };
-        let mut passes: Vec<AxisPass> = Vec::new();
-        let classes = signature_classes(tiles, halo / size + 2)
-            .into_iter()
+        let (tiles, clamp) = (extent.div_ceil(size), halo / size + 2);
+        let shape = self.pass_shape();
+        let len = shape.len();
+        let mut passes: Vec<u64> = Vec::new();
+        let mut extent_sums = vec![0; self.layers.len()];
+        let mut scratch = PassScratch::default();
+        let class_pass = signature_classes(tiles, clamp)
             .map(|(first, count)| {
                 let prev_end = (cached && first > 0).then(|| span(first - 1).1);
-                let pass = self.axis_pass(axis, span(first), prev_end);
-                let id = passes.iter().position(|p| *p == pass).unwrap_or_else(|| {
-                    passes.push(pass);
-                    passes.len() - 1
-                });
-                (first, count, id)
+                let start = passes.len();
+                passes.resize(start + len, 0);
+                self.axis_pass(
+                    axis,
+                    span(first),
+                    prev_end,
+                    &mut scratch,
+                    &mut passes[start..],
+                );
+                let (built, new) = passes.split_at(start);
+                let id = match built.chunks_exact(len).position(|pass| pass == new) {
+                    Some(id) => {
+                        passes.truncate(start);
+                        id
+                    }
+                    None => start / len,
+                };
+                // A pass starts with its per-layer extents.
+                for (sum, &extent) in extent_sums.iter_mut().zip(&passes[id * len..]) {
+                    *sum += count * extent;
+                }
+                u32::try_from(id).expect("fewer passes than u32::MAX")
             })
             .collect();
-        AxisClasses { classes, passes }
+        passes.shrink_to_fit();
+        AxisClasses {
+            tiles,
+            clamp,
+            class_pass,
+            extent_sums,
+            passes,
+            shape,
+        }
+    }
+
+    /// [`StackGeometry::axis_classes`] through the geometry's memo, keyed by
+    /// everything that function reads besides the geometry.
+    fn axis(&self, axis: Axis, size: u64, cached: bool) -> Arc<AxisClasses> {
+        let key = (axis, size, cached);
+        let lookup = |memo: &[(AxisKey, Arc<AxisClasses>)]| {
+            memo.iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, classes)| Arc::clone(classes))
+        };
+        if let Some(classes) = lookup(&self.axes()) {
+            return classes;
+        }
+        // Built outside the lock. An entry is a pure function of its key,
+        // so a thread racing on the same key builds an equal value; the
+        // first one inserted is kept.
+        let built = Arc::new(self.axis_classes(axis, size, cached));
+        let mut memo = self.axes();
+        lookup(&memo).unwrap_or_else(|| {
+            memo.push((key, Arc::clone(&built)));
+            built
+        })
+    }
+
+    /// The memo of built axis classes, locked. Every update is one push of
+    /// a complete entry, so a lock poisoned by a panicking thread still
+    /// guards a valid list.
+    fn axes(&self) -> MutexGuard<'_, Vec<(AxisKey, Arc<AxisClasses>)>> {
+        self.axes.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Whether the tile with column pass `x` and row pass `y` composes
     /// exactly: a feature map read by several edges needs the bounding box
     /// of the regions of the edges live in 2-D, which factorizes per axis
     /// only if each such edge is live on both axes or on neither.
-    fn composes(&self, x: &AxisPass, y: &AxisPass) -> bool {
+    fn composes(&self, x: AxisPass<'_>, y: AxisPass<'_>) -> bool {
         self.shared_edges
             .iter()
-            .all(|&e| (x.edges[e].0 > 0) == (y.edges[e].0 > 0))
+            .all(|&e| (x.edges[e][0] > 0) == (y.edges[e][0] > 0))
+    }
+
+    /// Whether every (column pass, row pass) pair of `cols` × `rows`
+    /// composes ([`StackGeometry::composes`]).
+    fn all_compose(&self, cols: &AxisClasses, rows: &AxisClasses) -> bool {
+        self.shared_edges.is_empty()
+            || cols
+                .passes()
+                .all(|x| rows.passes().all(|y| self.composes(x, y)))
     }
 
     /// The 2-D analysis of a tile from its column and row passes: every area
     /// is a product of a column length and a row length.
     fn compose(
         &self,
-        x: &AxisPass,
-        y: &AxisPass,
+        x: AxisPass<'_>,
+        y: AxisPass<'_>,
         mode: OverlapMode,
         is_first_tile: bool,
     ) -> TileAnalysis {
@@ -642,7 +745,7 @@ impl<'a> StackGeometry<'a> {
                 }
                 let mut info = LayerTileInfo::idle(lid);
                 for (e, fi) in sl.edges() {
-                    let ((in_w, cached_cols), (in_h, cached_rows)) = (x.edges[e], y.edges[e]);
+                    let ([in_w, cached_cols], [in_h, cached_rows]) = (x.edges[e], y.edges[e]);
                     if in_w == 0 || in_h == 0 {
                         continue;
                     }
@@ -674,7 +777,7 @@ impl<'a> StackGeometry<'a> {
         let mut cache_h_bytes = 0u64;
         let mut cache_v_bytes = 0u64;
         for (fi, &(_, fd)) in self.fms.iter().enumerate() {
-            let ((needed_w, core_w), (needed_h, core_h)) = (x.fms[fi], y.fms[fi]);
+            let ([needed_w, core_w], [needed_h, core_h]) = (x.fms[fi], y.fms[fi]);
             if needed_w == 0 || needed_h == 0 {
                 continue;
             }
@@ -697,51 +800,103 @@ impl<'a> StackGeometry<'a> {
 }
 
 /// Steps 1–2 of the cost model for one stack: the distinct tile types of the
-/// grid `tile` lays over the stack's output, each with its tile count.
+/// grid `tile` lays over the stack's output, each with its tile count —
+/// [`stack_axes`], then `compose_types`.
+///
+/// This is the one step 1–2 function of the evaluation paths that take a
+/// stack and a (tile, mode) pair; the sweep engine calls its two halves as
+/// separate stages, so that its lower bound ([`stack_macs`]) reads the axes
+/// alone.
+pub fn tile_types(geometry: &StackGeometry<'_>, tile: TileSize, mode: OverlapMode) -> TileTypes {
+    let _span = span!("backcalc.tile_types");
+    merge_equal(grouped_types(geometry, &stack_axes(geometry, tile, mode)))
+}
+
+/// The first half of [`tile_types`]: the column and row classes of the grid
+/// `tile` lays over the stack's output, with their 1-D passes under `mode`,
+/// from (or added to) the geometry's memo.
+pub fn stack_axes(geometry: &StackGeometry<'_>, tile: TileSize, mode: OverlapMode) -> StackAxes {
+    let sink = &geometry.net.layer(geometry.stack.last_layer()).dims;
+    let grid = TileGrid::new(sink.ox, sink.oy, tile);
+    let (tx, ty) = grid.tile_size();
+    StackAxes {
+        grid,
+        mode,
+        cols: geometry.axis(Axis::X, tx, mode.caches_horizontal()),
+        rows: geometry.axis(Axis::Y, ty, mode.caches_vertical()),
+    }
+}
+
+/// The second half of [`tile_types`]: the distinct tile types composed from
+/// a stack's axes.
 ///
 /// Tiles are grouped by a conservative geometric signature (distance to the
 /// feature-map edges in tile units, clamped at the stack's halo), which
-/// factorizes per axis. Each column class and each row class is
-/// back-calculated once in 1-D; the 2-D analysis of a group is composed from
-/// its two passes, once per distinct (column pass, row pass, first-tile)
-/// combination. A group whose passes do not compose exactly — an edge into a
-/// feature map with several readers is live on one axis and dead on the
-/// other, so the readers' bounding box does not factorize — falls back to
-/// [`StackGeometry::analyze_tile`] on its representative tile. Groups are visited in signature order and
-/// equal analyses merged into their first occurrence, so the list — values,
-/// counts and order — is what analyzing one representative tile per group
-/// and deduplicating would give.
-///
-/// This is the one step 1–2 function: the evaluation prices each returned
-/// type (steps 3–6), and the exploration engine's lower bounds
-/// (`crate::bounds`) sum `analysis.total_macs() × count` over it.
-pub fn tile_types(geometry: &StackGeometry<'_>, tile: TileSize, mode: OverlapMode) -> TileTypes {
+/// factorizes per axis. The 2-D analysis of a group is composed from its
+/// column and row passes, once per distinct (column pass, row pass,
+/// first-tile) combination. A group whose passes do not compose exactly — an
+/// edge into a feature map with several readers is live on one axis and
+/// dead on the other, so the readers' bounding box does not factorize —
+/// falls back to [`StackGeometry::analyze_tile`] on its representative tile.
+/// Groups are visited in signature order and equal analyses merged into
+/// their first occurrence, so the list — values, counts and order — is what
+/// analyzing one representative tile per group and deduplicating would give.
+pub(crate) fn compose_types(geometry: &StackGeometry<'_>, axes: &StackAxes) -> TileTypes {
     let _span = span!("backcalc.tile_types");
-    merge_equal(grouped_types(geometry, tile, mode))
+    merge_equal(grouped_types(geometry, axes))
 }
 
-/// [`tile_types`] before equal analyses are merged: one entry per distinct
-/// composed (column pass, row pass, first-tile) key and per fallback group,
-/// in signature order.
-fn grouped_types(geometry: &StackGeometry<'_>, tile: TileSize, mode: OverlapMode) -> TileTypes {
-    let sink = &geometry.net.layer(geometry.stack.last_layer()).dims;
-    let grid = TileGrid::new(sink.ox, sink.oy, tile);
-    let cols = geometry.axis_classes(Axis::X, &grid, mode);
-    let rows = geometry.axis_classes(Axis::Y, &grid, mode);
+/// The MACs of a stack's tile types, `Σ analysis.total_macs() × count` over
+/// `compose_types`, without composing them.
+///
+/// A layer of a composed type computes a `w × h` region, `w` from the
+/// column pass and `h` from the row pass, and its MACs are
+/// [`Layer::macs_per_output_pixel`](defines_workload::Layer::macs_per_output_pixel)
+/// times `w·h` exactly. Summed over every (column class, row class) pair
+/// with its `count_x · count_y` tiles, a layer's MACs are therefore its
+/// per-pixel count times `Σ count_x·w` times `Σ count_y·h`, each axis's sum
+/// kept with its classes. Merging equal types moves no MAC, so the identity
+/// is exact in integers. A stack with a pair that does not compose sums its
+/// types instead.
+pub fn stack_macs(geometry: &StackGeometry<'_>, axes: &StackAxes) -> u64 {
+    if !geometry.all_compose(&axes.cols, &axes.rows) {
+        return grouped_types(geometry, axes)
+            .iter()
+            .map(|(analysis, count)| analysis.total_macs() * count)
+            .sum();
+    }
+    geometry
+        .layers
+        .iter()
+        .zip(axes.cols.extent_sums.iter().zip(&axes.rows.extent_sums))
+        .map(|(sl, (&w, &h))| sl.layer.macs_per_output_pixel() * w * h)
+        .sum()
+}
 
+/// `compose_types` before equal analyses are merged: one entry per
+/// distinct composed (column pass, row pass, first-tile) key and per
+/// fallback group, in signature order.
+fn grouped_types(geometry: &StackGeometry<'_>, axes: &StackAxes) -> TileTypes {
+    let StackAxes {
+        grid,
+        mode,
+        cols,
+        rows,
+    } = axes;
     // Type index of each composed (column pass, row pass, first-tile) key.
-    let row_passes = rows.passes.len();
-    let mut composed: Vec<Option<usize>> = vec![None; cols.passes.len() * row_passes * 2];
+    let row_passes = rows.pass_count();
+    let mut composed: Vec<Option<usize>> = vec![None; cols.pass_count() * row_passes * 2];
     let mut types: TileTypes = Vec::new();
-    for &(col, col_count, xp) in &cols.classes {
-        for &(row, row_count, yp) in &rows.classes {
+    for (col, col_count, xp) in cols.classes() {
+        let x = cols.pass(xp);
+        for (row, row_count, yp) in rows.classes() {
             let count = col_count * row_count;
             // `(0, 0)` is the only tile whose classes both start at zero, so
             // the first-tile marker never splits a group.
             let first = col == 0 && row == 0;
-            let (x, y) = (&cols.passes[xp], &rows.passes[yp]);
+            let y = rows.pass(yp);
             if !geometry.composes(x, y) {
-                types.push((geometry.analyze_tile(mode, &grid, col, row), count));
+                types.push((geometry.analyze_tile(*mode, grid, col, row), count));
                 continue;
             }
             let key = (xp * row_passes + yp) * 2 + usize::from(first);
@@ -749,7 +904,7 @@ fn grouped_types(geometry: &StackGeometry<'_>, tile: TileSize, mode: OverlapMode
                 Some(i) => types[i].1 += count,
                 None => {
                     composed[key] = Some(types.len());
-                    types.push((geometry.compose(x, y, mode, first), count));
+                    types.push((geometry.compose(x, y, *mode, first), count));
                 }
             }
         }
@@ -758,7 +913,7 @@ fn grouped_types(geometry: &StackGeometry<'_>, tile: TileSize, mode: OverlapMode
 }
 
 /// One axis of the tile grid.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Axis {
     X,
     Y,
@@ -783,25 +938,117 @@ impl Axis {
     }
 }
 
+/// What identifies a [`StackGeometry`]'s axis classes: the axis, the
+/// (clamped) tile extent along it, and whether the mode caches its overlap
+/// along it.
+type AxisKey = (Axis, u64, bool);
+
+/// The word layout of one [`AxisPass`] in [`AxisClasses::passes`]: one word
+/// per stack layer, then two per input edge, then two per feature map.
+#[derive(Debug, Clone, Copy)]
+struct PassShape {
+    layers: usize,
+    edges: usize,
+    fms: usize,
+}
+
+impl PassShape {
+    /// Words per pass.
+    fn len(self) -> usize {
+        self.layers + 2 * self.edges + 2 * self.fms
+    }
+
+    /// The pass stored in `words`.
+    fn view(self, words: &[u64]) -> AxisPass<'_> {
+        let (layers, rest) = words.split_at(self.layers);
+        let (edges, fms) = rest.split_at(2 * self.edges);
+        AxisPass {
+            layers,
+            edges: edges.as_chunks::<2>().0,
+            fms: fms.as_chunks::<2>().0,
+        }
+    }
+}
+
 /// One tile back-calculated along one axis: the length every region of
 /// [`StackGeometry::analyze_tile`] has along it, `0` meaning empty.
-#[derive(Debug, PartialEq, Eq)]
-struct AxisPass {
+#[derive(Debug, Clone, Copy)]
+struct AxisPass<'p> {
     /// Per stack layer: the region it computes.
-    layers: Vec<u64>,
+    layers: &'p [u64],
     /// Per input edge: the region it reads, and the part of that region the
     /// overlap cache of the previous tile on this axis serves.
-    edges: Vec<(u64, u64)>,
+    edges: &'p [[u64; 2]],
     /// Per feature map: its needed region and that region's core
     /// (stride-only) part, for the cache capacities.
-    fms: Vec<(u64, u64)>,
+    fms: &'p [[u64; 2]],
+}
+
+/// The buffers [`StackGeometry::axis_pass`] reuses across the classes of
+/// one axis.
+#[derive(Debug, Default)]
+struct PassScratch {
+    /// The previous tile's edges ([`StackGeometry::axis_edges`]), empty when
+    /// the mode does not cache along the axis.
+    prev: Vec<Option<i64>>,
+    /// Per feature map: the interval the tile needs of it.
+    needed: Vec<Option<(i64, i64)>>,
 }
 
 /// The signature classes of one axis and their distinct passes.
+#[derive(Debug)]
 struct AxisClasses {
+    /// Tiles on the axis and the signature clamp, which fix the classes
+    /// ([`signature_classes`]).
+    tiles: u64,
+    clamp: u64,
+    /// Per class, in signature order: the index of its pass.
+    class_pass: Vec<u32>,
+    /// Per stack layer: the sum over the classes of tile count × the
+    /// layer's extent, the axis's factor of its MACs ([`stack_macs`]).
+    extent_sums: Vec<u64>,
+    /// Every distinct pass, `shape.len()` words each, in first-use order.
+    passes: Vec<u64>,
+    shape: PassShape,
+}
+
+impl AxisClasses {
     /// Per class, in signature order: (first tile, tile count, pass index).
-    classes: Vec<(u64, u64, usize)>,
-    passes: Vec<AxisPass>,
+    fn classes(&self) -> impl Iterator<Item = (u64, u64, usize)> + '_ {
+        signature_classes(self.tiles, self.clamp)
+            .zip(&self.class_pass)
+            .map(|((first, count), &pass)| (first, count, pass as usize))
+    }
+
+    /// The number of distinct passes.
+    fn pass_count(&self) -> usize {
+        self.passes.len() / self.shape.len()
+    }
+
+    /// The pass with index `id`.
+    fn pass(&self, id: usize) -> AxisPass<'_> {
+        let len = self.shape.len();
+        self.shape.view(&self.passes[id * len..(id + 1) * len])
+    }
+
+    /// Every distinct pass, in index order.
+    fn passes(&self) -> impl Iterator<Item = AxisPass<'_>> + '_ {
+        self.passes
+            .chunks_exact(self.shape.len())
+            .map(|words| self.shape.view(words))
+    }
+}
+
+/// Steps 1–2 of one stack under one (tile size, overlap mode), one axis at
+/// a time ([`stack_axes`]): the column and the row classes, shared with the
+/// geometry's memo. `compose_types` composes the tile types from them and
+/// [`stack_macs`] counts their MACs without composing.
+#[derive(Debug, Clone)]
+pub struct StackAxes {
+    grid: TileGrid,
+    mode: OverlapMode,
+    cols: Arc<AxisClasses>,
+    rows: Arc<AxisClasses>,
 }
 
 /// The tiles of one axis grouped by signature — (tiles to the near edge,
@@ -809,16 +1056,14 @@ struct AxisClasses {
 /// (first tile, tile count) per class. Tiles closer than `clamp` to an edge
 /// have a signature of their own; the rest share `(clamp, clamp)`, which
 /// sorts last.
-fn signature_classes(tiles: u64, clamp: u64) -> Vec<(u64, u64)> {
+fn signature_classes(tiles: u64, clamp: u64) -> impl Iterator<Item = (u64, u64)> {
     let near = tiles.min(clamp);
     let far = tiles.saturating_sub(clamp).max(near);
-    let mut classes: Vec<(u64, u64)> = (0..near).map(|i| (i, 1)).collect();
-    // Signature (clamp, tiles - 1 - i): ascending with descending `i`.
-    classes.extend((far..tiles).rev().map(|i| (i, 1)));
-    if far > near {
-        classes.push((near, far - near));
-    }
-    classes
+    (0..near)
+        .map(|i| (i, 1))
+        // Signature (clamp, tiles - 1 - i): ascending with descending `i`.
+        .chain((far..tiles).rev().map(|i| (i, 1)))
+        .chain((far > near).then_some((near, far - near)))
 }
 
 /// Merges entries with equal analyses into the first one, summing their
@@ -1138,7 +1383,6 @@ mod tests {
     fn assert_matches_oracle(net: &Network) -> usize {
         let stack = full_stack(net);
         let geo = StackGeometry::new(net, &stack);
-        let sink = net.layer(stack.last_layer()).dims;
         let mut fallbacks = 0;
         for (tx, ty) in ORACLE_TILES {
             let tile = TileSize::new(tx, ty);
@@ -1149,11 +1393,9 @@ mod tests {
                 for (analysis, count) in &types {
                     assert_eq!(oracle.get(analysis), Some(count), "{tile:?} {mode}");
                 }
-                let grid = TileGrid::new(sink.ox, sink.oy, tile);
-                let cols = geo.axis_classes(Axis::X, &grid, mode);
-                let rows = geo.axis_classes(Axis::Y, &grid, mode);
-                for x in &cols.passes {
-                    fallbacks += rows.passes.iter().filter(|y| !geo.composes(x, y)).count();
+                let axes = stack_axes(&geo, tile, mode);
+                for x in axes.cols.passes() {
+                    fallbacks += axes.rows.passes().filter(|&y| !geo.composes(x, y)).count();
                 }
             }
         }
@@ -1268,6 +1510,109 @@ mod tests {
         );
     }
 
+    /// `Σ analysis.total_macs() × count` over a stack's `tile_types`.
+    fn summed_macs(geo: &StackGeometry<'_>, tile: TileSize, mode: OverlapMode) -> u64 {
+        tile_types(geo, tile, mode)
+            .iter()
+            .map(|(analysis, count)| analysis.total_macs() * count)
+            .sum()
+    }
+
+    /// `stack_macs` counts what summing the composed types counts, on the
+    /// oracle stacks (the residual add through its fallback) for every
+    /// oracle tile and mode.
+    #[test]
+    fn stack_macs_equal_the_summed_tile_types_on_the_oracle_stacks() {
+        let mut fallback_stacks = 0;
+        for net in [
+            chain_3x3(),
+            stride_2(),
+            depthwise(),
+            chain_1x1(),
+            residual_add(),
+        ] {
+            let stack = full_stack(&net);
+            let geo = StackGeometry::new(&net, &stack);
+            for (tx, ty) in ORACLE_TILES {
+                let tile = TileSize::new(tx, ty);
+                for mode in OverlapMode::ALL {
+                    let axes = stack_axes(&geo, tile, mode);
+                    fallback_stacks += usize::from(!geo.all_compose(&axes.cols, &axes.rows));
+                    assert_eq!(
+                        stack_macs(&geo, &axes),
+                        summed_macs(&geo, tile, mode),
+                        "{} {tile:?} {mode}",
+                        net.name()
+                    );
+                }
+            }
+        }
+        assert!(fallback_stacks > 0, "the fallback must be exercised");
+    }
+
+    /// The same identity on every stack the automatic partition cuts from
+    /// the six zoo networks, over each network's default tile grid.
+    #[test]
+    fn stack_macs_equal_the_summed_tile_types_on_the_zoo_stacks() {
+        let acc = defines_arch::zoo::meta_proto_like_df();
+        let mut stacks_checked = 0;
+        for name in models::names() {
+            let net = models::by_name(name).expect("zoo net");
+            let grid = crate::Explorer::default_tile_grid(&net);
+            let stacks = crate::stack::partition_into_stacks(&net, &acc, &crate::FuseDepth::Auto);
+            for stack in &stacks {
+                let geo = StackGeometry::new(&net, stack);
+                for &(tx, ty) in &grid {
+                    let tile = TileSize::new(tx, ty);
+                    for mode in OverlapMode::ALL {
+                        assert_eq!(
+                            stack_macs(&geo, &stack_axes(&geo, tile, mode)),
+                            summed_macs(&geo, tile, mode),
+                            "{name} {stack:?} {tile:?} {mode}"
+                        );
+                    }
+                }
+                stacks_checked += 1;
+            }
+        }
+        assert!(stacks_checked >= 6, "{stacks_checked} stacks");
+    }
+
+    /// A geometry's memo changes no answer: on one geometry, tile sizes and
+    /// modes interleaved in a seeded order (repeats included) give every
+    /// `tile_types` list — values, counts and order — that a fresh geometry
+    /// gives.
+    #[test]
+    fn the_axis_memo_answers_what_a_fresh_geometry_answers() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |bound: usize| {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        for net in [chain_3x3(), stride_2(), residual_add(), models::fsrcnn()] {
+            let stack = full_stack(&net);
+            let shared = StackGeometry::new(&net, &stack);
+            for _ in 0..60 {
+                let (tx, ty) = ORACLE_TILES[next(ORACLE_TILES.len())];
+                let tile = TileSize::new(tx, ty);
+                let mode = OverlapMode::ALL[next(OverlapMode::ALL.len())];
+                let fresh = StackGeometry::new(&net, &stack);
+                assert_eq!(
+                    tile_types(&shared, tile, mode),
+                    tile_types(&fresh, tile, mode),
+                    "{} {tile:?} {mode}",
+                    net.name()
+                );
+            }
+            // Keys that differ only in what the mode caches stay apart.
+            assert!(shared.axes().len() > ORACLE_TILES.len(), "{}", net.name());
+        }
+    }
+
     /// `merge_equal`'s reference: a pairwise `==` scan that folds every
     /// entry into the first equal one.
     fn merge_pairwise(types: TileTypes) -> TileTypes {
@@ -1299,7 +1644,7 @@ mod tests {
             for (tx, ty) in ORACLE_TILES {
                 let tile = TileSize::new(tx, ty);
                 for mode in OverlapMode::ALL {
-                    let grouped = grouped_types(&geo, tile, mode);
+                    let grouped = grouped_types(&geo, &stack_axes(&geo, tile, mode));
                     let expected = merge_pairwise(grouped.clone());
                     merges += grouped.len() - expected.len();
                     assert_eq!(merge_equal(grouped), expected, "{tile:?} {mode}");
@@ -1322,7 +1667,7 @@ mod tests {
                 }
                 let expected: Vec<(u64, u64)> = grouped.into_values().collect();
                 assert_eq!(
-                    signature_classes(tiles, clamp),
+                    signature_classes(tiles, clamp).collect::<Vec<_>>(),
                     expected,
                     "{tiles} tiles, clamp {clamp}"
                 );

@@ -9,9 +9,10 @@
 //!
 //! The bounds priced here:
 //!
-//! * **compute** — the point's exact MAC count, from the step 1–2 tile types
-//!   alone ([`tile_types`], no placement / data-copy / mapping work).
-//!   Recompute-heavy points (tiny tiles under
+//! * **compute** — the point's exact MAC count, from the step 1–2 axis
+//!   classes alone ([`stack_macs`]: no tile type is composed, and no
+//!   placement / data-copy / mapping work is done). Recompute-heavy points
+//!   (tiny tiles under
 //!   [`OverlapMode::FullyRecompute`](crate::strategy::OverlapMode::FullyRecompute))
 //!   multiply their MACs and are the main
 //!   pruning victims;
@@ -19,12 +20,13 @@
 //!   from DRAM and write the final output back: those bytes bound DRAM
 //!   traffic and the associated energy from below.
 //!
-//! A sweep identifies each point's tile types once and prices its bound from
-//! them ([`StrategyBounds::lower_bound_for_types`]) before the evaluation
-//! consumes the same list; [`StrategyBounds::lower_bound`] derives them from
-//! scratch.
+//! A sweep looks each point's axis classes up once, counts its MACs from them
+//! and prices its bound from that count
+//! ([`StrategyBounds::lower_bound_for_macs`]) before the evaluation composes
+//! the tile types from the same classes; [`StrategyBounds::lower_bound`]
+//! derives them from scratch.
 
-use crate::backcalc::{tile_types, StackGeometry, TileTypes};
+use crate::backcalc::{stack_axes, stack_macs, StackGeometry};
 use crate::explore::OptimizeTarget;
 use crate::stack::partition_into_stacks;
 use crate::strategy::DfStrategy;
@@ -78,32 +80,30 @@ impl<'a> StrategyBounds<'a> {
     }
 
     /// The exact MAC count of a design point (recomputed halos included),
-    /// from steps 1–2 alone.
+    /// from the axis classes of steps 1–2 alone.
     pub(crate) fn point_macs(&self, strategy: &DfStrategy) -> u64 {
         partition_into_stacks(self.net, self.acc, &strategy.fuse)
             .iter()
             .map(|stack| {
                 let geometry = StackGeometry::new(self.net, stack);
-                total_macs(&tile_types(&geometry, strategy.tile, strategy.mode))
+                stack_macs(
+                    &geometry,
+                    &stack_axes(&geometry, strategy.tile, strategy.mode),
+                )
             })
             .sum()
     }
 
     /// A lower bound on the point's objective value.
     pub fn lower_bound(&self, strategy: &DfStrategy) -> f64 {
-        self.bound(|| self.point_macs(strategy))
-    }
-
-    /// [`StrategyBounds::lower_bound`] of a point whose per-stack tile types
-    /// are already identified ([`crate::PreparedNetwork::tile_types`]): no
-    /// partition, geometry or back-calculation is redone.
-    pub(crate) fn lower_bound_for_types(&self, types: &[TileTypes]) -> f64 {
-        self.bound(|| types.iter().map(total_macs).sum())
+        self.lower_bound_for_macs(|| self.point_macs(strategy))
     }
 
     /// The bound of a point with `point_macs` MACs, counted only by the
-    /// targets that need them.
-    fn bound(&self, point_macs: impl FnOnce() -> u64) -> f64 {
+    /// targets that need them. A sweep counts them from the axis classes
+    /// its prepare stage looked up ([`crate::PreparedNetwork::point_macs`]):
+    /// no partition, geometry or back-calculation is redone.
+    pub(crate) fn lower_bound_for_macs(&self, point_macs: impl FnOnce() -> u64) -> f64 {
         let energy = |macs: u64| {
             // MAC energy of the point plus the unavoidable DRAM energy.
             macs as f64 * self.acc.pe_array().mac_energy_pj() + self.dram_floor_pj
@@ -122,14 +122,6 @@ impl<'a> StrategyBounds<'a> {
             OptimizeTarget::ActivationEnergy => self.dram_floor_pj,
         }
     }
-}
-
-/// MACs of one stack's tile types.
-fn total_macs(types: &TileTypes) -> u64 {
-    types
-        .iter()
-        .map(|(analysis, count)| analysis.total_macs() * count)
-        .sum()
 }
 
 #[cfg(test)]

@@ -1,7 +1,10 @@
 //! The depth-first cost model: steps 1–6 of Section III, orchestrated per
 //! stack, per tile type and per layer.
 
-use crate::backcalc::{tile_types, FmId, StackGeometry, TileAnalysis, TileTypes};
+use crate::backcalc::{
+    compose_types, stack_axes, stack_macs, tile_types, FmId, StackAxes, StackGeometry,
+    TileAnalysis, TileTypes,
+};
 use crate::datacopy::{copy_cost, DataCopyAction, MAX_COPY_ACTIONS};
 use crate::memlevel::{determine_placement, PlacementPolicy, PlacementRequest};
 use crate::result::{
@@ -105,15 +108,27 @@ pub(crate) struct PreparedNetwork<'n> {
 }
 
 impl PreparedNetwork<'_> {
-    /// Steps 1–2 of one design point: the tile types of every stack under the
-    /// strategy's tile size and overlap mode, in stack order. The exploration
-    /// engine computes them once per point and hands them to both the lower
-    /// bound and [`DfCostModel::evaluate_prepared`].
-    pub(crate) fn tile_types(&self, strategy: &DfStrategy) -> Vec<TileTypes> {
+    /// Steps 1–2 of one design point, one axis at a time: every stack's
+    /// [`StackAxes`] under the strategy's tile size and overlap mode, in
+    /// stack order, looked up in each geometry's memo (built on a miss).
+    /// The exploration engine takes them once per point; the lower bound
+    /// counts their MACs ([`PreparedNetwork::point_macs`]) and
+    /// [`DfCostModel::evaluate_prepared`] composes the tile types from them.
+    pub(crate) fn stack_axes(&self, strategy: &DfStrategy) -> Vec<StackAxes> {
         self.geometries
             .iter()
-            .map(|geometry| tile_types(geometry, strategy.tile, strategy.mode))
+            .map(|geometry| stack_axes(geometry, strategy.tile, strategy.mode))
             .collect()
+    }
+
+    /// The exact MAC count of the point whose axes are `axes` (from
+    /// [`PreparedNetwork::stack_axes`]), without composing a tile type.
+    pub(crate) fn point_macs(&self, axes: &[StackAxes]) -> u64 {
+        self.geometries
+            .iter()
+            .zip(axes)
+            .map(|(geometry, axes)| stack_macs(geometry, axes))
+            .sum()
     }
 }
 
@@ -354,7 +369,7 @@ impl<'a> DfCostModel<'a> {
         let stacks = partition_into_stacks(net, self.acc, &strategy.fuse);
         validate_stacks(net, &stacks)?;
         let prepared = self.prepare_stacks(net, &stacks);
-        Ok(self.evaluate_prepared(&prepared, strategy, prepared.tile_types(strategy)))
+        Ok(self.evaluate_prepared(&prepared, strategy, prepared.stack_axes(strategy)))
     }
 
     /// Builds the per-stack geometry state every design point of a sweep
@@ -378,9 +393,10 @@ impl<'a> DfCostModel<'a> {
     }
 
     /// [`DfCostModel::evaluate_network`] on pre-built stack geometries and
-    /// the point's tile types (`types`, from [`PreparedNetwork::tile_types`]
+    /// the point's axis classes (`axes`, from [`PreparedNetwork::stack_axes`]
     /// for this `strategy`): the per-point remainder of a sweep evaluation,
-    /// steps 3–6. Only the components that actually vary across a sweep's
+    /// composing each stack's tile types from its axes, then steps 3–6.
+    /// Only the components that actually vary across a sweep's
     /// design points (tile size, overlap mode, between-stack memory policy)
     /// are read from `strategy`; the fuse partition is the prepared one.
     /// Bit-identical to [`DfCostModel::evaluate_network`] by construction —
@@ -388,12 +404,12 @@ impl<'a> DfCostModel<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `types` does not hold one list per prepared stack.
+    /// Panics if `axes` does not hold one entry per prepared stack.
     pub(crate) fn evaluate_prepared(
         &self,
         prepared: &PreparedNetwork<'_>,
         strategy: &DfStrategy,
-        types: Vec<TileTypes>,
+        axes: Vec<StackAxes>,
     ) -> NetworkCost {
         debug_assert_eq!(
             partition_into_stacks(prepared.net, self.acc, &strategy.fuse),
@@ -405,12 +421,13 @@ impl<'a> DfCostModel<'a> {
             "strategy fuse depth diverges from the prepared partition"
         );
         assert_eq!(
-            types.len(),
+            axes.len(),
             prepared.geometries.len(),
-            "one tile-type list per prepared stack"
+            "one axis pair per prepared stack"
         );
         let mut stack_costs = Vec::with_capacity(prepared.geometries.len());
-        for (geometry, types) in prepared.geometries.iter().zip(types) {
+        for (geometry, axes) in prepared.geometries.iter().zip(&axes) {
+            let types = compose_types(geometry, axes);
             let in_level = self.stack_input_level(geometry, strategy.between_stacks);
             let out_level =
                 self.stack_output_level(prepared.net, geometry.stack(), strategy.between_stacks);

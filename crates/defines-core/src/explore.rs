@@ -11,7 +11,7 @@
 //! [`DfCostModel::evaluate_network`] (the oracle `tests/engine_parity.rs`
 //! keeps), regardless of thread count.
 
-use crate::backcalc::{StackGeometry, TileTypes};
+use crate::backcalc::{StackAxes, StackGeometry};
 use crate::bounds::StrategyBounds;
 use crate::evaluate::{DfCostModel, EvaluationError};
 use crate::fuse::{enumerate_candidates, optimal_partition, stack_span, FusePolicy};
@@ -355,9 +355,10 @@ impl<'a> Explorer<'a> {
     /// and the explorer's fuse partition, builds the design points, the
     /// per-stack geometries and the lower bounds once, then streams one
     /// [`DfSweepRecord`] per point to `on_record` in completion order. Each
-    /// point's tile types (steps 1–2) are identified once, by the engine's
-    /// prepare stage; the bound — handed to the engine only when `prune` is
-    /// set — prices them and the evaluation consumes them.
+    /// point's axis classes (steps 1–2, one axis at a time) are looked up
+    /// once, by the engine's prepare stage; the bound — handed to the engine
+    /// only when `prune` is set — counts the point's MACs from them, and
+    /// only the evaluation composes the tile types.
     fn run_sweep(
         &self,
         net: &Network,
@@ -377,15 +378,17 @@ impl<'a> Explorer<'a> {
         let points = self.design_points(tile_sizes, modes);
         let prepared = self.model.prepare_stacks(net, &stacks);
         let bounds = StrategyBounds::new(net, acc, target);
-        let bound = |_: &DfStrategy, types: &Vec<TileTypes>| bounds.lower_bound_for_types(types);
+        let bound = |_: &DfStrategy, axes: &Vec<StackAxes>| {
+            bounds.lower_bound_for_macs(|| prepared.point_macs(axes))
+        };
         let engine = SweepEngine::new(self.engine).with_label(self.engine_label(net));
         // Snapshot so the attached cache statistics describe this run, not
         // the cache's lifetime (the model may have served earlier sweeps).
         let cache_before = self.model.mapping_cache().stats();
         let stats = engine.run_prepared(
             &points,
-            &|s: &DfStrategy| prepared.tile_types(s),
-            &|s: &DfStrategy, types| self.model.evaluate_prepared(&prepared, s, types),
+            &|s: &DfStrategy| prepared.stack_axes(s),
+            &|s: &DfStrategy, axes| self.model.evaluate_prepared(&prepared, s, axes),
             &|_, c: &NetworkCost| target.value(c, acc),
             prune.then_some(&bound),
             on_record,

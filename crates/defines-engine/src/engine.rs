@@ -291,8 +291,8 @@ impl SweepEngine {
     /// point, `prepare` computes it once, `lower_bound` reads it, and
     /// `evaluate` consumes it — prepare → bound → evaluate, back to back on
     /// one worker, so the value never crosses threads. The DeFiNES sweep
-    /// prepares each point's tile types this way, priced by both the bound
-    /// and the evaluation.
+    /// prepares each point's per-axis tile classes this way: the bound counts
+    /// the point's MACs from them and the evaluation composes its tile types.
     ///
     /// `prepare` runs inside the point's panic isolation like the other
     /// closures: a panic there is one [`Outcome::Failed`] record.

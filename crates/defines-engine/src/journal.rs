@@ -12,6 +12,12 @@
 //! * **Append** is one `write_all(json + "\n")` followed by `flush` — no
 //!   per-line `fsync`. The contract is survival of *process* death (a kill
 //!   loses at most the line it interrupted), not of power loss.
+//! * **Batch append** ([`Journal::append_all`]) renders every line of the
+//!   batch into the same buffer and issues one `write_all` + `flush` for
+//!   all of them. A kill inside that write leaves the file as a kill
+//!   between per-line appends at the same byte would: a prefix of whole
+//!   lines plus at most one torn tail, which [`Journal::read`] drops. A
+//!   batch is not atomic: the lines after the cut are lost with it.
 //! * **Read** streams the file through one buffered reader, a line and its
 //!   lookahead at a time, and hands each line to the consumer as a borrowed
 //!   [`ValueRef`] on one [`Tape`] reused across lines, so reading holds
@@ -149,6 +155,30 @@ impl Journal {
     pub fn append(&mut self, value: &(impl Serialize + ?Sized)) -> Result<(), JournalError> {
         failpoint!("journal.append");
         render_line(&mut self.line, value);
+        self.write_line_buffer()
+    }
+
+    /// Appends `lines` with one write and one flush: the lines of a batch
+    /// cost one system call, not one each. A kill inside the write keeps the
+    /// whole lines before the cut (see the module docs). An empty batch
+    /// writes nothing.
+    pub fn append_all<V: Serialize>(
+        &mut self,
+        lines: impl IntoIterator<Item = V>,
+    ) -> Result<(), JournalError> {
+        self.line.clear();
+        for value in lines {
+            push_line(&mut self.line, &value);
+        }
+        if self.line.is_empty() {
+            return Ok(());
+        }
+        failpoint!("journal.append");
+        self.write_line_buffer()
+    }
+
+    /// Writes and flushes the line buffer.
+    fn write_line_buffer(&mut self) -> Result<(), JournalError> {
         self.file
             .write_all(self.line.as_bytes())
             .and_then(|()| self.file.flush())
@@ -229,8 +259,13 @@ impl Lines {
 /// Renders `value` as one compact line, newline included, into `line`.
 fn render_line(line: &mut String, value: &(impl Serialize + ?Sized)) {
     line.clear();
-    value.serialize(&mut Writer::compact(line));
-    line.push('\n');
+    push_line(line, value);
+}
+
+/// Appends `value` as one compact line, newline included, to `buffer`.
+fn push_line(buffer: &mut String, value: &(impl Serialize + ?Sized)) {
+    value.serialize(&mut Writer::compact(buffer));
+    buffer.push('\n');
 }
 
 /// Whether a line holds only whitespace (as `str::trim` counts it).

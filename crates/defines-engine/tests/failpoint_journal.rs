@@ -5,7 +5,8 @@
 //! of what was written (old content *or* new content, never a hybrid), and
 //! reopening must remove whatever the kill left beside it. Matrix
 //! checkpoints and the mapping-cache store are both this file, so this is
-//! where both are killed; their own campaigns
+//! where both are killed — and, for a batch append's one write, cut at every
+//! byte a kill inside the write could leave; their own campaigns
 //! (`defines-core/tests/failpoint_matrix.rs`,
 //! `defines-mapping/tests/persist_faults.rs`) check what each builds on top.
 #![cfg(feature = "failpoints")]
@@ -103,4 +104,67 @@ fn a_kill_at_any_journal_site_leaves_old_or_new_content_never_a_hybrid() {
         injections >= 7,
         "campaign only injected {injections} kills — sites are not being exercised"
     );
+
+    // Runs here, not as a test of its own: its batch append passes the
+    // `journal.append` site, which must not count while the campaign arms it.
+    every_cut_inside_a_batch_keeps_its_whole_lines(&dir);
+}
+
+/// A kill inside a batch append's one `write` leaves any prefix of the
+/// batch's bytes on disk. Every such cut must read back as the lines before
+/// the batch plus the batch's whole lines before the cut, with at most one
+/// torn tail dropped; a rewrite of what was read heals the file.
+fn every_cut_inside_a_batch_keeps_its_whole_lines(dir: &Path) {
+    let path = dir.join("batch.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let mut journal = Journal::open("test", &path).expect("open");
+    journal.append(&record(0)).expect("append");
+    journal
+        .append_all((1..5).map(record))
+        .expect("batch append");
+    journal
+        .append_all(Vec::<Value>::new())
+        .expect("empty batch");
+    drop(journal);
+    let bytes = std::fs::read(&path).expect("read journal");
+    let header_end = bytes.iter().position(|&b| b == b'\n').expect("header line") + 1;
+    let (all, torn) = read_back(&path);
+    assert_eq!((all.as_slice(), torn), ([0, 1, 2, 3, 4].as_slice(), false));
+
+    let cut_path = dir.join("batch-cut.jsonl");
+    let mut torn_cuts = 0;
+    for cut in header_end..=bytes.len() {
+        let kept = &bytes[..cut];
+        std::fs::write(&cut_path, kept).expect("write the cut file");
+        // Whole lines, and a tail that is a record without its newline.
+        let tail_start = kept.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let tail = &kept[tail_start..];
+        let whole = kept.iter().filter(|&&b| b == b'\n').count();
+        let tail_is_record = !tail.is_empty() && bytes.get(cut) == Some(&b'\n');
+        let (seen, torn) = read_back(&cut_path);
+        let expected = whole + usize::from(tail_is_record);
+        assert_eq!(seen, all[..expected], "cut at byte {cut}");
+        assert_eq!(
+            torn,
+            !tail.is_empty() && !tail_is_record,
+            "cut at byte {cut}"
+        );
+        torn_cuts += usize::from(torn);
+
+        // The reader of a torn file rewrites what it read, then appends.
+        let mut journal = Journal::open("test", &cut_path).expect("reopen the cut file");
+        journal
+            .rewrite(seen.iter().map(|&n| record(n)))
+            .expect("rewrite");
+        journal
+            .append(&record(9))
+            .expect("append after the rewrite");
+        let (healed, torn) = read_back(&cut_path);
+        assert!(!torn, "cut at byte {cut}");
+        assert_eq!(healed[..seen.len()], seen[..], "cut at byte {cut}");
+        assert_eq!(healed[seen.len()..], [9], "cut at byte {cut}");
+    }
+    assert!(torn_cuts > 0, "no cut tore a line");
+    let _ = std::fs::remove_file(&cut_path);
+    let _ = std::fs::remove_file(&path);
 }

@@ -583,23 +583,15 @@ impl CacheStore {
         Ok(())
     }
 
-    /// Appends `line`, or, to a version 1 file, holds it back for the
-    /// sync's rewrite.
-    fn append(&mut self, line: &Line<'_>) -> Result<(), StoreError> {
-        if !self.v1 {
-            self.journal.append(line)?;
-        }
-        self.appended_since_compact += 1;
-        Ok(())
-    }
-
     /// Persists everything the cache touched since the last sync, advances
     /// the usage epoch, and enforces the size bound.
     ///
     /// Call at batch boundaries only: the epoch advance here is what makes
     /// all lookups *within* a batch indistinguishable to the LRU policy (see
     /// the module docs). New entries are appended in key order; re-touched
-    /// entries become one compact `touch` line per epoch.
+    /// entries become one compact `touch` line per epoch. A sync's lines go
+    /// out in one write ([`Journal::append_all`]); to a version 1 file they
+    /// are held back for the sync's rewrite.
     pub fn sync(&mut self) -> Result<(), StoreError> {
         let appended = self.appended_since_compact;
         let touched = self.cache.take_touched();
@@ -608,6 +600,7 @@ impl CacheStore {
         // (usually one per sync), so a sorted Vec keyed by epoch keeps the
         // output order deterministic without a tree map.
         let mut retouched: Vec<(u64, Vec<u64>)> = Vec::new();
+        let mut fresh: Vec<(u64, ProblemKey, Answer)> = Vec::new();
         for key in touched {
             // Marks the entry as written at its last use. A touched key can
             // be absent from the cache only once evicted; skipping it is the
@@ -619,7 +612,7 @@ impl CacheStore {
                 continue;
             };
             if was == NEVER {
-                self.append(&Line::Entry(epoch, &key, &answer))?;
+                fresh.push((epoch, key, answer));
                 self.stats.stored += 1;
                 self.stats.entries += 1;
                 STORE_STORED.incr();
@@ -631,11 +624,20 @@ impl CacheStore {
                 }
             }
         }
-        for (epoch, mut fps) in retouched {
+        for (_, fps) in &mut retouched {
             fps.sort_unstable();
             fps.dedup();
-            self.append(&Line::Touch { fps: &fps, epoch })?;
         }
+        if !self.v1 {
+            let entries = fresh
+                .iter()
+                .map(|(epoch, key, answer)| Line::Entry(*epoch, key, answer));
+            let touches = retouched
+                .iter()
+                .map(|(epoch, fps)| Line::Touch { fps, epoch: *epoch });
+            self.journal.append_all(entries.chain(touches))?;
+        }
+        self.appended_since_compact += fresh.len() + retouched.len();
         self.evict_over_bound()?;
         // Compact when the log has roughly doubled past the live entry
         // count — amortized O(1) lines per entry — or when a version 1 file

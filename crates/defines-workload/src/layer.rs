@@ -154,16 +154,25 @@ impl Layer {
         }
     }
 
-    /// MAC operations restricted to a `tw`×`th` portion of the output feature
-    /// map (used by the depth-first model when evaluating tiles).
-    pub fn macs_for_output_region(&self, tw: u64, th: u64) -> u64 {
+    /// MAC operations per output pixel: [`Layer::macs`] over `ox·oy`.
+    ///
+    /// Exact: every operator's [`Layer::macs`] is a product with `ox·oy`
+    /// among its factors (for an add, `output_elements` is `b·k·ox·oy`), so
+    /// the division leaves no remainder.
+    pub fn macs_per_output_pixel(&self) -> u64 {
         let full = self.dims.ox * self.dims.oy;
         if full == 0 {
             return 0;
         }
-        let region = tw.min(self.dims.ox) * th.min(self.dims.oy);
-        // MAC count scales linearly with the number of output pixels.
-        self.macs() / full * region + (self.macs() % full) * region / full
+        self.macs() / full
+    }
+
+    /// MAC operations restricted to a `tw`×`th` portion of the output feature
+    /// map (used by the depth-first model when evaluating tiles): the
+    /// per-pixel count times the region's area, exactly
+    /// ([`Layer::macs_per_output_pixel`]).
+    pub fn macs_for_output_region(&self, tw: u64, th: u64) -> u64 {
+        self.macs_per_output_pixel() * (tw.min(self.dims.ox) * th.min(self.dims.oy))
     }
 
     /// Number of output activation elements.
@@ -255,6 +264,27 @@ mod tests {
         assert_eq!(l.macs_for_output_region(10, 10), l.macs() / 100);
         // Regions larger than the layer clamp to the layer size.
         assert_eq!(l.macs_for_output_region(1000, 1000), l.macs());
+    }
+
+    /// Every operator's MAC count has `ox·oy` as a factor, so the per-pixel
+    /// count that `macs_for_output_region` scales is exact.
+    #[test]
+    fn macs_divide_by_the_output_area_for_every_op() {
+        let dims = LayerDims::conv(6, 5, 7, 3, 3, 2).with_stride(2, 1);
+        for op in [
+            OpType::Conv,
+            OpType::DepthwiseConv,
+            OpType::Pooling,
+            OpType::Add,
+        ] {
+            let l = Layer::new("l", op, dims);
+            assert_eq!(l.macs() % (7 * 3), 0, "{op:?}");
+            assert_eq!(l.macs_per_output_pixel() * 7 * 3, l.macs(), "{op:?}");
+            assert_eq!(
+                l.macs_for_output_region(2, 3),
+                l.macs_per_output_pixel() * 6
+            );
+        }
     }
 
     #[test]
