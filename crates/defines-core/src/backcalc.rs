@@ -5,17 +5,16 @@
 //!
 //! [`StackGeometry::analyze_tile`] is the 2-D reference for one tile.
 //! [`tile_types`] produces the same analyses for a whole tile grid one axis
-//! at a time, in two halves:
+//! at a time:
 //!
-//! * [`stack_axes`] back-calculates every column class and every row class
-//!   once in 1-D. A class's pass depends only on the axis, the tile extent
-//!   along it and whether the mode caches along it, so the geometry keeps
-//!   each axis's classes it has built: every point of a sweep and every
+//! * it back-calculates every column class and every row class once in
+//!   1-D. A class's pass depends only on the axis, the tile extent along it
+//!   and whether the mode caches along it, so the geometry keeps each
+//!   axis's classes it has built: every point of a sweep and every
 //!   candidate of a schedule search that share a stack's geometry share
-//!   them, and each is built once per run.
-//! * `compose_types` composes the 2-D analysis of each distinct (column
-//!   pass, row pass, first-tile) combination from the two with integer
-//!   products.
+//!   them, and each is built once per run;
+//! * it composes the 2-D analysis of each distinct (column pass, row pass,
+//!   first-tile) combination from the two with integer products.
 //!
 //! [`stack_macs`] counts the MACs of the composed types without composing
 //! them: a layer's MACs are its per-pixel count times a column length times
@@ -800,35 +799,11 @@ impl<'a> StackGeometry<'a> {
 }
 
 /// Steps 1–2 of the cost model for one stack: the distinct tile types of the
-/// grid `tile` lays over the stack's output, each with its tile count —
-/// [`stack_axes`], then `compose_types`.
+/// grid `tile` lays over the stack's output, each with its tile count.
 ///
 /// This is the one step 1–2 function of the evaluation paths that take a
-/// stack and a (tile, mode) pair; the sweep engine calls its two halves as
-/// separate stages, so that its lower bound ([`stack_macs`]) reads the axes
-/// alone.
-pub fn tile_types(geometry: &StackGeometry<'_>, tile: TileSize, mode: OverlapMode) -> TileTypes {
-    let _span = span!("backcalc.tile_types");
-    merge_equal(grouped_types(geometry, &stack_axes(geometry, tile, mode)))
-}
-
-/// The first half of [`tile_types`]: the column and row classes of the grid
-/// `tile` lays over the stack's output, with their 1-D passes under `mode`,
-/// from (or added to) the geometry's memo.
-pub fn stack_axes(geometry: &StackGeometry<'_>, tile: TileSize, mode: OverlapMode) -> StackAxes {
-    let sink = &geometry.net.layer(geometry.stack.last_layer()).dims;
-    let grid = TileGrid::new(sink.ox, sink.oy, tile);
-    let (tx, ty) = grid.tile_size();
-    StackAxes {
-        grid,
-        mode,
-        cols: geometry.axis(Axis::X, tx, mode.caches_horizontal()),
-        rows: geometry.axis(Axis::Y, ty, mode.caches_vertical()),
-    }
-}
-
-/// The second half of [`tile_types`]: the distinct tile types composed from
-/// a stack's axes.
+/// stack and a (tile, mode) pair. Each axis's classes come from (or are
+/// added to) the geometry's memo.
 ///
 /// Tiles are grouped by a conservative geometric signature (distance to the
 /// feature-map edges in tile units, clamped at the stack's halo), which
@@ -841,13 +816,28 @@ pub fn stack_axes(geometry: &StackGeometry<'_>, tile: TileSize, mode: OverlapMod
 /// Groups are visited in signature order and equal analyses merged into
 /// their first occurrence, so the list — values, counts and order — is what
 /// analyzing one representative tile per group and deduplicating would give.
-pub(crate) fn compose_types(geometry: &StackGeometry<'_>, axes: &StackAxes) -> TileTypes {
+pub fn tile_types(geometry: &StackGeometry<'_>, tile: TileSize, mode: OverlapMode) -> TileTypes {
     let _span = span!("backcalc.tile_types");
-    merge_equal(grouped_types(geometry, axes))
+    merge_equal(grouped_types(geometry, &stack_axes(geometry, tile, mode)))
+}
+
+/// The column and row classes of the grid `tile` lays over the stack's
+/// output, with their 1-D passes under `mode`, from (or added to) the
+/// geometry's memo.
+fn stack_axes(geometry: &StackGeometry<'_>, tile: TileSize, mode: OverlapMode) -> StackAxes {
+    let sink = &geometry.net.layer(geometry.stack.last_layer()).dims;
+    let grid = TileGrid::new(sink.ox, sink.oy, tile);
+    let (tx, ty) = grid.tile_size();
+    StackAxes {
+        grid,
+        mode,
+        cols: geometry.axis(Axis::X, tx, mode.caches_horizontal()),
+        rows: geometry.axis(Axis::Y, ty, mode.caches_vertical()),
+    }
 }
 
 /// The MACs of a stack's tile types, `Σ analysis.total_macs() × count` over
-/// `compose_types`, without composing them.
+/// [`tile_types`], without composing them.
 ///
 /// A layer of a composed type computes a `w × h` region, `w` from the
 /// column pass and `h` from the row pass, and its MACs are
@@ -857,10 +847,12 @@ pub(crate) fn compose_types(geometry: &StackGeometry<'_>, axes: &StackAxes) -> T
 /// per-pixel count times `Σ count_x·w` times `Σ count_y·h`, each axis's sum
 /// kept with its classes. Merging equal types moves no MAC, so the identity
 /// is exact in integers. A stack with a pair that does not compose sums its
-/// types instead.
-pub fn stack_macs(geometry: &StackGeometry<'_>, axes: &StackAxes) -> u64 {
+/// types instead. The axis classes are looked up in the geometry's memo as
+/// [`tile_types`] looks them up.
+pub fn stack_macs(geometry: &StackGeometry<'_>, tile: TileSize, mode: OverlapMode) -> u64 {
+    let axes = stack_axes(geometry, tile, mode);
     if !geometry.all_compose(&axes.cols, &axes.rows) {
-        return grouped_types(geometry, axes)
+        return grouped_types(geometry, &axes)
             .iter()
             .map(|(analysis, count)| analysis.total_macs() * count)
             .sum();
@@ -873,7 +865,7 @@ pub fn stack_macs(geometry: &StackGeometry<'_>, axes: &StackAxes) -> u64 {
         .sum()
 }
 
-/// `compose_types` before equal analyses are merged: one entry per
+/// [`tile_types`] before equal analyses are merged: one entry per
 /// distinct composed (column pass, row pass, first-tile) key and per
 /// fallback group, in signature order.
 fn grouped_types(geometry: &StackGeometry<'_>, axes: &StackAxes) -> TileTypes {
@@ -1041,10 +1033,10 @@ impl AxisClasses {
 
 /// Steps 1–2 of one stack under one (tile size, overlap mode), one axis at
 /// a time ([`stack_axes`]): the column and the row classes, shared with the
-/// geometry's memo. `compose_types` composes the tile types from them and
+/// geometry's memo. [`tile_types`] composes the tile types from them and
 /// [`stack_macs`] counts their MACs without composing.
-#[derive(Debug, Clone)]
-pub struct StackAxes {
+#[derive(Debug)]
+struct StackAxes {
     grid: TileGrid,
     mode: OverlapMode,
     cols: Arc<AxisClasses>,
@@ -1539,7 +1531,7 @@ mod tests {
                     let axes = stack_axes(&geo, tile, mode);
                     fallback_stacks += usize::from(!geo.all_compose(&axes.cols, &axes.rows));
                     assert_eq!(
-                        stack_macs(&geo, &axes),
+                        stack_macs(&geo, tile, mode),
                         summed_macs(&geo, tile, mode),
                         "{} {tile:?} {mode}",
                         net.name()
@@ -1566,7 +1558,7 @@ mod tests {
                     let tile = TileSize::new(tx, ty);
                     for mode in OverlapMode::ALL {
                         assert_eq!(
-                            stack_macs(&geo, &stack_axes(&geo, tile, mode)),
+                            stack_macs(&geo, tile, mode),
                             summed_macs(&geo, tile, mode),
                             "{name} {stack:?} {tile:?} {mode}"
                         );

@@ -9,8 +9,8 @@
 //!
 //! The bounds priced here:
 //!
-//! * **compute** — the point's exact MAC count, from the step 1–2 axis
-//!   classes alone ([`stack_macs`]: no tile type is composed, and no
+//! * **compute** — the point's exact MAC count, from each stack's step 1–2
+//!   axis classes alone ([`stack_macs`]: no tile type is composed, and no
 //!   placement / data-copy / mapping work is done). Recompute-heavy points
 //!   (tiny tiles under
 //!   [`OverlapMode::FullyRecompute`](crate::strategy::OverlapMode::FullyRecompute))
@@ -20,13 +20,14 @@
 //!   from DRAM and write the final output back: those bytes bound DRAM
 //!   traffic and the associated energy from below.
 //!
-//! A sweep looks each point's axis classes up once, counts its MACs from them
-//! and prices its bound from that count
-//! ([`StrategyBounds::lower_bound_for_macs`]) before the evaluation composes
-//! the tile types from the same classes; [`StrategyBounds::lower_bound`]
-//! derives them from scratch.
+//! A sweep builds its stack geometries once; a point's bound sums
+//! [`stack_macs`] over them and prices that count
+//! ([`StrategyBounds::lower_bound_for_macs`]), and the evaluation's
+//! [`tile_types`](crate::backcalc::tile_types) finds the same axis classes
+//! in the geometries' memos. [`StrategyBounds::lower_bound`] builds the
+//! partition and geometries from scratch.
 
-use crate::backcalc::{stack_axes, stack_macs, StackGeometry};
+use crate::backcalc::{stack_macs, StackGeometry};
 use crate::explore::OptimizeTarget;
 use crate::stack::partition_into_stacks;
 use crate::strategy::DfStrategy;
@@ -85,10 +86,10 @@ impl<'a> StrategyBounds<'a> {
         partition_into_stacks(self.net, self.acc, &strategy.fuse)
             .iter()
             .map(|stack| {
-                let geometry = StackGeometry::new(self.net, stack);
                 stack_macs(
-                    &geometry,
-                    &stack_axes(&geometry, strategy.tile, strategy.mode),
+                    &StackGeometry::new(self.net, stack),
+                    strategy.tile,
+                    strategy.mode,
                 )
             })
             .sum()
@@ -100,9 +101,9 @@ impl<'a> StrategyBounds<'a> {
     }
 
     /// The bound of a point with `point_macs` MACs, counted only by the
-    /// targets that need them. A sweep counts them from the axis classes
-    /// its prepare stage looked up ([`crate::PreparedNetwork::point_macs`]):
-    /// no partition, geometry or back-calculation is redone.
+    /// targets that need them. A sweep counts them on the geometries it
+    /// built once (`Σ stack_macs`): no partition, geometry or
+    /// back-calculation is redone.
     pub(crate) fn lower_bound_for_macs(&self, point_macs: impl FnOnce() -> u64) -> f64 {
         let energy = |macs: u64| {
             // MAC energy of the point plus the unavoidable DRAM energy.

@@ -1,10 +1,7 @@
 //! The depth-first cost model: steps 1–6 of Section III, orchestrated per
 //! stack, per tile type and per layer.
 
-use crate::backcalc::{
-    compose_types, stack_axes, stack_macs, tile_types, FmId, StackAxes, StackGeometry,
-    TileAnalysis, TileTypes,
-};
+use crate::backcalc::{tile_types, FmId, StackGeometry, TileAnalysis, TileTypes};
 use crate::datacopy::{copy_cost, DataCopyAction, MAX_COPY_ACTIONS};
 use crate::memlevel::{determine_placement, PlacementPolicy, PlacementRequest};
 use crate::result::{
@@ -95,41 +92,6 @@ pub struct DfCostModel<'a> {
     /// [`LomaMapper::config_fingerprint`] of `mapper`, computed once for the
     /// same reason and refreshed whenever the mapper changes.
     mapper_fingerprint: u64,
-}
-
-/// The sweep-invariant half of a network evaluation: the stack partition's
-/// back-calculated geometries, built once by [`DfCostModel::prepare_stacks`]
-/// and shared by every design point of a sweep (the engine's prepare,
-/// bound and evaluate closures). Borrows the network and the caller-owned
-/// stack partition.
-pub(crate) struct PreparedNetwork<'n> {
-    net: &'n Network,
-    geometries: Vec<StackGeometry<'n>>,
-}
-
-impl PreparedNetwork<'_> {
-    /// Steps 1–2 of one design point, one axis at a time: every stack's
-    /// [`StackAxes`] under the strategy's tile size and overlap mode, in
-    /// stack order, looked up in each geometry's memo (built on a miss).
-    /// The exploration engine takes them once per point; the lower bound
-    /// counts their MACs ([`PreparedNetwork::point_macs`]) and
-    /// [`DfCostModel::evaluate_prepared`] composes the tile types from them.
-    pub(crate) fn stack_axes(&self, strategy: &DfStrategy) -> Vec<StackAxes> {
-        self.geometries
-            .iter()
-            .map(|geometry| stack_axes(geometry, strategy.tile, strategy.mode))
-            .collect()
-    }
-
-    /// The exact MAC count of the point whose axes are `axes` (from
-    /// [`PreparedNetwork::stack_axes`]), without composing a tile type.
-    pub(crate) fn point_macs(&self, axes: &[StackAxes]) -> u64 {
-        self.geometries
-            .iter()
-            .zip(axes)
-            .map(|(geometry, axes)| stack_macs(geometry, axes))
-            .sum()
-    }
 }
 
 /// One data class's traffic for the tile type being priced, dense by memory
@@ -368,77 +330,45 @@ impl<'a> DfCostModel<'a> {
         net.validate()?;
         let stacks = partition_into_stacks(net, self.acc, &strategy.fuse);
         validate_stacks(net, &stacks)?;
-        let prepared = self.prepare_stacks(net, &stacks);
-        Ok(self.evaluate_prepared(&prepared, strategy, prepared.stack_axes(strategy)))
+        let geometries: Vec<StackGeometry<'_>> = stacks
+            .iter()
+            .map(|stack| StackGeometry::new(net, stack))
+            .collect();
+        Ok(self.evaluate_geometries(net, &geometries, strategy))
     }
 
-    /// Builds the per-stack geometry state every design point of a sweep
-    /// shares, so the per-point evaluation ([`DfCostModel::evaluate_prepared`])
-    /// skips the validation / partitioning / geometry setup that is identical
-    /// across points. `stacks` must be the partition of `net` under the fuse
-    /// depth the evaluated strategies will carry ([`partition_into_stacks`],
-    /// already validated).
-    pub(crate) fn prepare_stacks<'n>(
-        &self,
-        net: &'n Network,
-        stacks: &'n [Stack],
-    ) -> PreparedNetwork<'n> {
-        PreparedNetwork {
-            net,
-            geometries: stacks
-                .iter()
-                .map(|stack| StackGeometry::new(net, stack))
-                .collect(),
-        }
-    }
-
-    /// [`DfCostModel::evaluate_network`] on pre-built stack geometries and
-    /// the point's axis classes (`axes`, from [`PreparedNetwork::stack_axes`]
-    /// for this `strategy`): the per-point remainder of a sweep evaluation,
-    /// composing each stack's tile types from its axes, then steps 3–6.
-    /// Only the components that actually vary across a sweep's
+    /// [`DfCostModel::evaluate_network`] on pre-built stack geometries of
+    /// `net`: a sweep builds them once for all its design points, so each
+    /// point skips the validation / partitioning / geometry setup that is
+    /// identical across points. Only the components that actually vary across a sweep's
     /// design points (tile size, overlap mode, between-stack memory policy)
-    /// are read from `strategy`; the fuse partition is the prepared one.
+    /// are read from `strategy`; the fuse partition is the geometries' one.
     /// Bit-identical to [`DfCostModel::evaluate_network`] by construction —
     /// it runs the same per-stack sequence on the same geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axes` does not hold one entry per prepared stack.
-    pub(crate) fn evaluate_prepared(
+    pub(crate) fn evaluate_geometries(
         &self,
-        prepared: &PreparedNetwork<'_>,
+        net: &Network,
+        geometries: &[StackGeometry<'_>],
         strategy: &DfStrategy,
-        axes: Vec<StackAxes>,
     ) -> NetworkCost {
         debug_assert_eq!(
-            partition_into_stacks(prepared.net, self.acc, &strategy.fuse),
-            prepared
-                .geometries
+            partition_into_stacks(net, self.acc, &strategy.fuse),
+            geometries
                 .iter()
                 .map(|g| g.stack().clone())
                 .collect::<Vec<_>>(),
-            "strategy fuse depth diverges from the prepared partition"
+            "strategy fuse depth diverges from the geometries' partition"
         );
-        assert_eq!(
-            axes.len(),
-            prepared.geometries.len(),
-            "one axis pair per prepared stack"
-        );
-        let mut stack_costs = Vec::with_capacity(prepared.geometries.len());
-        for (geometry, axes) in prepared.geometries.iter().zip(&axes) {
-            let types = compose_types(geometry, axes);
-            let in_level = self.stack_input_level(geometry, strategy.between_stacks);
-            let out_level =
-                self.stack_output_level(prepared.net, geometry.stack(), strategy.between_stacks);
-            stack_costs.push(self.price_stack(
-                geometry,
-                types,
-                in_level,
-                out_level,
-                Lookups::Counted,
-            ));
-        }
+        let stack_costs = geometries
+            .iter()
+            .map(|geometry| {
+                let types = tile_types(geometry, strategy.tile, strategy.mode);
+                let in_level = self.stack_input_level(geometry, strategy.between_stacks);
+                let out_level =
+                    self.stack_output_level(net, geometry.stack(), strategy.between_stacks);
+                self.price_stack(geometry, types, in_level, out_level, Lookups::Counted)
+            })
+            .collect();
         NetworkCost::from_stacks(stack_costs)
     }
 

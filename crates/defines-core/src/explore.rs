@@ -11,7 +11,7 @@
 //! [`DfCostModel::evaluate_network`] (the oracle `tests/engine_parity.rs`
 //! keeps), regardless of thread count.
 
-use crate::backcalc::{StackAxes, StackGeometry};
+use crate::backcalc::{stack_macs, StackGeometry};
 use crate::bounds::StrategyBounds;
 use crate::evaluate::{DfCostModel, EvaluationError};
 use crate::fuse::{enumerate_candidates, optimal_partition, stack_span, FusePolicy};
@@ -355,10 +355,10 @@ impl<'a> Explorer<'a> {
     /// and the explorer's fuse partition, builds the design points, the
     /// per-stack geometries and the lower bounds once, then streams one
     /// [`DfSweepRecord`] per point to `on_record` in completion order. Each
-    /// point's axis classes (steps 1–2, one axis at a time) are looked up
-    /// once, by the engine's prepare stage; the bound — handed to the engine
-    /// only when `prune` is set — counts the point's MACs from them, and
-    /// only the evaluation composes the tile types.
+    /// point runs bound → evaluate: the bound — handed to the engine only
+    /// when `prune` is set — counts the point's MACs from each stack's axis
+    /// classes ([`stack_macs`]), and only the evaluation composes the tile
+    /// types. Both look the classes up in the geometries' memos.
     fn run_sweep(
         &self,
         net: &Network,
@@ -368,27 +368,30 @@ impl<'a> Explorer<'a> {
         prune: bool,
         on_record: impl FnMut(DfSweepRecord),
     ) -> Result<SweepStats, EvaluationError> {
-        // Every design point shares the explorer's fuse partition, so the
-        // engine's evaluate closures run on geometries built once
-        // (`prepare_stacks` / `evaluate_prepared`) instead of re-deriving the
-        // partition per point.
         let stacks = self.validate_sweep(net)?;
         let _span = span!("explore.sweep");
         let acc = self.model.accelerator();
         let points = self.design_points(tile_sizes, modes);
-        let prepared = self.model.prepare_stacks(net, &stacks);
+        let geometries: Vec<StackGeometry<'_>> = stacks
+            .iter()
+            .map(|stack| StackGeometry::new(net, stack))
+            .collect();
         let bounds = StrategyBounds::new(net, acc, target);
-        let bound = |_: &DfStrategy, axes: &Vec<StackAxes>| {
-            bounds.lower_bound_for_macs(|| prepared.point_macs(axes))
+        let bound = |s: &DfStrategy| {
+            bounds.lower_bound_for_macs(|| {
+                geometries
+                    .iter()
+                    .map(|geometry| stack_macs(geometry, s.tile, s.mode))
+                    .sum()
+            })
         };
         let engine = SweepEngine::new(self.engine).with_label(self.engine_label(net));
         // Snapshot so the attached cache statistics describe this run, not
         // the cache's lifetime (the model may have served earlier sweeps).
         let cache_before = self.model.mapping_cache().stats();
-        let stats = engine.run_prepared(
+        let stats = engine.run(
             &points,
-            &|s: &DfStrategy| prepared.stack_axes(s),
-            &|s: &DfStrategy, axes| self.model.evaluate_prepared(&prepared, s, axes),
+            &|s: &DfStrategy| self.model.evaluate_geometries(net, &geometries, s),
             &|_, c: &NetworkCost| target.value(c, acc),
             prune.then_some(&bound),
             on_record,

@@ -6,62 +6,19 @@
 //! Lives in its own integration-test binary because it installs a counting
 //! `#[global_allocator]`; keeping it isolated means the counter only sees
 //! this file's allocations.
-#![expect(
-    unsafe_code,
-    reason = "a counting #[global_allocator] is an unsafe impl of GlobalAlloc"
-)]
 
 use defines_arch::zoo;
 use defines_core::backcalc::{tile_types, StackGeometry};
 use defines_core::{DfCostModel, OverlapMode, Stack, TileSize};
 use defines_workload::{models, Network};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct CountingAllocator;
+#[path = "support/counting_allocator.rs"]
+mod counting_allocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: pure pass-through to `System`; the only extra work is a relaxed
-// atomic increment, which cannot allocate or violate the GlobalAlloc contract.
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: forwards the caller's layout to `System.alloc` unchanged, so the
-    // caller's obligations (non-zero size) transfer directly.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `layout` is the caller's, passed on unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: forwards ptr/layout to `System.dealloc` unchanged; the caller
-    // guarantees they match a prior `alloc` from this allocator.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr`/`layout` are the caller's, passed on unchanged.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use counting_allocator::{fewest_allocations, CountingAllocator};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// The fewest allocations `f` makes over a few calls: the counter is
-/// process-global, so runtime machinery occasionally adds a stray
-/// allocation mid-window.
-fn fewest_allocations<T>(f: impl Fn() -> T) -> u64 {
-    let mut fewest = u64::MAX;
-    for _attempt in 0..5 {
-        let before = allocations();
-        let out = f();
-        let after = allocations();
-        drop(out);
-        fewest = fewest.min(after - before);
-    }
-    fewest
-}
 
 /// Allocations per tile type of a warm `evaluate_stack` call, less those of
 /// its steps 1–2 (building the stack geometry and finding the tile types):

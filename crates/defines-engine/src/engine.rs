@@ -253,13 +253,12 @@ impl SweepEngine {
     ///   objective value of the point, or pruning could drop the optimum.
     ///   The run prunes if and only if one is given.
     ///
-    /// A panic inside `evaluate`, `objective` or `lower_bound` is caught and
-    /// isolated to that point: the sweep streams an [`Outcome::Failed`]
-    /// record carrying the panic message and continues. Failed points never
-    /// update the shared pruning incumbent, so all sibling records are
-    /// bit-identical to a run without the failure.
-    ///
-    /// This is [`SweepEngine::run_prepared`] with nothing prepared.
+    /// Each point runs bound → evaluate → objective, back to back on one
+    /// worker. A panic inside `evaluate`, `objective` or `lower_bound` is
+    /// caught and isolated to that point: the sweep streams an
+    /// [`Outcome::Failed`] record carrying the panic message and continues.
+    /// Failed points never update the shared pruning incumbent, so all
+    /// sibling records are bit-identical to a run without the failure.
     pub fn run<P, C, E, V, L, S>(
         &self,
         points: &[P],
@@ -276,44 +275,6 @@ impl SweepEngine {
         L: Fn(&P) -> f64 + Sync,
         S: FnMut(SweepRecord<P, C>),
     {
-        let bound = lower_bound.map(|lb| move |point: &P, _: &()| lb(point));
-        self.run_prepared(
-            points,
-            &|_: &P| (),
-            &|point: &P, ()| evaluate(point),
-            objective,
-            bound.as_ref(),
-            on_record,
-        )
-    }
-
-    /// Runs a sweep whose points share a per-point intermediate: for each
-    /// point, `prepare` computes it once, `lower_bound` reads it, and
-    /// `evaluate` consumes it — prepare → bound → evaluate, back to back on
-    /// one worker, so the value never crosses threads. The DeFiNES sweep
-    /// prepares each point's per-axis tile classes this way: the bound counts
-    /// the point's MACs from them and the evaluation composes its tile types.
-    ///
-    /// `prepare` runs inside the point's panic isolation like the other
-    /// closures: a panic there is one [`Outcome::Failed`] record.
-    pub fn run_prepared<P, X, C, F, E, V, L, S>(
-        &self,
-        points: &[P],
-        prepare: &F,
-        evaluate: &E,
-        objective: &V,
-        lower_bound: Option<&L>,
-        on_record: S,
-    ) -> SweepStats
-    where
-        P: Clone + Sync,
-        C: Send,
-        F: Fn(&P) -> X + Sync,
-        E: Fn(&P, X) -> C + Sync,
-        V: Fn(&P, &C) -> f64 + Sync,
-        L: Fn(&P, &X) -> f64 + Sync,
-        S: FnMut(SweepRecord<P, C>),
-    {
         let _run_span = span!("engine.run");
         #[expect(
             clippy::disallowed_methods,
@@ -321,7 +282,6 @@ impl SweepEngine {
         )]
         let start = Instant::now();
         let stages = Stages {
-            prepare,
             evaluate,
             objective,
             lower_bound,
@@ -449,16 +409,15 @@ impl<'p, P: Clone, S> Tally<'p, P, S> {
 }
 
 /// The caller's per-point closures of one run.
-struct Stages<'a, F, E, V, L> {
-    prepare: &'a F,
+struct Stages<'a, E, V, L> {
     evaluate: &'a E,
     objective: &'a V,
     lower_bound: Option<&'a L>,
 }
 
-impl<F, E, V, L> Stages<'_, F, E, V, L> {
-    /// Executes one design point with panic isolation: the preparation, the
-    /// pruning check, the evaluation and the objective all run inside
+impl<E, V, L> Stages<'_, E, V, L> {
+    /// Executes one design point with panic isolation: the pruning check,
+    /// the evaluation and the objective all run inside
     /// `catch_unwind`, so a panic anywhere becomes an [`Outcome::Failed`] for
     /// this point alone instead of unwinding through the worker (which would
     /// poison shared locks and, on the parallel path, abort the whole scope).
@@ -468,21 +427,19 @@ impl<F, E, V, L> Stages<'_, F, E, V, L> {
     /// touched (the memo/mapping caches) recovers from lock poisoning by
     /// construction, and the engine never reuses partial results of a failed
     /// point.
-    fn execute<P, X, C>(&self, index: usize, point: &P, best: f64) -> Outcome<C>
+    fn execute<P, C>(&self, index: usize, point: &P, best: f64) -> Outcome<C>
     where
-        F: Fn(&P) -> X,
-        E: Fn(&P, X) -> C,
+        E: Fn(&P) -> C,
         V: Fn(&P, &C) -> f64,
-        L: Fn(&P, &X) -> f64,
+        L: Fn(&P) -> f64,
     {
         // `quiet_panics` silences the default panic hook for exactly this
         // region: the payload is reported through the Failed record below,
         // so the hook's stderr dump would only duplicate it.
         let result = defines_telemetry::quiet_panics(|| {
             catch_unwind(AssertUnwindSafe(|| {
-                let prepared = (self.prepare)(point);
                 if let Some(lb) = self.lower_bound {
-                    let bound = lb(point, &prepared);
+                    let bound = lb(point);
                     if bound > best {
                         return Outcome::Pruned { lower_bound: bound };
                     }
@@ -490,7 +447,7 @@ impl<F, E, V, L> Stages<'_, F, E, V, L> {
                 let cost = {
                     let _span = span!("engine.execute", point = index);
                     failpoint!("engine.execute");
-                    (self.evaluate)(point, prepared)
+                    (self.evaluate)(point)
                 };
                 let value = (self.objective)(point, &cost);
                 Outcome::Evaluated { cost, value }
@@ -506,14 +463,13 @@ impl<F, E, V, L> Stages<'_, F, E, V, L> {
 
     /// Fans `points` out over `threads` workers sharing one pruning
     /// incumbent, and records each outcome as it arrives.
-    fn run_parallel<P, X, C, S>(&self, points: &[P], threads: usize, tally: &mut Tally<'_, P, S>)
+    fn run_parallel<P, C, S>(&self, points: &[P], threads: usize, tally: &mut Tally<'_, P, S>)
     where
         P: Clone + Sync,
         C: Send,
-        F: Fn(&P) -> X + Sync,
-        E: Fn(&P, X) -> C + Sync,
+        E: Fn(&P) -> C + Sync,
         V: Fn(&P, &C) -> f64 + Sync,
-        L: Fn(&P, &X) -> f64 + Sync,
+        L: Fn(&P) -> f64 + Sync,
         S: FnMut(SweepRecord<P, C>),
     {
         let queue = AtomicUsize::new(0);
@@ -842,91 +798,52 @@ mod tests {
         }
     }
 
-    /// Sweeps `points` with a prepare stage that panics on point 13, pruning
-    /// on a bound read from the prepared value, and returns the records.
-    fn sweep_with_panicking_prepare(threads: usize, points: &[i64]) -> Vec<SweepRecord<i64, f64>> {
+    /// Sweeps `points` pruning on a bound that panics on point 13, and
+    /// returns the records in index order.
+    fn sweep_with_panicking_bound(threads: usize, points: &[i64]) -> Vec<SweepRecord<i64, f64>> {
         let engine = SweepEngine::new(EngineConfig::parallel().with_threads(threads));
-        let mut records = Vec::new();
-        let stats = engine.run_prepared(
-            points,
-            &|p: &i64| {
-                if *p == 13 {
-                    panic!("injected prepare failure for point {p}");
-                }
-                toy_eval(p)
-            },
-            &|_: &i64, prepared: f64| prepared,
-            &|_, c: &f64| *c,
-            Some(&|_: &i64, prepared: &f64| prepared / 2.0),
-            |r| records.push(r),
-        );
+        let bound = |p: &i64| {
+            if *p == 13 {
+                panic!("injected bound failure for point {p}");
+            }
+            toy_eval(p) / 2.0
+        };
+        let (records, stats) =
+            engine.run_collect(points, &toy_eval, &|_, c: &f64| *c, Some(&bound));
         assert_eq!(stats.failed, usize::from(points.contains(&13)));
         assert_eq!(stats.evaluated + stats.pruned + stats.failed, points.len());
-        records.sort_by_key(|r| r.index);
         records
     }
 
     #[test]
-    fn panicking_prepare_fails_one_point_and_leaves_siblings_bit_identical() {
+    fn panicking_bound_fails_one_point_and_leaves_siblings_bit_identical() {
         let points: Vec<i64> = (0..20).collect();
         // The same sweep without the failing point: a failed point never
         // publishes a value, so no sibling's pruning decision may change.
         let absent: Vec<i64> = points.iter().copied().filter(|&p| p != 13).collect();
-        let reference = sweep_with_panicking_prepare(1, &absent);
+        let reference = sweep_with_panicking_bound(1, &absent);
         for threads in [1, 4] {
-            let records = sweep_with_panicking_prepare(threads, &points);
+            let records = sweep_with_panicking_bound(threads, &points);
             match &records[13].outcome {
                 Outcome::Failed { error } => {
-                    assert_eq!(error, "injected prepare failure for point 13");
+                    assert_eq!(error, "injected bound failure for point 13");
                 }
                 other => panic!("expected Failed outcome, got {other:?}"),
             }
             let siblings: Vec<_> = records.iter().filter(|r| r.point != 13).collect();
-            if threads == 1 {
-                // Sequential runs see the same incumbents, so pruning
-                // decisions and bounds match record for record.
-                for (s, r) in siblings.iter().zip(&reference) {
-                    assert_eq!((s.point, &s.outcome), (r.point, &r.outcome));
-                }
-            } else {
-                // In parallel a sibling may be pruned or evaluated, but every
-                // evaluated value is bit-identical.
-                for (s, r) in siblings.iter().zip(&reference) {
-                    if let (Some(a), Some(b)) = (s.value(), r.value()) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "point {}", s.point);
-                    }
+            assert_eq!(siblings.len(), reference.len());
+            for (s, r) in siblings.iter().zip(&reference) {
+                assert_eq!(s.point, r.point);
+                if threads == 1 {
+                    // Sequential runs see the same incumbents, so pruning
+                    // decisions and bounds match record for record.
+                    assert_eq!(s.outcome, r.outcome, "point {}", s.point);
+                } else if let (Some(a), Some(b)) = (s.value(), r.value()) {
+                    // In parallel a sibling may be pruned or evaluated, but
+                    // every evaluated value is bit-identical.
+                    assert_eq!(a.to_bits(), b.to_bits(), "point {}", s.point);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn prepared_value_reaches_bound_and_evaluation_once() {
-        let prepares = AtomicUsize::new(0);
-        let points: Vec<i64> = (0..50).collect();
-        for threads in [1, 4] {
-            prepares.store(0, Ordering::Relaxed);
-            let engine = SweepEngine::new(EngineConfig::parallel().with_threads(threads));
-            let mut records = Vec::new();
-            engine.run_prepared(
-                &points,
-                &|p: &i64| {
-                    prepares.fetch_add(1, Ordering::Relaxed);
-                    (*p, toy_eval(p))
-                },
-                &|p: &i64, (q, value): (i64, f64)| {
-                    assert_eq!(*p, q, "evaluate receives its own point's value");
-                    value
-                },
-                &|_, c: &f64| *c,
-                Some(&|p: &i64, &(q, value): &(i64, f64)| {
-                    assert_eq!(*p, q, "the bound receives its own point's value");
-                    value / 2.0
-                }),
-                |r| records.push(r),
-            );
-            assert_eq!(prepares.load(Ordering::Relaxed), points.len());
-            records.sort_by_key(|r| r.index);
             let best = SweepEngine::best_record(records).unwrap();
             assert_eq!(best.point, 3);
         }

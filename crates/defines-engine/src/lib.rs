@@ -15,7 +15,11 @@
 //!   thing that switches pruning on for a run; points whose
 //!   bound already exceeds the best evaluated value are skipped without
 //!   paying for a full evaluation, without ever changing the best result
-//!   (pruning uses a strict comparison, so ties are never pruned).
+//!   (pruning uses a strict comparison, so ties are never pruned). Each
+//!   point runs bound → evaluate on one worker, and nothing passes from
+//!   the bound to the evaluation: a caller that wants both to share work
+//!   keeps it in state they both read (the DeFiNES sweep's stack
+//!   geometries memoize their axis classes).
 //!
 //! The engine is deliberately generic over points, costs and evaluation
 //! closures: `defines-core` instantiates it with `DfStrategy`/`NetworkCost`
