@@ -8,9 +8,10 @@
 //! * [`SweepEngine`] — a work-queue parallel executor that fans design points
 //!   out across worker threads and streams [`SweepRecord`]s back in
 //!   completion order, with best-so-far tracking,
-//! * [`MemoCache`] — a sharded, thread-safe memoization cache with hit/miss
-//!   accounting, used by `defines-mapping` to run the LOMA temporal-mapping
-//!   search once per *distinct* sub-problem instead of once per design point,
+//! * [`MemoCache`] — a sharded, thread-safe memoization map that counts
+//!   nothing, used by `defines-mapping` to run the LOMA temporal-mapping
+//!   search once per *distinct* sub-problem instead of once per design point
+//!   (the mapping cache keeps its own hit/miss counts),
 //! * lower-bound pruning — an optional cheap bound `lb(point)`, the only
 //!   thing that switches pruning on for a run; points whose
 //!   bound already exceeds the best evaluated value are skipped without

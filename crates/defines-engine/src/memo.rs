@@ -1,4 +1,8 @@
-//! A sharded, thread-safe memoization cache with hit/miss accounting.
+//! A sharded, thread-safe memoization cache.
+//!
+//! The cache counts nothing and keeps no state beside its entries: the
+//! caller decides what a lookup counts ([`MemoCache::get_or_insert_with_meta`]
+//! says whether it found the key) and reports its counts as [`CacheStats`].
 //!
 //! # Hashing
 //!
@@ -15,7 +19,6 @@
 use serde::{Serialize, Writer};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Number of independent shards; keys are distributed by hash so concurrent
@@ -83,7 +86,7 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// One shard's map.
 type Shard<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// Hit/miss statistics of a [`MemoCache`].
+/// Hit/miss statistics of a cache built on a [`MemoCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -92,10 +95,10 @@ pub struct CacheStats {
     pub misses: u64,
     /// The subset of `hits` that were only found because the caller
     /// *canonicalized* its key first — the raw problem differed from the
-    /// cached one but provably maps to the same value (see
-    /// [`MemoCache::record_canonical_hit`]). Without canonicalization these
-    /// lookups would have been misses, so tracking them separately keeps the
-    /// plain hit/miss ratio comparable across cache-key schemes.
+    /// cached one but provably maps to the same value. Without
+    /// canonicalization these lookups would have been misses, so tracking
+    /// them separately keeps the plain hit/miss ratio comparable across
+    /// cache-key schemes.
     pub canonical_hits: u64,
     /// Distinct entries currently stored.
     pub entries: usize,
@@ -105,9 +108,8 @@ impl CacheStats {
     /// The counter delta since an earlier snapshot of the same cache:
     /// hits / misses / canonical hits are differenced (so the result
     /// describes one run, not the cache's lifetime), while `entries` stays
-    /// the current absolute count. The differences saturate at zero: any
-    /// holder of the cache may [`MemoCache::clear`] it between the two
-    /// snapshots, which resets the counters below `before`.
+    /// the current absolute count. The differences saturate at zero, so a
+    /// `before` taken later, or from another cache, cannot underflow.
     pub fn since(&self, before: &CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits.saturating_sub(before.hits),
@@ -150,17 +152,11 @@ impl Serialize for CacheStats {
 /// second insert is a no-op, so results never depend on the interleaving.
 pub struct MemoCache<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    canonical_hits: AtomicU64,
 }
 
 impl<K, V> std::fmt::Debug for MemoCache<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MemoCache")
-            .field("hits", &self.hits.load(Ordering::Relaxed))
-            .field("misses", &self.misses.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
+        f.debug_struct("MemoCache").finish_non_exhaustive()
     }
 }
 
@@ -175,9 +171,6 @@ impl<K: Hash + Eq, V: Clone> MemoCache<K, V> {
     pub fn new() -> Self {
         Self {
             shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            canonical_hits: AtomicU64::new(0),
         }
     }
 
@@ -220,10 +213,8 @@ impl<K: Hash + Eq, V: Clone> MemoCache<K, V> {
     ) -> (R, bool) {
         let shard = self.shard(&key);
         if let Some(hit) = Self::lock_shard(shard).get_mut(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
             return (visit(&key, hit), true);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let mut value = compute();
         let mut guard = Self::lock_shard(shard);
         if let Some(raced) = guard.get_mut(&key) {
@@ -234,36 +225,14 @@ impl<K: Hash + Eq, V: Clone> MemoCache<K, V> {
         (seen, false)
     }
 
-    /// Counts a hit the caller answered without a lookup: a repeat of a key
-    /// it already looked up, whose value it kept.
-    pub fn record_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Attributes the most recent hit to key canonicalization: the caller's
-    /// raw key differed from the cached canonical one. Callers that
-    /// canonicalize keys invoke this after a hit on a canonicalized key so
-    /// [`CacheStats::canonical_hits`] counts the lookups that plain raw-key
-    /// caching would have missed.
-    pub fn record_canonical_hit(&self) {
-        self.canonical_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The cached value for `key`, if present (counts as a hit/miss).
+    /// The cached value for `key`, if present.
     pub fn get(&self, key: &K) -> Option<V> {
-        let found = Self::lock_shard(self.shard(key)).get(key).cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+        Self::lock_shard(self.shard(key)).get(key).cloned()
     }
 
-    /// Inserts `value` for `key` without touching the hit/miss counters,
-    /// returning `true` if the key was absent. Used to preload a cache from a
-    /// persisted store: preloaded entries must not masquerade as run-time
-    /// hits or misses, and an entry computed since the store was read wins
-    /// over the stale persisted one.
+    /// Inserts `value` for `key`, returning `true` if the key was absent:
+    /// a value already present (computed since a persisted store was read,
+    /// say) wins over the inserted one.
     pub fn insert(&self, key: K, value: V) -> bool {
         match Self::lock_shard(self.shard(&key)).entry(key) {
             std::collections::hash_map::Entry::Occupied(_) => false,
@@ -275,15 +244,13 @@ impl<K: Hash + Eq, V: Clone> MemoCache<K, V> {
     }
 
     /// Applies `f` to the value of `key`, if present, under the shard lock.
-    /// No effect on the hit/miss counters: this is bookkeeping, not a lookup.
     pub fn update<R>(&self, key: &K, f: impl FnOnce(&mut V) -> R) -> Option<R> {
         Self::lock_shard(self.shard(key)).get_mut(key).map(f)
     }
 
     /// Visits every entry, shard by shard under its lock, and drops those
     /// for which `keep` returns `false`. The visiting order is unspecified:
-    /// callers that collect entries sort them. No effect on the hit/miss
-    /// counters.
+    /// callers that collect entries sort them.
     #[expect(
         clippy::disallowed_methods,
         reason = "the order is documented as unspecified; callers that collect sort"
@@ -295,102 +262,68 @@ impl<K: Hash + Eq, V: Clone> MemoCache<K, V> {
     }
 
     /// Number of distinct entries.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.shards.iter().map(|s| Self::lock_shard(s).len()).sum()
     }
 
     /// Whether the cache holds no entries.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops all entries and resets the statistics.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            Self::lock_shard(shard).clear();
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.canonical_hits.store(0, Ordering::Relaxed);
-    }
-
-    /// Current hit/miss statistics.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            canonical_hits: self.canonical_hits.load(Ordering::Relaxed),
-            entries: self.len(),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn caches_and_counts() {
         let cache: MemoCache<u64, u64> = MemoCache::new();
+        assert!(cache.is_empty());
         let computed = AtomicUsize::new(0);
+        let mut hits = 0;
         for _ in 0..3 {
             for k in 0..4u64 {
-                let v = cache.get_or_insert_with(k, || {
-                    computed.fetch_add(1, Ordering::Relaxed);
-                    k * 10
-                });
+                let (v, hit) = cache.get_or_insert_with_meta(
+                    k,
+                    || {
+                        computed.fetch_add(1, Ordering::Relaxed);
+                        k * 10
+                    },
+                    |_, v| *v,
+                );
                 assert_eq!(v, k * 10);
+                hits += usize::from(hit);
             }
         }
         assert_eq!(computed.load(Ordering::Relaxed), 4);
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 4);
-        assert_eq!(stats.hits, 8);
-        assert_eq!(stats.entries, 4);
-        assert!((stats.hit_rate() - 8.0 / 12.0).abs() < 1e-12);
+        assert_eq!(hits, 8);
+        assert_eq!(cache.len(), 4);
     }
 
     #[test]
     fn since_reports_per_run_deltas() {
-        let cache: MemoCache<u64, u64> = MemoCache::new();
-        cache.get_or_insert_with(1, || 10);
-        cache.get_or_insert_with(1, || 10);
-        let before = cache.stats();
-        cache.get_or_insert_with(2, || 20);
-        cache.get_or_insert_with(1, || 10);
-        cache.record_canonical_hit();
-        let delta = cache.stats().since(&before);
-        assert_eq!(delta.hits, 1);
-        assert_eq!(delta.misses, 1);
-        assert_eq!(delta.canonical_hits, 1);
+        let before = CacheStats {
+            hits: 1,
+            misses: 1,
+            canonical_hits: 0,
+            entries: 1,
+        };
+        let after = CacheStats {
+            hits: 2,
+            misses: 2,
+            canonical_hits: 1,
+            entries: 2,
+        };
+        let delta = after.since(&before);
+        assert_eq!((delta.hits, delta.misses, delta.canonical_hits), (1, 1, 1));
         // Entries stay absolute: they describe the cache, not the run.
         assert_eq!(delta.entries, 2);
-    }
-
-    #[test]
-    fn since_survives_a_clear_between_snapshots() {
-        let cache: MemoCache<u64, u64> = MemoCache::new();
-        cache.get_or_insert_with(1, || 10);
-        cache.get_or_insert_with(1, || 10);
-        cache.get_or_insert_with(1, || 10);
-        cache.record_canonical_hit();
-        let before = cache.stats();
-        cache.clear();
-        cache.get_or_insert_with(2, || 20);
-        let delta = cache.stats().since(&before);
-        assert_eq!((delta.hits, delta.misses, delta.canonical_hits), (0, 0, 0));
-        assert_eq!(delta.entries, 1);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let cache: MemoCache<u64, u64> = MemoCache::new();
-        cache.get_or_insert_with(1, || 2);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), CacheStats::default());
+        assert!((delta.hit_rate() - 0.5).abs() < 1e-12);
+        // Saturating difference, never a panic, when `before` is ahead.
+        let back = before.since(&after);
+        assert_eq!((back.hits, back.misses, back.canonical_hits), (0, 0, 0));
     }
 
     #[test]
@@ -461,7 +394,5 @@ mod tests {
             }
         });
         assert_eq!(cache.len(), 64);
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, 4 * 64);
     }
 }

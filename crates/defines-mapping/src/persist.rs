@@ -39,8 +39,12 @@
 //! eviction order must be a pure function of the *logical* request history —
 //! never of thread interleaving or of when the store happened to be synced.
 //! The LRU state lives in the cache entries themselves: each carries the
-//! epoch of its last use and the epoch its line last carried in the file.
-//! Two rules make the order deterministic:
+//! epoch of its last use and the epoch its line last carried in the file,
+//! and nothing else records what changed. [`CacheStore::sync`] walks the
+//! table once and writes each entry whose last use is not the epoch its
+//! line carries: an entry line if the file does not list it yet, else its
+//! fingerprint in that epoch's `touch` line. Two rules make the order
+//! deterministic:
 //!
 //! 1. the usage epoch advances only at batch boundaries (once per
 //!    [`CacheStore::sync`]), so every lookup within one batch records the
@@ -428,7 +432,7 @@ fn read_cost(cost: Fields<'_>) -> Result<LayerCost, String> {
 
 impl CacheStore {
     /// Opens (or creates) the store at `path`, preloading every persisted
-    /// entry into `cache` and enabling the cache's usage tracking.
+    /// entry into `cache`.
     ///
     /// `max_entries` bounds the store (and the cache entries it manages);
     /// `0` means unbounded. A torn final line — the recording process died
@@ -436,7 +440,7 @@ impl CacheStore {
     /// Entries the cache held before are not listed until a lookup touches
     /// them.
     pub fn open(path: &Path, cache: MappingCache, max_entries: usize) -> Result<Self, StoreError> {
-        cache.track_usage();
+        cache.forget_usage();
         let mut store = CacheStore {
             cache,
             max_entries,
@@ -583,50 +587,48 @@ impl CacheStore {
         Ok(())
     }
 
-    /// Persists everything the cache touched since the last sync, advances
+    /// Persists every entry used since its line was last written, advances
     /// the usage epoch, and enforces the size bound.
     ///
     /// Call at batch boundaries only: the epoch advance here is what makes
     /// all lookups *within* a batch indistinguishable to the LRU policy (see
-    /// the module docs). New entries are appended in key order; re-touched
+    /// the module docs). New entries are appended in key order; re-used
     /// entries become one compact `touch` line per epoch. A sync's lines go
     /// out in one write ([`Journal::append_all`]); to a version 1 file they
     /// are held back for the sync's rewrite.
     pub fn sync(&mut self) -> Result<(), StoreError> {
         let appended = self.appended_since_compact;
-        let touched = self.cache.take_touched();
-        self.cache.set_epoch(self.cache.current_epoch() + 1);
-        // epoch -> fingerprints re-touched at that epoch. Epochs are few
-        // (usually one per sync), so a sorted Vec keyed by epoch keeps the
-        // output order deterministic without a tree map.
-        let mut retouched: Vec<(u64, Vec<u64>)> = Vec::new();
+        // One pass over the table: an entry used at an epoch its line does
+        // not carry is marked written at that use, and is new to the file
+        // or re-used.
         let mut fresh: Vec<(u64, ProblemKey, Answer)> = Vec::new();
-        for key in touched {
-            // Marks the entry as written at its last use. A touched key can
-            // be absent from the cache only once evicted; skipping it is the
-            // honest response.
-            let Some((epoch, was, answer)) = self.cache.table().update(&key, |entry| {
-                let was = std::mem::replace(&mut entry.persisted, entry.used);
-                (entry.used, was, entry.answer.clone())
-            }) else {
-                continue;
-            };
-            if was == NEVER {
-                fresh.push((epoch, key, answer));
-                self.stats.stored += 1;
-                self.stats.entries += 1;
-                STORE_STORED.incr();
-            } else if was != epoch {
-                let fp = key_fingerprint(&key);
-                match retouched.binary_search_by_key(&epoch, |&(e, _)| e) {
-                    Ok(i) => retouched[i].1.push(fp),
-                    Err(i) => retouched.insert(i, (epoch, vec![fp])),
+        let mut reused: Vec<(u64, u64)> = Vec::new();
+        self.cache.table().retain(|key, entry| {
+            if entry.used != NEVER && entry.used != entry.persisted {
+                if std::mem::replace(&mut entry.persisted, entry.used) == NEVER {
+                    fresh.push((entry.used, key.clone(), entry.answer.clone()));
+                } else {
+                    reused.push((entry.used, key_fingerprint(key)));
                 }
             }
+            true
+        });
+        self.cache.set_epoch(self.cache.current_epoch() + 1);
+        fresh.sort_unstable_by(|a, b| a.1.cmp(&b.1));
+        if !fresh.is_empty() {
+            STORE_STORED.add(fresh.len() as u64);
         }
-        for (_, fps) in &mut retouched {
-            fps.sort_unstable();
-            fps.dedup();
+        self.stats.stored += fresh.len() as u64;
+        self.stats.entries += fresh.len();
+        // Epoch -> the fingerprints re-used at it, epochs ascending.
+        reused.sort_unstable();
+        reused.dedup();
+        let mut retouched: Vec<(u64, Vec<u64>)> = Vec::new();
+        for (epoch, fp) in reused {
+            match retouched.last_mut() {
+                Some((last, fps)) if *last == epoch => fps.push(fp),
+                _ => retouched.push((epoch, vec![fp])),
+            }
         }
         if !self.v1 {
             let entries = fresh

@@ -206,6 +206,34 @@ proptest! {
     }
 }
 
+/// A sync writes only what was used since the last one: after no lookup it
+/// leaves the file byte-equal, and a listed entry re-used in a new epoch
+/// costs one `touch` line, not its entry line again.
+#[test]
+fn a_sync_writes_only_what_was_used() {
+    let path = fresh_path("only-used");
+    let cache = MappingCache::new();
+    let mut store = CacheStore::open(&path, cache.clone(), 0).expect("open");
+    replay(&mut store, &cache, &[vec![0, 1, 2]], 5);
+    let listed = std::fs::read_to_string(&path).unwrap();
+    store.sync().expect("sync");
+    store.sync().expect("sync");
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        listed,
+        "nothing was used"
+    );
+
+    cache.set_usage(key(1, 5), cache.current_epoch());
+    store.sync().expect("sync");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let appended = text.strip_prefix(listed.as_str()).expect("appended only");
+    assert_eq!(appended.lines().count(), 1, "{appended}");
+    assert!(appended.starts_with("{\"touch\":["), "{appended}");
+    assert_eq!(store.stats().stored, 3);
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Deterministic LRU pin-down: with a bound of 2, the entry whose last use
 /// is oldest goes first, and ties on the epoch break by key order.
 #[test]

@@ -25,8 +25,8 @@
 //! observes every worker's spans.
 //!
 //! Metrics are `static` [`Counter`] / [`Gauge`] items that lazily register
-//! themselves on a lock-free global list the first time they are touched;
-//! [`snapshot`] walks the list.
+//! themselves in a global list, under its lock, the first time they are
+//! touched; [`snapshot`] reads the list.
 //!
 //! # Example
 //!

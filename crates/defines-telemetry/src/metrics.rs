@@ -1,5 +1,5 @@
-//! The metrics registry: static counters and gauges with lock-free
-//! registration, and point-in-time snapshots.
+//! The metrics registry: static counters and gauges, registered once per
+//! process, and point-in-time snapshots.
 //!
 //! Metrics are declared as `static` items next to the code they count:
 //!
@@ -18,13 +18,13 @@
 //! defines_telemetry::set_metrics(false);
 //! ```
 //!
-//! The first touch of a metric pushes it onto a global lock-free intrusive
-//! list (a single CAS); subsequent updates are one relaxed atomic add/store.
-//! With metrics disabled an update is a single relaxed load.
+//! The first touch of a metric appends it to a global registry under a
+//! lock; subsequent updates are one relaxed atomic add/store. With metrics
+//! disabled an update is a single relaxed load.
 
 use serde::{Serialize, Writer};
-use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// What kind of time series a metric is — decides how
 /// [`MetricsSnapshot::since`] differences two snapshots.
@@ -36,19 +36,23 @@ pub(crate) enum MetricKind {
     Gauge,
 }
 
-/// The shared guts of [`Counter`] and [`Gauge`]: a named atomic cell that is
-/// an intrusive node of the global registry list.
+/// The shared guts of [`Counter`] and [`Gauge`]: a named atomic cell that
+/// the global registry lists once it is first updated.
 struct Metric {
     name: &'static str,
     kind: MetricKind,
     value: AtomicU64,
     registered: AtomicBool,
-    next: AtomicPtr<Metric>,
 }
 
-/// Head of the intrusive registry list. Nodes are `&'static`, so the raw
-/// pointers stored here are always valid.
-static REGISTRY: AtomicPtr<Metric> = AtomicPtr::new(ptr::null_mut());
+/// Every metric updated so far, in registration order.
+static REGISTRY: Mutex<Vec<&'static Metric>> = Mutex::new(Vec::new());
+
+/// Locks the registry. Poisoning is recovered from: every critical section
+/// is one push or one read, which cannot be seen half-done.
+fn registry() -> MutexGuard<'static, Vec<&'static Metric>> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 impl Metric {
     const fn new(name: &'static str, kind: MetricKind) -> Self {
@@ -57,28 +61,26 @@ impl Metric {
             kind,
             value: AtomicU64::new(0),
             registered: AtomicBool::new(false),
-            next: AtomicPtr::new(ptr::null_mut()),
         }
     }
 
-    /// Ensures the metric is on the registry list (exactly once).
+    /// Ensures the metric is in the registry (exactly once).
     #[inline]
     fn ensure_registered(&'static self) {
-        if self.registered.load(Ordering::Relaxed) {
-            return;
+        if !self.registered.load(Ordering::Relaxed) {
+            self.register();
         }
+    }
+
+    /// The first update's registration, kept out of line so the update
+    /// paths stay one load and one add.
+    #[cold]
+    #[inline(never)]
+    fn register(&'static self) {
         if self.registered.swap(true, Ordering::AcqRel) {
             return; // another thread won the race and is registering
         }
-        let me = self as *const Metric as *mut Metric;
-        let mut head = REGISTRY.load(Ordering::Acquire);
-        loop {
-            self.next.store(head, Ordering::Relaxed);
-            match REGISTRY.compare_exchange_weak(head, me, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return,
-                Err(seen) => head = seen,
-            }
-        }
+        registry().push(self);
     }
 }
 
@@ -165,22 +167,14 @@ pub struct MetricsSnapshot {
 /// Snapshots every metric registered so far (sorted by name). Metrics that
 /// have never been touched while enabled are absent.
 pub fn snapshot() -> MetricsSnapshot {
-    let mut values = Vec::new();
-    let mut node = REGISTRY.load(Ordering::Acquire);
-    while !node.is_null() {
-        #[expect(
-            unsafe_code,
-            reason = "the lock-free registry is an intrusive list of &'static metrics"
-        )]
-        // SAFETY: only `&'static Metric`s are ever pushed onto REGISTRY.
-        let metric = unsafe { &*node };
-        values.push(MetricValue {
+    let mut values: Vec<MetricValue> = registry()
+        .iter()
+        .map(|metric| MetricValue {
             name: metric.name,
             kind: metric.kind,
             value: metric.value.load(Ordering::Relaxed),
-        });
-        node = metric.next.load(Ordering::Acquire);
-    }
+        })
+        .collect();
     values.sort_by(|a, b| a.name.cmp(b.name));
     MetricsSnapshot { values }
 }
